@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -205,13 +206,13 @@ def test_verify_respects_thread_cap(monkeypatch):
         [sys.executable, "-m", "sandwich_opt", "verify", "--suite", "trace-chain",
          "--n", "3", "--trials", "40", "--seed", "11"],
         capture_output=True, text=True,
-        env={"PATH": "/usr/bin:/bin", "SANDWICH_OPT_THREADS": "2"},
+        env={**os.environ, "SANDWICH_OPT_THREADS": "2"},
     )
     res_serial = subprocess.run(
         [sys.executable, "-m", "sandwich_opt", "verify", "--suite", "trace-chain",
          "--n", "3", "--trials", "40", "--seed", "11"],
         capture_output=True, text=True,
-        env={"PATH": "/usr/bin:/bin", "SANDWICH_OPT_THREADS": "1"},
+        env={**os.environ, "SANDWICH_OPT_THREADS": "1"},
     )
     assert res.returncode == 0 and res_serial.returncode == 0
     assert res.stdout == res_serial.stdout
