@@ -26,7 +26,6 @@ from .calculus import (
     convexity_constants,
     fidelity_t_derivative,
     gradient_f,
-    hermitian_basis,
     hessian_apply,
     hessian_extreme_eigs,
     hessian_operator,

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .calculus import convexity_constants
 from .entropy import check_unit_t, geometric_mean, sandwich_trace
 from .errors import InvalidBox, InvalidInput, InvalidStart, InvalidStepSize
 from .linalg import (
@@ -126,15 +127,14 @@ def fixed_point_map(p: BarycenterProblem, X):
 def certified_rate(p: BarycenterProblem, eta=None):
     """Certified constants (alpha_star, beta_star, q) for step size eta.
 
-    alpha_star = t(1-t) beta^{t-2} alpha^{1-t} (strong convexity),
-    beta_star = t(1-t) beta^{1-t} alpha^{t-2} (smoothness), and
+    alpha_star = k1 (strong convexity) and beta_star = k2 (smoothness) of
+    convexity_constants(t, alpha, beta), and
     q = max{|1 - eta alpha_star|, |1 - eta beta_star|} < 1 for
     eta in (0, 2/beta_star); the default eta = 1/beta_star gives
     q = 1 - (alpha/beta)^{3-2t}.
     """
-    t, a, b = p.t, p.alpha, p.beta
-    alpha_star = t * (1.0 - t) * b ** (t - 2.0) * a ** (1.0 - t)
-    beta_star = t * (1.0 - t) * b ** (1.0 - t) * a ** (t - 2.0)
+    c = convexity_constants(p.t, p.alpha, p.beta)
+    alpha_star, beta_star = c.k1, c.k2
     if eta is None:
         eta = 1.0 / beta_star
     if not (np.isfinite(eta) and 0.0 < eta < 2.0 / beta_star):

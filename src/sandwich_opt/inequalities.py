@@ -4,14 +4,12 @@ Covers the four-link trace chain, the log-majorization chains for the two
 order-parameter regimes, the variational lower bounds for the sandwiched
 trace functional, the small-t limit envelope, Schatten-norm convexity of
 induced matrix functions, and an exploratory search on the open domination
-question for t <= 1/2. Trials are independent and seeded; reports are plain
-dicts, merged deterministically by trial index.
+question for t <= 1/2. Trials are independent, seeded, and run serially in
+trial order; reports are plain dicts.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -484,7 +482,7 @@ def gauge_convexity_check(fn: ScalarFunction, p, trials, seed, n=4):
         strict_ok = (not (strict and separated)) or margin > 1e-12 * scale
         return margin / max(scale, 1e-300), ok, strict_ok
 
-    results = _map_trials(worker, trials)
+    results = [worker(i) for i in range(trials)]
     violations = sum(1 for _, ok, _ in results if not ok)
     strict_violations = sum(1 for _, _, ok in results if not ok)
     return {
@@ -583,7 +581,7 @@ def open_question_search(
                 out.append((i, t, rel, sa, sb, v.holds, v.worst_margin))
         return out
 
-    rows = [r for chunk in _map_trials(worker, trials) for r in chunk]
+    rows = [r for i in range(trials) for r in worker(i)]
     checked = {rel: 0 for rel in OPEN_QUESTION_RELATIONS}
     worst = {rel: np.inf for rel in OPEN_QUESTION_RELATIONS}
     candidates = []
@@ -631,21 +629,6 @@ def open_question_search(
     return report
 
 
-def _thread_count() -> int:
-    env = os.environ.get("SANDWICH_OPT_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
-
-
-def _map_trials(worker, trials):
-    workers = _thread_count()
-    if workers == 1 or trials < 32:
-        return [worker(i) for i in range(trials)]
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(worker, range(trials)))
-
-
 def random_pair(n, seed, label, lo=0.5, hi=2.0):
     """Seeded SPD pair for a verification suite, split off a master seed."""
     return (
@@ -676,7 +659,7 @@ def run_trace_chain_suite(n=4, trials=100, seed=0, t_values=(0.1, 0.3, 0.5, 0.7,
             out.append((rep.all_hold, min(v.margin for v in rep.verdicts)))
         return out
 
-    rows = [r for chunk in _map_trials(worker, trials) for r in chunk]
+    rows = [r for i in range(trials) for r in worker(i)]
     violations = sum(1 for ok, _ in rows if not ok)
     return {
         "suite": "trace-chain",
@@ -709,7 +692,7 @@ def run_variational_suite(n=4, trials=100, seed=0, t_values=(0.3, 0.5, 0.7)):
         )
         return lower_ok, tight_ok
 
-    rows = _map_trials(worker, trials)
+    rows = [worker(i) for i in range(trials)]
     lower_violations = sum(1 for ok, _ in rows if not ok)
     tight_violations = sum(1 for _, ok in rows if not ok)
     return {
@@ -729,7 +712,7 @@ def run_log_major_suite(n=4, trials=100, seed=0, t_values=(0.25, 0.5, 0.75)):
         Ai, Bi = random_pair(n, derive_seed(seed, "log-major", i), "pair")
         return [log_majorization_chain(Ai, Bi, t).all_hold for t in t_values]
 
-    rows = [ok for chunk in _map_trials(worker, trials) for ok in chunk]
+    rows = [ok for i in range(trials) for ok in worker(i)]
     violations = sum(1 for ok in rows if not ok)
     return {
         "suite": "log-major",
@@ -752,7 +735,7 @@ def run_limits_suite(n=4, trials=100, seed=0):
         div_ok = divergence_limit_check(Ad, Bd)["all_hold"]
         return gamma_ok, div_ok
 
-    rows = _map_trials(worker, trials)
+    rows = [worker(i) for i in range(trials)]
     gamma_violations = sum(1 for ok, _ in rows if not ok)
     div_violations = sum(1 for _, ok in rows if not ok)
     return {

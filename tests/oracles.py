@@ -1,14 +1,48 @@
 """Independent oracles shared by the test modules.
 
-Finite-difference reconstruction of gradients and Hessian actions, a
-quadrature evaluation of the Hessian integral representation, and
-extended-precision evaluation of the sandwiched trace. These stay
-independent of the code paths they check.
+Finite-difference reconstruction of gradients and Hessian actions, the
+Hessian matrix assembled in an explicit Hermitian basis, a quadrature
+evaluation of the Hessian integral representation, and extended-precision
+evaluation of the sandwiched trace. These stay independent of the code
+paths they check.
 """
 
 import numpy as np
 
-from sandwich_opt import hermitian_basis, matrix_power, norm, symmetrize
+from sandwich_opt import hessian_apply, inner, matrix_power, norm, symmetrize
+
+
+def hermitian_basis(n):
+    """Orthonormal basis of the real space of n x n Hermitian matrices.
+
+    Diagonal units, then symmetric pairs / sqrt(2) and antisymmetric
+    imaginary pairs / sqrt(2), under the trace inner product.
+    """
+    basis = []
+    for i in range(n):
+        E = np.zeros((n, n), dtype=complex)
+        E[i, i] = 1.0
+        basis.append(E)
+    r = 1.0 / np.sqrt(2.0)
+    for i in range(n):
+        for j in range(i + 1, n):
+            S = np.zeros((n, n), dtype=complex)
+            S[i, j] = S[j, i] = r
+            basis.append(S)
+            Kk = np.zeros((n, n), dtype=complex)
+            Kk[i, j] = 1j * r
+            Kk[j, i] = -1j * r
+            basis.append(Kk)
+    return basis
+
+
+def basis_hessian_matrix(op):
+    """The n^2 x n^2 real symmetric matrix of -grad^2 f(X) in the Hermitian
+    basis, built from n^2 Hessian applications."""
+    basis = hermitian_basis(op.n)
+    images = [hessian_apply(op, B) for B in basis]
+    M = np.array([[inner(Bk, img) for img in images] for Bk in basis])
+    return (M + M.T) / 2.0
 
 
 def fd_gradient(f, X, h=None):

@@ -9,6 +9,7 @@ from sandwich_opt import (
     ParameterError,
     barycenter_problem,
     certified_rate,
+    convexity_constants,
     derive_seed,
     fidelity,
     fixed_point_map,
@@ -112,6 +113,8 @@ def test_certified_rate_worked_example():
     assert np.isclose(a_star, 1.0 / 32.0)
     assert np.isclose(b_star, 0.5)
     assert np.isclose(q, 15.0 / 16.0)
+    c = convexity_constants(p.t, p.alpha, p.beta)
+    assert certified_rate(p)[:2] == (c.k1, c.k2)
     # default step: q = 1 - (alpha/beta)^{3-2t}
     _, _, q_def = certified_rate(p)
     assert np.isclose(q_def, 1.0 - 0.25**2)

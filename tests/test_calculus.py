@@ -23,7 +23,12 @@ from sandwich_opt import (
     umegaki_relative_entropy,
 )
 
-from oracles import fd_directional_hessian, fd_gradient, quadrature_hessian_apply
+from oracles import (
+    basis_hessian_matrix,
+    fd_directional_hessian,
+    fd_gradient,
+    quadrature_hessian_apply,
+)
 
 
 def test_gradient_identity_parameter():
@@ -93,6 +98,21 @@ def test_hessian_self_adjoint_and_positive():
         scale = np.linalg.norm(Y) * np.linalg.norm(Z)
         assert abs(inner(hy, Z) - inner(Y, hz)) <= 1e-10 * scale
         assert inner(hy, Y) >= -1e-12 * np.linalg.norm(Y) ** 2
+
+
+def test_hessian_operator_matrix_closed_form():
+    for n in (1, 2, 3, 5):
+        A = random_spd(n, 1.0, 4.0, 400 + n)
+        X = random_spd(n, 1.0, 4.0, 500 + n)
+        for t in (0.3, 0.5, 0.7):
+            op = hessian_operator(A, X, t)
+            M = hessian_operator_matrix(op)
+            for Y in (random_hermitian(n, 600 + n).real, random_hermitian(n, 700 + n)):
+                HY = hessian_apply(op, Y)
+                x, hx = ((Z.real + Z.imag).ravel() for Z in (Y, HY))
+                assert np.linalg.norm(M @ x - hx) <= 1e-13 * np.linalg.norm(hx)
+            w_ref = np.linalg.eigvalsh(basis_hessian_matrix(op))
+            assert np.allclose(np.linalg.eigvalsh(M), w_ref, rtol=0.0, atol=1e-13 * w_ref[-1])
 
 
 def test_hessian_extreme_eigs_trivial_cases():

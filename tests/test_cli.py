@@ -1,5 +1,4 @@
 import json
-import os
 import subprocess
 import sys
 
@@ -199,23 +198,6 @@ def test_verify_all_suites_smoke():
                       "--seed", "7")
         assert res.returncode == 0, (suite, res.stderr)
         assert json.loads(res.stdout)["suite"] == suite
-
-
-def test_verify_respects_thread_cap(monkeypatch):
-    res = subprocess.run(
-        [sys.executable, "-m", "sandwich_opt", "verify", "--suite", "trace-chain",
-         "--n", "3", "--trials", "40", "--seed", "11"],
-        capture_output=True, text=True,
-        env={**os.environ, "SANDWICH_OPT_THREADS": "2"},
-    )
-    res_serial = subprocess.run(
-        [sys.executable, "-m", "sandwich_opt", "verify", "--suite", "trace-chain",
-         "--n", "3", "--trials", "40", "--seed", "11"],
-        capture_output=True, text=True,
-        env={**os.environ, "SANDWICH_OPT_THREADS": "1"},
-    )
-    assert res.returncode == 0 and res_serial.returncode == 0
-    assert res.stdout == res_serial.stdout
 
 
 def test_gen_writes_deterministic_spd_files(tmp_path):

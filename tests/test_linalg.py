@@ -23,6 +23,7 @@ from sandwich_opt import (
     spectral_decompose,
     symmetrize,
 )
+from sandwich_opt.linalg import EQUAL_EIG_RTOL
 
 
 def test_spectral_decompose_identity():
@@ -106,6 +107,13 @@ def test_loewner_matrix_values():
     assert np.isclose(L[1, 0], -1.0 / 6.0)
     assert np.isclose(L[0, 0], -0.5)
     assert np.isclose(L[1, 1], -0.5 * 4.0 ** (-1.5))
+    # x^{t-1} across the switch to the analytic limit stays continuous
+    for t in (0.3, 0.5, 0.7):
+        near, far = (
+            loewner_matrix(power(t - 1.0), [1.0, 1.0 + s * EQUAL_EIG_RTOL])[0, 1]
+            for s in (0.5, 2.0)
+        )
+        assert abs(near - far) <= 1e-6 * abs(far)
 
 
 def test_frechet_derivative_examples():
