@@ -201,10 +201,6 @@ class _History:
             self.iterates.append(X.copy())
 
 
-def _clip_to_box(X, p: BarycenterProblem):
-    return project_box(X, p.alpha, p.beta)
-
-
 def solve_gradient_projection(
     p: BarycenterProblem,
     eta=None,
@@ -225,7 +221,7 @@ def solve_gradient_projection(
     if grad_tol is None:
         grad_tol = 1e-10 * p.t * p.n
     powered = _powered_marginals(p)
-    X = _clip_to_box(_start_iterate(p, x0), p)
+    X = project_box(_start_iterate(p, x0), p.alpha, p.beta)
     hist = _History(trace)
 
     termination = "max_iters"
@@ -240,7 +236,7 @@ def solve_gradient_projection(
             break
         if k >= max_iters:
             break
-        X = _clip_to_box(X - eta * G, p)
+        X = project_box(X - eta * G, p.alpha, p.beta)
         k += 1
 
     residual = float(np.linalg.norm(X - fixed_point_map(p, X)))

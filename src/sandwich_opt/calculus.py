@@ -15,11 +15,11 @@ import numpy as np
 from .entropy import check_unit_t, geometric_mean, sandwich_trace, T_MAX, T_MIN
 from .errors import NumericalError, ParameterError
 from .linalg import (
+    LOG,
     as_hermitian,
     check_box,
     inner,
     loewner_matrix,
-    matrix_log,
     matrix_power,
     power,
     random_hermitian,
@@ -220,7 +220,8 @@ def fidelity_t_derivative(A, B, t):
     """
     if not (np.isfinite(t) and T_MIN < t <= T_MAX):
         raise ParameterError(f"order parameter t = {t} outside ({T_MIN}, {T_MAX}]")
-    P = matrix_power(A, (1.0 - t) / (2.0 * t))
+    decA = spectral_decompose(A)
+    P = decA.map(power((1.0 - t) / (2.0 * t)))
     dec = spectral_decompose(P @ B @ P)
     if dec.eigenvalues[-1] <= 0:
         raise NumericalError(
@@ -229,5 +230,5 @@ def fidelity_t_derivative(A, B, t):
     w = dec.eigenvalues
     phi_t = dec.apply(w ** float(t))
     term1 = float(np.sum(w ** float(t) * np.log(w)))
-    term2 = float(np.trace(phi_t @ matrix_log(A)).real) / t
+    term2 = float(np.trace(phi_t @ decA.map(LOG)).real) / t
     return term1 - term2

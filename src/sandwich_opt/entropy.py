@@ -43,15 +43,20 @@ def check_order_t(t):
         )
 
 
-def sandwich_trace(A, B, t):
-    """tr (A^{(1-t)/2t} B A^{(1-t)/2t})^t, without order-parameter guards."""
+def sandwich_spectrum(A, B, t):
+    """Ascending eigenvalues of A^{(1-t)/2t} B A^{(1-t)/2t}, all positive."""
     P = matrix_power(A, (1.0 - t) / (2.0 * t))
     w = np.linalg.eigvalsh(symmetrize(P @ B @ P))
     if w[0] <= 0:
         raise NumericalError(
             f"sandwiched product lost positivity (min eigenvalue {w[0]:.3e})"
         )
-    return float(np.sum(w ** float(t)))
+    return w
+
+
+def sandwich_trace(A, B, t):
+    """tr (A^{(1-t)/2t} B A^{(1-t)/2t})^t, without order-parameter guards."""
+    return float(np.sum(sandwich_spectrum(A, B, t) ** float(t)))
 
 
 def fidelity(A, B, t):
@@ -93,18 +98,24 @@ def umegaki_relative_entropy(B, A):
     return float(np.trace(B @ diff).real / np.trace(B).real)
 
 
-def thompson_metric(A, B):
-    """Thompson metric max{log lam_1(A B^{-1}), log lam_1(B A^{-1})}."""
+def _whitened_spectrum(A, B):
+    """Ascending eigenvalues of A^{-1/2} B A^{-1/2}, all positive."""
     Ami = matrix_power(A, -0.5)
     w = np.linalg.eigvalsh(symmetrize(Ami @ B @ Ami))
+    if w[0] <= 0:
+        raise NumericalError("whitened matrix lost positivity")
+    return w
+
+
+def thompson_metric(A, B):
+    """Thompson metric max{log lam_1(A B^{-1}), log lam_1(B A^{-1})}."""
+    w = _whitened_spectrum(A, B)
     return float(max(np.log(w[-1]), -np.log(w[0])))
 
 
 def max_relative_entropy(A, B):
     """Max-relative entropy log lam_1(A B^{-1})."""
-    Bmi = matrix_power(B, -0.5)
-    w = np.linalg.eigvalsh(symmetrize(Bmi @ A @ Bmi))
-    return float(np.log(w[-1]))
+    return float(np.log(_whitened_spectrum(B, A)[-1]))
 
 
 def geometric_mean(A, B, t):
@@ -127,11 +138,7 @@ def geometric_mean(A, B, t):
 
 def riemannian_distance(A, B):
     """Affine-invariant distance ||log A^{-1/2} B A^{-1/2}||_2."""
-    Ami = matrix_power(A, -0.5)
-    w = np.linalg.eigvalsh(symmetrize(Ami @ B @ Ami))
-    if w[0] <= 0:
-        raise NumericalError("whitened matrix lost positivity")
-    return float(np.linalg.norm(np.log(w)))
+    return float(np.linalg.norm(np.log(_whitened_spectrum(A, B))))
 
 
 DIVERGENCE_KINDS = (

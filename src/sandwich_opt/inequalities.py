@@ -19,6 +19,8 @@ from .entropy import (
     check_unit_t,
     fidelity,
     geometric_mean,
+    max_relative_entropy,
+    sandwich_spectrum,
     sandwich_trace,
     sandwiched_divergence,
     thompson_metric,
@@ -81,6 +83,27 @@ class ChainReport:
     all_hold: bool
 
 
+def _relation_margins(xs, ys, kind):
+    """Margins of relation ``kind`` between decreasingly sorted xs and ys.
+
+    Returns (margins, scale); a margin >= 0 holds with room. Works alike on
+    float64 arrays and on mpmath arrays of dtype object.
+    """
+    if kind == "entrywise_le":
+        ax, ay = xs, ys
+    elif kind in ("weak_log_majorize", "log_majorize"):
+        if xs[-1] <= 0 or ys[-1] <= 0:
+            raise DomainError("log relations require strictly positive entries")
+        ax, ay = np.cumprod(xs), np.cumprod(ys)
+    else:
+        ax, ay = np.cumsum(xs), np.cumsum(ys)
+    margins = ay - ax
+    if kind in ("majorize", "log_majorize"):
+        # total aggregate must match: equality enters as a two-sided margin
+        margins = np.concatenate([margins[:-1], [-abs(ax[-1] - ay[-1])]])
+    return margins, np.max(np.abs(np.concatenate([ax, ay])), initial=0.0)
+
+
 def majorizes(x, y, kind) -> MajorizationVerdict:
     """Check a (weak/log) majorization or entrywise relation x against y."""
     if kind not in RELATIONS:
@@ -89,27 +112,9 @@ def majorizes(x, y, kind) -> MajorizationVerdict:
     y = np.asarray(y, dtype=float).ravel()
     if x.shape != y.shape:
         raise InvalidInput(f"length mismatch: {x.shape} vs {y.shape}")
-    xs = np.sort(x)[::-1]
-    ys = np.sort(y)[::-1]
-    if kind == "entrywise_le":
-        margins = ys - xs
-        scale = float(np.max(np.abs(np.concatenate([xs, ys])), initial=0.0))
-    else:
-        if kind in ("weak_log_majorize", "log_majorize"):
-            if xs[-1] <= 0 or ys[-1] <= 0:
-                raise DomainError("log relations require strictly positive entries")
-            ax = np.cumprod(xs)
-            ay = np.cumprod(ys)
-        else:
-            ax = np.cumsum(xs)
-            ay = np.cumsum(ys)
-        margins = ay - ax
-        if kind in ("majorize", "log_majorize"):
-            # total aggregate must match: equality enters as a two-sided margin
-            margins = np.concatenate([margins[:-1], [-abs(ax[-1] - ay[-1])]])
-        scale = float(np.max(np.abs(np.concatenate([ax, ay])), initial=0.0))
+    margins, scale = _relation_margins(np.sort(x)[::-1], np.sort(y)[::-1], kind)
     worst = float(np.min(margins))
-    return MajorizationVerdict(kind, bool(worst >= -MAJORIZE_RTOL * scale), worst)
+    return MajorizationVerdict(kind, bool(worst >= -MAJORIZE_RTOL * float(scale)), worst)
 
 
 def _sorted_eigs(M):
@@ -145,6 +150,14 @@ def trace_chain_check(A, B, t) -> ChainReport:
 REPRESENTATIONS = ("i", "ii", "iii", "iv")
 
 
+def _powered_trace(M, s):
+    """tr M^s for the positive definite M of a representation objective."""
+    w = _sorted_eigs(M)
+    if w[-1] <= 0:
+        raise DomainError("representation objectives need a positive definite X")
+    return float(np.sum(w**s))
+
+
 def variational_value(A, B, t, X, rep):
     """Objective value of one extremal representation of the sandwiched trace.
 
@@ -157,23 +170,16 @@ def variational_value(A, B, t, X, rep):
         raise InvalidInput(f"unknown representation {rep!r}")
     X = as_hermitian(X)
     s = t / (t - 1.0)
-
-    def powered_trace(M):
-        w = _sorted_eigs(M)
-        if w[-1] <= 0:
-            raise DomainError("representation objectives need a positive definite X")
-        return float(np.sum(w**s))
-
     if rep in ("i", "ii"):
         Q = matrix_power(A, (t - 1.0) / (2.0 * t))
-        u = powered_trace(Q @ X @ Q)
+        u = _powered_trace(Q @ X @ Q, s)
         v = float(np.trace(X @ B).real)
         if rep == "i":
             return (1.0 - t) * u + t * v
         return u ** (1.0 - t) * v**t
     Bri = matrix_power(B, -0.5)
     u = float(np.trace(matrix_power(A, (1.0 - t) / t) @ X).real)
-    w = powered_trace(Bri @ X @ Bri)
+    w = _powered_trace(Bri @ X @ Bri, s)
     if rep == "iii":
         return t * u + (1.0 - t) * w
     return u**t * w ** (1.0 - t)
@@ -187,13 +193,14 @@ def variational_minimizer(A, B, t):
 
 def _representation_gradient(A, B, t, X, rep):
     s = t / (t - 1.0)
-    Att = matrix_power(A, (t - 1.0) / t)
+    decA = spectral_decompose(A)
+    Att = decA.map(power((t - 1.0) / t))
     Xi = matrix_power(X, -1.0)
     if rep == "i":
         return symmetrize(t * (B - geometric_mean(Att, Xi, 1.0 / (1.0 - t))))
     # rep "ii": grad of u^{1-t} v^t with u = tr (QXQ)^s, v = tr XB
-    Q = matrix_power(A, (t - 1.0) / (2.0 * t))
-    u = float(np.sum(_sorted_eigs(Q @ X @ Q) ** s))
+    Q = decA.map(power((t - 1.0) / (2.0 * t)))
+    u = _powered_trace(Q @ X @ Q, s)
     v = float(np.trace(X @ B).real)
     grad_u = s * geometric_mean(Att, Xi, 1.0 - s)
     return symmetrize((1.0 - t) * u ** (-t) * v**t * grad_u + t * u ** (1.0 - t) * v ** (t - 1.0) * B)
@@ -251,12 +258,12 @@ def log_majorization_chain(A, B, t) -> ChainReport:
     """
     check_unit_t(t)
     lam_g = _sorted_eigs(geometric_mean(A, B, t))
-    A_half = matrix_power(A, (1.0 - t) / 2.0)
+    decA = spectral_decompose(A)
+    A_half = decA.map(power((1.0 - t) / 2.0))
     Bt = matrix_power(B, t)
     lam_p = _sorted_eigs(A_half @ Bt @ A_half)
-    s_p = np.linalg.svd(matrix_power(A, 1.0 - t) @ Bt, compute_uv=False)
-    P = matrix_power(A, (1.0 - t) / (2.0 * t))
-    lam_sw = _sorted_eigs(P @ B @ P) ** float(t)
+    s_p = np.linalg.svd(decA.map(power(1.0 - t)) @ Bt, compute_uv=False)
+    lam_sw = sandwich_spectrum(A, B, t)[::-1] ** float(t)
     lam_avg = _sorted_eigs((1.0 - t) * A + t * B)
 
     links = [
@@ -418,9 +425,7 @@ def divergence_limit_check(A, B):
             near_ok = near_ok and ok
             near_one.append({"t": tshift, "divergence": d, "bound": bound, "ok": bool(ok)})
 
-    Ami = matrix_power(A, -0.5)
-    w = np.linalg.eigvalsh(symmetrize(Ami @ B @ Ami))
-    max_rel = float(np.log(w[-1]))
+    max_rel = max_relative_entropy(B, A)
     thompson = thompson_metric(A, B)
 
     large_t = [{"t": t, "divergence": sandwiched_divergence(A, B, t)} for t in LARGE_T_GRID]
@@ -516,35 +521,13 @@ def _mp_relation_margin(A, B, t, relation, dps=50):
             E, Q = mp.eighe((Mm + Mm.H) / 2)
             return [E[i] for i in range(Mm.rows)], Q
 
-        def mpow(Mm, s):
-            E, Q = herm_eig(Mm)
-            D = mp.diag([mp.power(e, s) for e in E])
-            return Q * D * Q.H
-
         Am, Bm = to_mp(A), to_mp(B)
-        P = mpow(Am, (1 - tm) / (2 * tm))
-        sw_eigs, _ = herm_eig(P * Bm * P)
-        x = sorted((mp.power(e, tm) for e in sw_eigs), reverse=True)
-        avg_eigs, _ = herm_eig((1 - tm) * Am + tm * Bm)
-        y = sorted(avg_eigs, reverse=True)
-
-        if relation == "entrywise_le":
-            margins = [yi - xi for xi, yi in zip(x, y)]
-            scale = max(abs(v) for v in x + y)
-        else:
-            if relation == "weak_log_majorize":
-                ax, ay = [], []
-                px = py = mp.mpf(1)
-                for xi, yi in zip(x, y):
-                    px *= xi
-                    py *= yi
-                    ax.append(px)
-                    ay.append(py)
-            else:
-                ax = [sum(x[: k + 1]) for k in range(len(x))]
-                ay = [sum(y[: k + 1]) for k in range(len(y))]
-            margins = [a - b for a, b in zip(ay, ax)]
-            scale = max(abs(v) for v in ax + ay)
+        E, Q = herm_eig(Am)
+        P = Q * mp.diag([mp.power(e, (1 - tm) / (2 * tm)) for e in E]) * Q.H
+        x = sorted((mp.power(e, tm) for e in herm_eig(P * Bm * P)[0]), reverse=True)
+        y = sorted(herm_eig((1 - tm) * Am + tm * Bm)[0], reverse=True)
+        xs, ys = np.array(x, dtype=object), np.array(y, dtype=object)
+        margins, scale = _relation_margins(xs, ys, relation)
         return min(margins), scale
 
 
@@ -573,8 +556,7 @@ def open_question_search(
         Bi = random_spd(n, alpha, beta, sb)
         out = []
         for t in t_grid:
-            P = matrix_power(Ai, (1.0 - t) / (2.0 * t))
-            x = _sorted_eigs(P @ Bi @ P) ** float(t)
+            x = sandwich_spectrum(Ai, Bi, t)[::-1] ** float(t)
             y = _sorted_eigs((1.0 - t) * Ai + t * Bi)
             for rel in OPEN_QUESTION_RELATIONS:
                 v = majorizes(x, y, rel)
@@ -778,21 +760,31 @@ SUITES = ("trace-chain", "variational", "log-major", "limits", "gauge", "open-qu
 
 
 def run_suite(suite, n=4, trials=100, seed=0, t_values=None):
-    """Dispatch one named verification suite and return its report dict."""
-    if suite == "trace-chain":
-        kw = {} if t_values is None else {"t_values": tuple(t_values)}
-        return run_trace_chain_suite(n=n, trials=trials, seed=seed, **kw)
-    if suite == "variational":
-        kw = {} if t_values is None else {"t_values": tuple(t_values)}
-        return run_variational_suite(n=n, trials=trials, seed=seed, **kw)
-    if suite == "log-major":
-        kw = {} if t_values is None else {"t_values": tuple(t_values)}
-        return run_log_major_suite(n=n, trials=trials, seed=seed, **kw)
-    if suite == "limits":
-        return run_limits_suite(n=n, trials=trials, seed=seed)
-    if suite == "gauge":
-        return run_gauge_suite(n=n, trials=trials, seed=seed)
-    if suite == "open-question":
-        grid = (0.25,) if t_values is None else tuple(t_values)
-        return open_question_search(n, grid, trials, seed)
-    raise InvalidInput(f"unknown suite {suite!r}; choose from {SUITES}")
+    """Dispatch one named verification suite and return its report dict.
+
+    ``t_values`` replaces the default order grid of a suite that has one;
+    a grid for a suite without one, n < 1 or trials < 1 raise InvalidInput.
+    """
+    # {suite: (runner, takes an order grid)}, built per call so that a runner
+    # rebound on this module is the one run
+    table = {
+        "trace-chain": (run_trace_chain_suite, True),
+        "variational": (run_variational_suite, True),
+        "log-major": (run_log_major_suite, True),
+        "limits": (run_limits_suite, False),
+        "gauge": (run_gauge_suite, False),
+        "open-question": (
+            lambda n, trials, seed, t_values=(0.25,): open_question_search(n, t_values, trials, seed),
+            True,
+        ),
+    }
+    if suite not in table:
+        raise InvalidInput(f"unknown suite {suite!r}; choose from {SUITES}")
+    if n < 1 or trials < 1:
+        raise InvalidInput(f"dimension and trial count must be >= 1, got n={n}, trials={trials}")
+    runner, takes_grid = table[suite]
+    if t_values is None:
+        return runner(n=n, trials=trials, seed=seed)
+    if not takes_grid:
+        raise InvalidInput(f"suite {suite!r} takes no order grid")
+    return runner(n=n, trials=trials, seed=seed, t_values=tuple(t_values))

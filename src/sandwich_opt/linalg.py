@@ -71,6 +71,17 @@ class SpectralDecomp:
     def reconstruct(self):
         return self.apply(self.eigenvalues)
 
+    def require_domain(self, fn):
+        """Raise ``DomainError`` unless ``fn`` is defined on the spectrum."""
+        lam_min = self.eigenvalues[-1]
+        if not fn.defined_on(lam_min):
+            raise DomainError(f"{fn.kind} is not defined on the spectrum (min eigenvalue {lam_min:.3e})")
+
+    def map(self, fn):
+        """U diag(fn(lam)) U*; several functions of one matrix share one decomposition."""
+        self.require_domain(fn)
+        return self.apply(fn(self.eigenvalues))
+
 
 def spectral_decompose(H) -> SpectralDecomp:
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
@@ -108,12 +119,13 @@ class ScalarFunction:
             return np.exp(x)
         raise InvalidInput(f"unknown scalar function kind {self.kind!r}")
 
-    def defined_on(self, eigenvalues) -> bool:
+    def defined_on(self, lam_min) -> bool:
+        """Whether the function is defined on a spectrum with smallest eigenvalue lam_min."""
         if self.kind == "exp":
             return True
         if self.kind == "power" and float(self.exponent).is_integer() and self.exponent >= 0:
             return True
-        return bool(np.min(eigenvalues) > 0)
+        return bool(lam_min > 0)
 
 
 def power(s) -> ScalarFunction:
@@ -126,24 +138,17 @@ EXP = ScalarFunction("exp")
 
 def matrix_power(A, s):
     """U diag(lam**s) U* for positive definite A; defined for any real s."""
-    dec = spectral_decompose(A)
-    if dec.eigenvalues[-1] <= 0:
-        raise DomainError("matrix power of a non positive definite matrix")
-    return dec.apply(dec.eigenvalues ** float(s))
+    return spectral_decompose(A).map(power(s))
 
 
 def matrix_log(A):
     """U diag(log lam) U* for positive definite A."""
-    dec = spectral_decompose(A)
-    if dec.eigenvalues[-1] <= 0:
-        raise DomainError("matrix logarithm of a non positive definite matrix")
-    return dec.apply(np.log(dec.eigenvalues))
+    return spectral_decompose(A).map(LOG)
 
 
 def matrix_exp(H):
     """U diag(exp lam) U* for Hermitian H."""
-    dec = spectral_decompose(H)
-    return dec.apply(np.exp(dec.eigenvalues))
+    return spectral_decompose(H).map(EXP)
 
 
 def loewner_matrix(fn: ScalarFunction, eigenvalues):
@@ -169,11 +174,7 @@ def frechet_derivative(fn: ScalarFunction, X, Y):
     eigenbasis of X; for commuting X, Y this reduces to f'(X) Y.
     """
     dec = spectral_decompose(X)
-    if not fn.defined_on(dec.eigenvalues):
-        raise DomainError(
-            f"{fn.kind} is not defined on the spectrum of X "
-            f"(min eigenvalue {dec.eigenvalues[-1]:.3e})"
-        )
+    dec.require_domain(fn)
     U = dec.eigenvectors
     Yt = U.conj().T @ as_hermitian(Y) @ U
     L = loewner_matrix(fn, dec.eigenvalues)

@@ -253,3 +253,21 @@ def test_verify_exits_one_on_property_violation(monkeypatch, capsys):
     code = cli.main(["verify", "--suite", "trace-chain", "--trials", "1"])
     assert code == 1
     assert json.loads(capsys.readouterr().out)["all_hold"] is False
+
+
+@pytest.mark.parametrize(
+    "suite", ["trace-chain", "variational", "log-major", "limits", "gauge", "open-question"]
+)
+def test_verify_empty_trial_count_is_usage_error(suite, capsys):
+    from sandwich_opt.cli import main
+
+    assert main(["verify", "--suite", suite, "--trials", "0"]) == 2
+    assert "trial count" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("suite", ["limits", "gauge"])
+def test_verify_t_for_gridless_suite_is_usage_error(suite, capsys):
+    from sandwich_opt.cli import main
+
+    assert main(["verify", "--suite", suite, "--trials", "1", "--t", "0.3"]) == 2
+    assert "order grid" in capsys.readouterr().err

@@ -3,6 +3,7 @@ import pytest
 
 from sandwich_opt import (
     InvalidInput,
+    NumericalError,
     ParameterError,
     bures_distance,
     compute_divergence,
@@ -169,6 +170,23 @@ def test_thompson_metric_invariances():
     Ami = matrix_power(A, -0.5)
     w = np.linalg.eigvalsh(symmetrize(Ami @ B @ Ami))
     assert abs(d - np.max(np.abs(np.log(w)))) <= 1e-10
+    # the larger of the two directed max-relative entropies
+    d_max = max(max_relative_entropy(A, B), max_relative_entropy(B, A))
+    assert abs(d - d_max) <= 1e-12
+
+
+def test_whitened_metrics_reject_indefinite_argument():
+    # B whitened by an SPD A: an indefinite B raises, never a negative distance
+    A = random_spd(3, 0.5, 2.0, 17)
+    B = np.diag([1.0, 1.0, -1e-3])
+    calls = (
+        lambda: thompson_metric(A, B),
+        lambda: max_relative_entropy(B, A),
+        lambda: riemannian_distance(A, B),
+    )
+    for call in calls:
+        with pytest.raises(NumericalError):
+            call()
 
 
 def test_max_relative_entropy_examples():

@@ -15,6 +15,7 @@ from sandwich_opt import (
     log_majorization_chain,
     majorizes,
     matrix_power,
+    max_relative_entropy,
     minimize_representation,
     open_question_search,
     power,
@@ -26,7 +27,8 @@ from sandwich_opt import (
     variational_minimizer,
     variational_value,
 )
-from sandwich_opt.inequalities import density_pair, random_pair
+from sandwich_opt.entropy import sandwich_spectrum
+from sandwich_opt.inequalities import OPEN_QUESTION_RELATIONS, density_pair, random_pair
 
 
 def sorted_eigs(M):
@@ -311,6 +313,10 @@ def test_divergence_limit_commuting_values():
     expected_re = 0.9 * np.log(1.8) + 0.1 * np.log(0.2)
     assert np.isclose(report["relative_entropy"], expected_re)
     assert np.isclose(report["max_relative_form"], np.log(1.8))
+    assert report["max_relative_form"] == max_relative_entropy(B, A)
+    Ad, Bd = density_pair(3, 35, "density")
+    report = divergence_limit_check(Ad, Bd)
+    assert report["max_relative_form"] == max_relative_entropy(Bd, Ad)
     # gaps to the large-t asymptote shrink monotonically
     gaps = report["gaps_to_max_relative"]
     assert all(g2 <= g1 + 1e-12 for g1, g2 in zip(gaps[:-1], gaps[1:]))
@@ -422,6 +428,14 @@ def test_mp_reverification_flags_float_ghosts():
     margin, scale = _mp_relation_margin(A, B, 0.25, "weak_majorize")
     assert scale > 0
     assert float(margin) > 0  # the trace inequality gives genuine room here
+    # the float verdict and the extended-precision re-check share one margin formula
+    t = 0.25
+    x = sandwich_spectrum(A, B, t)[::-1] ** t
+    y = sorted_eigs((1 - t) * A + t * B)
+    for rel in OPEN_QUESTION_RELATIONS:
+        margin, scale = _mp_relation_margin(A, B, t, rel)
+        float_margin = majorizes(x, y, rel).worst_margin
+        assert abs(float_margin - float(margin)) <= 1e-12 * float(scale), rel
 
 
 # ------------------------------------------------------------------- suites
@@ -439,6 +453,12 @@ def test_run_suite_open_question_and_unknown():
     assert report["suite"] == "open-question"
     with pytest.raises(InvalidInput):
         run_suite("chaos", n=3, trials=5, seed=0)
+    # empty runs, and an order grid for a suite that takes none
+    bad = [("log-major", 3, 0, None), ("trace-chain", 3, -2, None), ("open-question", 0, 5, None),
+           ("limits", 3, 2, (0.3,)), ("gauge", 3, 2, (0.3,))]
+    for suite, n, trials, grid in bad:
+        with pytest.raises(InvalidInput):
+            run_suite(suite, n=n, trials=trials, seed=0, t_values=grid)
 
 
 def test_suite_helpers_are_seed_stable():

@@ -79,6 +79,25 @@ def test_matrix_power_composition_property():
         assert np.linalg.norm(lhs - rhs) <= 1e-10 * np.linalg.norm(rhs)
 
 
+def test_spectral_decomp_map_is_the_matrix_function_path():
+    # matrix_power/log/exp are map over one decomposition, bit for bit, and
+    # map keeps the bits of the per-eigenvalue formulas lam**s, log, exp
+    A = random_spd(5, 0.5, 3.0, 12)
+    dec = spectral_decompose(A)
+    lam = dec.eigenvalues
+    for s in (0.5, -1.0, 2.0, -0.5, 1.0, 0.0, 0.3, -0.7):
+        assert np.array_equal(dec.map(power(s)), matrix_power(A, s))
+        assert np.array_equal(dec.map(power(s)), dec.apply(lam**s))
+    assert np.array_equal(dec.map(LOG), matrix_log(A))
+    assert np.array_equal(dec.map(LOG), dec.apply(np.log(lam)))
+    assert np.array_equal(dec.map(EXP), matrix_exp(A))
+    assert np.array_equal(dec.map(EXP), dec.apply(np.exp(lam)))
+    indefinite = spectral_decompose(np.diag([1.0, -1.0]))
+    with pytest.raises(DomainError):
+        indefinite.map(LOG)
+    assert np.array_equal(indefinite.map(power(2.0)), np.diag([1.0, 1.0]).astype(complex))
+
+
 def test_matrix_power_rejects_indefinite():
     with pytest.raises(DomainError):
         matrix_power(np.diag([1.0, -1.0]), 0.5)
