@@ -105,46 +105,99 @@ def hessian_operator_matrix(op: HessianOperator):
     return op.t * (G.T * op.kernel.ravel()) @ G
 
 
-def _power_extreme(op: HessianOperator, sigma):
-    # Largest eigenvalues of H and of (sigma I - H) via power iteration with a
-    # deterministic seeded start; used only beyond the explicit-matrix scale.
-    def top(apply_fn):
-        Y = random_hermitian(op.n, seed=0x5EED)
-        Y = Y / np.linalg.norm(Y)
-        lam = 0.0
-        for _ in range(50_000):
-            Z = apply_fn(Y)
-            nz = np.linalg.norm(Z)
-            if nz == 0.0:
-                return 0.0
-            Y_next = Z / nz
-            lam_next = inner(Y_next, apply_fn(Y_next))
-            if abs(lam_next - lam) <= 1e-14 * max(1.0, abs(lam_next)):
-                return lam_next
-            lam, Y = lam_next, Y_next
-        return lam
+# Lanczos stops once both extreme Ritz residuals are at most this, relative
+# to the largest Ritz value.
+LANCZOS_RTOL = 1e-13
 
-    lam_max = top(lambda Y: hessian_apply(op, Y))
-    lam_min = sigma - top(lambda Y: sigma * Y - hessian_apply(op, Y))
-    return lam_min, lam_max
+
+def _ritz_bottom(alpha, beta, theta, sign):
+    """|s[-1]| for the unit eigenvector s of the Lanczos matrix T at theta.
+
+    theta is the largest eigenvalue of T (sign = 1) or the smallest
+    (sign = -1), so sign * (theta I - T) is positive semidefinite. Its
+    U D U^T factorization from the bottom row up leaves out the top pivot,
+    which carries the singularity; x = U^{-T} e_1 is then the eigenvector,
+    with |x[j+1] / x[j]| = beta[j] / d[j+1], a product free of cancellation.
+    A pivot that is not positive gives inf, which never counts as converged.
+    """
+    pivots = []
+    for j in range(len(alpha) - 1, 0, -1):
+        d = sign * (theta - alpha[j]) - (beta[j] ** 2 / pivots[-1] if pivots else 0.0)
+        if not d > 0:
+            return np.inf
+        pivots.append(d)
+    logs = np.concatenate(([0.0], np.cumsum(np.log(beta) - np.log(pivots[::-1]))))
+    logs -= logs.max()
+    return float(np.exp(logs[-1]) / np.sqrt(np.sum(np.exp(2.0 * logs))))
+
+
+def _lanczos_extreme(op: HessianOperator):
+    # Lanczos with full reorthogonalization on the real coordinates
+    # vec(Re Y + Im Y) of hessian_operator_matrix, with hessian_apply as the
+    # matvec: two classical Gram-Schmidt passes against the whole basis also
+    # remove the alpha_k q_k and beta_{k-1} q_{k-1} terms. The residual of a
+    # Ritz pair (theta, s) of T_k is beta_k |s[-1]|; beta_k = 0 (an invariant
+    # Krylov space) zeroes it. T_k is checked after step 4 and then after
+    # max(4, k // 4) more steps, since its eigvalsh costs more than a matvec.
+    # The basis grows by doubling.
+    n = op.n
+    dim = n * n
+    rtol = LANCZOS_RTOL
+
+    def matvec(x):
+        Z = x.reshape(n, n)
+        HY = hessian_apply(op, (Z + Z.T) / 2 + 0.5j * (Z - Z.T))
+        return (HY.real + HY.imag).ravel()
+
+    Y0 = random_hermitian(n, seed=0x5EED)
+    q = (Y0.real + Y0.imag).ravel()
+    Q = np.empty((min(dim, 32), dim))
+    Q[0] = q / np.linalg.norm(q)
+    alpha, beta = [], []
+    next_check = 4
+    for k in range(1, dim + 1):
+        w = matvec(Q[k - 1])
+        alpha.append(float(Q[k - 1] @ w))
+        for _ in range(2):
+            w -= Q[:k].T @ (Q[:k] @ w)
+        b = float(np.linalg.norm(w))
+        # b <= rtol |alpha_k| <= rtol max|theta| bounds both residuals
+        if b <= rtol * abs(alpha[-1]) or k >= next_check or k == dim:
+            next_check = k + max(4, k // 4)
+            T = np.zeros((k, k))
+            T.flat[:: k + 1] = alpha
+            T.flat[1 :: k + 1] = beta
+            theta = np.linalg.eigvalsh(T, UPLO="U")
+            lo, hi = float(theta[0]), float(theta[-1])
+            resid = (b * _ritz_bottom(alpha, beta, lo, -1.0), b * _ritz_bottom(alpha, beta, hi, 1.0))
+            tol = rtol * max(abs(lo), abs(hi))
+            if b == 0.0 or all(r <= tol for r in resid):
+                return lo, hi
+            if k == dim:
+                raise NumericalError(
+                    f"Lanczos for the Hessian extremes did not converge in {dim} steps "
+                    f"(Ritz residuals {resid[0]:.3e}, {resid[1]:.3e} > {tol:.3e})"
+                )
+        if k == len(Q):
+            Q = np.concatenate([Q, np.empty((min(dim, 2 * k) - k, dim))])
+        beta.append(b)
+        Q[k] = w / b
 
 
 def hessian_extreme_eigs(op: HessianOperator):
     """Extreme eigenvalues (lam_min, lam_max) of -grad^2 f(X) as an operator.
 
-    Exact n^2 x n^2 eigendecomposition for n <= 8; shifted power iteration
-    beyond (shift 1.1x the smoothness bound from the actual spectra).
+    Dense: eigvalsh of the n^2 x n^2 hessian_operator_matrix for n <= 8.
+    Beyond, Lanczos with full reorthogonalization on hessian_apply, stopped
+    when both extreme Ritz residuals are at most LANCZOS_RTOL times the
+    largest Ritz value; at most n^2 steps, and ``NumericalError`` if it stops
+    unconverged. Ritz values lie inside the spectrum, so neither value
+    overstates the true extreme.
     """
     if op.n <= 8:
         w = np.linalg.eigvalsh(hessian_operator_matrix(op))
         return float(w[0]), float(w[-1])
-    wA = np.linalg.eigvalsh(op.A)
-    wX = np.linalg.eigvalsh(op.X)
-    lo = min(wA[0], wX[0])
-    hi = max(wA[-1], wX[-1])
-    sigma = 1.1 * convexity_constants(op.t, lo, hi).k2
-    lam_min, lam_max = _power_extreme(op, sigma)
-    return float(lam_min), float(lam_max)
+    return _lanczos_extreme(op)
 
 
 @dataclass(frozen=True)

@@ -85,7 +85,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--t", type=float, required=True)
     add_out(sp)
 
-    sp = sub.add_parser("hess-bounds", help="extreme eigenvalues of -grad^2 f(X)")
+    sp = sub.add_parser(
+        "hess-bounds",
+        help="extreme eigenvalues of -grad^2 f(X): dense for n <= 8, Lanczos beyond "
+        "(NumericalError, exit 2, if unconverged)",
+    )
     sp.add_argument("--a", required=True)
     sp.add_argument("--x", required=True)
     sp.add_argument("--t", type=float, required=True)

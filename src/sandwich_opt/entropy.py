@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput, NumericalError, ParameterError
-from .linalg import matrix_log, matrix_power, spectral_decompose, symmetrize
+from .linalg import matrix_log, matrix_power, power, spectral_decompose, symmetrize
 
 # Order parameters closer than T_MIN to the degenerate endpoints are
 # rejected: conditioning of the exponent (1-t)/2t blows up as t -> 0+.
@@ -45,7 +45,12 @@ def check_order_t(t):
 
 def sandwich_spectrum(A, B, t):
     """Ascending eigenvalues of A^{(1-t)/2t} B A^{(1-t)/2t}, all positive."""
-    P = matrix_power(A, (1.0 - t) / (2.0 * t))
+    return _sandwich_spectrum(spectral_decompose(A), B, t)
+
+
+def _sandwich_spectrum(decA, B, t):
+    """sandwich_spectrum from the decomposition of A."""
+    P = decA.map(power((1.0 - t) / (2.0 * t)))
     w = np.linalg.eigvalsh(symmetrize(P @ B @ P))
     if w[0] <= 0:
         raise NumericalError(
@@ -122,16 +127,21 @@ def geometric_mean(A, B, t):
     """Weighted geometric mean A^{1/2} (A^{-1/2} B A^{-1/2})^t A^{1/2}.
 
     Meaningful for every real t; for t in [0, 1] it is the geodesic from A
-    to B of the affine-invariant metric.
+    to B of the affine-invariant metric. Raises ``DomainError`` unless A is
+    positive definite (the rule of ``matrix_power(A, -0.5)``) and
+    ``NumericalError`` unless A^{-1/2} B A^{-1/2} is positive definite.
     """
-    decA = spectral_decompose(A)
-    if decA.eigenvalues[-1] <= 0:
-        raise NumericalError("geometric mean of a non positive definite matrix")
+    return _geometric_mean(spectral_decompose(A), B, t)
+
+
+def _geometric_mean(decA, B, t):
+    """geometric_mean from the decomposition of A."""
+    decA.require_domain(power(-0.5))
     root = decA.apply(np.sqrt(decA.eigenvalues))
     iroot = decA.apply(1.0 / np.sqrt(decA.eigenvalues))
     decM = spectral_decompose(iroot @ B @ iroot)
     if decM.eigenvalues[-1] <= 0:
-        raise NumericalError("geometric mean of a non positive definite matrix")
+        raise NumericalError("geometric mean: A^{-1/2} B A^{-1/2} is not positive definite")
     mid = decM.apply(decM.eigenvalues ** float(t))
     return symmetrize(root @ mid @ root)
 

@@ -16,6 +16,8 @@ import numpy as np
 
 from .entropy import (
     T_MIN,
+    _geometric_mean,
+    _sandwich_spectrum,
     check_unit_t,
     fidelity,
     geometric_mean,
@@ -257,13 +259,13 @@ def log_majorization_chain(A, B, t) -> ChainReport:
     checked and their shared links must agree.
     """
     check_unit_t(t)
-    lam_g = _sorted_eigs(geometric_mean(A, B, t))
     decA = spectral_decompose(A)
+    lam_g = _sorted_eigs(_geometric_mean(decA, B, t))
     A_half = decA.map(power((1.0 - t) / 2.0))
     Bt = matrix_power(B, t)
     lam_p = _sorted_eigs(A_half @ Bt @ A_half)
     s_p = np.linalg.svd(decA.map(power(1.0 - t)) @ Bt, compute_uv=False)
-    lam_sw = sandwich_spectrum(A, B, t)[::-1] ** float(t)
+    lam_sw = _sandwich_spectrum(decA, B, t)[::-1] ** float(t)
     lam_avg = _sorted_eigs((1.0 - t) * A + t * B)
 
     links = [

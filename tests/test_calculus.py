@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sandwich_opt import (
+    NumericalError,
     ParameterError,
     bregman,
     convexity_constants,
@@ -22,6 +24,8 @@ from sandwich_opt import (
     third_derivative_bound,
     umegaki_relative_entropy,
 )
+from sandwich_opt import calculus
+from sandwich_opt.entropy import T_MIN
 
 from oracles import (
     basis_hessian_matrix,
@@ -135,15 +139,76 @@ def test_hessian_extreme_eigs_within_certified_bounds():
         assert hi / lo <= c.cond_bound * (1.0 + 1e-8)
 
 
-def test_hessian_extreme_eigs_power_iteration_path():
-    # n = 9 exceeds the explicit-matrix cutoff; cross-check the two paths
-    A = random_spd(9, 1.0, 4.0, 21)
-    X = random_spd(9, 1.0, 4.0, 22)
-    op = hessian_operator(A, X, 0.5)
+def test_hessian_extreme_eigs_lanczos_path():
+    # n > 8 runs Lanczos; compare with the dense spectrum of the same operator
+    for n in (9, 16):
+        A = random_spd(n, 1.0, 4.0, 20 + n)
+        X = random_spd(n, 1.0, 4.0, 40 + n)
+        for t in (0.3, 0.5, 0.7):
+            op = hessian_operator(A, X, t)
+            lo, hi = hessian_extreme_eigs(op)
+            w = np.linalg.eigvalsh(hessian_operator_matrix(op))
+            assert abs(lo - w[0]) <= 1e-12 * w[-1]
+            assert abs(hi - w[-1]) <= 1e-12 * w[-1]
+            # Ritz values lie inside the spectrum
+            assert lo >= w[0] - 1e-13 * w[-1]
+            assert hi <= w[-1] + 1e-13 * w[-1]
+            assert hessian_extreme_eigs(op) == (lo, hi)
+
+
+def test_ritz_bottom_matches_eigh_eigenvectors():
+    # Lanczos matrices of diag(ev) from 9 to 53 steps: the bottom components
+    # of the extreme Ritz vectors range from 1e-1 down past 1e-14
+    rng = np.random.default_rng(5)
+    for trial in range(12):
+        ev = np.sort(rng.uniform(0.1, 1.0, 60)) if trial % 2 else np.geomspace(1e-3, 1.0, 60)
+        q = rng.standard_normal(60)
+        Q = [q / np.linalg.norm(q)]
+        alpha, beta = [], []
+        for _ in range(9 + 4 * trial):
+            w = ev * Q[-1] - (beta[-1] * Q[-2] if beta else 0.0)
+            alpha.append(float(Q[-1] @ w))
+            B = np.array(Q)
+            w -= B.T @ (B @ w)
+            w -= B.T @ (B @ w)
+            beta.append(float(np.linalg.norm(w)))
+            Q.append(w / beta[-1])
+        beta.pop()
+        T = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
+        theta, S = np.linalg.eigh(T)
+        for i, sign in ((0, -1.0), (-1, 1.0)):
+            est = calculus._ritz_bottom(alpha, beta, theta[i], sign)
+            assert abs(est - abs(S[-1, i])) <= 1e-6 * abs(S[-1, i]) + 1e-15
+
+
+def test_hessian_extreme_eigs_unconverged_lanczos_raises(monkeypatch):
+    # with a zero tolerance no Ritz residual passes: the run ends at the
+    # n^2 step cap and raises instead of returning a value
+    op = hessian_operator(random_spd(9, 1.0, 4.0, 29), random_spd(9, 1.0, 4.0, 49), 0.5)
+    monkeypatch.setattr(calculus, "LANCZOS_RTOL", 0.0)
+    with pytest.raises(NumericalError, match="did not converge in 81 steps"):
+        hessian_extreme_eigs(op)
+
+
+# t stops at 0.1 from below: for smaller t the two representations of the
+# operator (hessian_apply and hessian_operator_matrix) already differ by more
+# than 1e-12 relative (3.8e-10 at t = 0.0625, n = 9), since A''^{1/2} X A''^{1/2}
+# spans 4^{1/t} and its small eigenvalues lose their digits; below t ~ 0.04
+# both paths can fail or return values outside [k1, k2].
+@settings(max_examples=20, derandomize=True, database=None, deadline=None)
+@given(
+    n=st.integers(9, 12),
+    t=st.floats(0.1, 1.0 - T_MIN, exclude_max=True),
+    seed=st.integers(0, 2**32 - 2),
+)
+def test_hessian_extreme_eigs_lanczos_matches_dense(n, t, seed):
+    A = random_spd(n, 1.0, 4.0, seed)
+    X = random_spd(n, 1.0, 4.0, seed + 1)
+    op = hessian_operator(A, X, t)
     lo, hi = hessian_extreme_eigs(op)
     w = np.linalg.eigvalsh(hessian_operator_matrix(op))
-    assert abs(hi - w[-1]) <= 1e-6 * w[-1]
-    assert abs(lo - w[0]) <= 1e-6 * w[-1]
+    assert abs(lo - w[0]) <= 1e-12 * w[-1]
+    assert abs(hi - w[-1]) <= 1e-12 * w[-1]
 
 
 def test_sharper_lower_bound_holds_and_tightens():

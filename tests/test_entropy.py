@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sandwich_opt import (
+    DomainError,
     InvalidInput,
     NumericalError,
     ParameterError,
@@ -208,6 +209,19 @@ def test_geometric_mean_examples():
     assert np.allclose(geometric_mean(A, B, 1.0), B, atol=1e-12)
     g = geometric_mean(np.array([[2.0]]), np.array([[16.0]]), 1.0 / 3.0)
     assert np.isclose(g[0, 0].real, 4.0)
+
+
+def test_geometric_mean_error_types():
+    # a non positive definite A is outside the domain, as for matrix_power(A, -1/2);
+    # an indefinite congruence A^{-1/2} B A^{-1/2} is a numerical failure
+    A = random_spd(3, 0.5, 2.0, 20)
+    for bad in (np.diag([1.0, -1.0]), np.diag([1.0, 0.0])):
+        with pytest.raises(DomainError):
+            matrix_power(bad, -0.5)
+        with pytest.raises(DomainError):
+            geometric_mean(bad, np.eye(2), 0.5)
+    with pytest.raises(NumericalError):
+        geometric_mean(A, np.diag([1.0, 1.0, -1e-3]), 0.5)
 
 
 def test_geometric_mean_symmetry_and_positivity():
