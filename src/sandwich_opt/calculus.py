@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .entropy import check_unit_t, geometric_mean, sandwich_trace, T_MAX, T_MIN
+from .entropy import _sandwich, check_unit_t, sandwich_trace, T_MAX, T_MIN
 from .errors import NumericalError, ParameterError
 from .linalg import (
     LOG,
@@ -20,7 +20,6 @@ from .linalg import (
     check_box,
     inner,
     loewner_matrix,
-    matrix_power,
     power,
     random_hermitian,
     spectral_decompose,
@@ -28,62 +27,57 @@ from .linalg import (
 )
 
 
+def _whitened_frame(A, X, t):
+    """(W, d) with W = V* A''^{1/2}, A'' = A^{(1-t)/t} and A''^{1/2} X A''^{1/2} = V diag(d) V*."""
+    check_unit_t(t)
+    P, dec = _sandwich(spectral_decompose(A), X, t)
+    return dec.eigenvectors.conj().T @ P, dec.eigenvalues
+
+
 def gradient_f(A, X, t):
     """Gradient of f(X) = tr (A^{(1-t)/2t} X A^{(1-t)/2t})^t.
 
-    Equals t * (A^{(1-t)/t} #_{1-t} X^{-1}), a positive definite matrix.
+    Equals t W* diag(d^{t-1}) W (notation of ``HessianOperator``), the positive
+    definite t * (A^{(1-t)/t} #_{1-t} X^{-1}); ``NumericalError`` unless the
+    computed M is positive definite, which fails first at small t.
     """
-    check_unit_t(t)
-    App = matrix_power(A, (1.0 - t) / t)
-    return t * geometric_mean(App, matrix_power(X, -1.0), 1.0 - t)
+    W, d = _whitened_frame(A, X, t)
+    return symmetrize(t * (W.conj().T * d ** (t - 1.0)) @ W)
 
 
 @dataclass(frozen=True)
 class HessianOperator:
     """The map Y -> -grad^2 f(X)(Y), cached in the eigenbasis of M.
 
-    With A'' = A^{(1-t)/t} and M = A''^{1/2} X A''^{1/2} = V diag(d) V*, the
-    action is t * A''^{1/2} V [K o (V* A''^{1/2} Y A''^{1/2} V)] V* A''^{1/2}
-    where K = -loewner_matrix(x^{t-1}, d) is entrywise nonnegative.
+    With A'' = A^{(1-t)/t}, M = A''^{1/2} X A''^{1/2} = V diag(d) V* and
+    W = V* A''^{1/2}, the action is t W* [K o (W Y W*)] W where
+    K = -loewner_matrix(x^{t-1}, d) is entrywise nonnegative.
     Immutable after construction; safe for concurrent applications.
     """
 
-    A: np.ndarray
-    X: np.ndarray
     t: float
-    root: np.ndarray = field(repr=False)    # A^{(1-t)/2t}
-    vecs: np.ndarray = field(repr=False)    # V
-    vals: np.ndarray = field(repr=False)    # d, descending
+    W: np.ndarray = field(repr=False)       # V* A''^{1/2}
     kernel: np.ndarray = field(repr=False)  # K
 
     @property
     def n(self) -> int:
-        return self.X.shape[0]
+        return self.W.shape[0]
 
 
 def hessian_operator(A, X, t) -> HessianOperator:
-    """Build the -grad^2 f(X) operator for parameter matrix A and base point X."""
-    check_unit_t(t)
-    A = as_hermitian(A)
-    X = as_hermitian(X)
-    root = matrix_power(A, (1.0 - t) / (2.0 * t))
-    dec = spectral_decompose(root @ X @ root)
-    return HessianOperator(
-        A=A,
-        X=X,
-        t=float(t),
-        root=root,
-        vecs=dec.eigenvectors,
-        vals=dec.eigenvalues,
-        kernel=-loewner_matrix(power(t - 1.0), dec.eigenvalues),
-    )
+    """The -grad^2 f(X) operator; ``NumericalError`` unless the computed M is positive definite."""
+    W, d = _whitened_frame(A, X, t)
+    return HessianOperator(t=float(t), W=W, kernel=-loewner_matrix(power(t - 1.0), d))
 
 
 def hessian_apply(op: HessianOperator, Y):
-    """Apply -grad^2 f(X) to a Hermitian direction Y."""
-    V = op.vecs
-    Yt = V.conj().T @ (op.root @ as_hermitian(Y) @ op.root) @ V
-    return symmetrize(op.t * op.root @ (V @ (op.kernel * Yt) @ V.conj().T) @ op.root)
+    """Apply -grad^2 f(X) to a Hermitian direction Y: t W* [K o (W Y W*)] W.
+
+    Y is validated by ``as_hermitian``: this is the public entry point, and
+    also the matvec of the Lanczos path of ``hessian_extreme_eigs``.
+    """
+    W, Wh = op.W, op.W.conj().T
+    return symmetrize(op.t * Wh @ (op.kernel * (W @ as_hermitian(Y) @ Wh)) @ W)
 
 
 def hessian_operator_matrix(op: HessianOperator):
@@ -91,16 +85,15 @@ def hessian_operator_matrix(op: HessianOperator):
 
     It acts on the coordinates vec(Re Y + Im Y) of a Hermitian direction Y
     (row-major vec; an isometry of the Hermitian matrices onto R^{n x n}):
-    t G^T diag(vec K) G with W = V* A''^{1/2}, C = kron(W, conj(W)) the
-    matrix of Y -> W Y W* on vec(Y), and G = Re C + (Im C) P, P the
-    transpose permutation of vec. The complex form t C* diag(vec K) C on
-    vec(Y) has the same spectrum, but its complex product and eigensolver
-    ran 10-30x slower than the real ones in some processes on a 2-vCPU
-    host with threaded OpenBLAS.
+    t G^T diag(vec K) G with C = kron(W, conj(W)) the matrix of
+    Y -> W Y W* on vec(Y), and G = Re C + (Im C) P, P the transpose
+    permutation of vec. The complex form t C* diag(vec K) C on vec(Y) has
+    the same spectrum, but its complex product and eigensolver ran 10-30x
+    slower than the real ones in some processes on a 2-vCPU host with
+    threaded OpenBLAS.
     """
     n = op.n
-    W = op.vecs.conj().T @ op.root
-    C = np.kron(W, W.conj())
+    C = np.kron(op.W, op.W.conj())
     G = C.real + C.imag[:, np.arange(n * n).reshape(n, n).T.ravel()]
     return op.t * (G.T * op.kernel.ravel()) @ G
 
@@ -257,10 +250,9 @@ def bregman(A, t, Y, X):
     D(Y, X) = g(Y) - g(X) - <grad g(X), Y - X>; nonnegative by concavity of
     f, zero iff X = Y, and >= (k1/2) ||X - Y||_2^2 on a [alpha, beta] box.
     """
-    check_unit_t(t)
+    G = gradient_f(A, X, t)
     fX = sandwich_trace(A, X, t)
     fY = sandwich_trace(A, Y, t)
-    G = gradient_f(A, X, t)
     return fX - fY + inner(G, as_hermitian(Y) - as_hermitian(X))
 
 
@@ -274,12 +266,7 @@ def fidelity_t_derivative(A, B, t):
     if not (np.isfinite(t) and T_MIN < t <= T_MAX):
         raise ParameterError(f"order parameter t = {t} outside ({T_MIN}, {T_MAX}]")
     decA = spectral_decompose(A)
-    P = decA.map(power((1.0 - t) / (2.0 * t)))
-    dec = spectral_decompose(P @ B @ P)
-    if dec.eigenvalues[-1] <= 0:
-        raise NumericalError(
-            f"sandwiched product lost positivity (min eigenvalue {dec.eigenvalues[-1]:.3e})"
-        )
+    _, dec = _sandwich(decA, B, t)
     w = dec.eigenvalues
     phi_t = dec.apply(w ** float(t))
     term1 = float(np.sum(w ** float(t) * np.log(w)))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput, NumericalError, ParameterError
-from .linalg import matrix_log, matrix_power, power, spectral_decompose, symmetrize
+from .linalg import as_hermitian, matrix_log, matrix_power, power, spectral_decompose, symmetrize
 
 # Order parameters closer than T_MIN to the degenerate endpoints are
 # rejected: conditioning of the exponent (1-t)/2t blows up as t -> 0+.
@@ -51,11 +51,22 @@ def sandwich_spectrum(A, B, t):
 def _sandwich_spectrum(decA, B, t):
     """sandwich_spectrum from the decomposition of A."""
     P = decA.map(power((1.0 - t) / (2.0 * t)))
-    w = np.linalg.eigvalsh(symmetrize(P @ B @ P))
-    if w[0] <= 0:
-        raise NumericalError(
-            f"sandwiched product lost positivity (min eigenvalue {w[0]:.3e})"
-        )
+    return _positive(np.linalg.eigvalsh(symmetrize(P @ B @ P)))
+
+
+def _sandwich(decA, X, t):
+    """(P, decomposition of P X P), P = A^{(1-t)/2t}; NumericalError unless P X P > 0."""
+    P = decA.map(power((1.0 - t) / (2.0 * t)))
+    dec = spectral_decompose(P @ as_hermitian(X) @ P)
+    _positive(dec.eigenvalues)
+    return P, dec
+
+
+def _positive(w):
+    """w, the spectrum of a sandwiched product, after checking it is positive."""
+    lam_min = np.min(w)
+    if not lam_min > 0:
+        raise NumericalError(f"sandwiched product lost positivity (min eigenvalue {lam_min:.3e})")
     return w
 
 
@@ -151,16 +162,18 @@ def riemannian_distance(A, B):
     return float(np.linalg.norm(np.log(_whitened_spectrum(A, B))))
 
 
-DIVERGENCE_KINDS = (
-    "fidelity",
-    "bures",
-    "sandwiched",
-    "renyi_classic",
-    "umegaki",
-    "thompson",
-    "max_relative",
-    "riemannian",
-)
+# kind -> (function, takes an order t, called as fn(B, A) rather than fn(A, B))
+_DIVERGENCES = {
+    "fidelity": (fidelity, True, False),
+    "bures": (bures_distance, False, False),
+    "sandwiched": (sandwiched_divergence, True, False),
+    "renyi_classic": (renyi_classic, True, False),
+    "umegaki": (umegaki_relative_entropy, False, True),
+    "thompson": (thompson_metric, False, False),
+    "max_relative": (max_relative_entropy, False, False),
+    "riemannian": (riemannian_distance, False, False),
+}
+DIVERGENCE_KINDS = tuple(_DIVERGENCES)
 
 
 @dataclass(frozen=True)
@@ -175,26 +188,17 @@ class DivergenceValue:
 def compute_divergence(kind, A, B, t=None) -> DivergenceValue:
     """Dispatch a divergence computation by kind.
 
-    ``sandwiched``, ``renyi_classic``, ``fidelity`` require t. The relative
-    entropies are directed: the value is D(B || A) with A the reference.
+    ``sandwiched``, ``renyi_classic``, ``fidelity`` require t and the other
+    kinds reject one (``ParameterError``). The relative entropies are
+    directed: the value is D(B || A) with A the reference.
     """
-    if kind in ("fidelity", "sandwiched", "renyi_classic"):
-        if t is None:
-            raise ParameterError(f"divergence kind {kind!r} requires an order t")
-        fn = {
-            "fidelity": fidelity,
-            "sandwiched": sandwiched_divergence,
-            "renyi_classic": renyi_classic,
-        }[kind]
-        return DivergenceValue(fn(A, B, t), kind, float(t))
-    if kind == "umegaki":
-        return DivergenceValue(umegaki_relative_entropy(B, A), kind)
-    if kind == "bures":
-        return DivergenceValue(bures_distance(A, B), kind)
-    if kind == "thompson":
-        return DivergenceValue(thompson_metric(A, B), kind)
-    if kind == "max_relative":
-        return DivergenceValue(max_relative_entropy(A, B), kind)
-    if kind == "riemannian":
-        return DivergenceValue(riemannian_distance(A, B), kind)
-    raise InvalidInput(f"unknown divergence kind {kind!r}")
+    if kind not in _DIVERGENCES:
+        raise InvalidInput(f"unknown divergence kind {kind!r}")
+    fn, takes_t, reversed_args = _DIVERGENCES[kind]
+    if takes_t != (t is not None):
+        need = "requires an order t" if takes_t else "takes no order t"
+        raise ParameterError(f"divergence kind {kind!r} {need}")
+    args = (B, A) if reversed_args else (A, B)
+    if takes_t:
+        return DivergenceValue(fn(*args, t), kind, float(t))
+    return DivergenceValue(fn(*args), kind)

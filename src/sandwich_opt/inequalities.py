@@ -28,7 +28,7 @@ from .entropy import (
     thompson_metric,
     umegaki_relative_entropy,
 )
-from .errors import DomainError, InvalidInput, ParameterError
+from .errors import DomainError, InvalidInput, NumericalError, ParameterError
 from .linalg import (
     ScalarFunction,
     as_hermitian,
@@ -341,7 +341,9 @@ def _jacobi_eigh(H, max_sweeps=60, tol=1e-15):
     Uses the relative off-diagonal criterion |H_pq| <= tol sqrt(H_pp H_qq),
     which keeps all eigenvalues of strongly graded matrices D M D (diagonal D,
     well-conditioned M) accurate in the relative sense where a standard
-    tridiagonalization-based solver loses the small ones entirely.
+    tridiagonalization-based solver loses the small ones entirely. Raises
+    ``NumericalError`` if an entry still fails the criterion after
+    ``max_sweeps`` sweeps.
     """
     H = np.array(H, dtype=complex)
     n = H.shape[0]
@@ -375,6 +377,12 @@ def _jacobi_eigh(H, max_sweeps=60, tol=1e-15):
                 H[q, q] = H[q, q].real
         if not rotated:
             break
+    else:
+        d = np.sqrt(np.abs(H.diagonal().real))
+        off = np.max(np.abs(np.triu(H, 1)) / np.outer(d, d))
+        if off > tol:
+            raise NumericalError(f"Jacobi unconverged after {max_sweeps} sweeps "
+                                 f"(largest relative off-diagonal {off:.3e})")
     w = H.diagonal().real
     order = np.argsort(w)[::-1]
     return w[order], V[:, order]

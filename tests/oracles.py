@@ -1,15 +1,15 @@
 """Independent oracles shared by the test modules.
 
-Finite-difference reconstruction of gradients and Hessian actions, the
-Hessian matrix assembled in an explicit Hermitian basis, a quadrature
-evaluation of the Hessian integral representation, and extended-precision
-evaluation of the sandwiched trace. These stay independent of the code
-paths they check.
+The paper's geometric-mean expression for the gradient, finite-difference
+reconstruction of gradients and Hessian actions, the Hessian matrix
+assembled in an explicit Hermitian basis, a quadrature evaluation of the
+Hessian integral representation, and extended-precision evaluation of the
+sandwiched trace. These stay independent of the code paths they check.
 """
 
 import numpy as np
 
-from sandwich_opt import hessian_apply, inner, matrix_power, norm, symmetrize
+from sandwich_opt import geometric_mean, hessian_apply, inner, matrix_power, norm, symmetrize
 
 
 def hermitian_basis(n):
@@ -43,6 +43,11 @@ def basis_hessian_matrix(op):
     images = [hessian_apply(op, B) for B in basis]
     M = np.array([[inner(Bk, img) for img in images] for Bk in basis])
     return (M + M.T) / 2.0
+
+
+def paper_gradient(A, X, t):
+    """grad f(X) = t (A^{(1-t)/t} #_{1-t} X^{-1}), the paper's closed form."""
+    return t * geometric_mean(matrix_power(A, (1.0 - t) / t), matrix_power(X, -1.0), 1.0 - t)
 
 
 def fd_gradient(f, X, h=None):

@@ -31,6 +31,7 @@ from oracles import (
     basis_hessian_matrix,
     fd_directional_hessian,
     fd_gradient,
+    paper_gradient,
     quadrature_hessian_apply,
 )
 
@@ -54,6 +55,41 @@ def test_gradient_matches_finite_difference():
         G = gradient_f(A, X, t)
         G_fd = fd_gradient(lambda M: sandwich_trace(A, M, t), X)
         assert np.linalg.norm(G - G_fd) <= 1e-6 * np.linalg.norm(G)
+
+
+@pytest.mark.parametrize("n", [1, 3, 5])
+@pytest.mark.parametrize("t", [0.2, 0.5, 0.8])
+@pytest.mark.parametrize("real", [True, False])
+def test_gradient_matches_paper_expression(n, t, real):
+    A = random_spd(n, 1.0, 4.0, 60 + n)
+    X = random_spd(n, 1.0, 4.0, 70 + n)
+    if real:
+        A, X = A.real, X.real
+    G = gradient_f(A, X, t)
+    ref = paper_gradient(A, X, t)
+    assert np.linalg.norm(G - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("fn,t", [(gradient_f, 0.4), (hessian_operator, 0.4),
+                                  (fidelity_t_derivative, 0.4), (fidelity_t_derivative, 2.5)])
+def test_sandwich_derivatives_take_two_eigh(monkeypatch, fn, t):
+    # one decomposition of A and one of A''^{1/2} X A''^{1/2}
+    A = random_spd(4, 1.0, 4.0, 81)
+    X = random_spd(4, 1.0, 4.0, 82)
+    calls, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(1) or eigh(*a, **k))
+    fn(A, X, t)
+    assert len(calls) == 2
+
+
+def test_small_t_lost_positivity_raises():
+    # at t = 0.03 the spectrum of A''^{1/2} X A''^{1/2} spans about 4^{1/t}
+    # and its computed smallest eigenvalue is -26.8
+    A = random_spd(9, 1.0, 4.0, 0)
+    X = random_spd(9, 1.0, 4.0, 1)
+    for fn in (gradient_f, hessian_operator):
+        with pytest.raises(NumericalError, match="lost positivity"):
+            fn(A, X, 0.03)
 
 
 def test_gradient_positive_definite_and_guarded():
@@ -190,11 +226,10 @@ def test_hessian_extreme_eigs_unconverged_lanczos_raises(monkeypatch):
         hessian_extreme_eigs(op)
 
 
-# t stops at 0.1 from below: for smaller t the two representations of the
-# operator (hessian_apply and hessian_operator_matrix) already differ by more
-# than 1e-12 relative (3.8e-10 at t = 0.0625, n = 9), since A''^{1/2} X A''^{1/2}
-# spans 4^{1/t} and its small eigenvalues lose their digits; below t ~ 0.04
-# both paths can fail or return values outside [k1, k2].
+# t stops at 0.1 from below: A''^{1/2} X A''^{1/2} spans 4^{1/t} and its small
+# eigenvalues lose their digits; below t ~ 0.04 the operator can come out with
+# values outside [k1, k2], or hessian_operator raises NumericalError once a
+# computed eigenvalue is not positive.
 @settings(max_examples=20, derandomize=True, database=None, deadline=None)
 @given(
     n=st.integers(9, 12),

@@ -97,6 +97,14 @@ def test_divergence_missing_t_is_usage_error(matrices):
     assert "error" in res.stderr
 
 
+@pytest.mark.parametrize("kind", ["umegaki", "thompson", "max", "bures", "riemannian"])
+def test_divergence_stray_t_is_usage_error(matrices, kind):
+    paths, _ = matrices
+    res = run_cli("divergence", "--kind", kind, "--a", paths["a"], "--b", paths["b"], "--t", "0.3")
+    assert res.returncode == 2
+    assert "takes no order t" in res.stderr
+
+
 def test_gmean_and_grad_emit_matrices(matrices):
     paths, mats = matrices
     res = run_cli("gmean", "--a", paths["a"], "--b", paths["b"], "--t", "0.3")
@@ -119,6 +127,15 @@ def test_hess_bounds_and_constants(matrices):
     c = convexity_constants(0.5, 1.0, 4.0)
     assert out == {"t": 0.5, "alpha": 1.0, "beta": 4.0, "k1": c.k1, "k2": c.k2,
                    "cond_bound": 16.0}
+
+
+def test_hess_bounds_small_t_lost_positivity(tmp_path):
+    for name, seed in (("a", 0), ("x", 1)):
+        save_matrix(tmp_path / f"{name}.json", random_spd(9, 1.0, 4.0, seed))
+    res = run_cli("hess-bounds", "--a", str(tmp_path / "a.json"),
+                  "--x", str(tmp_path / "x.json"), "--t", "0.03")
+    assert res.returncode == 2
+    assert "lost positivity" in res.stderr
 
 
 def write_problem(tmp_path, mats, weights, t):

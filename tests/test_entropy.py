@@ -311,6 +311,14 @@ def test_compute_divergence_dispatch():
         compute_divergence("total_variation", A, B)
 
 
+@pytest.mark.parametrize("kind", ["bures", "umegaki", "thompson", "max_relative", "riemannian"])
+def test_compute_divergence_rejects_stray_order(kind):
+    A = random_spd(3, 0.5, 2.0, 61)
+    B = random_spd(3, 0.5, 2.0, 62)
+    with pytest.raises(ParameterError, match="takes no order t"):
+        compute_divergence(kind, A, B, t=0.3)
+
+
 def test_seeded_pairs_are_reproducible():
     s = derive_seed(9, "entropy-pair")
     assert np.array_equal(random_spd(4, 1.0, 2.0, s), random_spd(4, 1.0, 2.0, s))

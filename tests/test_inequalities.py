@@ -5,6 +5,7 @@ from sandwich_opt import (
     DomainError,
     EXP,
     InvalidInput,
+    NumericalError,
     ParameterError,
     canonical_json,
     divergence_limit_check,
@@ -28,11 +29,26 @@ from sandwich_opt import (
     variational_value,
 )
 from sandwich_opt.entropy import sandwich_spectrum
-from sandwich_opt.inequalities import OPEN_QUESTION_RELATIONS, density_pair, random_pair
+from sandwich_opt.inequalities import (
+    OPEN_QUESTION_RELATIONS,
+    _jacobi_eigh,
+    density_pair,
+    random_pair,
+)
 
 
 def sorted_eigs(M):
     return np.linalg.eigvalsh(symmetrize(M))[::-1]
+
+
+def test_jacobi_raises_when_unconverged_at_sweep_cap():
+    D = np.diag(0.1 ** np.arange(4.0))
+    H = D @ random_spd(4, 1.0, 4.0, 3) @ D
+    with pytest.raises(NumericalError, match="largest relative off-diagonal"):
+        _jacobi_eigh(H, max_sweeps=1)
+    w, V = _jacobi_eigh(H)
+    assert np.allclose(w, sorted_eigs(H), rtol=1e-12, atol=0.0)
+    assert np.allclose((V * w) @ V.conj().T, H, rtol=0.0, atol=1e-14)
 
 
 # ---------------------------------------------------------------- majorization
