@@ -82,6 +82,7 @@ from .linalg import (
     as_spd,
     derive_seed,
     frechet_derivative,
+    graded_eigh,
     inner,
     loewner_matrix,
     matrix_exp,
@@ -94,6 +95,7 @@ from .linalg import (
     random_spd,
     schatten_norm,
     spectral_decompose,
+    stack_decompose,
     symmetrize,
 )
 from .serialization import (

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .entropy import _sandwich, check_unit_t, sandwich_trace, T_MAX, T_MIN
+from .entropy import _sandwich, _sandwich_trace, check_unit_t, T_MAX, T_MIN
 from .errors import NumericalError, ParameterError
 from .linalg import (
     LOG,
@@ -27,11 +27,15 @@ from .linalg import (
 )
 
 
-def _whitened_frame(A, X, t):
+def _whitened_frame(decA, X, t):
     """(W, d) with W = V* A''^{1/2}, A'' = A^{(1-t)/t} and A''^{1/2} X A''^{1/2} = V diag(d) V*."""
-    check_unit_t(t)
-    P, dec = _sandwich(spectral_decompose(A), X, t)
+    P, dec = _sandwich(decA, X, t)
     return dec.eigenvectors.conj().T @ P, dec.eigenvalues
+
+
+def _frame_gradient(W, d, t):
+    """t W* diag(d^{t-1}) W, the gradient of f in the whitened frame."""
+    return symmetrize(t * (W.conj().T * d ** (t - 1.0)) @ W)
 
 
 def gradient_f(A, X, t):
@@ -41,8 +45,8 @@ def gradient_f(A, X, t):
     definite t * (A^{(1-t)/t} #_{1-t} X^{-1}); ``NumericalError`` unless the
     computed M is positive definite, which fails first at small t.
     """
-    W, d = _whitened_frame(A, X, t)
-    return symmetrize(t * (W.conj().T * d ** (t - 1.0)) @ W)
+    check_unit_t(t)
+    return _frame_gradient(*_whitened_frame(spectral_decompose(A), X, t), t)
 
 
 @dataclass(frozen=True)
@@ -66,7 +70,8 @@ class HessianOperator:
 
 def hessian_operator(A, X, t) -> HessianOperator:
     """The -grad^2 f(X) operator; ``NumericalError`` unless the computed M is positive definite."""
-    W, d = _whitened_frame(A, X, t)
+    check_unit_t(t)
+    W, d = _whitened_frame(spectral_decompose(A), X, t)
     return HessianOperator(t=float(t), W=W, kernel=-loewner_matrix(power(t - 1.0), d))
 
 
@@ -249,11 +254,14 @@ def bregman(A, t, Y, X):
 
     D(Y, X) = g(Y) - g(X) - <grad g(X), Y - X>; nonnegative by concavity of
     f, zero iff X = Y, and >= (k1/2) ||X - Y||_2^2 on a [alpha, beta] box.
+    A is decomposed once, and f(X) = sum d^t comes from the gradient's frame.
     """
-    G = gradient_f(A, X, t)
-    fX = sandwich_trace(A, X, t)
-    fY = sandwich_trace(A, Y, t)
-    return fX - fY + inner(G, as_hermitian(Y) - as_hermitian(X))
+    check_unit_t(t)
+    decA = spectral_decompose(A)
+    W, d = _whitened_frame(decA, X, t)
+    fX = float(np.sum(d ** float(t)))
+    fY = float(_sandwich_trace(decA, Y, t))
+    return fX - fY + inner(_frame_gradient(W, d, t), as_hermitian(Y) - as_hermitian(X))
 
 
 def fidelity_t_derivative(A, B, t):

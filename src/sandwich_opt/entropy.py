@@ -4,7 +4,10 @@ The central object is the sandwiched trace functional
 ``tr (A^{(1-t)/2t} B A^{(1-t)/2t})^t``; the classical fidelity and the
 Bures-Wasserstein distance are its t = 1/2 specialization. Everything is
 evaluated through spectral decompositions (n is small, exactness of the
-eigen-route dominates).
+eigen-route dominates). The private helpers that start from a
+``SpectralDecomp`` work alike on one matrix and on a stack (k, n, n) from
+``linalg.stack_decompose``, which is how the batched limits suite evaluates
+these same formulas.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput, NumericalError, ParameterError
-from .linalg import as_hermitian, matrix_log, matrix_power, power, spectral_decompose, symmetrize
+from .linalg import LOG, as_hermitian, matrix_power, power, spectral_decompose, symmetrize
 
 # Order parameters closer than T_MIN to the degenerate endpoints are
 # rejected: conditioning of the exponent (1-t)/2t blows up as t -> 0+.
@@ -49,7 +52,7 @@ def sandwich_spectrum(A, B, t):
 
 
 def _sandwich_spectrum(decA, B, t):
-    """sandwich_spectrum from the decomposition of A."""
+    """sandwich_spectrum from the decomposition of A (or of a stack, with B a stack)."""
     P = decA.map(power((1.0 - t) / (2.0 * t)))
     return _positive(np.linalg.eigvalsh(symmetrize(P @ B @ P)))
 
@@ -72,7 +75,12 @@ def _positive(w):
 
 def sandwich_trace(A, B, t):
     """tr (A^{(1-t)/2t} B A^{(1-t)/2t})^t, without order-parameter guards."""
-    return float(np.sum(sandwich_spectrum(A, B, t) ** float(t)))
+    return float(_sandwich_trace(spectral_decompose(A), B, t))
+
+
+def _sandwich_trace(decA, B, t):
+    """sandwich_trace from the decomposition of A."""
+    return np.sum(_sandwich_spectrum(decA, B, t) ** float(t), axis=-1)
 
 
 def fidelity(A, B, t):
@@ -96,7 +104,12 @@ def sandwiched_divergence(A, B, t):
     t in (T_MIN, T_MAX] away from 1.
     """
     check_order_t(t)
-    return float(np.log(sandwich_trace(A, B, t)) / (t - 1.0))
+    return float(_sandwiched_divergence(spectral_decompose(A), B, t))
+
+
+def _sandwiched_divergence(decA, B, t):
+    """sandwiched_divergence from the decomposition of A, without the order guard."""
+    return np.log(_sandwich_trace(decA, B, t)) / (t - 1.0)
 
 
 def renyi_classic(A, B, t):
@@ -110,28 +123,37 @@ def renyi_classic(A, B, t):
 
 def umegaki_relative_entropy(B, A):
     """Umegaki relative entropy tr[B (log B - log A)] / tr B."""
-    diff = matrix_log(B) - matrix_log(A)
-    return float(np.trace(B @ diff).real / np.trace(B).real)
+    return float(_relative_entropy(spectral_decompose(B), spectral_decompose(A), B))
 
 
-def _whitened_spectrum(A, B):
-    """Ascending eigenvalues of A^{-1/2} B A^{-1/2}, all positive."""
-    Ami = matrix_power(A, -0.5)
+def _relative_entropy(decB, decA, B):
+    """umegaki_relative_entropy(B, A) from the decompositions of B and A."""
+    diff = decB.map(LOG) - decA.map(LOG)
+    return np.trace(B @ diff, axis1=-2, axis2=-1).real / np.trace(B, axis1=-2, axis2=-1).real
+
+
+def _whitened_spectrum(decA, B):
+    """Ascending eigenvalues of A^{-1/2} B A^{-1/2}, all positive, from the decomposition of A."""
+    Ami = decA.map(power(-0.5))
     w = np.linalg.eigvalsh(symmetrize(Ami @ B @ Ami))
-    if w[0] <= 0:
+    if np.min(w[..., 0]) <= 0:
         raise NumericalError("whitened matrix lost positivity")
     return w
 
 
 def thompson_metric(A, B):
     """Thompson metric max{log lam_1(A B^{-1}), log lam_1(B A^{-1})}."""
-    w = _whitened_spectrum(A, B)
-    return float(max(np.log(w[-1]), -np.log(w[0])))
+    return float(_thompson(_whitened_spectrum(spectral_decompose(A), B)))
+
+
+def _thompson(w):
+    """thompson_metric from the whitened spectrum w."""
+    return np.maximum(np.log(w[..., -1]), -np.log(w[..., 0]))
 
 
 def max_relative_entropy(A, B):
     """Max-relative entropy log lam_1(A B^{-1})."""
-    return float(np.log(_whitened_spectrum(B, A)[-1]))
+    return float(np.log(_whitened_spectrum(spectral_decompose(B), A)[-1]))
 
 
 def geometric_mean(A, B, t):
@@ -159,7 +181,7 @@ def _geometric_mean(decA, B, t):
 
 def riemannian_distance(A, B):
     """Affine-invariant distance ||log A^{-1/2} B A^{-1/2}||_2."""
-    return float(np.linalg.norm(np.log(_whitened_spectrum(A, B))))
+    return float(np.linalg.norm(np.log(_whitened_spectrum(spectral_decompose(A), B))))
 
 
 # kind -> (function, takes an order t, called as fn(B, A) rather than fn(A, B))

@@ -4,8 +4,12 @@ Covers the four-link trace chain, the log-majorization chains for the two
 order-parameter regimes, the variational lower bounds for the sandwiched
 trace functional, the small-t limit envelope, Schatten-norm convexity of
 induced matrix functions, and an exploratory search on the open domination
-question for t <= 1/2. Trials are independent, seeded, and run serially in
-trial order; reports are plain dicts.
+question for t <= 1/2. Trials are independent and seeded, and reports are
+plain dicts. The limits suite draws its trials in trial order and checks them
+as one batch, in chunks of ``LIMITS_CHUNK`` trials, on stacked
+decompositions and one ``linalg.graded_eigh`` call per chunk; the other
+suites run their trials serially in trial order. Either way a seed fixes the
+report byte for byte.
 """
 
 from __future__ import annotations
@@ -17,28 +21,31 @@ import numpy as np
 from .entropy import (
     T_MIN,
     _geometric_mean,
+    _relative_entropy,
     _sandwich_spectrum,
+    _sandwich_trace,
+    _sandwiched_divergence,
+    _thompson,
+    _whitened_spectrum,
     check_unit_t,
     fidelity,
     geometric_mean,
-    max_relative_entropy,
     sandwich_spectrum,
-    sandwich_trace,
-    sandwiched_divergence,
-    thompson_metric,
-    umegaki_relative_entropy,
 )
-from .errors import DomainError, InvalidInput, NumericalError, ParameterError
+from .errors import DomainError, InvalidInput, ParameterError
 from .linalg import (
     ScalarFunction,
+    SpectralDecomp,
     as_hermitian,
     derive_seed,
+    graded_eigh,
     matrix_power,
     norm,
     power,
     project_box,
     random_spd,
     spectral_decompose,
+    stack_decompose,
     symmetrize,
 )
 from .serialization import canonical_json, matrix_to_json
@@ -130,9 +137,14 @@ def trace_chain_check(A, B, t) -> ChainReport:
     <= tr[(1-t)A + tB], with tolerance 1e-10 times the last link.
     """
     check_unit_t(t)
-    l1 = float(np.trace(geometric_mean(A, B, t)).real)
-    l2 = float(np.trace(matrix_power(A, 1.0 - t) @ matrix_power(B, t)).real)
-    l3 = sandwich_trace(A, B, t)
+    return _trace_chain(A, B, spectral_decompose(A), spectral_decompose(B), t)
+
+
+def _trace_chain(A, B, decA, decB, t) -> ChainReport:
+    """trace_chain_check from the decompositions of A and B."""
+    l1 = float(np.trace(_geometric_mean(decA, B, t)).real)
+    l2 = float(np.trace(decA.map(power(1.0 - t)) @ decB.map(power(t))).real)
+    l3 = float(_sandwich_trace(decA, B, t))
     l4 = (1.0 - t) * float(np.trace(A).real) + t * float(np.trace(B).real)
     links = [
         ("tr_geometric_mean", l1),
@@ -296,119 +308,69 @@ def gamma_limit_check(A, B, t_grid=DEFAULT_GAMMA_GRID):
     Verifies lam_min(B)^t A^{1-t} <= gamma(t) <= lam_max(B)^t A^{1-t} at
     each grid point and that the final error sits below the envelope-implied
     bound sqrt(n) max_i |c^t a_i^{1-t} - a_i| over both envelope constants.
+    gamma(t) is graded like cond(A)^{(1-t)/t} and is decomposed by
+    ``linalg.graded_eigh``. This is the batch kernel of the limits suite on a
+    stack of one, so the suite and this report agree for the same pair.
     """
     for t in t_grid:
         check_unit_t(t)
-    a_eigs = np.linalg.eigvalsh(as_hermitian(A))
-    b_eigs = np.linalg.eigvalsh(as_hermitian(B))
-    alpha, beta = float(b_eigs[0]), float(b_eigs[-1])
-    n = len(a_eigs)
-
-    errors, envelope_ok = [], []
-    for t in t_grid:
-        G = _graded_sandwich_power(A, B, t)
-        errors.append(float(np.linalg.norm(G - A)))
-        A1mt = matrix_power(A, 1.0 - t)
-        lo = alpha**t * A1mt
-        hi = beta**t * A1mt
-        scale = norm(hi, "operator")
-        ok = (
-            np.linalg.eigvalsh(symmetrize(G - lo))[0] >= -MAJORIZE_RTOL * scale
-            and np.linalg.eigvalsh(symmetrize(hi - G))[0] >= -MAJORIZE_RTOL * scale
-        )
-        envelope_ok.append(bool(ok))
-
-    t_last = t_grid[-1]
-    dev = max(
-        float(np.max(np.abs(beta**t_last * a_eigs ** (1.0 - t_last) - a_eigs))),
-        float(np.max(np.abs(alpha**t_last * a_eigs ** (1.0 - t_last) - a_eigs))),
-    )
-    final_bound = float(np.sqrt(n) * dev)
-    final_ok = errors[-1] <= final_bound * (1.0 + 1e-10)
+    out = _gamma_limit_batch(as_hermitian(A)[None], as_hermitian(B)[None], t_grid)
+    errors = [float(e) for e in out["errors"][0]]
     return {
         "t_grid": list(t_grid),
         "errors": errors,
-        "envelope_ok": envelope_ok,
+        "envelope_ok": [bool(ok) for ok in out["envelope_ok"][0]],
         "final_error": errors[-1],
-        "final_bound": final_bound,
-        "all_hold": bool(all(envelope_ok) and final_ok),
+        "final_bound": float(out["final_bound"][0]),
+        "all_hold": bool(out["all_hold"][0]),
     }
 
 
-def _jacobi_eigh(H, max_sweeps=60, tol=1e-15):
-    """Cyclic Jacobi eigendecomposition of a Hermitian positive definite matrix.
+def _gamma_limit_batch(A, B, t_grid):
+    """gamma_limit_check on stacks A, B (k, n, n): arrays indexed by trial (and order)."""
+    k, n, _ = A.shape
+    ts = np.asarray(t_grid, dtype=float)
+    decA = stack_decompose(A)
+    decA.require_domain(power(0.5))  # every power of A below is fractional
+    a, U = decA.eigenvalues, decA.eigenvectors
+    b = np.linalg.eigvalsh(symmetrize(B))
+    alpha, beta = b[:, :1], b[:, -1:]
 
-    Uses the relative off-diagonal criterion |H_pq| <= tol sqrt(H_pp H_qq),
-    which keeps all eigenvalues of strongly graded matrices D M D (diagonal D,
-    well-conditioned M) accurate in the relative sense where a standard
-    tridiagonalization-based solver loses the small ones entirely. Raises
-    ``NumericalError`` if an entry still fails the criterion after
-    ``max_sweeps`` sweeps.
-    """
-    H = np.array(H, dtype=complex)
-    n = H.shape[0]
-    V = np.eye(n, dtype=complex)
-    for _ in range(max_sweeps):
-        rotated = False
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                z = H[p, q]
-                r = abs(z)
-                if r <= tol * np.sqrt(abs(H[p, p].real) * abs(H[q, q].real)):
-                    continue
-                rotated = True
-                u = z / r
-                tau = (H[q, q].real - H[p, p].real) / (2.0 * r)
-                tt = np.sign(tau) / (abs(tau) + np.hypot(1.0, tau)) if tau != 0 else 1.0
-                c = 1.0 / np.hypot(1.0, tt)
-                s = tt * c
-                for M in (H, V):
-                    col_p = M[:, p].copy()
-                    col_q = M[:, q].copy()
-                    M[:, p] = u * c * col_p - s * col_q
-                    M[:, q] = u * s * col_p + c * col_q
-                row_p = H[p, :].copy()
-                row_q = H[q, :].copy()
-                H[p, :] = np.conj(u) * c * row_p - s * row_q
-                H[q, :] = np.conj(u) * s * row_p + c * row_q
-                H[p, q] = 0.0
-                H[q, p] = 0.0
-                H[p, p] = H[p, p].real
-                H[q, q] = H[q, q].real
-        if not rotated:
-            break
-    else:
-        d = np.sqrt(np.abs(H.diagonal().real))
-        off = np.max(np.abs(np.triu(H, 1)) / np.outer(d, d))
-        if off > tol:
-            raise NumericalError(f"Jacobi unconverged after {max_sweeps} sweeps "
-                                 f"(largest relative off-diagonal {off:.3e})")
-    w = H.diagonal().real
-    order = np.argsort(w)[::-1]
-    return w[order], V[:, order]
+    # In the eigenbasis of A, gamma(t)^{1/t} is diag(a^m) U*BU diag(a^m) with
+    # m = (1-t)/2t: all (trial, order) pairs go through one graded_eigh
+    d = a[:, None, :] ** ((1.0 - ts) / (2.0 * ts))[:, None]
+    Bt = symmetrize(np.swapaxes(U.conj(), -1, -2) @ B @ U)
+    w, V = graded_eigh((d[..., :, None] * d[..., None, :] * Bt[:, None]).reshape(-1, n, n))
+    w = w.reshape(k, len(ts), n)
+    gamma_root = SpectralDecomp(w, U[:, None] @ V.reshape(k, len(ts), n, n))
+    G = symmetrize(gamma_root.apply(w ** ts[:, None]))
+    errors = np.linalg.norm(G - A[:, None], axis=(-2, -1))
 
+    A1mt = SpectralDecomp(a[:, None], U[:, None]).apply(a[:, None] ** (1.0 - ts)[:, None])
+    lo = (alpha**ts)[..., None, None] * A1mt
+    hi = (beta**ts)[..., None, None] * A1mt
+    scale = beta**ts * a[:, :1] ** (1.0 - ts)  # operator norm of hi
+    env = np.linalg.eigvalsh(symmetrize(np.stack([G - lo, hi - G])))[..., 0]
+    envelope_ok = np.all(env >= -MAJORIZE_RTOL * scale, axis=0)
 
-def _graded_sandwich_power(A, B, t):
-    """(A^{(1-t)/2t} B A^{(1-t)/2t})^t for small t, stable under grading.
-
-    In the eigenbasis of A the inner matrix is diag(a^m) U*BU diag(a^m) with
-    m = (1-t)/2t; its dynamic range grows like cond(A)^{2m}, far past what a
-    standard eigensolver resolves, so the graded Jacobi decomposition is used
-    before the compressing power t is applied.
-    """
-    decA = spectral_decompose(A)
-    d = decA.eigenvalues ** ((1.0 - t) / (2.0 * t))
-    U = decA.eigenvectors
-    Bt = U.conj().T @ B @ U
-    H = (d[:, None] * d[None, :]) * ((Bt + Bt.conj().T) / 2.0)
-    w, V = _jacobi_eigh(H)
-    W = U @ V
-    return symmetrize((W * w ** float(t)) @ W.conj().T)
+    t_last = ts[-1]
+    dev = np.maximum(np.max(np.abs(beta**t_last * a ** (1.0 - t_last) - a), axis=1),
+                     np.max(np.abs(alpha**t_last * a ** (1.0 - t_last) - a), axis=1))
+    final_bound = np.sqrt(n) * dev
+    final_ok = errors[:, -1] <= final_bound * (1.0 + 1e-10)
+    return {
+        "errors": errors,
+        "envelope_ok": envelope_ok,
+        "final_bound": final_bound,
+        "all_hold": np.all(envelope_ok, axis=1) & final_ok,
+    }
 
 
 DENSITY_TOL = 1e-10
 NEAR_ONE_GRID = (1e-3, 1e-4)
 LARGE_T_GRID = (8.0, 16.0, 32.0, 64.0)
+# (t, h) for t = 1 -+ h, h in NEAR_ONE_GRID
+_NEAR_ONE = tuple((tshift, h) for h in NEAR_ONE_GRID for tshift in (1.0 - h, 1.0 + h))
 
 
 def divergence_limit_check(A, B):
@@ -417,42 +379,60 @@ def divergence_limit_check(A, B):
     Near t = 1 the divergence must sit within 10 |t-1| (1 + |RE|) of the
     Umegaki relative entropy. For large t both the Thompson metric and
     log lam_1(A^{-1/2} B A^{-1/2}) are recorded; a monotone approach to the
-    latter is asserted, equality with neither.
+    latter is asserted, equality with neither. This is the batch kernel of
+    the limits suite on a stack of one; every value equals that of the
+    ``entropy`` function of the same name bit for bit.
     """
-    if abs(float(np.trace(A).real) - 1.0) > DENSITY_TOL or abs(
-        float(np.trace(B).real) - 1.0
-    ) > DENSITY_TOL:
-        raise DomainError("divergence limits are checked for density matrices (unit trace)")
-    re_value = umegaki_relative_entropy(B, A)
+    out = _divergence_limit_batch(as_hermitian(A)[None], as_hermitian(B)[None])
+    row = {key: value[0] for key, value in out.items()}
+    return {
+        "relative_entropy": float(row["relative_entropy"]),
+        "near_one": [
+            {"t": tshift, "divergence": float(d), "bound": float(bound), "ok": bool(ok)}
+            for (tshift, _), d, bound, ok in zip(
+                _NEAR_ONE, row["near_one"], row["near_one_bound"], row["near_one_each_ok"])
+        ],
+        "large_t": [{"t": t, "divergence": float(d)} for t, d in zip(LARGE_T_GRID, row["large_t"])],
+        "thompson_metric": float(row["thompson_metric"]),
+        "max_relative_form": float(row["max_relative_form"]),
+        "gaps_to_max_relative": [float(g) for g in row["gaps"]],
+        "monotone_ok": bool(row["monotone_ok"]),
+        "near_one_ok": bool(row["near_one_ok"]),
+        "all_hold": bool(row["all_hold"]),
+    }
 
-    near_one = []
-    near_ok = True
-    for h in NEAR_ONE_GRID:
-        for tshift in (1.0 - h, 1.0 + h):
-            d = sandwiched_divergence(A, B, tshift)
-            bound = 10.0 * h * (1.0 + abs(re_value))
-            ok = abs(d - re_value) <= bound
-            near_ok = near_ok and ok
-            near_one.append({"t": tshift, "divergence": d, "bound": bound, "ok": bool(ok)})
 
-    max_rel = max_relative_entropy(B, A)
-    thompson = thompson_metric(A, B)
+def _divergence_limit_batch(A, B):
+    """divergence_limit_check on stacks of density matrices A, B (k, n, n)."""
+    for M in (A, B):
+        if np.any(np.abs(np.trace(M, axis1=1, axis2=2).real - 1.0) > DENSITY_TOL):
+            raise DomainError("divergence limits are checked for density matrices (unit trace)")
+    decA, decB = stack_decompose(A), stack_decompose(B)
+    re_value = _relative_entropy(decB, decA, B)
 
-    large_t = [{"t": t, "divergence": sandwiched_divergence(A, B, t)} for t in LARGE_T_GRID]
-    gaps = [abs(e["divergence"] - max_rel) for e in large_t]
-    monotone_ok = all(
-        g2 <= g1 * (1.0 + 1e-9) + 1e-12 for g1, g2 in zip(gaps[:-1], gaps[1:])
-    )
+    near_one = np.stack([_sandwiched_divergence(decA, B, t) for t, _ in _NEAR_ONE], axis=1)
+    bound = 10.0 * np.array([h for _, h in _NEAR_ONE]) * (1.0 + np.abs(re_value))[:, None]
+    near_each_ok = np.abs(near_one - re_value[:, None]) <= bound
+
+    # one whitened spectrum: max_relative_entropy(B, A) and thompson_metric(A, B)
+    w = _whitened_spectrum(decA, B)
+    max_rel = np.log(w[:, -1])
+    large_t = np.stack([_sandwiched_divergence(decA, B, t) for t in LARGE_T_GRID], axis=1)
+    gaps = np.abs(large_t - max_rel[:, None])
+    monotone_ok = np.all(gaps[:, 1:] <= gaps[:, :-1] * (1.0 + 1e-9) + 1e-12, axis=1)
+    near_one_ok = np.all(near_each_ok, axis=1)
     return {
         "relative_entropy": re_value,
         "near_one": near_one,
+        "near_one_bound": bound,
+        "near_one_each_ok": near_each_ok,
         "large_t": large_t,
-        "thompson_metric": thompson,
+        "thompson_metric": _thompson(w),
         "max_relative_form": max_rel,
-        "gaps_to_max_relative": gaps,
-        "monotone_ok": bool(monotone_ok),
-        "near_one_ok": bool(near_ok),
-        "all_hold": bool(near_ok and monotone_ok),
+        "gaps": gaps,
+        "monotone_ok": monotone_ok,
+        "near_one_ok": near_one_ok,
+        "all_hold": near_one_ok & monotone_ok,
     }
 
 
@@ -643,11 +623,15 @@ def density_pair(n, seed, label, mix=0.005, lo=1.0, hi=2.0):
 
 
 def run_trace_chain_suite(n=4, trials=100, seed=0, t_values=(0.1, 0.3, 0.5, 0.7, 0.9)):
+    for t in t_values:
+        check_unit_t(t)
+
     def worker(i):
         Ai, Bi = random_pair(n, derive_seed(seed, "trace-chain", i), "pair")
+        decA, decB = spectral_decompose(Ai), spectral_decompose(Bi)
         out = []
         for t in t_values:
-            rep = trace_chain_check(Ai, Bi, t)
+            rep = _trace_chain(Ai, Bi, decA, decB, t)
             out.append((rep.all_hold, min(v.margin for v in rep.verdicts)))
         return out
 
@@ -718,18 +702,21 @@ def run_log_major_suite(n=4, trials=100, seed=0, t_values=(0.25, 0.5, 0.75)):
     }
 
 
-def run_limits_suite(n=4, trials=100, seed=0):
-    def worker(i):
-        trial_seed = derive_seed(seed, "limits", i)
-        Ai, Bi = random_pair(n, trial_seed, "gamma")
-        gamma_ok = gamma_limit_check(Ai, Bi)["all_hold"]
-        Ad, Bd = density_pair(n, trial_seed, "density")
-        div_ok = divergence_limit_check(Ad, Bd)["all_hold"]
-        return gamma_ok, div_ok
+# Trials per batch of the limits suite: memory stays bounded for any trial
+# count, and results do not depend on it.
+LIMITS_CHUNK = 256
 
-    rows = [worker(i) for i in range(trials)]
-    gamma_violations = sum(1 for ok, _ in rows if not ok)
-    div_violations = sum(1 for _, ok in rows if not ok)
+
+def run_limits_suite(n=4, trials=100, seed=0):
+    gamma_violations = div_violations = 0
+    for start in range(0, trials, LIMITS_CHUNK):
+        draws = []
+        for i in range(start, min(start + LIMITS_CHUNK, trials)):
+            trial_seed = derive_seed(seed, "limits", i)
+            draws.append(random_pair(n, trial_seed, "gamma") + density_pair(n, trial_seed, "density"))
+        A, B, Ad, Bd = (np.stack(m) for m in zip(*draws))
+        gamma_violations += int(np.sum(~_gamma_limit_batch(A, B, DEFAULT_GAMMA_GRID)["all_hold"]))
+        div_violations += int(np.sum(~_divergence_limit_batch(Ad, Bd)["all_hold"]))
     return {
         "suite": "limits",
         "n": n,

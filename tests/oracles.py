@@ -3,13 +3,23 @@
 The paper's geometric-mean expression for the gradient, finite-difference
 reconstruction of gradients and Hessian actions, the Hessian matrix
 assembled in an explicit Hermitian basis, a quadrature evaluation of the
-Hessian integral representation, and extended-precision evaluation of the
-sandwiched trace. These stay independent of the code paths they check.
+Hessian integral representation, extended-precision evaluation of the
+sandwiched trace, and the scalar cyclic Jacobi with the per-matrix small-t
+limit check built on it. These stay independent of the code paths they check.
 """
 
 import numpy as np
 
-from sandwich_opt import geometric_mean, hessian_apply, inner, matrix_power, norm, symmetrize
+from sandwich_opt import (
+    NumericalError,
+    geometric_mean,
+    hessian_apply,
+    inner,
+    matrix_power,
+    norm,
+    spectral_decompose,
+    symmetrize,
+)
 
 
 def hermitian_basis(n):
@@ -117,3 +127,87 @@ def mp_sandwich_trace(A, B, t, dps=40):
         P = Q * mp.diag([mp.power(e, s) for e in E]) * Q.H
         Em, _ = herm_eig(P * Bm * P)
         return sum(mp.power(e, tm) for e in Em)
+
+
+def jacobi_eigh(H, max_sweeps=60, tol=1e-15):
+    """Cyclic Jacobi eigendecomposition of one Hermitian positive definite matrix.
+
+    Row-by-row cyclic order, one 2 x 2 rotation at a time, with the relative
+    off-diagonal criterion |H_pq| <= tol sqrt(H_pp H_qq). Eigenvalues
+    descending; ``NumericalError`` if an entry still fails the criterion
+    after ``max_sweeps`` sweeps.
+    """
+    H = np.array(H, dtype=complex)
+    n = H.shape[0]
+    V = np.eye(n, dtype=complex)
+    for _ in range(max_sweeps):
+        rotated = False
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                z = H[p, q]
+                r = abs(z)
+                if r <= tol * np.sqrt(abs(H[p, p].real) * abs(H[q, q].real)):
+                    continue
+                rotated = True
+                u = z / r
+                tau = (H[q, q].real - H[p, p].real) / (2.0 * r)
+                tt = np.sign(tau) / (abs(tau) + np.hypot(1.0, tau)) if tau != 0 else 1.0
+                c = 1.0 / np.hypot(1.0, tt)
+                s = tt * c
+                for M in (H, V):
+                    col_p = M[:, p].copy()
+                    col_q = M[:, q].copy()
+                    M[:, p] = u * c * col_p - s * col_q
+                    M[:, q] = u * s * col_p + c * col_q
+                row_p = H[p, :].copy()
+                row_q = H[q, :].copy()
+                H[p, :] = np.conj(u) * c * row_p - s * row_q
+                H[q, :] = np.conj(u) * s * row_p + c * row_q
+                H[p, q] = 0.0
+                H[q, p] = 0.0
+                H[p, p] = H[p, p].real
+                H[q, q] = H[q, q].real
+        if not rotated:
+            break
+    else:
+        d = np.sqrt(np.abs(H.diagonal().real))
+        off = np.max(np.abs(np.triu(H, 1)) / np.outer(d, d))
+        if off > tol:
+            raise NumericalError(f"Jacobi unconverged after {max_sweeps} sweeps "
+                                 f"(largest relative off-diagonal {off:.3e})")
+    w = H.diagonal().real
+    order = np.argsort(w)[::-1]
+    return w[order], V[:, order]
+
+
+def graded_sandwich_power(A, B, t):
+    """(A^{(1-t)/2t} B A^{(1-t)/2t})^t through jacobi_eigh of the graded
+    diag(a^m) U*BU diag(a^m), m = (1-t)/2t, in the eigenbasis of A."""
+    decA = spectral_decompose(A)
+    d = decA.eigenvalues ** ((1.0 - t) / (2.0 * t))
+    U = decA.eigenvectors
+    Bt = U.conj().T @ B @ U
+    H = (d[:, None] * d[None, :]) * ((Bt + Bt.conj().T) / 2.0)
+    w, V = jacobi_eigh(H)
+    W = U @ V
+    return symmetrize((W * w ** float(t)) @ W.conj().T)
+
+
+def gamma_limit_oracle(A, B, t_grid):
+    """(errors, envelope_ok) of the small-t limit check, one order at a time:
+    ||gamma(t) - A||_F and lam_min(B)^t A^{1-t} <= gamma(t) <= lam_max(B)^t A^{1-t}
+    within 1e-10 of the operator norm of the upper envelope."""
+    b_eigs = np.linalg.eigvalsh(symmetrize(B))
+    alpha, beta = float(b_eigs[0]), float(b_eigs[-1])
+    errors, envelope_ok = [], []
+    for t in t_grid:
+        G = graded_sandwich_power(A, B, t)
+        errors.append(float(np.linalg.norm(G - A)))
+        A1mt = matrix_power(A, 1.0 - t)
+        lo, hi = alpha**t * A1mt, beta**t * A1mt
+        scale = norm(hi, "operator")
+        envelope_ok.append(bool(
+            np.linalg.eigvalsh(symmetrize(G - lo))[0] >= -1e-10 * scale
+            and np.linalg.eigvalsh(symmetrize(hi - G))[0] >= -1e-10 * scale
+        ))
+    return errors, envelope_ok

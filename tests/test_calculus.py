@@ -309,6 +309,24 @@ def test_bregman_examples():
     assert np.isclose(val, 0.5)
 
 
+def test_bregman_decomposes_a_once(monkeypatch):
+    # eigh of A and of the sandwich at X, eigvalsh of the sandwich at Y; the
+    # value is the gradient-and-two-traces formula up to rounding of its terms
+    A = random_spd(4, 1.0, 4.0, 83)
+    X = random_spd(4, 1.0, 4.0, 84)
+    Y = random_spd(4, 1.0, 4.0, 85)
+    t = 0.4
+    G = gradient_f(A, X, t)
+    terms = (sandwich_trace(A, X, t), -sandwich_trace(A, Y, t), inner(G, Y - X))
+    calls = {"eigh": [], "eigvalsh": []}
+    for name, log in calls.items():
+        fn = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda *a, _fn=fn, _log=log, **k: _log.append(1) or _fn(*a, **k))
+    val = bregman(A, t, Y, X)
+    assert (len(calls["eigh"]), len(calls["eigvalsh"])) == (2, 1)
+    assert abs(val - sum(terms)) <= 1e-14 * sum(abs(x) for x in terms)
+
+
 def test_bregman_strong_convexity_bound():
     k1 = convexity_constants(0.5, 1.0, 2.0).k1
     for seed in range(10):

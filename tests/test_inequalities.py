@@ -5,9 +5,9 @@ from sandwich_opt import (
     DomainError,
     EXP,
     InvalidInput,
-    NumericalError,
     ParameterError,
     canonical_json,
+    derive_seed,
     divergence_limit_check,
     fidelity,
     gamma_limit_check,
@@ -22,33 +22,29 @@ from sandwich_opt import (
     power,
     random_spd,
     run_suite,
+    sandwiched_divergence,
     spectral_decompose,
     symmetrize,
+    thompson_metric,
     trace_chain_check,
+    umegaki_relative_entropy,
     variational_minimizer,
     variational_value,
 )
+from sandwich_opt import inequalities
 from sandwich_opt.entropy import sandwich_spectrum
 from sandwich_opt.inequalities import (
+    LARGE_T_GRID,
     OPEN_QUESTION_RELATIONS,
-    _jacobi_eigh,
     density_pair,
     random_pair,
 )
 
+from oracles import gamma_limit_oracle
+
 
 def sorted_eigs(M):
     return np.linalg.eigvalsh(symmetrize(M))[::-1]
-
-
-def test_jacobi_raises_when_unconverged_at_sweep_cap():
-    D = np.diag(0.1 ** np.arange(4.0))
-    H = D @ random_spd(4, 1.0, 4.0, 3) @ D
-    with pytest.raises(NumericalError, match="largest relative off-diagonal"):
-        _jacobi_eigh(H, max_sweeps=1)
-    w, V = _jacobi_eigh(H)
-    assert np.allclose(w, sorted_eigs(H), rtol=1e-12, atol=0.0)
-    assert np.allclose((V * w) @ V.conj().T, H, rtol=0.0, atol=1e-14)
 
 
 # ---------------------------------------------------------------- majorization
@@ -309,6 +305,88 @@ def test_gamma_limit_random_envelope():
         assert report["errors"][-1] <= report["errors"][0]
     with pytest.raises(ParameterError):
         gamma_limit_check(A, B, t_grid=(0.2, 1e-5))
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 6])
+def test_gamma_limit_matches_scalar_jacobi_oracle(n):
+    for seed in range(8):
+        A, B = random_pair(n, derive_seed(1250, n, seed), "gamma")
+        report = gamma_limit_check(A, B)
+        errors, envelope_ok = gamma_limit_oracle(A, B, report["t_grid"])
+        for err, ref in zip(report["errors"], errors):
+            assert abs(err - ref) <= 1e-11 * ref, (n, seed)
+        assert report["envelope_ok"] == envelope_ok
+
+
+def test_limits_suite_does_not_depend_on_chunk_size(monkeypatch):
+    # the report, and every value the batch kernels compute, bit for bit
+    kernels = {name: getattr(inequalities, name)
+               for name in ("_gamma_limit_batch", "_divergence_limit_batch")}
+
+    def run(chunk):
+        seen = {name: [] for name in kernels}
+        for name, kernel in kernels.items():
+            monkeypatch.setattr(inequalities, name,
+                                lambda *a, _k=kernel, _s=seen[name]: _s.append(_k(*a)) or _s[-1])
+        monkeypatch.setattr(inequalities, "LIMITS_CHUNK", chunk)
+        report = run_suite("limits", n=3, trials=20, seed=36)
+        values = {f"{name}.{key}": np.concatenate([out[key] for out in outs])
+                  for name, outs in seen.items() for key in outs[0]}
+        return report, values
+
+    report, values = run(inequalities.LIMITS_CHUNK)
+    for chunk in (1, 7):
+        other_report, other_values = run(chunk)
+        assert other_report == report
+        for key, value in values.items():
+            assert np.array_equal(other_values[key], value), (chunk, key)
+
+
+@pytest.mark.parametrize("n", [1, 3, 4, 5, 8])
+def test_divergence_limit_values_equal_the_entropy_functions(n):
+    # the batch kernel evaluates the entropy module's own formulas on stacks:
+    # every value is bit-identical to the scalar function
+    for i in range(10):
+        A, B = density_pair(n, derive_seed(37, n, i), "density")
+        report = divergence_limit_check(A, B)
+        assert report["relative_entropy"] == umegaki_relative_entropy(B, A)
+        for entry in report["near_one"] + report["large_t"]:
+            assert entry["divergence"] == sandwiched_divergence(A, B, entry["t"])
+        assert [e["t"] for e in report["large_t"]] == list(LARGE_T_GRID)
+        assert report["thompson_metric"] == thompson_metric(A, B)
+        assert report["max_relative_form"] == max_relative_entropy(B, A)
+
+
+def _count_decompositions(monkeypatch):
+    calls = {"eigh": 0, "eigvalsh": 0}
+    for name in calls:
+        fn = getattr(np.linalg, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def test_limits_suite_decomposition_count_does_not_grow_with_trials(monkeypatch):
+    counts = []
+    for trials in (1, 50):
+        calls = _count_decompositions(monkeypatch)
+        run_suite("limits", n=4, trials=trials, seed=38)
+        counts.append(calls["eigh"] + calls["eigvalsh"])
+        monkeypatch.undo()
+    assert counts[0] == counts[1]
+
+
+def test_trace_chain_suite_decomposes_each_input_once(monkeypatch):
+    # per trial: A and B once each, then one eigh per order inside A #_t B
+    calls = _count_decompositions(monkeypatch)
+    t_values = (0.1, 0.5, 0.9)
+    run_suite("trace-chain", n=4, trials=6, seed=39, t_values=t_values)
+    assert calls["eigh"] == 6 * (2 + len(t_values))
+    assert calls["eigvalsh"] == 6 * len(t_values)
 
 
 def test_divergence_limit_equal_density():

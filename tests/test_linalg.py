@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sandwich_opt import (
     EXP,
@@ -7,9 +8,11 @@ from sandwich_opt import (
     DomainError,
     InvalidBox,
     InvalidInput,
+    NumericalError,
     as_spd,
     derive_seed,
     frechet_derivative,
+    graded_eigh,
     loewner_matrix,
     matrix_exp,
     matrix_log,
@@ -21,9 +24,12 @@ from sandwich_opt import (
     random_spd,
     schatten_norm,
     spectral_decompose,
+    stack_decompose,
     symmetrize,
 )
 from sandwich_opt.linalg import EQUAL_EIG_RTOL
+
+from oracles import jacobi_eigh
 
 
 def test_spectral_decompose_identity():
@@ -248,3 +254,103 @@ def test_derive_seed_stable_and_label_sensitive():
     assert derive_seed(7, "x", 1) == derive_seed(7, "x", 1)
     assert derive_seed(7, "x", 1) != derive_seed(7, "x", 2)
     assert derive_seed(7, "x") != derive_seed(8, "x")
+
+
+# ------------------------------------------------------- stacks, graded Jacobi
+
+
+def test_stack_decompose_equals_spectral_decompose_per_matrix():
+    H = np.stack([random_spd(4, 0.5, 2.0, 60 + i) for i in range(5)])
+    dec = stack_decompose(H)
+    for i in range(len(H)):
+        one = spectral_decompose(H[i])
+        assert np.array_equal(dec.eigenvalues[i], one.eigenvalues)
+        assert np.array_equal(dec.eigenvectors[i], one.eigenvectors)
+        assert np.array_equal(dec.map(power(0.3))[i], one.map(power(0.3)))
+    assert np.array_equal(symmetrize(H)[2], symmetrize(H[2]))
+    with pytest.raises(InvalidInput):
+        stack_decompose(H[0])
+
+
+def _graded(n, grading, seed):
+    """D M D with M = random_spd(n, 1, 4) and H_{n-1,n-1} / H_00 about grading.
+
+    The diagonal grows down the matrix, the order that a tridiagonalizing
+    solver resolves worst.
+    """
+    D = np.diag(grading ** (-0.5 * np.arange(n)[::-1] / max(n - 1, 1)))
+    return D @ random_spd(n, 1.0, 4.0, seed) @ D
+
+
+def _mp_eigenvalues(H, grading):
+    """Descending eigenvalues of H from mpmath, with 60 digits beyond the grading."""
+    import mpmath as mp
+
+    with mp.workdps(60 + int(np.log10(grading))):
+        Hm = mp.matrix([[mp.mpc(complex(z)) for z in row] for row in H])
+        E, _ = mp.eighe((Hm + Hm.H) / 2)
+        return sorted((E[i] for i in range(len(H))), reverse=True)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8])
+def test_graded_eigh_matches_mpmath_on_graded_matrices(n):
+    import mpmath as mp
+
+    gradings = (1.0, 1e10, 1e30, 1e60)
+    H = np.stack([_graded(n, g, 70 + i) for i, g in enumerate(gradings)])
+    w, V = graded_eigh(H)
+    for i, g in enumerate(gradings):
+        ref = _mp_eigenvalues(H[i], g)
+        rel = max(float(abs((mp.mpf(float(x)) - r) / r)) for x, r in zip(w[i], ref))
+        assert rel <= 1e-13, (n, g, rel)
+        assert np.linalg.norm(V[i].conj().T @ V[i] - np.eye(n)) <= 1e-13
+    # eigh keeps only absolute accuracy: at 1e60 its smallest eigenvalue is noise
+    if n >= 3:
+        assert abs(np.linalg.eigvalsh(H[-1])[0] - w[-1, -1]) > 1e-3 * w[-1, -1]
+
+
+def test_graded_eigh_result_does_not_depend_on_its_stack():
+    mats = [_graded(4, g, 80 + i) for i, g in enumerate((1.0, 1e40, 1e5, 1e20, 1.0))]
+    mats[4] = np.diag([3.0, 2.0, 1.0, 0.5]).astype(complex)  # converged on entry
+    w, V = graded_eigh(np.stack(mats))
+    for i, M in enumerate(mats):
+        wi, Vi = graded_eigh(M[None])
+        assert np.array_equal(wi[0], w[i]) and np.array_equal(Vi[0], V[i])
+    assert np.array_equal(w[4], [3.0, 2.0, 1.0, 0.5]) and np.array_equal(V[4], np.eye(4))
+
+
+def test_graded_eigh_raises_when_unconverged_at_sweep_cap():
+    D = np.diag(0.1 ** np.arange(4.0))
+    H = D @ random_spd(4, 1.0, 4.0, 3) @ D
+    stack = np.stack([np.eye(4, dtype=complex), H])
+    with pytest.raises(NumericalError, match="stack index 1 .largest relative off-diagonal"):
+        graded_eigh(stack, max_sweeps=1)
+    w, V = graded_eigh(H[None])
+    assert np.allclose(w[0], np.linalg.eigvalsh(H)[::-1], rtol=1e-12, atol=0.0)
+    assert np.allclose((V[0] * w[0]) @ V[0].conj().T, H, rtol=0.0, atol=1e-14)
+    with pytest.raises(InvalidInput):
+        graded_eigh(H)
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    decades=st.floats(0.0, 40.0),
+    seed=st.integers(0, 2**31),
+    real=st.booleans(),
+    data=st.data(),
+)
+def test_graded_eigh_property_against_scalar_jacobi(n, decades, seed, real, data):
+    # round-robin and row-cyclic orders reach the same relatively accurate
+    # eigenvalues in any order of the grading, and the decomposition
+    # reconstructs H
+    perm = data.draw(st.permutations(range(n)))
+    H = _graded(n, 10.0**decades, seed)[np.ix_(perm, perm)]
+    if real:
+        H = H.real.astype(complex)
+    w, V = graded_eigh(H[None])
+    w_ref, _ = jacobi_eigh(H)
+    assert np.all(np.diff(w[0]) <= 0)
+    assert np.max(np.abs(w[0] - w_ref) / w_ref) <= 1e-12
+    assert np.linalg.norm(V[0].conj().T @ V[0] - np.eye(n)) <= 1e-13
+    assert np.linalg.norm((V[0] * w[0]) @ V[0].conj().T - H) <= 1e-13 * np.linalg.norm(H)
