@@ -308,9 +308,10 @@ def gamma_limit_check(A, B, t_grid=DEFAULT_GAMMA_GRID):
     Verifies lam_min(B)^t A^{1-t} <= gamma(t) <= lam_max(B)^t A^{1-t} at
     each grid point and that the final error sits below the envelope-implied
     bound sqrt(n) max_i |c^t a_i^{1-t} - a_i| over both envelope constants.
-    gamma(t) is graded like cond(A)^{(1-t)/t} and is decomposed by
-    ``linalg.graded_eigh``. This is the batch kernel of the limits suite on a
-    stack of one, so the suite and this report agree for the same pair.
+    gamma(t)^{1/t} = A^{(1-t)/2t} B A^{(1-t)/2t} is graded like
+    cond(A)^{(1-t)/t}; it is decomposed by ``linalg.graded_eigh`` in the
+    eigenbasis of A. This is the batch kernel of the limits suite on a stack
+    of one, so the suite and this report agree for the same pair.
     """
     for t in t_grid:
         check_unit_t(t)
@@ -339,7 +340,7 @@ def _gamma_limit_batch(A, B, t_grid):
     # In the eigenbasis of A, gamma(t)^{1/t} is diag(a^m) U*BU diag(a^m) with
     # m = (1-t)/2t: all (trial, order) pairs go through one graded_eigh
     d = a[:, None, :] ** ((1.0 - ts) / (2.0 * ts))[:, None]
-    Bt = symmetrize(np.swapaxes(U.conj(), -1, -2) @ B @ U)
+    Bt = symmetrize(U.conj().swapaxes(-1, -2) @ B @ U)
     w, V = graded_eigh((d[..., :, None] * d[..., None, :] * Bt[:, None]).reshape(-1, n, n))
     w = w.reshape(k, len(ts), n)
     gamma_root = SpectralDecomp(w, U[:, None] @ V.reshape(k, len(ts), n, n))
@@ -380,8 +381,9 @@ def divergence_limit_check(A, B):
     Umegaki relative entropy. For large t both the Thompson metric and
     log lam_1(A^{-1/2} B A^{-1/2}) are recorded; a monotone approach to the
     latter is asserted, equality with neither. This is the batch kernel of
-    the limits suite on a stack of one; every value equals that of the
-    ``entropy`` function of the same name bit for bit.
+    the limits suite on a stack of one; every value is bit-identical to the
+    matching ``entropy`` function (``umegaki_relative_entropy``,
+    ``sandwiched_divergence``, ``thompson_metric``, ``max_relative_entropy``).
     """
     out = _divergence_limit_batch(as_hermitian(A)[None], as_hermitian(B)[None])
     row = {key: value[0] for key, value in out.items()}

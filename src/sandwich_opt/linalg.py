@@ -32,7 +32,7 @@ def symmetrize(H):
     Guards against I/O round-trip asymmetry.
     """
     H = np.asarray(H, dtype=complex)
-    return (H + np.swapaxes(H.conj(), -1, -2)) / 2
+    return (H + H.conj().swapaxes(-1, -2)) / 2
 
 
 def _hermitian_part(H, ndim):
@@ -80,14 +80,15 @@ class SpectralDecomp:
     def apply(self, values):
         """Recombine U diag(values) U* for per-eigenvalue scalars ``values``."""
         U = self.eigenvectors
-        return (U * np.asarray(values)[..., None, :]) @ np.swapaxes(U.conj(), -1, -2)
+        return (U * np.asarray(values)[..., None, :]) @ U.conj().swapaxes(-1, -2)
 
     def reconstruct(self):
         return self.apply(self.eigenvalues)
 
     def require_domain(self, fn):
         """Raise ``DomainError`` unless ``fn`` is defined on the spectrum."""
-        lam_min = np.min(self.eigenvalues[..., -1])
+        lam = self.eigenvalues
+        lam_min = lam[-1] if lam.ndim == 1 else lam[..., -1].min()
         if not fn.defined_on(lam_min):
             raise DomainError(f"{fn.kind} is not defined on the spectrum (min eigenvalue {lam_min:.3e})")
 
