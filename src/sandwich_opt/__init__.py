@@ -93,6 +93,7 @@ from .linalg import (
     project_box,
     random_hermitian,
     random_spd,
+    random_spd_stack,
     schatten_norm,
     spectral_decompose,
     stack_decompose,

@@ -6,8 +6,9 @@ Bures-Wasserstein distance are its t = 1/2 specialization. Everything is
 evaluated through spectral decompositions (n is small, exactness of the
 eigen-route dominates). The private helpers that start from a
 ``SpectralDecomp`` work alike on one matrix and on a stack (k, n, n) from
-``linalg.stack_decompose``, which is how the batched limits suite evaluates
-these same formulas.
+``linalg.stack_decompose``, which is how the batched verification suites
+evaluate these same formulas. On a stack, a ``NumericalError`` names the first
+failing stack index.
 """
 
 from __future__ import annotations
@@ -17,7 +18,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput, NumericalError, ParameterError
-from .linalg import LOG, as_hermitian, matrix_power, power, spectral_decompose, symmetrize
+from .linalg import (
+    LOG,
+    as_hermitian,
+    matrix_power,
+    power,
+    spectral_decompose,
+    stack_decompose,
+    symmetrize,
+)
 
 # Order parameters closer than T_MIN to the degenerate endpoints are
 # rejected: conditioning of the exponent (1-t)/2t blows up as t -> 0+.
@@ -66,11 +75,20 @@ def _sandwich(decA, X, t):
 
 
 def _positive(w):
-    """w, the spectrum of a sandwiched product, after checking it is positive."""
-    lam_min = np.min(w)
-    if not lam_min > 0:
-        raise NumericalError(f"sandwiched product lost positivity (min eigenvalue {lam_min:.3e})")
+    """w, the spectrum (or stack of spectra) of a sandwiched product, after checking it is positive."""
+    if not np.min(w) > 0:
+        bad = ~(np.min(w, axis=-1) > 0)
+        raise NumericalError(f"sandwiched product lost positivity{_where(bad)} "
+                             f"(min eigenvalue {np.min(w[bad]):.3e})")
     return w
+
+
+def _where(bad):
+    """Error-message suffix naming the first failing entry of a stack's mask; empty for one matrix."""
+    if bad.ndim == 0:
+        return ""
+    index = tuple(int(i) for i in np.argwhere(bad)[0])
+    return f" at stack index {index[0] if len(index) == 1 else index}"
 
 
 def sandwich_trace(A, B, t):
@@ -136,8 +154,9 @@ def _whitened_spectrum(decA, B):
     """Ascending eigenvalues of A^{-1/2} B A^{-1/2}, all positive, from the decomposition of A."""
     Ami = decA.map(power(-0.5))
     w = np.linalg.eigvalsh(symmetrize(Ami @ B @ Ami))
-    if np.min(w[..., 0]) <= 0:
-        raise NumericalError("whitened matrix lost positivity")
+    bad = w[..., 0] <= 0
+    if np.any(bad):
+        raise NumericalError(f"whitened matrix lost positivity{_where(bad)}")
     return w
 
 
@@ -168,13 +187,16 @@ def geometric_mean(A, B, t):
 
 
 def _geometric_mean(decA, B, t):
-    """geometric_mean from the decomposition of A."""
+    """geometric_mean from the decomposition of A (or of a stack, with B a stack)."""
     decA.require_domain(power(-0.5))
     root = decA.apply(np.sqrt(decA.eigenvalues))
     iroot = decA.apply(1.0 / np.sqrt(decA.eigenvalues))
-    decM = spectral_decompose(iroot @ B @ iroot)
-    if decM.eigenvalues[-1] <= 0:
-        raise NumericalError("geometric mean: A^{-1/2} B A^{-1/2} is not positive definite")
+    M = iroot @ B @ iroot
+    decM = spectral_decompose(M) if M.ndim == 2 else stack_decompose(M)
+    bad = decM.eigenvalues[..., -1] <= 0
+    if np.any(bad):
+        raise NumericalError(
+            f"geometric mean: A^{{-1/2}} B A^{{-1/2}} is not positive definite{_where(bad)}")
     mid = decM.apply(decM.eigenvalues ** float(t))
     return symmetrize(root @ mid @ root)
 

@@ -5,11 +5,18 @@ order-parameter regimes, the variational lower bounds for the sandwiched
 trace functional, the small-t limit envelope, Schatten-norm convexity of
 induced matrix functions, and an exploratory search on the open domination
 question for t <= 1/2. Trials are independent and seeded, and reports are
-plain dicts. The limits suite draws its trials in trial order and checks them
-as one batch, in chunks of ``LIMITS_CHUNK`` trials, on stacked
-decompositions and one ``linalg.graded_eigh`` call per chunk; the other
-suites run their trials serially in trial order. Either way a seed fixes the
-report byte for byte.
+plain dicts.
+
+Every suite draws its trials in trial order and checks them as one batch, in
+chunks of ``SUITE_CHUNK`` trials: one ``linalg.random_spd_stack`` draw and one
+``linalg.stack_decompose`` per input, then one batched ``eigh``, ``eigvalsh``,
+``svd`` or matmul per link and order (the limits suite adds one
+``linalg.graded_eigh`` call). The per-pair checks ``trace_chain_check``,
+``log_majorization_chain``, ``gamma_limit_check`` and
+``divergence_limit_check`` run the same batch kernels on a stack of one, and
+``variational_value`` runs the variational suite's formulas on one matrix.
+Neither the chunk size nor the position of a trial in its chunk moves a bit of
+any value, so a seed fixes the report byte for byte.
 """
 
 from __future__ import annotations
@@ -28,9 +35,6 @@ from .entropy import (
     _thompson,
     _whitened_spectrum,
     check_unit_t,
-    fidelity,
-    geometric_mean,
-    sandwich_spectrum,
 )
 from .errors import DomainError, InvalidInput, ParameterError
 from .linalg import (
@@ -44,6 +48,7 @@ from .linalg import (
     power,
     project_box,
     random_spd,
+    random_spd_stack,
     spectral_decompose,
     stack_decompose,
     symmetrize,
@@ -57,6 +62,10 @@ RELATIONS = ("weak_majorize", "majorize", "weak_log_majorize", "log_majorize", "
 MAJORIZE_RTOL = 1e-10
 
 DEFAULT_GAMMA_GRID = (0.2, 0.1, 0.05, 0.01, 0.005)
+
+# Trials per batch of every suite: memory stays bounded for any trial count,
+# and results do not depend on it.
+SUITE_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -92,25 +101,72 @@ class ChainReport:
     all_hold: bool
 
 
+def _chunks(trials):
+    """Trial indices in trial order, in ranges of at most SUITE_CHUNK."""
+    return [range(start, min(start + SUITE_CHUNK, trials)) for start in range(0, trials, SUITE_CHUNK)]
+
+
+def _trace(M):
+    """Real trace of a matrix or of each matrix of a stack."""
+    return np.trace(M, axis1=-2, axis2=-1).real
+
+
+def _sorted_eigs(M):
+    """Eigenvalues of the Hermitian part of M (or of each M of a stack), descending."""
+    return np.linalg.eigvalsh(symmetrize(M))[..., ::-1]
+
+
+def _scalar_pow(x, s):
+    """x ** s elementwise, rounded as a float raised to a float is.
+
+    numpy raises a float array with a SIMD kernel, and with sqrt for s = 1/2;
+    either can differ from the C library's pow in the last bit. The per-pair
+    formulas raise scalars, so their stacked form does too.
+    """
+    x = np.asarray(x, dtype=float)
+    return np.array([v**s for v in x.ravel().tolist()]).reshape(x.shape)
+
+
+def _descending_pow(w, s):
+    """w[..., ::-1] ** s for ascending spectra w, rounded as one reversed vector is.
+
+    numpy raises a reversed vector with the C library's pow, but a stack of
+    reversed rows with a SIMD kernel, and the last bit can differ; so the
+    stack goes through one reversed vector.
+    """
+    flat = np.ascontiguousarray(w).ravel()
+    powered = (flat[::-1] ** s)[::-1].reshape(w.shape)
+    return np.ascontiguousarray(powered[..., ::-1])
+
+
 def _relation_margins(xs, ys, kind):
     """Margins of relation ``kind`` between decreasingly sorted xs and ys.
 
-    Returns (margins, scale); a margin >= 0 holds with room. Works alike on
-    float64 arrays and on mpmath arrays of dtype object.
+    Works along the last axis, on one vector or on a stack of them. Returns
+    (margins, scale); a margin >= 0 holds with room. Works alike on float64
+    arrays and on mpmath arrays of dtype object.
     """
     if kind == "entrywise_le":
         ax, ay = xs, ys
     elif kind in ("weak_log_majorize", "log_majorize"):
-        if xs[-1] <= 0 or ys[-1] <= 0:
+        if np.any(xs[..., -1] <= 0) or np.any(ys[..., -1] <= 0):
             raise DomainError("log relations require strictly positive entries")
-        ax, ay = np.cumprod(xs), np.cumprod(ys)
+        ax, ay = np.cumprod(xs, axis=-1), np.cumprod(ys, axis=-1)
     else:
-        ax, ay = np.cumsum(xs), np.cumsum(ys)
+        ax, ay = np.cumsum(xs, axis=-1), np.cumsum(ys, axis=-1)
     margins = ay - ax
     if kind in ("majorize", "log_majorize"):
         # total aggregate must match: equality enters as a two-sided margin
-        margins = np.concatenate([margins[:-1], [-abs(ax[-1] - ay[-1])]])
-    return margins, np.max(np.abs(np.concatenate([ax, ay])), initial=0.0)
+        margins = np.concatenate([margins[..., :-1], -np.abs(ax[..., -1:] - ay[..., -1:])], axis=-1)
+    return margins, np.max(np.abs(np.concatenate([ax, ay], axis=-1)), axis=-1, initial=0.0)
+
+
+def _verdicts(x, y, kind):
+    """(worst margin, holds) of relation ``kind`` between x and y along the last axis."""
+    margins, scale = _relation_margins(
+        np.sort(x, axis=-1)[..., ::-1], np.sort(y, axis=-1)[..., ::-1], kind)
+    worst = np.min(margins, axis=-1)
+    return worst, worst >= -MAJORIZE_RTOL * scale
 
 
 def majorizes(x, y, kind) -> MajorizationVerdict:
@@ -121,55 +177,63 @@ def majorizes(x, y, kind) -> MajorizationVerdict:
     y = np.asarray(y, dtype=float).ravel()
     if x.shape != y.shape:
         raise InvalidInput(f"length mismatch: {x.shape} vs {y.shape}")
-    margins, scale = _relation_margins(np.sort(x)[::-1], np.sort(y)[::-1], kind)
-    worst = float(np.min(margins))
-    return MajorizationVerdict(kind, bool(worst >= -MAJORIZE_RTOL * float(scale)), worst)
+    worst, holds = _verdicts(x, y, kind)
+    return MajorizationVerdict(kind, bool(holds), float(worst))
 
 
-def _sorted_eigs(M):
-    return np.linalg.eigvalsh(symmetrize(M))[::-1]
+def _stack_of_one(A, B):
+    """Validated A, B as stacks of one, with their decompositions."""
+    A, B = as_hermitian(A)[None], as_hermitian(B)[None]
+    return A, B, stack_decompose(A), stack_decompose(B)
+
+
+TRACE_LINKS = ("tr_geometric_mean", "tr_power_product", "tr_sandwich", "tr_arithmetic_mean")
 
 
 def trace_chain_check(A, B, t) -> ChainReport:
     """Four-link trace chain from the geometric to the arithmetic mean.
 
     tr A#_tB <= tr A^{1-t}B^t <= tr(A^{(1-t)/2t} B A^{(1-t)/2t})^t
-    <= tr[(1-t)A + tB], with tolerance 1e-10 times the last link.
+    <= tr[(1-t)A + tB], with tolerance 1e-10 times the last link. This is the
+    batch kernel of the trace-chain suite on a stack of one.
     """
     check_unit_t(t)
-    return _trace_chain(A, B, spectral_decompose(A), spectral_decompose(B), t)
-
-
-def _trace_chain(A, B, decA, decB, t) -> ChainReport:
-    """trace_chain_check from the decompositions of A and B."""
-    l1 = float(np.trace(_geometric_mean(decA, B, t)).real)
-    l2 = float(np.trace(decA.map(power(1.0 - t)) @ decB.map(power(t))).real)
-    l3 = float(_sandwich_trace(decA, B, t))
-    l4 = (1.0 - t) * float(np.trace(A).real) + t * float(np.trace(B).real)
-    links = [
-        ("tr_geometric_mean", l1),
-        ("tr_power_product", l2),
-        ("tr_sandwich", l3),
-        ("tr_arithmetic_mean", l4),
+    links = _trace_chain_links(*_stack_of_one(A, B), t)[0]
+    margins, holds = _chain_margins(links)
+    values = [float(v) for v in links]
+    verdicts = [
+        ComparisonVerdict(f"{la}<={lb}", va, vb, float(m), bool(ok))
+        for la, lb, va, vb, m, ok in zip(
+            TRACE_LINKS[:-1], TRACE_LINKS[1:], values[:-1], values[1:], margins, holds)
     ]
-    tol = MAJORIZE_RTOL * l4
-    verdicts = []
-    for (la, va), (lb, vb) in zip(links[:-1], links[1:]):
-        verdicts.append(
-            ComparisonVerdict(f"{la}<={lb}", va, vb, vb - va, bool(vb - va >= -tol))
-        )
-    return ChainReport(links, verdicts, all(v.holds for v in verdicts))
+    return ChainReport(list(zip(TRACE_LINKS, values)), verdicts, all(v.holds for v in verdicts))
+
+
+def _trace_chain_links(A, B, decA, decB, t):
+    """The four trace-chain links (k, 4) of stacks A, B from their decompositions."""
+    return np.stack([
+        _trace(_geometric_mean(decA, B, t)),
+        _trace(decA.map(power(1.0 - t)) @ decB.map(power(t))),
+        _sandwich_trace(decA, B, t),
+        (1.0 - t) * _trace(A) + t * _trace(B),
+    ], axis=-1)
+
+
+def _chain_margins(links):
+    """(margins, holds) between consecutive links, tolerance 1e-10 of the last link."""
+    margins = links[..., 1:] - links[..., :-1]
+    return margins, margins >= -(MAJORIZE_RTOL * links[..., -1:])
 
 
 REPRESENTATIONS = ("i", "ii", "iii", "iv")
 
 
 def _powered_trace(M, s):
-    """tr M^s for the positive definite M of a representation objective."""
-    w = _sorted_eigs(M)
-    if w[-1] <= 0:
+    """tr M^s for the positive definite M (or each M of a stack) of a representation objective."""
+    w = np.linalg.eigvalsh(symmetrize(M))
+    if np.any(w[..., 0] <= 0):
         raise DomainError("representation objectives need a positive definite X")
-    return float(np.sum(w**s))
+    return np.sum(_descending_pow(w, s), axis=-1)
 
 
 def variational_value(A, B, t, X, rep):
@@ -177,46 +241,66 @@ def variational_value(A, B, t, X, rep):
 
     Each representation is minimized over SPD X with minimum value
     fidelity(A, B, t); "i"/"iii" are trace sums, "ii"/"iv" their
-    scale-invariant product forms.
+    scale-invariant product forms. The variational suite evaluates the same
+    formulas on stacks.
     """
     check_unit_t(t)
     if rep not in REPRESENTATIONS:
         raise InvalidInput(f"unknown representation {rep!r}")
-    X = as_hermitian(X)
+    decB = spectral_decompose(B) if rep in ("iii", "iv") else None
+    return float(_variational_values(spectral_decompose(A), decB, B, t, as_hermitian(X), (rep,))[rep])
+
+
+def _variational_values(decA, decB, B, t, X, reps):
+    """{rep: objective value at X} for the representations ``reps``.
+
+    From the decompositions of A and B; works alike on one matrix and on
+    stacks. Representations i/ii share one ``eigvalsh`` and iii/iv another;
+    ``decB`` is read only for iii/iv.
+    """
     s = t / (t - 1.0)
-    if rep in ("i", "ii"):
-        Q = matrix_power(A, (t - 1.0) / (2.0 * t))
+    values = {}
+    if "i" in reps or "ii" in reps:
+        Q = decA.map(power((t - 1.0) / (2.0 * t)))
         u = _powered_trace(Q @ X @ Q, s)
-        v = float(np.trace(X @ B).real)
-        if rep == "i":
-            return (1.0 - t) * u + t * v
-        return u ** (1.0 - t) * v**t
-    Bri = matrix_power(B, -0.5)
-    u = float(np.trace(matrix_power(A, (1.0 - t) / t) @ X).real)
-    w = _powered_trace(Bri @ X @ Bri, s)
-    if rep == "iii":
-        return t * u + (1.0 - t) * w
-    return u**t * w ** (1.0 - t)
+        v = _trace(X @ B)
+        values["i"] = (1.0 - t) * u + t * v
+        values["ii"] = _scalar_pow(u, 1.0 - t) * _scalar_pow(v, t)
+    if "iii" in reps or "iv" in reps:
+        Bri = decB.map(power(-0.5))
+        u = _trace(decA.map(power((1.0 - t) / t)) @ X)
+        w = _powered_trace(Bri @ X @ Bri, s)
+        values["iii"] = t * u + (1.0 - t) * w
+        values["iv"] = _scalar_pow(u, t) * _scalar_pow(w, 1.0 - t)
+    return values
 
 
 def variational_minimizer(A, B, t):
     """Minimizer B #_{1-t} A^{(t-1)/t} of representations iii and iv."""
     check_unit_t(t)
-    return geometric_mean(B, matrix_power(A, (t - 1.0) / t), 1.0 - t)
+    return _variational_minimizer(spectral_decompose(A), spectral_decompose(B), t)
 
 
-def _representation_gradient(A, B, t, X, rep):
+def _variational_minimizer(decA, decB, t):
+    """variational_minimizer from the decompositions of A and B (or of stacks)."""
+    return _geometric_mean(decB, decA.map(power((t - 1.0) / t)), 1.0 - t)
+
+
+def _representation_gradient(decA, decAtt, B, t, X, rep):
+    """Gradient of representation i or ii at X.
+
+    From the decompositions of A and of A^{(t-1)/t}, which stay fixed over a
+    minimization.
+    """
     s = t / (t - 1.0)
-    decA = spectral_decompose(A)
-    Att = decA.map(power((t - 1.0) / t))
     Xi = matrix_power(X, -1.0)
     if rep == "i":
-        return symmetrize(t * (B - geometric_mean(Att, Xi, 1.0 / (1.0 - t))))
+        return symmetrize(t * (B - _geometric_mean(decAtt, Xi, 1.0 / (1.0 - t))))
     # rep "ii": grad of u^{1-t} v^t with u = tr (QXQ)^s, v = tr XB
     Q = decA.map(power((t - 1.0) / (2.0 * t)))
-    u = _powered_trace(Q @ X @ Q, s)
+    u = float(_powered_trace(Q @ X @ Q, s))
     v = float(np.trace(X @ B).real)
-    grad_u = s * geometric_mean(Att, Xi, 1.0 - s)
+    grad_u = s * _geometric_mean(decAtt, Xi, 1.0 - s)
     return symmetrize((1.0 - t) * u ** (-t) * v**t * grad_u + t * u ** (1.0 - t) * v ** (t - 1.0) * B)
 
 
@@ -225,20 +309,29 @@ def minimize_representation(A, B, t, rep, x0=None, max_iters=5000, grad_rtol=1e-
 
     Starts at the iii/iv minimizer, projects onto a generous spectral box
     around the start, and backtracks the step size on non-descent. The step
-    is seeded from a finite-difference smoothness estimate. Returns the final
-    iterate and objective value.
+    is seeded from a finite-difference smoothness estimate. A and B are
+    decomposed once per call. Returns the final iterate and objective value.
     """
     if rep not in ("i", "ii"):
         raise InvalidInput(f"local minimization supports reps i/ii, got {rep!r}")
-    X = as_hermitian(variational_minimizer(A, B, t) if x0 is None else x0)
+    check_unit_t(t)
+    decA = spectral_decompose(A)
+    X = as_hermitian(_variational_minimizer(decA, spectral_decompose(B), t) if x0 is None else x0)
+    decAtt = spectral_decompose(decA.map(power((t - 1.0) / t)))
     w = np.linalg.eigvalsh(X)
     lo, hi = w[0] / 50.0, w[-1] * 50.0
 
-    val = variational_value(A, B, t, X, rep)
-    G = _representation_gradient(A, B, t, X, rep)
+    def value(Y):
+        return float(_variational_values(decA, None, B, t, as_hermitian(Y), (rep,))[rep])
+
+    def gradient(Y):
+        return _representation_gradient(decA, decAtt, B, t, Y, rep)
+
+    val = value(X)
+    G = gradient(X)
     h = 1e-4 * max(norm(X), 1e-8)
     D = np.eye(X.shape[0], dtype=complex)
-    Gp = _representation_gradient(A, B, t, project_box(X + h * D, lo, hi), rep)
+    Gp = gradient(project_box(X + h * D, lo, hi))
     lips = np.linalg.norm(Gp - G) / (h * np.linalg.norm(D))
     eta = 1.0 / max(lips, 1e-8)
 
@@ -249,7 +342,7 @@ def minimize_representation(A, B, t, rep, x0=None, max_iters=5000, grad_rtol=1e-
         accepted = False
         for _ in range(60):
             Xn = project_box(X - eta * G, lo, hi)
-            val_n = variational_value(A, B, t, Xn, rep)
+            val_n = value(Xn)
             if val_n <= val + 1e-14 * (1.0 + abs(val)):
                 accepted = True
                 break
@@ -257,8 +350,12 @@ def minimize_representation(A, B, t, rep, x0=None, max_iters=5000, grad_rtol=1e-
         if not accepted:
             break
         X, val = Xn, val_n
-        G = _representation_gradient(A, B, t, X, rep)
+        G = gradient(X)
     return X, val
+
+
+LOG_MAJOR_LINKS = (
+    "geometric_mean", "power_product", "sandwich_power", "power_product_singular", "arithmetic_mean")
 
 
 def log_majorization_chain(A, B, t) -> ChainReport:
@@ -268,38 +365,47 @@ def log_majorization_chain(A, B, t) -> ChainReport:
     <log s(A^{1-t}B^t) <= lam((1-t)A + tB) entrywise.
     For t <= 1/2 the sandwiched power moves to the end and the entrywise
     link is the open question, not asserted here. At t = 1/2 both chains are
-    checked and their shared links must agree.
+    checked and their shared links must agree. This is the batch kernel of
+    the log-major suite on a stack of one.
     """
     check_unit_t(t)
-    decA = spectral_decompose(A)
-    lam_g = _sorted_eigs(_geometric_mean(decA, B, t))
-    A_half = decA.map(power((1.0 - t) / 2.0))
-    Bt = matrix_power(B, t)
-    lam_p = _sorted_eigs(A_half @ Bt @ A_half)
-    s_p = np.linalg.svd(decA.map(power(1.0 - t)) @ Bt, compute_uv=False)
-    lam_sw = _sandwich_spectrum(decA, B, t)[::-1] ** float(t)
-    lam_avg = _sorted_eigs((1.0 - t) * A + t * B)
+    links = _log_major_links(*_stack_of_one(A, B), t)
+    verdicts = []
+    for x, y, kind in _log_major_relations(t):
+        worst, holds = _verdicts(links[x], links[y], kind)
+        verdicts.append(MajorizationVerdict(kind, bool(holds[0]), float(worst[0])))
+    return ChainReport([(label, links[label][0].tolist()) for label in LOG_MAJOR_LINKS],
+                       verdicts, all(v.holds for v in verdicts))
 
-    links = [
-        ("geometric_mean", lam_g.tolist()),
-        ("power_product", lam_p.tolist()),
-        ("sandwich_power", lam_sw.tolist()),
-        ("power_product_singular", s_p.tolist()),
-        ("arithmetic_mean", lam_avg.tolist()),
-    ]
-    verdicts = [majorizes(lam_g, lam_p, "log_majorize")]
+
+def _log_major_links(A, B, decA, decB, t):
+    """{link: descending spectra (k, n)} of the log-majorization chains for stacks A, B."""
+    A_half = decA.map(power((1.0 - t) / 2.0))
+    Bt = decB.map(power(t))
+    return {
+        "geometric_mean": _sorted_eigs(_geometric_mean(decA, B, t)),
+        "power_product": _sorted_eigs(A_half @ Bt @ A_half),
+        "sandwich_power": _descending_pow(_sandwich_spectrum(decA, B, t), float(t)),
+        "power_product_singular": np.linalg.svd(decA.map(power(1.0 - t)) @ Bt, compute_uv=False),
+        "arithmetic_mean": _sorted_eigs((1.0 - t) * A + t * B),
+    }
+
+
+def _log_major_relations(t):
+    """(x link, y link, relation) of every verdict of the chains at order t."""
+    relations = [("geometric_mean", "power_product", "log_majorize")]
     if t >= 0.5:
-        verdicts.append(majorizes(lam_p, lam_sw, "log_majorize"))
-        verdicts.append(majorizes(lam_sw, s_p, "log_majorize"))
-        verdicts.append(majorizes(s_p, lam_avg, "entrywise_le"))
+        relations += [("power_product", "sandwich_power", "log_majorize"),
+                      ("sandwich_power", "power_product_singular", "log_majorize"),
+                      ("power_product_singular", "arithmetic_mean", "entrywise_le")]
     if t <= 0.5:
-        verdicts.append(majorizes(lam_p, s_p, "log_majorize"))
-        verdicts.append(majorizes(s_p, lam_sw, "log_majorize"))
+        relations += [("power_product", "power_product_singular", "log_majorize"),
+                      ("power_product_singular", "sandwich_power", "log_majorize")]
     if t == 0.5:
         # both chains apply; their middle links must be the same vector
-        verdicts.append(majorizes(lam_sw, s_p, "entrywise_le"))
-        verdicts.append(majorizes(s_p, lam_sw, "entrywise_le"))
-    return ChainReport(links, verdicts, all(v.holds for v in verdicts))
+        relations += [("sandwich_power", "power_product_singular", "entrywise_le"),
+                      ("power_product_singular", "sandwich_power", "entrywise_le")]
+    return relations
 
 
 def gamma_limit_check(A, B, t_grid=DEFAULT_GAMMA_GRID):
@@ -455,33 +561,25 @@ def gauge_convexity_check(fn: ScalarFunction, p, trials, seed, n=4):
 
     Requires f convex on the positive axis (power with exponent outside
     (0, 1), or exp). For strictly convex f and well-separated pairs the
-    inequality must be strict.
+    inequality must be strict. The pairs are drawn in trial order and checked
+    in batches of ``SUITE_CHUNK``: one ``eigvalsh`` call per batch.
     """
     if not isinstance(fn, ScalarFunction) or not _is_convex_id(fn):
         raise InvalidInput(f"unsupported or non-convex scalar function id {fn!r}")
     if not (np.isfinite(p) and p >= 1):
         raise InvalidInput(f"Schatten order must be in [1, inf), got {p}")
+    if trials < 1:
+        raise InvalidInput(f"trial count must be >= 1, got {trials}")
     strict = _is_strictly_convex_id(fn)
-
-    def fnorm(M):
-        vals = fn(np.linalg.eigvalsh(symmetrize(M)))
-        return float(np.sum(np.abs(vals) ** p) ** (1.0 / p))
-
-    def worker(i):
-        Ai = random_spd(n, 0.5, 2.0, derive_seed(seed, "gauge", i, "a"))
-        Bi = random_spd(n, 0.5, 2.0, derive_seed(seed, "gauge", i, "b"))
-        lhs = fnorm((Ai + Bi) / 2.0)
-        rhs = (fnorm(Ai) + fnorm(Bi)) / 2.0
-        scale = max(abs(lhs), abs(rhs))
-        margin = rhs - lhs
-        ok = margin >= -MAJORIZE_RTOL * scale
-        separated = float(np.linalg.norm(Ai - Bi)) >= 0.1
-        strict_ok = (not (strict and separated)) or margin > 1e-12 * scale
-        return margin / max(scale, 1e-300), ok, strict_ok
-
-    results = [worker(i) for i in range(trials)]
-    violations = sum(1 for _, ok, _ in results if not ok)
-    strict_violations = sum(1 for _, _, ok in results if not ok)
+    violations = strict_violations = 0
+    worst = np.inf
+    for chunk in _chunks(trials):
+        A, B = (random_spd_stack(n, 0.5, 2.0, [derive_seed(seed, "gauge", i, side) for i in chunk])
+                for side in ("a", "b"))
+        margin, ok, strict_ok = _gauge_margins(fn, p, strict, A, B)
+        violations += int(np.sum(~ok))
+        strict_violations += int(np.sum(~strict_ok))
+        worst = min(worst, float(np.min(margin)))
     return {
         "function": {"kind": fn.kind, "exponent": fn.exponent},
         "p": float(p),
@@ -490,9 +588,21 @@ def gauge_convexity_check(fn: ScalarFunction, p, trials, seed, n=4):
         "seed": seed,
         "violations": violations,
         "strict_violations": strict_violations,
-        "worst_margin": min(m for m, _, _ in results),
+        "worst_margin": worst,
         "all_hold": bool(violations == 0 and strict_violations == 0),
     }
+
+
+def _gauge_margins(fn, p, strict, A, B):
+    """Per pair of the stacks A, B: (relative margin, holds, holds strictly where required)."""
+    vals = fn(np.linalg.eigvalsh(symmetrize(np.stack([(A + B) / 2.0, A, B]))))
+    norms = _scalar_pow(np.sum(np.abs(vals) ** p, axis=-1), 1.0 / p)
+    lhs, rhs = norms[0], (norms[1] + norms[2]) / 2.0
+    scale = np.maximum(np.abs(lhs), np.abs(rhs))
+    margin = rhs - lhs
+    separated = np.linalg.norm(A - B, axis=(-2, -1)) >= 0.1
+    strict_ok = ~(strict & separated) | (margin > 1e-12 * scale)
+    return margin / np.maximum(scale, 1e-300), margin >= -MAJORIZE_RTOL * scale, strict_ok
 
 
 OPEN_QUESTION_RELATIONS = ("weak_majorize", "weak_log_majorize", "entrywise_le")
@@ -531,7 +641,9 @@ def open_question_search(
     For t <= 1/2 this domination is open; the search records weak
     majorization, weak log-majorization, and entrywise outcomes for seeded
     random pairs, re-verifies float-level violations in extended precision,
-    and makes no claim either way.
+    and makes no claim either way. The pairs are drawn in trial order and
+    checked in batches of ``SUITE_CHUNK``, A decomposed once per pair;
+    candidates are listed by trial, then order, then relation.
     """
     if not 1 <= n <= 8:
         raise InvalidInput(f"search dimension must be in [1, 8], got {n}")
@@ -541,31 +653,24 @@ def open_question_search(
         if not (np.isfinite(t) and T_MIN < t <= 0.5):
             raise ParameterError(f"search order t = {t} outside ({T_MIN}, 0.5]")
 
-    def worker(i):
-        sa = derive_seed(seed, "open-question", i, "a")
-        sb = derive_seed(seed, "open-question", i, "b")
-        Ai = random_spd(n, alpha, beta, sa)
-        Bi = random_spd(n, alpha, beta, sb)
-        out = []
-        for t in t_grid:
-            x = sandwich_spectrum(Ai, Bi, t)[::-1] ** float(t)
-            y = _sorted_eigs((1.0 - t) * Ai + t * Bi)
-            for rel in OPEN_QUESTION_RELATIONS:
-                v = majorizes(x, y, rel)
-                out.append((i, t, rel, sa, sb, v.holds, v.worst_margin))
-        return out
-
-    rows = [r for i in range(trials) for r in worker(i)]
     checked = {rel: 0 for rel in OPEN_QUESTION_RELATIONS}
     worst = {rel: np.inf for rel in OPEN_QUESTION_RELATIONS}
     candidates = []
-    for i, t, rel, sa, sb, holds, margin in rows:
-        checked[rel] += 1
-        worst[rel] = min(worst[rel], margin)
-        if not holds:
+    for chunk in _chunks(trials):
+        sa = [derive_seed(seed, "open-question", i, "a") for i in chunk]
+        sb = [derive_seed(seed, "open-question", i, "b") for i in chunk]
+        A, B = random_spd_stack(n, alpha, beta, sa), random_spd_stack(n, alpha, beta, sb)
+        decA = stack_decompose(A)
+        per_order = [_open_question_margins(A, B, decA, t) for t in t_grid]
+        margins = np.stack([m for m, _ in per_order], axis=1)  # (trial, order, relation)
+        holds = np.stack([h for _, h in per_order], axis=1)
+        for r, rel in enumerate(OPEN_QUESTION_RELATIONS):
+            checked[rel] += margins[..., r].size
+            worst[rel] = min(worst[rel], float(np.min(margins[..., r])))
+        for i, j, r in np.argwhere(~holds):
             candidates.append(
-                {"trial": i, "t": t, "relation": rel, "seed_a": sa, "seed_b": sb,
-                 "float_margin": margin}
+                {"trial": chunk[i], "t": t_grid[j], "relation": OPEN_QUESTION_RELATIONS[r],
+                 "seed_a": sa[i], "seed_b": sb[i], "float_margin": float(margins[i, j, r])}
             )
 
     truncated = len(candidates) > _MP_REVERIFY_CAP
@@ -603,12 +708,24 @@ def open_question_search(
     return report
 
 
+def _open_question_margins(A, B, decA, t):
+    """(worst margins, holds), (k, relations), of lam(sandwich)^t against lam((1-t)A + tB)."""
+    x = _descending_pow(_sandwich_spectrum(decA, B, t), float(t))
+    y = _sorted_eigs((1.0 - t) * A + t * B)
+    worst, holds = zip(*(_verdicts(x, y, rel) for rel in OPEN_QUESTION_RELATIONS))
+    return np.stack(worst, axis=-1), np.stack(holds, axis=-1)
+
+
 def random_pair(n, seed, label, lo=0.5, hi=2.0):
     """Seeded SPD pair for a verification suite, split off a master seed."""
-    return (
-        random_spd(n, lo, hi, derive_seed(seed, label, "a")),
-        random_spd(n, lo, hi, derive_seed(seed, label, "b")),
-    )
+    A, B = _random_pairs(n, [seed], label, lo, hi)
+    return A[0], B[0]
+
+
+def _random_pairs(n, seeds, label, lo=0.5, hi=2.0):
+    """random_pair for every seed of a sequence: stacks A, B (k, n, n)."""
+    return tuple(random_spd_stack(n, lo, hi, [derive_seed(s, label, side) for s in seeds])
+                 for side in ("a", "b"))
 
 
 def density_pair(n, seed, label, mix=0.005, lo=1.0, hi=2.0):
@@ -617,62 +734,60 @@ def density_pair(n, seed, label, mix=0.005, lo=1.0, hi=2.0):
     The mixing keeps the finite-order divergence close enough to its
     asymptote for the large-t limit checks to be meaningful at t = 64.
     """
-    A, R = random_pair(n, seed, label, lo, hi)
-    A = A / float(np.trace(A).real)
-    R = R / float(np.trace(R).real)
-    B = (1.0 - mix) * A + mix * R
-    return A, B
+    A, B = _density_pairs(n, [seed], label, mix, lo, hi)
+    return A[0], B[0]
+
+
+def _density_pairs(n, seeds, label, mix=0.005, lo=1.0, hi=2.0):
+    """density_pair for every seed of a sequence: stacks A, B (k, n, n)."""
+    A, R = _random_pairs(n, seeds, label, lo, hi)
+    A = A / _trace(A)[:, None, None]
+    R = R / _trace(R)[:, None, None]
+    return A, (1.0 - mix) * A + mix * R
 
 
 def run_trace_chain_suite(n=4, trials=100, seed=0, t_values=(0.1, 0.3, 0.5, 0.7, 0.9)):
     for t in t_values:
         check_unit_t(t)
-
-    def worker(i):
-        Ai, Bi = random_pair(n, derive_seed(seed, "trace-chain", i), "pair")
-        decA, decB = spectral_decompose(Ai), spectral_decompose(Bi)
-        out = []
+    violations = 0
+    worst = np.inf
+    for chunk in _chunks(trials):
+        A, B = _random_pairs(n, [derive_seed(seed, "trace-chain", i) for i in chunk], "pair")
+        decA, decB = stack_decompose(A), stack_decompose(B)
         for t in t_values:
-            rep = _trace_chain(Ai, Bi, decA, decB, t)
-            out.append((rep.all_hold, min(v.margin for v in rep.verdicts)))
-        return out
-
-    rows = [r for i in range(trials) for r in worker(i)]
-    violations = sum(1 for ok, _ in rows if not ok)
+            margins, holds = _chain_margins(_trace_chain_links(A, B, decA, decB, t))
+            violations += int(np.sum(~np.all(holds, axis=-1)))
+            worst = min(worst, float(np.min(margins)))
     return {
         "suite": "trace-chain",
         "n": n,
         "trials": trials,
         "seed": seed,
         "t": list(t_values),
-        "checks": len(rows),
+        "checks": trials * len(t_values),
         "violations": violations,
-        "worst_margin": float(min(m for _, m in rows)),
+        "worst_margin": worst,
         "all_hold": bool(violations == 0),
     }
 
 
 def run_variational_suite(n=4, trials=100, seed=0, t_values=(0.3, 0.5, 0.7)):
-    def worker(i):
-        trial_seed = derive_seed(seed, "variational", i)
-        Ai, Bi = random_pair(n, trial_seed, "pair")
-        t = t_values[i % len(t_values)]
-        F = fidelity(Ai, Bi, t)
-        X = random_spd(n, 0.25, 4.0, derive_seed(trial_seed, "probe"))
-        lower_ok = all(
-            variational_value(Ai, Bi, t, X, rep) >= F * (1.0 - 1e-9)
-            for rep in REPRESENTATIONS
-        )
-        X0 = variational_minimizer(Ai, Bi, t)
-        tight_ok = all(
-            abs(variational_value(Ai, Bi, t, X0, rep) - F) <= 1e-9 * F
-            for rep in ("iii", "iv")
-        )
-        return lower_ok, tight_ok
-
-    rows = [worker(i) for i in range(trials)]
-    lower_violations = sum(1 for ok, _ in rows if not ok)
-    tight_violations = sum(1 for _, ok in rows if not ok)
+    """Trial i checks order t_values[i % len(t_values)]; a batch runs each order once."""
+    for t in t_values:
+        check_unit_t(t)
+    lower_violations = tight_violations = 0
+    for chunk in _chunks(trials):
+        seeds = [derive_seed(seed, "variational", i) for i in chunk]
+        A, B = _random_pairs(n, seeds, "pair")
+        X = random_spd_stack(n, 0.25, 4.0, [derive_seed(s, "probe") for s in seeds])
+        decA, decB = stack_decompose(A), stack_decompose(B)
+        orders = np.array(chunk) % len(t_values)
+        for j, t in enumerate(t_values):
+            sel = np.flatnonzero(orders == j)
+            if sel.size:
+                lower_ok, tight_ok = _variational_checks(decA[sel], decB[sel], B[sel], X[sel], t)
+                lower_violations += int(np.sum(~lower_ok))
+                tight_violations += int(np.sum(~tight_ok))
     return {
         "suite": "variational",
         "n": n,
@@ -685,38 +800,47 @@ def run_variational_suite(n=4, trials=100, seed=0, t_values=(0.3, 0.5, 0.7)):
     }
 
 
-def run_log_major_suite(n=4, trials=100, seed=0, t_values=(0.25, 0.5, 0.75)):
-    def worker(i):
-        Ai, Bi = random_pair(n, derive_seed(seed, "log-major", i), "pair")
-        return [log_majorization_chain(Ai, Bi, t).all_hold for t in t_values]
+def _variational_checks(decA, decB, B, X, t):
+    """(lower bound holds at X, iii/iv tight at the minimizer) per pair of a stack."""
+    F = _sandwich_trace(decA, B, t)
+    at_probe = _variational_values(decA, decB, B, t, X, REPRESENTATIONS)
+    lower_ok = np.all([at_probe[rep] >= F * (1.0 - 1e-9) for rep in REPRESENTATIONS], axis=0)
+    at_min = _variational_values(decA, decB, B, t, _variational_minimizer(decA, decB, t), ("iii", "iv"))
+    tight_ok = np.all([np.abs(at_min[rep] - F) <= 1e-9 * F for rep in ("iii", "iv")], axis=0)
+    return lower_ok, tight_ok
 
-    rows = [ok for i in range(trials) for ok in worker(i)]
-    violations = sum(1 for ok in rows if not ok)
+
+def run_log_major_suite(n=4, trials=100, seed=0, t_values=(0.25, 0.5, 0.75)):
+    for t in t_values:
+        check_unit_t(t)
+    violations = 0
+    for chunk in _chunks(trials):
+        A, B = _random_pairs(n, [derive_seed(seed, "log-major", i) for i in chunk], "pair")
+        decA, decB = stack_decompose(A), stack_decompose(B)
+        for t in t_values:
+            links = _log_major_links(A, B, decA, decB, t)
+            ok = np.ones(len(chunk), dtype=bool)
+            for x, y, kind in _log_major_relations(t):
+                ok &= _verdicts(links[x], links[y], kind)[1]
+            violations += int(np.sum(~ok))
     return {
         "suite": "log-major",
         "n": n,
         "trials": trials,
         "seed": seed,
         "t": list(t_values),
-        "checks": len(rows),
+        "checks": trials * len(t_values),
         "violations": violations,
         "all_hold": bool(violations == 0),
     }
 
 
-# Trials per batch of the limits suite: memory stays bounded for any trial
-# count, and results do not depend on it.
-LIMITS_CHUNK = 256
-
-
 def run_limits_suite(n=4, trials=100, seed=0):
     gamma_violations = div_violations = 0
-    for start in range(0, trials, LIMITS_CHUNK):
-        draws = []
-        for i in range(start, min(start + LIMITS_CHUNK, trials)):
-            trial_seed = derive_seed(seed, "limits", i)
-            draws.append(random_pair(n, trial_seed, "gamma") + density_pair(n, trial_seed, "density"))
-        A, B, Ad, Bd = (np.stack(m) for m in zip(*draws))
+    for chunk in _chunks(trials):
+        seeds = [derive_seed(seed, "limits", i) for i in chunk]
+        A, B = _random_pairs(n, seeds, "gamma")
+        Ad, Bd = _density_pairs(n, seeds, "density")
         gamma_violations += int(np.sum(~_gamma_limit_batch(A, B, DEFAULT_GAMMA_GRID)["all_hold"]))
         div_violations += int(np.sum(~_divergence_limit_batch(Ad, Bd)["all_hold"]))
     return {

@@ -77,6 +77,10 @@ class SpectralDecomp:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
+    def __getitem__(self, index):
+        """The decompositions of the stack entries selected by ``index``."""
+        return SpectralDecomp(self.eigenvalues[index], self.eigenvectors[index])
+
     def apply(self, values):
         """Recombine U diag(values) U* for per-eigenvalue scalars ``values``."""
         U = self.eigenvectors
@@ -117,7 +121,11 @@ def stack_decompose(H) -> SpectralDecomp:
 
 
 def _descending(w, U):
-    return SpectralDecomp(np.ascontiguousarray(w[..., ::-1]), np.ascontiguousarray(U[..., ::-1]))
+    # fresh copies, also for n = 1: numpy raises a one-entry array with
+    # negative stride with the C library's pow and a stack of them with a
+    # SIMD kernel, so a function of the spectrum would round differently for
+    # one matrix than for a stack
+    return SpectralDecomp(w[..., ::-1].copy(), U[..., ::-1].copy())
 
 
 # graded_eigh stops once every pair meets |H_pq| <= GRADED_TOL sqrt(H_pp H_qq).
@@ -321,27 +329,38 @@ def project_box(H, alpha, beta):
     return dec.apply(np.clip(dec.eigenvalues, alpha, beta))
 
 
-def _random_unitary(n, rng):
-    Z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    Q, R = np.linalg.qr(Z)
-    # Fix the gauge by forcing the R diagonal positive; keeps draws seed-stable.
-    d = np.diagonal(R)
-    return Q * (d / np.abs(d))
-
-
 def random_spd(n, alpha, beta, seed):
     """Seeded random SPD matrix with eigenvalues uniform in [alpha, beta].
 
     Eigenvectors come from the QR factor of a complex Gaussian matrix with a
-    sign-fixed R diagonal; identical seeds give identical matrices.
+    sign-fixed R diagonal; identical seeds give identical matrices. This is
+    ``random_spd_stack`` on a stack of one seed.
+    """
+    return random_spd_stack(n, alpha, beta, [seed])[0]
+
+
+def random_spd_stack(n, alpha, beta, seeds):
+    """``random_spd`` for every seed of a sequence, stacked (k, n, n).
+
+    Only the uniform and Gaussian draws run per seed; the QR factorization,
+    the gauge fix and the recombination run once on the stack. Entry i equals
+    ``random_spd(n, alpha, beta, seeds[i])``.
     """
     if n < 1:
         raise InvalidInput(f"dimension must be >= 1, got {n}")
     check_box(alpha, beta)
-    rng = np.random.default_rng(seed)
-    lam = rng.uniform(alpha, beta, size=n)
-    U = _random_unitary(n, rng)
-    return symmetrize((U * lam) @ U.conj().T)
+    k = len(seeds)
+    lam = np.empty((k, n))
+    G = np.empty((k, 2, n, n))  # real, then imaginary parts of the Gaussian matrix
+    for i, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        lam[i] = rng.uniform(alpha, beta, size=n)
+        rng.standard_normal(out=G[i])
+    Q, R = np.linalg.qr(G[:, 0] + 1j * G[:, 1])
+    # Fix the gauge by forcing the R diagonal positive; keeps draws seed-stable.
+    d = np.diagonal(R, axis1=-2, axis2=-1)
+    U = Q * (d / np.abs(d))[..., None, :]
+    return symmetrize((U * lam[..., None, :]) @ U.conj().swapaxes(-1, -2))
 
 
 def random_hermitian(n, seed, scale=1.0):

@@ -6,19 +6,39 @@ assembled in an explicit Hermitian basis, a quadrature evaluation of the
 Hessian integral representation, extended-precision evaluation of the
 sandwiched trace, and the scalar cyclic Jacobi with the per-matrix small-t
 limit check built on it. These stay independent of the code paths they check.
+
+The suite oracles run every verification suite one trial at a time: a
+per-seed ``random_spd`` draw, one scalar formula per link, one verdict per
+relation. The batched suites must give the same report, byte for byte.
 """
 
 import numpy as np
 
 from sandwich_opt import (
     NumericalError,
+    derive_seed,
+    divergence_limit_check,
+    gamma_limit_check,
     geometric_mean,
     hessian_apply,
     inner,
+    majorizes,
     matrix_power,
+    matrix_to_json,
     norm,
+    sandwich_trace,
     spectral_decompose,
     symmetrize,
+)
+from sandwich_opt.entropy import sandwich_spectrum
+from sandwich_opt.inequalities import (
+    DEFAULT_GAMMA_GRID,
+    GAUGE_PANEL,
+    MAJORIZE_RTOL,
+    OPEN_QUESTION_RELATIONS,
+    REPRESENTATIONS,
+    _is_strictly_convex_id,
+    _mp_relation_margin,
 )
 
 
@@ -211,3 +231,222 @@ def gamma_limit_oracle(A, B, t_grid):
             and np.linalg.eigvalsh(symmetrize(hi - G))[0] >= -1e-10 * scale
         ))
     return errors, envelope_ok
+
+
+# ------------------------------------------------------------ suite oracles
+
+
+def random_spd_oracle(n, alpha, beta, seed):
+    """One seeded SPD draw: eigenvalues uniform in [alpha, beta], eigenvectors
+    from the QR factor of a complex Gaussian matrix with a positive R diagonal."""
+    rng = np.random.default_rng(seed)
+    lam = rng.uniform(alpha, beta, size=n)
+    Z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    Q, R = np.linalg.qr(Z)
+    d = np.diagonal(R)
+    U = Q * (d / np.abs(d))
+    return symmetrize((U * lam) @ U.conj().T)
+
+
+def _pair(n, seed, label, lo=0.5, hi=2.0):
+    return (random_spd_oracle(n, lo, hi, derive_seed(seed, label, "a")),
+            random_spd_oracle(n, lo, hi, derive_seed(seed, label, "b")))
+
+
+def _density_pair(n, seed, label, mix=0.005):
+    A, R = _pair(n, seed, label, 1.0, 2.0)
+    A = A / float(np.trace(A).real)
+    R = R / float(np.trace(R).real)
+    return A, (1.0 - mix) * A + mix * R
+
+
+def _sorted_eigs(M):
+    return np.linalg.eigvalsh(symmetrize(M))[::-1]
+
+
+def trace_chain_links_oracle(A, B, t):
+    """The four trace-chain links of one pair, from the scalar functions."""
+    return [
+        float(np.trace(geometric_mean(A, B, t)).real),
+        float(np.trace(matrix_power(A, 1.0 - t) @ matrix_power(B, t)).real),
+        sandwich_trace(A, B, t),
+        (1.0 - t) * float(np.trace(A).real) + t * float(np.trace(B).real),
+    ]
+
+
+def trace_chain_suite_oracle(n, trials, seed, t_values=(0.1, 0.3, 0.5, 0.7, 0.9)):
+    rows = []
+    for i in range(trials):
+        A, B = _pair(n, derive_seed(seed, "trace-chain", i), "pair")
+        for t in t_values:
+            links = trace_chain_links_oracle(A, B, t)
+            tol = MAJORIZE_RTOL * links[-1]
+            margins = [vb - va for va, vb in zip(links[:-1], links[1:])]
+            rows.append((all(m >= -tol for m in margins), min(margins)))
+    violations = sum(1 for ok, _ in rows if not ok)
+    return {"suite": "trace-chain", "n": n, "trials": trials, "seed": seed, "t": list(t_values),
+            "checks": len(rows), "violations": violations,
+            "worst_margin": float(min(m for _, m in rows)), "all_hold": bool(violations == 0)}
+
+
+def log_major_chain_oracle(A, B, t):
+    """all_hold of the log-majorization chains of one pair at order t."""
+    lam_g = _sorted_eigs(geometric_mean(A, B, t))
+    A_half = matrix_power(A, (1.0 - t) / 2.0)
+    Bt = matrix_power(B, t)
+    lam_p = _sorted_eigs(A_half @ Bt @ A_half)
+    s_p = np.linalg.svd(matrix_power(A, 1.0 - t) @ Bt, compute_uv=False)
+    lam_sw = sandwich_spectrum(A, B, t)[::-1] ** float(t)
+    lam_avg = _sorted_eigs((1.0 - t) * A + t * B)
+    verdicts = [majorizes(lam_g, lam_p, "log_majorize")]
+    if t >= 0.5:
+        verdicts += [majorizes(lam_p, lam_sw, "log_majorize"), majorizes(lam_sw, s_p, "log_majorize"),
+                     majorizes(s_p, lam_avg, "entrywise_le")]
+    if t <= 0.5:
+        verdicts += [majorizes(lam_p, s_p, "log_majorize"), majorizes(s_p, lam_sw, "log_majorize")]
+    if t == 0.5:
+        verdicts += [majorizes(lam_sw, s_p, "entrywise_le"), majorizes(s_p, lam_sw, "entrywise_le")]
+    return all(v.holds for v in verdicts)
+
+
+def log_major_suite_oracle(n, trials, seed, t_values=(0.25, 0.5, 0.75)):
+    rows = []
+    for i in range(trials):
+        A, B = _pair(n, derive_seed(seed, "log-major", i), "pair")
+        rows += [log_major_chain_oracle(A, B, t) for t in t_values]
+    violations = sum(1 for ok in rows if not ok)
+    return {"suite": "log-major", "n": n, "trials": trials, "seed": seed, "t": list(t_values),
+            "checks": len(rows), "violations": violations, "all_hold": bool(violations == 0)}
+
+
+def _powered_trace(M, s):
+    return float(np.sum(_sorted_eigs(M) ** s))
+
+
+def variational_value_oracle(A, B, t, X, rep):
+    """A representation objective at X from matrix powers of A and B."""
+    X = symmetrize(X)
+    s = t / (t - 1.0)
+    if rep in ("i", "ii"):
+        Q = matrix_power(A, (t - 1.0) / (2.0 * t))
+        u = _powered_trace(Q @ X @ Q, s)
+        v = float(np.trace(X @ B).real)
+        return (1.0 - t) * u + t * v if rep == "i" else u ** (1.0 - t) * v**t
+    Bri = matrix_power(B, -0.5)
+    u = float(np.trace(matrix_power(A, (1.0 - t) / t) @ X).real)
+    w = _powered_trace(Bri @ X @ Bri, s)
+    return t * u + (1.0 - t) * w if rep == "iii" else u**t * w ** (1.0 - t)
+
+
+def variational_suite_oracle(n, trials, seed, t_values=(0.3, 0.5, 0.7)):
+    rows = []
+    for i in range(trials):
+        trial_seed = derive_seed(seed, "variational", i)
+        A, B = _pair(n, trial_seed, "pair")
+        t = t_values[i % len(t_values)]
+        F = sandwich_trace(A, B, t)
+        X = random_spd_oracle(n, 0.25, 4.0, derive_seed(trial_seed, "probe"))
+        lower_ok = all(variational_value_oracle(A, B, t, X, rep) >= F * (1.0 - 1e-9)
+                       for rep in REPRESENTATIONS)
+        X0 = geometric_mean(B, matrix_power(A, (t - 1.0) / t), 1.0 - t)
+        tight_ok = all(abs(variational_value_oracle(A, B, t, X0, rep) - F) <= 1e-9 * F
+                       for rep in ("iii", "iv"))
+        rows.append((lower_ok, tight_ok))
+    lower = sum(1 for ok, _ in rows if not ok)
+    tight = sum(1 for _, ok in rows if not ok)
+    return {"suite": "variational", "n": n, "trials": trials, "seed": seed, "t": list(t_values),
+            "lower_bound_violations": lower, "tightness_violations": tight,
+            "all_hold": bool(lower == 0 and tight == 0)}
+
+
+def limits_suite_oracle(n, trials, seed):
+    gamma = div = 0
+    for i in range(trials):
+        trial_seed = derive_seed(seed, "limits", i)
+        gamma += not gamma_limit_check(*_pair(n, trial_seed, "gamma"), DEFAULT_GAMMA_GRID)["all_hold"]
+        div += not divergence_limit_check(*_density_pair(n, trial_seed, "density"))["all_hold"]
+    return {"suite": "limits", "n": n, "trials": trials, "seed": seed, "gamma_violations": gamma,
+            "divergence_violations": div, "all_hold": bool(gamma == 0 and div == 0)}
+
+
+def gauge_check_oracle(fn, p, trials, seed, n):
+    """Midpoint convexity of A -> ||f(A)||_p, one pair at a time."""
+    strict = _is_strictly_convex_id(fn)
+
+    def fnorm(M):
+        vals = fn(np.linalg.eigvalsh(symmetrize(M)))
+        return float(np.sum(np.abs(vals) ** p) ** (1.0 / p))
+
+    results = []
+    for i in range(trials):
+        A = random_spd_oracle(n, 0.5, 2.0, derive_seed(seed, "gauge", i, "a"))
+        B = random_spd_oracle(n, 0.5, 2.0, derive_seed(seed, "gauge", i, "b"))
+        lhs = fnorm((A + B) / 2.0)
+        rhs = (fnorm(A) + fnorm(B)) / 2.0
+        scale = max(abs(lhs), abs(rhs))
+        margin = rhs - lhs
+        separated = float(np.linalg.norm(A - B)) >= 0.1
+        results.append((margin / max(scale, 1e-300), margin >= -MAJORIZE_RTOL * scale,
+                        (not (strict and separated)) or margin > 1e-12 * scale))
+    violations = sum(1 for _, ok, _ in results if not ok)
+    strict_violations = sum(1 for _, _, ok in results if not ok)
+    return {"function": {"kind": fn.kind, "exponent": fn.exponent}, "p": float(p), "n": n,
+            "trials": trials, "seed": seed, "violations": violations,
+            "strict_violations": strict_violations,
+            "worst_margin": min(m for m, _, _ in results),
+            "all_hold": bool(violations == 0 and strict_violations == 0)}
+
+
+def gauge_suite_oracle(n, trials, seed):
+    reports = [gauge_check_oracle(fn, p, trials, derive_seed(seed, "gauge-panel", idx), n)
+               for idx, (fn, p) in enumerate(GAUGE_PANEL)]
+    return {"suite": "gauge", "n": n, "trials": trials, "seed": seed, "checks": reports,
+            "all_hold": bool(all(r["all_hold"] for r in reports))}
+
+
+def open_question_suite_oracle(n, trials, seed, t_grid=(0.25,), alpha=0.5, beta=2.0):
+    checked = {rel: 0 for rel in OPEN_QUESTION_RELATIONS}
+    worst = {rel: np.inf for rel in OPEN_QUESTION_RELATIONS}
+    candidates = []
+    for i in range(trials):
+        sa = derive_seed(seed, "open-question", i, "a")
+        sb = derive_seed(seed, "open-question", i, "b")
+        A = random_spd_oracle(n, alpha, beta, sa)
+        B = random_spd_oracle(n, alpha, beta, sb)
+        for t in t_grid:
+            x = sandwich_spectrum(A, B, t)[::-1] ** float(t)
+            y = _sorted_eigs((1.0 - t) * A + t * B)
+            for rel in OPEN_QUESTION_RELATIONS:
+                v = majorizes(x, y, rel)
+                checked[rel] += 1
+                worst[rel] = min(worst[rel], v.worst_margin)
+                if not v.holds:
+                    candidates.append({"trial": i, "t": t, "relation": rel, "seed_a": sa,
+                                       "seed_b": sb, "float_margin": v.worst_margin})
+    confirmed = 0
+    for cand in candidates[:50]:
+        A = random_spd_oracle(n, alpha, beta, cand["seed_a"])
+        B = random_spd_oracle(n, alpha, beta, cand["seed_b"])
+        margin, scale = _mp_relation_margin(A, B, cand["t"], cand["relation"])
+        cand["mp_margin"] = str(margin)
+        cand["confirmed"] = bool(margin < -1e-30 * max(scale, 1))
+        cand["a"] = matrix_to_json(A)
+        cand["b"] = matrix_to_json(B)
+        confirmed += int(cand["confirmed"])
+    return {"suite": "open-question", "n": n, "t_grid": list(t_grid), "trials": trials,
+            "seed": seed, "alpha": alpha, "beta": beta, "checked": checked,
+            "worst_margins": {rel: float(worst[rel]) for rel in OPEN_QUESTION_RELATIONS},
+            "float_violations": len(candidates), "confirmed_violations": confirmed,
+            "candidates_truncated": len(candidates) > 50, "candidates": candidates,
+            "all_hold": True}
+
+
+# suite name -> oracle(n, trials, seed), the per-trial form of run_suite
+SUITE_ORACLES = {
+    "trace-chain": trace_chain_suite_oracle,
+    "log-major": log_major_suite_oracle,
+    "variational": variational_suite_oracle,
+    "limits": limits_suite_oracle,
+    "gauge": gauge_suite_oracle,
+    "open-question": open_question_suite_oracle,
+}

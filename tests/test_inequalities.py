@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sandwich_opt import (
     DomainError,
@@ -36,11 +37,12 @@ from sandwich_opt.entropy import sandwich_spectrum
 from sandwich_opt.inequalities import (
     LARGE_T_GRID,
     OPEN_QUESTION_RELATIONS,
+    SUITES,
     density_pair,
     random_pair,
 )
 
-from oracles import gamma_limit_oracle
+from oracles import SUITE_ORACLES, gamma_limit_oracle, variational_value_oracle
 
 
 def sorted_eigs(M):
@@ -328,13 +330,13 @@ def test_limits_suite_does_not_depend_on_chunk_size(monkeypatch):
         for name, kernel in kernels.items():
             monkeypatch.setattr(inequalities, name,
                                 lambda *a, _k=kernel, _s=seen[name]: _s.append(_k(*a)) or _s[-1])
-        monkeypatch.setattr(inequalities, "LIMITS_CHUNK", chunk)
+        monkeypatch.setattr(inequalities, "SUITE_CHUNK", chunk)
         report = run_suite("limits", n=3, trials=20, seed=36)
         values = {f"{name}.{key}": np.concatenate([out[key] for out in outs])
                   for name, outs in seen.items() for key in outs[0]}
         return report, values
 
-    report, values = run(inequalities.LIMITS_CHUNK)
+    report, values = run(inequalities.SUITE_CHUNK)
     for chunk in (1, 7):
         other_report, other_values = run(chunk)
         assert other_report == report
@@ -358,7 +360,7 @@ def test_divergence_limit_values_equal_the_entropy_functions(n):
 
 
 def _count_decompositions(monkeypatch):
-    calls = {"eigh": 0, "eigvalsh": 0}
+    calls = {"eigh": 0, "eigvalsh": 0, "svd": 0}
     for name in calls:
         fn = getattr(np.linalg, name)
 
@@ -370,23 +372,30 @@ def _count_decompositions(monkeypatch):
     return calls
 
 
-def test_limits_suite_decomposition_count_does_not_grow_with_trials(monkeypatch):
+@pytest.mark.parametrize("suite", SUITES)
+def test_suite_decomposition_count_does_not_grow_with_trials(monkeypatch, suite):
+    # decompositions are counted per chunk, not per trial; the variational
+    # suite gives trial i order i mod len(grid), so one order keeps the chunk whole
+    grid = (0.5,) if suite == "variational" else None
     counts = []
     for trials in (1, 50):
         calls = _count_decompositions(monkeypatch)
-        run_suite("limits", n=4, trials=trials, seed=38)
-        counts.append(calls["eigh"] + calls["eigvalsh"])
+        run_suite(suite, n=4, trials=trials, seed=38, t_values=grid)
+        counts.append(sum(calls.values()))
         monkeypatch.undo()
-    assert counts[0] == counts[1]
+    assert counts[0] == counts[1] > 0
 
 
 def test_trace_chain_suite_decomposes_each_input_once(monkeypatch):
-    # per trial: A and B once each, then one eigh per order inside A #_t B
-    calls = _count_decompositions(monkeypatch)
+    # per chunk: the stacks A and B once each, then one eigh per order inside A #_t B
     t_values = (0.1, 0.5, 0.9)
-    run_suite("trace-chain", n=4, trials=6, seed=39, t_values=t_values)
-    assert calls["eigh"] == 6 * (2 + len(t_values))
-    assert calls["eigvalsh"] == 6 * len(t_values)
+    for chunk, chunks in ((inequalities.SUITE_CHUNK, 1), (2, 3)):
+        monkeypatch.setattr(inequalities, "SUITE_CHUNK", chunk)
+        calls = _count_decompositions(monkeypatch)
+        run_suite("trace-chain", n=4, trials=6, seed=39, t_values=t_values)
+        assert calls["eigh"] == chunks * (2 + len(t_values))
+        assert calls["eigvalsh"] == chunks * len(t_values)
+        monkeypatch.undo()
 
 
 def test_divergence_limit_equal_density():
@@ -562,3 +571,70 @@ def test_suite_helpers_are_seed_stable():
     Ad, Bd = density_pair(3, 34, "density")
     assert abs(np.trace(Ad).real - 1.0) <= 1e-12
     assert abs(np.trace(Bd).real - 1.0) <= 1e-12
+
+
+# ------------------------------------------------------------- suite oracles
+
+
+def _suite_matches_oracle(suite, n, trials, seed, chunks):
+    expected = SUITE_ORACLES[suite](n, trials, seed)
+    for chunk in chunks:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(inequalities, "SUITE_CHUNK", chunk)
+            assert run_suite(suite, n=n, trials=trials, seed=seed) == expected, (suite, n, trials, chunk)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("suite", SUITES)
+def test_suite_report_equals_per_trial_oracle(suite, n):
+    for trials in (1, 7):
+        _suite_matches_oracle(suite, n, trials, derive_seed(40, suite, n, trials), (1, 7, 256))
+
+
+@pytest.mark.parametrize("suite", SUITES)
+def test_suite_report_equals_per_trial_oracle_across_chunks(suite):
+    # 300 trials: one full chunk of 256 and a partial one
+    _suite_matches_oracle(suite, 4, 300, 41, (inequalities.SUITE_CHUNK, 7))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(suite=st.sampled_from(SUITES), n=st.integers(1, 6), trials=st.integers(1, 20),
+       chunk=st.sampled_from([1, 7, 256]), seed=st.integers(0, 2**32 - 1))
+def test_suite_report_equals_per_trial_oracle_property(suite, n, trials, chunk, seed):
+    _suite_matches_oracle(suite, n, trials, seed, (chunk,))
+
+
+def test_variational_value_equals_matrix_power_oracle():
+    # decompositions of A and B shared across the formulas move no bit
+    for n in (2, 3, 4, 6):
+        for i in range(5):
+            A, B = random_pair(n, derive_seed(42, n, i), "pair")
+            X = random_spd(n, 0.25, 4.0, derive_seed(42, n, i, "probe"))
+            for t in (0.3, 0.5, 0.7):
+                for rep in ("i", "ii", "iii", "iv"):
+                    assert variational_value(A, B, t, X, rep) == variational_value_oracle(A, B, t, X, rep)
+
+
+@pytest.mark.parametrize("rep", ["i", "ii"])
+def test_minimize_representation_decomposes_a_and_b_once(monkeypatch, rep):
+    # A, B, A^{(t-1)/t} and the start's geometric mean once per call; per
+    # projected step one eigh (the box projection) and one eigvalsh (the
+    # value); per gradient two eigh (X^{-1} and the geometric mean), plus the
+    # value's eigvalsh for rep ii
+    A = random_spd(3, 1.0, 3.0, 43)
+    B = random_spd(3, 1.0, 3.0, 44)
+    steps = {"project": 0, "gradient": 0}
+    for name, key in (("project_box", "project"), ("_representation_gradient", "gradient")):
+        fn = getattr(inequalities, name)
+
+        def counted(*args, _fn=fn, _key=key):
+            steps[_key] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(inequalities, name, counted)
+    calls = _count_decompositions(monkeypatch)
+    minimize_representation(A, B, 0.4, rep, max_iters=25)
+    assert steps["gradient"] >= 3
+    assert calls["eigh"] == 4 + steps["project"] + 2 * steps["gradient"]
+    per_gradient = 1 if rep == "ii" else 0
+    assert calls["eigvalsh"] == 1 + 1 + (steps["project"] - 1) + per_gradient * steps["gradient"]

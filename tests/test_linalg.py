@@ -22,6 +22,7 @@ from sandwich_opt import (
     project_box,
     random_hermitian,
     random_spd,
+    random_spd_stack,
     schatten_norm,
     spectral_decompose,
     stack_decompose,
@@ -29,7 +30,7 @@ from sandwich_opt import (
 )
 from sandwich_opt.linalg import EQUAL_EIG_RTOL
 
-from oracles import jacobi_eigh
+from oracles import jacobi_eigh, random_spd_oracle
 
 
 def test_spectral_decompose_identity():
@@ -354,3 +355,14 @@ def test_graded_eigh_property_against_scalar_jacobi(n, decades, seed, real, data
     assert np.max(np.abs(w[0] - w_ref) / w_ref) <= 1e-12
     assert np.linalg.norm(V[0].conj().T @ V[0] - np.eye(n)) <= 1e-13
     assert np.linalg.norm((V[0] * w[0]) @ V[0].conj().T - H) <= 1e-13 * np.linalg.norm(H)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8])
+def test_random_spd_stack_equals_per_seed_draws(n):
+    # QR, gauge fix and recombination on the stack move no bit of any draw
+    seeds = [derive_seed(45, n, i) for i in range(40)] + [0, 2**64 - 1]
+    stack = random_spd_stack(n, 0.25, 4.0, seeds)
+    assert stack.shape == (len(seeds), n, n)
+    for M, seed in zip(stack, seeds):
+        assert np.array_equal(M, random_spd_oracle(n, 0.25, 4.0, seed))
+        assert np.array_equal(M, random_spd(n, 0.25, 4.0, seed))
