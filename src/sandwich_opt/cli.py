@@ -9,12 +9,19 @@ violation, 2 usage or input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
 from . import __version__
 from .barycenter import solve_fixed_point, solve_gradient_projection
-from .calculus import convexity_constants, gradient_f, hessian_extreme_eigs, hessian_operator
+from .calculus import (
+    DENSE_MAX_N,
+    convexity_constants,
+    gradient_f,
+    hessian_extreme_eigs,
+    hessian_operator,
+)
 from .entropy import compute_divergence, fidelity, geometric_mean
 from .errors import InvalidInput, SandwichOptError
 from .inequalities import SUITES, run_suite
@@ -40,7 +47,13 @@ DIVERGENCE_CLI_KINDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared after it.
+
+    ``main`` parses every argv with this one parser; building it takes about
+    as long as a small command, so it is not rebuilt per call.
+    """
     parser = argparse.ArgumentParser(
         prog="sandwich-opt",
         description="Sandwiched quasi-relative entropies, certified derivatives, "
@@ -87,8 +100,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser(
         "hess-bounds",
-        help="extreme eigenvalues of -grad^2 f(X): dense for n <= 8, Lanczos beyond "
-        "(NumericalError, exit 2, if unconverged)",
+        help=f"extreme eigenvalues of -grad^2 f(X): dense for n <= {DENSE_MAX_N}, where it "
+        "is measured faster, Lanczos beyond (NumericalError, exit 2, if unconverged)",
     )
     sp.add_argument("--a", required=True)
     sp.add_argument("--x", required=True)

@@ -176,20 +176,52 @@ def test_hessian_extreme_eigs_within_certified_bounds():
 
 
 def test_hessian_extreme_eigs_lanczos_path():
-    # n > 8 runs Lanczos; compare with the dense spectrum of the same operator
-    for n in (9, 16):
+    # Lanczos against the dense spectrum of the same operator, at sizes that
+    # hessian_extreme_eigs sends dense; the size above the switch goes
+    # through hessian_extreme_eigs, which runs Lanczos there
+    cases = [(9, calculus._lanczos_extreme), (16, calculus._lanczos_extreme),
+             (calculus.DENSE_MAX_N + 1, hessian_extreme_eigs)]
+    for n, extreme in cases:
         A = random_spd(n, 1.0, 4.0, 20 + n)
         X = random_spd(n, 1.0, 4.0, 40 + n)
         for t in (0.3, 0.5, 0.7):
             op = hessian_operator(A, X, t)
-            lo, hi = hessian_extreme_eigs(op)
+            lo, hi = extreme(op)
             w = np.linalg.eigvalsh(hessian_operator_matrix(op))
             assert abs(lo - w[0]) <= 1e-12 * w[-1]
             assert abs(hi - w[-1]) <= 1e-12 * w[-1]
             # Ritz values lie inside the spectrum
             assert lo >= w[0] - 1e-13 * w[-1]
             assert hi <= w[-1] + 1e-13 * w[-1]
-            assert hessian_extreme_eigs(op) == (lo, hi)
+            assert extreme(op) == (lo, hi)
+
+
+@pytest.mark.parametrize("n", [calculus.DENSE_MAX_N, calculus.DENSE_MAX_N + 1])
+def test_hessian_extreme_eigs_switches_to_lanczos_above_dense_max_n(n, monkeypatch):
+    # dense (one eigvalsh, no matvec) up to DENSE_MAX_N, Lanczos above; the
+    # two agree on both sides of the switch
+    op = hessian_operator(random_spd(n, 1.0, 4.0, 60 + n), random_spd(n, 1.0, 4.0, 80 + n), 0.5)
+    w = np.linalg.eigvalsh(hessian_operator_matrix(op))
+    lanczos = calculus._lanczos_extreme(op)
+    calls = {"hessian_apply": 0, "eigvalsh": 0}
+
+    def counted(fn, name):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(calculus, "hessian_apply", counted(calculus.hessian_apply, "hessian_apply"))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted(np.linalg.eigvalsh, "eigvalsh"))
+    lo, hi = hessian_extreme_eigs(op)
+    if n <= calculus.DENSE_MAX_N:
+        assert calls == {"hessian_apply": 0, "eigvalsh": 1}
+        assert (lo, hi) == (float(w[0]), float(w[-1]))
+    else:
+        assert calls["hessian_apply"] > 0
+        assert (lo, hi) == lanczos
+    assert abs(lanczos[0] - w[0]) <= 1e-12 * w[-1]
+    assert abs(lanczos[1] - w[-1]) <= 1e-12 * w[-1]
 
 
 def test_ritz_bottom_matches_eigh_eigenvectors():
@@ -223,7 +255,7 @@ def test_hessian_extreme_eigs_unconverged_lanczos_raises(monkeypatch):
     op = hessian_operator(random_spd(9, 1.0, 4.0, 29), random_spd(9, 1.0, 4.0, 49), 0.5)
     monkeypatch.setattr(calculus, "LANCZOS_RTOL", 0.0)
     with pytest.raises(NumericalError, match="did not converge in 81 steps"):
-        hessian_extreme_eigs(op)
+        calculus._lanczos_extreme(op)
 
 
 # t stops at 0.1 from below: A''^{1/2} X A''^{1/2} spans 4^{1/t} and its small
@@ -240,7 +272,7 @@ def test_hessian_extreme_eigs_lanczos_matches_dense(n, t, seed):
     A = random_spd(n, 1.0, 4.0, seed)
     X = random_spd(n, 1.0, 4.0, seed + 1)
     op = hessian_operator(A, X, t)
-    lo, hi = hessian_extreme_eigs(op)
+    lo, hi = calculus._lanczos_extreme(op)
     w = np.linalg.eigvalsh(hessian_operator_matrix(op))
     assert abs(lo - w[0]) <= 1e-12 * w[-1]
     assert abs(hi - w[-1]) <= 1e-12 * w[-1]

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import subprocess
@@ -310,3 +311,46 @@ def test_verify_t_for_gridless_suite_is_usage_error(suite, capsys):
 
     assert main(["verify", "--suite", suite, "--trials", "1", "--t", "0.3"]) == 2
     assert "order grid" in capsys.readouterr().err
+
+
+def test_main_reuses_one_parser_across_calls(tmp_path, monkeypatch, capsys):
+    # main parses every call with the parser built on the first one; each
+    # in-process call prints what a fresh process prints for it
+    import sandwich_opt.cli as cli
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    problem = str(write_problem(tmp_path, [random_spd(3, 1.0, 4.0, 70 + j) for j in range(3)],
+                                [1.0, 1.0, 1.0], 0.5))
+    verify = ["verify", "--suite", "trace-chain", "--n", "3", "--trials", "5", "--seed", "7"]
+    calls = [
+        verify + ["--t", "0.3"],
+        verify,
+        ["barycenter", "--problem", problem, "--solver", "fp"],
+        ["barycenter", "--problem", problem],
+        ["verify", "--suite", "no-such-suite"],
+        ["constants", "--t", "0.5", "--alpha", "1", "--beta", "4"],
+    ]
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    try:
+        codes = []
+        for argv in calls:
+            try:
+                codes.append(cli.main(argv))
+            except SystemExit as exc:
+                codes.append(exc.code)
+            out, err = capsys.readouterr()
+            fresh = run_cli(*argv)
+            assert (codes[-1], out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+            if len(codes) == 1:
+                first = len(built)
+        assert codes == [0, 0, 0, 0, 2, 0]
+        assert first > 0 and len(built) == first
+    finally:
+        cli.build_parser.cache_clear()
