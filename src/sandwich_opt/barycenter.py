@@ -4,6 +4,13 @@ Minimizes phi_t(X) = sum_j w_j [tr((1-t) A_j + t X) - tr(A_j^{(1-t)/2t} X A_j^{(
 over the spectral box [alpha I, beta I] by projected gradient descent with a
 certified linear rate, cross-validated by a fixed-point iteration on
 F(X) = sum_j w_j (X^{1/2} A_j^{(1-t)/t} X^{1/2})^t.
+
+Both solvers read the one gradient formula grad phi_t(X) = t (I - S(X)) with
+S(X) = sum_j w_j A_j^{(1-t)/t} #_{1-t} X^{-1}, the powers A_j^{(1-t)/t} built
+once per solve. By the congruence invariance of the geometric mean,
+F(X) = X^{1/2} S(X) X^{1/2}, so one fixed-point step decomposes X once (for
+X^{-1} and X^{1/2}) and takes 2 eigh per marginal for the geometric means:
+2m + 1 eigh, from which it reads both F(X) and the gradient it logs.
 """
 
 from __future__ import annotations
@@ -17,11 +24,13 @@ from .calculus import convexity_constants
 from .entropy import check_unit_t, geometric_mean, sandwich_trace
 from .errors import InvalidBox, InvalidInput, InvalidStart, InvalidStepSize
 from .linalg import (
+    _spd_and_spectrum,
     as_hermitian,
-    as_spd,
     check_box,
     matrix_power,
+    power,
     project_box,
+    spectral_decompose,
     symmetrize,
 )
 
@@ -61,7 +70,8 @@ def barycenter_problem(matrices, weights, t, alpha=None, beta=None) -> Barycente
     alpha I <= A_j <= beta I up to a relative slack of 1e-10 beta.
     """
     check_unit_t(t)
-    mats = tuple(as_spd(M) for M in matrices)
+    checked = [_spd_and_spectrum(M) for M in matrices]
+    mats = tuple(A for A, _ in checked)
     if len(mats) == 0:
         raise InvalidInput("at least one marginal matrix is required")
     n = mats[0].shape[0]
@@ -74,9 +84,8 @@ def barycenter_problem(matrices, weights, t, alpha=None, beta=None) -> Barycente
         raise InvalidInput("weights must be finite and positive")
     w = w / w.sum()
 
-    spectra = [np.linalg.eigvalsh(M) for M in mats]
-    lo = min(float(s[0]) for s in spectra)
-    hi = max(float(s[-1]) for s in spectra)
+    lo = min(float(s[0]) for _, s in checked)
+    hi = max(float(s[-1]) for _, s in checked)
     alpha = lo if alpha is None else float(alpha)
     beta = hi if beta is None else float(beta)
     check_box(alpha, beta)
@@ -103,10 +112,25 @@ def objective(p: BarycenterProblem, X):
     return total
 
 
+def _mean_sum(powered, weights, t, Xi):
+    """S(X) = sum_j w_j A_j^{(1-t)/t} #_{1-t} X^{-1}, given the powers and X^{-1}."""
+    return sum(w * geometric_mean(App, Xi, 1.0 - t) for w, App in zip(weights, powered))
+
+
+def _gradient_from_sum(S, t):
+    return symmetrize(t * (np.eye(S.shape[0]) - S))
+
+
 def _gradient(powered, weights, t, X):
-    Xi = matrix_power(X, -1.0)
-    S = sum(w * geometric_mean(App, Xi, 1.0 - t) for w, App in zip(weights, powered))
-    return symmetrize(t * (np.eye(X.shape[0]) - S))
+    return _gradient_from_sum(_mean_sum(powered, weights, t, matrix_power(X, -1.0)), t)
+
+
+def _fixed_point_step(powered, weights, t, X):
+    """(F(X), grad phi_t(X)) from one decomposition of X and one S(X): 2m + 1 eigh."""
+    dec = spectral_decompose(X)
+    S = _mean_sum(powered, weights, t, dec.map(power(-1.0)))
+    root = dec.map(power(0.5))
+    return symmetrize(root @ S @ root), _gradient_from_sum(S, t)
 
 
 def objective_gradient(p: BarycenterProblem, X):
@@ -115,13 +139,13 @@ def objective_gradient(p: BarycenterProblem, X):
 
 
 def fixed_point_map(p: BarycenterProblem, X):
-    """F(X) = sum_j w_j (X^{1/2} A_j^{(1-t)/t} X^{1/2})^t; stationarity iff X = F(X)."""
-    Xh = matrix_power(X, 0.5)
-    out = sum(
-        w * matrix_power(Xh @ App @ Xh, p.t)
-        for w, App in zip(p.weights, _powered_marginals(p))
-    )
-    return symmetrize(out)
+    """F(X) = sum_j w_j (X^{1/2} A_j^{(1-t)/t} X^{1/2})^t; stationarity iff X = F(X).
+
+    Evaluated as X^{1/2} S(X) X^{1/2} = X^{1/2} (I - grad phi_t(X) / t) X^{1/2}:
+    one decomposition of X plus 2m geometric-mean eigh, after the m eigh that
+    build the powers A_j^{(1-t)/t} for this call.
+    """
+    return _fixed_point_step(_powered_marginals(p), p.weights, p.t, X)[0]
 
 
 def certified_rate(p: BarycenterProblem, eta=None):
@@ -151,7 +175,9 @@ class SolverReport:
     iterates (indices in ``history_indices``; the history is thinned to every
     10th entry beyond 10,000). ``error_bound`` = final gradient norm /
     alpha_star certifies the distance to the true minimizer. ``termination``
-    is "gradient_tol" when the tolerance was met, "max_iters" otherwise.
+    says why the run stopped: "gradient_tol" when the tolerance was met,
+    "max_iters" at the iteration cap, and "residual_growth" when the
+    fixed-point safeguard stopped a diverging run.
     """
 
     minimizer: np.ndarray
@@ -239,7 +265,7 @@ def solve_gradient_projection(
         X = project_box(X - eta * G, p.alpha, p.beta)
         k += 1
 
-    residual = float(np.linalg.norm(X - fixed_point_map(p, X)))
+    residual = float(np.linalg.norm(X - _fixed_point_step(powered, p.weights, p.t, X)[0]))
     return SolverReport(
         minimizer=X,
         iterations=k,
@@ -266,9 +292,10 @@ def solve_fixed_point(
     """Fixed-point iteration X <- F(X), used for cross-validation.
 
     No contraction is guaranteed; if the residual ||X - F(X)|| grows for 10
-    consecutive steps the run stops with max_iters termination instead of
-    raising. grad_norms records grad phi_t at each iterate for comparability
-    with the gradient-projection report.
+    consecutive steps the run stops with residual_growth termination instead
+    of raising. grad_norms records grad phi_t at each iterate for
+    comparability with the gradient-projection report, read from the same
+    S(X) as F(X).
     """
     alpha_star, beta_star, _ = certified_rate(p, None)
     powered = _powered_marginals(p)
@@ -280,9 +307,9 @@ def solve_fixed_point(
     prev_residual = np.inf
     k = 0
     while True:
-        FX = fixed_point_map(p, X)
+        FX, G = _fixed_point_step(powered, p.weights, p.t, X)
         residual = float(np.linalg.norm(X - FX))
-        gn = float(np.linalg.norm(_gradient(powered, p.weights, p.t, X)))
+        gn = float(np.linalg.norm(G))
         stop = residual <= tol or k >= max_iters
         hist.record(k, gn, X, final=stop)
         if residual <= tol:
@@ -292,6 +319,7 @@ def solve_fixed_point(
             break
         increases = increases + 1 if residual > prev_residual else 0
         if increases >= 10:
+            termination = "residual_growth"
             hist.record(k, gn, X, final=True)
             logger.warning(
                 "fixed-point residual increased for 10 consecutive steps "

@@ -3,7 +3,9 @@
 Verbs: fidelity, divergence, gmean, grad, hess-bounds, constants, barycenter,
 verify, gen. Results go to standard output or --out; diagnostics go to
 standard error. Exit codes: 0 success / all properties hold, 1 property
-violation, 2 usage or input error.
+violation or a barycenter solve that stopped short of its tolerance
+(termination other than "gradient_tol"; the report is still written), 2
+usage or input error.
 """
 
 from __future__ import annotations
@@ -234,7 +236,7 @@ def _cmd_barycenter(args):
             problem, tol=tol, max_iters=args.max_iters, x0=x0, trace=args.trace
         )
     _emit(canonical_json(report_to_json(report, include_iterates=args.trace)), args.out)
-    return 0
+    return 0 if report.termination == "gradient_tol" else 1
 
 
 def _cmd_verify(args):

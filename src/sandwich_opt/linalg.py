@@ -56,6 +56,11 @@ def as_spd(A):
     Rejects matrices whose smallest eigenvalue is below
     ``SPD_TOL * max(1, lambda_max)``.
     """
+    return _spd_and_spectrum(A)[0]
+
+
+def _spd_and_spectrum(A):
+    """``as_spd`` and the ascending eigenvalues it checked A by."""
     A = as_hermitian(A)
     w = np.linalg.eigvalsh(A)
     if w[0] <= SPD_TOL * max(1.0, float(w[-1])):
@@ -63,7 +68,7 @@ def as_spd(A):
             f"matrix is not positive definite within tolerance "
             f"(min eigenvalue {w[0]:.3e}, max {w[-1]:.3e})"
         )
-    return A
+    return A, w
 
 
 @dataclass(frozen=True)

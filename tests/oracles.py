@@ -1,6 +1,7 @@
 """Independent oracles shared by the test modules.
 
-The paper's geometric-mean expression for the gradient, finite-difference
+The paper's geometric-mean expression for the gradient, the direct
+power-sum formula for the barycenter fixed-point map, finite-difference
 reconstruction of gradients and Hessian actions, the Hessian matrix
 assembled in an explicit Hermitian basis, a quadrature evaluation of the
 Hessian integral representation, extended-precision evaluation of the
@@ -78,6 +79,16 @@ def basis_hessian_matrix(op):
 def paper_gradient(A, X, t):
     """grad f(X) = t (A^{(1-t)/t} #_{1-t} X^{-1}), the paper's closed form."""
     return t * geometric_mean(matrix_power(A, (1.0 - t) / t), matrix_power(X, -1.0), 1.0 - t)
+
+
+def fixed_point_map_oracle(p, X):
+    """F(X) = sum_j w_j (X^{1/2} A_j^{(1-t)/t} X^{1/2})^t, the direct formula."""
+    Xh = matrix_power(X, 0.5)
+    out = sum(
+        w * matrix_power(Xh @ matrix_power(A, (1.0 - p.t) / p.t) @ Xh, p.t)
+        for w, A in zip(p.weights, p.matrices)
+    )
+    return symmetrize(out)
 
 
 def fd_gradient(f, X, h=None):

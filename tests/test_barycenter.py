@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sandwich_opt import (
     InvalidBox,
@@ -13,6 +14,7 @@ from sandwich_opt import (
     derive_seed,
     fidelity,
     fixed_point_map,
+    matrix_power,
     objective,
     objective_gradient,
     random_spd,
@@ -21,7 +23,7 @@ from sandwich_opt import (
 )
 from sandwich_opt.barycenter import _History
 
-from oracles import fd_gradient
+from oracles import fd_gradient, fixed_point_map_oracle
 
 
 def random_problem(pid, n=4, m=3, t=0.5, lo=1.0, hi=4.0):
@@ -272,12 +274,75 @@ def test_fixed_point_divergence_safeguard(monkeypatch):
     import sandwich_opt.barycenter as bc
 
     p = random_problem(21)
+    step = bc._fixed_point_step
     monkeypatch.setattr(
-        bc, "fixed_point_map", lambda _p, X: 1.5 * X + np.eye(X.shape[0])
+        bc, "_fixed_point_step",
+        lambda powered, w, t, X: (1.5 * X + np.eye(X.shape[0]), step(powered, w, t, X)[1]),
     )
     rep = bc.solve_fixed_point(p, tol=1e-12, max_iters=1000)
-    assert rep.termination == "max_iters"
+    assert rep.termination == "residual_growth"
     assert rep.iterations < 1000  # the 10-increase safeguard stopped the run
+
+
+def _real_or_complex(M, real):
+    # the real part of a Hermitian positive definite matrix is real symmetric
+    # positive definite, with its spectrum inside the original one
+    return M.real if real else M
+
+
+@pytest.mark.parametrize("t", [0.2, 0.5, 0.8])
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+@pytest.mark.parametrize("n", [1, 3, 5])
+@pytest.mark.parametrize("m", [1, 3])
+def test_fixed_point_map_matches_direct_formula(m, n, real, t):
+    mats = [_real_or_complex(random_spd(n, 1.0, 4.0, derive_seed(9100, "fp", m, n, j)), real)
+            for j in range(m)]
+    p = barycenter_problem(mats, np.arange(1.0, m + 1.0), t, alpha=1.0, beta=4.0)
+    X = _real_or_complex(random_spd(n, 1.0, 4.0, derive_seed(9100, "x", m, n)), real)
+    ref = fixed_point_map_oracle(p, X)
+    assert np.linalg.norm(fixed_point_map(p, X) - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_fixed_point_step_eigh_count(monkeypatch):
+    # one decomposition of X and two per geometric mean; the powers A_j^{(1-t)/t}
+    # are built once per solve, not per step
+    import sandwich_opt.barycenter as bc
+
+    m = 3
+    p = random_problem(22, m=m)
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(1) or eigh(*a, **k))
+    powered = bc._powered_marginals(p)
+    assert len(calls) == m
+    calls.clear()
+    bc._fixed_point_step(powered, p.weights, p.t, random_spd(4, 1.0, 4.0, 23))
+    assert len(calls) == 2 * m + 1
+    calls.clear()
+    rep = bc.solve_fixed_point(p, tol=1e-12, max_iters=3)
+    assert rep.iterations == 3
+    assert len(calls) == m + (rep.iterations + 1) * (2 * m + 1)
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(
+    log_w=st.lists(st.floats(-12.0, 0.0), min_size=1, max_size=4),
+    n=st.integers(1, 5),
+    t=st.floats(0.1, 0.9),
+    seed=st.integers(0, 2**32 - 2),
+)
+def test_fixed_point_map_is_gradient_sandwich(log_w, n, t, seed):
+    # F(X) = X^{1/2} (I - grad phi_t(X) / t) X^{1/2}, weights spanning 1e-12..1
+    mats = [random_spd(n, 1.0, 4.0, derive_seed(seed, "marg", j)) for j in range(len(log_w))]
+    p = barycenter_problem(mats, 10.0 ** np.array(log_w), t, alpha=1.0, beta=4.0)
+    X = random_spd(n, 1.0, 4.0, derive_seed(seed, "x"))
+    Xh = matrix_power(X, 0.5)
+    expected = Xh @ (np.eye(n) - objective_gradient(p, X) / p.t) @ Xh
+    F = fixed_point_map(p, X)
+    assert np.linalg.norm(F - expected) <= 1e-12 * np.linalg.norm(F)
+    # the direct formula's A_j^{(1-t)/t} spans up to 4^9 at t = 0.1, so it
+    # agrees to about 3e-12 there and to 5e-15 on [0.2, 0.8]
+    assert np.linalg.norm(F - fixed_point_map_oracle(p, X)) <= 1e-11 * np.linalg.norm(F)
 
 
 def test_fixed_point_reports_match_problem_constants():

@@ -184,6 +184,21 @@ def test_barycenter_trace_includes_iterates(tmp_path):
     assert len(report["iterates"]) == len(report["history_indices"])
 
 
+@pytest.mark.parametrize("solver", ["gp", "fp"])
+def test_barycenter_unconverged_exits_1_and_writes_report(tmp_path, solver):
+    mats = [random_spd(3, 1.0, 4.0, 70 + j) for j in range(3)]
+    path = write_problem(tmp_path, mats, [1.0, 1.0, 1.0], 0.5)
+    out_path = tmp_path / "report.json"
+    res = run_cli("barycenter", "--problem", str(path), "--solver", solver,
+                  "--max-iters", "1", "--out", str(out_path))
+    assert res.returncode == 1, res.stderr
+    report = json.loads(out_path.read_text())
+    assert report["termination"] == "max_iters"
+    assert report["iterations"] == 1
+    assert len(report["grad_norms"]) == len(report["history_indices"]) == 2
+    assert np.all(np.isfinite(matrix_from_json(report["minimizer"])))
+
+
 def test_barycenter_eta_with_fp_is_usage_error(tmp_path):
     A = random_spd(2, 1.0, 2.0, 82)
     path = write_problem(tmp_path, [A], [1.0], 0.5)
