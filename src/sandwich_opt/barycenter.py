@@ -1,16 +1,18 @@
 """Entropic barycenter of positive definite matrices.
 
-Minimizes phi_t(X) = sum_j w_j [tr((1-t) A_j + t X) - tr(A_j^{(1-t)/2t} X A_j^{(1-t)/2t})^t]
-over the spectral box [alpha I, beta I] by projected gradient descent with a
-certified linear rate, cross-validated by a fixed-point iteration on
+Minimizes phi_t(X) = sum_j w_j [tr((1-t) A_j + t X) - f_j(X)] with
+f_j(X) = tr(A_j^{(1-t)/2t} X A_j^{(1-t)/2t})^t over the spectral box
+[alpha I, beta I] by projected gradient descent with a certified linear rate,
+cross-validated by a fixed-point iteration on
 F(X) = sum_j w_j (X^{1/2} A_j^{(1-t)/t} X^{1/2})^t.
 
-Both solvers read the one gradient formula grad phi_t(X) = t (I - S(X)) with
-S(X) = sum_j w_j A_j^{(1-t)/t} #_{1-t} X^{-1}, the powers A_j^{(1-t)/t} built
-once per solve. By the congruence invariance of the geometric mean,
-F(X) = X^{1/2} S(X) X^{1/2}, so one fixed-point step decomposes X once (for
-X^{-1} and X^{1/2}) and takes 2 eigh per marginal for the geometric means:
-2m + 1 eigh, from which it reads both F(X) and the gradient it logs.
+Both solvers read the one gradient of f from ``calculus.gradient_f``:
+grad phi_t(X) = t I - sum_j w_j grad f_j(X) = t (I - S(X)) with
+S(X) = sum_j w_j grad f_j(X) / t, and F(X) = X^{1/2} S(X) X^{1/2}. Each
+grad f_j takes 2 eigh (A_j and its sandwich with X), so S(X) takes 2m. A
+gradient-projection step adds one eigh for the box projection and a
+fixed-point step one for X^{1/2}: 2m + 1 eigh per step either way, with no
+per-solve set-up.
 """
 
 from __future__ import annotations
@@ -20,14 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import convexity_constants
-from .entropy import check_unit_t, geometric_mean, sandwich_trace
+from .calculus import convexity_constants, gradient_f
+from .entropy import check_unit_t, sandwich_trace
 from .errors import InvalidBox, InvalidInput, InvalidStart, InvalidStepSize
 from .linalg import (
     _spd_and_spectrum,
     as_hermitian,
     check_box,
-    matrix_power,
     power,
     project_box,
     spectral_decompose,
@@ -97,11 +98,6 @@ def barycenter_problem(matrices, weights, t, alpha=None, beta=None) -> Barycente
     return BarycenterProblem(mats, w, float(t), alpha, beta)
 
 
-def _powered_marginals(p: BarycenterProblem):
-    e = (1.0 - p.t) / p.t
-    return [matrix_power(A, e) for A in p.matrices]
-
-
 def objective(p: BarycenterProblem, X):
     """phi_t(X); nonnegative, zero iff every marginal equals X."""
     X = as_hermitian(X)
@@ -112,40 +108,42 @@ def objective(p: BarycenterProblem, X):
     return total
 
 
-def _mean_sum(powered, weights, t, Xi):
-    """S(X) = sum_j w_j A_j^{(1-t)/t} #_{1-t} X^{-1}, given the powers and X^{-1}."""
-    return sum(w * geometric_mean(App, Xi, 1.0 - t) for w, App in zip(weights, powered))
+def _mean_sum(p: BarycenterProblem, X):
+    """S(X) = sum_j w_j grad f_j(X) / t: 2m eigh."""
+    return sum(w * gradient_f(A, X, p.t) for w, A in zip(p.weights, p.matrices)) / p.t
 
 
 def _gradient_from_sum(S, t):
     return symmetrize(t * (np.eye(S.shape[0]) - S))
 
 
-def _gradient(powered, weights, t, X):
-    return _gradient_from_sum(_mean_sum(powered, weights, t, matrix_power(X, -1.0)), t)
+def _gradient(p: BarycenterProblem, X):
+    return _gradient_from_sum(_mean_sum(p, X), p.t)
 
 
-def _fixed_point_step(powered, weights, t, X):
+def _fixed_point_step(p: BarycenterProblem, X):
     """(F(X), grad phi_t(X)) from one decomposition of X and one S(X): 2m + 1 eigh."""
-    dec = spectral_decompose(X)
-    S = _mean_sum(powered, weights, t, dec.map(power(-1.0)))
-    root = dec.map(power(0.5))
-    return symmetrize(root @ S @ root), _gradient_from_sum(S, t)
+    root = spectral_decompose(X).map(power(0.5))
+    S = _mean_sum(p, X)
+    return symmetrize(root @ S @ root), _gradient_from_sum(S, p.t)
 
 
 def objective_gradient(p: BarycenterProblem, X):
-    """grad phi_t(X) = t [I - sum_j w_j (A_j^{(1-t)/t} #_{1-t} X^{-1})]."""
-    return _gradient(_powered_marginals(p), p.weights, p.t, as_hermitian(X))
+    """grad phi_t(X) = t I - sum_j w_j grad f_j(X).
+
+    ``NumericalError`` when a sandwich A_j^{(1-t)/2t} X A_j^{(1-t)/2t} loses
+    positivity in floating point, which happens first at small t.
+    """
+    return _gradient(p, as_hermitian(X))
 
 
 def fixed_point_map(p: BarycenterProblem, X):
     """F(X) = sum_j w_j (X^{1/2} A_j^{(1-t)/t} X^{1/2})^t; stationarity iff X = F(X).
 
     Evaluated as X^{1/2} S(X) X^{1/2} = X^{1/2} (I - grad phi_t(X) / t) X^{1/2}:
-    one decomposition of X plus 2m geometric-mean eigh, after the m eigh that
-    build the powers A_j^{(1-t)/t} for this call.
+    one decomposition of X plus 2 eigh per marginal for grad f_j.
     """
-    return _fixed_point_step(_powered_marginals(p), p.weights, p.t, X)[0]
+    return _fixed_point_step(p, X)[0]
 
 
 def certified_rate(p: BarycenterProblem, eta=None):
@@ -246,14 +244,13 @@ def solve_gradient_projection(
         eta = 1.0 / beta_star
     if grad_tol is None:
         grad_tol = 1e-10 * p.t * p.n
-    powered = _powered_marginals(p)
     X = project_box(_start_iterate(p, x0), p.alpha, p.beta)
     hist = _History(trace)
 
     termination = "max_iters"
     k = 0
     while True:
-        G = _gradient(powered, p.weights, p.t, X)
+        G = _gradient(p, X)
         gn = float(np.linalg.norm(G))
         stop = gn <= grad_tol or k >= max_iters
         hist.record(k, gn, X, final=stop)
@@ -265,7 +262,7 @@ def solve_gradient_projection(
         X = project_box(X - eta * G, p.alpha, p.beta)
         k += 1
 
-    residual = float(np.linalg.norm(X - _fixed_point_step(powered, p.weights, p.t, X)[0]))
+    residual = float(np.linalg.norm(X - _fixed_point_step(p, X)[0]))
     return SolverReport(
         minimizer=X,
         iterations=k,
@@ -298,7 +295,6 @@ def solve_fixed_point(
     S(X) as F(X).
     """
     alpha_star, beta_star, _ = certified_rate(p, None)
-    powered = _powered_marginals(p)
     X = _start_iterate(p, x0)
     hist = _History(trace)
 
@@ -307,7 +303,7 @@ def solve_fixed_point(
     prev_residual = np.inf
     k = 0
     while True:
-        FX, G = _fixed_point_step(powered, p.weights, p.t, X)
+        FX, G = _fixed_point_step(p, X)
         residual = float(np.linalg.norm(X - FX))
         gn = float(np.linalg.norm(G))
         stop = residual <= tol or k >= max_iters

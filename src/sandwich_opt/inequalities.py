@@ -177,6 +177,8 @@ def majorizes(x, y, kind) -> MajorizationVerdict:
     y = np.asarray(y, dtype=float).ravel()
     if x.shape != y.shape:
         raise InvalidInput(f"length mismatch: {x.shape} vs {y.shape}")
+    if x.size == 0:
+        raise InvalidInput("majorization needs non-empty vectors")
     worst, holds = _verdicts(x, y, kind)
     return MajorizationVerdict(kind, bool(holds), float(worst))
 

@@ -73,16 +73,23 @@ def matrix_to_json(M) -> dict:
     return out
 
 
+def _is_number(v) -> bool:
+    """A JSON number: int or float, not bool (which Python counts as an int)."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def matrix_from_json(d) -> np.ndarray:
     if not isinstance(d, dict) or "n" not in d or "re" not in d:
         raise InvalidInput('matrix JSON must carry "n" and "re"')
     n = d["n"]
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise InvalidInput(f'invalid matrix dimension "n": {n!r}')
 
     def grid(field):
-        rows = d[field]
-        arr = np.asarray(rows, dtype=float)
+        try:
+            arr = np.asarray(d[field], dtype=float)
+        except (TypeError, ValueError):
+            raise InvalidInput(f'matrix field "{field}" must hold numbers') from None
         if arr.shape != (n, n):
             raise InvalidInput(f'matrix field "{field}" must be {n}x{n}')
         return arr
@@ -121,6 +128,14 @@ def problem_from_json(d) -> BarycenterProblem:
     for key in ("t", "weights", "matrices"):
         if key not in d:
             raise InvalidInput(f'problem JSON is missing "{key}"')
+    for key in ("t", "alpha", "beta"):  # alpha and beta may be absent or null
+        value = d.get(key)
+        if (key == "t" or value is not None) and not _is_number(value):
+            raise InvalidInput(f'problem field "{key}" must be a number, got {value!r}')
+    if not isinstance(d["weights"], list) or not all(_is_number(w) for w in d["weights"]):
+        raise InvalidInput('problem field "weights" must be a list of numbers')
+    if not isinstance(d["matrices"], list):
+        raise InvalidInput('problem field "matrices" must be a list of matrices')
     matrices = [matrix_from_json(m) for m in d["matrices"]]
     return barycenter_problem(
         matrices,

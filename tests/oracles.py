@@ -1,12 +1,13 @@
 """Independent oracles shared by the test modules.
 
-The paper's geometric-mean expression for the gradient, the direct
-power-sum formula for the barycenter fixed-point map, finite-difference
-reconstruction of gradients and Hessian actions, the Hessian matrix
-assembled in an explicit Hermitian basis, a quadrature evaluation of the
-Hessian integral representation, extended-precision evaluation of the
-sandwiched trace, and the scalar cyclic Jacobi with the per-matrix small-t
-limit check built on it. These stay independent of the code paths they check.
+The paper's geometric-mean expression for the gradient of f and of the
+barycenter objective, the direct power-sum formula for the barycenter
+fixed-point map, finite-difference reconstruction of gradients and Hessian
+actions, the Hessian matrix assembled in an explicit Hermitian basis, a
+quadrature evaluation of the Hessian integral representation,
+extended-precision evaluation of the sandwiched trace, and the scalar cyclic
+Jacobi with the per-matrix small-t limit check built on it. These stay
+independent of the code paths they check.
 
 The suite oracles run every verification suite one trial at a time: a
 per-seed ``random_spd`` draw, one scalar formula per link, one verdict per
@@ -79,6 +80,16 @@ def basis_hessian_matrix(op):
 def paper_gradient(A, X, t):
     """grad f(X) = t (A^{(1-t)/t} #_{1-t} X^{-1}), the paper's closed form."""
     return t * geometric_mean(matrix_power(A, (1.0 - t) / t), matrix_power(X, -1.0), 1.0 - t)
+
+
+def objective_gradient_oracle(p, X):
+    """grad phi_t(X) = t [I - sum_j w_j (A_j^{(1-t)/t} #_{1-t} X^{-1})], the geometric-mean form."""
+    Xi = matrix_power(X, -1.0)
+    S = sum(
+        w * geometric_mean(matrix_power(A, (1.0 - p.t) / p.t), Xi, 1.0 - p.t)
+        for w, A in zip(p.weights, p.matrices)
+    )
+    return symmetrize(p.t * (np.eye(X.shape[0]) - S))
 
 
 def fixed_point_map_oracle(p, X):

@@ -4,8 +4,6 @@ Each test exercises one acceptance criterion end to end at its stated
 tolerance and prints one PASS/FAIL line (run with ``pytest -s`` to see them).
 """
 
-import subprocess
-import sys
 import time
 from contextlib import contextmanager
 
@@ -45,6 +43,7 @@ from sandwich_opt.inequalities import (
 )
 
 from oracles import fd_directional_hessian, fd_gradient, quadrature_hessian_apply
+from test_cli import run_cli as cli_subprocess
 
 T_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)
 
@@ -237,10 +236,7 @@ def test_criterion_9_deterministic_reports(tmp_path):
     with criterion(9, "identical seeds give byte-identical JSON reports and "
                       "generated files"):
         def run_cli(*args):
-            res = subprocess.run(
-                [sys.executable, "-m", "sandwich_opt", *args],
-                capture_output=True, text=True,
-            )
+            res = cli_subprocess(*args)
             assert res.returncode == 0, res.stderr
             return res.stdout
 

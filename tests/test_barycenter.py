@@ -7,6 +7,7 @@ from sandwich_opt import (
     InvalidInput,
     InvalidStart,
     InvalidStepSize,
+    NumericalError,
     ParameterError,
     barycenter_problem,
     certified_rate,
@@ -23,7 +24,7 @@ from sandwich_opt import (
 )
 from sandwich_opt.barycenter import _History
 
-from oracles import fd_gradient, fixed_point_map_oracle
+from oracles import fd_gradient, fixed_point_map_oracle, objective_gradient_oracle
 
 
 def random_problem(pid, n=4, m=3, t=0.5, lo=1.0, hi=4.0):
@@ -277,7 +278,7 @@ def test_fixed_point_divergence_safeguard(monkeypatch):
     step = bc._fixed_point_step
     monkeypatch.setattr(
         bc, "_fixed_point_step",
-        lambda powered, w, t, X: (1.5 * X + np.eye(X.shape[0]), step(powered, w, t, X)[1]),
+        lambda p, X: (1.5 * X + np.eye(X.shape[0]), step(p, X)[1]),
     )
     rep = bc.solve_fixed_point(p, tol=1e-12, max_iters=1000)
     assert rep.termination == "residual_growth"
@@ -301,27 +302,45 @@ def test_fixed_point_map_matches_direct_formula(m, n, real, t):
     X = _real_or_complex(random_spd(n, 1.0, 4.0, derive_seed(9100, "x", m, n)), real)
     ref = fixed_point_map_oracle(p, X)
     assert np.linalg.norm(fixed_point_map(p, X) - ref) <= 1e-12 * np.linalg.norm(ref)
+    ref = objective_gradient_oracle(p, X)
+    assert np.linalg.norm(objective_gradient(p, X) - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_small_t_loses_positivity_with_a_typed_error():
+    # at n = 9, t = 0.03 the sandwich A_j^{(1-t)/2t} X A_j^{(1-t)/2t} spans
+    # about cond(A_j)^{32} and its computed spectrum turns negative
+    n, t = 9, 0.03
+    mats = [random_spd(n, 1.0, 4.0, derive_seed(7, n, j)) for j in range(3)]
+    p = barycenter_problem(mats, np.ones(3), t, alpha=1.0, beta=4.0)
+    X = 2.5 * np.eye(n)
+    with pytest.raises(NumericalError, match="lost positivity"):
+        objective_gradient(p, X)
+    with pytest.raises(NumericalError, match="lost positivity"):
+        fixed_point_map(p, X)
 
 
 def test_fixed_point_step_eigh_count(monkeypatch):
-    # one decomposition of X and two per geometric mean; the powers A_j^{(1-t)/t}
-    # are built once per solve, not per step
+    # two eigh per marginal for grad f_j (A_j and its sandwich with X), plus
+    # X^{1/2} for a fixed-point step or the box projection for a gradient
+    # step; nothing is decomposed once per solve
     import sandwich_opt.barycenter as bc
 
     m = 3
     p = random_problem(22, m=m)
+    X = random_spd(4, 1.0, 4.0, 23)
     calls = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(1) or eigh(*a, **k))
-    powered = bc._powered_marginals(p)
-    assert len(calls) == m
+    bc._fixed_point_step(p, X)
+    assert len(calls) == 2 * m + 1
     calls.clear()
-    bc._fixed_point_step(powered, p.weights, p.t, random_spd(4, 1.0, 4.0, 23))
+    G = bc._gradient(p, X)
+    bc.project_box(X - G / certified_rate(p)[1], p.alpha, p.beta)
     assert len(calls) == 2 * m + 1
     calls.clear()
     rep = bc.solve_fixed_point(p, tol=1e-12, max_iters=3)
     assert rep.iterations == 3
-    assert len(calls) == m + (rep.iterations + 1) * (2 * m + 1)
+    assert len(calls) == (rep.iterations + 1) * (2 * m + 1)
 
 
 @settings(max_examples=30, derandomize=True, database=None, deadline=None)

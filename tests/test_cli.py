@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
@@ -22,11 +23,18 @@ from sandwich_opt import (
 from sandwich_opt.serialization import canonical_json, matrix_to_json
 
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
 def run_cli(*args, **kwargs):
+    # the subprocess imports sandwich_opt from this checkout's src, installed or not
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
     return subprocess.run(
         [sys.executable, "-m", "sandwich_opt", *args],
         capture_output=True,
         text=True,
+        env=env,
         **kwargs,
     )
 
@@ -149,6 +157,27 @@ def write_problem(tmp_path, mats, weights, t):
     path = tmp_path / "problem.json"
     path.write_text(canonical_json(prob) + "\n")
     return path
+
+
+_MARGINAL = {"n": 2, "re": [[2.0, 0.0], [0.0, 3.0]]}
+
+
+@pytest.mark.parametrize("field,value,named", [
+    ("t", "0.5", "t"),
+    ("t", None, "t"),
+    ("weights", {"a": 1}, "weights"),
+    ("alpha", [1], "alpha"),
+    ("matrices", 3, "matrices"),
+    ("matrices", [{"n": True, "re": [[2.0]]}], "n"),
+], ids=["t-string", "t-null", "weights-object", "alpha-list", "matrices-number", "n-bool"])
+def test_barycenter_rejects_mistyped_problem_fields(tmp_path, field, value, named):
+    prob = {"t": 0.5, "weights": [1.0], "matrices": [_MARGINAL], field: value}
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(prob))
+    res = run_cli("barycenter", "--problem", str(path))
+    assert res.returncode == 2
+    assert res.stderr.startswith("error:") and "Traceback" not in res.stderr
+    assert f'"{named}"' in res.stderr
 
 
 def test_barycenter_single_marginal(tmp_path):

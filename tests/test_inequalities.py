@@ -72,6 +72,12 @@ def test_majorizes_textbook_cases():
     assert not majorizes([1.0, 1.0], [3.0, 1.0], "majorize").holds
 
 
+@pytest.mark.parametrize("rel", inequalities.RELATIONS)
+def test_majorizes_rejects_empty_vectors(rel):
+    with pytest.raises(InvalidInput, match="non-empty"):
+        majorizes([], [], rel)
+
+
 def test_majorizes_errors():
     with pytest.raises(InvalidInput):
         majorizes([1.0], [1.0, 2.0], "majorize")
