@@ -18,6 +18,8 @@ per-solve set-up.
 from __future__ import annotations
 
 import logging
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -192,6 +194,18 @@ class SolverReport:
     iterates: list | None = None
 
 
+def _check_stopping(tol_name, tol, max_iters):
+    """InvalidInput unless the tolerance is finite and >= 0 and max_iters an integer >= 0.
+
+    A NaN or negative tolerance is never met, so the run would go on to the
+    iteration cap and report an unconverged iterate.
+    """
+    if not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol >= 0):
+        raise InvalidInput(f"{tol_name} = {tol!r} must be a finite number >= 0")
+    if not (isinstance(max_iters, numbers.Integral) and max_iters >= 0):
+        raise InvalidInput(f"max_iters = {max_iters!r} must be an integer >= 0")
+
+
 def _start_iterate(p: BarycenterProblem, x0):
     if x0 is None:
         return (p.alpha + p.beta) / 2.0 * np.eye(p.n, dtype=complex)
@@ -237,13 +251,15 @@ def solve_gradient_projection(
 
     Defaults: eta = 1/beta_star, X0 = (alpha+beta)/2 I, grad_tol = 1e-10 t n.
     Every iterate stays in [alpha I, beta I]; the returned error_bound is a
-    certified distance bound to the unique minimizer.
+    certified distance bound to the unique minimizer. ``InvalidInput`` unless
+    grad_tol is finite and >= 0 and max_iters is an integer >= 0.
     """
     alpha_star, beta_star, q = certified_rate(p, eta)
     if eta is None:
         eta = 1.0 / beta_star
     if grad_tol is None:
         grad_tol = 1e-10 * p.t * p.n
+    _check_stopping("grad_tol", grad_tol, max_iters)
     X = project_box(_start_iterate(p, x0), p.alpha, p.beta)
     hist = _History(trace)
 
@@ -292,8 +308,10 @@ def solve_fixed_point(
     consecutive steps the run stops with residual_growth termination instead
     of raising. grad_norms records grad phi_t at each iterate for
     comparability with the gradient-projection report, read from the same
-    S(X) as F(X).
+    S(X) as F(X). ``InvalidInput`` unless tol is finite and >= 0 and
+    max_iters is an integer >= 0.
     """
+    _check_stopping("tol", tol, max_iters)
     alpha_star, beta_star, _ = certified_rate(p, None)
     X = _start_iterate(p, x0)
     hist = _History(trace)

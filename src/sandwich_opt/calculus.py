@@ -78,8 +78,9 @@ def hessian_operator(A, X, t) -> HessianOperator:
 def hessian_apply(op: HessianOperator, Y):
     """Apply -grad^2 f(X) to a Hermitian direction Y: t W* [K o (W Y W*)] W.
 
-    Y is validated by ``as_hermitian``: this is the public entry point, and
-    also the matvec of the Lanczos path of ``hessian_extreme_eigs``.
+    Y is validated by ``as_hermitian``: this is the public entry point.
+    ``hessian_extreme_eigs`` does not call it; it reads the spectrum from the
+    twin operator (see there).
     """
     W, Wh = op.W, op.W.conj().T
     return symmetrize(op.t * Wh @ (op.kernel * (W @ as_hermitian(Y) @ Wh)) @ W)
@@ -95,12 +96,56 @@ def hessian_operator_matrix(op: HessianOperator):
     permutation of vec. The complex form t C* diag(vec K) C on vec(Y) has
     the same spectrum, but its complex product and eigensolver ran 10-30x
     slower than the real ones in some processes on a 2-vCPU host with
-    threaded OpenBLAS.
+    threaded OpenBLAS. ``hessian_extreme_eigs`` does not form this matrix:
+    it reads the same spectrum from the cheaper twin operator.
     """
     n = op.n
     C = np.kron(op.W, op.W.conj())
     G = C.real + C.imag[:, np.arange(n * n).reshape(n, n).T.ravel()]
     return op.t * (G.T * op.kernel.ravel()) @ G
+
+
+# -grad^2 f(X) = t C* D_K C with C(Y) = W Y W* and D_K(Z) = K o Z, K >= 0
+# entrywise. With S = sqrt(K) it is t (D_S C)* (D_S C), so it has the
+# spectrum of its twin T(Z) = t (D_S C)(D_S C)*(Z) = t S o (B (S o Z) B),
+# B = W W* = V* A'' V: W is invertible and K > 0, so both are of full rank.
+# In the coordinates of hessian_operator_matrix, T has the matrix
+# t (s s^T) o [Re(B (x) conj B) + Im(B (x) conj B) P], s = vec S: entry
+# ((i, j), (k, l)) is t s_ij s_kl [Re(B_ik conj B_jl) + Im(B_il conj B_jk)],
+# formed in O(n^4) from one elementwise product, with no n^2 x n^2 product.
+
+
+def _twin_factors(op: HessianOperator):
+    """(B, S): the Hermitian part of B = W W*, and S = sqrt(K)."""
+    return symmetrize(op.W @ op.W.conj().T), np.sqrt(op.kernel)
+
+
+def _twin_matrix(op: HessianOperator):
+    """The n^2 x n^2 real matrix of the twin T, symmetric up to rounding.
+
+    Its spectrum is that of -grad^2 f(X); eigvalsh reads one triangle.
+    """
+    n = op.n
+    B, S = _twin_factors(op)
+    E = B[:, None, :, None] * B.conj()[None, :, None, :]  # (i, j, k, l): B_ik conj B_jl
+    M = E.real + E.imag.transpose(0, 1, 3, 2)
+    M *= op.t * S[:, :, None, None]
+    M *= S
+    return M.reshape(n * n, n * n)
+
+
+def _twin_matvec(op: HessianOperator):
+    """x -> T x on the coordinates vec(Re Z + Im Z): two n x n products, no validation."""
+    n = op.n
+    B, S = _twin_factors(op)
+    tS = op.t * S
+
+    def matvec(x):
+        Z = x.reshape(n, n)
+        U = B @ (S * ((Z + Z.T) / 2 + 0.5j * (Z - Z.T))) @ B
+        return (tS * (U.real + U.imag)).ravel()
+
+    return matvec
 
 
 # Lanczos stops once both extreme Ritz residuals are at most this, relative
@@ -129,23 +174,18 @@ def _ritz_bottom(alpha, beta, theta, sign):
     return float(np.exp(logs[-1]) / np.sqrt(np.sum(np.exp(2.0 * logs))))
 
 
-def _lanczos_extreme(op: HessianOperator):
-    # Lanczos with full reorthogonalization on the real coordinates
-    # vec(Re Y + Im Y) of hessian_operator_matrix, with hessian_apply as the
-    # matvec: two classical Gram-Schmidt passes against the whole basis also
-    # remove the alpha_k q_k and beta_{k-1} q_{k-1} terms. The residual of a
-    # Ritz pair (theta, s) of T_k is beta_k |s[-1]|; beta_k = 0 (an invariant
+def _lanczos_extreme(matvec, n):
+    # Lanczos with full reorthogonalization for the extreme eigenvalues of a
+    # real symmetric operator on R^{n^2}, given by its matvec; the start is
+    # the coordinate vector vec(Re Y + Im Y) of a seeded Hermitian n x n Y.
+    # Two classical Gram-Schmidt passes against the whole basis also remove
+    # the alpha_k q_k and beta_{k-1} q_{k-1} terms. The residual of a Ritz
+    # pair (theta, s) of T_k is beta_k |s[-1]|; beta_k = 0 (an invariant
     # Krylov space) zeroes it. T_k is checked after step 4 and then after
     # max(4, k // 4) more steps, since its eigvalsh costs more than a matvec.
     # The basis grows by doubling.
-    n = op.n
     dim = n * n
     rtol = LANCZOS_RTOL
-
-    def matvec(x):
-        Z = x.reshape(n, n)
-        HY = hessian_apply(op, (Z + Z.T) / 2 + 0.5j * (Z - Z.T))
-        return (HY.real + HY.imag).ravel()
 
     Y0 = random_hermitian(n, seed=0x5EED)
     q = (Y0.real + Y0.imag).ravel()
@@ -183,28 +223,31 @@ def _lanczos_extreme(op: HessianOperator):
 
 
 # hessian_extreme_eigs takes the dense spectrum up to this n and Lanczos
-# beyond: the measured crossover. On random_spd inputs at t in {0.3, 0.5,
-# 0.7}, dense was faster at every t up to n = 19 (13-14 ms against 20-21 ms
-# there), tied at n = 20 (17 ms each) and lost from n = 24 on (38-39 ms
-# against 22-26 ms), on a 2-vCPU Xeon with 2-thread OpenBLAS.
-DENSE_MAX_N = 19
+# beyond: the measured crossover of tools/hessian_crossover.py (twin matrix
+# against Lanczos on the twin matvec, random_spd inputs on [1, 4], t in
+# {0.3, 0.5, 0.7}). Dense was faster at every t up to n = 20 (9-11 ms
+# against 10-13 ms there) and lost from n = 24 on (22-25 ms against 13-21
+# ms), on a 2-vCPU Xeon with numpy 2.4.6 and 2-thread OpenBLAS 0.3.31.
+DENSE_MAX_N = 20
 
 
 def hessian_extreme_eigs(op: HessianOperator):
     """Extreme eigenvalues (lam_min, lam_max) of -grad^2 f(X) as an operator.
 
-    Dense: eigvalsh of the n^2 x n^2 hessian_operator_matrix for
-    n <= DENSE_MAX_N = 19, the measured size up to which it is faster than
-    Lanczos. Beyond, Lanczos with full reorthogonalization on hessian_apply,
-    stopped when both extreme Ritz residuals are at most LANCZOS_RTOL times
-    the largest Ritz value; at most n^2 steps, and ``NumericalError`` if it
-    stops unconverged. Ritz values lie inside the spectrum, so neither value
-    overstates the true extreme.
+    Both paths read the twin T(Z) = t S o (B (S o Z) B), S = sqrt(K),
+    B = W W*, which has the spectrum of -grad^2 f(X) = t W* [K o (W . W*)] W.
+    Dense: eigvalsh of T's n^2 x n^2 matrix, formed entrywise in O(n^4), for
+    n <= DENSE_MAX_N, the measured size up to which it is faster than
+    Lanczos. Beyond, Lanczos with full reorthogonalization on T's matvec (two
+    n x n products), stopped when both extreme Ritz residuals are at most
+    LANCZOS_RTOL times the largest Ritz value; at most n^2 steps, and
+    ``NumericalError`` if it stops unconverged. Ritz values lie inside the
+    spectrum, so neither value overstates the true extreme.
     """
     if op.n <= DENSE_MAX_N:
-        w = np.linalg.eigvalsh(hessian_operator_matrix(op))
+        w = np.linalg.eigvalsh(_twin_matrix(op))
         return float(w[0]), float(w[-1])
-    return _lanczos_extreme(op)
+    return _lanczos_extreme(_twin_matvec(op), op.n)
 
 
 @dataclass(frozen=True)

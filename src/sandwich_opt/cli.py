@@ -102,8 +102,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser(
         "hess-bounds",
-        help=f"extreme eigenvalues of -grad^2 f(X): dense for n <= {DENSE_MAX_N}, where it "
-        "is measured faster, Lanczos beyond (NumericalError, exit 2, if unconverged)",
+        help="extreme eigenvalues of -grad^2 f(X), read from a twin operator with the "
+        f"same spectrum: dense for n <= {DENSE_MAX_N}, where it is measured faster, "
+        "Lanczos beyond (NumericalError, exit 2, if unconverged)",
     )
     sp.add_argument("--a", required=True)
     sp.add_argument("--x", required=True)
@@ -248,6 +249,8 @@ def _cmd_verify(args):
 
 
 def _cmd_gen(args):
+    if args.count < 0:
+        raise InvalidInput(f"--count must be >= 0, got {args.count}")
     os.makedirs(args.out, exist_ok=True)
     for k in range(args.count):
         M = random_spd(args.n, args.alpha, args.beta, derive_seed(args.seed, "gen", k))

@@ -312,7 +312,11 @@ def minimize_representation(A, B, t, rep, x0=None, max_iters=5000, grad_rtol=1e-
     Starts at the iii/iv minimizer, projects onto a generous spectral box
     around the start, and backtracks the step size on non-descent. The step
     is seeded from a finite-difference smoothness estimate. A and B are
-    decomposed once per call. Returns the final iterate and objective value.
+    decomposed once per call. Returns (X, value, termination): the final
+    iterate, its objective value and why the descent stopped, "gradient_tol"
+    when the gradient norm reached grad_rtol (1 + |value|), "max_iters" at
+    the iteration cap, and "no_descent" when 60 halvings of the step found
+    no point that does not increase the objective.
     """
     if rep not in ("i", "ii"):
         raise InvalidInput(f"local minimization supports reps i/ii, got {rep!r}")
@@ -337,23 +341,21 @@ def minimize_representation(A, B, t, rep, x0=None, max_iters=5000, grad_rtol=1e-
     lips = np.linalg.norm(Gp - G) / (h * np.linalg.norm(D))
     eta = 1.0 / max(lips, 1e-8)
 
-    for _ in range(max_iters):
-        gn = np.linalg.norm(G)
-        if gn <= grad_rtol * (1.0 + abs(val)):
-            break
-        accepted = False
+    for k in range(max_iters + 1):
+        if np.linalg.norm(G) <= grad_rtol * (1.0 + abs(val)):
+            return X, val, "gradient_tol"
+        if k == max_iters:
+            return X, val, "max_iters"
         for _ in range(60):
             Xn = project_box(X - eta * G, lo, hi)
             val_n = value(Xn)
             if val_n <= val + 1e-14 * (1.0 + abs(val)):
-                accepted = True
                 break
             eta /= 2.0
-        if not accepted:
-            break
+        else:
+            return X, val, "no_descent"
         X, val = Xn, val_n
         G = gradient(X)
-    return X, val
 
 
 LOG_MAJOR_LINKS = (

@@ -218,6 +218,20 @@ def test_gradient_projection_max_iters_termination():
     assert all(np.isfinite(g) for g in rep.grad_norms)
 
 
+@pytest.mark.parametrize("solver,field", [(solve_gradient_projection, "grad_tol"),
+                                          (solve_fixed_point, "tol")])
+@pytest.mark.parametrize("name,value", [
+    ("tol", float("nan")), ("tol", -1.0), ("tol", float("inf")), ("tol", "1e-8"),
+    ("max_iters", -3), ("max_iters", 2.5),
+])
+def test_solvers_reject_bad_stopping_parameters(solver, field, name, value):
+    # a NaN or negative tolerance is never met: the run went on to the
+    # iteration cap, and max_iters = -3 returned after 0 steps as "max_iters"
+    name = field if name == "tol" else name
+    with pytest.raises(InvalidInput, match=name):
+        solver(random_problem(14), **{name: value})
+
+
 def test_fixed_point_single_marginal():
     A = random_spd(4, 1.0, 3.0, 13)
     p = barycenter_problem([A], [1.0], 0.5)

@@ -175,12 +175,16 @@ def test_hessian_extreme_eigs_within_certified_bounds():
         assert hi / lo <= c.cond_bound * (1.0 + 1e-8)
 
 
+def _lanczos(op):
+    return calculus._lanczos_extreme(calculus._twin_matvec(op), op.n)
+
+
 def test_hessian_extreme_eigs_lanczos_path():
     # Lanczos against the dense spectrum of the same operator, at sizes that
-    # hessian_extreme_eigs sends dense; the size above the switch goes
+    # hessian_extreme_eigs sends dense; the sizes above the switch go
     # through hessian_extreme_eigs, which runs Lanczos there
-    cases = [(9, calculus._lanczos_extreme), (16, calculus._lanczos_extreme),
-             (calculus.DENSE_MAX_N + 1, hessian_extreme_eigs)]
+    cases = [(9, _lanczos), (16, _lanczos), (calculus.DENSE_MAX_N, _lanczos),
+             (calculus.DENSE_MAX_N + 1, hessian_extreme_eigs), (24, hessian_extreme_eigs)]
     for n, extreme in cases:
         A = random_spd(n, 1.0, 4.0, 20 + n)
         X = random_spd(n, 1.0, 4.0, 40 + n)
@@ -198,12 +202,14 @@ def test_hessian_extreme_eigs_lanczos_path():
 
 @pytest.mark.parametrize("n", [calculus.DENSE_MAX_N, calculus.DENSE_MAX_N + 1])
 def test_hessian_extreme_eigs_switches_to_lanczos_above_dense_max_n(n, monkeypatch):
-    # dense (one eigvalsh, no matvec) up to DENSE_MAX_N, Lanczos above; the
-    # two agree on both sides of the switch
+    # dense (one eigvalsh of the twin matrix, no matvec) up to DENSE_MAX_N,
+    # Lanczos on the twin matvec above; hessian_apply serves neither. The two
+    # agree with the operator matrix's spectrum on both sides of the switch
     op = hessian_operator(random_spd(n, 1.0, 4.0, 60 + n), random_spd(n, 1.0, 4.0, 80 + n), 0.5)
     w = np.linalg.eigvalsh(hessian_operator_matrix(op))
-    lanczos = calculus._lanczos_extreme(op)
-    calls = {"hessian_apply": 0, "eigvalsh": 0}
+    w_twin = np.linalg.eigvalsh(calculus._twin_matrix(op))
+    lanczos = _lanczos(op)
+    calls = {"hessian_apply": 0, "twin_matvec": 0, "eigvalsh": 0}
 
     def counted(fn, name):
         def wrapper(*args, **kwargs):
@@ -211,17 +217,44 @@ def test_hessian_extreme_eigs_switches_to_lanczos_above_dense_max_n(n, monkeypat
             return fn(*args, **kwargs)
         return wrapper
 
+    twin_matvec = calculus._twin_matvec
+    monkeypatch.setattr(calculus, "_twin_matvec", lambda op: counted(twin_matvec(op), "twin_matvec"))
     monkeypatch.setattr(calculus, "hessian_apply", counted(calculus.hessian_apply, "hessian_apply"))
     monkeypatch.setattr(np.linalg, "eigvalsh", counted(np.linalg.eigvalsh, "eigvalsh"))
     lo, hi = hessian_extreme_eigs(op)
+    assert calls["hessian_apply"] == 0
     if n <= calculus.DENSE_MAX_N:
-        assert calls == {"hessian_apply": 0, "eigvalsh": 1}
-        assert (lo, hi) == (float(w[0]), float(w[-1]))
+        assert calls == {"hessian_apply": 0, "twin_matvec": 0, "eigvalsh": 1}
+        assert (lo, hi) == (float(w_twin[0]), float(w_twin[-1]))
     else:
-        assert calls["hessian_apply"] > 0
+        assert calls["twin_matvec"] > 0
         assert (lo, hi) == lanczos
-    assert abs(lanczos[0] - w[0]) <= 1e-12 * w[-1]
-    assert abs(lanczos[1] - w[-1]) <= 1e-12 * w[-1]
+    for values in (w_twin[[0, -1]], lanczos):
+        assert abs(values[0] - w[0]) <= 1e-12 * w[-1]
+        assert abs(values[1] - w[-1]) <= 1e-12 * w[-1]
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(
+    n=st.integers(1, 8),
+    t=st.floats(0.1, 0.9),
+    real=st.booleans(),
+    seed=st.integers(0, 2**32 - 2),
+)
+def test_twin_has_the_hessian_spectrum(n, t, real, seed):
+    # t S o (B (S o Z) B) with S = sqrt(K), B = W W*, against the closed-form
+    # matrix of t W* [K o (W Y W*)] W: the whole spectrum, and the matvec
+    # against the twin's matrix
+    A = random_spd(n, 1.0, 4.0, seed)
+    X = random_spd(n, 1.0, 4.0, seed + 1)
+    if real:
+        A, X = A.real, X.real
+    op = hessian_operator(A, X, t)
+    w = np.linalg.eigvalsh(hessian_operator_matrix(op))
+    M = calculus._twin_matrix(op)
+    assert np.max(np.abs(np.linalg.eigvalsh(M) - w)) <= 1e-13 * w[-1]
+    x = random_hermitian(n, seed).real.ravel()
+    assert np.linalg.norm(calculus._twin_matvec(op)(x) - M @ x) <= 1e-13 * w[-1] * np.linalg.norm(x)
 
 
 def test_ritz_bottom_matches_eigh_eigenvectors():
@@ -255,7 +288,7 @@ def test_hessian_extreme_eigs_unconverged_lanczos_raises(monkeypatch):
     op = hessian_operator(random_spd(9, 1.0, 4.0, 29), random_spd(9, 1.0, 4.0, 49), 0.5)
     monkeypatch.setattr(calculus, "LANCZOS_RTOL", 0.0)
     with pytest.raises(NumericalError, match="did not converge in 81 steps"):
-        calculus._lanczos_extreme(op)
+        _lanczos(op)
 
 
 # t stops at 0.1 from below: A''^{1/2} X A''^{1/2} spans 4^{1/t} and its small
@@ -272,7 +305,7 @@ def test_hessian_extreme_eigs_lanczos_matches_dense(n, t, seed):
     A = random_spd(n, 1.0, 4.0, seed)
     X = random_spd(n, 1.0, 4.0, seed + 1)
     op = hessian_operator(A, X, t)
-    lo, hi = calculus._lanczos_extreme(op)
+    lo, hi = _lanczos(op)
     w = np.linalg.eigvalsh(hessian_operator_matrix(op))
     assert abs(lo - w[0]) <= 1e-12 * w[-1]
     assert abs(hi - w[-1]) <= 1e-12 * w[-1]
@@ -330,6 +363,45 @@ def test_hessian_lipschitz_under_third_derivative_bound():
         MY = hessian_operator_matrix(hessian_operator(A, Y, t))
         lhs = np.max(np.abs(np.linalg.eigvalsh(MX - MY)))
         assert lhs <= bound * np.linalg.norm(X - Y) * (1.0 + 1e-8)
+
+
+def _hessian_lipschitz_ratio(A, X, Y, t, alpha, beta):
+    """||grad^2 f(X) - grad^2 f(Y)||_op / (third_derivative_bound ||X - Y||_F)."""
+    MX = hessian_operator_matrix(hessian_operator(A, X, t))
+    MY = hessian_operator_matrix(hessian_operator(A, Y, t))
+    lhs = np.max(np.abs(np.linalg.eigvalsh(MX - MY)))
+    return lhs / (third_derivative_bound(t, alpha, beta) * np.linalg.norm(X - Y))
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(
+    n=st.integers(1, 8),
+    t=st.floats(0.1, 0.9),
+    real=st.booleans(),
+    step=st.floats(1e-3, 1.0),
+    seed=st.integers(0, 2**32 - 3),
+)
+def test_hessian_lipschitz_property(n, t, real, step, seed):
+    # Y on the segment from X towards a third point of the box, so near and
+    # far pairs are both drawn
+    alpha, beta = 1.0, 4.0
+    A, X, Z = (random_spd(n, alpha, beta, seed + k) for k in range(3))
+    if real:
+        A, X, Z = A.real, X.real, Z.real
+    Y = X + step * (Z - X)
+    assert _hessian_lipschitz_ratio(A, X, Y, t, alpha, beta) <= 1.0 + 1e-8
+
+
+@pytest.mark.parametrize("t", [0.1, 0.3, 0.5, 0.7, 0.9])
+def test_third_derivative_bound_attained_at_commuting_extreme(t):
+    # n = 1, A = beta, X = alpha: the third derivative of f(x) = beta^{1-t} x^t
+    # has its largest modulus t(1-t)(2-t) beta^{1-t} alpha^{t-3}, the bound,
+    # at x = alpha, so the ratio tends to 1 from below as Y -> X
+    alpha, beta = 1.0, 4.0
+    A, X = np.array([[beta]]), np.array([[alpha]])
+    for h in (1e-1, 1e-3, 1e-5):
+        ratio = _hessian_lipschitz_ratio(A, X, X + h, t, alpha, beta)
+        assert 1.0 - 3.0 * h <= ratio <= 1.0 + 1e-8
 
 
 def test_bregman_examples():

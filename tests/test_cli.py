@@ -228,6 +228,18 @@ def test_barycenter_unconverged_exits_1_and_writes_report(tmp_path, solver):
     assert np.all(np.isfinite(matrix_from_json(report["minimizer"])))
 
 
+@pytest.mark.parametrize("solver", ["gp", "fp"])
+@pytest.mark.parametrize("flag,value,named", [
+    ("--tol", "nan", "tol"), ("--tol", "-1", "tol"), ("--max-iters", "-1", "max_iters"),
+])
+def test_barycenter_bad_stopping_parameters_exit_2(tmp_path, solver, flag, value, named):
+    A = random_spd(2, 1.0, 2.0, 84)
+    path = write_problem(tmp_path, [A], [1.0], 0.5)
+    res = run_cli("barycenter", "--problem", str(path), "--solver", solver, flag, value)
+    assert res.returncode == 2
+    assert res.stderr.startswith("error:") and named in res.stderr
+
+
 def test_barycenter_eta_with_fp_is_usage_error(tmp_path):
     A = random_spd(2, 1.0, 2.0, 82)
     path = write_problem(tmp_path, [A], [1.0], 0.5)
@@ -300,6 +312,15 @@ def test_gen_writes_deterministic_spd_files(tmp_path):
         M = matrix_from_json(json.loads(f1.read_text()))
         w = spectral_decompose(M).eigenvalues
         assert w[-1] >= 1.0 - 1e-12 and w[0] <= 4.0 + 1e-12
+
+
+def test_gen_negative_count_is_usage_error(tmp_path):
+    out = tmp_path / "gen"
+    res = run_cli("gen", "--n", "4", "--count", "-2", "--alpha", "1", "--beta", "4",
+                  "--seed", "7", "--out", str(out))
+    assert res.returncode == 2
+    assert "--count" in res.stderr
+    assert not out.exists()
 
 
 def test_malformed_json_is_input_error(tmp_path):

@@ -233,11 +233,37 @@ def test_minimize_representation_reaches_fidelity():
         t = (0.3, 0.5, 0.7)[seed]
         F = fidelity(A, B, t)
         for rep in ("i", "ii"):
-            _, val = minimize_representation(A, B, t, rep)
+            _, val, termination = minimize_representation(A, B, t, rep)
+            assert termination == "gradient_tol", (seed, rep)
             assert val >= F * (1 - 1e-9)
             assert val <= F * (1 + 1e-6), (seed, rep)
     with pytest.raises(InvalidInput):
         minimize_representation(A, B, 0.5, "iii")
+
+
+@pytest.mark.parametrize("rep", ["i", "ii"])
+def test_minimize_representation_reports_why_it_stopped(monkeypatch, rep):
+    A = random_spd(3, 1.0, 3.0, 45)
+    B = random_spd(3, 1.0, 3.0, 46)
+    X0 = random_spd(3, 1.0, 3.0, 47)
+    start = variational_value(A, B, 0.4, X0, rep)
+    X, val, termination = minimize_representation(A, B, 0.4, rep, x0=X0, max_iters=2)
+    assert termination == "max_iters"
+    assert val < start
+    # an objective that grows on every evaluation admits no descent step: the
+    # start comes back, flagged, after 60 halvings of the step
+    values = inequalities._variational_values
+    evaluations = []
+
+    def growing(*args):
+        evaluations.append(1)
+        return {r: v + len(evaluations) for r, v in values(*args).items()}
+
+    monkeypatch.setattr(inequalities, "_variational_values", growing)
+    X, val, termination = minimize_representation(A, B, 0.4, rep, x0=X0)
+    assert termination == "no_descent"
+    assert np.array_equal(X, X0) and val == start + 1
+    assert len(evaluations) == 1 + 60
 
 
 # ------------------------------------------------------------------ log chains
@@ -639,7 +665,7 @@ def test_minimize_representation_decomposes_a_and_b_once(monkeypatch, rep):
 
         monkeypatch.setattr(inequalities, name, counted)
     calls = _count_decompositions(monkeypatch)
-    minimize_representation(A, B, 0.4, rep, max_iters=25)
+    assert minimize_representation(A, B, 0.4, rep, max_iters=25)[2] == "max_iters"
     assert steps["gradient"] >= 3
     assert calls["eigh"] == 4 + steps["project"] + 2 * steps["gradient"]
     per_gradient = 1 if rep == "ii" else 0
