@@ -200,7 +200,7 @@ def test_hessian_extreme_eigs_lanczos_path():
             assert extreme(op) == (lo, hi)
 
 
-@pytest.mark.parametrize("n", [calculus.DENSE_MAX_N, calculus.DENSE_MAX_N + 1])
+@pytest.mark.parametrize("n", [calculus.DENSE_MAX_N - 1, calculus.DENSE_MAX_N, calculus.DENSE_MAX_N + 1])
 def test_hessian_extreme_eigs_switches_to_lanczos_above_dense_max_n(n, monkeypatch):
     # dense (one eigvalsh of the twin matrix, no matvec) up to DENSE_MAX_N,
     # Lanczos on the twin matvec above; hessian_apply serves neither. The two
