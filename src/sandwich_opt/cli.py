@@ -27,7 +27,7 @@ from .calculus import (
 from .entropy import compute_divergence, fidelity, geometric_mean
 from .errors import InvalidInput, SandwichOptError
 from .inequalities import SUITES, run_suite
-from .linalg import as_spd, derive_seed, random_spd
+from .linalg import as_spd, check_box, derive_seed, random_spd
 from .serialization import (
     canonical_json,
     format_float,
@@ -251,6 +251,9 @@ def _cmd_verify(args):
 def _cmd_gen(args):
     if args.count < 0:
         raise InvalidInput(f"--count must be >= 0, got {args.count}")
+    if args.n < 1:
+        raise InvalidInput(f"--n must be >= 1, got {args.n}")
+    check_box(args.alpha, args.beta)
     os.makedirs(args.out, exist_ok=True)
     for k in range(args.count):
         M = random_spd(args.n, args.alpha, args.beta, derive_seed(args.seed, "gen", k))

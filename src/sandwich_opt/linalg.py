@@ -14,6 +14,7 @@ import hashlib
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .errors import DomainError, InvalidBox, InvalidInput, NumericalError
 
@@ -334,12 +335,85 @@ def project_box(H, alpha, beta):
     return dec.apply(np.clip(dec.eigenvalues, alpha, beta))
 
 
+def _hash_constants(init, mult, count):
+    """The hash constant before each of ``count`` hashmix calls, and after the last."""
+    consts = [init]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & 0xFFFFFFFF)
+    return np.array(consts, dtype=np.uint32)
+
+
+# The constants of numpy's SeedSequence (bit_generator.pyx; its streams are
+# stable across numpy versions, NEP 19). With at most four entropy words a
+# seed takes a fixed sequence of hashmix calls: 4 to fill the pool of four
+# uint32 words and 12 to mix it (INIT_A, MULT_A), then 8 to draw 4 uint64
+# state words from it (INIT_B, MULT_B).
+_HASH_A = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
+_HASH_B = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
+
+
+def _hashmix(v, call, consts):
+    v = (v ^ consts[call]) * consts[call + 1]
+    return v ^ (v >> np.uint32(16))
+
+
+def _mix(x, y):
+    r = x * np.uint32(0xCA01F9DD) - y * np.uint32(0x4973F715)  # MIX_MULT_L, MIX_MULT_R
+    return r ^ (r >> np.uint32(16))
+
+
+def _check_seed(seed):
+    """The seed as an int; ``InvalidInput`` unless an integer (not a bool) in [0, 2**128)."""
+    if isinstance(seed, (int, np.integer)) and not isinstance(seed, bool) and 0 <= int(seed) < 2**128:
+        return int(seed)
+    raise InvalidInput(f"seed must be an integer in [0, 2**128), got {seed!r}")
+
+
+def _seed_words(seeds):
+    """(k, 4) uint64: row i is ``generate_state(4, np.uint64)`` of the SeedSequence of seeds[i].
+
+    SeedSequence's hashmix and mix steps run once on uint32 lanes holding
+    every seed. Each seed is split into four little-endian 32-bit words; a
+    zero word hashes like SeedSequence's padding of a shorter entropy, so all
+    of [0, 2**128) takes this one path.
+    """
+    seeds = [_check_seed(s) for s in seeds]
+    halves = np.array([(s & 0xFFFFFFFFFFFFFFFF, s >> 64) for s in seeds], dtype="<u8").reshape(-1, 2)
+    entropy = halves.view("<u4").astype(np.uint32)
+    pool = [_hashmix(entropy[:, i], i, _HASH_A) for i in range(4)]
+    call = 4
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], call, _HASH_A))
+                call += 1
+    state = np.stack([_hashmix(pool[i % 4], i, _HASH_B) for i in range(8)], axis=1)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+class _SeedWords(ISeedSequence):
+    """Seed sequence that hands PCG64 its precomputed state words."""
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _generators(seeds):
+    """One PCG64 ``Generator`` per seed, each drawing as numpy's default generator of that seed."""
+    return [np.random.Generator(np.random.PCG64(_SeedWords(w))) for w in _seed_words(seeds)]
+
+
 def random_spd(n, alpha, beta, seed):
     """Seeded random SPD matrix with eigenvalues uniform in [alpha, beta].
 
     Eigenvectors come from the QR factor of a complex Gaussian matrix with a
-    sign-fixed R diagonal; identical seeds give identical matrices. This is
-    ``random_spd_stack`` on a stack of one seed.
+    sign-fixed R diagonal; identical seeds give identical matrices. The seed
+    is an integer in [0, 2**128) (``InvalidInput`` otherwise, also for
+    ``None``); it draws as numpy's default generator of that seed. This
+    is ``random_spd_stack`` on a stack of one seed.
     """
     return random_spd_stack(n, alpha, beta, [seed])[0]
 
@@ -347,20 +421,23 @@ def random_spd(n, alpha, beta, seed):
 def random_spd_stack(n, alpha, beta, seeds):
     """``random_spd`` for every seed of a sequence, stacked (k, n, n).
 
-    Only the uniform and Gaussian draws run per seed; the QR factorization,
-    the gauge fix and the recombination run once on the stack. Entry i equals
-    ``random_spd(n, alpha, beta, seeds[i])``.
+    The PCG64 state words of all seeds come from one vectorized SeedSequence
+    pass, and only the uniform and Gaussian draws run per seed; the QR
+    factorization, the gauge fix and the recombination run once on the
+    stack. Entry i equals ``random_spd(n, alpha, beta, seeds[i])``, and an
+    empty sequence gives an empty (0, n, n) stack.
     """
     if n < 1:
         raise InvalidInput(f"dimension must be >= 1, got {n}")
     check_box(alpha, beta)
-    k = len(seeds)
-    lam = np.empty((k, n))
-    G = np.empty((k, 2, n, n))  # real, then imaginary parts of the Gaussian matrix
-    for i, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
-        lam[i] = rng.uniform(alpha, beta, size=n)
-        rng.standard_normal(out=G[i])
+    rngs = _generators(seeds)
+    u = np.empty((len(rngs), n))
+    G = np.empty((len(rngs), 2, n, n))  # real, then imaginary parts of the Gaussian matrix
+    for rng, u_i, G_i in zip(rngs, u, G):
+        rng.random(out=u_i)
+        rng.standard_normal(out=G_i)
+    # Generator.uniform's arithmetic, without its per-call overhead
+    lam = float(alpha) + (float(beta) - float(alpha)) * u
     Q, R = np.linalg.qr(G[:, 0] + 1j * G[:, 1])
     # Fix the gauge by forcing the R diagonal positive; keeps draws seed-stable.
     d = np.diagonal(R, axis1=-2, axis2=-1)
@@ -369,10 +446,15 @@ def random_spd_stack(n, alpha, beta, seeds):
 
 
 def random_hermitian(n, seed, scale=1.0):
-    """Seeded random Hermitian matrix with Gaussian entries."""
+    """Seeded random Hermitian matrix with Gaussian entries.
+
+    The seed is an integer in [0, 2**128) (``InvalidInput`` otherwise, also
+    for ``None``); identical seeds give identical matrices, drawn as numpy's
+    default generator of that seed draws them.
+    """
     if n < 1:
         raise InvalidInput(f"dimension must be >= 1, got {n}")
-    rng = np.random.default_rng(seed)
+    (rng,) = _generators([seed])
     H = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return symmetrize(scale * H)
 

@@ -270,6 +270,13 @@ def random_spd_oracle(n, alpha, beta, seed):
     return symmetrize((U * lam) @ U.conj().T)
 
 
+def random_hermitian_oracle(n, seed, scale=1.0):
+    """One seeded Hermitian draw with Gaussian entries, real parts first."""
+    rng = np.random.default_rng(seed)
+    H = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return symmetrize(scale * H)
+
+
 def _pair(n, seed, label, lo=0.5, hi=2.0):
     return (random_spd_oracle(n, lo, hi, derive_seed(seed, label, "a")),
             random_spd_oracle(n, lo, hi, derive_seed(seed, label, "b")))

@@ -419,3 +419,13 @@ def test_main_reuses_one_parser_across_calls(tmp_path, monkeypatch, capsys):
         assert first > 0 and len(built) == first
     finally:
         cli.build_parser.cache_clear()
+
+
+@pytest.mark.parametrize("bad, flag", [(("--n", "0", "--alpha", "1", "--beta", "4"), "--n"),
+                                       (("--n", "4", "--alpha", "2", "--beta", "1"), "box")])
+def test_gen_bad_dimension_or_box_creates_no_directory(tmp_path, bad, flag):
+    out = tmp_path / "gen"
+    res = run_cli("gen", *bad, "--count", "2", "--seed", "7", "--out", str(out))
+    assert res.returncode == 2
+    assert flag in res.stderr
+    assert not out.exists()

@@ -23,14 +23,15 @@ from sandwich_opt import (
     random_hermitian,
     random_spd,
     random_spd_stack,
+    run_suite,
     schatten_norm,
     spectral_decompose,
     stack_decompose,
     symmetrize,
 )
-from sandwich_opt.linalg import EQUAL_EIG_RTOL
+from sandwich_opt.linalg import EQUAL_EIG_RTOL, _seed_words
 
-from oracles import jacobi_eigh, random_spd_oracle
+from oracles import jacobi_eigh, random_hermitian_oracle, random_spd_oracle
 
 
 def test_spectral_decompose_identity():
@@ -366,3 +367,64 @@ def test_random_spd_stack_equals_per_seed_draws(n):
     for M, seed in zip(stack, seeds):
         assert np.array_equal(M, random_spd_oracle(n, 0.25, 4.0, seed))
         assert np.array_equal(M, random_spd(n, 0.25, 4.0, seed))
+
+
+# ------------------------------------------------------------- seeded draws
+
+SEED_EDGES = [0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**64 - 1, 2**64, 2**128 - 1]
+
+
+def test_seed_words_equal_numpy_seed_sequence():
+    seeds = SEED_EDGES + [derive_seed(46, i) for i in range(3000)]
+    words = _seed_words(seeds)
+    assert words.dtype == np.uint64 and words.shape == (len(seeds), 4)
+    for w, seed in zip(words, seeds):
+        assert np.array_equal(w, np.random.SeedSequence(seed).generate_state(4, np.uint64))
+    assert _seed_words([]).shape == (0, 4)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    box=st.sampled_from([(1.0, 1.0), (0.25, 4.0)]),
+    seeds=st.lists(st.integers(0, 2**128 - 1), min_size=0, max_size=12),
+)
+def test_random_spd_stack_property_against_per_seed_oracle(n, box, seeds):
+    stack = random_spd_stack(n, *box, seeds)
+    assert stack.shape == (len(seeds), n, n)
+    for M, seed in zip(stack, seeds):
+        assert np.array_equal(M, random_spd_oracle(n, *box, seed))
+
+
+@pytest.mark.parametrize("n", [1, 3, 16])
+def test_random_hermitian_equals_per_seed_oracle(n):
+    for seed in SEED_EDGES + [derive_seed(47, n, i) for i in range(20)]:
+        assert np.array_equal(random_hermitian(n, seed, scale=2.5),
+                              random_hermitian_oracle(n, seed, scale=2.5))
+
+
+@pytest.mark.parametrize("seed", [None, True, False, -1, 2**128, 1.0, 3.5, "7", np.float64(2.0)])
+def test_seed_outside_domain_is_invalid_input(seed):
+    for draw in (lambda: random_spd(3, 1.0, 2.0, seed),
+                 lambda: random_spd_stack(3, 1.0, 2.0, [5, seed]),
+                 lambda: random_hermitian(3, seed)):
+        with pytest.raises(InvalidInput, match="seed"):
+            draw()
+
+
+def test_numpy_integer_seed_draws_as_int():
+    assert np.array_equal(random_spd(3, 1.0, 2.0, np.uint64(2**64 - 1)), random_spd(3, 1.0, 2.0, 2**64 - 1))
+    assert np.array_equal(random_hermitian(3, np.int32(9)), random_hermitian(3, 9))
+
+
+def test_seeded_draws_never_build_a_seed_sequence(monkeypatch):
+    # the package computes the PCG64 seed words itself: neither numpy seeding entry point runs
+    def tripwire(*args, **kwargs):
+        raise AssertionError("numpy seeding called")
+
+    expected = random_spd_stack(4, 0.5, 2.0, [3, 2**100])
+    report = run_suite("trace-chain", n=3, trials=5, seed=11)
+    monkeypatch.setattr(np.random, "default_rng", tripwire)
+    monkeypatch.setattr(np.random, "SeedSequence", tripwire)
+    assert np.array_equal(random_spd_stack(4, 0.5, 2.0, [3, 2**100]), expected)
+    assert run_suite("trace-chain", n=3, trials=5, seed=11) == report
