@@ -187,7 +187,22 @@ def geometric_mean(A, B, t):
 
 
 def _geometric_mean(decA, B, t):
-    """geometric_mean from the decomposition of A (or of a stack, with B a stack)."""
+    """geometric_mean from the decomposition of A (or of a stack, with B a stack).
+
+    The one formula of A #_t B, in two steps: ``_whiten`` decomposes
+    A^{-1/2} B A^{-1/2}, which does not depend on t, and ``_mean_at`` takes
+    A #_t B from that decomposition. A caller that needs several orders of
+    one pair whitens once and calls ``_mean_at`` per order.
+    """
+    return _mean_at(_whiten(decA, B), t)
+
+
+def _whiten(decA, B):
+    """(A^{1/2}, decomposition of A^{-1/2} B A^{-1/2}) for ``_mean_at``.
+
+    ``DomainError`` unless A is positive definite, ``NumericalError`` unless
+    A^{-1/2} B A^{-1/2} is.
+    """
     decA.require_domain(power(-0.5))
     root = decA.apply(np.sqrt(decA.eigenvalues))
     iroot = decA.apply(1.0 / np.sqrt(decA.eigenvalues))
@@ -197,8 +212,13 @@ def _geometric_mean(decA, B, t):
     if np.any(bad):
         raise NumericalError(
             f"geometric mean: A^{{-1/2}} B A^{{-1/2}} is not positive definite{_where(bad)}")
-    mid = decM.apply(decM.eigenvalues ** float(t))
-    return symmetrize(root @ mid @ root)
+    return root, decM
+
+
+def _mean_at(whitened, t):
+    """A #_t B = A^{1/2} (A^{-1/2} B A^{-1/2})^t A^{1/2} from ``_whiten(decA, B)``."""
+    root, decM = whitened
+    return symmetrize(root @ decM.apply(decM.eigenvalues ** float(t)) @ root)
 
 
 def riemannian_distance(A, B):

@@ -8,12 +8,18 @@ question for t <= 1/2. Trials are independent and seeded, and reports are
 plain dicts.
 
 Every suite draws its trials in trial order and checks them as one batch, in
-chunks of ``SUITE_CHUNK`` trials: one ``linalg.random_spd_stack`` draw and one
-``linalg.stack_decompose`` per input, then one batched ``eigh``, ``eigvalsh``,
-``svd`` or matmul per link and order (the limits suite adds one
-``linalg.graded_eigh`` call). The per-pair checks ``trace_chain_check``,
+chunks of ``SUITE_CHUNK`` trials. A chunk draws all inputs that share a
+spectral box with one ``linalg.random_spd_stack`` call, on their concatenated
+seeds (each entry depends on its own seed alone), and decomposes each input
+once with ``linalg.stack_decompose``. The trace and log-majorization chains
+also whiten each pair once, A^{-1/2} B A^{-1/2} decomposed for every order of
+A #_t B. Then each link at each order takes one batched ``eigh``,
+``eigvalsh``, ``svd`` or matmul (the limits suite adds one
+``linalg.graded_eigh`` call), and the gauge suite checks its whole panel with
+one ``eigvalsh``. The per-pair checks ``trace_chain_check``,
 ``log_majorization_chain``, ``gamma_limit_check`` and
-``divergence_limit_check`` run the same batch kernels on a stack of one, and
+``divergence_limit_check`` run the same batch kernels on a stack of one,
+``gauge_convexity_check`` runs the gauge kernel on a panel of one, and
 ``variational_value`` runs the variational suite's formulas on one matrix.
 Neither the chunk size nor the position of a trial in its chunk moves a bit of
 any value, so a seed fixes the report byte for byte.
@@ -28,11 +34,13 @@ import numpy as np
 from .entropy import (
     T_MIN,
     _geometric_mean,
+    _mean_at,
     _relative_entropy,
     _sandwich_spectrum,
     _sandwich_trace,
     _sandwiched_divergence,
     _thompson,
+    _whiten,
     _whitened_spectrum,
     check_unit_t,
 )
@@ -183,10 +191,19 @@ def majorizes(x, y, kind) -> MajorizationVerdict:
     return MajorizationVerdict(kind, bool(holds), float(worst))
 
 
+def _decomposed(A, B):
+    """(A, B, decA, decB, whitened) for stacks A, B: each decomposed once.
+
+    ``whitened`` is ``_whiten(decA, B)``, the order-free part of A #_t B that
+    the trace and log-majorization chains share across their order grids.
+    """
+    decA = stack_decompose(A)
+    return A, B, decA, stack_decompose(B), _whiten(decA, B)
+
+
 def _stack_of_one(A, B):
-    """Validated A, B as stacks of one, with their decompositions."""
-    A, B = as_hermitian(A)[None], as_hermitian(B)[None]
-    return A, B, stack_decompose(A), stack_decompose(B)
+    """``_decomposed`` of the validated A, B as stacks of one."""
+    return _decomposed(as_hermitian(A)[None], as_hermitian(B)[None])
 
 
 TRACE_LINKS = ("tr_geometric_mean", "tr_power_product", "tr_sandwich", "tr_arithmetic_mean")
@@ -211,10 +228,10 @@ def trace_chain_check(A, B, t) -> ChainReport:
     return ChainReport(list(zip(TRACE_LINKS, values)), verdicts, all(v.holds for v in verdicts))
 
 
-def _trace_chain_links(A, B, decA, decB, t):
-    """The four trace-chain links (k, 4) of stacks A, B from their decompositions."""
+def _trace_chain_links(A, B, decA, decB, whitened, t):
+    """The four trace-chain links (k, 4) of stacks A, B from ``_decomposed(A, B)``."""
     return np.stack([
-        _trace(_geometric_mean(decA, B, t)),
+        _trace(_mean_at(whitened, t)),
         _trace(decA.map(power(1.0 - t)) @ decB.map(power(t))),
         _sandwich_trace(decA, B, t),
         (1.0 - t) * _trace(A) + t * _trace(B),
@@ -382,12 +399,12 @@ def log_majorization_chain(A, B, t) -> ChainReport:
                        verdicts, all(v.holds for v in verdicts))
 
 
-def _log_major_links(A, B, decA, decB, t):
-    """{link: descending spectra (k, n)} of the log-majorization chains for stacks A, B."""
+def _log_major_links(A, B, decA, decB, whitened, t):
+    """{link: descending spectra (k, n)} of the log-majorization chains, from ``_decomposed(A, B)``."""
     A_half = decA.map(power((1.0 - t) / 2.0))
     Bt = decB.map(power(t))
     return {
-        "geometric_mean": _sorted_eigs(_geometric_mean(decA, B, t)),
+        "geometric_mean": _sorted_eigs(_mean_at(whitened, t)),
         "power_product": _sorted_eigs(A_half @ Bt @ A_half),
         "sandwich_power": _descending_pow(_sandwich_spectrum(decA, B, t), float(t)),
         "power_product_singular": np.linalg.svd(decA.map(power(1.0 - t)) @ Bt, compute_uv=False),
@@ -565,8 +582,9 @@ def gauge_convexity_check(fn: ScalarFunction, p, trials, seed, n=4):
 
     Requires f convex on the positive axis (power with exponent outside
     (0, 1), or exp). For strictly convex f and well-separated pairs the
-    inequality must be strict. The pairs are drawn in trial order and checked
-    in batches of ``SUITE_CHUNK``: one ``eigvalsh`` call per batch.
+    inequality must be strict. This is the batch kernel of the gauge suite
+    on a panel of one: the pairs are drawn in trial order and checked in
+    batches of ``SUITE_CHUNK``, one draw and one ``eigvalsh`` call per batch.
     """
     if not isinstance(fn, ScalarFunction) or not _is_convex_id(fn):
         raise InvalidInput(f"unsupported or non-convex scalar function id {fn!r}")
@@ -574,38 +592,53 @@ def gauge_convexity_check(fn: ScalarFunction, p, trials, seed, n=4):
         raise InvalidInput(f"Schatten order must be in [1, inf), got {p}")
     if trials < 1:
         raise InvalidInput(f"trial count must be >= 1, got {trials}")
-    strict = _is_strictly_convex_id(fn)
-    violations = strict_violations = 0
-    worst = np.inf
+    return _gauge_panel(((fn, p),), trials, [seed], n)[0]
+
+
+def _gauge_panel(panel, trials, seeds, n):
+    """gauge_convexity_check of every (fn, p) of ``panel``, check j seeded by seeds[j].
+
+    Per batch, the pairs of every check come from one ``random_spd_stack``
+    draw, and (A + B)/2, A and B of all of them from one ``eigvalsh``.
+    """
+    violations, strict_violations = [0] * len(panel), [0] * len(panel)
+    worst = [np.inf] * len(panel)
     for chunk in _chunks(trials):
-        A, B = (random_spd_stack(n, 0.5, 2.0, [derive_seed(seed, "gauge", i, side) for i in chunk])
-                for side in ("a", "b"))
-        margin, ok, strict_ok = _gauge_margins(fn, p, strict, A, B)
-        violations += int(np.sum(~ok))
-        strict_violations += int(np.sum(~strict_ok))
-        worst = min(worst, float(np.min(margin)))
-    return {
+        draws = random_spd_stack(n, 0.5, 2.0, [derive_seed(s, "gauge", i, side)
+                                               for s in seeds for side in ("a", "b") for i in chunk])
+        pairs = draws.reshape(len(panel), 2, len(chunk), n, n)
+        A, B = pairs[:, 0], pairs[:, 1]
+        eigs = np.linalg.eigvalsh(symmetrize(np.stack([(A + B) / 2.0, A, B], axis=1)))
+        for j, (fn, p) in enumerate(panel):
+            margin, ok, strict_ok = _gauge_margins(fn, p, eigs[j], A[j], B[j])
+            violations[j] += int(np.sum(~ok))
+            strict_violations[j] += int(np.sum(~strict_ok))
+            worst[j] = min(worst[j], float(np.min(margin)))
+    return [{
         "function": {"kind": fn.kind, "exponent": fn.exponent},
         "p": float(p),
         "n": n,
         "trials": trials,
-        "seed": seed,
-        "violations": violations,
-        "strict_violations": strict_violations,
-        "worst_margin": worst,
-        "all_hold": bool(violations == 0 and strict_violations == 0),
-    }
+        "seed": s,
+        "violations": violations[j],
+        "strict_violations": strict_violations[j],
+        "worst_margin": worst[j],
+        "all_hold": bool(violations[j] == 0 and strict_violations[j] == 0),
+    } for j, ((fn, p), s) in enumerate(zip(panel, seeds))]
 
 
-def _gauge_margins(fn, p, strict, A, B):
-    """Per pair of the stacks A, B: (relative margin, holds, holds strictly where required)."""
-    vals = fn(np.linalg.eigvalsh(symmetrize(np.stack([(A + B) / 2.0, A, B]))))
+def _gauge_margins(fn, p, eigs, A, B):
+    """Per pair of the stacks A, B: (relative margin, holds, holds strictly where required).
+
+    ``eigs`` (3, k, n) holds the ascending spectra of (A + B)/2, A and B.
+    """
+    vals = fn(eigs)
     norms = _scalar_pow(np.sum(np.abs(vals) ** p, axis=-1), 1.0 / p)
     lhs, rhs = norms[0], (norms[1] + norms[2]) / 2.0
     scale = np.maximum(np.abs(lhs), np.abs(rhs))
     margin = rhs - lhs
     separated = np.linalg.norm(A - B, axis=(-2, -1)) >= 0.1
-    strict_ok = ~(strict & separated) | (margin > 1e-12 * scale)
+    strict_ok = ~(_is_strictly_convex_id(fn) & separated) | (margin > 1e-12 * scale)
     return margin / np.maximum(scale, 1e-300), margin >= -MAJORIZE_RTOL * scale, strict_ok
 
 
@@ -663,7 +696,8 @@ def open_question_search(
     for chunk in _chunks(trials):
         sa = [derive_seed(seed, "open-question", i, "a") for i in chunk]
         sb = [derive_seed(seed, "open-question", i, "b") for i in chunk]
-        A, B = random_spd_stack(n, alpha, beta, sa), random_spd_stack(n, alpha, beta, sb)
+        AB = random_spd_stack(n, alpha, beta, sa + sb)
+        A, B = AB[:len(chunk)], AB[len(chunk):]
         decA = stack_decompose(A)
         per_order = [_open_question_margins(A, B, decA, t) for t in t_grid]
         margins = np.stack([m for m, _ in per_order], axis=1)  # (trial, order, relation)
@@ -727,9 +761,9 @@ def random_pair(n, seed, label, lo=0.5, hi=2.0):
 
 
 def _random_pairs(n, seeds, label, lo=0.5, hi=2.0):
-    """random_pair for every seed of a sequence: stacks A, B (k, n, n)."""
-    return tuple(random_spd_stack(n, lo, hi, [derive_seed(s, label, side) for s in seeds])
-                 for side in ("a", "b"))
+    """random_pair for every seed of a sequence: stacks A, B (k, n, n), from one draw."""
+    AB = random_spd_stack(n, lo, hi, [derive_seed(s, label, side) for side in ("a", "b") for s in seeds])
+    return AB[:len(seeds)], AB[len(seeds):]
 
 
 def density_pair(n, seed, label, mix=0.005, lo=1.0, hi=2.0):
@@ -756,10 +790,9 @@ def run_trace_chain_suite(n=4, trials=100, seed=0, t_values=(0.1, 0.3, 0.5, 0.7,
     violations = 0
     worst = np.inf
     for chunk in _chunks(trials):
-        A, B = _random_pairs(n, [derive_seed(seed, "trace-chain", i) for i in chunk], "pair")
-        decA, decB = stack_decompose(A), stack_decompose(B)
+        pair = _decomposed(*_random_pairs(n, [derive_seed(seed, "trace-chain", i) for i in chunk], "pair"))
         for t in t_values:
-            margins, holds = _chain_margins(_trace_chain_links(A, B, decA, decB, t))
+            margins, holds = _chain_margins(_trace_chain_links(*pair, t))
             violations += int(np.sum(~np.all(holds, axis=-1)))
             worst = min(worst, float(np.min(margins)))
     return {
@@ -819,10 +852,9 @@ def run_log_major_suite(n=4, trials=100, seed=0, t_values=(0.25, 0.5, 0.75)):
         check_unit_t(t)
     violations = 0
     for chunk in _chunks(trials):
-        A, B = _random_pairs(n, [derive_seed(seed, "log-major", i) for i in chunk], "pair")
-        decA, decB = stack_decompose(A), stack_decompose(B)
+        pair = _decomposed(*_random_pairs(n, [derive_seed(seed, "log-major", i) for i in chunk], "pair"))
         for t in t_values:
-            links = _log_major_links(A, B, decA, decB, t)
+            links = _log_major_links(*pair, t)
             ok = np.ones(len(chunk), dtype=bool)
             for x, y, kind in _log_major_relations(t):
                 ok &= _verdicts(links[x], links[y], kind)[1]
@@ -869,10 +901,8 @@ GAUGE_PANEL = (
 
 
 def run_gauge_suite(n=4, trials=100, seed=0):
-    reports = [
-        gauge_convexity_check(fn, p, trials, derive_seed(seed, "gauge-panel", idx), n=n)
-        for idx, (fn, p) in enumerate(GAUGE_PANEL)
-    ]
+    reports = _gauge_panel(GAUGE_PANEL, trials,
+                           [derive_seed(seed, "gauge-panel", idx) for idx in range(len(GAUGE_PANEL))], n)
     return {
         "suite": "gauge",
         "n": n,

@@ -352,8 +352,9 @@ _HASH_A = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
 _HASH_B = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
 
 
-def _hashmix(v, call, consts):
-    v = (v ^ consts[call]) * consts[call + 1]
+def _hashmix(v, calls, consts):
+    """SeedSequence's hashmix of v, call ``calls.start`` onward along the last axis."""
+    v = (v ^ consts[calls]) * consts[calls.start + 1:calls.stop + 1]
     return v ^ (v >> np.uint32(16))
 
 
@@ -369,25 +370,31 @@ def _check_seed(seed):
     raise InvalidInput(f"seed must be an integer in [0, 2**128), got {seed!r}")
 
 
+def _check_dimension(n):
+    """The dimension as an int; ``InvalidInput`` unless an integer (not a bool) >= 1."""
+    if isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 1:
+        return int(n)
+    raise InvalidInput(f"dimension must be an integer >= 1, got {n!r}")
+
+
 def _seed_words(seeds):
     """(k, 4) uint64: row i is ``generate_state(4, np.uint64)`` of the SeedSequence of seeds[i].
 
-    SeedSequence's hashmix and mix steps run once on uint32 lanes holding
-    every seed. Each seed is split into four little-endian 32-bit words; a
-    zero word hashes like SeedSequence's padding of a shorter entropy, so all
-    of [0, 2**128) takes this one path.
+    SeedSequence's hashmix and mix steps run on a (k, 4) uint32 pool holding
+    every seed, a whole row of words per step. Each seed is split into four
+    little-endian 32-bit words; a zero word hashes like SeedSequence's padding
+    of a shorter entropy, so all of [0, 2**128) takes this one path.
     """
     seeds = [_check_seed(s) for s in seeds]
     halves = np.array([(s & 0xFFFFFFFFFFFFFFFF, s >> 64) for s in seeds], dtype="<u8").reshape(-1, 2)
-    entropy = halves.view("<u4").astype(np.uint32)
-    pool = [_hashmix(entropy[:, i], i, _HASH_A) for i in range(4)]
-    call = 4
+    pool = _hashmix(halves.view("<u4").astype(np.uint32), slice(0, 4), _HASH_A)
     for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], call, _HASH_A))
-                call += 1
-    state = np.stack([_hashmix(pool[i % 4], i, _HASH_B) for i in range(8)], axis=1)
+        # word src does not change while it mixes into the other three, so
+        # its three hashes are taken at once
+        dst = [d for d in range(4) if d != src]
+        calls = slice(4 + 3 * src, 7 + 3 * src)
+        pool[:, dst] = _mix(pool[:, dst], _hashmix(pool[:, src, None], calls, _HASH_A))
+    state = _hashmix(np.concatenate([pool, pool], axis=1), slice(0, 8), _HASH_B)
     return state.astype("<u4").view("<u8").astype(np.uint64)
 
 
@@ -410,10 +417,11 @@ def random_spd(n, alpha, beta, seed):
     """Seeded random SPD matrix with eigenvalues uniform in [alpha, beta].
 
     Eigenvectors come from the QR factor of a complex Gaussian matrix with a
-    sign-fixed R diagonal; identical seeds give identical matrices. The seed
-    is an integer in [0, 2**128) (``InvalidInput`` otherwise, also for
-    ``None``); it draws as numpy's default generator of that seed. This
-    is ``random_spd_stack`` on a stack of one seed.
+    sign-fixed R diagonal; identical seeds give identical matrices. The
+    dimension n is an integer >= 1 and the seed an integer in [0, 2**128)
+    (``InvalidInput`` otherwise, also for booleans and a ``None`` seed); it
+    draws as numpy's default generator of that seed. This is
+    ``random_spd_stack`` on a stack of one seed.
     """
     return random_spd_stack(n, alpha, beta, [seed])[0]
 
@@ -427,8 +435,7 @@ def random_spd_stack(n, alpha, beta, seeds):
     stack. Entry i equals ``random_spd(n, alpha, beta, seeds[i])``, and an
     empty sequence gives an empty (0, n, n) stack.
     """
-    if n < 1:
-        raise InvalidInput(f"dimension must be >= 1, got {n}")
+    n = _check_dimension(n)
     check_box(alpha, beta)
     rngs = _generators(seeds)
     u = np.empty((len(rngs), n))
@@ -448,12 +455,12 @@ def random_spd_stack(n, alpha, beta, seeds):
 def random_hermitian(n, seed, scale=1.0):
     """Seeded random Hermitian matrix with Gaussian entries.
 
-    The seed is an integer in [0, 2**128) (``InvalidInput`` otherwise, also
-    for ``None``); identical seeds give identical matrices, drawn as numpy's
-    default generator of that seed draws them.
+    The dimension n is an integer >= 1 and the seed an integer in
+    [0, 2**128) (``InvalidInput`` otherwise, also for booleans and a ``None``
+    seed); identical seeds give identical matrices, drawn as numpy's default
+    generator of that seed draws them.
     """
-    if n < 1:
-        raise InvalidInput(f"dimension must be >= 1, got {n}")
+    n = _check_dimension(n)
     (rng,) = _generators([seed])
     H = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return symmetrize(scale * H)

@@ -419,15 +419,54 @@ def test_suite_decomposition_count_does_not_grow_with_trials(monkeypatch, suite)
 
 
 def test_trace_chain_suite_decomposes_each_input_once(monkeypatch):
-    # per chunk: the stacks A and B once each, then one eigh per order inside A #_t B
+    # per chunk: the stacks A and B and the whitened A^{-1/2} B A^{-1/2}
+    # once each, shared by A #_t B at every order
     t_values = (0.1, 0.5, 0.9)
     for chunk, chunks in ((inequalities.SUITE_CHUNK, 1), (2, 3)):
         monkeypatch.setattr(inequalities, "SUITE_CHUNK", chunk)
         calls = _count_decompositions(monkeypatch)
         run_suite("trace-chain", n=4, trials=6, seed=39, t_values=t_values)
-        assert calls["eigh"] == chunks * (2 + len(t_values))
+        assert calls["eigh"] == chunks * 3
         assert calls["eigvalsh"] == chunks * len(t_values)
         monkeypatch.undo()
+
+
+# draws per chunk: one random_spd_stack call for all inputs that share a spectral box
+DRAWS_PER_CHUNK = {"trace-chain": 1, "log-major": 1, "variational": 2, "gauge": 1,
+                   "limits": 2, "open-question": 1}
+
+
+@pytest.mark.parametrize("suite", SUITES)
+def test_suite_draws_once_per_box_per_chunk(monkeypatch, suite):
+    draws = []
+    monkeypatch.setattr(inequalities, "random_spd_stack",
+                        lambda *a, _f=inequalities.random_spd_stack: draws.append(a) or _f(*a))
+    for chunk, chunks in ((inequalities.SUITE_CHUNK, 1), (4, 3)):
+        monkeypatch.setattr(inequalities, "SUITE_CHUNK", chunk)
+        draws.clear()
+        run_suite(suite, n=3, trials=10, seed=48)
+        assert len(draws) == chunks * DRAWS_PER_CHUNK[suite], chunk
+        assert len({(a[1], a[2]) for a in draws}) == DRAWS_PER_CHUNK[suite]
+
+
+@pytest.mark.parametrize("suite,grids", [
+    ("trace-chain", [(0.5,), (0.1, 0.3, 0.5, 0.7, 0.9)]),
+    ("log-major", [(0.25,), (0.25, 0.5, 0.75)]),
+])
+def test_chain_suites_whiten_once_per_chunk(monkeypatch, suite, grids):
+    # A, B and A^{-1/2} B A^{-1/2}: three stack decompositions per chunk at any grid length
+    from sandwich_opt import entropy
+
+    calls = []
+    for module in (inequalities, entropy):
+        monkeypatch.setattr(module, "stack_decompose",
+                            lambda H, _f=module.stack_decompose: calls.append(H.shape) or _f(H))
+    for chunk, chunks in ((inequalities.SUITE_CHUNK, 1), (3, 2)):
+        monkeypatch.setattr(inequalities, "SUITE_CHUNK", chunk)
+        for grid in grids:
+            calls.clear()
+            run_suite(suite, n=4, trials=6, seed=49, t_values=grid)
+            assert len(calls) == 3 * chunks, (chunk, grid)
 
 
 def test_divergence_limit_equal_density():
@@ -491,6 +530,18 @@ def test_gauge_convexity_check_panel(fn, p):
     report = gauge_convexity_check(fn, p, trials=50, seed=23)
     assert report["all_hold"]
     assert report["violations"] == 0 and report["strict_violations"] == 0
+
+
+@pytest.mark.parametrize("chunk", [inequalities.SUITE_CHUNK, 7])
+def test_gauge_suite_checks_equal_gauge_convexity_check(monkeypatch, chunk):
+    # the suite runs the whole panel as one batch; each entry is the public
+    # check of its (f, p) on its own seed
+    monkeypatch.setattr(inequalities, "SUITE_CHUNK", chunk)
+    seed, trials = 25, 20
+    checks = run_suite("gauge", n=3, trials=trials, seed=seed)["checks"]
+    assert len(checks) == len(inequalities.GAUGE_PANEL)
+    for idx, (fn, p) in enumerate(inequalities.GAUGE_PANEL):
+        assert checks[idx] == gauge_convexity_check(fn, p, trials, derive_seed(seed, "gauge-panel", idx), n=3)
 
 
 def test_gauge_convexity_check_linear_power_not_strict():

@@ -412,6 +412,21 @@ def test_seed_outside_domain_is_invalid_input(seed):
             draw()
 
 
+@pytest.mark.parametrize("n", [2.5, True, False, 0, -1, None, "3", np.float64(2.0), np.bool_(True)])
+def test_dimension_outside_domain_is_invalid_input(n):
+    for draw in (lambda: random_spd(n, 1.0, 2.0, 3),
+                 lambda: random_spd_stack(n, 1.0, 2.0, [3, 4]),
+                 lambda: random_hermitian(n, 3)):
+        with pytest.raises(InvalidInput, match="dimension"):
+            draw()
+
+
+def test_numpy_integer_dimension_draws_as_int():
+    assert np.array_equal(random_spd(np.int64(3), 1.0, 2.0, 5), random_spd(3, 1.0, 2.0, 5))
+    assert np.array_equal(random_spd_stack(np.uint8(2), 1.0, 2.0, [5, 6]), random_spd_stack(2, 1.0, 2.0, [5, 6]))
+    assert np.array_equal(random_hermitian(np.int32(4), 9), random_hermitian(4, 9))
+
+
 def test_numpy_integer_seed_draws_as_int():
     assert np.array_equal(random_spd(3, 1.0, 2.0, np.uint64(2**64 - 1)), random_spd(3, 1.0, 2.0, 2**64 - 1))
     assert np.array_equal(random_hermitian(3, np.int32(9)), random_hermitian(3, 9))
