@@ -96,7 +96,6 @@ from .linalg import (
     random_spd_stack,
     schatten_norm,
     spectral_decompose,
-    stack_decompose,
     symmetrize,
 )
 from .serialization import (

@@ -28,6 +28,7 @@ from .calculus import convexity_constants, gradient_f
 from .entropy import check_unit_t, sandwich_trace
 from .errors import InvalidBox, InvalidInput, InvalidStart, InvalidStepSize
 from .linalg import (
+    _eigenvalues,
     _spd_and_spectrum,
     as_hermitian,
     check_box,
@@ -212,7 +213,7 @@ def _start_iterate(p: BarycenterProblem, x0):
     x0 = as_hermitian(x0)
     if x0.shape[0] != p.n:
         raise InvalidStart(f"starting iterate has dimension {x0.shape[0]}, expected {p.n}")
-    w = np.linalg.eigvalsh(x0)
+    w = _eigenvalues(x0)
     slack = BOX_RTOL * p.beta
     if w[0] < p.alpha - slack or w[-1] > p.beta + slack:
         raise InvalidStart(

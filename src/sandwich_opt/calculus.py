@@ -205,6 +205,7 @@ def _lanczos_extreme(matvec, n):
             T = np.zeros((k, k))
             T.flat[:: k + 1] = alpha
             T.flat[1 :: k + 1] = beta
+            # direct: real T_k, read from one triangle; symmetrize would cast it to complex
             theta = np.linalg.eigvalsh(T, UPLO="U")
             lo, hi = float(theta[0]), float(theta[-1])
             resid = (b * _ritz_bottom(alpha, beta, lo, -1.0), b * _ritz_bottom(alpha, beta, hi, 1.0))
@@ -245,6 +246,7 @@ def hessian_extreme_eigs(op: HessianOperator):
     spectrum, so neither value overstates the true extreme.
     """
     if op.n <= DENSE_MAX_N:
+        # direct: the real twin, read from one triangle; averaging both would move its bits
         w = np.linalg.eigvalsh(_twin_matrix(op))
         return float(w[0]), float(w[-1])
     return _lanczos_extreme(_twin_matvec(op), op.n)

@@ -6,7 +6,7 @@ Bures-Wasserstein distance are its t = 1/2 specialization. Everything is
 evaluated through spectral decompositions (n is small, exactness of the
 eigen-route dominates). The private helpers that start from a
 ``SpectralDecomp`` work alike on one matrix and on a stack (k, n, n) from
-``linalg.stack_decompose``, which is how the batched verification suites
+``linalg.spectral_decompose``, which is how the batched verification suites
 evaluate these same formulas. On a stack, a ``NumericalError`` names the first
 failing stack index.
 """
@@ -20,11 +20,11 @@ import numpy as np
 from .errors import InvalidInput, NumericalError, ParameterError
 from .linalg import (
     LOG,
+    _eigenvalues,
     as_hermitian,
     matrix_power,
     power,
     spectral_decompose,
-    stack_decompose,
     symmetrize,
 )
 
@@ -63,7 +63,7 @@ def sandwich_spectrum(A, B, t):
 def _sandwich_spectrum(decA, B, t):
     """sandwich_spectrum from the decomposition of A (or of a stack, with B a stack)."""
     P = decA.map(power((1.0 - t) / (2.0 * t)))
-    return _positive(np.linalg.eigvalsh(symmetrize(P @ B @ P)))
+    return _positive(_eigenvalues(P @ B @ P))
 
 
 def _sandwich(decA, X, t):
@@ -153,7 +153,7 @@ def _relative_entropy(decB, decA, B):
 def _whitened_spectrum(decA, B):
     """Ascending eigenvalues of A^{-1/2} B A^{-1/2}, all positive, from the decomposition of A."""
     Ami = decA.map(power(-0.5))
-    w = np.linalg.eigvalsh(symmetrize(Ami @ B @ Ami))
+    w = _eigenvalues(Ami @ B @ Ami)
     bad = w[..., 0] <= 0
     if np.any(bad):
         raise NumericalError(f"whitened matrix lost positivity{_where(bad)}")
@@ -206,8 +206,7 @@ def _whiten(decA, B):
     decA.require_domain(power(-0.5))
     root = decA.apply(np.sqrt(decA.eigenvalues))
     iroot = decA.apply(1.0 / np.sqrt(decA.eigenvalues))
-    M = iroot @ B @ iroot
-    decM = spectral_decompose(M) if M.ndim == 2 else stack_decompose(M)
+    decM = spectral_decompose(iroot @ B @ iroot)
     bad = decM.eigenvalues[..., -1] <= 0
     if np.any(bad):
         raise NumericalError(

@@ -11,7 +11,7 @@ Every suite draws its trials in trial order and checks them as one batch, in
 chunks of ``SUITE_CHUNK`` trials. A chunk draws all inputs that share a
 spectral box with one ``linalg.random_spd_stack`` call, on their concatenated
 seeds (each entry depends on its own seed alone), and decomposes each input
-once with ``linalg.stack_decompose``. The trace and log-majorization chains
+once with ``linalg.spectral_decompose``. The trace and log-majorization chains
 also whiten each pair once, A^{-1/2} B A^{-1/2} decomposed for every order of
 A #_t B. Then each link at each order takes one batched ``eigh``,
 ``eigvalsh``, ``svd`` or matmul (the limits suite adds one
@@ -48,6 +48,7 @@ from .errors import DomainError, InvalidInput, ParameterError
 from .linalg import (
     ScalarFunction,
     SpectralDecomp,
+    _eigenvalues,
     as_hermitian,
     derive_seed,
     graded_eigh,
@@ -58,7 +59,6 @@ from .linalg import (
     random_spd,
     random_spd_stack,
     spectral_decompose,
-    stack_decompose,
     symmetrize,
 )
 from .serialization import canonical_json, matrix_to_json
@@ -121,7 +121,7 @@ def _trace(M):
 
 def _sorted_eigs(M):
     """Eigenvalues of the Hermitian part of M (or of each M of a stack), descending."""
-    return np.linalg.eigvalsh(symmetrize(M))[..., ::-1]
+    return _eigenvalues(M)[..., ::-1]
 
 
 def _scalar_pow(x, s):
@@ -197,8 +197,8 @@ def _decomposed(A, B):
     ``whitened`` is ``_whiten(decA, B)``, the order-free part of A #_t B that
     the trace and log-majorization chains share across their order grids.
     """
-    decA = stack_decompose(A)
-    return A, B, decA, stack_decompose(B), _whiten(decA, B)
+    decA = spectral_decompose(A)
+    return A, B, decA, spectral_decompose(B), _whiten(decA, B)
 
 
 def _stack_of_one(A, B):
@@ -249,7 +249,7 @@ REPRESENTATIONS = ("i", "ii", "iii", "iv")
 
 def _powered_trace(M, s):
     """tr M^s for the positive definite M (or each M of a stack) of a representation objective."""
-    w = np.linalg.eigvalsh(symmetrize(M))
+    w = _eigenvalues(M)
     if np.any(w[..., 0] <= 0):
         raise DomainError("representation objectives need a positive definite X")
     return np.sum(_descending_pow(w, s), axis=-1)
@@ -341,7 +341,7 @@ def minimize_representation(A, B, t, rep, x0=None, max_iters=5000, grad_rtol=1e-
     decA = spectral_decompose(A)
     X = as_hermitian(_variational_minimizer(decA, spectral_decompose(B), t) if x0 is None else x0)
     decAtt = spectral_decompose(decA.map(power((t - 1.0) / t)))
-    w = np.linalg.eigvalsh(X)
+    w = _eigenvalues(X)
     lo, hi = w[0] / 50.0, w[-1] * 50.0
 
     def value(Y):
@@ -458,10 +458,10 @@ def _gamma_limit_batch(A, B, t_grid):
     """gamma_limit_check on stacks A, B (k, n, n): arrays indexed by trial (and order)."""
     k, n, _ = A.shape
     ts = np.asarray(t_grid, dtype=float)
-    decA = stack_decompose(A)
+    decA = spectral_decompose(A)
     decA.require_domain(power(0.5))  # every power of A below is fractional
     a, U = decA.eigenvalues, decA.eigenvectors
-    b = np.linalg.eigvalsh(symmetrize(B))
+    b = _eigenvalues(B)
     alpha, beta = b[:, :1], b[:, -1:]
 
     # In the eigenbasis of A, gamma(t)^{1/t} is diag(a^m) U*BU diag(a^m) with
@@ -478,7 +478,7 @@ def _gamma_limit_batch(A, B, t_grid):
     lo = (alpha**ts)[..., None, None] * A1mt
     hi = (beta**ts)[..., None, None] * A1mt
     scale = beta**ts * a[:, :1] ** (1.0 - ts)  # operator norm of hi
-    env = np.linalg.eigvalsh(symmetrize(np.stack([G - lo, hi - G])))[..., 0]
+    env = _eigenvalues(np.stack([G - lo, hi - G]))[..., 0]
     envelope_ok = np.all(env >= -MAJORIZE_RTOL * scale, axis=0)
 
     t_last = ts[-1]
@@ -536,7 +536,7 @@ def _divergence_limit_batch(A, B):
     for M in (A, B):
         if np.any(np.abs(np.trace(M, axis1=1, axis2=2).real - 1.0) > DENSITY_TOL):
             raise DomainError("divergence limits are checked for density matrices (unit trace)")
-    decA, decB = stack_decompose(A), stack_decompose(B)
+    decA, decB = spectral_decompose(A), spectral_decompose(B)
     re_value = _relative_entropy(decB, decA, B)
 
     near_one = np.stack([_sandwiched_divergence(decA, B, t) for t, _ in _NEAR_ONE], axis=1)
@@ -608,7 +608,7 @@ def _gauge_panel(panel, trials, seeds, n):
                                                for s in seeds for side in ("a", "b") for i in chunk])
         pairs = draws.reshape(len(panel), 2, len(chunk), n, n)
         A, B = pairs[:, 0], pairs[:, 1]
-        eigs = np.linalg.eigvalsh(symmetrize(np.stack([(A + B) / 2.0, A, B], axis=1)))
+        eigs = _eigenvalues(np.stack([(A + B) / 2.0, A, B], axis=1))
         for j, (fn, p) in enumerate(panel):
             margin, ok, strict_ok = _gauge_margins(fn, p, eigs[j], A[j], B[j])
             violations[j] += int(np.sum(~ok))
@@ -698,7 +698,7 @@ def open_question_search(
         sb = [derive_seed(seed, "open-question", i, "b") for i in chunk]
         AB = random_spd_stack(n, alpha, beta, sa + sb)
         A, B = AB[:len(chunk)], AB[len(chunk):]
-        decA = stack_decompose(A)
+        decA = spectral_decompose(A)
         per_order = [_open_question_margins(A, B, decA, t) for t in t_grid]
         margins = np.stack([m for m, _ in per_order], axis=1)  # (trial, order, relation)
         holds = np.stack([h for _, h in per_order], axis=1)
@@ -817,7 +817,7 @@ def run_variational_suite(n=4, trials=100, seed=0, t_values=(0.3, 0.5, 0.7)):
         seeds = [derive_seed(seed, "variational", i) for i in chunk]
         A, B = _random_pairs(n, seeds, "pair")
         X = random_spd_stack(n, 0.25, 4.0, [derive_seed(s, "probe") for s in seeds])
-        decA, decB = stack_decompose(A), stack_decompose(B)
+        decA, decB = spectral_decompose(A), spectral_decompose(B)
         orders = np.array(chunk) % len(t_values)
         for j, t in enumerate(t_values):
             sel = np.flatnonzero(orders == j)

@@ -3,9 +3,10 @@
 Spectral decomposition, matrix functions, Fréchet derivatives, spectral-box
 projection, norms, and seeded random generation. Everything downstream is
 built on these kernels; matrices are plain complex ndarrays and all
-operations are pure functions of their inputs. ``symmetrize``,
-``SpectralDecomp``, ``stack_decompose`` and ``graded_eigh`` also take stacks
-(k, n, n) of matrices, one LAPACK or numpy call for the whole stack.
+operations are pure functions of their inputs. The package's Hermitian
+eigensolver calls go through ``spectral_decompose`` (eigenvectors) and
+``_eigenvalues`` (spectra); they, ``symmetrize``, ``SpectralDecomp`` and
+``graded_eigh`` also take stacks (k, n, n), one LAPACK call per stack.
 """
 
 from __future__ import annotations
@@ -36,11 +37,10 @@ def symmetrize(H):
     return (H + H.conj().swapaxes(-1, -2)) / 2
 
 
-def _hermitian_part(H, ndim):
+def _hermitian_part(H):
     H = np.asarray(H, dtype=complex)
-    if H.ndim != ndim or H.shape[-1] != H.shape[-2] or H.shape[-1] == 0:
-        kind = "a square matrix" if ndim == 2 else "a stack (k, n, n) of square matrices"
-        raise InvalidInput(f"expected {kind}, got shape {H.shape}")
+    if H.ndim not in (2, 3) or H.shape[-1] != H.shape[-2] or H.shape[-1] == 0:
+        raise InvalidInput(f"expected a square matrix or a stack (k, n, n) of them, got shape {H.shape}")
     if not np.all(np.isfinite(H)):
         raise InvalidInput("matrix has non-finite entries")
     return symmetrize(H)
@@ -48,7 +48,14 @@ def _hermitian_part(H, ndim):
 
 def as_hermitian(H):
     """Validate a square finite matrix and return its Hermitian part."""
-    return _hermitian_part(H, 2)
+    if np.ndim(H) != 2:
+        raise InvalidInput(f"expected a square matrix, got shape {np.shape(H)}")
+    return _hermitian_part(H)
+
+
+def _eigenvalues(H):
+    """Ascending eigenvalues of symmetrize(H), a matrix or a stack, by one eigvalsh; unvalidated."""
+    return np.linalg.eigvalsh(symmetrize(H))
 
 
 def as_spd(A):
@@ -63,7 +70,7 @@ def as_spd(A):
 def _spd_and_spectrum(A):
     """``as_spd`` and the ascending eigenvalues it checked A by."""
     A = as_hermitian(A)
-    w = np.linalg.eigvalsh(A)
+    w = _eigenvalues(A)
     if w[0] <= SPD_TOL * max(1.0, float(w[-1])):
         raise InvalidInput(
             f"matrix is not positive definite within tolerance "
@@ -74,11 +81,7 @@ def _spd_and_spectrum(A):
 
 @dataclass(frozen=True)
 class SpectralDecomp:
-    """Eigendecomposition U diag(lam) U* with eigenvalues sorted descending.
-
-    Eigenvalues (..., n) and eigenvectors (..., n, n): one matrix, or a stack
-    of them from ``stack_decompose``.
-    """
+    """Eigendecomposition U diag(lam) U* of one matrix or of a stack; eigenvalues (..., n) descending."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
@@ -109,21 +112,13 @@ class SpectralDecomp:
 
 
 def spectral_decompose(H) -> SpectralDecomp:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
+    """Eigendecomposition of a Hermitian matrix (n, n) or stack (k, n, n), eigenvalues descending.
 
-    The input is symmetrized before decomposition. Ties keep the order
-    produced by the underlying solver, so results are deterministic.
+    The input is symmetrized first, and ties keep the solver's order, so
+    results are deterministic. A stack takes one batched eigh; LAPACK
+    decomposes each matrix on its own, so entry i is ``spectral_decompose(H[i])``.
     """
-    return _descending(*np.linalg.eigh(as_hermitian(H)))
-
-
-def stack_decompose(H) -> SpectralDecomp:
-    """``spectral_decompose`` of every matrix of a stack (k, n, n), by one batched eigh.
-
-    LAPACK decomposes each matrix on its own, so entry i equals
-    ``spectral_decompose(H[i])``.
-    """
-    return _descending(*np.linalg.eigh(_hermitian_part(H, 3)))
+    return _descending(*np.linalg.eigh(_hermitian_part(H)))
 
 
 def _descending(w, U):
@@ -207,7 +202,9 @@ def graded_eigh(H, max_sweeps=60, tol=GRADED_TOL):
     relative off-diagonal, if a matrix still fails the test after
     ``max_sweeps`` sweeps.
     """
-    H = _hermitian_part(H, 3)
+    if np.ndim(H) != 3:
+        raise InvalidInput(f"expected a stack (k, n, n) of square matrices, got shape {np.shape(H)}")
+    H = _hermitian_part(H)
     k, n, _ = H.shape
     V = np.broadcast_to(np.eye(n, dtype=complex), H.shape).copy()
     rounds = _round_robin(n)
@@ -471,7 +468,7 @@ def norm(H, kind="frobenius"):
     H = np.asarray(H, dtype=complex)
     if kind == "frobenius":
         return float(np.linalg.norm(H))
-    w = np.abs(np.linalg.eigvalsh(symmetrize(H)))
+    w = np.abs(_eigenvalues(H))
     if kind == "operator":
         return float(np.max(w))
     if kind == "trace":
@@ -483,7 +480,7 @@ def schatten_norm(H, p):
     """Schatten-p norm of a Hermitian matrix (p >= 1, inf for operator norm)."""
     if not p >= 1:
         raise InvalidInput(f"Schatten order must be >= 1, got {p}")
-    s = np.abs(np.linalg.eigvalsh(as_hermitian(H)))
+    s = np.abs(_eigenvalues(as_hermitian(H)))
     if np.isinf(p):
         return float(np.max(s))
     return float(np.sum(s**p) ** (1.0 / p))

@@ -327,12 +327,12 @@ def test_seeded_pairs_are_reproducible():
 def test_stack_errors_name_the_first_failing_index():
     # a stack of 5 pairs where only B[3] is not positive definite
     from sandwich_opt.entropy import _geometric_mean, _sandwich_spectrum, _whitened_spectrum
-    from sandwich_opt.linalg import random_spd_stack, stack_decompose
+    from sandwich_opt.linalg import random_spd_stack, spectral_decompose
 
     A = random_spd_stack(3, 0.5, 2.0, range(5))
     B = random_spd_stack(3, 0.5, 2.0, range(5, 10))
     B[3] = np.diag([1.0, -0.5, 2.0])
-    decA = stack_decompose(A)
+    decA = spectral_decompose(A)
     with pytest.raises(NumericalError, match=r"lost positivity at stack index 3 \(min eigenvalue -"):
         _sandwich_spectrum(decA, B, 0.4)
     with pytest.raises(NumericalError, match="whitened matrix lost positivity at stack index 3$"):
@@ -341,7 +341,7 @@ def test_stack_errors_name_the_first_failing_index():
         _geometric_mean(decA, B, 0.5)
     # one matrix: no index
     with pytest.raises(NumericalError, match=r"lost positivity \(min eigenvalue"):
-        _sandwich_spectrum(stack_decompose(A)[0], B[3], 0.4)
+        _sandwich_spectrum(spectral_decompose(A)[0], B[3], 0.4)
     # every other entry of the stack passes
     keep = [0, 1, 2, 4]
     assert np.all(_sandwich_spectrum(decA[keep], B[keep], 0.4) > 0)

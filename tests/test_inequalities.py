@@ -459,8 +459,8 @@ def test_chain_suites_whiten_once_per_chunk(monkeypatch, suite, grids):
 
     calls = []
     for module in (inequalities, entropy):
-        monkeypatch.setattr(module, "stack_decompose",
-                            lambda H, _f=module.stack_decompose: calls.append(H.shape) or _f(H))
+        monkeypatch.setattr(module, "spectral_decompose",
+                            lambda H, _f=module.spectral_decompose: calls.append(H.shape) or _f(H))
     for chunk, chunks in ((inequalities.SUITE_CHUNK, 1), (3, 2)):
         monkeypatch.setattr(inequalities, "SUITE_CHUNK", chunk)
         for grid in grids:

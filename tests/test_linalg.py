@@ -1,7 +1,11 @@
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import sandwich_opt
 from sandwich_opt import (
     EXP,
     LOG,
@@ -26,7 +30,6 @@ from sandwich_opt import (
     run_suite,
     schatten_norm,
     spectral_decompose,
-    stack_decompose,
     symmetrize,
 )
 from sandwich_opt.linalg import EQUAL_EIG_RTOL, _seed_words
@@ -261,17 +264,18 @@ def test_derive_seed_stable_and_label_sensitive():
 # ------------------------------------------------------- stacks, graded Jacobi
 
 
-def test_stack_decompose_equals_spectral_decompose_per_matrix():
+def test_spectral_decompose_of_a_stack_equals_per_matrix_calls():
     H = np.stack([random_spd(4, 0.5, 2.0, 60 + i) for i in range(5)])
-    dec = stack_decompose(H)
+    dec = spectral_decompose(H)
     for i in range(len(H)):
         one = spectral_decompose(H[i])
         assert np.array_equal(dec.eigenvalues[i], one.eigenvalues)
         assert np.array_equal(dec.eigenvectors[i], one.eigenvectors)
         assert np.array_equal(dec.map(power(0.3))[i], one.map(power(0.3)))
     assert np.array_equal(symmetrize(H)[2], symmetrize(H[2]))
-    with pytest.raises(InvalidInput):
-        stack_decompose(H[0])
+    for bad in (H[:, :, :3], H[None], H[0, 0], np.zeros((2, 0, 0))):
+        with pytest.raises(InvalidInput):
+            spectral_decompose(bad)
 
 
 def _graded(n, grading, seed):
@@ -443,3 +447,36 @@ def test_seeded_draws_never_build_a_seed_sequence(monkeypatch):
     monkeypatch.setattr(np.random, "SeedSequence", tripwire)
     assert np.array_equal(random_spd_stack(4, 0.5, 2.0, [3, 2**100]), expected)
     assert run_suite("trace-chain", n=3, trials=5, seed=11) == report
+
+
+# The only Hermitian eigensolver calls outside linalg: real matrices read from
+# one triangle, which linalg's symmetrize would cast to complex.
+DIRECT_EIGENSOLVER_SITES = {("calculus.py", "_lanczos_extreme"), ("calculus.py", "hessian_extreme_eigs")}
+
+
+def _eigensolver_sites(path):
+    """(file name, enclosing function) of every numpy eigh/eigvalsh reference in a source file."""
+    sites = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        names = []
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg":
+            names = [node.attr]
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
+            names = [alias.name for alias in node.names]
+        sites.extend((path.name, func) for name in names if name in ("eigh", "eigvalsh"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), None)
+    return sites
+
+
+def test_hermitian_eigensolvers_go_through_linalg():
+    package = pathlib.Path(sandwich_opt.__file__).parent
+    sites = [site for path in sorted(package.glob("*.py")) if path.name != "linalg.py"
+             for site in _eigensolver_sites(path)]
+    assert sorted(sites) == sorted(DIRECT_EIGENSOLVER_SITES)
+    assert len(_eigensolver_sites(package / "linalg.py")) == 2  # spectral_decompose, _eigenvalues
