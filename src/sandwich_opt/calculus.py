@@ -18,6 +18,7 @@ from .linalg import (
     LOG,
     as_hermitian,
     check_box,
+    check_matrices,
     inner,
     loewner_matrix,
     power,
@@ -46,6 +47,7 @@ def gradient_f(A, X, t):
     computed M is positive definite, which fails first at small t.
     """
     check_unit_t(t)
+    check_matrices(A=A, X=X)
     return _frame_gradient(*_whitened_frame(spectral_decompose(A), X, t), t)
 
 
@@ -71,6 +73,7 @@ class HessianOperator:
 def hessian_operator(A, X, t) -> HessianOperator:
     """The -grad^2 f(X) operator; ``NumericalError`` unless the computed M is positive definite."""
     check_unit_t(t)
+    check_matrices(A=A, X=X)
     W, d = _whitened_frame(spectral_decompose(A), X, t)
     return HessianOperator(t=float(t), W=W, kernel=-loewner_matrix(power(t - 1.0), d))
 
@@ -311,6 +314,7 @@ def bregman(A, t, Y, X):
     A is decomposed once, and f(X) = sum d^t comes from the gradient's frame.
     """
     check_unit_t(t)
+    check_matrices(A=A, Y=Y, X=X)
     decA = spectral_decompose(A)
     W, d = _whitened_frame(decA, X, t)
     fX = float(np.sum(d ** float(t)))
@@ -327,6 +331,7 @@ def fidelity_t_derivative(A, B, t):
     """
     if not (np.isfinite(t) and T_MIN < t <= T_MAX):
         raise ParameterError(f"order parameter t = {t} outside ({T_MIN}, {T_MAX}]")
+    check_matrices(A=A, B=B)
     decA = spectral_decompose(A)
     _, dec = _sandwich(decA, B, t)
     w = dec.eigenvalues

@@ -22,6 +22,7 @@ from .linalg import (
     LOG,
     _eigenvalues,
     as_hermitian,
+    check_matrices,
     matrix_power,
     power,
     spectral_decompose,
@@ -57,21 +58,31 @@ def check_order_t(t):
 
 def sandwich_spectrum(A, B, t):
     """Ascending eigenvalues of A^{(1-t)/2t} B A^{(1-t)/2t}, all positive."""
+    check_matrices(A=A, B=B)
     return _sandwich_spectrum(spectral_decompose(A), B, t)
 
 
 def _sandwich_spectrum(decA, B, t):
     """sandwich_spectrum from the decomposition of A (or of a stack, with B a stack)."""
-    P = decA.map(power((1.0 - t) / (2.0 * t)))
-    return _positive(_eigenvalues(P @ B @ P))
+    return _positive(_eigenvalues(_sandwiched(decA, B, t)[1]))
 
 
 def _sandwich(decA, X, t):
     """(P, decomposition of P X P), P = A^{(1-t)/2t}; NumericalError unless P X P > 0."""
-    P = decA.map(power((1.0 - t) / (2.0 * t)))
-    dec = spectral_decompose(P @ as_hermitian(X) @ P)
+    P, M = _sandwiched(decA, as_hermitian(X), t)
+    dec = spectral_decompose(M)
     _positive(dec.eigenvalues)
     return P, dec
+
+
+def _sandwiched(decA, B, t):
+    """(P, P B P) with P = A^{(1-t)/2t}; ``NumericalError`` if either overflows, as at small t."""
+    P = decA.map(power((1.0 - t) / (2.0 * t)))
+    M = P @ B @ P
+    bad = ~np.all(np.isfinite(M), axis=(-2, -1))
+    if np.any(bad):
+        raise NumericalError(f"sandwiched product overflows{_where(bad)} at t = {t}")
+    return P, M
 
 
 def _positive(w):
@@ -93,6 +104,7 @@ def _where(bad):
 
 def sandwich_trace(A, B, t):
     """tr (A^{(1-t)/2t} B A^{(1-t)/2t})^t, without order-parameter guards."""
+    check_matrices(A=A, B=B)
     return float(_sandwich_trace(spectral_decompose(A), B, t))
 
 
@@ -109,7 +121,8 @@ def fidelity(A, B, t):
 
 def bures_distance(A, B):
     """Bures-Wasserstein distance [tr(A+B)/2 - tr(A^{1/2} B A^{1/2})^{1/2}]^{1/2}."""
-    radicand = float(np.trace(A).real + np.trace(B).real) / 2.0 - sandwich_trace(A, B, 0.5)
+    fid = sandwich_trace(A, B, 0.5)  # validates A and B first
+    radicand = float(np.trace(A).real + np.trace(B).real) / 2.0 - fid
     if radicand < -1e-10:
         raise NumericalError(f"negative Bures radicand {radicand:.3e}")
     return float(np.sqrt(max(radicand, 0.0)))
@@ -122,6 +135,7 @@ def sandwiched_divergence(A, B, t):
     t in (T_MIN, T_MAX] away from 1.
     """
     check_order_t(t)
+    check_matrices(A=A, B=B)
     return float(_sandwiched_divergence(spectral_decompose(A), B, t))
 
 
@@ -133,6 +147,7 @@ def _sandwiched_divergence(decA, B, t):
 def renyi_classic(A, B, t):
     """Traditional Rényi relative entropy log(tr A^{1-t} B^t) / (t - 1)."""
     check_order_t(t)
+    check_matrices(A=A, B=B)
     val = float(np.trace(matrix_power(A, 1.0 - t) @ matrix_power(B, t)).real)
     if val <= 0:
         raise NumericalError(f"trace of A^(1-t) B^t is not positive ({val:.3e})")
@@ -141,6 +156,7 @@ def renyi_classic(A, B, t):
 
 def umegaki_relative_entropy(B, A):
     """Umegaki relative entropy tr[B (log B - log A)] / tr B."""
+    check_matrices(B=B, A=A)
     return float(_relative_entropy(spectral_decompose(B), spectral_decompose(A), B))
 
 
@@ -162,6 +178,7 @@ def _whitened_spectrum(decA, B):
 
 def thompson_metric(A, B):
     """Thompson metric max{log lam_1(A B^{-1}), log lam_1(B A^{-1})}."""
+    check_matrices(A=A, B=B)
     return float(_thompson(_whitened_spectrum(spectral_decompose(A), B)))
 
 
@@ -172,6 +189,7 @@ def _thompson(w):
 
 def max_relative_entropy(A, B):
     """Max-relative entropy log lam_1(A B^{-1})."""
+    check_matrices(A=A, B=B)
     return float(np.log(_whitened_spectrum(spectral_decompose(B), A)[-1]))
 
 
@@ -183,6 +201,7 @@ def geometric_mean(A, B, t):
     positive definite (the rule of ``matrix_power(A, -0.5)``) and
     ``NumericalError`` unless A^{-1/2} B A^{-1/2} is positive definite.
     """
+    check_matrices(A=A, B=B)
     return _geometric_mean(spectral_decompose(A), B, t)
 
 
@@ -222,6 +241,7 @@ def _mean_at(whitened, t):
 
 def riemannian_distance(A, B):
     """Affine-invariant distance ||log A^{-1/2} B A^{-1/2}||_2."""
+    check_matrices(A=A, B=B)
     return float(np.linalg.norm(np.log(_whitened_spectrum(spectral_decompose(A), B))))
 
 

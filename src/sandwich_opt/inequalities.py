@@ -50,6 +50,7 @@ from .linalg import (
     SpectralDecomp,
     _eigenvalues,
     as_hermitian,
+    check_matrices,
     derive_seed,
     graded_eigh,
     matrix_power,
@@ -110,7 +111,13 @@ class ChainReport:
 
 
 def _chunks(trials):
-    """Trial indices in trial order, in ranges of at most SUITE_CHUNK."""
+    """Trial indices in trial order, in ranges of at most SUITE_CHUNK.
+
+    The one trial-count check of every suite: ``InvalidInput`` unless trials
+    is an integer >= 1 (not a bool).
+    """
+    if not (isinstance(trials, (int, np.integer)) and not isinstance(trials, bool) and trials >= 1):
+        raise InvalidInput(f"trial count must be an integer >= 1, got {trials!r}")
     return [range(start, min(start + SUITE_CHUNK, trials)) for start in range(0, trials, SUITE_CHUNK)]
 
 
@@ -187,6 +194,8 @@ def majorizes(x, y, kind) -> MajorizationVerdict:
         raise InvalidInput(f"length mismatch: {x.shape} vs {y.shape}")
     if x.size == 0:
         raise InvalidInput("majorization needs non-empty vectors")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise InvalidInput("majorization needs finite entries")
     worst, holds = _verdicts(x, y, kind)
     return MajorizationVerdict(kind, bool(holds), float(worst))
 
@@ -202,8 +211,9 @@ def _decomposed(A, B):
 
 
 def _stack_of_one(A, B):
-    """``_decomposed`` of the validated A, B as stacks of one."""
-    return _decomposed(as_hermitian(A)[None], as_hermitian(B)[None])
+    """The validated A, B as stacks of one."""
+    check_matrices(A=A, B=B)
+    return symmetrize(A)[None], symmetrize(B)[None]
 
 
 TRACE_LINKS = ("tr_geometric_mean", "tr_power_product", "tr_sandwich", "tr_arithmetic_mean")
@@ -217,7 +227,7 @@ def trace_chain_check(A, B, t) -> ChainReport:
     batch kernel of the trace-chain suite on a stack of one.
     """
     check_unit_t(t)
-    links = _trace_chain_links(*_stack_of_one(A, B), t)[0]
+    links = _trace_chain_links(*_decomposed(*_stack_of_one(A, B)), t)[0]
     margins, holds = _chain_margins(links)
     values = [float(v) for v in links]
     verdicts = [
@@ -266,6 +276,7 @@ def variational_value(A, B, t, X, rep):
     check_unit_t(t)
     if rep not in REPRESENTATIONS:
         raise InvalidInput(f"unknown representation {rep!r}")
+    check_matrices(A=A, B=B, X=X)
     decB = spectral_decompose(B) if rep in ("iii", "iv") else None
     return float(_variational_values(spectral_decompose(A), decB, B, t, as_hermitian(X), (rep,))[rep])
 
@@ -297,6 +308,7 @@ def _variational_values(decA, decB, B, t, X, reps):
 def variational_minimizer(A, B, t):
     """Minimizer B #_{1-t} A^{(t-1)/t} of representations iii and iv."""
     check_unit_t(t)
+    check_matrices(A=A, B=B)
     return _variational_minimizer(spectral_decompose(A), spectral_decompose(B), t)
 
 
@@ -338,6 +350,7 @@ def minimize_representation(A, B, t, rep, x0=None, max_iters=5000, grad_rtol=1e-
     if rep not in ("i", "ii"):
         raise InvalidInput(f"local minimization supports reps i/ii, got {rep!r}")
     check_unit_t(t)
+    check_matrices(A=A, B=B, **({} if x0 is None else {"x0": x0}))
     decA = spectral_decompose(A)
     X = as_hermitian(_variational_minimizer(decA, spectral_decompose(B), t) if x0 is None else x0)
     decAtt = spectral_decompose(decA.map(power((t - 1.0) / t)))
@@ -390,7 +403,7 @@ def log_majorization_chain(A, B, t) -> ChainReport:
     the log-major suite on a stack of one.
     """
     check_unit_t(t)
-    links = _log_major_links(*_stack_of_one(A, B), t)
+    links = _log_major_links(*_decomposed(*_stack_of_one(A, B)), t)
     verdicts = []
     for x, y, kind in _log_major_relations(t):
         worst, holds = _verdicts(links[x], links[y], kind)
@@ -442,7 +455,7 @@ def gamma_limit_check(A, B, t_grid=DEFAULT_GAMMA_GRID):
     """
     for t in t_grid:
         check_unit_t(t)
-    out = _gamma_limit_batch(as_hermitian(A)[None], as_hermitian(B)[None], t_grid)
+    out = _gamma_limit_batch(*_stack_of_one(A, B), t_grid)
     errors = [float(e) for e in out["errors"][0]]
     return {
         "t_grid": list(t_grid),
@@ -512,7 +525,7 @@ def divergence_limit_check(A, B):
     matching ``entropy`` function (``umegaki_relative_entropy``,
     ``sandwiched_divergence``, ``thompson_metric``, ``max_relative_entropy``).
     """
-    out = _divergence_limit_batch(as_hermitian(A)[None], as_hermitian(B)[None])
+    out = _divergence_limit_batch(*_stack_of_one(A, B))
     row = {key: value[0] for key, value in out.items()}
     return {
         "relative_entropy": float(row["relative_entropy"]),
@@ -590,8 +603,6 @@ def gauge_convexity_check(fn: ScalarFunction, p, trials, seed, n=4):
         raise InvalidInput(f"unsupported or non-convex scalar function id {fn!r}")
     if not (np.isfinite(p) and p >= 1):
         raise InvalidInput(f"Schatten order must be in [1, inf), got {p}")
-    if trials < 1:
-        raise InvalidInput(f"trial count must be >= 1, got {trials}")
     return _gauge_panel(((fn, p),), trials, [seed], n)[0]
 
 
@@ -919,8 +930,9 @@ SUITES = ("trace-chain", "variational", "log-major", "limits", "gauge", "open-qu
 def run_suite(suite, n=4, trials=100, seed=0, t_values=None):
     """Dispatch one named verification suite and return its report dict.
 
-    ``t_values`` replaces the default order grid of a suite that has one;
-    a grid for a suite without one, n < 1 or trials < 1 raise InvalidInput.
+    ``t_values`` replaces the default order grid of a suite that has one; a
+    grid for a suite without one raises InvalidInput, as do a dimension and a
+    trial count that are not integers >= 1 (checked where the suite draws).
     """
     # {suite: (runner, takes an order grid)}, built per call so that a runner
     # rebound on this module is the one run
@@ -937,8 +949,6 @@ def run_suite(suite, n=4, trials=100, seed=0, t_values=None):
     }
     if suite not in table:
         raise InvalidInput(f"unknown suite {suite!r}; choose from {SUITES}")
-    if n < 1 or trials < 1:
-        raise InvalidInput(f"dimension and trial count must be >= 1, got n={n}, trials={trials}")
     runner, takes_grid = table[suite]
     if t_values is None:
         return runner(n=n, trials=trials, seed=seed)

@@ -46,11 +46,29 @@ def _hermitian_part(H):
     return symmetrize(H)
 
 
+def check_matrices(**matrices):
+    """Validate the named matrix arguments of a public function at entry.
+
+    Each must be a finite square matrix, all of one size n; ``InvalidInput``
+    names the first that is not, with both shapes on a size mismatch. The
+    matrices are passed on unchanged.
+    """
+    first = None
+    for name, H in matrices.items():
+        H = np.asarray(H, dtype=complex)
+        if H.ndim != 2 or H.shape[0] != H.shape[1] or H.shape[0] == 0:
+            raise InvalidInput(f"{name} must be a square matrix, got shape {H.shape}")
+        if first is not None and H.shape != first[1]:
+            raise InvalidInput(f"{name} has shape {H.shape}, but {first[0]} has shape {first[1]}")
+        if not np.all(np.isfinite(H)):
+            raise InvalidInput(f"{name} has non-finite entries")
+        first = first or (name, H.shape)
+
+
 def as_hermitian(H):
     """Validate a square finite matrix and return its Hermitian part."""
-    if np.ndim(H) != 2:
-        raise InvalidInput(f"expected a square matrix, got shape {np.shape(H)}")
-    return _hermitian_part(H)
+    check_matrices(matrix=H)
+    return symmetrize(H)
 
 
 def _eigenvalues(H):
@@ -106,9 +124,17 @@ class SpectralDecomp:
             raise DomainError(f"{fn.kind} is not defined on the spectrum (min eigenvalue {lam_min:.3e})")
 
     def map(self, fn):
-        """U diag(fn(lam)) U*; several functions of one matrix share one decomposition."""
+        """U diag(fn(lam)) U*; several functions of one matrix share one decomposition.
+
+        ``NumericalError`` if fn overflows on the spectrum.
+        """
         self.require_domain(fn)
-        return self.apply(fn(self.eigenvalues))
+        values = fn(self.eigenvalues)
+        if not np.all(np.isfinite(values)):
+            lam = self.eigenvalues
+            raise NumericalError(f"{fn} is not finite on the spectrum "
+                                 f"(eigenvalues {np.min(lam):.3e} to {np.max(lam):.3e})")
+        return self.apply(values)
 
 
 def spectral_decompose(H) -> SpectralDecomp:
@@ -307,6 +333,7 @@ def frechet_derivative(fn: ScalarFunction, X, Y):
     Computed by the divided-difference (Loewner) Hadamard product in the
     eigenbasis of X; for commuting X, Y this reduces to f'(X) Y.
     """
+    check_matrices(X=X, Y=Y)
     dec = spectral_decompose(X)
     dec.require_domain(fn)
     U = dec.eigenvectors
@@ -488,6 +515,7 @@ def schatten_norm(H, p):
 
 def inner(X, Y):
     """Real trace inner product tr(XY) for Hermitian X, Y."""
+    check_matrices(X=X, Y=Y)
     return float(np.vdot(np.asarray(Y), np.asarray(X)).real)
 
 

@@ -507,3 +507,15 @@ def test_relative_entropy_limit_decay():
             assert err <= 10.0 * h * (1.0 + abs(re))
             errs[h] = err
         assert errs[1e-4] <= 0.3 * errs[1e-3] + 1e-14
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflow_at_small_t_raises_numerical_error():
+    # t lies inside (T_MIN, 1 - T_MIN), but on a [1, 400] box A^{(1-t)/2t}
+    # overflows at t = 0.0015, and A^{(1-t)/2t} X A^{(1-t)/2t} at t = 0.005
+    A, X = random_spd(4, 1.0, 400.0, 1), random_spd(4, 1.0, 400.0, 2)
+    for fn in (gradient_f, hessian_operator, fidelity):
+        with pytest.raises(NumericalError, match="power.* is not finite on the spectrum"):
+            fn(A, X, 0.0015)
+        with pytest.raises(NumericalError, match="sandwiched product overflows at t = 0.005"):
+            fn(A, X, 0.005)

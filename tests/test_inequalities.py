@@ -76,6 +76,9 @@ def test_majorizes_textbook_cases():
 def test_majorizes_rejects_empty_vectors(rel):
     with pytest.raises(InvalidInput, match="non-empty"):
         majorizes([], [], rel)
+    for x, y in (([np.nan, 1.0], [1.0, 1.0]), ([1.0, 1.0], [np.inf, 1.0])):
+        with pytest.raises(InvalidInput, match="finite entries"):
+            majorizes(x, y, rel)
 
 
 def test_majorizes_errors():
@@ -721,3 +724,15 @@ def test_minimize_representation_decomposes_a_and_b_once(monkeypatch, rep):
     assert calls["eigh"] == 4 + steps["project"] + 2 * steps["gradient"]
     per_gradient = 1 if rep == "ii" else 0
     assert calls["eigvalsh"] == 1 + 1 + (steps["project"] - 1) + per_gradient * steps["gradient"]
+
+
+@pytest.mark.parametrize("trials", [0, -3, 2.5, True, np.float64(4.0)])
+def test_every_suite_rejects_a_trial_count_that_is_not_an_integer_from_one(trials):
+    # one check, where a suite cuts its trials into chunks; before it,
+    # trials=0 gave trace-chain a worst margin of inf and 2.5 a TypeError
+    for suite in SUITES:
+        with pytest.raises(InvalidInput, match="trial count"):
+            run_suite(suite, n=3, trials=trials, seed=0)
+    with pytest.raises(InvalidInput, match="trial count"):
+        gauge_convexity_check(power(2.0), 1.0, trials, 0)
+    assert run_suite("gauge", n=3, trials=np.int64(2), seed=0)["all_hold"]

@@ -480,3 +480,55 @@ def test_hermitian_eigensolvers_go_through_linalg():
              for site in _eigensolver_sites(path)]
     assert sorted(sites) == sorted(DIRECT_EIGENSOLVER_SITES)
     assert len(_eigensolver_sites(package / "linalg.py")) == 2  # spectral_decompose, _eigenvalues
+
+
+# ------------------------------------------------ public boundary validation
+
+_T = 0.4
+# public function -> (call on its matrix arguments by name, their names)
+MATRIX_ARGUMENTS = {
+    "sandwich_spectrum": (lambda A, B: sandwich_opt.entropy.sandwich_spectrum(A, B, _T), "A B"),
+    "sandwich_trace": (lambda A, B: sandwich_opt.sandwich_trace(A, B, _T), "A B"),
+    "fidelity": (lambda A, B: sandwich_opt.fidelity(A, B, _T), "A B"),
+    "bures_distance": (sandwich_opt.bures_distance, "A B"),
+    "sandwiched_divergence": (lambda A, B: sandwich_opt.sandwiched_divergence(A, B, _T), "A B"),
+    "renyi_classic": (lambda A, B: sandwich_opt.renyi_classic(A, B, _T), "A B"),
+    "umegaki_relative_entropy": (sandwich_opt.umegaki_relative_entropy, "B A"),
+    "thompson_metric": (sandwich_opt.thompson_metric, "A B"),
+    "max_relative_entropy": (sandwich_opt.max_relative_entropy, "A B"),
+    "geometric_mean": (lambda A, B: sandwich_opt.geometric_mean(A, B, _T), "A B"),
+    "riemannian_distance": (sandwich_opt.riemannian_distance, "A B"),
+    "gradient_f": (lambda A, X: sandwich_opt.gradient_f(A, X, _T), "A X"),
+    "hessian_operator": (lambda A, X: sandwich_opt.hessian_operator(A, X, _T), "A X"),
+    "bregman": (lambda A, Y, X: sandwich_opt.bregman(A, _T, Y, X), "A Y X"),
+    "fidelity_t_derivative": (lambda A, B: sandwich_opt.fidelity_t_derivative(A, B, _T), "A B"),
+    "trace_chain_check": (lambda A, B: sandwich_opt.trace_chain_check(A, B, _T), "A B"),
+    "log_majorization_chain": (lambda A, B: sandwich_opt.log_majorization_chain(A, B, _T), "A B"),
+    "gamma_limit_check": (sandwich_opt.gamma_limit_check, "A B"),
+    "divergence_limit_check": (sandwich_opt.divergence_limit_check, "A B"),
+    "variational_value": (lambda A, B, X: sandwich_opt.variational_value(A, B, _T, X, "i"), "A B X"),
+    "variational_minimizer": (lambda A, B: sandwich_opt.variational_minimizer(A, B, _T), "A B"),
+    "minimize_representation": (lambda A, B, x0: sandwich_opt.minimize_representation(A, B, _T, "i", x0), "A B x0"),
+    "frechet_derivative": (lambda X, Y: frechet_derivative(LOG, X, Y), "X Y"),
+    "inner": (sandwich_opt.inner, "X Y"),
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("case", ["nan", "size"])
+@pytest.mark.parametrize("name,arg", [(name, arg) for name, (_, args) in MATRIX_ARGUMENTS.items()
+                                      for arg in args.split()])
+def test_public_functions_validate_every_matrix_argument(name, arg, case):
+    # a NaN in any argument, or one argument of another size, raises
+    # InvalidInput naming that argument before any numpy call can fail
+    fn, args = MATRIX_ARGUMENTS[name]
+    matrices = {a: random_spd(4, 1.0, 2.0, i) for i, a in enumerate(args.split())}
+    if case == "nan":
+        matrices[arg][1, 2] = np.nan
+        with pytest.raises(InvalidInput, match=f"^{arg} has non-finite entries$"):
+            fn(**matrices)
+    else:
+        matrices[arg] = random_spd(3, 1.0, 2.0, 9)
+        with pytest.raises(InvalidInput, match=rf"\b{arg}\b") as info:
+            fn(**matrices)
+        assert "(3, 3)" in str(info.value) and "(4, 4)" in str(info.value)
