@@ -21,7 +21,6 @@ from .errors import InvalidInput, NumericalError, ParameterError
 from .linalg import (
     LOG,
     _eigenvalues,
-    as_hermitian,
     check_matrices,
     matrix_power,
     power,
@@ -68,8 +67,8 @@ def _sandwich_spectrum(decA, B, t):
 
 
 def _sandwich(decA, X, t):
-    """(P, decomposition of P X P), P = A^{(1-t)/2t}; NumericalError unless P X P > 0."""
-    P, M = _sandwiched(decA, as_hermitian(X), t)
+    """(P, decomposition of P X P), P = A^{(1-t)/2t}, X validated; NumericalError unless P X P > 0."""
+    P, M = _sandwiched(decA, symmetrize(X), t)
     dec = spectral_decompose(M)
     _positive(dec.eigenvalues)
     return P, dec
@@ -79,8 +78,8 @@ def _sandwiched(decA, B, t):
     """(P, P B P) with P = A^{(1-t)/2t}; ``NumericalError`` if either overflows, as at small t."""
     P = decA.map(power((1.0 - t) / (2.0 * t)))
     M = P @ B @ P
-    bad = ~np.all(np.isfinite(M), axis=(-2, -1))
-    if np.any(bad):
+    if not np.isfinite(M).all():
+        bad = ~np.all(np.isfinite(M), axis=(-2, -1))
         raise NumericalError(f"sandwiched product overflows{_where(bad)} at t = {t}")
     return P, M
 

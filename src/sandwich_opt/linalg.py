@@ -41,7 +41,7 @@ def _hermitian_part(H):
     H = np.asarray(H, dtype=complex)
     if H.ndim not in (2, 3) or H.shape[-1] != H.shape[-2] or H.shape[-1] == 0:
         raise InvalidInput(f"expected a square matrix or a stack (k, n, n) of them, got shape {H.shape}")
-    if not np.all(np.isfinite(H)):
+    if not np.isfinite(H).all():
         raise InvalidInput("matrix has non-finite entries")
     return symmetrize(H)
 
@@ -60,7 +60,7 @@ def check_matrices(**matrices):
             raise InvalidInput(f"{name} must be a square matrix, got shape {H.shape}")
         if first is not None and H.shape != first[1]:
             raise InvalidInput(f"{name} has shape {H.shape}, but {first[0]} has shape {first[1]}")
-        if not np.all(np.isfinite(H)):
+        if not np.isfinite(H).all():
             raise InvalidInput(f"{name} has non-finite entries")
         first = first or (name, H.shape)
 
@@ -130,7 +130,7 @@ class SpectralDecomp:
         """
         self.require_domain(fn)
         values = fn(self.eigenvalues)
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             lam = self.eigenvalues
             raise NumericalError(f"{fn} is not finite on the spectrum "
                                  f"(eigenvalues {np.min(lam):.3e} to {np.max(lam):.3e})")
