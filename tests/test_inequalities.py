@@ -728,8 +728,7 @@ def test_minimize_representation_decomposes_a_and_b_once(monkeypatch, rep):
 
 @pytest.mark.parametrize("trials", [0, -3, 2.5, True, np.float64(4.0)])
 def test_every_suite_rejects_a_trial_count_that_is_not_an_integer_from_one(trials):
-    # one check, where a suite cuts its trials into chunks; before it,
-    # trials=0 gave trace-chain a worst margin of inf and 2.5 a TypeError
+    # one check, where a suite cuts its trials into chunks (inequalities._chunks)
     for suite in SUITES:
         with pytest.raises(InvalidInput, match="trial count"):
             run_suite(suite, n=3, trials=trials, seed=0)
