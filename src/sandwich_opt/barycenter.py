@@ -6,13 +6,13 @@ f_j(X) = tr(A_j^{(1-t)/2t} X A_j^{(1-t)/2t})^t over the spectral box
 cross-validated by a fixed-point iteration on
 F(X) = sum_j w_j (X^{1/2} A_j^{(1-t)/t} X^{1/2})^t.
 
-Both solvers read the one gradient of f from ``calculus.gradient_f``:
+Both solvers read the one gradient of f, the kernel of ``calculus.gradient_f``:
 grad phi_t(X) = t I - sum_j w_j grad f_j(X) = t (I - S(X)) with
 S(X) = sum_j w_j grad f_j(X) / t, and F(X) = X^{1/2} S(X) X^{1/2}. Each
 grad f_j takes 2 eigh (A_j and its sandwich with X), so S(X) takes 2m. A
 gradient-projection step adds one eigh for the box projection and a
-fixed-point step one for X^{1/2}: 2m + 1 eigh per step either way, with no
-per-solve set-up.
+fixed-point step one for X^{1/2}: 2m + 1 eigh per step either way. A point X
+is checked once where it enters, and no step re-checks it.
 """
 
 from __future__ import annotations
@@ -24,13 +24,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import convexity_constants, gradient_f
-from .entropy import check_unit_t, sandwich_trace
+from .calculus import _frame_gradient, _whitened_frame, convexity_constants
+from .entropy import _sandwich_trace, check_unit_t
 from .errors import InvalidBox, InvalidInput, InvalidStart, InvalidStepSize
 from .linalg import (
+    _check_integer,
     _eigenvalues,
+    _hermitian_of_size,
     _spd_and_spectrum,
-    as_hermitian,
     check_box,
     power,
     project_box,
@@ -103,17 +104,18 @@ def barycenter_problem(matrices, weights, t, alpha=None, beta=None) -> Barycente
 
 def objective(p: BarycenterProblem, X):
     """phi_t(X); nonnegative, zero iff every marginal equals X."""
-    X = as_hermitian(X)
+    X = _hermitian_of_size("X", X, p.n)
     total = 0.0
     for w, A in zip(p.weights, p.matrices):
         linear = (1.0 - p.t) * float(np.trace(A).real) + p.t * float(np.trace(X).real)
-        total += w * (linear - sandwich_trace(A, X, p.t))
+        total += w * (linear - float(_sandwich_trace(spectral_decompose(A), X, p.t)))
     return total
 
 
 def _mean_sum(p: BarycenterProblem, X):
     """S(X) = sum_j w_j grad f_j(X) / t: 2m eigh."""
-    return sum(w * gradient_f(A, X, p.t) for w, A in zip(p.weights, p.matrices)) / p.t
+    return sum(w * _frame_gradient(*_whitened_frame(spectral_decompose(A), X, p.t), p.t)
+               for w, A in zip(p.weights, p.matrices)) / p.t
 
 
 def _gradient_from_sum(S, t):
@@ -137,7 +139,7 @@ def objective_gradient(p: BarycenterProblem, X):
     ``NumericalError`` when a sandwich A_j^{(1-t)/2t} X A_j^{(1-t)/2t} loses
     positivity in floating point, which happens first at small t.
     """
-    return _gradient(p, as_hermitian(X))
+    return _gradient(p, _hermitian_of_size("X", X, p.n))
 
 
 def fixed_point_map(p: BarycenterProblem, X):
@@ -146,7 +148,7 @@ def fixed_point_map(p: BarycenterProblem, X):
     Evaluated as X^{1/2} S(X) X^{1/2} = X^{1/2} (I - grad phi_t(X) / t) X^{1/2}:
     one decomposition of X plus 2 eigh per marginal for grad f_j.
     """
-    return _fixed_point_step(p, X)[0]
+    return _fixed_point_step(p, _hermitian_of_size("X", X, p.n))[0]
 
 
 def certified_rate(p: BarycenterProblem, eta=None):
@@ -203,16 +205,13 @@ def _check_stopping(tol_name, tol, max_iters):
     """
     if not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol >= 0):
         raise InvalidInput(f"{tol_name} = {tol!r} must be a finite number >= 0")
-    if not (isinstance(max_iters, numbers.Integral) and max_iters >= 0):
-        raise InvalidInput(f"max_iters = {max_iters!r} must be an integer >= 0")
+    _check_integer(max_iters, "max_iters", 0)
 
 
 def _start_iterate(p: BarycenterProblem, x0):
     if x0 is None:
         return (p.alpha + p.beta) / 2.0 * np.eye(p.n, dtype=complex)
-    x0 = as_hermitian(x0)
-    if x0.shape[0] != p.n:
-        raise InvalidStart(f"starting iterate has dimension {x0.shape[0]}, expected {p.n}")
+    x0 = _hermitian_of_size("x0", x0, p.n, InvalidStart)
     w = _eigenvalues(x0)
     slack = BOX_RTOL * p.beta
     if w[0] < p.alpha - slack or w[-1] > p.beta + slack:

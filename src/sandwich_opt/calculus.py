@@ -319,7 +319,7 @@ def bregman(A, t, Y, X):
     W, d = _whitened_frame(decA, X, t)
     fX = float(np.sum(d ** float(t)))
     fY = float(_sandwich_trace(decA, Y, t))
-    return fX - fY + inner(_frame_gradient(W, d, t), as_hermitian(Y) - as_hermitian(X))
+    return fX - fY + inner(_frame_gradient(W, d, t), symmetrize(Y) - symmetrize(X))
 
 
 def fidelity_t_derivative(A, B, t):

@@ -48,8 +48,8 @@ from .errors import DomainError, InvalidInput, ParameterError
 from .linalg import (
     ScalarFunction,
     SpectralDecomp,
+    _check_integer,
     _eigenvalues,
-    as_hermitian,
     check_matrices,
     derive_seed,
     graded_eigh,
@@ -110,14 +110,13 @@ class ChainReport:
     all_hold: bool
 
 
-def _chunks(trials):
+def _chunks(trials, cap=None):
     """Trial indices in trial order, in ranges of at most SUITE_CHUNK.
 
     The one trial-count check of every suite: ``InvalidInput`` unless trials
-    is an integer >= 1 (not a bool).
+    is an integer (not a bool) in [1, cap].
     """
-    if not (isinstance(trials, (int, np.integer)) and not isinstance(trials, bool) and trials >= 1):
-        raise InvalidInput(f"trial count must be an integer >= 1, got {trials!r}")
+    trials = _check_integer(trials, "trial count", 1, cap)
     return [range(start, min(start + SUITE_CHUNK, trials)) for start in range(0, trials, SUITE_CHUNK)]
 
 
@@ -278,7 +277,7 @@ def variational_value(A, B, t, X, rep):
         raise InvalidInput(f"unknown representation {rep!r}")
     check_matrices(A=A, B=B, X=X)
     decB = spectral_decompose(B) if rep in ("iii", "iv") else None
-    return float(_variational_values(spectral_decompose(A), decB, B, t, as_hermitian(X), (rep,))[rep])
+    return float(_variational_values(spectral_decompose(A), decB, B, t, symmetrize(X), (rep,))[rep])
 
 
 def _variational_values(decA, decB, B, t, X, reps):
@@ -352,13 +351,13 @@ def minimize_representation(A, B, t, rep, x0=None, max_iters=5000, grad_rtol=1e-
     check_unit_t(t)
     check_matrices(A=A, B=B, **({} if x0 is None else {"x0": x0}))
     decA = spectral_decompose(A)
-    X = as_hermitian(_variational_minimizer(decA, spectral_decompose(B), t) if x0 is None else x0)
+    X = symmetrize(_variational_minimizer(decA, spectral_decompose(B), t) if x0 is None else x0)
     decAtt = spectral_decompose(decA.map(power((t - 1.0) / t)))
     w = _eigenvalues(X)
     lo, hi = w[0] / 50.0, w[-1] * 50.0
 
     def value(Y):
-        return float(_variational_values(decA, None, B, t, as_hermitian(Y), (rep,))[rep])
+        return float(_variational_values(decA, None, B, t, symmetrize(Y), (rep,))[rep])
 
     def gradient(Y):
         return _representation_gradient(decA, decAtt, B, t, Y, rep)
@@ -693,10 +692,8 @@ def open_question_search(
     checked in batches of ``SUITE_CHUNK``, A decomposed once per pair;
     candidates are listed by trial, then order, then relation.
     """
-    if not 1 <= n <= 8:
-        raise InvalidInput(f"search dimension must be in [1, 8], got {n}")
-    if not 1 <= trials <= 10**6:
-        raise InvalidInput(f"trial count must be in [1, 1e6], got {trials}")
+    _check_integer(n, "search dimension", 1, 8)
+    chunks = _chunks(trials, 10**6)
     for t in t_grid:
         if not (np.isfinite(t) and T_MIN < t <= 0.5):
             raise ParameterError(f"search order t = {t} outside ({T_MIN}, 0.5]")
@@ -704,7 +701,7 @@ def open_question_search(
     checked = {rel: 0 for rel in OPEN_QUESTION_RELATIONS}
     worst = {rel: np.inf for rel in OPEN_QUESTION_RELATIONS}
     candidates = []
-    for chunk in _chunks(trials):
+    for chunk in chunks:
         sa = [derive_seed(seed, "open-question", i, "a") for i in chunk]
         sb = [derive_seed(seed, "open-question", i, "b") for i in chunk]
         AB = random_spd_stack(n, alpha, beta, sa + sb)

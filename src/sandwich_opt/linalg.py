@@ -65,6 +65,26 @@ def check_matrices(**matrices):
         first = first or (name, H.shape)
 
 
+def _hermitian_of_size(name, H, n, error=InvalidInput):
+    """The Hermitian part of H; ``error`` naming ``name`` and n unless H is a finite n x n matrix."""
+    H = np.asarray(H, dtype=complex)
+    if H.shape != (n, n):
+        raise error(f"{name} must be a {n}x{n} matrix, got shape {H.shape}")
+    if not np.isfinite(H).all():
+        raise error(f"{name} has non-finite entries")
+    return symmetrize(H)
+
+
+def _check_integer(value, what, lo, hi=None):
+    """value as an int; ``InvalidInput`` naming ``what`` unless an integer (not a bool) in [lo, hi]."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        value = int(value)
+        if lo <= value and (hi is None or value <= hi):
+            return value
+    span = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+    raise InvalidInput(f"{what} must be an integer {span}, got {value!r}")
+
+
 def as_hermitian(H):
     """Validate a square finite matrix and return its Hermitian part."""
     check_matrices(matrix=H)
@@ -337,7 +357,7 @@ def frechet_derivative(fn: ScalarFunction, X, Y):
     dec = spectral_decompose(X)
     dec.require_domain(fn)
     U = dec.eigenvectors
-    Yt = U.conj().T @ as_hermitian(Y) @ U
+    Yt = U.conj().T @ symmetrize(Y) @ U
     L = loewner_matrix(fn, dec.eigenvalues)
     return U @ (L * Yt) @ U.conj().T
 
@@ -374,6 +394,7 @@ def _hash_constants(init, mult, count):
 # state words from it (INIT_B, MULT_B).
 _HASH_A = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
 _HASH_B = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
+_SEED_MAX = 2**128 - 1  # a seed is at most four 32-bit entropy words
 
 
 def _hashmix(v, calls, consts):
@@ -387,20 +408,6 @@ def _mix(x, y):
     return r ^ (r >> np.uint32(16))
 
 
-def _check_seed(seed):
-    """The seed as an int; ``InvalidInput`` unless an integer (not a bool) in [0, 2**128)."""
-    if isinstance(seed, (int, np.integer)) and not isinstance(seed, bool) and 0 <= int(seed) < 2**128:
-        return int(seed)
-    raise InvalidInput(f"seed must be an integer in [0, 2**128), got {seed!r}")
-
-
-def _check_dimension(n):
-    """The dimension as an int; ``InvalidInput`` unless an integer (not a bool) >= 1."""
-    if isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 1:
-        return int(n)
-    raise InvalidInput(f"dimension must be an integer >= 1, got {n!r}")
-
-
 def _seed_words(seeds):
     """(k, 4) uint64: row i is ``generate_state(4, np.uint64)`` of the SeedSequence of seeds[i].
 
@@ -409,7 +416,7 @@ def _seed_words(seeds):
     little-endian 32-bit words; a zero word hashes like SeedSequence's padding
     of a shorter entropy, so all of [0, 2**128) takes this one path.
     """
-    seeds = [_check_seed(s) for s in seeds]
+    seeds = [_check_integer(s, "seed", 0, _SEED_MAX) for s in seeds]
     halves = np.array([(s & 0xFFFFFFFFFFFFFFFF, s >> 64) for s in seeds], dtype="<u8").reshape(-1, 2)
     pool = _hashmix(halves.view("<u4").astype(np.uint32), slice(0, 4), _HASH_A)
     for src in range(4):
@@ -459,7 +466,7 @@ def random_spd_stack(n, alpha, beta, seeds):
     stack. Entry i equals ``random_spd(n, alpha, beta, seeds[i])``, and an
     empty sequence gives an empty (0, n, n) stack.
     """
-    n = _check_dimension(n)
+    n = _check_integer(n, "dimension", 1)
     check_box(alpha, beta)
     rngs = _generators(seeds)
     u = np.empty((len(rngs), n))
@@ -479,12 +486,10 @@ def random_spd_stack(n, alpha, beta, seeds):
 def random_hermitian(n, seed, scale=1.0):
     """Seeded random Hermitian matrix with Gaussian entries.
 
-    The dimension n is an integer >= 1 and the seed an integer in
-    [0, 2**128) (``InvalidInput`` otherwise, also for booleans and a ``None``
-    seed); identical seeds give identical matrices, drawn as numpy's default
-    generator of that seed draws them.
+    n and seed are checked as by ``random_spd``; identical seeds give
+    identical matrices, drawn as numpy's default generator of that seed draws them.
     """
-    n = _check_dimension(n)
+    n = _check_integer(n, "dimension", 1)
     (rng,) = _generators([seed])
     H = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return symmetrize(scale * H)

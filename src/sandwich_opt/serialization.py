@@ -13,6 +13,7 @@ import numpy as np
 
 from .barycenter import BarycenterProblem, SolverReport, barycenter_problem
 from .errors import InvalidInput
+from .linalg import _check_integer
 
 
 def format_float(x) -> str:
@@ -81,9 +82,7 @@ def _is_number(v) -> bool:
 def matrix_from_json(d) -> np.ndarray:
     if not isinstance(d, dict) or "n" not in d or "re" not in d:
         raise InvalidInput('matrix JSON must carry "n" and "re"')
-    n = d["n"]
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise InvalidInput(f'invalid matrix dimension "n": {n!r}')
+    n = _check_integer(d["n"], 'matrix dimension "n"', 1)
 
     def grid(field):
         try:

@@ -222,7 +222,7 @@ def test_gradient_projection_max_iters_termination():
                                           (solve_fixed_point, "tol")])
 @pytest.mark.parametrize("name,value", [
     ("tol", float("nan")), ("tol", -1.0), ("tol", float("inf")), ("tol", "1e-8"),
-    ("max_iters", -3), ("max_iters", 2.5),
+    ("max_iters", -3), ("max_iters", 2.5), ("max_iters", True),
 ])
 def test_solvers_reject_bad_stopping_parameters(solver, field, name, value):
     # a NaN or negative tolerance is never met: the run went on to the
@@ -230,6 +230,65 @@ def test_solvers_reject_bad_stopping_parameters(solver, field, name, value):
     name = field if name == "tol" else name
     with pytest.raises(InvalidInput, match=name):
         solver(random_problem(14), **{name: value})
+
+
+@pytest.mark.parametrize("fn", [objective, objective_gradient, fixed_point_map])
+def test_point_of_the_wrong_size_or_non_finite_names_x(fn):
+    # X was checked only through each marginal's call, whose message named
+    # that call's arguments ("B has shape (3, 3), but A has shape (4, 4)")
+    p = random_problem(15)
+    with pytest.raises(InvalidInput, match=r"X must be a 4x4 matrix, got shape \(3, 3\)"):
+        fn(p, np.eye(3))
+    with pytest.raises(InvalidInput, match="X must be a 4x4"):
+        fn(p, np.ones(4))
+    X = 2.0 * np.eye(4)
+    X[1, 2] = np.nan
+    with pytest.raises(InvalidInput, match="X has non-finite entries"):
+        fn(p, X)
+
+
+def test_start_of_the_wrong_size_or_non_finite_is_invalid_start():
+    p = random_problem(16)
+    for solver in (solve_gradient_projection, solve_fixed_point):
+        with pytest.raises(InvalidStart, match="x0 must be a 4x4 matrix"):
+            solver(p, x0=np.eye(3))
+        with pytest.raises(InvalidStart, match="x0 has non-finite entries"):
+            solver(p, x0=np.full((4, 4), np.inf))
+
+
+def _count_argument_checks(monkeypatch):
+    # every module binding of check_matrices and check_unit_t, so that a call
+    # through any of them is counted
+    import sandwich_opt
+    from sandwich_opt import entropy, linalg
+
+    calls = []
+    for fn in (linalg.check_matrices, entropy.check_unit_t):
+        def counted(*args, _fn=fn, **kwargs):
+            calls.append(_fn.__name__)
+            return _fn(*args, **kwargs)
+
+        for module in vars(sandwich_opt).values():
+            if getattr(module, fn.__name__, None) is fn and module is not sandwich_opt:
+                monkeypatch.setattr(module, fn.__name__, counted)
+    return calls
+
+
+@pytest.mark.parametrize("solver,tol", [(solve_gradient_projection, "grad_tol"),
+                                        (solve_fixed_point, "tol")])
+def test_solve_argument_checks_do_not_grow_with_iterations(monkeypatch, solver, tol):
+    # the problem and x0 are checked once per solve; no step re-checks t or a
+    # marginal
+    p = random_problem(17)
+    x0 = random_spd(4, 1.5, 3.5, 18)
+    counts = []
+    for iters in (3, 30):
+        calls = _count_argument_checks(monkeypatch)
+        rep = solver(p, max_iters=iters, x0=x0, **{tol: 0.0})
+        monkeypatch.undo()
+        assert rep.iterations == iters
+        counts.append(sorted(calls))
+    assert counts[0] == counts[1]
 
 
 def test_fixed_point_single_marginal():

@@ -609,6 +609,15 @@ def test_open_question_search_guards():
         open_question_search(3, (0.6,), trials=5, seed=0)
 
 
+@pytest.mark.parametrize("n,trials,what", [(4, None, "trial count"), (None, 2, "search dimension"),
+                                           (2.0, 2, "search dimension"), (3, 10**6 + 1, "trial count"),
+                                           (True, 2, "search dimension")])
+def test_open_question_checks_integer_types_before_ranges(n, trials, what):
+    # the caps were compared before the type: None raised TypeError
+    with pytest.raises(InvalidInput, match=what):
+        run_suite("open-question", n=n, trials=trials, seed=0)
+
+
 def test_mp_reverification_flags_float_ghosts():
     from sandwich_opt.inequalities import _mp_relation_margin
 
