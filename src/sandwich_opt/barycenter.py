@@ -126,11 +126,16 @@ def _gradient(p: BarycenterProblem, X):
     return _gradient_from_sum(_mean_sum(p, X), p.t)
 
 
+def _fixed_point_from_sum(X, S):
+    """F(X) = X^{1/2} S(X) X^{1/2} from S(X): one eigh."""
+    root = spectral_decompose(X).map(power(0.5))
+    return symmetrize(root @ S @ root)
+
+
 def _fixed_point_step(p: BarycenterProblem, X):
     """(F(X), grad phi_t(X)) from one decomposition of X and one S(X): 2m + 1 eigh."""
-    root = spectral_decompose(X).map(power(0.5))
     S = _mean_sum(p, X)
-    return symmetrize(root @ S @ root), _gradient_from_sum(S, p.t)
+    return _fixed_point_from_sum(X, S), _gradient_from_sum(S, p.t)
 
 
 def objective_gradient(p: BarycenterProblem, X):
@@ -266,7 +271,8 @@ def solve_gradient_projection(
     termination = "max_iters"
     k = 0
     while True:
-        G = _gradient(p, X)
+        S = _mean_sum(p, X)
+        G = _gradient_from_sum(S, p.t)
         gn = float(np.linalg.norm(G))
         stop = gn <= grad_tol or k >= max_iters
         hist.record(k, gn, X, final=stop)
@@ -278,7 +284,8 @@ def solve_gradient_projection(
         X = project_box(X - eta * G, p.alpha, p.beta)
         k += 1
 
-    residual = float(np.linalg.norm(X - _fixed_point_step(p, X)[0]))
+    # the last S(X) was formed at this X
+    residual = float(np.linalg.norm(X - _fixed_point_from_sum(X, S)))
     return SolverReport(
         minimizer=X,
         iterations=k,

@@ -16,7 +16,7 @@ from .entropy import _sandwich, _sandwich_trace, check_unit_t, T_MAX, T_MIN
 from .errors import NumericalError, ParameterError
 from .linalg import (
     LOG,
-    as_hermitian,
+    _hermitian_of_size,
     check_box,
     check_matrices,
     inner,
@@ -81,12 +81,12 @@ def hessian_operator(A, X, t) -> HessianOperator:
 def hessian_apply(op: HessianOperator, Y):
     """Apply -grad^2 f(X) to a Hermitian direction Y: t W* [K o (W Y W*)] W.
 
-    Y is validated by ``as_hermitian``: this is the public entry point.
-    ``hessian_extreme_eigs`` does not call it; it reads the spectrum from the
-    twin operator (see there).
+    ``InvalidInput`` unless Y is a finite op.n x op.n matrix: this is the
+    public entry point. ``hessian_extreme_eigs`` does not call it; it reads
+    the spectrum from the twin operator (see there).
     """
     W, Wh = op.W, op.W.conj().T
-    return symmetrize(op.t * Wh @ (op.kernel * (W @ as_hermitian(Y) @ Wh)) @ W)
+    return symmetrize(op.t * Wh @ (op.kernel * (W @ _hermitian_of_size("Y", Y, op.n) @ Wh)) @ W)
 
 
 def hessian_operator_matrix(op: HessianOperator):

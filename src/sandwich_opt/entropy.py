@@ -77,11 +77,15 @@ def _sandwich(decA, X, t):
 def _sandwiched(decA, B, t):
     """(P, P B P) with P = A^{(1-t)/2t}; ``NumericalError`` if either overflows, as at small t."""
     P = decA.map(power((1.0 - t) / (2.0 * t)))
-    M = P @ B @ P
+    return P, _finite(P @ B @ P, "sandwiched product", f" at t = {t}")
+
+
+def _finite(M, what, context=""):
+    """M, a matrix or a stack; ``NumericalError`` naming ``what`` and the first failing stack index unless finite."""
     if not np.isfinite(M).all():
         bad = ~np.all(np.isfinite(M), axis=(-2, -1))
-        raise NumericalError(f"sandwiched product overflows{_where(bad)} at t = {t}")
-    return P, M
+        raise NumericalError(f"{what} overflows{_where(bad)}{context}")
+    return M
 
 
 def _positive(w):
@@ -168,7 +172,7 @@ def _relative_entropy(decB, decA, B):
 def _whitened_spectrum(decA, B):
     """Ascending eigenvalues of A^{-1/2} B A^{-1/2}, all positive, from the decomposition of A."""
     Ami = decA.map(power(-0.5))
-    w = _eigenvalues(Ami @ B @ Ami)
+    w = _eigenvalues(_finite(Ami @ B @ Ami, "whitened product A^{-1/2} B A^{-1/2}"))
     bad = w[..., 0] <= 0
     if np.any(bad):
         raise NumericalError(f"whitened matrix lost positivity{_where(bad)}")
@@ -224,7 +228,7 @@ def _whiten(decA, B):
     decA.require_domain(power(-0.5))
     root = decA.apply(np.sqrt(decA.eigenvalues))
     iroot = decA.apply(1.0 / np.sqrt(decA.eigenvalues))
-    decM = spectral_decompose(iroot @ B @ iroot)
+    decM = spectral_decompose(_finite(iroot @ B @ iroot, "whitened product A^{-1/2} B A^{-1/2}"))
     bad = decM.eigenvalues[..., -1] <= 0
     if np.any(bad):
         raise NumericalError(

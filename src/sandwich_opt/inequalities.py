@@ -44,7 +44,7 @@ from .entropy import (
     _whitened_spectrum,
     check_unit_t,
 )
-from .errors import DomainError, InvalidInput, ParameterError
+from .errors import DomainError, InvalidInput, NumericalError, ParameterError
 from .linalg import (
     ScalarFunction,
     SpectralDecomp,
@@ -478,9 +478,16 @@ def _gamma_limit_batch(A, B, t_grid):
 
     # In the eigenbasis of A, gamma(t)^{1/t} is diag(a^m) U*BU diag(a^m) with
     # m = (1-t)/2t: all (trial, order) pairs go through one graded_eigh
-    d = a[:, None, :] ** ((1.0 - ts) / (2.0 * ts))[:, None]
     Bt = symmetrize(U.conj().swapaxes(-1, -2) @ B @ U)
-    w, V = graded_eigh((d[..., :, None] * d[..., None, :] * Bt[:, None]).reshape(-1, n, n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = a[:, None, :] ** ((1.0 - ts) / (2.0 * ts))[:, None]
+        graded = d[..., :, None] * d[..., None, :] * Bt[:, None]
+    bad = ~np.all(np.isfinite(graded), axis=(-2, -1))
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise NumericalError(f"graded sandwich A^{{(1-t)/2t}} B A^{{(1-t)/2t}} overflows "
+                             f"at stack index {i} at t = {ts[j]}")
+    w, V = graded_eigh(graded.reshape(-1, n, n))
     w = w.reshape(k, len(ts), n)
     gamma_root = SpectralDecomp(w, U[:, None] @ V.reshape(k, len(ts), n, n))
     G = symmetrize(gamma_root.apply(w ** ts[:, None]))

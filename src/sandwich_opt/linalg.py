@@ -69,7 +69,7 @@ def _hermitian_of_size(name, H, n, error=InvalidInput):
     """The Hermitian part of H; ``error`` naming ``name`` and n unless H is a finite n x n matrix."""
     H = np.asarray(H, dtype=complex)
     if H.shape != (n, n):
-        raise error(f"{name} must be a {n}x{n} matrix, got shape {H.shape}")
+        raise error(f"{name} must have shape ({n}, {n}), got {H.shape}")
     if not np.isfinite(H).all():
         raise error(f"{name} has non-finite entries")
     return symmetrize(H)

@@ -237,9 +237,9 @@ def test_point_of_the_wrong_size_or_non_finite_names_x(fn):
     # X was checked only through each marginal's call, whose message named
     # that call's arguments ("B has shape (3, 3), but A has shape (4, 4)")
     p = random_problem(15)
-    with pytest.raises(InvalidInput, match=r"X must be a 4x4 matrix, got shape \(3, 3\)"):
+    with pytest.raises(InvalidInput, match=r"X must have shape \(4, 4\), got \(3, 3\)"):
         fn(p, np.eye(3))
-    with pytest.raises(InvalidInput, match="X must be a 4x4"):
+    with pytest.raises(InvalidInput, match=r"X must have shape \(4, 4\), got \(4,\)"):
         fn(p, np.ones(4))
     X = 2.0 * np.eye(4)
     X[1, 2] = np.nan
@@ -250,7 +250,7 @@ def test_point_of_the_wrong_size_or_non_finite_names_x(fn):
 def test_start_of_the_wrong_size_or_non_finite_is_invalid_start():
     p = random_problem(16)
     for solver in (solve_gradient_projection, solve_fixed_point):
-        with pytest.raises(InvalidStart, match="x0 must be a 4x4 matrix"):
+        with pytest.raises(InvalidStart, match=r"x0 must have shape \(4, 4\)"):
             solver(p, x0=np.eye(3))
         with pytest.raises(InvalidStart, match="x0 has non-finite entries"):
             solver(p, x0=np.full((4, 4), np.inf))
@@ -414,6 +414,22 @@ def test_fixed_point_step_eigh_count(monkeypatch):
     rep = bc.solve_fixed_point(p, tol=1e-12, max_iters=3)
     assert rep.iterations == 3
     assert len(calls) == (rep.iterations + 1) * (2 * m + 1)
+
+
+@pytest.mark.parametrize("iters", [0, 3])
+def test_gradient_projection_solve_eigh_count(monkeypatch, iters):
+    # the start's projection, S(X) at each of the k + 1 iterates (2m each),
+    # k box projections, and X^{1/2} for the final fixed-point residual,
+    # which reuses the last S(X)
+    m = 3
+    p = random_problem(24, m=m)
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(1) or eigh(*a, **k))
+    rep = solve_gradient_projection(p, grad_tol=0.0, max_iters=iters)
+    k = rep.iterations
+    assert k == iters
+    assert len(calls) == 1 + 2 * m * (k + 1) + k + 1
 
 
 @settings(max_examples=30, derandomize=True, database=None, deadline=None)

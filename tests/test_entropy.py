@@ -345,3 +345,14 @@ def test_stack_errors_name_the_first_failing_index():
     # every other entry of the stack passes
     keep = [0, 1, 2, 4]
     assert np.all(_sandwich_spectrum(decA[keep], B[keep], 0.4) > 0)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_whitened_product_overflow_raises_numerical_error():
+    # valid inputs whose A^{-1/2} B A^{-1/2} = 1e310 I overflows; geometric_mean
+    # raised InvalidInput and the whitened spectra numpy's LinAlgError
+    A, B = 1e-10 * np.eye(4), 1e300 * np.eye(4)
+    for call in (lambda: geometric_mean(A, B, 0.5), lambda: thompson_metric(A, B),
+                 lambda: riemannian_distance(A, B), lambda: max_relative_entropy(B, A)):
+        with pytest.raises(NumericalError, match=r"whitened product A\^\{-1/2\} B A\^\{-1/2\} overflows$"):
+            call()

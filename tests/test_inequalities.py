@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,6 +8,7 @@ from sandwich_opt import (
     DomainError,
     EXP,
     InvalidInput,
+    NumericalError,
     ParameterError,
     canonical_json,
     derive_seed,
@@ -600,6 +603,16 @@ def test_open_question_search_report(tmp_path):
     report.pop("candidates_truncated")
     report2.pop("candidates_truncated")
     assert canonical_json(report) == canonical_json(report2)
+
+
+def test_gamma_limit_overflow_raises_numerical_error_without_warning():
+    # on a [1, 1e4] box the graded A^{(1-t)/2t} B A^{(1-t)/2t} overflows at
+    # t = 0.01 of the default grid; numpy warned and graded_eigh raised InvalidInput
+    A, B = random_spd(4, 1.0, 1e4, 3), random_spd(4, 1.0, 4.0, 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="overflows at stack index 0 at t = 0.01$"):
+            gamma_limit_check(A, B)
 
 
 def test_open_question_search_guards():

@@ -485,6 +485,7 @@ def test_hermitian_eigensolvers_go_through_linalg():
 # ------------------------------------------------ public boundary validation
 
 _T = 0.4
+_HESSIAN_OP = sandwich_opt.hessian_operator(random_spd(4, 1.0, 2.0, 11), random_spd(4, 1.0, 2.0, 12), _T)
 # public function -> (call on its matrix arguments by name, their names)
 MATRIX_ARGUMENTS = {
     "sandwich_spectrum": (lambda A, B: sandwich_opt.entropy.sandwich_spectrum(A, B, _T), "A B"),
@@ -511,6 +512,8 @@ MATRIX_ARGUMENTS = {
     "minimize_representation": (lambda A, B, x0: sandwich_opt.minimize_representation(A, B, _T, "i", x0), "A B x0"),
     "frechet_derivative": (lambda X, Y: frechet_derivative(LOG, X, Y), "X Y"),
     "inner": (sandwich_opt.inner, "X Y"),
+    # a direction of another size than the operator's n = 4
+    "hessian_apply": (lambda Y: sandwich_opt.hessian_apply(_HESSIAN_OP, Y), "Y"),
 }
 
 
