@@ -81,7 +81,7 @@ def _sandwiched(decA, B, t):
 
 
 def _finite(M, what, context=""):
-    """M, a matrix or a stack; ``NumericalError`` naming ``what`` and the first failing stack index unless finite."""
+    """M (a matrix or a stack) if finite; else ``NumericalError`` naming ``what`` and the first bad index."""
     if not np.isfinite(M).all():
         bad = ~np.all(np.isfinite(M), axis=(-2, -1))
         raise NumericalError(f"{what} overflows{_where(bad)}{context}")

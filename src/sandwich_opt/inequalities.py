@@ -349,6 +349,7 @@ def minimize_representation(A, B, t, rep, x0=None, max_iters=5000, grad_rtol=1e-
     if rep not in ("i", "ii"):
         raise InvalidInput(f"local minimization supports reps i/ii, got {rep!r}")
     check_unit_t(t)
+    _check_integer(max_iters, "max_iters", 0)
     check_matrices(A=A, B=B, **({} if x0 is None else {"x0": x0}))
     decA = spectral_decompose(A)
     X = symmetrize(_variational_minimizer(decA, spectral_decompose(B), t) if x0 is None else x0)

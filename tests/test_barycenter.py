@@ -204,8 +204,11 @@ def test_gradient_projection_start_validation():
     p = random_problem(11)
     with pytest.raises(InvalidStart):
         solve_gradient_projection(p, x0=10.0 * np.eye(4))
-    with pytest.raises(InvalidStart):
-        solve_gradient_projection(p, x0=np.eye(3))
+    for solver in (solve_gradient_projection, solve_fixed_point):
+        with pytest.raises(InvalidStart, match=r"x0 must have shape \(4, 4\)"):
+            solver(p, x0=np.eye(3))
+        with pytest.raises(InvalidStart, match="x0 has non-finite entries"):
+            solver(p, x0=np.full((4, 4), np.inf))
     with pytest.raises(InvalidStepSize):
         solve_gradient_projection(p, eta=100.0)
 
@@ -245,15 +248,6 @@ def test_point_of_the_wrong_size_or_non_finite_names_x(fn):
     X[1, 2] = np.nan
     with pytest.raises(InvalidInput, match="X has non-finite entries"):
         fn(p, X)
-
-
-def test_start_of_the_wrong_size_or_non_finite_is_invalid_start():
-    p = random_problem(16)
-    for solver in (solve_gradient_projection, solve_fixed_point):
-        with pytest.raises(InvalidStart, match=r"x0 must have shape \(4, 4\)"):
-            solver(p, x0=np.eye(3))
-        with pytest.raises(InvalidStart, match="x0 has non-finite entries"):
-            solver(p, x0=np.full((4, 4), np.inf))
 
 
 def _count_argument_checks(monkeypatch):

@@ -245,6 +245,9 @@ def test_minimize_representation_reaches_fidelity():
             assert val <= F * (1 + 1e-6), (seed, rep)
     with pytest.raises(InvalidInput):
         minimize_representation(A, B, 0.5, "iii")
+    for max_iters in (2.5, None, True, -1):
+        with pytest.raises(InvalidInput, match="max_iters"):
+            minimize_representation(A, B, 0.5, "i", max_iters=max_iters)
 
 
 @pytest.mark.parametrize("rep", ["i", "ii"])
@@ -616,19 +619,14 @@ def test_gamma_limit_overflow_raises_numerical_error_without_warning():
 
 
 def test_open_question_search_guards():
-    with pytest.raises(InvalidInput):
-        open_question_search(9, (0.25,), trials=5, seed=0)
+    # the caps were compared before the type: a None n raised TypeError
+    for n in (9, None, 2.0, True):
+        with pytest.raises(InvalidInput, match="search dimension"):
+            open_question_search(n, (0.25,), trials=5, seed=0)
+    with pytest.raises(InvalidInput, match="trial count"):
+        open_question_search(3, (0.25,), trials=10**6 + 1, seed=0)
     with pytest.raises(ParameterError):
         open_question_search(3, (0.6,), trials=5, seed=0)
-
-
-@pytest.mark.parametrize("n,trials,what", [(4, None, "trial count"), (None, 2, "search dimension"),
-                                           (2.0, 2, "search dimension"), (3, 10**6 + 1, "trial count"),
-                                           (True, 2, "search dimension")])
-def test_open_question_checks_integer_types_before_ranges(n, trials, what):
-    # the caps were compared before the type: None raised TypeError
-    with pytest.raises(InvalidInput, match=what):
-        run_suite("open-question", n=n, trials=trials, seed=0)
 
 
 def test_mp_reverification_flags_float_ghosts():
@@ -748,7 +746,7 @@ def test_minimize_representation_decomposes_a_and_b_once(monkeypatch, rep):
     assert calls["eigvalsh"] == 1 + 1 + (steps["project"] - 1) + per_gradient * steps["gradient"]
 
 
-@pytest.mark.parametrize("trials", [0, -3, 2.5, True, np.float64(4.0)])
+@pytest.mark.parametrize("trials", [0, -3, 2.5, True, np.float64(4.0), None])
 def test_every_suite_rejects_a_trial_count_that_is_not_an_integer_from_one(trials):
     # one check, where a suite cuts its trials into chunks (inequalities._chunks)
     for suite in SUITES:
