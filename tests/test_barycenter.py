@@ -353,6 +353,42 @@ def test_fixed_point_divergence_safeguard(monkeypatch):
     assert rep.iterations < 1000  # the 10-increase safeguard stopped the run
 
 
+def test_termination_precedence(monkeypatch, caplog):
+    # gradient_tol beats max_iters, and max_iters beats the safeguard: under
+    # the diverging map the 10th consecutive increase comes at iterate 10
+    import sandwich_opt.barycenter as bc
+
+    p = random_problem(21)
+    step = bc._fixed_point_step
+    monkeypatch.setattr(
+        bc, "_fixed_point_step",
+        lambda p, X: (1.5 * X + np.eye(X.shape[0]), step(p, X)[1]),
+    )
+    with caplog.at_level("WARNING", logger="sandwich_opt.barycenter"):
+        rep = bc.solve_fixed_point(p, tol=1e-12, max_iters=10)
+    assert (rep.termination, rep.iterations) == ("max_iters", 10)
+    assert caplog.records == []
+    with caplog.at_level("WARNING", logger="sandwich_opt.barycenter"):
+        rep = bc.solve_fixed_point(p, tol=1e-12, max_iters=11)
+    assert (rep.termination, rep.iterations) == ("residual_growth", 10)
+    assert [r.levelname for r in caplog.records] == ["WARNING"]
+    rep = solve_gradient_projection(p, grad_tol=1e9, max_iters=0)
+    assert (rep.termination, rep.iterations) == ("gradient_tol", 0)
+
+
+@pytest.mark.parametrize("solver,tol", [(solve_gradient_projection, "grad_tol"),
+                                        (solve_fixed_point, "tol")])
+def test_history_keeps_the_final_iterate_beyond_cap(monkeypatch, solver, tol):
+    # past the cap only every 10th iterate is kept, and the last one always
+    import sandwich_opt.barycenter as bc
+
+    monkeypatch.setattr(bc, "HISTORY_CAP", 5)
+    rep = solver(random_problem(25), max_iters=23, **{tol: 0.0})
+    assert rep.termination == "max_iters"
+    assert rep.history_indices == [0, 1, 2, 3, 4, 10, 20, 23]
+    assert len(rep.grad_norms) == len(rep.history_indices)
+
+
 def _real_or_complex(M, real):
     # the real part of a Hermitian positive definite matrix is real symmetric
     # positive definite, with its spectrum inside the original one

@@ -11,6 +11,7 @@ import pytest
 from sandwich_opt import (
     bures_distance,
     convexity_constants,
+    derive_seed,
     fidelity,
     geometric_mean,
     gradient_f,
@@ -294,6 +295,32 @@ def test_verify_report_digest_is_pinned(suite, capsys):
     assert main(["verify", "--suite", suite, "--n", "4", "--trials", "50", "--seed", "42"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_DIGESTS[suite]
+
+
+# sha256 of the barycenter report on stdout for a seeded 3x3 problem with
+# three marginals: a change to the solver loop that moves one bit shows here
+BARYCENTER_DIGESTS = {
+    "gp": "df54b8cd0fc06abaab17fc56bfaf7d99453d203fda0c802718b842ea159fedb2",
+    "fp": "fc7c17f9332adaf85cf9944ce7bb4de10f4114f37219302e35fa443196780058",
+    "gp-capped-trace": "8b3f7fc27355c20497974f0e3bf0aad1ba45eb72864bf6fbe3a4ec728299a37c",
+}
+BARYCENTER_ARGS = {
+    "gp": (["--solver", "gp"], 0),
+    "fp": (["--solver", "fp"], 0),
+    "gp-capped-trace": (["--solver", "gp", "--max-iters", "2", "--trace"], 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BARYCENTER_DIGESTS))
+def test_barycenter_report_digest_is_pinned(case, tmp_path, capsys):
+    from sandwich_opt.cli import main
+
+    mats = [random_spd(3, 1.0, 4.0, derive_seed(95, "marg", j)) for j in range(3)]
+    path = write_problem(tmp_path, mats, [1.0, 2.0, 3.0], 0.5)
+    args, code = BARYCENTER_ARGS[case]
+    assert main(["barycenter", "--problem", str(path), *args]) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == BARYCENTER_DIGESTS[case]
 
 
 def test_gen_writes_deterministic_spd_files(tmp_path):
