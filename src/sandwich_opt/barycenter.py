@@ -17,6 +17,7 @@ is checked once where it enters, and no step re-checks it.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 import numbers
@@ -236,12 +237,49 @@ class _History:
     def record(self, k, gn, X, final=False):
         if not final and len(self.indices) >= HISTORY_CAP and k % 10 != 0:
             return
-        if self.indices and self.indices[-1] == k:
-            return
         self.indices.append(k)
         self.grad_norms.append(gn)
         if self.iterates is not None:
             self.iterates.append(X.copy())
+
+
+def _iterate(X, evaluate, converged, advance, residual, rate, max_iters, trace,
+             safeguard=lambda k, state: None, eta=None):
+    """The one loop of both solvers, and their one report.
+
+    At iterate k, ``evaluate(X)`` returns (grad phi_t(X), the step rule's
+    state). The run stops with the first of "gradient_tol" if
+    ``converged(||grad phi_t(X)||, state)``, "max_iters" if k = max_iters and
+    the reason ``safeguard(k, state)`` returns; else X moves to
+    ``advance(X, G, state)``, formed only after the stop test. ``rate`` is
+    (alpha_star, beta_star, q); ``residual(X, state)`` gives ||X - F(X)||.
+    """
+    hist = _History(trace)
+    for k in itertools.count():
+        G, state = evaluate(X)
+        gn = float(np.linalg.norm(G))
+        termination = ("gradient_tol" if converged(gn, state) else
+                       "max_iters" if k >= max_iters else safeguard(k, state))
+        hist.record(k, gn, X, final=termination is not None)
+        if termination is not None:
+            break
+        X = advance(X, G, state)
+
+    alpha_star, beta_star, q = rate
+    return SolverReport(
+        minimizer=X,
+        iterations=k,
+        grad_norms=hist.grad_norms,
+        history_indices=hist.indices,
+        alpha_star=alpha_star,
+        beta_star=beta_star,
+        q=q,
+        eta=eta,
+        termination=termination,
+        error_bound=gn / alpha_star,
+        fixed_point_residual=residual(X, state),
+        iterates=hist.iterates,
+    )
 
 
 def solve_gradient_projection(
@@ -259,46 +297,24 @@ def solve_gradient_projection(
     certified distance bound to the unique minimizer. ``InvalidInput`` unless
     grad_tol is finite and >= 0 and max_iters is an integer >= 0.
     """
-    alpha_star, beta_star, q = certified_rate(p, eta)
+    rate = certified_rate(p, eta)
     if eta is None:
-        eta = 1.0 / beta_star
+        eta = 1.0 / rate[1]
     if grad_tol is None:
         grad_tol = 1e-10 * p.t * p.n
     _check_stopping("grad_tol", grad_tol, max_iters)
-    X = project_box(_start_iterate(p, x0), p.alpha, p.beta)
-    hist = _History(trace)
 
-    termination = "max_iters"
-    k = 0
-    while True:
+    def evaluate(X):
         S = _mean_sum(p, X)
-        G = _gradient_from_sum(S, p.t)
-        gn = float(np.linalg.norm(G))
-        stop = gn <= grad_tol or k >= max_iters
-        hist.record(k, gn, X, final=stop)
-        if gn <= grad_tol:
-            termination = "gradient_tol"
-            break
-        if k >= max_iters:
-            break
-        X = project_box(X - eta * G, p.alpha, p.beta)
-        k += 1
+        return _gradient_from_sum(S, p.t), S
 
-    # the last S(X) was formed at this X
-    residual = float(np.linalg.norm(X - _fixed_point_from_sum(X, S)))
-    return SolverReport(
-        minimizer=X,
-        iterations=k,
-        grad_norms=hist.grad_norms,
-        history_indices=hist.indices,
-        alpha_star=alpha_star,
-        beta_star=beta_star,
-        q=q,
-        eta=float(eta),
-        termination=termination,
-        error_bound=gn / alpha_star,
-        fixed_point_residual=residual,
-        iterates=hist.iterates,
+    return _iterate(
+        project_box(_start_iterate(p, x0), p.alpha, p.beta), evaluate,
+        converged=lambda gn, S: gn <= grad_tol,
+        advance=lambda X, G, S: project_box(X - eta * G, p.alpha, p.beta),
+        # the last S(X) was formed at this X
+        residual=lambda X, S: float(np.linalg.norm(X - _fixed_point_from_sum(X, S))),
+        rate=rate, max_iters=max_iters, trace=trace, eta=float(eta),
     )
 
 
@@ -320,48 +336,26 @@ def solve_fixed_point(
     """
     _check_stopping("tol", tol, max_iters)
     alpha_star, beta_star, _ = certified_rate(p, None)
-    X = _start_iterate(p, x0)
-    hist = _History(trace)
+    increases, prev_residual = 0, np.inf
 
-    termination = "max_iters"
-    increases = 0
-    prev_residual = np.inf
-    k = 0
-    while True:
+    def evaluate(X):
         FX, G = _fixed_point_step(p, X)
-        residual = float(np.linalg.norm(X - FX))
-        gn = float(np.linalg.norm(G))
-        stop = residual <= tol or k >= max_iters
-        hist.record(k, gn, X, final=stop)
-        if residual <= tol:
-            termination = "gradient_tol"
-            break
-        if k >= max_iters:
-            break
-        increases = increases + 1 if residual > prev_residual else 0
-        if increases >= 10:
-            termination = "residual_growth"
-            hist.record(k, gn, X, final=True)
-            logger.warning(
-                "fixed-point residual increased for 10 consecutive steps "
-                "(%.3e at iterate %d); stopping", residual, k
-            )
-            break
-        prev_residual = residual
-        X = FX
-        k += 1
+        return G, (FX, float(np.linalg.norm(X - FX)))  # F(X) and the residual
 
-    return SolverReport(
-        minimizer=X,
-        iterations=k,
-        grad_norms=hist.grad_norms,
-        history_indices=hist.indices,
-        alpha_star=alpha_star,
-        beta_star=beta_star,
-        q=None,
-        eta=None,
-        termination=termination,
-        error_bound=gn / alpha_star,
-        fixed_point_residual=residual,
-        iterates=hist.iterates,
+    def residual_growth(k, state):
+        nonlocal increases, prev_residual
+        increases = increases + 1 if state[1] > prev_residual else 0
+        prev_residual = state[1]
+        if increases >= 10:
+            logger.warning("fixed-point residual increased for 10 consecutive steps "
+                           "(%.3e at iterate %d); stopping", state[1], k)
+            return "residual_growth"
+
+    return _iterate(
+        _start_iterate(p, x0), evaluate,
+        converged=lambda gn, state: state[1] <= tol,
+        advance=lambda X, G, state: state[0],
+        residual=lambda X, state: state[1],
+        rate=(alpha_star, beta_star, None), max_iters=max_iters, trace=trace,
+        safeguard=residual_growth,
     )
