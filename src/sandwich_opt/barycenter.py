@@ -320,20 +320,22 @@ def solve_gradient_projection(
 
 def solve_fixed_point(
     p: BarycenterProblem,
-    tol=1e-12,
+    tol=None,
     max_iters=100_000,
     x0=None,
     trace=False,
 ) -> SolverReport:
     """Fixed-point iteration X <- F(X), used for cross-validation.
 
-    No contraction is guaranteed; if the residual ||X - F(X)|| grows for 10
-    consecutive steps the run stops with residual_growth termination instead
-    of raising. grad_norms records grad phi_t at each iterate for
-    comparability with the gradient-projection report, read from the same
-    S(X) as F(X). ``InvalidInput`` unless tol is finite and >= 0 and
-    max_iters is an integer >= 0.
+    Default tol = 1e-12 on the residual ||X - F(X)||. No contraction is
+    guaranteed; if the residual grows for 10 consecutive steps the run stops
+    with residual_growth termination instead of raising. grad_norms records
+    grad phi_t at each iterate for comparability with the gradient-projection
+    report, read from the same S(X) as F(X). ``InvalidInput`` unless tol is
+    finite and >= 0 and max_iters is an integer >= 0.
     """
+    if tol is None:
+        tol = 1e-12
     _check_stopping("tol", tol, max_iters)
     alpha_star, beta_star, _ = certified_rate(p, None)
     increases, prev_residual = 0, np.inf

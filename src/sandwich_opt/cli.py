@@ -232,9 +232,8 @@ def _cmd_barycenter(args):
     else:
         if args.eta is not None:
             raise InvalidInput("--eta applies to the gp solver only")
-        tol = 1e-12 if args.tol is None else args.tol
         report = solve_fixed_point(
-            problem, tol=tol, max_iters=args.max_iters, x0=x0, trace=args.trace
+            problem, tol=args.tol, max_iters=args.max_iters, x0=x0, trace=args.trace
         )
     _emit(canonical_json(report_to_json(report, include_iterates=args.trace)), args.out)
     return 0 if report.termination == "gradient_tol" else 1

@@ -484,6 +484,15 @@ def test_fixed_point_map_is_gradient_sandwich(log_w, n, t, seed):
     assert np.linalg.norm(F - fixed_point_map_oracle(p, X)) <= 1e-11 * np.linalg.norm(F)
 
 
+def test_fixed_point_default_tolerance():
+    # tol=None means 1e-12, as grad_tol=None means the gradient-projection default
+    p = random_problem(19)
+    default, explicit = solve_fixed_point(p), solve_fixed_point(p, tol=1e-12)
+    assert default.termination == explicit.termination == "gradient_tol"
+    assert default.iterations == explicit.iterations
+    assert np.array_equal(default.minimizer, explicit.minimizer)
+
+
 def test_fixed_point_reports_match_problem_constants():
     p = random_problem(19)
     a_star, b_star, _ = certified_rate(p)
