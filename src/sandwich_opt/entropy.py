@@ -77,11 +77,17 @@ def _sandwich(decA, X, t):
 def _sandwiched(decA, B, t):
     """(P, P B P) with P = A^{(1-t)/2t}; ``NumericalError`` if either overflows, as at small t."""
     P = decA.map(power((1.0 - t) / (2.0 * t)))
-    return P, _finite(P @ B @ P, "sandwiched product", f" at t = {t}")
+    return P, _finite(P, B, "sandwiched product", f" at t = {t}")
 
 
-def _finite(M, what, context=""):
-    """M (a matrix or a stack) if finite; else ``NumericalError`` naming ``what`` and the first bad index."""
+def _finite(P, B, what, context=""):
+    """P B P (matrices or stacks) if finite; else ``NumericalError`` naming ``what`` and the first bad index.
+
+    The product is formed with numpy's overflow warnings off, so an overflow
+    surfaces only as the ``NumericalError``.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        M = P @ B @ P
     if not np.isfinite(M).all():
         bad = ~np.all(np.isfinite(M), axis=(-2, -1))
         raise NumericalError(f"{what} overflows{_where(bad)}{context}")
@@ -172,7 +178,7 @@ def _relative_entropy(decB, decA, B):
 def _whitened_spectrum(decA, B):
     """Ascending eigenvalues of A^{-1/2} B A^{-1/2}, all positive, from the decomposition of A."""
     Ami = decA.map(power(-0.5))
-    w = _eigenvalues(_finite(Ami @ B @ Ami, "whitened product A^{-1/2} B A^{-1/2}"))
+    w = _eigenvalues(_finite(Ami, B, "whitened product A^{-1/2} B A^{-1/2}"))
     bad = w[..., 0] <= 0
     if np.any(bad):
         raise NumericalError(f"whitened matrix lost positivity{_where(bad)}")
@@ -228,7 +234,7 @@ def _whiten(decA, B):
     decA.require_domain(power(-0.5))
     root = decA.apply(np.sqrt(decA.eigenvalues))
     iroot = decA.apply(1.0 / np.sqrt(decA.eigenvalues))
-    decM = spectral_decompose(_finite(iroot @ B @ iroot, "whitened product A^{-1/2} B A^{-1/2}"))
+    decM = spectral_decompose(_finite(iroot, B, "whitened product A^{-1/2} B A^{-1/2}"))
     bad = decM.eigenvalues[..., -1] <= 0
     if np.any(bad):
         raise NumericalError(

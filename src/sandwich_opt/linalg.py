@@ -146,10 +146,12 @@ class SpectralDecomp:
     def map(self, fn):
         """U diag(fn(lam)) U*; several functions of one matrix share one decomposition.
 
-        ``NumericalError`` if fn overflows on the spectrum.
+        ``NumericalError``, and no numpy overflow warning, if fn overflows on
+        the spectrum.
         """
         self.require_domain(fn)
-        values = fn(self.eigenvalues)
+        with np.errstate(over="ignore"):
+            values = fn(self.eigenvalues)
         if not np.isfinite(values).all():
             lam = self.eigenvalues
             raise NumericalError(f"{fn} is not finite on the spectrum "

@@ -509,7 +509,6 @@ def test_relative_entropy_limit_decay():
         assert errs[1e-4] <= 0.3 * errs[1e-3] + 1e-14
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_overflow_at_small_t_raises_numerical_error():
     # t lies inside (T_MIN, 1 - T_MIN), but on a [1, 400] box A^{(1-t)/2t}
     # overflows at t = 0.0015, and A^{(1-t)/2t} X A^{(1-t)/2t} at t = 0.005

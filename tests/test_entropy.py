@@ -347,7 +347,6 @@ def test_stack_errors_name_the_first_failing_index():
     assert np.all(_sandwich_spectrum(decA[keep], B[keep], 0.4) > 0)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_whitened_product_overflow_raises_numerical_error():
     # valid inputs whose A^{-1/2} B A^{-1/2} = 1e310 I overflows; geometric_mean
     # raised InvalidInput and the whitened spectra numpy's LinAlgError

@@ -517,7 +517,6 @@ MATRIX_ARGUMENTS = {
 }
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("case", ["nan", "size"])
 @pytest.mark.parametrize("name,arg", [(name, arg) for name, (_, args) in MATRIX_ARGUMENTS.items()
                                       for arg in args.split()])
