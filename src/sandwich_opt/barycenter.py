@@ -4,7 +4,8 @@ Minimizes phi_t(X) = sum_j w_j [tr((1-t) A_j + t X) - f_j(X)] with
 f_j(X) = tr(A_j^{(1-t)/2t} X A_j^{(1-t)/2t})^t over the spectral box
 [alpha I, beta I] by projected gradient descent with a certified linear rate,
 cross-validated by a fixed-point iteration on
-F(X) = sum_j w_j (X^{1/2} A_j^{(1-t)/t} X^{1/2})^t.
+F(X) = sum_j w_j (X^{1/2} A_j^{(1-t)/t} X^{1/2})^t. The two are step rules
+of one loop, which owns the history, the stopping order and the report.
 
 Both solvers read the one gradient of f, the kernel of ``calculus.gradient_f``:
 grad phi_t(X) = t I - sum_j w_j grad f_j(X) = t (I - S(X)) with
@@ -186,7 +187,8 @@ class SolverReport:
     alpha_star certifies the distance to the true minimizer. ``termination``
     says why the run stopped: "gradient_tol" when the tolerance was met,
     "max_iters" at the iteration cap, and "residual_growth" when the
-    fixed-point safeguard stopped a diverging run.
+    fixed-point safeguard stopped a diverging run. When several hold at one
+    iterate, the first in that order wins.
     """
 
     minimizer: np.ndarray
@@ -297,9 +299,9 @@ def solve_gradient_projection(
     certified distance bound to the unique minimizer. ``InvalidInput`` unless
     grad_tol is finite and >= 0 and max_iters is an integer >= 0.
     """
-    rate = certified_rate(p, eta)
+    alpha_star, beta_star, q = certified_rate(p, eta)
     if eta is None:
-        eta = 1.0 / rate[1]
+        eta = 1.0 / beta_star
     if grad_tol is None:
         grad_tol = 1e-10 * p.t * p.n
     _check_stopping("grad_tol", grad_tol, max_iters)
@@ -314,7 +316,7 @@ def solve_gradient_projection(
         advance=lambda X, G, S: project_box(X - eta * G, p.alpha, p.beta),
         # the last S(X) was formed at this X
         residual=lambda X, S: float(np.linalg.norm(X - _fixed_point_from_sum(X, S))),
-        rate=rate, max_iters=max_iters, trace=trace, eta=float(eta),
+        rate=(alpha_star, beta_star, q), max_iters=max_iters, trace=trace, eta=float(eta),
     )
 
 
