@@ -8,10 +8,13 @@ question for t <= 1/2. Trials are independent and seeded, and reports are
 plain dicts.
 
 Every suite draws its trials in trial order and checks them as one batch, in
-chunks of ``SUITE_CHUNK`` trials. A chunk draws all inputs that share a
-spectral box with one ``linalg.random_spd_stack`` call, on their concatenated
-seeds (each entry depends on its own seed alone), and decomposes each input
-once with ``linalg.spectral_decompose``. The trace and log-majorization chains
+chunks of ``SUITE_CHUNK`` trials. Its inputs come in families, one kind of
+input on one spectral box, and each family draws from two numpy Generators,
+uniforms and Gaussians, seeded once per run (``_streams``). A chunk takes
+its trials' draws from them in trial-major order, one call per stream,
+assembles all inputs that share a spectral box with one
+``linalg._spd_from_draws`` call, and decomposes each input once with
+``linalg.spectral_decompose``. The trace and log-majorization chains
 also whiten each pair once, A^{-1/2} B A^{-1/2} decomposed for every order of
 A #_t B. Then each link at each order takes one batched ``eigh``,
 ``eigvalsh``, ``svd`` or matmul (the limits suite adds one
@@ -46,10 +49,14 @@ from .entropy import (
 )
 from .errors import DomainError, InvalidInput, NumericalError, ParameterError
 from .linalg import (
+    _SEED_MAX,
     ScalarFunction,
     SpectralDecomp,
     _check_integer,
     _eigenvalues,
+    _rng,
+    _spd_from_draws,
+    check_box,
     check_matrices,
     derive_seed,
     graded_eigh,
@@ -57,7 +64,6 @@ from .linalg import (
     norm,
     power,
     project_box,
-    random_spd,
     random_spd_stack,
     spectral_decompose,
     symmetrize,
@@ -118,6 +124,39 @@ def _chunks(trials, cap=None):
     """
     trials = _check_integer(trials, "trial count", 1, cap)
     return [range(start, min(start + SUITE_CHUNK, trials)) for start in range(0, trials, SUITE_CHUNK)]
+
+
+def _order_grid(t_values, check=check_unit_t):
+    """The order grid as a tuple, ``check`` run on each order; ``InvalidInput`` if it is empty."""
+    t_values = tuple(t_values)
+    if not t_values:
+        raise InvalidInput("the order grid is empty")
+    for t in t_values:
+        check(t)
+    return t_values
+
+
+def _streams(seed, suite, *families):
+    """(uniform, Gaussian) Generators per input family, from ``derive_seed(seed, suite, family, stream)``.
+
+    The one seed check of every suite: an integer (not a bool) in [0, 2**128).
+    """
+    seed = _check_integer(seed, "seed", 0, _SEED_MAX)
+    return [tuple(_rng(derive_seed(seed, suite, family, stream)) for stream in ("uniform", "normal"))
+            for family in families]
+
+
+def _draws(streams, k, count, n):
+    """Uniforms (count, k, n) and Gaussians (count, k, 2, n, n): k trials of ``count`` matrices.
+
+    One call per stream, in trial-major order; numpy draws consecutive calls
+    as one, so no bit depends on the chunk size. The one dimension check of
+    every suite.
+    """
+    n = _check_integer(n, "dimension", 1)
+    uniform, normal = streams
+    return (uniform.random((k, count, n)).swapaxes(0, 1),
+            normal.standard_normal((k, count, 2, n, n)).swapaxes(0, 1))
 
 
 def _trace(M):
@@ -453,8 +492,7 @@ def gamma_limit_check(A, B, t_grid=DEFAULT_GAMMA_GRID):
     eigenbasis of A. This is the batch kernel of the limits suite on a stack
     of one, so the suite and this report agree for the same pair.
     """
-    for t in t_grid:
-        check_unit_t(t)
+    t_grid = _order_grid(t_grid)
     out = _gamma_limit_batch(*_stack_of_one(A, B), t_grid)
     errors = [float(e) for e in out["errors"][0]]
     return {
@@ -616,15 +654,16 @@ def gauge_convexity_check(fn: ScalarFunction, p, trials, seed, n=4):
 def _gauge_panel(panel, trials, seeds, n):
     """gauge_convexity_check of every (fn, p) of ``panel``, check j seeded by seeds[j].
 
-    Per batch, the pairs of every check come from one ``random_spd_stack``
-    draw, and (A + B)/2, A and B of all of them from one ``eigvalsh``.
+    Check j draws its pairs from ``_streams(seeds[j], "gauge", "pairs")``.
+    Per batch, the pairs of every check are assembled together, and
+    (A + B)/2, A and B of all of them take one ``eigvalsh``.
     """
+    streams = [_streams(s, "gauge", "pairs")[0] for s in seeds]
     violations, strict_violations = [0] * len(panel), [0] * len(panel)
     worst = [np.inf] * len(panel)
     for chunk in _chunks(trials):
-        draws = random_spd_stack(n, 0.5, 2.0, [derive_seed(s, "gauge", i, side)
-                                               for s in seeds for side in ("a", "b") for i in chunk])
-        pairs = draws.reshape(len(panel), 2, len(chunk), n, n)
+        u, G = (np.stack(d) for d in zip(*(_draws(s, len(chunk), 2, n) for s in streams)))
+        pairs = _spd_from_draws(u, G, 0.5, 2.0)
         A, B = pairs[:, 0], pairs[:, 1]
         eigs = _eigenvalues(np.stack([(A + B) / 2.0, A, B], axis=1))
         for j, (fn, p) in enumerate(panel):
@@ -698,22 +737,21 @@ def open_question_search(
     random pairs, re-verifies float-level violations in extended precision,
     and makes no claim either way. The pairs are drawn in trial order and
     checked in batches of ``SUITE_CHUNK``, A decomposed once per pair;
-    candidates are listed by trial, then order, then relation.
+    candidates are listed by trial, then order, then relation. The
+    extended-precision re-check reads the pairs of the first
+    ``_MP_REVERIFY_CAP`` candidates as their batch drew them.
     """
     _check_integer(n, "search dimension", 1, 8)
     chunks = _chunks(trials, 10**6)
-    for t in t_grid:
-        if not (np.isfinite(t) and T_MIN < t <= 0.5):
-            raise ParameterError(f"search order t = {t} outside ({T_MIN}, 0.5]")
+    t_grid = _order_grid(t_grid, _check_search_order)
+    check_box(alpha, beta)
+    (pairs,) = _streams(seed, "open-question", "pairs")
 
     checked = {rel: 0 for rel in OPEN_QUESTION_RELATIONS}
     worst = {rel: np.inf for rel in OPEN_QUESTION_RELATIONS}
-    candidates = []
+    candidates, recheck = [], []
     for chunk in chunks:
-        sa = [derive_seed(seed, "open-question", i, "a") for i in chunk]
-        sb = [derive_seed(seed, "open-question", i, "b") for i in chunk]
-        AB = random_spd_stack(n, alpha, beta, sa + sb)
-        A, B = AB[:len(chunk)], AB[len(chunk):]
+        A, B = _spd_from_draws(*_draws(pairs, len(chunk), 2, n), alpha, beta)
         decA = spectral_decompose(A)
         per_order = [_open_question_margins(A, B, decA, t) for t in t_grid]
         margins = np.stack([m for m, _ in per_order], axis=1)  # (trial, order, relation)
@@ -722,16 +760,14 @@ def open_question_search(
             checked[rel] += margins[..., r].size
             worst[rel] = min(worst[rel], float(np.min(margins[..., r])))
         for i, j, r in np.argwhere(~holds):
-            candidates.append(
-                {"trial": chunk[i], "t": t_grid[j], "relation": OPEN_QUESTION_RELATIONS[r],
-                 "seed_a": sa[i], "seed_b": sb[i], "float_margin": float(margins[i, j, r])}
-            )
+            candidates.append({"trial": chunk[i], "t": t_grid[j], "relation": OPEN_QUESTION_RELATIONS[r],
+                               "float_margin": float(margins[i, j, r])})
+            if len(recheck) < _MP_REVERIFY_CAP:
+                recheck.append((A[i], B[i]))
 
     truncated = len(candidates) > _MP_REVERIFY_CAP
     confirmed = 0
-    for cand in candidates[:_MP_REVERIFY_CAP]:
-        Ai = random_spd(n, alpha, beta, cand["seed_a"])
-        Bi = random_spd(n, alpha, beta, cand["seed_b"])
+    for cand, (Ai, Bi) in zip(candidates, recheck):
         margin, scale = _mp_relation_margin(Ai, Bi, cand["t"], cand["relation"])
         cand["mp_margin"] = str(margin)
         cand["confirmed"] = bool(margin < -1e-30 * max(scale, 1))
@@ -762,6 +798,11 @@ def open_question_search(
     return report
 
 
+def _check_search_order(t):
+    if not (np.isfinite(t) and T_MIN < t <= 0.5):
+        raise ParameterError(f"search order t = {t} outside ({T_MIN}, 0.5]")
+
+
 def _open_question_margins(A, B, decA, t):
     """(worst margins, holds), (k, relations), of lam(sandwich)^t against lam((1-t)A + tB)."""
     x = _descending_pow(_sandwich_spectrum(decA, B, t), float(t))
@@ -771,15 +812,8 @@ def _open_question_margins(A, B, decA, t):
 
 
 def random_pair(n, seed, label, lo=0.5, hi=2.0):
-    """Seeded SPD pair for a verification suite, split off a master seed."""
-    A, B = _random_pairs(n, [seed], label, lo, hi)
-    return A[0], B[0]
-
-
-def _random_pairs(n, seeds, label, lo=0.5, hi=2.0):
-    """random_pair for every seed of a sequence: stacks A, B (k, n, n), from one draw."""
-    AB = random_spd_stack(n, lo, hi, [derive_seed(s, label, side) for side in ("a", "b") for s in seeds])
-    return AB[:len(seeds)], AB[len(seeds):]
+    """Seeded SPD pair, each side drawn on its own seed split off a master seed."""
+    return tuple(random_spd_stack(n, lo, hi, [derive_seed(seed, label, side) for side in ("a", "b")]))
 
 
 def density_pair(n, seed, label, mix=0.005, lo=1.0, hi=2.0):
@@ -788,25 +822,23 @@ def density_pair(n, seed, label, mix=0.005, lo=1.0, hi=2.0):
     The mixing keeps the finite-order divergence close enough to its
     asymptote for the large-t limit checks to be meaningful at t = 64.
     """
-    A, B = _density_pairs(n, [seed], label, mix, lo, hi)
-    return A[0], B[0]
+    return _density(*random_pair(n, seed, label, lo, hi), mix)
 
 
-def _density_pairs(n, seeds, label, mix=0.005, lo=1.0, hi=2.0):
-    """density_pair for every seed of a sequence: stacks A, B (k, n, n)."""
-    A, R = _random_pairs(n, seeds, label, lo, hi)
-    A = A / _trace(A)[:, None, None]
-    R = R / _trace(R)[:, None, None]
+def _density(A, R, mix=0.005):
+    """A and (1 - mix) A + mix R, after scaling A and R (or each matrix of stacks) to unit trace."""
+    A = A / _trace(A)[..., None, None]
+    R = R / _trace(R)[..., None, None]
     return A, (1.0 - mix) * A + mix * R
 
 
 def run_trace_chain_suite(n=4, trials=100, seed=0, t_values=(0.1, 0.3, 0.5, 0.7, 0.9)):
-    for t in t_values:
-        check_unit_t(t)
+    t_values = _order_grid(t_values)
+    (pairs,) = _streams(seed, "trace-chain", "pairs")
     violations = 0
     worst = np.inf
     for chunk in _chunks(trials):
-        pair = _decomposed(*_random_pairs(n, [derive_seed(seed, "trace-chain", i) for i in chunk], "pair"))
+        pair = _decomposed(*_spd_from_draws(*_draws(pairs, len(chunk), 2, n), 0.5, 2.0))
         for t in t_values:
             margins, holds = _chain_margins(_trace_chain_links(*pair, t))
             violations += int(np.sum(~np.all(holds, axis=-1)))
@@ -826,13 +858,12 @@ def run_trace_chain_suite(n=4, trials=100, seed=0, t_values=(0.1, 0.3, 0.5, 0.7,
 
 def run_variational_suite(n=4, trials=100, seed=0, t_values=(0.3, 0.5, 0.7)):
     """Trial i checks order t_values[i % len(t_values)]; a batch runs each order once."""
-    for t in t_values:
-        check_unit_t(t)
+    t_values = _order_grid(t_values)
+    pairs, probes = _streams(seed, "variational", "pairs", "probes")
     lower_violations = tight_violations = 0
     for chunk in _chunks(trials):
-        seeds = [derive_seed(seed, "variational", i) for i in chunk]
-        A, B = _random_pairs(n, seeds, "pair")
-        X = random_spd_stack(n, 0.25, 4.0, [derive_seed(s, "probe") for s in seeds])
+        A, B = _spd_from_draws(*_draws(pairs, len(chunk), 2, n), 0.5, 2.0)
+        (X,) = _spd_from_draws(*_draws(probes, len(chunk), 1, n), 0.25, 4.0)
         decA, decB = spectral_decompose(A), spectral_decompose(B)
         orders = np.array(chunk) % len(t_values)
         for j, t in enumerate(t_values):
@@ -864,11 +895,11 @@ def _variational_checks(decA, decB, B, X, t):
 
 
 def run_log_major_suite(n=4, trials=100, seed=0, t_values=(0.25, 0.5, 0.75)):
-    for t in t_values:
-        check_unit_t(t)
+    t_values = _order_grid(t_values)
+    (pairs,) = _streams(seed, "log-major", "pairs")
     violations = 0
     for chunk in _chunks(trials):
-        pair = _decomposed(*_random_pairs(n, [derive_seed(seed, "log-major", i) for i in chunk], "pair"))
+        pair = _decomposed(*_spd_from_draws(*_draws(pairs, len(chunk), 2, n), 0.5, 2.0))
         for t in t_values:
             links = _log_major_links(*pair, t)
             ok = np.ones(len(chunk), dtype=bool)
@@ -888,11 +919,11 @@ def run_log_major_suite(n=4, trials=100, seed=0, t_values=(0.25, 0.5, 0.75)):
 
 
 def run_limits_suite(n=4, trials=100, seed=0):
+    gamma, density = _streams(seed, "limits", "gamma", "density")
     gamma_violations = div_violations = 0
     for chunk in _chunks(trials):
-        seeds = [derive_seed(seed, "limits", i) for i in chunk]
-        A, B = _random_pairs(n, seeds, "gamma")
-        Ad, Bd = _density_pairs(n, seeds, "density")
+        A, B = _spd_from_draws(*_draws(gamma, len(chunk), 2, n), 0.5, 2.0)
+        Ad, Bd = _density(*_spd_from_draws(*_draws(density, len(chunk), 2, n), 1.0, 2.0))
         gamma_violations += int(np.sum(~_gamma_limit_batch(A, B, DEFAULT_GAMMA_GRID)["all_hold"]))
         div_violations += int(np.sum(~_divergence_limit_batch(Ad, Bd)["all_hold"]))
     return {
@@ -917,6 +948,8 @@ GAUGE_PANEL = (
 
 
 def run_gauge_suite(n=4, trials=100, seed=0):
+    """Check j of ``GAUGE_PANEL`` is ``gauge_convexity_check`` on seed ``derive_seed(seed, "gauge-panel", j)``."""
+    seed = _check_integer(seed, "seed", 0, _SEED_MAX)
     reports = _gauge_panel(GAUGE_PANEL, trials,
                            [derive_seed(seed, "gauge-panel", idx) for idx in range(len(GAUGE_PANEL))], n)
     return {
@@ -936,8 +969,9 @@ def run_suite(suite, n=4, trials=100, seed=0, t_values=None):
     """Dispatch one named verification suite and return its report dict.
 
     ``t_values`` replaces the default order grid of a suite that has one; a
-    grid for a suite without one raises InvalidInput, as do a dimension and a
-    trial count that are not integers >= 1 (checked where the suite draws).
+    grid for a suite without one raises InvalidInput, as do an empty grid, a
+    dimension and a trial count that are not integers >= 1, and a seed that
+    is not an integer in [0, 2**128) (each checked where the suite takes it).
     """
     # {suite: (runner, takes an order grid)}, built per call so that a runner
     # rebound on this module is the one run

@@ -15,7 +15,6 @@ import hashlib
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 from .errors import DomainError, InvalidBox, InvalidInput, NumericalError
 
@@ -381,69 +380,13 @@ def project_box(H, alpha, beta):
     return dec.apply(np.clip(dec.eigenvalues, alpha, beta))
 
 
-def _hash_constants(init, mult, count):
-    """The hash constant before each of ``count`` hashmix calls, and after the last."""
-    consts = [init]
-    for _ in range(count):
-        consts.append(consts[-1] * mult & 0xFFFFFFFF)
-    return np.array(consts, dtype=np.uint32)
+# The seed domain of every seeded draw: an integer in [0, 2**128).
+_SEED_MAX = 2**128 - 1
 
 
-# The constants of numpy's SeedSequence (bit_generator.pyx; its streams are
-# stable across numpy versions, NEP 19). With at most four entropy words a
-# seed takes a fixed sequence of hashmix calls: 4 to fill the pool of four
-# uint32 words and 12 to mix it (INIT_A, MULT_A), then 8 to draw 4 uint64
-# state words from it (INIT_B, MULT_B).
-_HASH_A = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
-_HASH_B = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
-_SEED_MAX = 2**128 - 1  # a seed is at most four 32-bit entropy words
-
-
-def _hashmix(v, calls, consts):
-    """SeedSequence's hashmix of v, call ``calls.start`` onward along the last axis."""
-    v = (v ^ consts[calls]) * consts[calls.start + 1:calls.stop + 1]
-    return v ^ (v >> np.uint32(16))
-
-
-def _mix(x, y):
-    r = x * np.uint32(0xCA01F9DD) - y * np.uint32(0x4973F715)  # MIX_MULT_L, MIX_MULT_R
-    return r ^ (r >> np.uint32(16))
-
-
-def _seed_words(seeds):
-    """(k, 4) uint64: row i is ``generate_state(4, np.uint64)`` of the SeedSequence of seeds[i].
-
-    SeedSequence's hashmix and mix steps run on a (k, 4) uint32 pool holding
-    every seed, a whole row of words per step. Each seed is split into four
-    little-endian 32-bit words; a zero word hashes like SeedSequence's padding
-    of a shorter entropy, so all of [0, 2**128) takes this one path.
-    """
-    seeds = [_check_integer(s, "seed", 0, _SEED_MAX) for s in seeds]
-    halves = np.array([(s & 0xFFFFFFFFFFFFFFFF, s >> 64) for s in seeds], dtype="<u8").reshape(-1, 2)
-    pool = _hashmix(halves.view("<u4").astype(np.uint32), slice(0, 4), _HASH_A)
-    for src in range(4):
-        # word src does not change while it mixes into the other three, so
-        # its three hashes are taken at once
-        dst = [d for d in range(4) if d != src]
-        calls = slice(4 + 3 * src, 7 + 3 * src)
-        pool[:, dst] = _mix(pool[:, dst], _hashmix(pool[:, src, None], calls, _HASH_A))
-    state = _hashmix(np.concatenate([pool, pool], axis=1), slice(0, 8), _HASH_B)
-    return state.astype("<u4").view("<u8").astype(np.uint64)
-
-
-class _SeedWords(ISeedSequence):
-    """Seed sequence that hands PCG64 its precomputed state words."""
-
-    def __init__(self, words):
-        self.words = words
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self.words
-
-
-def _generators(seeds):
-    """One PCG64 ``Generator`` per seed, each drawing as numpy's default generator of that seed."""
-    return [np.random.Generator(np.random.PCG64(_SeedWords(w))) for w in _seed_words(seeds)]
+def _rng(seed):
+    """numpy's default generator of seed; ``InvalidInput`` unless seed is an integer in [0, 2**128)."""
+    return np.random.default_rng(_check_integer(seed, "seed", 0, _SEED_MAX))
 
 
 def random_spd(n, alpha, beta, seed):
@@ -462,27 +405,38 @@ def random_spd(n, alpha, beta, seed):
 def random_spd_stack(n, alpha, beta, seeds):
     """``random_spd`` for every seed of a sequence, stacked (k, n, n).
 
-    The PCG64 state words of all seeds come from one vectorized SeedSequence
-    pass, and only the uniform and Gaussian draws run per seed; the QR
-    factorization, the gauge fix and the recombination run once on the
-    stack. Entry i equals ``random_spd(n, alpha, beta, seeds[i])``, and an
-    empty sequence gives an empty (0, n, n) stack.
+    Only the uniform and Gaussian draws run per seed; the QR factorization,
+    the gauge fix and the recombination run once on the stack
+    (``_spd_from_draws``). Entry i equals ``random_spd(n, alpha, beta,
+    seeds[i])``, and an empty sequence gives an empty (0, n, n) stack.
     """
     n = _check_integer(n, "dimension", 1)
     check_box(alpha, beta)
-    rngs = _generators(seeds)
+    rngs = [_rng(seed) for seed in seeds]
     u = np.empty((len(rngs), n))
-    G = np.empty((len(rngs), 2, n, n))  # real, then imaginary parts of the Gaussian matrix
+    G = np.empty((len(rngs), 2, n, n))
     for rng, u_i, G_i in zip(rngs, u, G):
         rng.random(out=u_i)
         rng.standard_normal(out=G_i)
-    # Generator.uniform's arithmetic, without its per-call overhead
-    lam = float(alpha) + (float(beta) - float(alpha)) * u
+    return _spd_from_draws(u, G, alpha, beta)
+
+
+def _spd_from_draws(u, G, alpha, beta):
+    """SPD matrices (..., n, n) from uniforms u (..., n) and Gaussians G (..., 2, n, n).
+
+    Eigenvalues alpha + (beta - alpha) u, as Generator.uniform computes them;
+    eigenvectors from the QR factor of the complex Gaussian matrix (real,
+    then imaginary parts). One QR runs on the whole stack, and entry i
+    depends on its own draws alone.
+    """
+    n = u.shape[-1]
+    lam = float(alpha) + (float(beta) - float(alpha)) * u.reshape(-1, n)
+    G = G.reshape(-1, 2, n, n)
     Q, R = np.linalg.qr(G[:, 0] + 1j * G[:, 1])
     # Fix the gauge by forcing the R diagonal positive; keeps draws seed-stable.
     d = np.diagonal(R, axis1=-2, axis2=-1)
     U = Q * (d / np.abs(d))[..., None, :]
-    return symmetrize((U * lam[..., None, :]) @ U.conj().swapaxes(-1, -2))
+    return symmetrize((U * lam[..., None, :]) @ U.conj().swapaxes(-1, -2)).reshape(u.shape + (n,))
 
 
 def random_hermitian(n, seed, scale=1.0):
@@ -492,13 +446,14 @@ def random_hermitian(n, seed, scale=1.0):
     identical matrices, drawn as numpy's default generator of that seed draws them.
     """
     n = _check_integer(n, "dimension", 1)
-    (rng,) = _generators([seed])
+    rng = _rng(seed)
     H = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return symmetrize(scale * H)
 
 
 def norm(H, kind="frobenius"):
     """Frobenius, operator, or trace norm of a Hermitian matrix."""
+    check_matrices(H=H)
     H = np.asarray(H, dtype=complex)
     if kind == "frobenius":
         return float(np.linalg.norm(H))

@@ -9,9 +9,11 @@ extended-precision evaluation of the sandwiched trace, and the scalar cyclic
 Jacobi with the per-matrix small-t limit check built on it. These stay
 independent of the code paths they check.
 
-The suite oracles run every verification suite one trial at a time: a
-per-seed ``random_spd`` draw, one scalar formula per link, one verdict per
-relation. The batched suites must give the same report, byte for byte.
+The suite oracles run every verification suite one trial at a time: each
+trial draws its matrices one at a time from its input family's two numpy
+Generators (uniforms, then Gaussians), then takes one scalar formula per
+link and one verdict per relation. The batched suites must give the same
+report, byte for byte.
 """
 
 import numpy as np
@@ -258,16 +260,21 @@ def gamma_limit_oracle(A, B, t_grid):
 # ------------------------------------------------------------ suite oracles
 
 
+def _spd_oracle(lam, Z):
+    """The SPD matrix with eigenvalues lam and the eigenvectors of the QR
+    factor of Z, its R diagonal made positive."""
+    Q, R = np.linalg.qr(Z)
+    d = np.diagonal(R)
+    U = Q * (d / np.abs(d))
+    return symmetrize((U * lam) @ U.conj().T)
+
+
 def random_spd_oracle(n, alpha, beta, seed):
     """One seeded SPD draw: eigenvalues uniform in [alpha, beta], eigenvectors
     from the QR factor of a complex Gaussian matrix with a positive R diagonal."""
     rng = np.random.default_rng(seed)
     lam = rng.uniform(alpha, beta, size=n)
-    Z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    Q, R = np.linalg.qr(Z)
-    d = np.diagonal(R)
-    U = Q * (d / np.abs(d))
-    return symmetrize((U * lam) @ U.conj().T)
+    return _spd_oracle(lam, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
 
 
 def random_hermitian_oracle(n, seed, scale=1.0):
@@ -277,13 +284,24 @@ def random_hermitian_oracle(n, seed, scale=1.0):
     return symmetrize(scale * H)
 
 
-def _pair(n, seed, label, lo=0.5, hi=2.0):
-    return (random_spd_oracle(n, lo, hi, derive_seed(seed, label, "a")),
-            random_spd_oracle(n, lo, hi, derive_seed(seed, label, "b")))
+class Family:
+    """The input family ``family`` of a suite run on ``seed``: a uniform and
+    a Gaussian Generator, seeded from derive_seed(seed, suite, family, stream)."""
+
+    def __init__(self, seed, suite, family):
+        self.uniform, self.normal = (np.random.default_rng(derive_seed(seed, suite, family, stream))
+                                     for stream in ("uniform", "normal"))
+
+    def trial(self, n, count, lo, hi):
+        """The next trial's ``count`` SPD matrices on the box [lo, hi]: first
+        every eigenvalue draw, then every Gaussian matrix, real part first."""
+        lams = [self.uniform.uniform(lo, hi, size=n) for _ in range(count)]
+        Zs = [self.normal.standard_normal((n, n)) + 1j * self.normal.standard_normal((n, n))
+              for _ in range(count)]
+        return [_spd_oracle(lam, Z) for lam, Z in zip(lams, Zs)]
 
 
-def _density_pair(n, seed, label, mix=0.005):
-    A, R = _pair(n, seed, label, 1.0, 2.0)
+def _density_pair(A, R, mix=0.005):
     A = A / float(np.trace(A).real)
     R = R / float(np.trace(R).real)
     return A, (1.0 - mix) * A + mix * R
@@ -305,8 +323,9 @@ def trace_chain_links_oracle(A, B, t):
 
 def trace_chain_suite_oracle(n, trials, seed, t_values=(0.1, 0.3, 0.5, 0.7, 0.9)):
     rows = []
+    pairs = Family(seed, "trace-chain", "pairs")
     for i in range(trials):
-        A, B = _pair(n, derive_seed(seed, "trace-chain", i), "pair")
+        A, B = pairs.trial(n, 2, 0.5, 2.0)
         for t in t_values:
             links = trace_chain_links_oracle(A, B, t)
             tol = MAJORIZE_RTOL * links[-1]
@@ -340,8 +359,9 @@ def log_major_chain_oracle(A, B, t):
 
 def log_major_suite_oracle(n, trials, seed, t_values=(0.25, 0.5, 0.75)):
     rows = []
+    pairs = Family(seed, "log-major", "pairs")
     for i in range(trials):
-        A, B = _pair(n, derive_seed(seed, "log-major", i), "pair")
+        A, B = pairs.trial(n, 2, 0.5, 2.0)
         rows += [log_major_chain_oracle(A, B, t) for t in t_values]
     violations = sum(1 for ok in rows if not ok)
     return {"suite": "log-major", "n": n, "trials": trials, "seed": seed, "t": list(t_values),
@@ -369,12 +389,12 @@ def variational_value_oracle(A, B, t, X, rep):
 
 def variational_suite_oracle(n, trials, seed, t_values=(0.3, 0.5, 0.7)):
     rows = []
+    pairs, probes = Family(seed, "variational", "pairs"), Family(seed, "variational", "probes")
     for i in range(trials):
-        trial_seed = derive_seed(seed, "variational", i)
-        A, B = _pair(n, trial_seed, "pair")
+        A, B = pairs.trial(n, 2, 0.5, 2.0)
         t = t_values[i % len(t_values)]
         F = sandwich_trace(A, B, t)
-        X = random_spd_oracle(n, 0.25, 4.0, derive_seed(trial_seed, "probe"))
+        (X,) = probes.trial(n, 1, 0.25, 4.0)
         lower_ok = all(variational_value_oracle(A, B, t, X, rep) >= F * (1.0 - 1e-9)
                        for rep in REPRESENTATIONS)
         X0 = geometric_mean(B, matrix_power(A, (t - 1.0) / t), 1.0 - t)
@@ -390,10 +410,10 @@ def variational_suite_oracle(n, trials, seed, t_values=(0.3, 0.5, 0.7)):
 
 def limits_suite_oracle(n, trials, seed):
     gamma = div = 0
+    gamma_pairs, density_pairs = Family(seed, "limits", "gamma"), Family(seed, "limits", "density")
     for i in range(trials):
-        trial_seed = derive_seed(seed, "limits", i)
-        gamma += not gamma_limit_check(*_pair(n, trial_seed, "gamma"), DEFAULT_GAMMA_GRID)["all_hold"]
-        div += not divergence_limit_check(*_density_pair(n, trial_seed, "density"))["all_hold"]
+        gamma += not gamma_limit_check(*gamma_pairs.trial(n, 2, 0.5, 2.0), DEFAULT_GAMMA_GRID)["all_hold"]
+        div += not divergence_limit_check(*_density_pair(*density_pairs.trial(n, 2, 1.0, 2.0)))["all_hold"]
     return {"suite": "limits", "n": n, "trials": trials, "seed": seed, "gamma_violations": gamma,
             "divergence_violations": div, "all_hold": bool(gamma == 0 and div == 0)}
 
@@ -407,9 +427,9 @@ def gauge_check_oracle(fn, p, trials, seed, n):
         return float(np.sum(np.abs(vals) ** p) ** (1.0 / p))
 
     results = []
+    pairs = Family(seed, "gauge", "pairs")
     for i in range(trials):
-        A = random_spd_oracle(n, 0.5, 2.0, derive_seed(seed, "gauge", i, "a"))
-        B = random_spd_oracle(n, 0.5, 2.0, derive_seed(seed, "gauge", i, "b"))
+        A, B = pairs.trial(n, 2, 0.5, 2.0)
         lhs = fnorm((A + B) / 2.0)
         rhs = (fnorm(A) + fnorm(B)) / 2.0
         scale = max(abs(lhs), abs(rhs))
@@ -436,12 +456,10 @@ def gauge_suite_oracle(n, trials, seed):
 def open_question_suite_oracle(n, trials, seed, t_grid=(0.25,), alpha=0.5, beta=2.0):
     checked = {rel: 0 for rel in OPEN_QUESTION_RELATIONS}
     worst = {rel: np.inf for rel in OPEN_QUESTION_RELATIONS}
-    candidates = []
+    candidates, pairs_of = [], []
+    pairs = Family(seed, "open-question", "pairs")
     for i in range(trials):
-        sa = derive_seed(seed, "open-question", i, "a")
-        sb = derive_seed(seed, "open-question", i, "b")
-        A = random_spd_oracle(n, alpha, beta, sa)
-        B = random_spd_oracle(n, alpha, beta, sb)
+        A, B = pairs.trial(n, 2, alpha, beta)
         for t in t_grid:
             x = sandwich_spectrum(A, B, t)[::-1] ** float(t)
             y = _sorted_eigs((1.0 - t) * A + t * B)
@@ -450,12 +468,10 @@ def open_question_suite_oracle(n, trials, seed, t_grid=(0.25,), alpha=0.5, beta=
                 checked[rel] += 1
                 worst[rel] = min(worst[rel], v.worst_margin)
                 if not v.holds:
-                    candidates.append({"trial": i, "t": t, "relation": rel, "seed_a": sa,
-                                       "seed_b": sb, "float_margin": v.worst_margin})
+                    candidates.append({"trial": i, "t": t, "relation": rel, "float_margin": v.worst_margin})
+                    pairs_of.append((A, B))
     confirmed = 0
-    for cand in candidates[:50]:
-        A = random_spd_oracle(n, alpha, beta, cand["seed_a"])
-        B = random_spd_oracle(n, alpha, beta, cand["seed_b"])
+    for cand, (A, B) in zip(candidates[:50], pairs_of):
         margin, scale = _mp_relation_margin(A, B, cand["t"], cand["relation"])
         cand["mp_margin"] = str(margin)
         cand["confirmed"] = bool(margin < -1e-30 * max(scale, 1))

@@ -440,7 +440,8 @@ def test_trace_chain_suite_decomposes_each_input_once(monkeypatch):
         monkeypatch.undo()
 
 
-# draws per chunk: one random_spd_stack call for all inputs that share a spectral box
+# draws per chunk: one SPD assembly (linalg._spd_from_draws) for all inputs
+# that share a spectral box
 DRAWS_PER_CHUNK = {"trace-chain": 1, "log-major": 1, "variational": 2, "gauge": 1,
                    "limits": 2, "open-question": 1}
 
@@ -448,14 +449,33 @@ DRAWS_PER_CHUNK = {"trace-chain": 1, "log-major": 1, "variational": 2, "gauge": 
 @pytest.mark.parametrize("suite", SUITES)
 def test_suite_draws_once_per_box_per_chunk(monkeypatch, suite):
     draws = []
-    monkeypatch.setattr(inequalities, "random_spd_stack",
-                        lambda *a, _f=inequalities.random_spd_stack: draws.append(a) or _f(*a))
+    monkeypatch.setattr(inequalities, "_spd_from_draws",
+                        lambda *a, _f=inequalities._spd_from_draws: draws.append(a) or _f(*a))
     for chunk, chunks in ((inequalities.SUITE_CHUNK, 1), (4, 3)):
         monkeypatch.setattr(inequalities, "SUITE_CHUNK", chunk)
         draws.clear()
         run_suite(suite, n=3, trials=10, seed=48)
         assert len(draws) == chunks * DRAWS_PER_CHUNK[suite], chunk
-        assert len({(a[1], a[2]) for a in draws}) == DRAWS_PER_CHUNK[suite]
+        assert len({(a[2], a[3]) for a in draws}) == DRAWS_PER_CHUNK[suite]
+
+
+@pytest.mark.parametrize("suite", SUITES)
+def test_suite_seeding_does_not_grow_with_trials(monkeypatch, suite):
+    # a run derives one seed per stream of each input family and builds one
+    # Generator from it, at any trial count
+    counts = []
+    for trials in (1, 300):
+        calls = {"derive_seed": 0, "default_rng": 0}
+        for module, name in ((inequalities, "derive_seed"), (np.random, "default_rng")):
+            def counted(*args, _fn=getattr(module, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        run_suite(suite, n=3, trials=trials, seed=50)
+        monkeypatch.undo()
+        counts.append(calls)
+    assert counts[0] == counts[1] and counts[0]["default_rng"] > 0
 
 
 @pytest.mark.parametrize("suite,grids", [
@@ -608,6 +628,18 @@ def test_open_question_search_report(tmp_path):
     assert canonical_json(report) == canonical_json(report2)
 
 
+def test_open_question_rechecks_the_pairs_its_batches_drew(monkeypatch):
+    # a negative tolerance makes every check a float violation: the first
+    # _MP_REVERIFY_CAP candidates are re-checked on the pairs their batch
+    # drew, as the per-trial oracle replays them, at any chunk size
+    monkeypatch.setattr(inequalities, "MAJORIZE_RTOL", -1.0)
+    expected = SUITE_ORACLES["open-question"](2, 30, 51)
+    assert expected["candidates_truncated"] and len(expected["candidates"]) == 90
+    for chunk in (7, inequalities.SUITE_CHUNK):
+        monkeypatch.setattr(inequalities, "SUITE_CHUNK", chunk)
+        assert run_suite("open-question", n=2, trials=30, seed=51) == expected
+
+
 def test_gamma_limit_overflow_raises_numerical_error_without_warning():
     # on a [1, 1e4] box the graded A^{(1-t)/2t} B A^{(1-t)/2t} overflows at
     # t = 0.01 of the default grid; numpy warned and graded_eigh raised InvalidInput
@@ -744,6 +776,37 @@ def test_minimize_representation_decomposes_a_and_b_once(monkeypatch, rep):
     assert calls["eigh"] == 4 + steps["project"] + 2 * steps["gradient"]
     per_gradient = 1 if rep == "ii" else 0
     assert calls["eigvalsh"] == 1 + 1 + (steps["project"] - 1) + per_gradient * steps["gradient"]
+
+
+GRID_SUITES = ("trace-chain", "log-major", "variational", "open-question")
+
+
+@pytest.mark.parametrize("check", GRID_SUITES + ("gamma_limit_check",))
+def test_an_empty_order_grid_is_invalid_input(check):
+    # it passed vacuously (trace-chain, log-major), divided by zero
+    # (variational), or raised a bare numpy ValueError or IndexError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInput, match="order grid is empty"):
+            if check == "gamma_limit_check":
+                gamma_limit_check(random_spd(3, 0.5, 2.0, 1), random_spd(3, 0.5, 2.0, 2), ())
+            else:
+                run_suite(check, n=3, trials=2, seed=0, t_values=())
+
+
+@pytest.mark.parametrize("seed", [1.7, True, None, -1, 2**128, "3", np.float64(2.0)])
+def test_every_suite_rejects_a_seed_outside_the_seed_domain(seed):
+    # one check, where a suite seeds its streams: 1.7 ran as seed 1 and
+    # reported 1.7, True ran, None raised a bare TypeError
+    for suite in SUITES:
+        with pytest.raises(InvalidInput, match="seed"):
+            run_suite(suite, n=3, trials=2, seed=seed)
+    with pytest.raises(InvalidInput, match="seed"):
+        gauge_convexity_check(power(2.0), 1.0, 2, seed)
+    with pytest.raises(InvalidInput, match="seed"):
+        open_question_search(3, (0.25,), 2, seed)
+    assert run_suite("trace-chain", n=3, trials=2, seed=np.uint64(2**64 - 1))["all_hold"]
+    assert run_suite("trace-chain", n=3, trials=2, seed=2**128 - 1)["all_hold"]
 
 
 @pytest.mark.parametrize("trials", [0, -3, 2.5, True, np.float64(4.0), None])
