@@ -54,7 +54,6 @@ from .linalg import (
     SpectralDecomp,
     _check_integer,
     _eigenvalues,
-    _rng,
     _spd_from_draws,
     check_box,
     check_matrices,
@@ -142,8 +141,8 @@ def _streams(seed, suite, *families):
     The one seed check of every suite: an integer (not a bool) in [0, 2**128).
     """
     seed = _check_integer(seed, "seed", 0, _SEED_MAX)
-    return [tuple(_rng(derive_seed(seed, suite, family, stream)) for stream in ("uniform", "normal"))
-            for family in families]
+    return [tuple(np.random.default_rng(derive_seed(seed, suite, family, stream))
+                  for stream in ("uniform", "normal")) for family in families]
 
 
 def _draws(streams, k, count, n):
@@ -948,7 +947,7 @@ GAUGE_PANEL = (
 
 
 def run_gauge_suite(n=4, trials=100, seed=0):
-    """Check j of ``GAUGE_PANEL`` is ``gauge_convexity_check`` on seed ``derive_seed(seed, "gauge-panel", j)``."""
+    """Check j is gauge_convexity_check of GAUGE_PANEL[j] on seed derive_seed(seed, "gauge-panel", j)."""
     seed = _check_integer(seed, "seed", 0, _SEED_MAX)
     reports = _gauge_panel(GAUGE_PANEL, trials,
                            [derive_seed(seed, "gauge-panel", idx) for idx in range(len(GAUGE_PANEL))], n)
