@@ -324,7 +324,7 @@ def trace_chain_links_oracle(A, B, t):
 def trace_chain_suite_oracle(n, trials, seed, t_values=(0.1, 0.3, 0.5, 0.7, 0.9)):
     rows = []
     pairs = Family(seed, "trace-chain", "pairs")
-    for i in range(trials):
+    for _ in range(trials):
         A, B = pairs.trial(n, 2, 0.5, 2.0)
         for t in t_values:
             links = trace_chain_links_oracle(A, B, t)
@@ -360,7 +360,7 @@ def log_major_chain_oracle(A, B, t):
 def log_major_suite_oracle(n, trials, seed, t_values=(0.25, 0.5, 0.75)):
     rows = []
     pairs = Family(seed, "log-major", "pairs")
-    for i in range(trials):
+    for _ in range(trials):
         A, B = pairs.trial(n, 2, 0.5, 2.0)
         rows += [log_major_chain_oracle(A, B, t) for t in t_values]
     violations = sum(1 for ok in rows if not ok)
@@ -411,7 +411,7 @@ def variational_suite_oracle(n, trials, seed, t_values=(0.3, 0.5, 0.7)):
 def limits_suite_oracle(n, trials, seed):
     gamma = div = 0
     gamma_pairs, density_pairs = Family(seed, "limits", "gamma"), Family(seed, "limits", "density")
-    for i in range(trials):
+    for _ in range(trials):
         gamma += not gamma_limit_check(*gamma_pairs.trial(n, 2, 0.5, 2.0), DEFAULT_GAMMA_GRID)["all_hold"]
         div += not divergence_limit_check(*_density_pair(*density_pairs.trial(n, 2, 1.0, 2.0)))["all_hold"]
     return {"suite": "limits", "n": n, "trials": trials, "seed": seed, "gamma_violations": gamma,
@@ -428,7 +428,7 @@ def gauge_check_oracle(fn, p, trials, seed, n):
 
     results = []
     pairs = Family(seed, "gauge", "pairs")
-    for i in range(trials):
+    for _ in range(trials):
         A, B = pairs.trial(n, 2, 0.5, 2.0)
         lhs = fnorm((A + B) / 2.0)
         rhs = (fnorm(A) + fnorm(B)) / 2.0
