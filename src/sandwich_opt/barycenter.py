@@ -9,11 +9,14 @@ of one loop, which owns the history, the stopping order and the report.
 
 Both solvers read the one gradient of f, the kernel of ``calculus.gradient_f``:
 grad phi_t(X) = t I - sum_j w_j grad f_j(X) = t (I - S(X)) with
-S(X) = sum_j w_j grad f_j(X) / t, and F(X) = X^{1/2} S(X) X^{1/2}. Each
-grad f_j takes 2 eigh (A_j and its sandwich with X), so S(X) takes 2m. A
-gradient-projection step adds one eigh for the box projection and a
-fixed-point step one for X^{1/2}: 2m + 1 eigh per step either way. A point X
-is checked once where it enters, and no step re-checks it.
+S(X) = sum_j w_j grad f_j(X) / t, and F(X) = X^{1/2} S(X) X^{1/2}. The
+sandwich factors P_j = A_j^{(1-t)/2t} are fixed by the problem: each A_j is
+decomposed once, when a problem first needs its factors (m eigh per
+problem). Each grad f_j then takes one eigh, of the sandwich P_j X P_j, so
+S(X) takes m. A gradient-projection step adds one eigh for the box
+projection and a fixed-point step one for X^{1/2}: m + 1 eigh per step
+either way. A point X is checked once where it enters, and no step re-checks
+it.
 """
 
 from __future__ import annotations
@@ -21,18 +24,19 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-import numbers
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .calculus import _frame_gradient, _whitened_frame, convexity_constants
-from .entropy import _sandwich_trace, check_unit_t
+from .entropy import _factor_spectrum, _sandwich_factor, check_unit_t
 from .errors import InvalidBox, InvalidInput, InvalidStart, InvalidStepSize
 from .linalg import (
     _check_integer,
     _eigenvalues,
     _hermitian_of_size,
+    _is_number,
     _spd_and_spectrum,
     check_box,
     power,
@@ -52,7 +56,11 @@ HISTORY_CAP = 10_000
 
 @dataclass(frozen=True)
 class BarycenterProblem:
-    """Marginals A_j, normalized weights w_j, order t, and spectral box."""
+    """Marginals A_j, normalized weights w_j, order t, and spectral box.
+
+    The sandwich factors P_j = A_j^{(1-t)/2t} are formed on first use and
+    kept on the instance, so they live exactly as long as the problem.
+    """
 
     matrices: tuple
     weights: np.ndarray
@@ -67,6 +75,11 @@ class BarycenterProblem:
     @property
     def m(self) -> int:
         return len(self.matrices)
+
+    @cached_property
+    def _factors(self) -> tuple:
+        """(P_1, ..., P_m), each from one decomposition of its marginal: m eigh, once."""
+        return tuple(_sandwich_factor(spectral_decompose(A), self.t) for A in self.matrices)
 
 
 def barycenter_problem(matrices, weights, t, alpha=None, beta=None) -> BarycenterProblem:
@@ -108,16 +121,16 @@ def objective(p: BarycenterProblem, X):
     """phi_t(X); nonnegative, zero iff every marginal equals X."""
     X = _hermitian_of_size("X", X, p.n)
     total = 0.0
-    for w, A in zip(p.weights, p.matrices):
+    for w, A, P in zip(p.weights, p.matrices, p._factors):
         linear = (1.0 - p.t) * float(np.trace(A).real) + p.t * float(np.trace(X).real)
-        total += w * (linear - float(_sandwich_trace(spectral_decompose(A), X, p.t)))
+        total += w * (linear - float(np.sum(_factor_spectrum(P, X, p.t) ** p.t)))
     return total
 
 
 def _mean_sum(p: BarycenterProblem, X):
-    """S(X) = sum_j w_j grad f_j(X) / t: 2m eigh."""
-    return sum(w * _frame_gradient(*_whitened_frame(spectral_decompose(A), X, p.t), p.t)
-               for w, A in zip(p.weights, p.matrices)) / p.t
+    """S(X) = sum_j w_j grad f_j(X) / t from the problem's sandwich factors: m eigh."""
+    return sum(w * _frame_gradient(*_whitened_frame(P, X, p.t), p.t)
+               for w, P in zip(p.weights, p._factors)) / p.t
 
 
 def _gradient_from_sum(S, t):
@@ -135,7 +148,7 @@ def _fixed_point_from_sum(X, S):
 
 
 def _fixed_point_step(p: BarycenterProblem, X):
-    """(F(X), grad phi_t(X)) from one decomposition of X and one S(X): 2m + 1 eigh."""
+    """(F(X), grad phi_t(X)) from one decomposition of X and one S(X): m + 1 eigh."""
     S = _mean_sum(p, X)
     return _fixed_point_from_sum(X, S), _gradient_from_sum(S, p.t)
 
@@ -153,7 +166,8 @@ def fixed_point_map(p: BarycenterProblem, X):
     """F(X) = sum_j w_j (X^{1/2} A_j^{(1-t)/t} X^{1/2})^t; stationarity iff X = F(X).
 
     Evaluated as X^{1/2} S(X) X^{1/2} = X^{1/2} (I - grad phi_t(X) / t) X^{1/2}:
-    one decomposition of X plus 2 eigh per marginal for grad f_j.
+    one decomposition of X plus one eigh per marginal for grad f_j, whose
+    sandwich factor the problem keeps (m more eigh on the problem's first use).
     """
     return _fixed_point_step(p, _hermitian_of_size("X", X, p.n))[0]
 
@@ -165,12 +179,15 @@ def certified_rate(p: BarycenterProblem, eta=None):
     convexity_constants(t, alpha, beta), and
     q = max{|1 - eta alpha_star|, |1 - eta beta_star|} < 1 for
     eta in (0, 2/beta_star); the default eta = 1/beta_star gives
-    q = 1 - (alpha/beta)^{3-2t}.
+    q = 1 - (alpha/beta)^{3-2t}. ``InvalidInput`` unless eta is a number (a
+    bool is not), ``InvalidStepSize`` outside that interval.
     """
     c = convexity_constants(p.t, p.alpha, p.beta)
     alpha_star, beta_star = c.k1, c.k2
     if eta is None:
         eta = 1.0 / beta_star
+    elif not _is_number(eta):
+        raise InvalidInput(f"eta = {eta!r} must be a number")
     if not (np.isfinite(eta) and 0.0 < eta < 2.0 / beta_star):
         raise InvalidStepSize(f"eta = {eta} outside (0, {2.0 / beta_star:.6g})")
     q = max(abs(1.0 - eta * alpha_star), abs(1.0 - eta * beta_star))
@@ -206,12 +223,13 @@ class SolverReport:
 
 
 def _check_stopping(tol_name, tol, max_iters):
-    """InvalidInput unless the tolerance is finite and >= 0 and max_iters an integer >= 0.
+    """InvalidInput unless the tolerance is a finite number >= 0 and max_iters an integer >= 0.
 
     A NaN or negative tolerance is never met, so the run would go on to the
-    iteration cap and report an unconverged iterate.
+    iteration cap and report an unconverged iterate; a bool is not a number
+    (True would read as 1.0).
     """
-    if not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol >= 0):
+    if not (_is_number(tol) and math.isfinite(tol) and tol >= 0):
         raise InvalidInput(f"{tol_name} = {tol!r} must be a finite number >= 0")
     _check_integer(max_iters, "max_iters", 0)
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .entropy import _sandwich, _sandwich_trace, check_unit_t, T_MAX, T_MIN
+from .entropy import _factor_spectrum, _sandwich, _sandwich_factor, check_unit_t, T_MAX, T_MIN
 from .errors import NumericalError, ParameterError
 from .linalg import (
     LOG,
@@ -28,9 +28,12 @@ from .linalg import (
 )
 
 
-def _whitened_frame(decA, X, t):
-    """(W, d) with W = V* A''^{1/2}, A'' = A^{(1-t)/t} and A''^{1/2} X A''^{1/2} = V diag(d) V*."""
-    P, dec = _sandwich(decA, X, t)
+def _whitened_frame(P, X, t):
+    """(W, d) with W = V* P and P X P = V diag(d) V*, from the sandwich factor P = A''^{1/2}.
+
+    A'' = A^{(1-t)/t}; P is formed once per A by ``entropy._sandwich_factor``.
+    """
+    dec = _sandwich(P, X, t)
     return dec.eigenvectors.conj().T @ P, dec.eigenvalues
 
 
@@ -48,7 +51,7 @@ def gradient_f(A, X, t):
     """
     check_unit_t(t)
     check_matrices(A=A, X=X)
-    return _frame_gradient(*_whitened_frame(spectral_decompose(A), X, t), t)
+    return _frame_gradient(*_whitened_frame(_sandwich_factor(spectral_decompose(A), t), X, t), t)
 
 
 @dataclass(frozen=True)
@@ -74,7 +77,7 @@ def hessian_operator(A, X, t) -> HessianOperator:
     """The -grad^2 f(X) operator; ``NumericalError`` unless the computed M is positive definite."""
     check_unit_t(t)
     check_matrices(A=A, X=X)
-    W, d = _whitened_frame(spectral_decompose(A), X, t)
+    W, d = _whitened_frame(_sandwich_factor(spectral_decompose(A), t), X, t)
     return HessianOperator(t=float(t), W=W, kernel=-loewner_matrix(power(t - 1.0), d))
 
 
@@ -315,10 +318,10 @@ def bregman(A, t, Y, X):
     """
     check_unit_t(t)
     check_matrices(A=A, Y=Y, X=X)
-    decA = spectral_decompose(A)
-    W, d = _whitened_frame(decA, X, t)
+    P = _sandwich_factor(spectral_decompose(A), t)
+    W, d = _whitened_frame(P, X, t)
     fX = float(np.sum(d ** float(t)))
-    fY = float(_sandwich_trace(decA, Y, t))
+    fY = float(np.sum(_factor_spectrum(P, Y, t) ** float(t)))
     return fX - fY + inner(_frame_gradient(W, d, t), symmetrize(Y) - symmetrize(X))
 
 
@@ -333,7 +336,7 @@ def fidelity_t_derivative(A, B, t):
         raise ParameterError(f"order parameter t = {t} outside ({T_MIN}, {T_MAX}]")
     check_matrices(A=A, B=B)
     decA = spectral_decompose(A)
-    _, dec = _sandwich(decA, B, t)
+    dec = _sandwich(_sandwich_factor(decA, t), B, t)
     w = dec.eigenvalues
     phi_t = dec.apply(w ** float(t))
     term1 = float(np.sum(w ** float(t) * np.log(w)))

@@ -27,7 +27,7 @@ from .calculus import (
 from .entropy import compute_divergence, fidelity, geometric_mean
 from .errors import InvalidInput, SandwichOptError
 from .inequalities import SUITES, run_suite
-from .linalg import _check_integer, as_spd, check_box, derive_seed, random_spd
+from .linalg import _SEED_MAX, _check_integer, as_spd, check_box, derive_seed, random_spd
 from .serialization import (
     canonical_json,
     format_float,
@@ -250,6 +250,7 @@ def _cmd_verify(args):
 def _cmd_gen(args):
     _check_integer(args.count, "--count", 0)
     _check_integer(args.n, "--n", 1)
+    _check_integer(args.seed, "--seed", 0, _SEED_MAX)
     check_box(args.alpha, args.beta)
     os.makedirs(args.out, exist_ok=True)
     for k in range(args.count):

@@ -63,21 +63,33 @@ def sandwich_spectrum(A, B, t):
 
 def _sandwich_spectrum(decA, B, t):
     """sandwich_spectrum from the decomposition of A (or of a stack, with B a stack)."""
-    return _positive(_eigenvalues(_sandwiched(decA, B, t)[1]))
+    return _factor_spectrum(_sandwich_factor(decA, t), B, t)
 
 
-def _sandwich(decA, X, t):
-    """(P, decomposition of P X P), P = A^{(1-t)/2t}, X validated; NumericalError unless P X P > 0."""
-    P, M = _sandwiched(decA, symmetrize(X), t)
-    dec = spectral_decompose(M)
+def _factor_spectrum(P, B, t):
+    """Ascending eigenvalues of P B P, all positive, from the sandwich factor P."""
+    return _positive(_eigenvalues(_sandwiched(P, B, t)))
+
+
+def _sandwich_factor(decA, t):
+    """P = A^{(1-t)/2t} from the decomposition of A (or a stack); ``NumericalError`` if it overflows.
+
+    Every sandwich P B P of this module is formed from this one factor, so a
+    caller that sandwiches many B with one A forms P once.
+    """
+    return decA.map(power((1.0 - t) / (2.0 * t)))
+
+
+def _sandwich(P, X, t):
+    """Decomposition of P X P from the sandwich factor P, X validated; NumericalError unless P X P > 0."""
+    dec = spectral_decompose(_sandwiched(P, symmetrize(X), t))
     _positive(dec.eigenvalues)
-    return P, dec
+    return dec
 
 
-def _sandwiched(decA, B, t):
-    """(P, P B P) with P = A^{(1-t)/2t}; ``NumericalError`` if either overflows, as at small t."""
-    P = decA.map(power((1.0 - t) / (2.0 * t)))
-    return P, _finite(P, B, "sandwiched product", f" at t = {t}")
+def _sandwiched(P, B, t):
+    """P B P from the sandwich factor P; ``NumericalError`` if it overflows, as at small t."""
+    return _finite(P, B, "sandwiched product", f" at t = {t}")
 
 
 def _finite(P, B, what, context=""):

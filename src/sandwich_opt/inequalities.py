@@ -138,9 +138,8 @@ def _order_grid(t_values, check=check_unit_t):
 def _streams(seed, suite, *families):
     """(uniform, Gaussian) Generators per input family, from ``derive_seed(seed, suite, family, stream)``.
 
-    The one seed check of every suite: an integer (not a bool) in [0, 2**128).
+    ``derive_seed`` checks the seed: an integer (not a bool) in [0, 2**128).
     """
-    seed = _check_integer(seed, "seed", 0, _SEED_MAX)
     return [tuple(np.random.default_rng(derive_seed(seed, suite, family, stream))
                   for stream in ("uniform", "normal")) for family in families]
 

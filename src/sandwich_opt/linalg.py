@@ -12,6 +12,7 @@ eigensolver calls go through ``spectral_decompose`` (eigenvectors) and
 from __future__ import annotations
 
 import hashlib
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,6 +73,11 @@ def _hermitian_of_size(name, H, n, error=InvalidInput):
     if not np.isfinite(H).all():
         raise error(f"{name} has non-finite entries")
     return symmetrize(H)
+
+
+def _is_number(v) -> bool:
+    """A real number, not a bool (which Python counts as an int)."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
 def _check_integer(value, what, lo, hi=None):
@@ -482,6 +488,11 @@ def inner(X, Y):
 
 
 def derive_seed(master, *parts) -> int:
-    """Stable sub-seed from a master seed and string/int labels."""
-    msg = ":".join([str(int(master))] + [str(p) for p in parts])
+    """Stable sub-seed from a master seed and string/int labels.
+
+    ``InvalidInput`` unless the master seed is an integer in [0, 2^128 - 1],
+    the seed rule of every seeded routine.
+    """
+    master = _check_integer(master, "seed", 0, _SEED_MAX)
+    msg = ":".join([str(master)] + [str(p) for p in parts])
     return int.from_bytes(hashlib.sha256(msg.encode()).digest()[:8], "big")

@@ -13,7 +13,7 @@ import numpy as np
 
 from .barycenter import BarycenterProblem, SolverReport, barycenter_problem
 from .errors import InvalidInput
-from .linalg import _check_integer
+from .linalg import _check_integer, _is_number
 
 
 def format_float(x) -> str:
@@ -72,11 +72,6 @@ def matrix_to_json(M) -> dict:
     if np.any(M.imag != 0.0):
         out["im"] = [[float(v) for v in row] for row in M.imag]
     return out
-
-
-def _is_number(v) -> bool:
-    """A JSON number: int or float, not bool (which Python counts as an int)."""
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
 def matrix_from_json(d) -> np.ndarray:

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +18,7 @@ from sandwich_opt import (
     derive_seed,
     fidelity,
     fixed_point_map,
+    gradient_f,
     matrix_power,
     objective,
     objective_gradient,
@@ -235,6 +239,20 @@ def test_solvers_reject_bad_stopping_parameters(solver, field, name, value):
         solver(random_problem(14), **{name: value})
 
 
+@pytest.mark.parametrize("call,name", [
+    (lambda p: solve_gradient_projection(p, grad_tol=True), "grad_tol"),
+    (lambda p: solve_gradient_projection(p, grad_tol=False), "grad_tol"),
+    (lambda p: solve_fixed_point(p, tol=True), "tol"),
+    (lambda p: solve_gradient_projection(p, eta=True), "eta"),
+    (lambda p: certified_rate(p, True), "eta"),
+])
+def test_solvers_reject_bool_tolerances_and_step_sizes(call, name):
+    # True read as 1.0: grad_tol=True or tol=True returned the start after 0
+    # steps as "gradient_tol", and eta=True ran with eta = 1
+    with pytest.raises(InvalidInput, match=f"{name} = (True|False)"):
+        call(random_problem(14))
+
+
 @pytest.mark.parametrize("fn", [objective, objective_gradient, fixed_point_map])
 def test_point_of_the_wrong_size_or_non_finite_names_x(fn):
     # X was checked only through each marginal's call, whose message named
@@ -423,44 +441,86 @@ def test_small_t_loses_positivity_with_a_typed_error():
         fixed_point_map(p, X)
 
 
+def _count_eigh(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(1) or eigh(*a, **k))
+    return calls
+
+
 def test_fixed_point_step_eigh_count(monkeypatch):
-    # two eigh per marginal for grad f_j (A_j and its sandwich with X), plus
-    # X^{1/2} for a fixed-point step or the box projection for a gradient
-    # step; nothing is decomposed once per solve
+    # each marginal is decomposed once per problem, for its sandwich factor
+    # P_j; a step then takes one eigh per marginal (the sandwich P_j X P_j),
+    # plus X^{1/2} for a fixed-point step or the box projection for a
+    # gradient step
     import sandwich_opt.barycenter as bc
 
     m = 3
     p = random_problem(22, m=m)
     X = random_spd(4, 1.0, 4.0, 23)
-    calls = []
-    eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(1) or eigh(*a, **k))
+    calls = _count_eigh(monkeypatch)
     bc._fixed_point_step(p, X)
-    assert len(calls) == 2 * m + 1
+    assert len(calls) == m + (m + 1)
+    calls.clear()
+    bc._fixed_point_step(p, X)
+    assert len(calls) == m + 1
     calls.clear()
     G = bc._gradient(p, X)
     bc.project_box(X - G / certified_rate(p)[1], p.alpha, p.beta)
-    assert len(calls) == 2 * m + 1
+    assert len(calls) == m + 1
     calls.clear()
-    rep = bc.solve_fixed_point(p, tol=1e-12, max_iters=3)
+    rep = bc.solve_fixed_point(random_problem(22, m=m), tol=1e-12, max_iters=3)
     assert rep.iterations == 3
-    assert len(calls) == (rep.iterations + 1) * (2 * m + 1)
+    assert len(calls) == m + (rep.iterations + 1) * (m + 1)
 
 
 @pytest.mark.parametrize("iters", [0, 3])
 def test_gradient_projection_solve_eigh_count(monkeypatch, iters):
-    # the start's projection, S(X) at each of the k + 1 iterates (2m each),
-    # k box projections, and X^{1/2} for the final fixed-point residual,
-    # which reuses the last S(X)
+    # the m factors P_j once, the start's projection, S(X) at each of the
+    # k + 1 iterates (m each), k box projections, and X^{1/2} for the final
+    # fixed-point residual, which reuses the last S(X)
     m = 3
     p = random_problem(24, m=m)
-    calls = []
-    eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(1) or eigh(*a, **k))
+    calls = _count_eigh(monkeypatch)
     rep = solve_gradient_projection(p, grad_tol=0.0, max_iters=iters)
     k = rep.iterations
     assert k == iters
-    assert len(calls) == 1 + 2 * m * (k + 1) + k + 1
+    assert len(calls) == 2 * m + 2 + (m + 1) * k
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(
+    m=st.integers(1, 4),
+    n=st.integers(1, 5),
+    t=st.floats(0.1, 0.9),
+    real=st.booleans(),
+    seed=st.integers(0, 2**32 - 2),
+)
+def test_mean_sum_is_the_weighted_gradient_of_each_marginal(m, n, t, real, seed):
+    # the cached factors P_j are formed exactly as gradient_f forms its own,
+    # so S(X) keeps every bit of the per-marginal sum
+    import sandwich_opt.barycenter as bc
+
+    mats = [_real_or_complex(random_spd(n, 1.0, 4.0, derive_seed(seed, "marg", j)), real)
+            for j in range(m)]
+    p = barycenter_problem(mats, np.arange(1.0, m + 1.0), t, alpha=1.0, beta=4.0)
+    X = _real_or_complex(random_spd(n, 1.0, 4.0, derive_seed(seed, "x")), real)
+    expected = sum(w * gradient_f(A, X, p.t) for w, A in zip(p.weights, p.matrices)) / p.t
+    assert np.array_equal(bc._mean_sum(p, X), expected)
+    assert np.array_equal(bc._mean_sum(p, X), expected)  # and again from the cache
+
+
+def test_solved_problem_and_its_factors_are_freed():
+    # the factors live on the problem, so no module state keeps a solved
+    # problem alive
+    p = random_problem(26)
+    solve_gradient_projection(p, max_iters=3)
+    solve_fixed_point(p, max_iters=3)
+    assert "_factors" in vars(p)
+    ref = weakref.ref(p)
+    del p
+    gc.collect()
+    assert ref() is None
 
 
 @settings(max_examples=30, derandomize=True, database=None, deadline=None)

@@ -456,3 +456,15 @@ def test_gen_bad_dimension_or_box_creates_no_directory(tmp_path, bad, flag):
     assert res.returncode == 2
     assert flag in res.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize("count", ["0", "1"])
+@pytest.mark.parametrize("seed", ["-5", str(2**128)])
+def test_gen_seed_outside_the_seed_domain_is_usage_error(tmp_path, seed, count):
+    # gen --seed -5 wrote its files with exit 0, while verify --seed -5 raised
+    out = tmp_path / "gen"
+    res = run_cli("gen", "--n", "2", "--count", count, "--alpha", "1", "--beta", "2",
+                  "--seed", seed, "--out", str(out))
+    assert res.returncode == 2
+    assert "--seed must be an integer in [0, " in res.stderr
+    assert not out.exists()

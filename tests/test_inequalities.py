@@ -809,6 +809,14 @@ def test_every_suite_rejects_a_seed_outside_the_seed_domain(seed):
     assert run_suite("trace-chain", n=3, trials=2, seed=2**128 - 1)["all_hold"]
 
 
+@pytest.mark.parametrize("seed", [1.7, True, None, -1, 2**128, "3", np.float64(2.0)])
+def test_seeded_pairs_reject_a_seed_outside_the_seed_domain(seed):
+    # derive_seed ran int() on its master seed: 1.7 drew the pair of seed 1
+    for draw in (random_pair, density_pair):
+        with pytest.raises(InvalidInput, match="seed"):
+            draw(3, seed, "pair")
+
+
 @pytest.mark.parametrize("trials", [0, -3, 2.5, True, np.float64(4.0), None])
 def test_every_suite_rejects_a_trial_count_that_is_not_an_integer_from_one(trials):
     # one check, where a suite cuts its trials into chunks (inequalities._chunks)

@@ -410,7 +410,8 @@ def test_random_hermitian_equals_per_seed_oracle(n):
 def test_seed_outside_domain_is_invalid_input(seed):
     for draw in (lambda: random_spd(3, 1.0, 2.0, seed),
                  lambda: random_spd_stack(3, 1.0, 2.0, [5, seed]),
-                 lambda: random_hermitian(3, seed)):
+                 lambda: random_hermitian(3, seed),
+                 lambda: derive_seed(seed, "x")):
         with pytest.raises(InvalidInput, match="seed"):
             draw()
 
