@@ -323,6 +323,51 @@ def test_barycenter_report_digest_is_pinned(case, tmp_path, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == BARYCENTER_DIGESTS[case]
 
 
+# sha256 of the stdout of each scalar and matrix verb on a seeded 3x3 pair:
+# a change to a formula or to the command-line layer that moves a byte shows here
+CLI_DIGESTS = {
+    "fidelity-text": "5bd3b12c8ef7ae9a076ba9cdd742d419d5a4a7d4fde64e788d5bb42654cf6b06",
+    "fidelity-json": "be9f23d60ae367104d3a50221d4f2b5247334b072ec15fa1caf404228fc1546b",
+    "fidelity-csv": "c464e4aa99bf5e75f1b42dde7e7512d14032baa82993e037eb4eccf3021f7e4b",
+    "divergence-sandwiched": "7cd98f58fa0c13ced0a00686cd27af75cfc067c2e62841570d147c2f8457a3be",
+    "divergence-renyi": "20ce9000f67bf4bd8ad0911b59018913eef9128607fc78e28f7683fc6da401f6",
+    "divergence-umegaki": "74b222d4c3c7e0ee38c5e108f67f845430890ff7fc60d791025d5b8993010532",
+    "divergence-thompson": "60a48fa9ea5c8d21f7aba3bf828971e15324e48a1546ae46b338bc246fd180c7",
+    "divergence-max": "20287e65f38443bf2aa3376dde22e517c609f230f5ff267dd960687ec7ecc3ab",
+    "divergence-bures": "9e4ae48ec4aba09c34171389bf8e904de2989824eeaab143c42aab19872e2922",
+    "divergence-riemannian": "56aee6693f893d650b972f249a38dfb33b62e8da123f4ee2d6adf969d5673f92",
+    "gmean": "6b7790945013288de9ef0f0701cb1d8bb8da65fc409aa47dface96acc1c5ddc2",
+    "grad": "62a682a38a2646b744a0701fef2bee0c53ba7212832cec9734f1c21a6f2e5b87",
+    "hess-bounds": "d0564aedba8ef827513e57bb668cd1d0a87b99eed2ca84f6e8a33385dc826a32",
+    "constants": "acd7816375496e0bf7514099043bfb7f9a858180e9d31f8e2546fa37dbad997a",
+}
+CLI_ARGS = {
+    "fidelity-text": ["fidelity", "--a", "A", "--b", "B", "--t", "0.3"],
+    "fidelity-json": ["fidelity", "--a", "A", "--b", "B", "--t", "0.3", "--format", "json"],
+    "fidelity-csv": ["fidelity", "--a", "A", "--b", "B", "--t", "0.3", "--format", "csv"],
+    **{f"divergence-{kind}": ["divergence", "--kind", kind, "--a", "A", "--b", "B"]
+       + (["--t", "2.0"] if kind in ("sandwiched", "renyi") else [])
+       for kind in ("sandwiched", "renyi", "umegaki", "thompson", "max", "bures", "riemannian")},
+    "gmean": ["gmean", "--a", "A", "--b", "B", "--t", "0.3"],
+    "grad": ["grad", "--a", "A", "--x", "B", "--t", "0.4"],
+    "hess-bounds": ["hess-bounds", "--a", "A", "--x", "B", "--t", "0.6"],
+    "constants": ["constants", "--t", "0.3", "--alpha", "1", "--beta", "4"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLI_DIGESTS))
+def test_cli_output_digest_is_pinned(case, tmp_path, capsys):
+    from sandwich_opt.cli import main
+
+    paths = {}
+    for name in ("A", "B"):
+        paths[name] = str(tmp_path / f"{name}.json")
+        save_matrix(paths[name], random_spd(3, 1.0, 4.0, derive_seed(97, "cli", name)))
+    assert main([paths.get(arg, arg) for arg in CLI_ARGS[case]]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == CLI_DIGESTS[case]
+
+
 def test_gen_writes_deterministic_spd_files(tmp_path):
     out1 = tmp_path / "run1"
     out2 = tmp_path / "run2"
