@@ -30,7 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from .calculus import _frame_gradient, _whitened_frame, convexity_constants
-from .entropy import _factor_spectrum, _sandwich_factor, check_unit_t
+from .entropy import _factor_trace, _sandwich_factor, check_unit_t
 from .errors import InvalidBox, InvalidInput, InvalidStart, InvalidStepSize
 from .linalg import (
     _check_integer,
@@ -82,6 +82,11 @@ class BarycenterProblem:
         return tuple(_sandwich_factor(spectral_decompose(A), self.t) for A in self.matrices)
 
 
+def _in_box(lo, hi, alpha, beta):
+    """Whether a spectrum [lo, hi] lies in [alpha, beta] up to the slack BOX_RTOL beta."""
+    return alpha - BOX_RTOL * beta <= lo and hi <= beta + BOX_RTOL * beta
+
+
 def barycenter_problem(matrices, weights, t, alpha=None, beta=None) -> BarycenterProblem:
     """Validate and assemble a barycenter problem.
 
@@ -109,8 +114,7 @@ def barycenter_problem(matrices, weights, t, alpha=None, beta=None) -> Barycente
     alpha = lo if alpha is None else float(alpha)
     beta = hi if beta is None else float(beta)
     check_box(alpha, beta)
-    slack = BOX_RTOL * beta
-    if lo < alpha - slack or hi > beta + slack:
+    if not _in_box(lo, hi, alpha, beta):
         raise InvalidBox(
             f"marginal spectra [{lo:.6g}, {hi:.6g}] violate the box [{alpha}, {beta}]"
         )
@@ -123,7 +127,7 @@ def objective(p: BarycenterProblem, X):
     total = 0.0
     for w, A, P in zip(p.weights, p.matrices, p._factors):
         linear = (1.0 - p.t) * float(np.trace(A).real) + p.t * float(np.trace(X).real)
-        total += w * (linear - float(np.sum(_factor_spectrum(P, X, p.t) ** p.t)))
+        total += w * (linear - float(_factor_trace(P, X, p.t)))
     return total
 
 
@@ -239,8 +243,7 @@ def _start_iterate(p: BarycenterProblem, x0):
         return (p.alpha + p.beta) / 2.0 * np.eye(p.n, dtype=complex)
     x0 = _hermitian_of_size("x0", x0, p.n, InvalidStart)
     w = _eigenvalues(x0)
-    slack = BOX_RTOL * p.beta
-    if w[0] < p.alpha - slack or w[-1] > p.beta + slack:
+    if not _in_box(w[0], w[-1], p.alpha, p.beta):
         raise InvalidStart(
             f"starting spectrum [{w[0]:.6g}, {w[-1]:.6g}] outside the box "
             f"[{p.alpha}, {p.beta}]"

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .entropy import _factor_spectrum, _sandwich, _sandwich_factor, check_unit_t, T_MAX, T_MIN
+from .entropy import _factor_trace, _sandwich, _sandwich_factor, check_unit_t, T_MAX, T_MIN
 from .errors import NumericalError, ParameterError
 from .linalg import (
     LOG,
@@ -321,7 +321,7 @@ def bregman(A, t, Y, X):
     P = _sandwich_factor(spectral_decompose(A), t)
     W, d = _whitened_frame(P, X, t)
     fX = float(np.sum(d ** float(t)))
-    fY = float(np.sum(_factor_spectrum(P, Y, t) ** float(t)))
+    fY = float(_factor_trace(P, Y, t))
     return fX - fY + inner(_frame_gradient(W, d, t), symmetrize(Y) - symmetrize(X))
 
 

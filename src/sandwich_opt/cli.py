@@ -11,6 +11,7 @@ usage or input error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import os
 import sys
@@ -24,7 +25,7 @@ from .calculus import (
     hessian_extreme_eigs,
     hessian_operator,
 )
-from .entropy import compute_divergence, fidelity, geometric_mean
+from .entropy import compute_divergence, geometric_mean
 from .errors import InvalidInput, SandwichOptError
 from .inequalities import SUITES, run_suite
 from .linalg import _SEED_MAX, _check_integer, as_spd, check_box, derive_seed, random_spd
@@ -54,7 +55,8 @@ def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on the first call and shared after it.
 
     ``main`` parses every argv with this one parser; building it takes about
-    as long as a small command, so it is not rebuilt per call.
+    as long as a small command, so it is not rebuilt per call. Each verb
+    names its handler with ``set_defaults(run=...)``.
     """
     parser = argparse.ArgumentParser(
         prog="sandwich-opt",
@@ -64,60 +66,44 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_out(sp):
-        sp.add_argument("--out", help="write the result to this path instead of stdout")
-
-    def add_format(sp):
-        sp.add_argument(
-            "--format", choices=("text", "json", "csv"), default="text",
-            help="scalar output format (default text, 17 significant digits)",
-        )
-
-    sp = sub.add_parser("fidelity", help="parameterized fidelity of two SPD matrices")
-    sp.add_argument("--a", required=True, help="matrix JSON file for A")
-    sp.add_argument("--b", required=True, help="matrix JSON file for B")
-    sp.add_argument("--t", type=float, required=True)
-    add_format(sp)
-    add_out(sp)
-
-    sp = sub.add_parser("divergence", help="divergence/distance between SPD matrices")
-    sp.add_argument("--kind", required=True, choices=sorted(DIVERGENCE_CLI_KINDS))
-    sp.add_argument("--a", required=True)
-    sp.add_argument("--b", required=True)
-    sp.add_argument("--t", type=float, help="order (required by sandwiched/renyi, rejected by the rest)")
-    add_format(sp)
-    add_out(sp)
-
-    sp = sub.add_parser("gmean", help="weighted geometric mean A #_t B")
-    sp.add_argument("--a", required=True)
-    sp.add_argument("--b", required=True)
-    sp.add_argument("--t", type=float, required=True)
-    add_out(sp)
-
-    sp = sub.add_parser("grad", help="gradient of the sandwiched trace functional")
-    sp.add_argument("--a", required=True, help="parameter matrix A")
-    sp.add_argument("--x", required=True, help="base point X")
-    sp.add_argument("--t", type=float, required=True)
-    add_out(sp)
-
-    sp = sub.add_parser(
-        "hess-bounds",
-        help="extreme eigenvalues of -grad^2 f(X), read from a twin operator with the "
-        f"same spectrum: dense for n <= {DENSE_MAX_N}, where it is measured faster, "
-        "Lanczos beyond (NumericalError, exit 2, if unconverged)",
+    # arguments shared by several verbs, each declared once
+    out, order, scalar, pair, point = (argparse.ArgumentParser(add_help=False) for _ in range(5))
+    out.add_argument("--out", help="write the result to this path instead of stdout")
+    order.add_argument("--t", type=float, required=True)
+    scalar.add_argument(
+        "--format", choices=("text", "json", "csv"), default="text",
+        help="scalar output format (default text, 17 significant digits)",
     )
-    sp.add_argument("--a", required=True)
-    sp.add_argument("--x", required=True)
-    sp.add_argument("--t", type=float, required=True)
-    add_out(sp)
+    pair.add_argument("--a", required=True, help="matrix JSON file for A")
+    pair.add_argument("--b", required=True, help="matrix JSON file for B")
+    point.add_argument("--a", required=True, help="parameter matrix A")
+    point.add_argument("--x", dest="b", required=True, help="base point X")
 
-    sp = sub.add_parser("constants", help="certified convexity/smoothness constants")
-    sp.add_argument("--t", type=float, required=True)
+    def verb(name, run, about, *parents):
+        sp = sub.add_parser(name, help=about, parents=parents)
+        sp.set_defaults(run=run)
+        return sp
+
+    verb("fidelity", _cmd_divergence, "parameterized fidelity of two SPD matrices",
+         pair, order, scalar, out).set_defaults(kind="fidelity")
+    sp = verb("divergence", _cmd_divergence, "divergence/distance between SPD matrices",
+              pair, scalar, out)
+    sp.add_argument("--kind", required=True, choices=sorted(DIVERGENCE_CLI_KINDS))
+    sp.add_argument("--t", type=float, help="order (required by sandwiched/renyi, rejected by the rest)")
+    verb("gmean", lambda args: _emit_matrix(args, geometric_mean),
+         "weighted geometric mean A #_t B", pair, order, out)
+    verb("grad", lambda args: _emit_matrix(args, gradient_f),
+         "gradient of the sandwiched trace functional", point, order, out)
+    verb("hess-bounds", _cmd_hess_bounds,
+         "extreme eigenvalues of -grad^2 f(X), read from a twin operator with the "
+         f"same spectrum: dense for n <= {DENSE_MAX_N}, where it is measured faster, "
+         "Lanczos beyond (NumericalError, exit 2, if unconverged)", point, order, out)
+
+    sp = verb("constants", _cmd_constants, "certified convexity/smoothness constants", order, out)
     sp.add_argument("--alpha", type=float, required=True)
     sp.add_argument("--beta", type=float, required=True)
-    add_out(sp)
 
-    sp = sub.add_parser("barycenter", help="solve an entropic barycenter problem")
+    sp = verb("barycenter", _cmd_barycenter, "solve an entropic barycenter problem", out)
     sp.add_argument("--problem", required=True, help="problem JSON file")
     sp.add_argument("--solver", choices=("gp", "fp"), default="gp")
     sp.add_argument("--eta", type=float, help="step size (gp only; default 1/beta_star)")
@@ -125,17 +111,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max-iters", type=int, default=100_000)
     sp.add_argument("--x0", help="matrix JSON file with the starting iterate")
     sp.add_argument("--trace", action="store_true", help="include iterates in the report")
-    add_out(sp)
 
-    sp = sub.add_parser("verify", help="run a verification suite")
+    sp = verb("verify", _cmd_verify, "run a verification suite", out)
     sp.add_argument("--suite", required=True, choices=SUITES)
     sp.add_argument("--n", type=int, default=4)
     sp.add_argument("--trials", type=int, default=100)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--t", help="order parameter or comma-separated grid")
-    add_out(sp)
 
-    sp = sub.add_parser("gen", help="generate seeded SPD matrix JSON files")
+    sp = verb("gen", _cmd_gen, "generate seeded SPD matrix JSON files")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--count", type=int, required=True)
     sp.add_argument("--alpha", type=float, required=True)
@@ -154,16 +138,6 @@ def _emit(text, out):
             fh.write(text + "\n")
 
 
-def _emit_scalar(args, kind, t, value):
-    if args.format == "json":
-        _emit(canonical_json({"kind": kind, "t": t, "value": value}), args.out)
-    elif args.format == "csv":
-        ttxt = "" if t is None else format_float(t)
-        _emit(f"kind,t,value\n{kind},{ttxt},{format_float(value)}", args.out)
-    else:
-        _emit(format_float(value), args.out)
-
-
 def _parse_t_grid(text):
     try:
         return tuple(float(v) for v in text.split(","))
@@ -171,53 +145,37 @@ def _parse_t_grid(text):
         raise InvalidInput(f"cannot parse order grid {text!r}") from exc
 
 
-def _cmd_fidelity(args):
-    A = as_spd(load_matrix(args.a))
-    B = as_spd(load_matrix(args.b))
-    _emit_scalar(args, "fidelity", args.t, fidelity(A, B, args.t))
-    return 0
+def _load_pair(args):
+    return as_spd(load_matrix(args.a)), as_spd(load_matrix(args.b))
 
 
 def _cmd_divergence(args):
-    kind = DIVERGENCE_CLI_KINDS[args.kind]
-    A = as_spd(load_matrix(args.a))
-    B = as_spd(load_matrix(args.b))
-    dv = compute_divergence(kind, A, B, t=args.t)
-    _emit_scalar(args, dv.kind, dv.t, dv.value)
+    """divergence, and fidelity as the divergence kind "fidelity"."""
+    dv = compute_divergence(DIVERGENCE_CLI_KINDS.get(args.kind, args.kind), *_load_pair(args), t=args.t)
+    if args.format == "json":
+        _emit(canonical_json({"kind": dv.kind, "t": dv.t, "value": dv.value}), args.out)
+    elif args.format == "csv":
+        ttxt = "" if dv.t is None else format_float(dv.t)
+        _emit(f"kind,t,value\n{dv.kind},{ttxt},{format_float(dv.value)}", args.out)
+    else:
+        _emit(format_float(dv.value), args.out)
     return 0
 
 
-def _cmd_gmean(args):
-    A = as_spd(load_matrix(args.a))
-    B = as_spd(load_matrix(args.b))
-    _emit(canonical_json(matrix_to_json(geometric_mean(A, B, args.t))), args.out)
-    return 0
-
-
-def _cmd_grad(args):
-    A = as_spd(load_matrix(args.a))
-    X = as_spd(load_matrix(args.x))
-    _emit(canonical_json(matrix_to_json(gradient_f(A, X, args.t))), args.out)
+def _emit_matrix(args, fn):
+    _emit(canonical_json(matrix_to_json(fn(*_load_pair(args), args.t))), args.out)
     return 0
 
 
 def _cmd_hess_bounds(args):
-    A = as_spd(load_matrix(args.a))
-    X = as_spd(load_matrix(args.x))
-    lam_min, lam_max = hessian_extreme_eigs(hessian_operator(A, X, args.t))
+    lam_min, lam_max = hessian_extreme_eigs(hessian_operator(*_load_pair(args), args.t))
     _emit(canonical_json({"lambda_min": lam_min, "lambda_max": lam_max}), args.out)
     return 0
 
 
 def _cmd_constants(args):
     c = convexity_constants(args.t, args.alpha, args.beta)
-    _emit(
-        canonical_json(
-            {"t": c.t, "alpha": c.alpha, "beta": c.beta, "k1": c.k1, "k2": c.k2,
-             "cond_bound": c.cond_bound}
-        ),
-        args.out,
-    )
+    _emit(canonical_json(dataclasses.asdict(c)), args.out)
     return 0
 
 
@@ -235,7 +193,7 @@ def _cmd_barycenter(args):
         report = solve_fixed_point(
             problem, tol=args.tol, max_iters=args.max_iters, x0=x0, trace=args.trace
         )
-    _emit(canonical_json(report_to_json(report, include_iterates=args.trace)), args.out)
+    _emit(canonical_json(report_to_json(report)), args.out)
     return 0 if report.termination == "gradient_tol" else 1
 
 
@@ -259,23 +217,10 @@ def _cmd_gen(args):
     return 0
 
 
-_COMMANDS = {
-    "fidelity": _cmd_fidelity,
-    "divergence": _cmd_divergence,
-    "gmean": _cmd_gmean,
-    "grad": _cmd_grad,
-    "hess-bounds": _cmd_hess_bounds,
-    "constants": _cmd_constants,
-    "barycenter": _cmd_barycenter,
-    "verify": _cmd_verify,
-    "gen": _cmd_gen,
-}
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except (SandwichOptError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -68,7 +68,7 @@ def _sandwich_spectrum(decA, B, t):
 
 def _factor_spectrum(P, B, t):
     """Ascending eigenvalues of P B P, all positive, from the sandwich factor P."""
-    return _positive(_eigenvalues(_sandwiched(P, B, t)))
+    return _positive(_eigenvalues(_sandwiched(P, B, f" at t = {t}")))
 
 
 def _sandwich_factor(decA, t):
@@ -82,17 +82,12 @@ def _sandwich_factor(decA, t):
 
 def _sandwich(P, X, t):
     """Decomposition of P X P from the sandwich factor P, X validated; NumericalError unless P X P > 0."""
-    dec = spectral_decompose(_sandwiched(P, symmetrize(X), t))
+    dec = spectral_decompose(_sandwiched(P, symmetrize(X), f" at t = {t}"))
     _positive(dec.eigenvalues)
     return dec
 
 
-def _sandwiched(P, B, t):
-    """P B P from the sandwich factor P; ``NumericalError`` if it overflows, as at small t."""
-    return _finite(P, B, "sandwiched product", f" at t = {t}")
-
-
-def _finite(P, B, what, context=""):
+def _sandwiched(P, B, context="", what="sandwiched product"):
     """P B P (matrices or stacks) if finite; else ``NumericalError`` naming ``what`` and the first bad index.
 
     The product is formed with numpy's overflow warnings off, so an overflow
@@ -106,11 +101,11 @@ def _finite(P, B, what, context=""):
     return M
 
 
-def _positive(w):
-    """w, the spectrum (or stack of spectra) of a sandwiched product, after checking it is positive."""
+def _positive(w, what="sandwiched product"):
+    """w, the spectrum (or stack of spectra) of the product ``what``, after checking it is positive."""
     if not np.min(w) > 0:
         bad = ~(np.min(w, axis=-1) > 0)
-        raise NumericalError(f"sandwiched product lost positivity{_where(bad)} "
+        raise NumericalError(f"{what} lost positivity{_where(bad)} "
                              f"(min eigenvalue {np.min(w[bad]):.3e})")
     return w
 
@@ -131,7 +126,12 @@ def sandwich_trace(A, B, t):
 
 def _sandwich_trace(decA, B, t):
     """sandwich_trace from the decomposition of A."""
-    return np.sum(_sandwich_spectrum(decA, B, t) ** float(t), axis=-1)
+    return _factor_trace(_sandwich_factor(decA, t), B, t)
+
+
+def _factor_trace(P, B, t):
+    """tr (P B P)^t from the sandwich factor P; ``NumericalError`` if a t-th power overflows."""
+    return np.sum(power(t).finite_on(_factor_spectrum(P, B, t)), axis=-1)
 
 
 def fidelity(A, B, t):
@@ -187,14 +187,22 @@ def _relative_entropy(decB, decA, B):
     return np.trace(B @ diff, axis1=-2, axis2=-1).real / np.trace(B, axis1=-2, axis2=-1).real
 
 
+_WHITENED = "whitened product A^{-1/2} B A^{-1/2}"
+
+
+def _whitened(decA, B):
+    """A^{-1/2} B A^{-1/2} from the decomposition of A.
+
+    ``DomainError`` unless A is positive definite, ``NumericalError`` if the
+    product overflows.
+    """
+    decA.require_domain(power(-0.5))
+    return _sandwiched(decA.apply(1.0 / np.sqrt(decA.eigenvalues)), B, what=_WHITENED)
+
+
 def _whitened_spectrum(decA, B):
     """Ascending eigenvalues of A^{-1/2} B A^{-1/2}, all positive, from the decomposition of A."""
-    Ami = decA.map(power(-0.5))
-    w = _eigenvalues(_finite(Ami, B, "whitened product A^{-1/2} B A^{-1/2}"))
-    bad = w[..., 0] <= 0
-    if np.any(bad):
-        raise NumericalError(f"whitened matrix lost positivity{_where(bad)}")
-    return w
+    return _positive(_eigenvalues(_whitened(decA, B)), _WHITENED)
 
 
 def thompson_metric(A, B):
@@ -243,21 +251,18 @@ def _whiten(decA, B):
     ``DomainError`` unless A is positive definite, ``NumericalError`` unless
     A^{-1/2} B A^{-1/2} is.
     """
-    decA.require_domain(power(-0.5))
-    root = decA.apply(np.sqrt(decA.eigenvalues))
-    iroot = decA.apply(1.0 / np.sqrt(decA.eigenvalues))
-    decM = spectral_decompose(_finite(iroot, B, "whitened product A^{-1/2} B A^{-1/2}"))
-    bad = decM.eigenvalues[..., -1] <= 0
-    if np.any(bad):
-        raise NumericalError(
-            f"geometric mean: A^{{-1/2}} B A^{{-1/2}} is not positive definite{_where(bad)}")
-    return root, decM
+    decM = spectral_decompose(_whitened(decA, B))
+    _positive(decM.eigenvalues, _WHITENED)
+    return decA.apply(np.sqrt(decA.eigenvalues)), decM
 
 
 def _mean_at(whitened, t):
-    """A #_t B = A^{1/2} (A^{-1/2} B A^{-1/2})^t A^{1/2} from ``_whiten(decA, B)``."""
+    """A #_t B = A^{1/2} (A^{-1/2} B A^{-1/2})^t A^{1/2} from ``_whiten(decA, B)``.
+
+    ``NumericalError`` if the t-th power overflows.
+    """
     root, decM = whitened
-    return symmetrize(root @ decM.apply(decM.eigenvalues ** float(t)) @ root)
+    return symmetrize(root @ decM.map(power(t)) @ root)
 
 
 def riemannian_distance(A, B):

@@ -167,27 +167,16 @@ def _sorted_eigs(M):
     return _eigenvalues(M)[..., ::-1]
 
 
-def _scalar_pow(x, s):
-    """x ** s elementwise, rounded as a float raised to a float is.
+def _libm_pow(x, s):
+    """x ** s elementwise, rounded as the C library's pow rounds a float raised to a float.
 
-    numpy raises a float array with a SIMD kernel, and with sqrt for s = 1/2;
-    either can differ from the C library's pow in the last bit. The per-pair
-    formulas raise scalars, so their stacked form does too.
+    numpy raises a contiguous float array with a SIMD kernel, which can differ
+    from pow in the last bit, but a reversed 1-D view with pow itself. The
+    per-pair formulas raise scalars, so their stacked forms go through one
+    reversed view.
     """
-    x = np.asarray(x, dtype=float)
-    return np.array([v**s for v in x.ravel().tolist()]).reshape(x.shape)
-
-
-def _descending_pow(w, s):
-    """w[..., ::-1] ** s for ascending spectra w, rounded as one reversed vector is.
-
-    numpy raises a reversed vector with the C library's pow, but a stack of
-    reversed rows with a SIMD kernel, and the last bit can differ; so the
-    stack goes through one reversed vector.
-    """
-    flat = np.ascontiguousarray(w).ravel()
-    powered = (flat[::-1] ** s)[::-1].reshape(w.shape)
-    return np.ascontiguousarray(powered[..., ::-1])
+    flat = np.ascontiguousarray(x, dtype=float).ravel()
+    return np.ascontiguousarray(np.power(flat[::-1], s)[::-1]).reshape(np.shape(x))
 
 
 def _relation_margins(xs, ys, kind):
@@ -298,7 +287,7 @@ def _powered_trace(M, s):
     w = _eigenvalues(M)
     if np.any(w[..., 0] <= 0):
         raise DomainError("representation objectives need a positive definite X")
-    return np.sum(_descending_pow(w, s), axis=-1)
+    return np.sum(_libm_pow(w[..., ::-1], s), axis=-1)
 
 
 def variational_value(A, B, t, X, rep):
@@ -331,13 +320,13 @@ def _variational_values(decA, decB, B, t, X, reps):
         u = _powered_trace(Q @ X @ Q, s)
         v = _trace(X @ B)
         values["i"] = (1.0 - t) * u + t * v
-        values["ii"] = _scalar_pow(u, 1.0 - t) * _scalar_pow(v, t)
+        values["ii"] = _libm_pow(u, 1.0 - t) * _libm_pow(v, t)
     if "iii" in reps or "iv" in reps:
         Bri = decB.map(power(-0.5))
         u = _trace(decA.map(power((1.0 - t) / t)) @ X)
         w = _powered_trace(Bri @ X @ Bri, s)
         values["iii"] = t * u + (1.0 - t) * w
-        values["iv"] = _scalar_pow(u, t) * _scalar_pow(w, 1.0 - t)
+        values["iv"] = _libm_pow(u, t) * _libm_pow(w, 1.0 - t)
     return values
 
 
@@ -371,7 +360,11 @@ def _representation_gradient(decA, decAtt, B, t, X, rep):
     return symmetrize((1.0 - t) * u ** (-t) * v**t * grad_u + t * u ** (1.0 - t) * v ** (t - 1.0) * B)
 
 
-def minimize_representation(A, B, t, rep, x0=None, max_iters=5000, grad_rtol=1e-9):
+# minimize_representation stops once the gradient norm is at most this times 1 + |value|.
+REPRESENTATION_GRAD_RTOL = 1e-9
+
+
+def minimize_representation(A, B, t, rep, x0=None, max_iters=5000):
     """Locally minimize representation "i" or "ii" by projected gradient descent.
 
     Starts at the iii/iv minimizer, projects onto a generous spectral box
@@ -379,7 +372,7 @@ def minimize_representation(A, B, t, rep, x0=None, max_iters=5000, grad_rtol=1e-
     is seeded from a finite-difference smoothness estimate. A and B are
     decomposed once per call. Returns (X, value, termination): the final
     iterate, its objective value and why the descent stopped, "gradient_tol"
-    when the gradient norm reached grad_rtol (1 + |value|), "max_iters" at
+    when the gradient norm reached REPRESENTATION_GRAD_RTOL (1 + |value|), "max_iters" at
     the iteration cap, and "no_descent" when 60 halvings of the step found
     no point that does not increase the objective.
     """
@@ -409,7 +402,7 @@ def minimize_representation(A, B, t, rep, x0=None, max_iters=5000, grad_rtol=1e-
     eta = 1.0 / max(lips, 1e-8)
 
     for k in range(max_iters + 1):
-        if np.linalg.norm(G) <= grad_rtol * (1.0 + abs(val)):
+        if np.linalg.norm(G) <= REPRESENTATION_GRAD_RTOL * (1.0 + abs(val)):
             return X, val, "gradient_tol"
         if k == max_iters:
             return X, val, "max_iters"
@@ -456,7 +449,7 @@ def _log_major_links(A, B, decA, decB, whitened, t):
     return {
         "geometric_mean": _sorted_eigs(_mean_at(whitened, t)),
         "power_product": _sorted_eigs(A_half @ Bt @ A_half),
-        "sandwich_power": _descending_pow(_sandwich_spectrum(decA, B, t), float(t)),
+        "sandwich_power": _libm_pow(_sandwich_spectrum(decA, B, t)[..., ::-1], t),
         "power_product_singular": np.linalg.svd(decA.map(power(1.0 - t)) @ Bt, compute_uv=False),
         "arithmetic_mean": _sorted_eigs((1.0 - t) * A + t * B),
     }
@@ -688,7 +681,7 @@ def _gauge_margins(fn, p, eigs, A, B):
     ``eigs`` (3, k, n) holds the ascending spectra of (A + B)/2, A and B.
     """
     vals = fn(eigs)
-    norms = _scalar_pow(np.sum(np.abs(vals) ** p, axis=-1), 1.0 / p)
+    norms = _libm_pow(np.sum(np.abs(vals) ** p, axis=-1), 1.0 / p)
     lhs, rhs = norms[0], (norms[1] + norms[2]) / 2.0
     scale = np.maximum(np.abs(lhs), np.abs(rhs))
     margin = rhs - lhs
@@ -803,7 +796,7 @@ def _check_search_order(t):
 
 def _open_question_margins(A, B, decA, t):
     """(worst margins, holds), (k, relations), of lam(sandwich)^t against lam((1-t)A + tB)."""
-    x = _descending_pow(_sandwich_spectrum(decA, B, t), float(t))
+    x = _libm_pow(_sandwich_spectrum(decA, B, t)[..., ::-1], t)
     y = _sorted_eigs((1.0 - t) * A + t * B)
     worst, holds = zip(*(_verdicts(x, y, rel) for rel in OPEN_QUESTION_RELATIONS))
     return np.stack(worst, axis=-1), np.stack(holds, axis=-1)

@@ -155,13 +155,7 @@ class SpectralDecomp:
         the spectrum.
         """
         self.require_domain(fn)
-        with np.errstate(over="ignore"):
-            values = fn(self.eigenvalues)
-        if not np.isfinite(values).all():
-            lam = self.eigenvalues
-            raise NumericalError(f"{fn} is not finite on the spectrum "
-                                 f"(eigenvalues {np.min(lam):.3e} to {np.max(lam):.3e})")
-        return self.apply(values)
+        return self.apply(fn.finite_on(self.eigenvalues))
 
 
 def spectral_decompose(H) -> SpectralDecomp:
@@ -305,6 +299,15 @@ class ScalarFunction:
         if self.kind == "exp":
             return np.exp(x)
         raise InvalidInput(f"unknown scalar function kind {self.kind!r}")
+
+    def finite_on(self, lam):
+        """self(lam) for a spectrum lam; ``NumericalError``, and no numpy overflow warning, unless finite."""
+        with np.errstate(over="ignore"):
+            values = self(lam)
+        if not np.isfinite(values).all():
+            raise NumericalError(f"{self} is not finite on the spectrum "
+                                 f"(eigenvalues {np.min(lam):.3e} to {np.max(lam):.3e})")
+        return values
 
     def defined_on(self, lam_min) -> bool:
         """Whether the function is defined on a spectrum with smallest eigenvalue lam_min."""
@@ -458,17 +461,13 @@ def random_hermitian(n, seed, scale=1.0):
 
 
 def norm(H, kind="frobenius"):
-    """Frobenius, operator, or trace norm of a Hermitian matrix."""
+    """Frobenius, operator (Schatten-inf), or trace (Schatten-1) norm of a Hermitian matrix."""
     check_matrices(H=H)
-    H = np.asarray(H, dtype=complex)
     if kind == "frobenius":
-        return float(np.linalg.norm(H))
-    w = np.abs(_eigenvalues(H))
-    if kind == "operator":
-        return float(np.max(w))
-    if kind == "trace":
-        return float(np.sum(w))
-    raise InvalidInput(f"unknown norm kind {kind!r}")
+        return float(np.linalg.norm(np.asarray(H, dtype=complex)))
+    if kind not in ("operator", "trace"):
+        raise InvalidInput(f"unknown norm kind {kind!r}")
+    return schatten_norm(H, np.inf if kind == "operator" else 1)
 
 
 def schatten_norm(H, p):

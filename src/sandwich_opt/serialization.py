@@ -154,7 +154,8 @@ def problem_to_json(p: BarycenterProblem) -> dict:
     }
 
 
-def report_to_json(report: SolverReport, include_iterates=False) -> dict:
+def report_to_json(report: SolverReport) -> dict:
+    """The report as JSON; it carries the iterates when the solve was traced."""
     out = {
         "minimizer": matrix_to_json(report.minimizer),
         "iterations": report.iterations,
@@ -168,6 +169,6 @@ def report_to_json(report: SolverReport, include_iterates=False) -> dict:
         "error_bound": report.error_bound,
         "fixed_point_residual": report.fixed_point_residual,
     }
-    if include_iterates and report.iterates is not None:
+    if report.iterates is not None:
         out["iterates"] = [matrix_to_json(M) for M in report.iterates]
     return out

@@ -335,9 +335,9 @@ def test_stack_errors_name_the_first_failing_index():
     decA = spectral_decompose(A)
     with pytest.raises(NumericalError, match=r"lost positivity at stack index 3 \(min eigenvalue -"):
         _sandwich_spectrum(decA, B, 0.4)
-    with pytest.raises(NumericalError, match="whitened matrix lost positivity at stack index 3$"):
+    with pytest.raises(NumericalError, match=r"whitened product A\^\{-1/2\} B A\^\{-1/2\} lost positivity at stack index 3 \(min eigenvalue -"):
         _whitened_spectrum(decA, B)
-    with pytest.raises(NumericalError, match="not positive definite at stack index 3$"):
+    with pytest.raises(NumericalError, match=r"whitened product A\^\{-1/2\} B A\^\{-1/2\} lost positivity at stack index 3 \(min eigenvalue -"):
         _geometric_mean(decA, B, 0.5)
     # one matrix: no index
     with pytest.raises(NumericalError, match=r"lost positivity \(min eigenvalue"):
