@@ -333,7 +333,7 @@ CLI_DIGESTS = {
     "divergence-renyi": "20ce9000f67bf4bd8ad0911b59018913eef9128607fc78e28f7683fc6da401f6",
     "divergence-umegaki": "74b222d4c3c7e0ee38c5e108f67f845430890ff7fc60d791025d5b8993010532",
     "divergence-thompson": "60a48fa9ea5c8d21f7aba3bf828971e15324e48a1546ae46b338bc246fd180c7",
-    "divergence-max": "20287e65f38443bf2aa3376dde22e517c609f230f5ff267dd960687ec7ecc3ab",
+    "divergence-max": "58416942f37982d60a80f021e9cef601d8a425ee30617f44669e3d0151fbfac6",
     "divergence-bures": "9e4ae48ec4aba09c34171389bf8e904de2989824eeaab143c42aab19872e2922",
     "divergence-riemannian": "56aee6693f893d650b972f249a38dfb33b62e8da123f4ee2d6adf969d5673f92",
     "gmean": "6b7790945013288de9ef0f0701cb1d8bb8da65fc409aa47dface96acc1c5ddc2",
