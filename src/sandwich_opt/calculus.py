@@ -17,6 +17,7 @@ from .errors import NumericalError, ParameterError
 from .linalg import (
     LOG,
     _hermitian_of_size,
+    _is_number,
     check_box,
     check_matrices,
     inner,
@@ -332,7 +333,7 @@ def fidelity_t_derivative(A, B, t):
     phi(t) = A^{(1-t)/2t} B A^{(1-t)/2t}; at t = 1 this reduces to
     tr[B (log B - log A)].
     """
-    if not (np.isfinite(t) and T_MIN < t <= T_MAX):
+    if not (_is_number(t) and np.isfinite(t) and T_MIN < t <= T_MAX):
         raise ParameterError(f"order parameter t = {t} outside ({T_MIN}, {T_MAX}]")
     check_matrices(A=A, B=B)
     decA = spectral_decompose(A)

@@ -21,6 +21,7 @@ from .errors import InvalidInput, NumericalError, ParameterError
 from .linalg import (
     LOG,
     _eigenvalues,
+    _is_number,
     check_matrices,
     matrix_power,
     power,
@@ -39,14 +40,14 @@ NEAR_ONE_TOL = 1e-9
 
 
 def check_unit_t(t):
-    """Require t in (T_MIN, 1 - T_MIN)."""
-    if not (np.isfinite(t) and T_MIN < t < 1.0 - T_MIN):
+    """Require a number t (not a bool) in (T_MIN, 1 - T_MIN)."""
+    if not (_is_number(t) and np.isfinite(t) and T_MIN < t < 1.0 - T_MIN):
         raise ParameterError(f"order parameter t = {t} outside ({T_MIN}, {1 - T_MIN})")
 
 
 def check_order_t(t):
-    """Require t in (T_MIN, T_MAX] away from 1."""
-    if not (np.isfinite(t) and T_MIN < t <= T_MAX):
+    """Require a number t (not a bool) in (T_MIN, T_MAX] away from 1."""
+    if not (_is_number(t) and np.isfinite(t) and T_MIN < t <= T_MAX):
         raise ParameterError(f"divergence order t = {t} outside ({T_MIN}, {T_MAX}]")
     if abs(t - 1.0) <= NEAR_ONE_TOL:
         raise ParameterError(

@@ -54,6 +54,7 @@ from .linalg import (
     SpectralDecomp,
     _check_integer,
     _eigenvalues,
+    _is_number,
     _spd_from_draws,
     check_box,
     check_matrices,
@@ -637,7 +638,7 @@ def gauge_convexity_check(fn: ScalarFunction, p, trials, seed, n=4):
     """
     if not isinstance(fn, ScalarFunction) or not _is_convex_id(fn):
         raise InvalidInput(f"unsupported or non-convex scalar function id {fn!r}")
-    if not (np.isfinite(p) and p >= 1):
+    if not (_is_number(p) and np.isfinite(p) and p >= 1):
         raise InvalidInput(f"Schatten order must be in [1, inf), got {p}")
     return _gauge_panel(((fn, p),), trials, [seed], n)[0]
 
@@ -790,7 +791,7 @@ def open_question_search(
 
 
 def _check_search_order(t):
-    if not (np.isfinite(t) and T_MIN < t <= 0.5):
+    if not (_is_number(t) and np.isfinite(t) and T_MIN < t <= 0.5):
         raise ParameterError(f"search order t = {t} outside ({T_MIN}, 0.5]")
 
 

@@ -319,6 +319,9 @@ class ScalarFunction:
 
 
 def power(s) -> ScalarFunction:
+    """x -> x^s; ``InvalidInput`` unless the exponent s is a number (a bool is not)."""
+    if not _is_number(s):
+        raise InvalidInput(f"exponent {s!r} must be a number")
     return ScalarFunction("power", float(s))
 
 
@@ -373,8 +376,9 @@ def frechet_derivative(fn: ScalarFunction, X, Y):
 
 
 def check_box(alpha, beta):
-    """Validate a spectral box 0 < alpha <= beta."""
-    if not (np.isfinite(alpha) and np.isfinite(beta)) or not 0 < alpha <= beta:
+    """Validate a spectral box 0 < alpha <= beta of numbers (a bool is not one)."""
+    if not (_is_number(alpha) and _is_number(beta) and np.isfinite(alpha) and np.isfinite(beta)
+            and 0 < alpha <= beta):
         raise InvalidBox(f"invalid spectral box [{alpha}, {beta}]")
 
 
@@ -471,8 +475,8 @@ def norm(H, kind="frobenius"):
 
 
 def schatten_norm(H, p):
-    """Schatten-p norm of a Hermitian matrix (p >= 1, inf for operator norm)."""
-    if not p >= 1:
+    """Schatten-p norm of a Hermitian matrix (p a number >= 1, inf for operator norm)."""
+    if not (_is_number(p) and p >= 1):
         raise InvalidInput(f"Schatten order must be >= 1, got {p}")
     s = np.abs(_eigenvalues(as_hermitian(H)))
     if np.isinf(p):

@@ -347,6 +347,16 @@ def test_stack_errors_name_the_first_failing_index():
     assert np.all(_sandwich_spectrum(decA[keep], B[keep], 0.4) > 0)
 
 
+def test_overflowing_power_of_a_spectrum_raises_numerical_error():
+    # both t-th powers ran outside the overflow check: A #_2 B was a NaN
+    # matrix after a RuntimeWarning, and the divergence inf, not about 690.8
+    I3 = np.eye(3)
+    for call in (lambda: geometric_mean(I3, 1e200 * I3, 2.0),
+                 lambda: sandwiched_divergence(1e-300 * I3, I3, 64.0)):
+        with pytest.raises(NumericalError, match="power.* is not finite on the spectrum"):
+            call()
+
+
 def test_whitened_product_overflow_raises_numerical_error():
     # valid inputs whose A^{-1/2} B A^{-1/2} = 1e310 I overflows; geometric_mean
     # raised InvalidInput and the whitened spectra numpy's LinAlgError

@@ -425,6 +425,30 @@ def test_dimension_outside_domain_is_invalid_input(n):
             draw()
 
 
+_A3, _B3 = random_spd(3, 1.0, 4.0, 5), random_spd(3, 1.0, 4.0, 6)
+
+
+@pytest.mark.parametrize("call,error", [
+    (lambda: sandwich_opt.fidelity(_A3, _B3, None), sandwich_opt.ParameterError),
+    (lambda: sandwich_opt.sandwiched_divergence(_A3, _B3, None), sandwich_opt.ParameterError),
+    (lambda: sandwich_opt.fidelity_t_derivative(_A3, _B3, None), sandwich_opt.ParameterError),
+    (lambda: sandwich_opt.geometric_mean(_A3, _B3, None), InvalidInput),
+    (lambda: matrix_power(_A3, "2"), InvalidInput),
+    (lambda: sandwich_opt.convexity_constants(0.5, None, 2), InvalidBox),
+    (lambda: sandwich_opt.convexity_constants(0.5, True, 2), InvalidBox),
+    (lambda: project_box(_A3, "1", 2), InvalidBox),
+    (lambda: schatten_norm(_A3, None), InvalidInput),
+    (lambda: sandwich_opt.gauge_convexity_check(power(2.0), None, 4, 1), InvalidInput),
+    (lambda: sandwich_opt.run_suite("trace-chain", t_values=[None]), sandwich_opt.ParameterError),
+    (lambda: sandwich_opt.open_question_search(2, [None], 1, 0), sandwich_opt.ParameterError),
+], ids=["fidelity", "divergence", "t-derivative", "gmean", "matrix-power", "alpha-none",
+        "alpha-bool", "box-string", "schatten", "gauge", "suite-grid", "search-grid"])
+def test_a_non_number_is_rejected_with_the_out_of_range_error(call, error):
+    # each raised a bare TypeError, and alpha = True was accepted as 1
+    with pytest.raises(error):
+        call()
+
+
 def test_numpy_integer_dimension_draws_as_int():
     assert np.array_equal(random_spd(np.int64(3), 1.0, 2.0, 5), random_spd(3, 1.0, 2.0, 5))
     assert np.array_equal(random_spd_stack(np.uint8(2), 1.0, 2.0, [5, 6]), random_spd_stack(2, 1.0, 2.0, [5, 6]))
