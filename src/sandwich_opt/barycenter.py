@@ -111,9 +111,10 @@ def barycenter_problem(matrices, weights, t, alpha=None, beta=None) -> Barycente
 
     lo = min(float(s[0]) for _, s in checked)
     hi = max(float(s[-1]) for _, s in checked)
-    alpha = lo if alpha is None else float(alpha)
-    beta = hi if beta is None else float(beta)
+    alpha = lo if alpha is None else alpha
+    beta = hi if beta is None else beta
     check_box(alpha, beta)
+    alpha, beta = float(alpha), float(beta)
     if not _in_box(lo, hi, alpha, beta):
         raise InvalidBox(
             f"marginal spectra [{lo:.6g}, {hi:.6g}] violate the box [{alpha}, {beta}]"

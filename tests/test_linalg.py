@@ -437,12 +437,13 @@ _A3, _B3 = random_spd(3, 1.0, 4.0, 5), random_spd(3, 1.0, 4.0, 6)
     (lambda: sandwich_opt.convexity_constants(0.5, None, 2), InvalidBox),
     (lambda: sandwich_opt.convexity_constants(0.5, True, 2), InvalidBox),
     (lambda: project_box(_A3, "1", 2), InvalidBox),
+    (lambda: sandwich_opt.barycenter_problem([_A3], [1.0], 0.5, alpha=True), InvalidBox),
     (lambda: schatten_norm(_A3, None), InvalidInput),
     (lambda: sandwich_opt.gauge_convexity_check(power(2.0), None, 4, 1), InvalidInput),
     (lambda: sandwich_opt.run_suite("trace-chain", t_values=[None]), sandwich_opt.ParameterError),
     (lambda: sandwich_opt.open_question_search(2, [None], 1, 0), sandwich_opt.ParameterError),
 ], ids=["fidelity", "divergence", "t-derivative", "gmean", "matrix-power", "alpha-none",
-        "alpha-bool", "box-string", "schatten", "gauge", "suite-grid", "search-grid"])
+        "alpha-bool", "box-string", "problem-box", "schatten", "gauge", "suite-grid", "search-grid"])
 def test_a_non_number_is_rejected_with_the_out_of_range_error(call, error):
     # each raised a bare TypeError, and alpha = True was accepted as 1
     with pytest.raises(error):
