@@ -339,7 +339,8 @@ def fidelity_t_derivative(A, B, t):
     decA = spectral_decompose(A)
     dec = _sandwich(_sandwich_factor(decA, t), B, t)
     w = dec.eigenvalues
-    phi_t = dec.apply(w ** float(t))
-    term1 = float(np.sum(w ** float(t) * np.log(w)))
+    wt = power(t).finite_on(w)
+    phi_t = dec.apply(wt)
+    term1 = float(np.sum(wt * np.log(w)))
     term2 = float(np.trace(phi_t @ decA.map(LOG)).real) / t
     return term1 - term2

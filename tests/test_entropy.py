@@ -10,6 +10,7 @@ from sandwich_opt import (
     compute_divergence,
     derive_seed,
     fidelity,
+    fidelity_t_derivative,
     geometric_mean,
     matrix_power,
     max_relative_entropy,
@@ -348,11 +349,13 @@ def test_stack_errors_name_the_first_failing_index():
 
 
 def test_overflowing_power_of_a_spectrum_raises_numerical_error():
-    # both t-th powers ran outside the overflow check: A #_2 B was a NaN
-    # matrix after a RuntimeWarning, and the divergence inf, not about 690.8
+    # these t-th powers ran outside the overflow check: A #_2 B was a NaN
+    # matrix after a RuntimeWarning, the divergence inf, not about 690.8, and
+    # the t-derivative overflowed with a RuntimeWarning
     I3 = np.eye(3)
     for call in (lambda: geometric_mean(I3, 1e200 * I3, 2.0),
-                 lambda: sandwiched_divergence(1e-300 * I3, I3, 64.0)):
+                 lambda: sandwiched_divergence(1e-300 * I3, I3, 64.0),
+                 lambda: fidelity_t_derivative(1e-300 * I3, I3, 64.0)):
         with pytest.raises(NumericalError, match="power.* is not finite on the spectrum"):
             call()
 
