@@ -35,10 +35,11 @@ from .errors import InvalidBox, InvalidInput, InvalidStart, InvalidStepSize
 from .linalg import (
     _check_integer,
     _eigenvalues,
-    _hermitian_of_size,
     _is_number,
     _spd_and_spectrum,
+    _trace,
     check_box,
+    check_matrices,
     power,
     project_box,
     spectral_decompose,
@@ -124,16 +125,17 @@ def barycenter_problem(matrices, weights, t, alpha=None, beta=None) -> Barycente
 
 def objective(p: BarycenterProblem, X):
     """phi_t(X); nonnegative, zero iff every marginal equals X."""
-    X = _hermitian_of_size("X", X, p.n)
+    X = check_matrices(n=p.n, X=X)[0]
     total = 0.0
     for w, A, P in zip(p.weights, p.matrices, p._factors):
-        linear = (1.0 - p.t) * float(np.trace(A).real) + p.t * float(np.trace(X).real)
+        linear = (1.0 - p.t) * float(_trace(A)) + p.t * float(_trace(X))
         total += w * (linear - float(_factor_trace(P, X, p.t)))
     return total
 
 
 def _mean_sum(p: BarycenterProblem, X):
     """S(X) = sum_j w_j grad f_j(X) / t from the problem's sandwich factors: m eigh."""
+    X = symmetrize(X)  # once per S(X), for all m marginals
     return sum(w * _frame_gradient(*_whitened_frame(P, X, p.t), p.t)
                for w, P in zip(p.weights, p._factors)) / p.t
 
@@ -164,7 +166,7 @@ def objective_gradient(p: BarycenterProblem, X):
     ``NumericalError`` when a sandwich A_j^{(1-t)/2t} X A_j^{(1-t)/2t} loses
     positivity in floating point, which happens first at small t.
     """
-    return _gradient(p, _hermitian_of_size("X", X, p.n))
+    return _gradient(p, check_matrices(n=p.n, X=X)[0])
 
 
 def fixed_point_map(p: BarycenterProblem, X):
@@ -174,7 +176,7 @@ def fixed_point_map(p: BarycenterProblem, X):
     one decomposition of X plus one eigh per marginal for grad f_j, whose
     sandwich factor the problem keeps (m more eigh on the problem's first use).
     """
-    return _fixed_point_step(p, _hermitian_of_size("X", X, p.n))[0]
+    return _fixed_point_step(p, check_matrices(n=p.n, X=X)[0])[0]
 
 
 def certified_rate(p: BarycenterProblem, eta=None):
@@ -242,7 +244,7 @@ def _check_stopping(tol_name, tol, max_iters):
 def _start_iterate(p: BarycenterProblem, x0):
     if x0 is None:
         return (p.alpha + p.beta) / 2.0 * np.eye(p.n, dtype=complex)
-    x0 = _hermitian_of_size("x0", x0, p.n, InvalidStart)
+    x0 = check_matrices(n=p.n, error=InvalidStart, x0=x0)[0]
     w = _eigenvalues(x0)
     if not _in_box(w[0], w[-1], p.alpha, p.beta):
         raise InvalidStart(

@@ -16,8 +16,8 @@ from .entropy import _factor_trace, _sandwich, _sandwich_factor, check_unit_t, T
 from .errors import NumericalError, ParameterError
 from .linalg import (
     LOG,
-    _hermitian_of_size,
     _is_number,
+    _trace,
     check_box,
     check_matrices,
     inner,
@@ -51,7 +51,7 @@ def gradient_f(A, X, t):
     computed M is positive definite, which fails first at small t.
     """
     check_unit_t(t)
-    check_matrices(A=A, X=X)
+    A, X = check_matrices(A=A, X=X)
     return _frame_gradient(*_whitened_frame(_sandwich_factor(spectral_decompose(A), t), X, t), t)
 
 
@@ -77,7 +77,7 @@ class HessianOperator:
 def hessian_operator(A, X, t) -> HessianOperator:
     """The -grad^2 f(X) operator; ``NumericalError`` unless the computed M is positive definite."""
     check_unit_t(t)
-    check_matrices(A=A, X=X)
+    A, X = check_matrices(A=A, X=X)
     W, d = _whitened_frame(_sandwich_factor(spectral_decompose(A), t), X, t)
     return HessianOperator(t=float(t), W=W, kernel=-loewner_matrix(power(t - 1.0), d))
 
@@ -90,7 +90,8 @@ def hessian_apply(op: HessianOperator, Y):
     the spectrum from the twin operator (see there).
     """
     W, Wh = op.W, op.W.conj().T
-    return symmetrize(op.t * Wh @ (op.kernel * (W @ _hermitian_of_size("Y", Y, op.n) @ Wh)) @ W)
+    Y = check_matrices(n=op.n, Y=Y)[0]
+    return symmetrize(op.t * Wh @ (op.kernel * (W @ Y @ Wh)) @ W)
 
 
 def hessian_operator_matrix(op: HessianOperator):
@@ -318,12 +319,12 @@ def bregman(A, t, Y, X):
     A is decomposed once, and f(X) = sum d^t comes from the gradient's frame.
     """
     check_unit_t(t)
-    check_matrices(A=A, Y=Y, X=X)
+    A, Y, X = check_matrices(A=A, Y=Y, X=X)
     P = _sandwich_factor(spectral_decompose(A), t)
     W, d = _whitened_frame(P, X, t)
     fX = float(np.sum(d ** float(t)))
     fY = float(_factor_trace(P, Y, t))
-    return fX - fY + inner(_frame_gradient(W, d, t), symmetrize(Y) - symmetrize(X))
+    return fX - fY + inner(_frame_gradient(W, d, t), Y - X)
 
 
 def fidelity_t_derivative(A, B, t):
@@ -335,12 +336,12 @@ def fidelity_t_derivative(A, B, t):
     """
     if not (_is_number(t) and np.isfinite(t) and T_MIN < t <= T_MAX):
         raise ParameterError(f"order parameter t = {t} outside ({T_MIN}, {T_MAX}]")
-    check_matrices(A=A, B=B)
+    A, B = check_matrices(A=A, B=B)
     decA = spectral_decompose(A)
     dec = _sandwich(_sandwich_factor(decA, t), B, t)
     w = dec.eigenvalues
     wt = power(t).finite_on(w)
     phi_t = dec.apply(wt)
     term1 = float(np.sum(wt * np.log(w)))
-    term2 = float(np.trace(phi_t @ decA.map(LOG)).real) / t
+    term2 = float(_trace(phi_t @ decA.map(LOG))) / t
     return term1 - term2

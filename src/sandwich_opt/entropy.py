@@ -22,6 +22,7 @@ from .linalg import (
     LOG,
     _eigenvalues,
     _is_number,
+    _trace,
     check_matrices,
     matrix_power,
     power,
@@ -58,7 +59,7 @@ def check_order_t(t):
 
 def sandwich_spectrum(A, B, t):
     """Ascending eigenvalues of A^{(1-t)/2t} B A^{(1-t)/2t}, all positive."""
-    check_matrices(A=A, B=B)
+    A, B = check_matrices(A=A, B=B)
     return _sandwich_spectrum(spectral_decompose(A), B, t)
 
 
@@ -82,8 +83,8 @@ def _sandwich_factor(decA, t):
 
 
 def _sandwich(P, X, t):
-    """Decomposition of P X P from the sandwich factor P, X validated; NumericalError unless P X P > 0."""
-    dec = spectral_decompose(_sandwiched(P, symmetrize(X), f" at t = {t}"))
+    """Decomposition of P X P from the sandwich factor P, X Hermitian; NumericalError unless P X P > 0."""
+    dec = spectral_decompose(_sandwiched(P, X, f" at t = {t}"))
     _positive(dec.eigenvalues)
     return dec
 
@@ -121,7 +122,7 @@ def _where(bad):
 
 def sandwich_trace(A, B, t):
     """tr (A^{(1-t)/2t} B A^{(1-t)/2t})^t, without order-parameter guards."""
-    check_matrices(A=A, B=B)
+    A, B = check_matrices(A=A, B=B)
     return float(_sandwich_trace(spectral_decompose(A), B, t))
 
 
@@ -138,13 +139,15 @@ def _factor_trace(P, B, t):
 def fidelity(A, B, t):
     """Parameterized fidelity tr (A^{(1-t)/2t} B A^{(1-t)/2t})^t, t in (0, 1)."""
     check_unit_t(t)
-    return sandwich_trace(A, B, t)
+    A, B = check_matrices(A=A, B=B)
+    return float(_sandwich_trace(spectral_decompose(A), B, t))
 
 
 def bures_distance(A, B):
     """Bures-Wasserstein distance [tr(A+B)/2 - tr(A^{1/2} B A^{1/2})^{1/2}]^{1/2}."""
-    fid = sandwich_trace(A, B, 0.5)  # validates A and B first
-    radicand = float(np.trace(A).real + np.trace(B).real) / 2.0 - fid
+    A, B = check_matrices(A=A, B=B)
+    fid = float(_sandwich_trace(spectral_decompose(A), B, 0.5))
+    radicand = float(_trace(A) + _trace(B)) / 2.0 - fid
     if radicand < -1e-10:
         raise NumericalError(f"negative Bures radicand {radicand:.3e}")
     return float(np.sqrt(max(radicand, 0.0)))
@@ -157,7 +160,7 @@ def sandwiched_divergence(A, B, t):
     t in (T_MIN, T_MAX] away from 1.
     """
     check_order_t(t)
-    check_matrices(A=A, B=B)
+    A, B = check_matrices(A=A, B=B)
     return float(_sandwiched_divergence(spectral_decompose(A), B, t))
 
 
@@ -169,8 +172,8 @@ def _sandwiched_divergence(decA, B, t):
 def renyi_classic(A, B, t):
     """Traditional Rényi relative entropy log(tr A^{1-t} B^t) / (t - 1)."""
     check_order_t(t)
-    check_matrices(A=A, B=B)
-    val = float(np.trace(matrix_power(A, 1.0 - t) @ matrix_power(B, t)).real)
+    A, B = check_matrices(A=A, B=B)
+    val = float(_trace(matrix_power(A, 1.0 - t) @ matrix_power(B, t)))
     if val <= 0:
         raise NumericalError(f"trace of A^(1-t) B^t is not positive ({val:.3e})")
     return float(np.log(val) / (t - 1.0))
@@ -178,14 +181,14 @@ def renyi_classic(A, B, t):
 
 def umegaki_relative_entropy(B, A):
     """Umegaki relative entropy tr[B (log B - log A)] / tr B."""
-    check_matrices(B=B, A=A)
+    B, A = check_matrices(B=B, A=A)
     return float(_relative_entropy(spectral_decompose(B), spectral_decompose(A), B))
 
 
 def _relative_entropy(decB, decA, B):
     """umegaki_relative_entropy(B, A) from the decompositions of B and A."""
     diff = decB.map(LOG) - decA.map(LOG)
-    return np.trace(B @ diff, axis1=-2, axis2=-1).real / np.trace(B, axis1=-2, axis2=-1).real
+    return _trace(B @ diff) / _trace(B)
 
 
 _WHITENED = "whitened product A^{-1/2} B A^{-1/2}"
@@ -208,7 +211,7 @@ def _whitened_spectrum(decA, B):
 
 def thompson_metric(A, B):
     """Thompson metric max{log lam_1(A B^{-1}), log lam_1(B A^{-1})}."""
-    check_matrices(A=A, B=B)
+    A, B = check_matrices(A=A, B=B)
     return float(_thompson(_whitened_spectrum(spectral_decompose(A), B)))
 
 
@@ -219,7 +222,7 @@ def _thompson(w):
 
 def max_relative_entropy(A, B):
     """Max-relative entropy log lam_1(A B^{-1})."""
-    check_matrices(A=A, B=B)
+    A, B = check_matrices(A=A, B=B)
     return float(np.log(_whitened_spectrum(spectral_decompose(B), A)[-1]))
 
 
@@ -231,7 +234,7 @@ def geometric_mean(A, B, t):
     positive definite (the rule of ``matrix_power(A, -0.5)``) and
     ``NumericalError`` unless A^{-1/2} B A^{-1/2} is positive definite.
     """
-    check_matrices(A=A, B=B)
+    A, B = check_matrices(A=A, B=B)
     return _geometric_mean(spectral_decompose(A), B, t)
 
 
@@ -268,7 +271,7 @@ def _mean_at(whitened, t):
 
 def riemannian_distance(A, B):
     """Affine-invariant distance ||log A^{-1/2} B A^{-1/2}||_2."""
-    check_matrices(A=A, B=B)
+    A, B = check_matrices(A=A, B=B)
     return float(np.linalg.norm(np.log(_whitened_spectrum(spectral_decompose(A), B))))
 
 
@@ -283,7 +286,6 @@ _DIVERGENCES = {
     "max_relative": (max_relative_entropy, False, False),
     "riemannian": (riemannian_distance, False, False),
 }
-DIVERGENCE_KINDS = tuple(_DIVERGENCES)
 
 
 @dataclass(frozen=True)

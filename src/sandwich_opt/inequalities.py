@@ -56,6 +56,7 @@ from .linalg import (
     _eigenvalues,
     _is_number,
     _spd_from_draws,
+    _trace,
     check_box,
     check_matrices,
     derive_seed,
@@ -68,7 +69,7 @@ from .linalg import (
     spectral_decompose,
     symmetrize,
 )
-from .serialization import canonical_json, matrix_to_json
+from .serialization import matrix_to_json
 
 RELATIONS = ("weak_majorize", "majorize", "weak_log_majorize", "log_majorize", "entrywise_le")
 
@@ -158,11 +159,6 @@ def _draws(streams, k, count, n):
             normal.standard_normal((k, count, 2, n, n)).swapaxes(0, 1))
 
 
-def _trace(M):
-    """Real trace of a matrix or of each matrix of a stack."""
-    return np.trace(M, axis1=-2, axis2=-1).real
-
-
 def _sorted_eigs(M):
     """Eigenvalues of the Hermitian part of M (or of each M of a stack), descending."""
     return _eigenvalues(M)[..., ::-1]
@@ -237,9 +233,8 @@ def _decomposed(A, B):
 
 
 def _stack_of_one(A, B):
-    """The validated A, B as stacks of one."""
-    check_matrices(A=A, B=B)
-    return symmetrize(A)[None], symmetrize(B)[None]
+    """The Hermitian parts of the validated A, B as stacks of one."""
+    return [M[None] for M in check_matrices(A=A, B=B)]
 
 
 TRACE_LINKS = ("tr_geometric_mean", "tr_power_product", "tr_sandwich", "tr_arithmetic_mean")
@@ -302,9 +297,9 @@ def variational_value(A, B, t, X, rep):
     check_unit_t(t)
     if rep not in REPRESENTATIONS:
         raise InvalidInput(f"unknown representation {rep!r}")
-    check_matrices(A=A, B=B, X=X)
+    A, B, X = check_matrices(A=A, B=B, X=X)
     decB = spectral_decompose(B) if rep in ("iii", "iv") else None
-    return float(_variational_values(spectral_decompose(A), decB, B, t, symmetrize(X), (rep,))[rep])
+    return float(_variational_values(spectral_decompose(A), decB, B, t, X, (rep,))[rep])
 
 
 def _variational_values(decA, decB, B, t, X, reps):
@@ -334,7 +329,7 @@ def _variational_values(decA, decB, B, t, X, reps):
 def variational_minimizer(A, B, t):
     """Minimizer B #_{1-t} A^{(t-1)/t} of representations iii and iv."""
     check_unit_t(t)
-    check_matrices(A=A, B=B)
+    A, B = check_matrices(A=A, B=B)
     return _variational_minimizer(spectral_decompose(A), spectral_decompose(B), t)
 
 
@@ -356,7 +351,7 @@ def _representation_gradient(decA, decAtt, B, t, X, rep):
     # rep "ii": grad of u^{1-t} v^t with u = tr (QXQ)^s, v = tr XB
     Q = decA.map(power((t - 1.0) / (2.0 * t)))
     u = float(_powered_trace(Q @ X @ Q, s))
-    v = float(np.trace(X @ B).real)
+    v = float(_trace(X @ B))
     grad_u = s * _geometric_mean(decAtt, Xi, 1.0 - s)
     return symmetrize((1.0 - t) * u ** (-t) * v**t * grad_u + t * u ** (1.0 - t) * v ** (t - 1.0) * B)
 
@@ -381,9 +376,9 @@ def minimize_representation(A, B, t, rep, x0=None, max_iters=5000):
         raise InvalidInput(f"local minimization supports reps i/ii, got {rep!r}")
     check_unit_t(t)
     _check_integer(max_iters, "max_iters", 0)
-    check_matrices(A=A, B=B, **({} if x0 is None else {"x0": x0}))
+    A, B, *start = check_matrices(A=A, B=B, **({} if x0 is None else {"x0": x0}))
     decA = spectral_decompose(A)
-    X = symmetrize(_variational_minimizer(decA, spectral_decompose(B), t) if x0 is None else x0)
+    X = start[0] if start else _variational_minimizer(decA, spectral_decompose(B), t)
     decAtt = spectral_decompose(decA.map(power((t - 1.0) / t)))
     w = _eigenvalues(X)
     lo, hi = w[0] / 50.0, w[-1] * 50.0
@@ -584,7 +579,7 @@ def divergence_limit_check(A, B):
 def _divergence_limit_batch(A, B):
     """divergence_limit_check on stacks of density matrices A, B (k, n, n)."""
     for M in (A, B):
-        if np.any(np.abs(np.trace(M, axis1=1, axis2=2).real - 1.0) > DENSITY_TOL):
+        if np.any(np.abs(_trace(M) - 1.0) > DENSITY_TOL):
             raise DomainError("divergence limits are checked for density matrices (unit trace)")
     decA, decB = spectral_decompose(A), spectral_decompose(B)
     re_value = _relative_entropy(decB, decA, B)
@@ -695,11 +690,11 @@ OPEN_QUESTION_RELATIONS = ("weak_majorize", "weak_log_majorize", "entrywise_le")
 _MP_REVERIFY_CAP = 50
 
 
-def _mp_relation_margin(A, B, t, relation, dps=50):
-    """Recompute a relation margin in extended precision; returns (margin, scale)."""
+def _mp_relation_margin(A, B, t, relation):
+    """Recompute a relation margin in 50-digit precision; returns (margin, scale)."""
     import mpmath as mp
 
-    with mp.workdps(dps):
+    with mp.workdps(50):
         tm = mp.mpf(t)
 
         def to_mp(M):
@@ -719,9 +714,7 @@ def _mp_relation_margin(A, B, t, relation, dps=50):
         return min(margins), scale
 
 
-def open_question_search(
-    n, t_grid, trials, seed, alpha=0.5, beta=2.0, candidates_path=None
-):
+def open_question_search(n, t_grid, trials, seed, alpha=0.5, beta=2.0):
     """Empirical search on whether lam(sandwich)^t is dominated by lam((1-t)A + tB).
 
     For t <= 1/2 this domination is open; the search records weak
@@ -767,7 +760,7 @@ def open_question_search(
         cand["b"] = matrix_to_json(Bi)
         confirmed += int(cand["confirmed"])
 
-    report = {
+    return {
         "suite": "open-question",
         "n": n,
         "t_grid": list(t_grid),
@@ -784,10 +777,6 @@ def open_question_search(
         # exploratory search: no property is asserted either way
         "all_hold": True,
     }
-    if candidates_path is not None:
-        with open(candidates_path, "w", encoding="utf-8") as fh:
-            fh.write(canonical_json({"candidates": candidates}) + "\n")
-    return report
 
 
 def _check_search_order(t):

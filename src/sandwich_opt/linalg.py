@@ -46,33 +46,33 @@ def _hermitian_part(H):
     return symmetrize(H)
 
 
-def check_matrices(**matrices):
-    """Validate the named matrix arguments of a public function at entry.
+def check_matrices(n=None, error=InvalidInput, **matrices):
+    """The one check of a public function's named matrix arguments: their Hermitian parts.
 
-    Each must be a finite square matrix, all of one size n; ``InvalidInput``
-    names the first that is not, with both shapes on a size mismatch. The
-    matrices are passed on unchanged.
+    Each must be a finite square matrix, all of one size, n x n if n is given;
+    ``error`` names the first that is not, with both shapes on a size mismatch.
+    The function then reads each argument through its Hermitian part, the
+    list returned in argument order, and no kernel re-checks or re-symmetrizes it.
     """
-    first = None
+    first, parts = None, []
     for name, H in matrices.items():
         H = np.asarray(H, dtype=complex)
+        if n is not None and H.shape != (n, n):
+            raise error(f"{name} must have shape ({n}, {n}), got {H.shape}")
         if H.ndim != 2 or H.shape[0] != H.shape[1] or H.shape[0] == 0:
-            raise InvalidInput(f"{name} must be a square matrix, got shape {H.shape}")
+            raise error(f"{name} must be a square matrix, got shape {H.shape}")
         if first is not None and H.shape != first[1]:
-            raise InvalidInput(f"{name} has shape {H.shape}, but {first[0]} has shape {first[1]}")
+            raise error(f"{name} has shape {H.shape}, but {first[0]} has shape {first[1]}")
         if not np.isfinite(H).all():
-            raise InvalidInput(f"{name} has non-finite entries")
+            raise error(f"{name} has non-finite entries")
         first = first or (name, H.shape)
+        parts.append(symmetrize(H))
+    return parts
 
 
-def _hermitian_of_size(name, H, n, error=InvalidInput):
-    """The Hermitian part of H; ``error`` naming ``name`` and n unless H is a finite n x n matrix."""
-    H = np.asarray(H, dtype=complex)
-    if H.shape != (n, n):
-        raise error(f"{name} must have shape ({n}, {n}), got {H.shape}")
-    if not np.isfinite(H).all():
-        raise error(f"{name} has non-finite entries")
-    return symmetrize(H)
+def _trace(M):
+    """Real trace of a matrix or of each matrix of a stack."""
+    return np.trace(M, axis1=-2, axis2=-1).real
 
 
 def _is_number(v) -> bool:
@@ -92,8 +92,7 @@ def _check_integer(value, what, lo, hi=None):
 
 def as_hermitian(H):
     """Validate a square finite matrix and return its Hermitian part."""
-    check_matrices(matrix=H)
-    return symmetrize(H)
+    return check_matrices(matrix=H)[0]
 
 
 def _eigenvalues(H):
@@ -366,11 +365,11 @@ def frechet_derivative(fn: ScalarFunction, X, Y):
     Computed by the divided-difference (Loewner) Hadamard product in the
     eigenbasis of X; for commuting X, Y this reduces to f'(X) Y.
     """
-    check_matrices(X=X, Y=Y)
+    X, Y = check_matrices(X=X, Y=Y)
     dec = spectral_decompose(X)
     dec.require_domain(fn)
     U = dec.eigenvectors
-    Yt = U.conj().T @ symmetrize(Y) @ U
+    Yt = U.conj().T @ Y @ U
     L = loewner_matrix(fn, dec.eigenvalues)
     return U @ (L * Yt) @ U.conj().T
 
@@ -449,7 +448,7 @@ def _spd_from_draws(u, G, alpha, beta):
     # Fix the gauge by forcing the R diagonal positive; keeps draws seed-stable.
     d = np.diagonal(R, axis1=-2, axis2=-1)
     U = Q * (d / np.abs(d))[..., None, :]
-    return symmetrize((U * lam[..., None, :]) @ U.conj().swapaxes(-1, -2)).reshape(u.shape + (n,))
+    return symmetrize(SpectralDecomp(lam, U).apply(lam)).reshape(u.shape + (n,))
 
 
 def random_hermitian(n, seed, scale=1.0):
@@ -466,9 +465,9 @@ def random_hermitian(n, seed, scale=1.0):
 
 def norm(H, kind="frobenius"):
     """Frobenius, operator (Schatten-inf), or trace (Schatten-1) norm of a Hermitian matrix."""
-    check_matrices(H=H)
+    H = check_matrices(H=H)[0]
     if kind == "frobenius":
-        return float(np.linalg.norm(np.asarray(H, dtype=complex)))
+        return float(np.linalg.norm(H))
     if kind not in ("operator", "trace"):
         raise InvalidInput(f"unknown norm kind {kind!r}")
     return schatten_norm(H, np.inf if kind == "operator" else 1)
@@ -486,8 +485,8 @@ def schatten_norm(H, p):
 
 def inner(X, Y):
     """Real trace inner product tr(XY) for Hermitian X, Y."""
-    check_matrices(X=X, Y=Y)
-    return float(np.vdot(np.asarray(Y), np.asarray(X)).real)
+    X, Y = check_matrices(X=X, Y=Y)
+    return float(np.vdot(Y, X).real)
 
 
 def derive_seed(master, *parts) -> int:

@@ -300,8 +300,8 @@ def test_solve_argument_checks_do_not_grow_with_iterations(monkeypatch, solver, 
         monkeypatch.undo()
         assert rep.iterations == iters
         counts.append(sorted(calls))
-    # certified_rate checks t once per solve
-    assert counts[0] == counts[1] == ["check_unit_t"]
+    # certified_rate checks t and _start_iterate x0 once per solve
+    assert counts[0] == counts[1] == ["check_matrices", "check_unit_t"]
 
 
 def test_fixed_point_single_marginal():
