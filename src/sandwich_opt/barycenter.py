@@ -103,6 +103,8 @@ def barycenter_problem(matrices, weights, t, alpha=None, beta=None) -> Barycente
     n = mats[0].shape[0]
     if any(M.shape[0] != n for M in mats):
         raise InvalidInput("marginal matrices must share one dimension")
+    if not all(_is_number(v) for v in np.ravel(np.asarray(weights, dtype=object))):
+        raise InvalidInput(f"weights must be numbers, got {weights!r}")
     w = np.asarray(weights, dtype=float)
     if w.shape != (len(mats),):
         raise InvalidInput(f"expected {len(mats)} weights, got shape {w.shape}")

@@ -12,11 +12,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .entropy import _factor_trace, _sandwich, _sandwich_factor, check_unit_t, T_MAX, T_MIN
-from .errors import NumericalError, ParameterError
+from .entropy import _factor_trace, _sandwich, _sandwich_factor, check_trace_order, check_unit_t
+from .errors import NumericalError
 from .linalg import (
     LOG,
-    _is_number,
     _trace,
     check_box,
     check_matrices,
@@ -90,8 +89,7 @@ def hessian_apply(op: HessianOperator, Y):
     the spectrum from the twin operator (see there).
     """
     W, Wh = op.W, op.W.conj().T
-    Y = check_matrices(n=op.n, Y=Y)[0]
-    return symmetrize(op.t * Wh @ (op.kernel * (W @ Y @ Wh)) @ W)
+    return symmetrize(op.t * Wh @ (op.kernel * (W @ check_matrices(n=op.n, Y=Y)[0] @ Wh)) @ W)
 
 
 def hessian_operator_matrix(op: HessianOperator):
@@ -334,8 +332,7 @@ def fidelity_t_derivative(A, B, t):
     phi(t) = A^{(1-t)/2t} B A^{(1-t)/2t}; at t = 1 this reduces to
     tr[B (log B - log A)].
     """
-    if not (_is_number(t) and np.isfinite(t) and T_MIN < t <= T_MAX):
-        raise ParameterError(f"order parameter t = {t} outside ({T_MIN}, {T_MAX}]")
+    check_trace_order(t)
     A, B = check_matrices(A=A, B=B)
     decA = spectral_decompose(A)
     dec = _sandwich(_sandwich_factor(decA, t), B, t)

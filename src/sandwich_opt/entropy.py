@@ -46,10 +46,15 @@ def check_unit_t(t):
         raise ParameterError(f"order parameter t = {t} outside ({T_MIN}, {1 - T_MIN})")
 
 
-def check_order_t(t):
-    """Require a number t (not a bool) in (T_MIN, T_MAX] away from 1."""
+def check_trace_order(t):
+    """Require a number t (not a bool) in (T_MIN, T_MAX], the order range of the trace functional."""
     if not (_is_number(t) and np.isfinite(t) and T_MIN < t <= T_MAX):
-        raise ParameterError(f"divergence order t = {t} outside ({T_MIN}, {T_MAX}]")
+        raise ParameterError(f"order parameter t = {t} outside ({T_MIN}, {T_MAX}]")
+
+
+def check_order_t(t):
+    """Require a divergence order t in the trace functional's range, away from 1."""
+    check_trace_order(t)
     if abs(t - 1.0) <= NEAR_ONE_TOL:
         raise ParameterError(
             "divergence order t = 1 is the Umegaki limit; "
@@ -58,7 +63,8 @@ def check_order_t(t):
 
 
 def sandwich_spectrum(A, B, t):
-    """Ascending eigenvalues of A^{(1-t)/2t} B A^{(1-t)/2t}, all positive."""
+    """Ascending eigenvalues of A^{(1-t)/2t} B A^{(1-t)/2t}, all positive; t in (T_MIN, T_MAX]."""
+    check_trace_order(t)
     A, B = check_matrices(A=A, B=B)
     return _sandwich_spectrum(spectral_decompose(A), B, t)
 
@@ -121,7 +127,8 @@ def _where(bad):
 
 
 def sandwich_trace(A, B, t):
-    """tr (A^{(1-t)/2t} B A^{(1-t)/2t})^t, without order-parameter guards."""
+    """tr (A^{(1-t)/2t} B A^{(1-t)/2t})^t for t in (T_MIN, T_MAX]."""
+    check_trace_order(t)
     A, B = check_matrices(A=A, B=B)
     return float(_sandwich_trace(spectral_decompose(A), B, t))
 
@@ -146,8 +153,7 @@ def fidelity(A, B, t):
 def bures_distance(A, B):
     """Bures-Wasserstein distance [tr(A+B)/2 - tr(A^{1/2} B A^{1/2})^{1/2}]^{1/2}."""
     A, B = check_matrices(A=A, B=B)
-    fid = float(_sandwich_trace(spectral_decompose(A), B, 0.5))
-    radicand = float(_trace(A) + _trace(B)) / 2.0 - fid
+    radicand = float(_trace(A) + _trace(B)) / 2.0 - float(_sandwich_trace(spectral_decompose(A), B, 0.5))
     if radicand < -1e-10:
         raise NumericalError(f"negative Bures radicand {radicand:.3e}")
     return float(np.sqrt(max(radicand, 0.0)))

@@ -210,8 +210,10 @@ def majorizes(x, y, kind) -> MajorizationVerdict:
     """Check a (weak/log) majorization or entrywise relation x against y."""
     if kind not in RELATIONS:
         raise InvalidInput(f"unknown relation kind {kind!r}")
-    x = np.asarray(x, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
+    x, y = np.asarray(x), np.asarray(y)
+    if x.dtype.kind not in "iuf" or y.dtype.kind not in "iuf":
+        raise InvalidInput(f"majorization needs real numbers, got dtypes {x.dtype} and {y.dtype}")
+    x, y = x.astype(float).ravel(), y.astype(float).ravel()
     if x.shape != y.shape:
         raise InvalidInput(f"length mismatch: {x.shape} vs {y.shape}")
     if x.size == 0:

@@ -25,6 +25,8 @@ from sandwich_opt import (
     umegaki_relative_entropy,
 )
 
+from sandwich_opt.entropy import sandwich_spectrum
+
 from oracles import mp_sandwich_trace
 
 A22 = np.array([[2.0, 1.0], [1.0, 2.0]])
@@ -63,6 +65,15 @@ def test_fidelity_extended_precision_oracle():
 def test_fidelity_rejects_out_of_range_order(t):
     with pytest.raises(ParameterError):
         fidelity(A22, B22, t)
+
+
+@pytest.mark.parametrize("t", [0.0, None, np.inf])
+@pytest.mark.parametrize("fn", [sandwich_trace, sandwich_spectrum])
+def test_trace_functional_rejects_an_order_outside_its_range(fn, t):
+    # t = 0 raised a bare ZeroDivisionError, None a bare TypeError, and
+    # sandwich_trace(I, I, inf) returned 3.0
+    with pytest.raises(ParameterError):
+        fn(np.eye(3), np.eye(3), t)
 
 
 def test_congruence_to_power_identity():

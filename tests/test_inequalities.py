@@ -91,6 +91,11 @@ def test_majorizes_errors():
         majorizes([1.0], [1.0], "totally_ordering")
     with pytest.raises(DomainError):
         majorizes([1.0, -1.0], [1.0, 1.0], "log_majorize")
+    # a string raised a bare ValueError; numeric strings and booleans were
+    # read as floats
+    for x, y in ((["a"], [1]), (["1", "2"], [2, 1]), ([True, False], [1, 0]), ([1, 0], [True, False])):
+        with pytest.raises(InvalidInput, match="real numbers"):
+            majorizes(x, y, "majorize")
 
 
 def test_strict_convexity_separates_non_permutations():

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import pathlib
 
 import numpy as np
@@ -442,10 +443,14 @@ _A3, _B3 = random_spd(3, 1.0, 4.0, 5), random_spd(3, 1.0, 4.0, 6)
     (lambda: sandwich_opt.gauge_convexity_check(power(2.0), None, 4, 1), InvalidInput),
     (lambda: sandwich_opt.run_suite("trace-chain", t_values=[None]), sandwich_opt.ParameterError),
     (lambda: sandwich_opt.open_question_search(2, [None], 1, 0), sandwich_opt.ParameterError),
+    (lambda: sandwich_opt.barycenter_problem([_A3], [True], 0.5), InvalidInput),
+    (lambda: sandwich_opt.barycenter_problem([_A3], ["1"], 0.5), InvalidInput),
 ], ids=["fidelity", "divergence", "t-derivative", "gmean", "matrix-power", "alpha-none",
-        "alpha-bool", "box-string", "problem-box", "schatten", "gauge", "suite-grid", "search-grid"])
+        "alpha-bool", "box-string", "problem-box", "schatten", "gauge", "suite-grid", "search-grid",
+        "weight-bool", "weight-string"])
 def test_a_non_number_is_rejected_with_the_out_of_range_error(call, error):
-    # each raised a bare TypeError, and alpha = True was accepted as 1
+    # each raised a bare TypeError, alpha = True was accepted as 1, and the
+    # weights True and "1" as the weight 1.0
     with pytest.raises(error):
         call()
 
@@ -492,6 +497,39 @@ def test_hermitian_eigensolvers_go_through_linalg():
              for site in _eigensolver_sites(path)]
     assert sorted(sites) == sorted(DIRECT_EIGENSOLVER_SITES)
     assert len(_eigensolver_sites(package / "linalg.py")) == 2  # spectral_decompose, _eigenvalues
+
+
+# The private functions allowed to check a matrix argument: where x0 enters a
+# barycenter solve, and where the per-pair checks make stacks of one.
+MATRIX_CHECK_ENTRIES = {"_start_iterate", "_stack_of_one"}
+
+
+def _matrix_check_sites(path):
+    """The enclosing functions, outermost first, of every check_matrices call in a source file."""
+    sites = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            scope = scope + (getattr(node, "name", "<lambda>"),)
+        if isinstance(node, ast.Call) and "check_matrices" in (getattr(node.func, "id", None),
+                                                               getattr(node.func, "attr", None)):
+            sites.append(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), ())
+    return sites
+
+
+def test_matrix_arguments_are_checked_only_where_they_enter():
+    # check_matrices runs in public functions and the two entries above, never
+    # in a kernel, a nested function or a solver step
+    package = pathlib.Path(sandwich_opt.__file__).parent
+    sites = [site for path in sorted(package.glob("*.py")) for site in _matrix_check_sites(path)]
+    assert len(sites) > 20
+    bad = [site for site in sites
+           if len(site) != 1 or (site[0].startswith("_") and site[0] not in MATRIX_CHECK_ENTRIES)]
+    assert bad == []
 
 
 # ------------------------------------------------ public boundary validation
@@ -546,3 +584,32 @@ def test_public_functions_validate_every_matrix_argument(name, arg, case):
         with pytest.raises(InvalidInput, match=rf"\b{arg}\b") as info:
             fn(**matrices)
         assert "(3, 3)" in str(info.value) and "(4, 4)" in str(info.value)
+
+
+def _same_bits(a, b):
+    """Whether two results are equal entry for entry: arrays, numbers, strings and containers of them."""
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and _same_bits(vars(a), vars(b))
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_bits(a[k], b[k]) for k in a)
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(_same_bits(x, y) for x, y in zip(a, b))
+    return np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("name,arg", [(name, arg) for name, (_, args) in MATRIX_ARGUMENTS.items()
+                                      for arg in args.split()])
+def test_public_functions_read_the_hermitian_part_of_every_matrix_argument(name, arg):
+    # M = H + 1e-3 (G1 + i G2) is not Hermitian; a function gives the same
+    # bits for M as for symmetrize(M). The perturbation's real trace is
+    # removed, so that the density matrices of divergence_limit_check stay
+    # density matrices.
+    fn, args = MATRIX_ARGUMENTS[name]
+    matrices = {a: random_spd(4, 1.0, 2.0, i) for i, a in enumerate(args.split())}
+    if name == "divergence_limit_check":
+        matrices = {a: H / np.trace(H).real for a, H in matrices.items()}
+    G1, G2 = np.random.default_rng(31).standard_normal((2, 4, 4))
+    E = 1e-3 * (G1 + 1j * G2)
+    M = matrices[arg] + E - np.trace(E).real / 4 * np.eye(4)
+    assert not np.array_equal(M, symmetrize(M))
+    assert _same_bits(fn(**{**matrices, arg: M}), fn(**{**matrices, arg: symmetrize(M)}))
