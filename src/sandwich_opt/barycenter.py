@@ -137,7 +137,7 @@ def objective(p: BarycenterProblem, X):
 
 def _mean_sum(p: BarycenterProblem, X):
     """S(X) = sum_j w_j grad f_j(X) / t from the problem's sandwich factors: m eigh."""
-    X = symmetrize(X)  # once per S(X), for all m marginals
+    X = symmetrize(X)  # a projected iterate is Hermitian only up to rounding
     return sum(w * _frame_gradient(*_whitened_frame(P, X, p.t), p.t)
                for w, P in zip(p.weights, p._factors)) / p.t
 
