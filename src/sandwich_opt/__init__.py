@@ -82,7 +82,6 @@ from .linalg import (
     as_spd,
     derive_seed,
     frechet_derivative,
-    graded_eigh,
     inner,
     loewner_matrix,
     matrix_exp,

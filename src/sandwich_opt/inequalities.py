@@ -17,10 +17,10 @@ assembles all inputs that share a spectral box with one
 ``linalg.spectral_decompose``. The trace and log-majorization chains
 also whiten each pair once, A^{-1/2} B A^{-1/2} decomposed for every order of
 A #_t B. Then each link at each order takes one batched ``eigh``,
-``eigvalsh``, ``svd`` or matmul (the limits suite adds one
-``linalg.graded_eigh`` call), and the gauge suite checks its whole panel with
-one ``eigvalsh``. The per-pair checks ``trace_chain_check``,
-``log_majorization_chain``, ``gamma_limit_check`` and
+``eigvalsh``, ``svd`` or matmul (the limits suite adds one ``cholesky`` and
+one ``linalg._graded_svd`` of the column-graded factors), and the gauge
+suite checks its whole panel with one ``eigvalsh``. The per-pair checks
+``trace_chain_check``, ``log_majorization_chain``, ``gamma_limit_check`` and
 ``divergence_limit_check`` run the same batch kernels on a stack of one,
 ``gauge_convexity_check`` runs the gauge kernel on a panel of one, and
 ``variational_value`` runs the variational suite's formulas on one matrix.
@@ -54,13 +54,13 @@ from .linalg import (
     SpectralDecomp,
     _check_integer,
     _eigenvalues,
+    _graded_svd,
     _is_number,
     _spd_from_draws,
     _trace,
     check_box,
     check_matrices,
     derive_seed,
-    graded_eigh,
     matrix_power,
     norm,
     power,
@@ -477,9 +477,12 @@ def gamma_limit_check(A, B, t_grid=DEFAULT_GAMMA_GRID):
     each grid point and that the final error sits below the envelope-implied
     bound sqrt(n) max_i |c^t a_i^{1-t} - a_i| over both envelope constants.
     gamma(t)^{1/t} = A^{(1-t)/2t} B A^{(1-t)/2t} is graded like
-    cond(A)^{(1-t)/t}; it is decomposed by ``linalg.graded_eigh`` in the
-    eigenbasis of A. This is the batch kernel of the limits suite on a stack
-    of one, so the suite and this report agree for the same pair.
+    cond(A)^{(1-t)/t}. In the eigenbasis of A it is C*C for the column-graded
+    factor C = L* diag(a^{(1-t)/2t}), with L the Cholesky factor of U*BU, so
+    gamma(t) comes from the SVD of C (``linalg._graded_svd``) and the graded
+    matrix is never formed; ``DomainError`` unless B is positive definite.
+    This is the batch kernel of the limits suite on a stack of one, so the
+    suite and this report agree for the same pair.
     """
     t_grid = _order_grid(t_grid)
     out = _gamma_limit_batch(*_stack_of_one(A, B), t_grid)
@@ -504,21 +507,30 @@ def _gamma_limit_batch(A, B, t_grid):
     b = _eigenvalues(B)
     alpha, beta = b[:, :1], b[:, -1:]
 
-    # In the eigenbasis of A, gamma(t)^{1/t} is diag(a^m) U*BU diag(a^m) with
-    # m = (1-t)/2t: all (trial, order) pairs go through one graded_eigh
+    # In the eigenbasis of A, gamma(t)^{1/t} is C*C for the column-graded
+    # factor C = L* diag(a^m), with U*BU = L L* and m = (1-t)/2t; its columns
+    # come in decreasing scale (a descending, m > 0), and all (trial, order)
+    # pairs go through one _graded_svd, C = Y diag(sigma) Z*
     Bt = symmetrize(U.conj().swapaxes(-1, -2) @ B @ U)
+    try:
+        L = np.linalg.cholesky(Bt)
+    except np.linalg.LinAlgError:
+        raise DomainError("the small-t limit needs B positive definite "
+                          "(Cholesky factorization failed)") from None
     with np.errstate(over="ignore", invalid="ignore"):
         d = a[:, None, :] ** ((1.0 - ts) / (2.0 * ts))[:, None]
-        graded = d[..., :, None] * d[..., None, :] * Bt[:, None]
-    bad = ~np.all(np.isfinite(graded), axis=(-2, -1))
+        C = L.conj().swapaxes(-1, -2)[:, None] * d[..., None, :]
+    bad = ~np.all(np.isfinite(C), axis=(-2, -1))
     if bad.any():
         i, j = np.argwhere(bad)[0]
         raise NumericalError(f"graded sandwich A^{{(1-t)/2t}} B A^{{(1-t)/2t}} overflows "
                              f"at stack index {i} at t = {ts[j]}")
-    w, V = graded_eigh(graded.reshape(-1, n, n))
-    w = w.reshape(k, len(ts), n)
-    gamma_root = SpectralDecomp(w, U[:, None] @ V.reshape(k, len(ts), n, n))
-    G = symmetrize(gamma_root.apply(w ** ts[:, None]))
+    sigma, Z = _graded_svd(C.reshape(-1, n, n))
+    # gamma(t) = (UZ) diag(sigma^{2t}) (UZ)*, sigma^{2t} taken directly
+    # because sigma^2 overflows first
+    gamma = SpectralDecomp(sigma.reshape(k, len(ts), n) ** (2.0 * ts)[:, None],
+                           U[:, None] @ Z.reshape(k, len(ts), n, n))
+    G = symmetrize(gamma.reconstruct())
     errors = np.linalg.norm(G - A[:, None], axis=(-2, -1))
 
     A1mt = SpectralDecomp(a[:, None], U[:, None]).apply(a[:, None] ** (1.0 - ts)[:, None])

@@ -6,7 +6,7 @@ built on these kernels; matrices are plain complex ndarrays and all
 operations are pure functions of their inputs. The package's Hermitian
 eigensolver calls go through ``spectral_decompose`` (eigenvectors) and
 ``_eigenvalues`` (spectra); they, ``symmetrize``, ``SpectralDecomp`` and
-``graded_eigh`` also take stacks (k, n, n), one LAPACK call per stack.
+``_graded_svd`` also take stacks (k, n, n), one LAPACK call per stack.
 """
 
 from __future__ import annotations
@@ -35,15 +35,6 @@ def symmetrize(H):
     """
     H = np.asarray(H, dtype=complex)
     return (H + H.conj().swapaxes(-1, -2)) / 2
-
-
-def _hermitian_part(H):
-    H = np.asarray(H, dtype=complex)
-    if H.ndim not in (2, 3) or H.shape[-1] != H.shape[-2] or H.shape[-1] == 0:
-        raise InvalidInput(f"expected a square matrix or a stack (k, n, n) of them, got shape {H.shape}")
-    if not np.isfinite(H).all():
-        raise InvalidInput("matrix has non-finite entries")
-    return symmetrize(H)
 
 
 def check_matrices(n=None, error=InvalidInput, **matrices):
@@ -164,7 +155,12 @@ def spectral_decompose(H) -> SpectralDecomp:
     results are deterministic. A stack takes one batched eigh; LAPACK
     decomposes each matrix on its own, so entry i is ``spectral_decompose(H[i])``.
     """
-    return _descending(*np.linalg.eigh(_hermitian_part(H)))
+    H = np.asarray(H, dtype=complex)
+    if H.ndim not in (2, 3) or H.shape[-1] != H.shape[-2] or H.shape[-1] == 0:
+        raise InvalidInput(f"expected a square matrix or a stack (k, n, n) of them, got shape {H.shape}")
+    if not np.isfinite(H).all():
+        raise InvalidInput("matrix has non-finite entries")
+    return _descending(*np.linalg.eigh(symmetrize(H)))
 
 
 def _descending(w, U):
@@ -175,103 +171,22 @@ def _descending(w, U):
     return SpectralDecomp(w[..., ::-1].copy(), U[..., ::-1].copy())
 
 
-# graded_eigh stops once every pair meets |H_pq| <= GRADED_TOL sqrt(H_pp H_qq).
-GRADED_TOL = 1e-15
+def _graded_svd(C):
+    """(sigma, Z) with C = Y diag(sigma) Z*, sigma descending, for a stack C (k, n, n) of graded factors.
 
-
-def _round_robin(n):
-    """Rounds of disjoint index pairs (p < q), every pair once per sweep.
-
-    The circle method on n slots, plus a bye slot for odd n whose pairs are
-    dropped: n/2 disjoint rotations per round, n - 1 (n odd: n) rounds.
+    So C*C = Z diag(sigma^2) Z*. Precondition: each C is R diag(d) with R
+    well conditioned and d descending, its columns in decreasing scale. Then
+    every singular value, the small ones too, comes out with high relative
+    accuracy, where ``eigh`` of a graded C*C may keep only absolute accuracy
+    (Demmel & Veselic, SIAM J. Matrix Anal. Appl. 13, 1992; Demmel, Gu,
+    Eisenstat, Slapnicar, Veselic & Drmac, Linear Algebra Appl. 299, 1999).
+    Those theorems assume QR with column pivoting, and numpy's factorizations
+    do not pivot, so the claim rests on the mpmath test of this kernel, which
+    also shows that columns in increasing scale lose it. One batched LAPACK
+    ``svd``: entry i is the decomposition of C[i] alone.
     """
-    m = n + n % 2
-    slots = list(range(m))
-    rounds = []
-    for _ in range(m - 1):
-        pairs = [sorted((slots[i], slots[m - 1 - i])) for i in range(m // 2)]
-        pairs = [pq for pq in pairs if pq[1] < n]
-        if pairs:
-            rounds.append(tuple(np.array(idx) for idx in zip(*pairs)))
-        slots = [slots[0], slots[-1]] + slots[1:-1]
-    return rounds
-
-
-def _rotate(H, V, p, q, tol):
-    """One round of Jacobi rotations on the stacks H, V; which matrices rotated.
-
-    A pair (p, q) of a matrix already within the relative test keeps its
-    entries exactly, so no matrix's result depends on its stack neighbours.
-    """
-    hpp, hqq, z = H[:, p, p].real, H[:, q, q].real, H[:, p, q]
-    r = np.abs(z)
-    rot = r > tol * np.sqrt(np.abs(hpp) * np.abs(hqq))
-    rotated = rot.any(axis=1)
-    if not rotated.any():
-        return rotated
-    r = np.where(rot, r, 1.0)
-    u = z / r
-    tau = (hqq - hpp) / (2.0 * r)
-    tt = np.where(tau != 0, np.sign(tau) / (np.abs(tau) + np.hypot(1.0, tau)), 1.0)
-    c = 1.0 / np.hypot(1.0, tt)
-    s = tt * c
-    # columns of H and V by J, then rows of H by J*, with
-    # J = [[u c, u s], [-s, c]] on the coordinates (p, q)
-    cols = rot[:, None, :]
-    for M in (H, V):
-        cp, cq = M[:, :, p], M[:, :, q]
-        M[:, :, p] = np.where(cols, (u * c)[:, None, :] * cp - s[:, None, :] * cq, cp)
-        M[:, :, q] = np.where(cols, (u * s)[:, None, :] * cp + c[:, None, :] * cq, cq)
-    rows = rot[:, :, None]
-    rp, rq = H[:, p, :], H[:, q, :]
-    H[:, p, :] = np.where(rows, (u.conj() * c)[..., None] * rp - s[..., None] * rq, rp)
-    H[:, q, :] = np.where(rows, (u.conj() * s)[..., None] * rp + c[..., None] * rq, rq)
-    H[:, p, q] = np.where(rot, 0.0, H[:, p, q])
-    H[:, q, p] = np.where(rot, 0.0, H[:, q, p])
-    H[:, p, p] = np.where(rot, H[:, p, p].real, H[:, p, p])
-    H[:, q, q] = np.where(rot, H[:, q, q].real, H[:, q, q])
-    return rotated
-
-
-def graded_eigh(H, max_sweeps=60, tol=GRADED_TOL):
-    """Eigendecomposition of a stack (k, n, n) of Hermitian positive definite matrices.
-
-    Cyclic Jacobi in round-robin order (Brent & Luk, 1985): each step applies
-    n/2 disjoint rotations to every matrix of the stack. A pair is rotated
-    only while |H_pq| > tol sqrt(H_pp H_qq); this relative test keeps every
-    eigenvalue of a strongly graded D M D (diagonal D, well-conditioned M)
-    accurate in the relative sense, where a tridiagonalizing solver such as
-    ``eigh`` loses the small ones (Demmel & Veselic, SIAM J. Matrix Anal.
-    Appl. 13, 1992). Returns eigenvalues (k, n), descending, and eigenvectors
-    (k, n, n); entry i does not depend on the other matrices of the stack.
-    Raises ``NumericalError``, naming the stack index and its largest
-    relative off-diagonal, if a matrix still fails the test after
-    ``max_sweeps`` sweeps.
-    """
-    if np.ndim(H) != 3:
-        raise InvalidInput(f"expected a stack (k, n, n) of square matrices, got shape {np.shape(H)}")
-    H = _hermitian_part(H)
-    k, n, _ = H.shape
-    V = np.broadcast_to(np.eye(n, dtype=complex), H.shape).copy()
-    rounds = _round_robin(n)
-    for _ in range(max_sweeps):
-        rotated = np.zeros(k, dtype=bool)
-        for p, q in rounds:
-            rotated |= _rotate(H, V, p, q, tol)
-        if not rotated.any():
-            break
-    else:
-        d = np.sqrt(np.abs(np.diagonal(H, axis1=1, axis2=2).real))
-        off = np.max(np.abs(np.triu(H, 1)) / (d[:, :, None] * d[:, None, :]), axis=(1, 2))
-        worst = int(np.argmax(off))
-        if off[worst] > tol:
-            raise NumericalError(
-                f"Jacobi unconverged after {max_sweeps} sweeps at stack index {worst} "
-                f"(largest relative off-diagonal {off[worst]:.3e})"
-            )
-    w = np.diagonal(H, axis1=1, axis2=2).real
-    order = np.argsort(w, axis=1)[:, ::-1]
-    return np.take_along_axis(w, order, axis=1), np.take_along_axis(V, order[:, None, :], axis=2)
+    _, sigma, Zh = np.linalg.svd(C)
+    return sigma, Zh.conj().swapaxes(-1, -2)
 
 
 @dataclass(frozen=True)

@@ -148,29 +148,51 @@ def quadrature_hessian_apply(A, X, t, Y, nodes=200):
     return (np.sin(t * np.pi) / np.pi) * out
 
 
+def _mp_sandwich_eig(A, B, tm):
+    """Eigenvalues and eigenvectors of A^{(1-t)/2t} B A^{(1-t)/2t} at mpmath's working precision."""
+    import mpmath as mp
+
+    def to_mp(M):
+        M = np.asarray(M, dtype=complex)
+        return mp.matrix(
+            [[mp.mpc(M[i, j]) for j in range(M.shape[1])] for i in range(M.shape[0])]
+        )
+
+    def herm_eig(Mm):
+        E, Q = mp.eighe((Mm + Mm.H) / 2)
+        return [E[i] for i in range(Mm.rows)], Q
+
+    E, Q = herm_eig(to_mp(A))
+    s = (1 - tm) / (2 * tm)
+    P = Q * mp.diag([mp.power(e, s) for e in E]) * Q.H
+    return herm_eig(P * to_mp(B) * P)
+
+
 def mp_sandwich_trace(A, B, t, dps=40):
     """Extended-precision tr (A^{(1-t)/2t} B A^{(1-t)/2t})^t."""
     import mpmath as mp
 
     with mp.workdps(dps):
         tm = mp.mpf(t)
-
-        def to_mp(M):
-            M = np.asarray(M, dtype=complex)
-            return mp.matrix(
-                [[mp.mpc(M[i, j]) for j in range(M.shape[1])] for i in range(M.shape[0])]
-            )
-
-        def herm_eig(Mm):
-            E, Q = mp.eighe((Mm + Mm.H) / 2)
-            return [E[i] for i in range(Mm.rows)], Q
-
-        Am, Bm = to_mp(A), to_mp(B)
-        E, Q = herm_eig(Am)
-        s = (1 - tm) / (2 * tm)
-        P = Q * mp.diag([mp.power(e, s) for e in E]) * Q.H
-        Em, _ = herm_eig(P * Bm * P)
+        Em, _ = _mp_sandwich_eig(A, B, tm)
         return sum(mp.power(e, tm) for e in Em)
+
+
+def mp_gamma_error(A, B, t, dps=500):
+    """Extended-precision ||gamma(t) - A||_F, gamma(t) = (A^{(1-t)/2t} B A^{(1-t)/2t})^t.
+
+    The default 500 digits hold every eigenvalue of the graded sandwich down
+    to t = 0.01 on a [1, 1e4] box, a grading of about 1e400.
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        tm = mp.mpf(t)
+        Em, Qm = _mp_sandwich_eig(A, B, tm)
+        D = Qm * mp.diag([mp.power(e, tm) for e in Em]) * Qm.H
+        A = np.asarray(A, dtype=complex)
+        return mp.sqrt(sum(abs(D[i, j] - mp.mpc(A[i, j])) ** 2
+                           for i in range(D.rows) for j in range(D.cols)))
 
 
 def jacobi_eigh(H, max_sweeps=60, tol=1e-15):

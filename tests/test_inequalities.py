@@ -45,7 +45,7 @@ from sandwich_opt.inequalities import (
     random_pair,
 )
 
-from oracles import SUITE_ORACLES, gamma_limit_oracle, variational_value_oracle
+from oracles import SUITE_ORACLES, gamma_limit_oracle, mp_gamma_error, variational_value_oracle
 
 
 def sorted_eigs(M):
@@ -644,13 +644,38 @@ def test_open_question_rechecks_the_pairs_its_batches_drew(monkeypatch):
 
 
 def test_gamma_limit_overflow_raises_numerical_error_without_warning():
-    # on a [1, 1e4] box the graded A^{(1-t)/2t} B A^{(1-t)/2t} overflows at
-    # t = 0.01 of the default grid; numpy warned and graded_eigh raised InvalidInput
+    # on a [1, 1e4] box the column-graded factor L* A^{(1-t)/2t} overflows at
+    # t = 0.005 of the default grid: a NumericalError naming the order, and no
+    # numpy warning
     A, B = random_spd(4, 1.0, 1e4, 3), random_spd(4, 1.0, 4.0, 4)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NumericalError, match="overflows at stack index 0 at t = 0.01$"):
+        with pytest.raises(NumericalError, match="overflows at stack index 0 at t = 0.005$"):
             gamma_limit_check(A, B)
+
+
+def test_gamma_limit_holds_on_the_wide_box_down_to_t_001():
+    # the pair above: the factor squares only half the grading, so t = 0.01,
+    # a graded sandwich of about 1e396, is checked, and each error matches
+    # 500-digit mpmath
+    import mpmath as mp
+
+    A, B = random_spd(4, 1.0, 1e4, 3), random_spd(4, 1.0, 4.0, 4)
+    report = gamma_limit_check(A, B, (0.2, 0.1, 0.05, 0.01))
+    assert report["all_hold"]
+    for t, err in zip(report["t_grid"], report["errors"]):
+        ref = mp_gamma_error(A, B, t)
+        assert abs(mp.mpf(err) - ref) <= 1e-14 * ref, t
+
+
+def test_gamma_limit_rejects_b_not_positive_definite():
+    # the Cholesky factor of U*BU needs B > 0; numpy raised LinAlgError
+    A = random_spd(3, 1.0, 2.0, 1)
+    for B in (np.diag([1.0, 0.0, 2.0]), np.diag([1.0, -1.0, 2.0]), np.zeros((3, 3))):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="B positive definite"):
+                gamma_limit_check(A, B)
 
 
 def test_open_question_search_guards():

@@ -17,7 +17,6 @@ from sandwich_opt import (
     as_spd,
     derive_seed,
     frechet_derivative,
-    graded_eigh,
     loewner_matrix,
     matrix_exp,
     matrix_log,
@@ -32,7 +31,7 @@ from sandwich_opt import (
     spectral_decompose,
     symmetrize,
 )
-from sandwich_opt.linalg import EQUAL_EIG_RTOL
+from sandwich_opt.linalg import EQUAL_EIG_RTOL, _graded_svd
 
 from oracles import jacobi_eigh, random_hermitian_oracle, random_spd_oracle
 
@@ -307,44 +306,60 @@ def _mp_eigenvalues(H, grading):
         return sorted((E[i] for i in range(len(H))), reverse=True)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8])
-def test_graded_eigh_matches_mpmath_on_graded_matrices(n):
+def _column_graded(H):
+    """The column-graded factor C = L* of H = L L*, its columns in H's order of scale."""
+    return np.linalg.cholesky(H).conj().swapaxes(-1, -2)
+
+
+def _graded_svd_errors(H, gradings):
+    """Largest relative error of sigma^2 from ``_graded_svd`` of each H's factor against mpmath."""
     import mpmath as mp
 
+    sigma, _ = _graded_svd(_column_graded(H))
+    return [max(float(abs((mp.mpf(float(x)) ** 2 - r) / r))
+                for x, r in zip(sigma[i], _mp_eigenvalues(H[i], g)))
+            for i, g in enumerate(gradings)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8])
+def test_graded_svd_matches_mpmath_on_graded_matrices(n):
+    # the _graded matrices reversed, so that the columns of the factor come
+    # in decreasing scale, the kernel's precondition
     gradings = (1.0, 1e10, 1e30, 1e60)
-    H = np.stack([_graded(n, g, 70 + i) for i, g in enumerate(gradings)])
-    w, V = graded_eigh(H)
-    for i, g in enumerate(gradings):
-        ref = _mp_eigenvalues(H[i], g)
-        rel = max(float(abs((mp.mpf(float(x)) - r) / r)) for x, r in zip(w[i], ref))
-        assert rel <= 1e-13, (n, g, rel)
-        assert np.linalg.norm(V[i].conj().T @ V[i] - np.eye(n)) <= 1e-13
-    # eigh keeps only absolute accuracy: at 1e60 its smallest eigenvalue is noise
+    H = np.stack([_graded(n, g, 70 + i)[::-1, ::-1] for i, g in enumerate(gradings)])
+    for g, rel in zip(gradings, _graded_svd_errors(H, gradings)):
+        assert rel <= 1e-14, (n, g, rel)
+    sigma, Z = _graded_svd(_column_graded(H))
+    for i in range(len(gradings)):
+        assert np.all(np.diff(sigma[i]) <= 0)
+        assert np.linalg.norm(Z[i].conj().T @ Z[i] - np.eye(n)) <= 1e-13
+    # eigh keeps only absolute accuracy: at 1e60 on _graded's own order its
+    # smallest eigenvalue is noise
     if n >= 3:
-        assert abs(np.linalg.eigvalsh(H[-1])[0] - w[-1, -1]) > 1e-3 * w[-1, -1]
+        eigh_min = np.linalg.eigvalsh(H[-1][::-1, ::-1])[0]
+        assert abs(eigh_min - sigma[-1, -1] ** 2) > 1e-3 * sigma[-1, -1] ** 2
 
 
-def test_graded_eigh_result_does_not_depend_on_its_stack():
-    mats = [_graded(4, g, 80 + i) for i, g in enumerate((1.0, 1e40, 1e5, 1e20, 1.0))]
-    mats[4] = np.diag([3.0, 2.0, 1.0, 0.5]).astype(complex)  # converged on entry
-    w, V = graded_eigh(np.stack(mats))
-    for i, M in enumerate(mats):
-        wi, Vi = graded_eigh(M[None])
-        assert np.array_equal(wi[0], w[i]) and np.array_equal(Vi[0], V[i])
-    assert np.array_equal(w[4], [3.0, 2.0, 1.0, 0.5]) and np.array_equal(V[4], np.eye(4))
+@pytest.mark.parametrize("n", [3, 4, 5, 8])
+def test_graded_svd_loses_accuracy_on_columns_in_increasing_scale(n):
+    # the 1e30 matrices of the mpmath test in _graded's own order, the
+    # factor's scales increasing: the precondition in the docstring of
+    # _graded_svd is a real one (a 2 x 2 triangular factor is accurate in
+    # either order)
+    gradings = (1e30,)
+    H = _graded(n, gradings[0], 72)[None]
+    assert _graded_svd_errors(H, gradings)[0] > 1e-13
+    assert _graded_svd_errors(H[:, ::-1, ::-1], gradings)[0] <= 1e-14
 
 
-def test_graded_eigh_raises_when_unconverged_at_sweep_cap():
-    D = np.diag(0.1 ** np.arange(4.0))
-    H = D @ random_spd(4, 1.0, 4.0, 3) @ D
-    stack = np.stack([np.eye(4, dtype=complex), H])
-    with pytest.raises(NumericalError, match="stack index 1 .largest relative off-diagonal"):
-        graded_eigh(stack, max_sweeps=1)
-    w, V = graded_eigh(H[None])
-    assert np.allclose(w[0], np.linalg.eigvalsh(H)[::-1], rtol=1e-12, atol=0.0)
-    assert np.allclose((V[0] * w[0]) @ V[0].conj().T, H, rtol=0.0, atol=1e-14)
-    with pytest.raises(InvalidInput):
-        graded_eigh(H)
+def test_graded_svd_result_does_not_depend_on_its_stack():
+    mats = [_graded(4, g, 80 + i)[::-1, ::-1] for i, g in enumerate((1.0, 1e40, 1e5, 1e20, 1.0))]
+    mats[4] = np.diag([3.0, 2.0, 1.0, 0.5]).astype(complex)
+    C = _column_graded(np.stack(mats))
+    sigma, Z = _graded_svd(C)
+    for i in range(len(mats)):
+        sigma_i, Z_i = _graded_svd(C[i][None])
+        assert np.array_equal(sigma_i[0], sigma[i]) and np.array_equal(Z_i[0], Z[i])
 
 
 @settings(max_examples=40, derandomize=True, database=None, deadline=None)
@@ -353,22 +368,20 @@ def test_graded_eigh_raises_when_unconverged_at_sweep_cap():
     decades=st.floats(0.0, 40.0),
     seed=st.integers(0, 2**31),
     real=st.booleans(),
-    data=st.data(),
 )
-def test_graded_eigh_property_against_scalar_jacobi(n, decades, seed, real, data):
-    # round-robin and row-cyclic orders reach the same relatively accurate
-    # eigenvalues in any order of the grading, and the decomposition
-    # reconstructs H
-    perm = data.draw(st.permutations(range(n)))
-    H = _graded(n, 10.0**decades, seed)[np.ix_(perm, perm)]
+def test_graded_svd_property_against_scalar_jacobi(n, decades, seed, real):
+    # the SVD of the factor with its columns in decreasing scale and the
+    # relative Jacobi on C*C reach the same relatively accurate eigenvalues,
+    # and Z diag(sigma^2) Z* reconstructs C*C
+    H = _graded(n, 10.0**decades, seed)[::-1, ::-1]
     if real:
         H = H.real.astype(complex)
-    w, V = graded_eigh(H[None])
+    sigma, Z = _graded_svd(_column_graded(H)[None])
     w_ref, _ = jacobi_eigh(H)
-    assert np.all(np.diff(w[0]) <= 0)
-    assert np.max(np.abs(w[0] - w_ref) / w_ref) <= 1e-12
-    assert np.linalg.norm(V[0].conj().T @ V[0] - np.eye(n)) <= 1e-13
-    assert np.linalg.norm((V[0] * w[0]) @ V[0].conj().T - H) <= 1e-13 * np.linalg.norm(H)
+    assert np.all(np.diff(sigma[0]) <= 0)
+    assert np.max(np.abs(sigma[0] ** 2 - w_ref) / w_ref) <= 1e-12
+    assert np.linalg.norm(Z[0].conj().T @ Z[0] - np.eye(n)) <= 1e-13
+    assert np.linalg.norm((Z[0] * sigma[0] ** 2) @ Z[0].conj().T - H) <= 1e-13 * np.linalg.norm(H)
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 8])
