@@ -13,10 +13,12 @@ S(X) = sum_j w_j grad f_j(X) / t, and F(X) = X^{1/2} S(X) X^{1/2}. The
 sandwich factors P_j = A_j^{(1-t)/2t} are fixed by the problem: each A_j is
 decomposed once, when a problem first needs its factors (m eigh per
 problem). Each grad f_j then takes one eigh, of the sandwich P_j X P_j, so
-S(X) takes m. A gradient-projection step adds one eigh for the box
-projection and a fixed-point step one for X^{1/2}: m + 1 eigh per step
-either way. A point X is checked once where it enters, and no step re-checks
-it.
+S(X) takes m. A fixed-point step adds one eigh for X^{1/2}: m + 1 per step.
+A gradient-projection step adds the box projection, which certifies an
+in-box X - eta grad phi_t(X) by two Cholesky factorizations and decomposes
+only a step that leaves the box: m eigh and 2 Cholesky per in-box step. A
+point X is checked once where it enters, and no step re-checks it; every
+iterate of either solver is exactly Hermitian.
 """
 
 from __future__ import annotations
@@ -137,7 +139,6 @@ def objective(p: BarycenterProblem, X):
 
 def _mean_sum(p: BarycenterProblem, X):
     """S(X) = sum_j w_j grad f_j(X) / t from the problem's sandwich factors: m eigh."""
-    X = symmetrize(X)  # a projected iterate is Hermitian only up to rounding
     return sum(w * _frame_gradient(*_whitened_frame(P, X, p.t), p.t)
                for w, P in zip(p.weights, p._factors)) / p.t
 

@@ -155,12 +155,17 @@ def spectral_decompose(H) -> SpectralDecomp:
     results are deterministic. A stack takes one batched eigh; LAPACK
     decomposes each matrix on its own, so entry i is ``spectral_decompose(H[i])``.
     """
+    return _descending(*np.linalg.eigh(_finite_hermitian(H)))
+
+
+def _finite_hermitian(H):
+    """symmetrize(H); ``InvalidInput`` unless H is a finite square matrix (n, n) or stack (k, n, n)."""
     H = np.asarray(H, dtype=complex)
     if H.ndim not in (2, 3) or H.shape[-1] != H.shape[-2] or H.shape[-1] == 0:
         raise InvalidInput(f"expected a square matrix or a stack (k, n, n) of them, got shape {H.shape}")
     if not np.isfinite(H).all():
         raise InvalidInput("matrix has non-finite entries")
-    return _descending(*np.linalg.eigh(symmetrize(H)))
+    return symmetrize(H)
 
 
 def _descending(w, U):
@@ -297,14 +302,31 @@ def check_box(alpha, beta):
 
 
 def project_box(H, alpha, beta):
-    """Frobenius-nearest point of {X : alpha I <= X <= beta I}.
+    """Frobenius-nearest point of {X : alpha I <= X <= beta I}, exactly Hermitian.
 
-    Realized by clipping the eigenvalues of H into [alpha, beta] while
-    keeping its eigenvectors; idempotent and nonexpansive.
+    Two Cholesky factorizations, of H - alpha I and of beta I - H, first
+    certify that the Hermitian part of H lies in the box (up to rounding);
+    then it is returned as it is, with no eigendecomposition, so the
+    projection is exactly idempotent on such input. Otherwise the
+    eigenvalues of H are clipped into [alpha, beta], keeping its
+    eigenvectors, and the rebuilt matrix is symmetrized. Nonexpansive.
     """
     check_box(alpha, beta)
+    H = _finite_hermitian(H)
+    eye = np.eye(H.shape[-1])
+    if _positive_definite(H - alpha * eye) and _positive_definite(beta * eye - H):
+        return H
     dec = spectral_decompose(H)
-    return dec.apply(np.clip(dec.eigenvalues, alpha, beta))
+    return symmetrize(dec.apply(np.clip(dec.eigenvalues, alpha, beta)))
+
+
+def _positive_definite(H):
+    """Whether a Cholesky factorization of the Hermitian H (or of each matrix of a stack) succeeds."""
+    try:
+        np.linalg.cholesky(H)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 # The seed domain of every seeded draw: an integer in [0, 2**128).

@@ -8,6 +8,7 @@ across runs for identical seeds.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -52,6 +53,8 @@ def _write(obj, parts):
             parts.append(":")
             _write(v, parts)
         parts.append("}")
+    elif isinstance(obj, list) and obj and all(type(v) is float for v in obj):
+        parts.append(_float_list(obj))
     elif isinstance(obj, (list, tuple, np.ndarray)):
         parts.append("[")
         for i, v in enumerate(obj):
@@ -61,6 +64,14 @@ def _write(obj, parts):
         parts.append("]")
     else:
         raise InvalidInput(f"cannot serialize object of type {type(obj).__name__}")
+
+
+def _float_list(values) -> str:
+    """A list of Python floats as ``_write`` writes it value by value, in one join."""
+    if not all(map(math.isfinite, values)):
+        for v in values:
+            format_float(v)  # raises InvalidInput naming the first non-finite value
+    return "[" + ",".join([format(v, ".17g") for v in values]) + "]"
 
 
 def matrix_to_json(M) -> dict:

@@ -441,24 +441,35 @@ def test_small_t_loses_positivity_with_a_typed_error():
         fixed_point_map(p, X)
 
 
-def _count_eigh(monkeypatch):
+def _count_calls(monkeypatch, name="eigh"):
     calls = []
-    eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(1) or eigh(*a, **k))
+    fn = getattr(np.linalg, name)
+    monkeypatch.setattr(np.linalg, name, lambda *a, **k: calls.append(1) or fn(*a, **k))
     return calls
+
+
+def _assert_well_inside_box(X, p):
+    # at least 1e-6 beta inside [alpha I, beta I]: far beyond rounding, so the
+    # Cholesky verdict of project_box, and with it each count, does not depend
+    # on the BLAS kernel
+    w = np.linalg.eigvalsh(X)
+    margin = 1e-6 * p.beta
+    assert p.alpha + margin <= w[0] and w[-1] <= p.beta - margin
 
 
 def test_fixed_point_step_eigh_count(monkeypatch):
     # each marginal is decomposed once per problem, for its sandwich factor
     # P_j; a step then takes one eigh per marginal (the sandwich P_j X P_j),
-    # plus X^{1/2} for a fixed-point step or the box projection for a
-    # gradient step
+    # plus X^{1/2} for a fixed-point step; a gradient step adds the box
+    # projection, which takes two Cholesky factorizations and no eigh when
+    # the step stays in the box
     import sandwich_opt.barycenter as bc
 
     m = 3
     p = random_problem(22, m=m)
     X = random_spd(4, 1.0, 4.0, 23)
-    calls = _count_eigh(monkeypatch)
+    calls = _count_calls(monkeypatch)
+    choleskys = _count_calls(monkeypatch, "cholesky")
     bc._fixed_point_step(p, X)
     assert len(calls) == m + (m + 1)
     calls.clear()
@@ -466,8 +477,10 @@ def test_fixed_point_step_eigh_count(monkeypatch):
     assert len(calls) == m + 1
     calls.clear()
     G = bc._gradient(p, X)
-    bc.project_box(X - G / certified_rate(p)[1], p.alpha, p.beta)
-    assert len(calls) == m + 1
+    step = X - G / certified_rate(p)[1]
+    bc.project_box(step, p.alpha, p.beta)
+    assert len(calls) == m and len(choleskys) == 2
+    _assert_well_inside_box(step, p)
     calls.clear()
     rep = bc.solve_fixed_point(random_problem(22, m=m), tol=1e-12, max_iters=3)
     assert rep.iterations == 3
@@ -476,16 +489,24 @@ def test_fixed_point_step_eigh_count(monkeypatch):
 
 @pytest.mark.parametrize("iters", [0, 3])
 def test_gradient_projection_solve_eigh_count(monkeypatch, iters):
-    # the m factors P_j once, the start's projection, S(X) at each of the
-    # k + 1 iterates (m each), k box projections, and X^{1/2} for the final
-    # fixed-point residual, which reuses the last S(X)
+    # the m factors P_j once, S(X) at each of the k + 1 iterates (m each),
+    # and X^{1/2} for the final fixed-point residual, which reuses the last
+    # S(X); the start's projection and the k steps' each certify an in-box
+    # point by two Cholesky factorizations and take no eigh
     m = 3
     p = random_problem(24, m=m)
-    calls = _count_eigh(monkeypatch)
-    rep = solve_gradient_projection(p, grad_tol=0.0, max_iters=iters)
+    calls = _count_calls(monkeypatch)
+    choleskys = _count_calls(monkeypatch, "cholesky")
+    rep = solve_gradient_projection(p, grad_tol=0.0, max_iters=iters, trace=True)
     k = rep.iterations
     assert k == iters
-    assert len(calls) == 2 * m + 2 + (m + 1) * k
+    assert len(calls) == 2 * m + 1 + m * k
+    assert len(choleskys) == 2 * (k + 1)
+    # a projection's output is its input when that lies in the box, and has an
+    # eigenvalue at alpha or beta when it does not
+    assert len(rep.iterates) == k + 1
+    for X in rep.iterates:
+        _assert_well_inside_box(X, p)
 
 
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)

@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from sandwich_opt import (
     spectral_decompose,
     symmetrize,
 )
+from sandwich_opt.barycenter import BOX_RTOL
 from sandwich_opt.linalg import EQUAL_EIG_RTOL, _graded_svd
 
 from oracles import jacobi_eigh, random_hermitian_oracle, random_spd_oracle
@@ -195,6 +197,65 @@ def test_project_box_idempotent_and_nonexpansive():
         P2 = project_box(H2, 0.5, 2.0)
         assert np.linalg.norm(project_box(P1, 0.5, 2.0) - P1) <= 1e-12
         assert np.linalg.norm(P1 - P2) <= np.linalg.norm(H1 - H2) + 1e-12
+
+
+def _count_lapack(monkeypatch):
+    calls = {"eigh": 0, "cholesky": 0}
+    for name in calls:
+        fn = getattr(np.linalg, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def _assert_in_box(X, alpha, beta):
+    w = np.linalg.eigvalsh(X)
+    assert alpha - BOX_RTOL * beta <= w[0] and w[-1] <= beta + BOX_RTOL * beta
+
+
+def test_project_box_returns_an_in_box_matrix_without_decomposing_it(monkeypatch):
+    # two Cholesky factorizations certify the Hermitian part in the box, and it
+    # comes back bit for bit, so a second projection moves nothing
+    for seed in range(5):
+        H = random_spd(5, 1.5, 3.5, 800 + seed) + 1j * random_hermitian(5, 900 + seed, scale=0.1)
+        calls = _count_lapack(monkeypatch)
+        once = project_box(H, 1.0, 4.0)
+        assert calls == {"eigh": 0, "cholesky": 2}
+        assert np.array_equal(once, symmetrize(H))
+        assert np.array_equal(project_box(once, 1.0, 4.0), once)
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("spectrum", [[0.2, 1.5, 2.0, 3.0, 3.5], [1.5, 2.0, 3.0, 4.5, 6.0],
+                                      [0.2, 2.0, 3.0, 4.5, 6.0]], ids=["below", "above", "both"])
+def test_project_box_clips_a_spectrum_outside_the_box_with_one_eigh(monkeypatch, spectrum):
+    alpha, beta = 1.0, 4.0
+    for seed in range(5):
+        frame = spectral_decompose(random_hermitian(5, 810 + seed))
+        H = frame.apply(spectrum)
+        calls = _count_lapack(monkeypatch)
+        out = project_box(H, alpha, beta)
+        assert calls["eigh"] == 1
+        monkeypatch.undo()
+        assert np.array_equal(out, symmetrize(out))
+        assert np.allclose(out, frame.apply(np.clip(spectrum, alpha, beta)), rtol=0, atol=1e-12)
+        _assert_in_box(out, alpha, beta)
+
+
+@pytest.mark.parametrize("H", [np.diag([1.0, 4.0]), np.array([[1.0]]), np.array([[4.0]])],
+                         ids=["diag-alpha-beta", "n1-alpha", "n1-beta"])
+def test_project_box_on_the_boundary_returns_a_point_in_the_box(H):
+    # a Cholesky factorization of the singular H - alpha I or beta I - H fails
+    # without a warning, and the spectrum is clipped instead
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = project_box(H, 1.0, 4.0)
+    assert np.allclose(out, H, rtol=0, atol=1e-14)
+    _assert_in_box(out, 1.0, 4.0)
 
 
 def test_random_spd_scalar_and_determinism():

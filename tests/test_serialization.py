@@ -30,6 +30,21 @@ def test_format_float_rejects_non_finite():
         format_float(np.nan)
 
 
+def test_a_list_of_floats_is_written_as_value_by_value():
+    # a list of Python floats takes one join; a tuple goes value by value
+    rng = np.random.default_rng(2)
+    values = [float(x) for x in rng.standard_normal(300) * 10.0 ** rng.integers(-300, 300, 300)]
+    values += [0.0, -0.0, 2**-1074, 1.7976931348623157e308]
+    assert canonical_json(values) == canonical_json(tuple(values))
+    assert canonical_json({"v": [[1.5, -2.0], [0.1]]}) == '{"v":[[1.5,-2],[0.10000000000000001]]}'
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_a_non_finite_value_in_a_float_list_is_rejected(bad):
+    with pytest.raises(InvalidInput, match=f"non-finite value {bad}$"):
+        canonical_json({"grad_norms": [1.0, 2.0, bad, 3.0]})
+
+
 def test_canonical_json_types_and_determinism():
     obj = {
         "a": 1,
