@@ -355,9 +355,9 @@ def test_verify_report_digest_is_pinned(suite, capsys):
 # sha256 of the barycenter report on stdout for a seeded 3x3 problem with
 # three marginals: a change to the solver loop that moves one bit shows here
 BARYCENTER_DIGESTS = {
-    "gp": "df54b8cd0fc06abaab17fc56bfaf7d99453d203fda0c802718b842ea159fedb2",
+    "gp": "798de1de58864eb7a3f639143dacc3b938b432ba641b9626c8b443c7f445b385",
     "fp": "fc7c17f9332adaf85cf9944ce7bb4de10f4114f37219302e35fa443196780058",
-    "gp-capped-trace": "8b3f7fc27355c20497974f0e3bf0aad1ba45eb72864bf6fbe3a4ec728299a37c",
+    "gp-capped-trace": "84921bcc41349d262eacdfaa01e18120e89716b2c85e3cd8f43e37789f4727c6",
 }
 BARYCENTER_ARGS = {
     "gp": (["--solver", "gp"], 0),
