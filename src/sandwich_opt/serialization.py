@@ -53,7 +53,7 @@ def _write(obj, parts):
             parts.append(":")
             _write(v, parts)
         parts.append("}")
-    elif isinstance(obj, list) and obj and all(type(v) is float for v in obj):
+    elif isinstance(obj, list) and all(type(v) is float for v in obj):
         parts.append(_float_list(obj))
     elif isinstance(obj, (list, tuple, np.ndarray)):
         parts.append("[")
