@@ -38,8 +38,12 @@ def _whitened_frame(P, X, t):
 
 
 def _frame_gradient(W, d, t):
-    """t W* diag(d^{t-1}) W, the gradient of f in the whitened frame."""
-    return symmetrize(t * (W.conj().T * d ** (t - 1.0)) @ W)
+    """t W* diag(d^{t-1}) W, the gradient of f in the whitened frame.
+
+    ``NumericalError``, and no numpy warning, if d^{t-1} overflows: a positive
+    but tiny d, reached at small t, would turn the product into NaN.
+    """
+    return symmetrize(t * (W.conj().T * power(t - 1.0).finite_on(d)) @ W)
 
 
 def gradient_f(A, X, t):
@@ -74,11 +78,19 @@ class HessianOperator:
 
 
 def hessian_operator(A, X, t) -> HessianOperator:
-    """The -grad^2 f(X) operator; ``NumericalError`` unless the computed M is positive definite."""
+    """The -grad^2 f(X) operator.
+
+    ``NumericalError`` unless the computed M is positive definite and the
+    kernel K is finite.
+    """
     check_unit_t(t)
     A, X = check_matrices(A=A, X=X)
     W, d = _whitened_frame(_sandwich_factor(spectral_decompose(A), t), X, t)
-    return HessianOperator(t=float(t), W=W, kernel=-loewner_matrix(power(t - 1.0), d))
+    kernel = -loewner_matrix(power(t - 1.0), d)
+    if not np.isfinite(kernel).all():
+        raise NumericalError(f"the Hessian kernel overflows at t = {t} "
+                             f"(sandwich eigenvalues {np.min(d):.3e} to {np.max(d):.3e})")
+    return HessianOperator(t=float(t), W=W, kernel=kernel)
 
 
 def hessian_apply(op: HessianOperator, Y):

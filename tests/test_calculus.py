@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from sandwich_opt import (
     NumericalError,
     ParameterError,
+    barycenter_problem,
     bregman,
     convexity_constants,
     fidelity,
@@ -16,6 +19,7 @@ from sandwich_opt import (
     hessian_operator_matrix,
     inner,
     matrix_log,
+    objective_gradient,
     random_hermitian,
     random_spd,
     sandwich_trace,
@@ -90,6 +94,30 @@ def test_small_t_lost_positivity_raises():
     for fn in (gradient_f, hessian_operator):
         with pytest.raises(NumericalError, match="lost positivity"):
             fn(A, X, 0.03)
+
+
+# Valid SPD inputs whose frame overflows: at t = 0.01 the sandwich
+# A^{(1-t)/2t} X A^{(1-t)/2t} = diag(1e-315, 1), and d^{t-1} = 1e-315^{-0.99}
+# is past the float range, though the true gradient is finite (entry (1, 1)
+# is 7.08e-6). The frame gave an all-NaN gradient with numpy warnings, an
+# inf/NaN Hessian kernel that failed in LAPACK, and a Bregman divergence that
+# blamed its input.
+OVERFLOWING_FRAME = (np.diag([10.0 ** (-315 / 99), 1.0]), np.eye(2), 0.01)
+
+
+@pytest.mark.parametrize("name", ["gradient_f", "objective_gradient", "hessian_extreme_eigs", "bregman"])
+def test_an_overflowing_frame_raises_numerical_error_without_warnings(name):
+    A, X, t = OVERFLOWING_FRAME
+    call = {
+        "gradient_f": lambda: gradient_f(A, X, t),
+        "objective_gradient": lambda: objective_gradient(barycenter_problem([A], [1.0], t), X),
+        "hessian_extreme_eigs": lambda: hessian_extreme_eigs(hessian_operator(A, X, t)),
+        "bregman": lambda: bregman(A, t, X, 2.0 * X),
+    }[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="not finite on the spectrum|kernel overflows"):
+            call()
 
 
 def test_gradient_positive_definite_and_guarded():

@@ -5,6 +5,7 @@ import glob
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -466,6 +467,22 @@ def test_out_of_range_t_is_input_error(matrices):
     res = run_cli("fidelity", "--a", paths["a"], "--b", paths["b"], "--t", "1.5")
     assert res.returncode == 2
     assert "error" in res.stderr
+
+
+@pytest.mark.parametrize("verb", ["grad", "hess-bounds"])
+def test_an_overflowing_frame_is_a_numerical_error_at_the_cli(verb, tmp_path, capsys):
+    # valid SPD inputs; see OVERFLOWING_FRAME in test_calculus.py. grad
+    # failed to serialize NaN, hess-bounds failed in LAPACK.
+    from sandwich_opt.cli import main
+
+    save_matrix(tmp_path / "a.json", np.diag([10.0 ** (-315 / 99), 1.0]))
+    save_matrix(tmp_path / "x.json", np.eye(2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([verb, "--a", str(tmp_path / "a.json"), "--x", str(tmp_path / "x.json"), "--t", "0.01"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert re.fullmatch(r"error: .*(not finite on the spectrum|kernel overflows).*\n", err)
 
 
 def test_verify_exits_one_on_property_violation(monkeypatch, capsys):
