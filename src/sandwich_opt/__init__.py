@@ -66,7 +66,6 @@ from .inequalities import (
     gauge_convexity_check,
     log_majorization_chain,
     majorizes,
-    minimize_representation,
     open_question_search,
     run_suite,
     trace_chain_check,

@@ -58,13 +58,9 @@ from .linalg import (
     _is_number,
     _spd_from_draws,
     _trace,
-    check_box,
     check_matrices,
     derive_seed,
-    matrix_power,
-    norm,
     power,
-    project_box,
     random_spd_stack,
     spectral_decompose,
     symmetrize,
@@ -82,6 +78,14 @@ DEFAULT_GAMMA_GRID = (0.2, 0.1, 0.05, 0.01, 0.005)
 # Trials per batch of every suite: memory stays bounded for any trial count,
 # and results do not depend on it.
 SUITE_CHUNK = 256
+
+# Spectral boxes [alpha, beta] of the seeded pairs: PAIR_BOX for
+# ``random_pair`` and the pairs of every suite, DENSITY_BOX for the draws
+# that ``density_pair`` and the limits suite scale to density matrices.
+PAIR_BOX = (0.5, 2.0)
+DENSITY_BOX = (1.0, 2.0)
+# Weight of R in the density pair's B = (1 - mix) A + mix R.
+DENSITY_MIX = 0.005
 
 
 @dataclass(frozen=True)
@@ -328,92 +332,34 @@ def _variational_values(decA, decB, B, t, X, reps):
     return values
 
 
-def variational_minimizer(A, B, t):
-    """Minimizer B #_{1-t} A^{(t-1)/t} of representations iii and iv."""
+def variational_minimizer(A, B, t, rep):
+    """Closed-form minimizer of representation ``rep`` over positive definite X.
+
+    Every representation has minimum value fidelity(A, B, t). For "iii" and
+    "iv" the minimizer is B #_{1-t} A^{(t-1)/t}. For "i" it is
+    X_i = A^{(1-t)/t} #_{1-t} B^{-1}, where the gradient of representation i,
+    t (B - A^{(t-1)/t} #_{1/(1-t)} X^{-1}), vanishes. Representation "ii" is
+    scale invariant, so every positive multiple of X_i minimizes it; this
+    function returns X_i. A and B are decomposed once each; ``InvalidInput``
+    for an unknown ``rep``.
+    """
     check_unit_t(t)
+    if rep not in REPRESENTATIONS:
+        raise InvalidInput(f"unknown representation {rep!r}")
     A, B = check_matrices(A=A, B=B)
-    return _variational_minimizer(spectral_decompose(A), spectral_decompose(B), t)
+    decA, decB = spectral_decompose(A), spectral_decompose(B)
+    if rep in ("iii", "iv"):
+        return _variational_minimizer(decA, decB, t)
+    # A^{(1-t)/t} has A's eigenvectors, and its eigenvalues stay descending
+    fn = power((1.0 - t) / t)
+    decA.require_domain(fn)
+    decAp = SpectralDecomp(fn.finite_on(decA.eigenvalues), decA.eigenvectors)
+    return _geometric_mean(decAp, decB.map(power(-1.0)), 1.0 - t)
 
 
 def _variational_minimizer(decA, decB, t):
-    """variational_minimizer from the decompositions of A and B (or of stacks)."""
+    """The iii/iv minimizer B #_{1-t} A^{(t-1)/t} from the decompositions of A and B (or of stacks)."""
     return _geometric_mean(decB, decA.map(power((t - 1.0) / t)), 1.0 - t)
-
-
-def _representation_gradient(decA, decAtt, B, t, X, rep):
-    """Gradient of representation i or ii at X.
-
-    From the decompositions of A and of A^{(t-1)/t}, which stay fixed over a
-    minimization.
-    """
-    s = t / (t - 1.0)
-    Xi = matrix_power(X, -1.0)
-    if rep == "i":
-        return symmetrize(t * (B - _geometric_mean(decAtt, Xi, 1.0 / (1.0 - t))))
-    # rep "ii": grad of u^{1-t} v^t with u = tr (QXQ)^s, v = tr XB
-    Q = decA.map(power((t - 1.0) / (2.0 * t)))
-    u = float(_powered_trace(Q @ X @ Q, s))
-    v = float(_trace(X @ B))
-    grad_u = s * _geometric_mean(decAtt, Xi, 1.0 - s)
-    return symmetrize((1.0 - t) * u ** (-t) * v**t * grad_u + t * u ** (1.0 - t) * v ** (t - 1.0) * B)
-
-
-# minimize_representation stops once the gradient norm is at most this times 1 + |value|.
-REPRESENTATION_GRAD_RTOL = 1e-9
-
-
-def minimize_representation(A, B, t, rep, x0=None, max_iters=5000):
-    """Locally minimize representation "i" or "ii" by projected gradient descent.
-
-    Starts at the iii/iv minimizer, projects onto a generous spectral box
-    around the start, and backtracks the step size on non-descent. The step
-    is seeded from a finite-difference smoothness estimate. A and B are
-    decomposed once per call. Returns (X, value, termination): the final
-    iterate, its objective value and why the descent stopped, "gradient_tol"
-    when the gradient norm reached REPRESENTATION_GRAD_RTOL (1 + |value|), "max_iters" at
-    the iteration cap, and "no_descent" when 60 halvings of the step found
-    no point that does not increase the objective.
-    """
-    if rep not in ("i", "ii"):
-        raise InvalidInput(f"local minimization supports reps i/ii, got {rep!r}")
-    check_unit_t(t)
-    _check_integer(max_iters, "max_iters", 0)
-    A, B, *start = check_matrices(A=A, B=B, **({} if x0 is None else {"x0": x0}))
-    decA = spectral_decompose(A)
-    X = start[0] if start else _variational_minimizer(decA, spectral_decompose(B), t)
-    decAtt = spectral_decompose(decA.map(power((t - 1.0) / t)))
-    w = _eigenvalues(X)
-    lo, hi = w[0] / 50.0, w[-1] * 50.0
-
-    def value(Y):
-        return float(_variational_values(decA, None, B, t, symmetrize(Y), (rep,))[rep])
-
-    def gradient(Y):
-        return _representation_gradient(decA, decAtt, B, t, Y, rep)
-
-    val = value(X)
-    G = gradient(X)
-    h = 1e-4 * max(norm(X), 1e-8)
-    D = np.eye(X.shape[0], dtype=complex)
-    Gp = gradient(project_box(X + h * D, lo, hi))
-    lips = np.linalg.norm(Gp - G) / (h * np.linalg.norm(D))
-    eta = 1.0 / max(lips, 1e-8)
-
-    for k in range(max_iters + 1):
-        if np.linalg.norm(G) <= REPRESENTATION_GRAD_RTOL * (1.0 + abs(val)):
-            return X, val, "gradient_tol"
-        if k == max_iters:
-            return X, val, "max_iters"
-        for _ in range(60):
-            Xn = project_box(X - eta * G, lo, hi)
-            val_n = value(Xn)
-            if val_n <= val + 1e-14 * (1.0 + abs(val)):
-                break
-            eta /= 2.0
-        else:
-            return X, val, "no_descent"
-        X, val = Xn, val_n
-        G = gradient(X)
 
 
 LOG_MAJOR_LINKS = (
@@ -664,7 +610,7 @@ def _gauge_panel(panel, trials, seeds, n):
     worst = [np.inf] * len(panel)
     for chunk in _chunks(trials):
         u, G = (np.stack(d) for d in zip(*(_draws(s, len(chunk), 2, n) for s in streams)))
-        pairs = _spd_from_draws(u, G, 0.5, 2.0)
+        pairs = _spd_from_draws(u, G, *PAIR_BOX)
         A, B = pairs[:, 0], pairs[:, 1]
         eigs = _eigenvalues(np.stack([(A + B) / 2.0, A, B], axis=1))
         for j, (fn, p) in enumerate(panel):
@@ -728,7 +674,7 @@ def _mp_relation_margin(A, B, t, relation):
         return min(margins), scale
 
 
-def open_question_search(n, t_grid, trials, seed, alpha=0.5, beta=2.0):
+def open_question_search(n, t_grid, trials, seed):
     """Empirical search on whether lam(sandwich)^t is dominated by lam((1-t)A + tB).
 
     For t <= 1/2 this domination is open; the search records weak
@@ -743,14 +689,13 @@ def open_question_search(n, t_grid, trials, seed, alpha=0.5, beta=2.0):
     _check_integer(n, "search dimension", 1, 8)
     chunks = _chunks(trials, 10**6)
     t_grid = _order_grid(t_grid, _check_search_order)
-    check_box(alpha, beta)
     (pairs,) = _streams(seed, "open-question", "pairs")
 
     checked = {rel: 0 for rel in OPEN_QUESTION_RELATIONS}
     worst = {rel: np.inf for rel in OPEN_QUESTION_RELATIONS}
     candidates, recheck = [], []
     for chunk in chunks:
-        A, B = _spd_from_draws(*_draws(pairs, len(chunk), 2, n), alpha, beta)
+        A, B = _spd_from_draws(*_draws(pairs, len(chunk), 2, n), *PAIR_BOX)
         decA = spectral_decompose(A)
         per_order = [_open_question_margins(A, B, decA, t) for t in t_grid]
         margins = np.stack([m for m, _ in per_order], axis=1)  # (trial, order, relation)
@@ -780,8 +725,8 @@ def open_question_search(n, t_grid, trials, seed, alpha=0.5, beta=2.0):
         "t_grid": list(t_grid),
         "trials": trials,
         "seed": seed,
-        "alpha": alpha,
-        "beta": beta,
+        "alpha": PAIR_BOX[0],
+        "beta": PAIR_BOX[1],
         "checked": checked,
         "worst_margins": {rel: float(worst[rel]) for rel in OPEN_QUESTION_RELATIONS},
         "float_violations": len(candidates),
@@ -806,25 +751,29 @@ def _open_question_margins(A, B, decA, t):
     return np.stack(worst, axis=-1), np.stack(holds, axis=-1)
 
 
-def random_pair(n, seed, label, lo=0.5, hi=2.0):
-    """Seeded SPD pair, each side drawn on its own seed split off a master seed."""
-    return tuple(random_spd_stack(n, lo, hi, [derive_seed(seed, label, side) for side in ("a", "b")]))
+def random_pair(n, seed, label):
+    """Seeded SPD pair on PAIR_BOX, each side drawn on its own seed split off a master seed."""
+    return _seeded_pair(n, seed, label, PAIR_BOX)
 
 
-def density_pair(n, seed, label, mix=0.005, lo=1.0, hi=2.0):
-    """Seeded density-matrix pair; B is a gentle mixture around A.
+def _seeded_pair(n, seed, label, box):
+    return tuple(random_spd_stack(n, *box, [derive_seed(seed, label, side) for side in ("a", "b")]))
+
+
+def density_pair(n, seed, label):
+    """Seeded density-matrix pair, drawn on DENSITY_BOX; B is a gentle mixture around A.
 
     The mixing keeps the finite-order divergence close enough to its
     asymptote for the large-t limit checks to be meaningful at t = 64.
     """
-    return _density(*random_pair(n, seed, label, lo, hi), mix)
+    return _density(*_seeded_pair(n, seed, label, DENSITY_BOX))
 
 
-def _density(A, R, mix=0.005):
-    """A and (1 - mix) A + mix R, after scaling A and R (or each matrix of stacks) to unit trace."""
+def _density(A, R):
+    """A and (1 - DENSITY_MIX) A + DENSITY_MIX R, after scaling A and R (or stacks) to unit trace."""
     A = A / _trace(A)[..., None, None]
     R = R / _trace(R)[..., None, None]
-    return A, (1.0 - mix) * A + mix * R
+    return A, (1.0 - DENSITY_MIX) * A + DENSITY_MIX * R
 
 
 def run_trace_chain_suite(n=4, trials=100, seed=0, t_values=(0.1, 0.3, 0.5, 0.7, 0.9)):
@@ -833,7 +782,7 @@ def run_trace_chain_suite(n=4, trials=100, seed=0, t_values=(0.1, 0.3, 0.5, 0.7,
     violations = 0
     worst = np.inf
     for chunk in _chunks(trials):
-        pair = _decomposed(*_spd_from_draws(*_draws(pairs, len(chunk), 2, n), 0.5, 2.0))
+        pair = _decomposed(*_spd_from_draws(*_draws(pairs, len(chunk), 2, n), *PAIR_BOX))
         for t in t_values:
             margins, holds = _chain_margins(_trace_chain_links(*pair, t))
             violations += int(np.sum(~np.all(holds, axis=-1)))
@@ -857,7 +806,7 @@ def run_variational_suite(n=4, trials=100, seed=0, t_values=(0.3, 0.5, 0.7)):
     pairs, probes = _streams(seed, "variational", "pairs", "probes")
     lower_violations = tight_violations = 0
     for chunk in _chunks(trials):
-        A, B = _spd_from_draws(*_draws(pairs, len(chunk), 2, n), 0.5, 2.0)
+        A, B = _spd_from_draws(*_draws(pairs, len(chunk), 2, n), *PAIR_BOX)
         (X,) = _spd_from_draws(*_draws(probes, len(chunk), 1, n), 0.25, 4.0)
         decA, decB = spectral_decompose(A), spectral_decompose(B)
         orders = np.array(chunk) % len(t_values)
@@ -894,7 +843,7 @@ def run_log_major_suite(n=4, trials=100, seed=0, t_values=(0.25, 0.5, 0.75)):
     (pairs,) = _streams(seed, "log-major", "pairs")
     violations = 0
     for chunk in _chunks(trials):
-        pair = _decomposed(*_spd_from_draws(*_draws(pairs, len(chunk), 2, n), 0.5, 2.0))
+        pair = _decomposed(*_spd_from_draws(*_draws(pairs, len(chunk), 2, n), *PAIR_BOX))
         for t in t_values:
             links = _log_major_links(*pair, t)
             ok = np.ones(len(chunk), dtype=bool)
@@ -917,8 +866,8 @@ def run_limits_suite(n=4, trials=100, seed=0):
     gamma, density = _streams(seed, "limits", "gamma", "density")
     gamma_violations = div_violations = 0
     for chunk in _chunks(trials):
-        A, B = _spd_from_draws(*_draws(gamma, len(chunk), 2, n), 0.5, 2.0)
-        Ad, Bd = _density(*_spd_from_draws(*_draws(density, len(chunk), 2, n), 1.0, 2.0))
+        A, B = _spd_from_draws(*_draws(gamma, len(chunk), 2, n), *PAIR_BOX)
+        Ad, Bd = _density(*_spd_from_draws(*_draws(density, len(chunk), 2, n), *DENSITY_BOX))
         gamma_violations += int(np.sum(~_gamma_limit_batch(A, B, DEFAULT_GAMMA_GRID)["all_hold"]))
         div_violations += int(np.sum(~_divergence_limit_batch(Ad, Bd)["all_hold"]))
     return {

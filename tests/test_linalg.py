@@ -632,8 +632,7 @@ MATRIX_ARGUMENTS = {
     "gamma_limit_check": (sandwich_opt.gamma_limit_check, "A B"),
     "divergence_limit_check": (sandwich_opt.divergence_limit_check, "A B"),
     "variational_value": (lambda A, B, X: sandwich_opt.variational_value(A, B, _T, X, "i"), "A B X"),
-    "variational_minimizer": (lambda A, B: sandwich_opt.variational_minimizer(A, B, _T), "A B"),
-    "minimize_representation": (lambda A, B, x0: sandwich_opt.minimize_representation(A, B, _T, "i", x0), "A B x0"),
+    "variational_minimizer": (lambda A, B: sandwich_opt.variational_minimizer(A, B, _T, "iii"), "A B"),
     "frechet_derivative": (lambda X, Y: frechet_derivative(LOG, X, Y), "X Y"),
     "inner": (sandwich_opt.inner, "X Y"),
     # a direction of another size than the operator's n = 4
