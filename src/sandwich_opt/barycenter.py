@@ -9,12 +9,15 @@ of one loop, which owns the history, the stopping order and the report.
 
 Both solvers read the one gradient of f, the kernel of ``calculus.gradient_f``:
 grad phi_t(X) = t I - sum_j w_j grad f_j(X) = t (I - S(X)) with
-S(X) = sum_j w_j grad f_j(X) / t, and F(X) = X^{1/2} S(X) X^{1/2}. The
-sandwich factors P_j = A_j^{(1-t)/2t} are fixed by the problem: each A_j is
-decomposed once, when a problem first needs its factors (m eigh per
-problem). Each grad f_j then takes one eigh, of the sandwich P_j X P_j, so
-S(X) takes m. A fixed-point step adds one eigh for X^{1/2}: m + 1 per step.
-A gradient-projection step adds the box projection, which certifies an
+S(X) = sum_j w_j grad f_j(X) / t, and F(X) = X^{1/2} S(X) X^{1/2}. Each
+A_j is decomposed once, when a problem first needs it (m eigh per problem),
+and every function of A_j a solver reads comes from that decomposition: the
+sandwich factors P_j = A_j^{(1-t)/2t}, and the powers A_j^{1-t} of gradient
+projection's start, the power mean (sum_j w_j A_j^{1-t})^{1/(1-t)}, which
+is the minimizer when the marginals commute and takes one eigh more. Each
+grad f_j takes one eigh, of the sandwich P_j X P_j, so S(X) takes m. A
+fixed-point step adds one eigh for X^{1/2}: m + 1 per step. A
+gradient-projection step adds the box projection, which certifies an
 in-box X - eta grad phi_t(X) by two Cholesky factorizations and decomposes
 only a step that leaves the box: m eigh and 2 Cholesky per in-box step. A
 point X is checked once where it enters, and no step re-checks it; every
@@ -61,8 +64,9 @@ HISTORY_CAP = 10_000
 class BarycenterProblem:
     """Marginals A_j, normalized weights w_j, order t, and spectral box.
 
-    The sandwich factors P_j = A_j^{(1-t)/2t} are formed on first use and
-    kept on the instance, so they live exactly as long as the problem.
+    The decompositions of the marginals, and the sandwich factors
+    P_j = A_j^{(1-t)/2t} formed from them, are made on first use and kept on
+    the instance, so they live exactly as long as the problem.
     """
 
     matrices: tuple
@@ -80,9 +84,14 @@ class BarycenterProblem:
         return len(self.matrices)
 
     @cached_property
+    def _decompositions(self) -> tuple:
+        """The ``SpectralDecomp`` of each marginal A_j: m eigh, once."""
+        return tuple(spectral_decompose(A) for A in self.matrices)
+
+    @cached_property
     def _factors(self) -> tuple:
-        """(P_1, ..., P_m), each from one decomposition of its marginal: m eigh, once."""
-        return tuple(_sandwich_factor(spectral_decompose(A), self.t) for A in self.matrices)
+        """(P_1, ..., P_m) from the marginals' decompositions."""
+        return tuple(_sandwich_factor(dec, self.t) for dec in self._decompositions)
 
 
 def _in_box(lo, hi, alpha, beta):
@@ -244,9 +253,29 @@ def _check_stopping(tol_name, tol, max_iters):
     _check_integer(max_iters, "max_iters", 0)
 
 
-def _start_iterate(p: BarycenterProblem, x0):
+def _box_midpoint(p: BarycenterProblem):
+    """(alpha + beta)/2 I, the fixed-point iteration's default start."""
+    return (p.alpha + p.beta) / 2.0 * np.eye(p.n, dtype=complex)
+
+
+def _power_mean(p: BarycenterProblem):
+    """(sum_j w_j A_j^{1-t})^{1/(1-t)}, gradient projection's default start.
+
+    It is the minimizer of phi_t when the marginals commute. Each A_j^{1-t}
+    is rebuilt from the problem's decomposition of A_j, so the start takes
+    one eigh, for the outer power. Its spectrum lies in [alpha, beta]: each
+    A_j^{1-t} lies in [alpha^{1-t} I, beta^{1-t} I], so does their convex
+    combination, and x -> x^{1/(1-t)} is increasing.
+    """
+    r = 1.0 - p.t
+    mean = sum(w * dec.map(power(r)) for w, dec in zip(p.weights, p._decompositions))
+    return spectral_decompose(mean).map(power(1.0 / r))
+
+
+def _start_iterate(p: BarycenterProblem, x0, default):
+    """x0, checked against the problem and the box, or ``default(p)`` when x0 is None."""
     if x0 is None:
-        return (p.alpha + p.beta) / 2.0 * np.eye(p.n, dtype=complex)
+        return default(p)
     x0 = check_matrices(n=p.n, error=InvalidStart, x0=x0)[0]
     w = _eigenvalues(x0)
     if not _in_box(w[0], w[-1], p.alpha, p.beta):
@@ -321,9 +350,12 @@ def solve_gradient_projection(
 ) -> SolverReport:
     """Projected gradient descent X <- [X - eta grad phi_t(X)]_+ on the box.
 
-    Defaults: eta = 1/beta_star, X0 = (alpha+beta)/2 I, grad_tol = 1e-10 t n.
-    Every iterate stays in [alpha I, beta I]; the returned error_bound is a
-    certified distance bound to the unique minimizer. ``InvalidInput`` unless
+    Defaults: eta = 1/beta_star, grad_tol = 1e-10 t n, and X0 the power mean
+    (sum_j w_j A_j^{1-t})^{1/(1-t)}, projected onto the box. X0 is the
+    minimizer when the marginals commute, so the run stops at iteration 0
+    there; otherwise a start closer to the minimizer saves steps at the
+    certified rate q. Every iterate stays in [alpha I, beta I]; the returned
+    error_bound is a certified distance bound to the unique minimizer. ``InvalidInput`` unless
     grad_tol is finite and >= 0 and max_iters is an integer >= 0.
     """
     alpha_star, beta_star, q = certified_rate(p, eta)
@@ -338,7 +370,7 @@ def solve_gradient_projection(
         return _gradient_from_sum(S, p.t), S
 
     return _iterate(
-        project_box(_start_iterate(p, x0), p.alpha, p.beta), evaluate,
+        project_box(_start_iterate(p, x0, _power_mean), p.alpha, p.beta), evaluate,
         converged=lambda gn, S: gn <= grad_tol,
         advance=lambda X, G, S: project_box(X - eta * G, p.alpha, p.beta),
         # the last S(X) was formed at this X
@@ -356,7 +388,8 @@ def solve_fixed_point(
 ) -> SolverReport:
     """Fixed-point iteration X <- F(X), used for cross-validation.
 
-    Default tol = 1e-12 on the residual ||X - F(X)||. No contraction is
+    Defaults: X0 = (alpha+beta)/2 I, a start independent of gradient
+    projection's, and tol = 1e-12 on the residual ||X - F(X)||. No contraction is
     guaranteed; if the residual grows for 10 consecutive steps the run stops
     with residual_growth termination instead of raising. grad_norms records
     grad phi_t at each iterate for comparability with the gradient-projection
@@ -383,7 +416,7 @@ def solve_fixed_point(
             return "residual_growth"
 
     return _iterate(
-        _start_iterate(p, x0), evaluate,
+        _start_iterate(p, x0, _box_midpoint), evaluate,
         converged=lambda gn, state: state[1] <= tol,
         advance=lambda X, G, state: state[0],
         residual=lambda X, state: state[1],
