@@ -489,10 +489,11 @@ def test_fixed_point_step_eigh_count(monkeypatch):
 
 @pytest.mark.parametrize("iters", [0, 3])
 def test_gradient_projection_solve_eigh_count(monkeypatch, iters):
-    # the m factors P_j once, S(X) at each of the k + 1 iterates (m each),
-    # and X^{1/2} for the final fixed-point residual, which reuses the last
-    # S(X); the start's projection and the k steps' each certify an in-box
-    # point by two Cholesky factorizations and take no eigh
+    # the m marginals once (for the factors P_j and the start's A_j^{1-t}),
+    # the start's outer power 1/(1-t), S(X) at each of the k + 1 iterates
+    # (m each), and X^{1/2} for the final fixed-point residual, which reuses
+    # the last S(X); the start's projection and the k steps' each certify an
+    # in-box point by two Cholesky factorizations and take no eigh
     m = 3
     p = random_problem(24, m=m)
     calls = _count_calls(monkeypatch)
@@ -500,7 +501,7 @@ def test_gradient_projection_solve_eigh_count(monkeypatch, iters):
     rep = solve_gradient_projection(p, grad_tol=0.0, max_iters=iters, trace=True)
     k = rep.iterations
     assert k == iters
-    assert len(calls) == 2 * m + 1 + m * k
+    assert len(calls) == 2 * m + 2 + m * k
     assert len(choleskys) == 2 * (k + 1)
     # a projection's output is its input when that lies in the box, and has an
     # eigenvalue at alpha or beta when it does not
@@ -532,12 +533,13 @@ def test_mean_sum_is_the_weighted_gradient_of_each_marginal(m, n, t, real, seed)
 
 
 def test_solved_problem_and_its_factors_are_freed():
-    # the factors live on the problem, so no module state keeps a solved
-    # problem alive
+    # the decompositions and factors live on the problem, so no module state
+    # keeps a solved problem alive
     p = random_problem(26)
     solve_gradient_projection(p, max_iters=3)
     solve_fixed_point(p, max_iters=3)
-    assert "_factors" in vars(p)
+    assert "_decompositions" in vars(p) and "_factors" in vars(p)
+    assert len(p._decompositions) == p.m
     ref = weakref.ref(p)
     del p
     gc.collect()

@@ -356,9 +356,9 @@ def test_verify_report_digest_is_pinned(suite, capsys):
 # sha256 of the barycenter report on stdout for a seeded 3x3 problem with
 # three marginals: a change to the solver loop that moves one bit shows here
 BARYCENTER_DIGESTS = {
-    "gp": "798de1de58864eb7a3f639143dacc3b938b432ba641b9626c8b443c7f445b385",
+    "gp": "2b1157558cd4963b04c8370227ea9f38bc0e65488b0b54e6d3e2e5af5db8d948",
     "fp": "fc7c17f9332adaf85cf9944ce7bb4de10f4114f37219302e35fa443196780058",
-    "gp-capped-trace": "84921bcc41349d262eacdfaa01e18120e89716b2c85e3cd8f43e37789f4727c6",
+    "gp-capped-trace": "1baa5b8446eec916e511d55dee852bc62332e796c742c81b48f357d8dc39c787",
 }
 BARYCENTER_ARGS = {
     "gp": (["--solver", "gp"], 0),
