@@ -38,6 +38,7 @@ from .entropy import (
     T_MIN,
     _geometric_mean,
     _mean_at,
+    _positive,
     _relative_entropy,
     _sandwich_spectrum,
     _sandwich_trace,
@@ -56,6 +57,7 @@ from .linalg import (
     _eigenvalues,
     _graded_svd,
     _is_number,
+    _positive_definite,
     _spd_from_draws,
     _trace,
     check_matrices,
@@ -284,11 +286,13 @@ def _chain_margins(links):
 REPRESENTATIONS = ("i", "ii", "iii", "iv")
 
 
-def _powered_trace(M, s):
-    """tr M^s for the positive definite M (or each M of a stack) of a representation objective."""
-    w = _eigenvalues(M)
-    if np.any(w[..., 0] <= 0):
-        raise DomainError("representation objectives need a positive definite X")
+def _powered_trace(M, s, what):
+    """tr M^s for the product ``what`` of a representation objective (or each M of a stack).
+
+    M is a congruence of a positive definite X, so ``NumericalError`` when
+    its computed spectrum is not positive.
+    """
+    w = _positive(_eigenvalues(M), what)
     return np.sum(_libm_pow(w[..., ::-1], s), axis=-1)
 
 
@@ -298,12 +302,16 @@ def variational_value(A, B, t, X, rep):
     Each representation is minimized over SPD X with minimum value
     fidelity(A, B, t); "i"/"iii" are trace sums, "ii"/"iv" their
     scale-invariant product forms. The variational suite evaluates the same
-    formulas on stacks.
+    formulas on stacks. ``DomainError`` unless X is positive definite, and
+    ``NumericalError`` when a congruence of X loses positivity in floating
+    point, as at small t.
     """
     check_unit_t(t)
     if rep not in REPRESENTATIONS:
         raise InvalidInput(f"unknown representation {rep!r}")
     A, B, X = check_matrices(A=A, B=B, X=X)
+    if not _positive_definite(X):
+        raise DomainError("representation objectives need a positive definite X")
     decB = spectral_decompose(B) if rep in ("iii", "iv") else None
     return float(_variational_values(spectral_decompose(A), decB, B, t, X, (rep,))[rep])
 
@@ -319,14 +327,14 @@ def _variational_values(decA, decB, B, t, X, reps):
     values = {}
     if "i" in reps or "ii" in reps:
         Q = decA.map(power((t - 1.0) / (2.0 * t)))
-        u = _powered_trace(Q @ X @ Q, s)
+        u = _powered_trace(Q @ X @ Q, s, "A^{(t-1)/2t} X A^{(t-1)/2t}")
         v = _trace(X @ B)
         values["i"] = (1.0 - t) * u + t * v
         values["ii"] = _libm_pow(u, 1.0 - t) * _libm_pow(v, t)
     if "iii" in reps or "iv" in reps:
         Bri = decB.map(power(-0.5))
         u = _trace(decA.map(power((1.0 - t) / t)) @ X)
-        w = _powered_trace(Bri @ X @ Bri, s)
+        w = _powered_trace(Bri @ X @ Bri, s, "B^{-1/2} X B^{-1/2}")
         values["iii"] = t * u + (1.0 - t) * w
         values["iv"] = _libm_pow(u, t) * _libm_pow(w, 1.0 - t)
     return values

@@ -263,6 +263,18 @@ def test_variational_guards():
         variational_minimizer(-A, A, 0.5, "i")
 
 
+def test_variational_value_tells_a_bad_x_from_lost_positivity():
+    # X is positive definite, but at t = 0.02 the computed congruence
+    # A^{(t-1)/2t} X A^{(t-1)/2t} turns indefinite: a numerical failure
+    A, B = random_pair(4, 1, "pair")
+    X = random_spd(4, 0.25, 4.0, 1001)
+    with pytest.raises(NumericalError, match="lost positivity"):
+        variational_value(A, B, 0.02, X, "i")
+    for rep in REPRESENTATIONS:
+        with pytest.raises(DomainError, match="positive definite X"):
+            variational_value(A, B, 0.5, -X, rep)
+
+
 # Every representation's value at variational_minimizer is within this of
 # F_t, relative. Measured worst on 40 random_pair pairs per n = 1-6 at t in
 # {0.1, 0.3, 0.5, 0.7, 0.9}: 4.6e-13, all at t = 0.1 (iv at 3.7 X); at most
