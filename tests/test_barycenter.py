@@ -22,11 +22,12 @@ from sandwich_opt import (
     matrix_power,
     objective,
     objective_gradient,
+    project_box,
     random_spd,
     solve_fixed_point,
     solve_gradient_projection,
 )
-from sandwich_opt.barycenter import _History
+from sandwich_opt.barycenter import BOX_RTOL, _History, _power_mean
 
 from oracles import fd_gradient, fixed_point_map_oracle, objective_gradient_oracle
 
@@ -164,6 +165,69 @@ def test_gradient_projection_commuting_closed_form():
     )
     rep = solve_gradient_projection(p)
     assert np.linalg.norm(rep.minimizer - 2.25 * np.eye(2)) <= 1e-8
+
+
+@pytest.mark.parametrize("t", [0.1, 0.5, 0.9])
+@pytest.mark.parametrize("basis", ["diagonal", "orthogonal", "unitary"])
+def test_commuting_marginals_are_solved_at_the_start(basis, t):
+    # commuting marginals Q diag(a_j) Q*: phi_t is minimized at
+    # Q diag((sum_j w_j a_j^{1-t})^{1/(1-t)}) Q*, gradient projection's default
+    # start, so it stops there; the fixed point starts at the box midpoint
+    n, m = 4, 3
+    rng = np.random.default_rng(derive_seed(9300, basis, t))
+    a = rng.uniform(1.0, 4.0, (m, n))
+    w = np.array([1.0, 2.0, 3.0])
+    Q = np.eye(n)
+    if basis != "diagonal":
+        Z = rng.standard_normal((n, n))
+        if basis == "unitary":
+            Z = Z + 1j * rng.standard_normal((n, n))
+        Q = np.linalg.qr(Z)[0]
+    p = barycenter_problem([(Q * x) @ Q.conj().T for x in a], w, t, alpha=1.0, beta=4.0)
+    x = (w / w.sum() @ a ** (1.0 - t)) ** (1.0 / (1.0 - t))
+    expected = (Q * x) @ Q.conj().T
+
+    gp = solve_gradient_projection(p)
+    assert gp.iterations == 0 and gp.termination == "gradient_tol"
+    assert np.linalg.norm(gp.minimizer - expected) <= 1e-12 * np.linalg.norm(expected)
+    fp = solve_fixed_point(p)
+    assert fp.iterations > 0 and fp.termination == "gradient_tol"
+    assert np.linalg.norm(fp.minimizer - gp.minimizer) <= fp.error_bound + gp.error_bound
+
+
+def _start_problem(log_w, n, t, hi, real, seed):
+    mats = [_real_or_complex(random_spd(n, 1.0, hi, derive_seed(seed, "marg", j)), real)
+            for j in range(len(log_w))]
+    return barycenter_problem(mats, 10.0 ** np.array(log_w), t, alpha=1.0, beta=hi)
+
+
+_START_PROBLEMS = dict(
+    log_w=st.lists(st.floats(-12.0, 0.0), min_size=1, max_size=4),
+    n=st.integers(1, 5),
+    hi=st.floats(1.5, 20.0),
+    real=st.booleans(),
+    seed=st.integers(0, 2**32 - 2),
+)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(t=st.floats(0.02, 0.98), **_START_PROBLEMS)
+def test_power_mean_start_lies_in_the_box(log_w, n, t, hi, real, seed):
+    # each A_j^{1-t} lies in [alpha^{1-t} I, beta^{1-t} I], so does their
+    # convex combination, and its 1/(1-t) power lies in [alpha I, beta I]
+    p = _start_problem(log_w, n, t, hi, real, seed)
+    w = np.linalg.eigvalsh(_power_mean(p))
+    slack = BOX_RTOL * p.beta
+    assert p.alpha - slack <= w[0] and w[-1] <= p.beta + slack
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(t=st.floats(0.1, 0.9), **_START_PROBLEMS)
+def test_gradient_projection_starts_at_the_projected_power_mean(log_w, n, t, hi, real, seed):
+    # t >= 0.1: below, the first gradient can lose positivity (ROADMAP item 1)
+    p = _start_problem(log_w, n, t, hi, real, seed)
+    rep = solve_gradient_projection(p, max_iters=0, trace=True)
+    assert np.array_equal(rep.iterates[0], project_box(_power_mean(p), p.alpha, p.beta))
 
 
 def test_gradient_projection_iterates_stay_in_box_and_descend():
