@@ -355,8 +355,9 @@ def solve_gradient_projection(
     minimizer when the marginals commute, so the run stops at iteration 0
     there; otherwise a start closer to the minimizer saves steps at the
     certified rate q. Every iterate stays in [alpha I, beta I]; the returned
-    error_bound is a certified distance bound to the unique minimizer. ``InvalidInput`` unless
-    grad_tol is finite and >= 0 and max_iters is an integer >= 0.
+    error_bound is a certified distance bound to the unique minimizer.
+    ``InvalidInput`` unless grad_tol is finite and >= 0 and max_iters is an
+    integer >= 0.
     """
     alpha_star, beta_star, q = certified_rate(p, eta)
     if eta is None:
@@ -389,12 +390,13 @@ def solve_fixed_point(
     """Fixed-point iteration X <- F(X), used for cross-validation.
 
     Defaults: X0 = (alpha+beta)/2 I, a start independent of gradient
-    projection's, and tol = 1e-12 on the residual ||X - F(X)||. No contraction is
-    guaranteed; if the residual grows for 10 consecutive steps the run stops
-    with residual_growth termination instead of raising. grad_norms records
-    grad phi_t at each iterate for comparability with the gradient-projection
-    report, read from the same S(X) as F(X). ``InvalidInput`` unless tol is
-    finite and >= 0 and max_iters is an integer >= 0.
+    projection's, and tol = 1e-12 on the residual ||X - F(X)||. No
+    contraction is guaranteed; if the residual grows for 10 consecutive steps
+    the run stops with residual_growth termination instead of raising.
+    grad_norms records grad phi_t at each iterate for comparability with the
+    gradient-projection report, read from the same S(X) as F(X).
+    ``InvalidInput`` unless tol is finite and >= 0 and max_iters is an
+    integer >= 0.
     """
     if tol is None:
         tol = 1e-12
