@@ -12,16 +12,16 @@ grad phi_t(X) = t I - sum_j w_j grad f_j(X) = t (I - S(X)) with
 S(X) = sum_j w_j grad f_j(X) / t, and F(X) = X^{1/2} S(X) X^{1/2}. Each
 A_j is decomposed once, when a problem first needs it (m eigh per problem),
 and every function of A_j a solver reads comes from that decomposition: the
-sandwich factors P_j = A_j^{(1-t)/2t}, and the powers A_j^{1-t} of gradient
-projection's start, the power mean (sum_j w_j A_j^{1-t})^{1/(1-t)}, which
+sandwich factors P_j = A_j^{(1-t)/2t}, and the powers A_j^{1-t} of the
+solvers' one start, the power mean (sum_j w_j A_j^{1-t})^{1/(1-t)}, which
 is the minimizer when the marginals commute and takes one eigh more. Each
 grad f_j takes one eigh, of the sandwich P_j X P_j, so S(X) takes m. A
 fixed-point step adds one eigh for X^{1/2}: m + 1 per step. A
 gradient-projection step adds the box projection, which certifies an
 in-box X - eta grad phi_t(X) by two Cholesky factorizations and decomposes
 only a step that leaves the box: m eigh and 2 Cholesky per in-box step. A
-point X is checked once where it enters, and no step re-checks it; every
-iterate of either solver is exactly Hermitian.
+point X and the box are checked once where they enter, and no step
+re-checks either; every iterate of either solver is exactly Hermitian.
 """
 
 from __future__ import annotations
@@ -39,10 +39,13 @@ from .entropy import _factor_trace, _sandwich_factor, check_unit_t
 from .errors import InvalidBox, InvalidInput, InvalidStart, InvalidStepSize
 from .linalg import (
     _check_integer,
+    _descending,
     _eigenvalues,
+    _eigh,
     _is_number,
     _spd_and_spectrum,
     _trace,
+    _project_box,
     check_box,
     check_matrices,
     power,
@@ -152,24 +155,22 @@ def _mean_sum(p: BarycenterProblem, X):
                for w, P in zip(p.weights, p._factors)) / p.t
 
 
-def _gradient_from_sum(S, t):
-    return symmetrize(t * (np.eye(S.shape[0]) - S))
-
-
-def _gradient(p: BarycenterProblem, X):
-    return _gradient_from_sum(_mean_sum(p, X), p.t)
+def _gradient_and_sum(p: BarycenterProblem, X):
+    """(t (I - S(X)), S(X)) = (grad phi_t(X), S(X)), exactly Hermitian as S sums such terms: m eigh."""
+    S = _mean_sum(p, X)
+    return p.t * (np.eye(p.n) - S), S
 
 
 def _fixed_point_from_sum(X, S):
-    """F(X) = X^{1/2} S(X) X^{1/2} from S(X): one eigh."""
-    root = spectral_decompose(X).map(power(0.5))
+    """F(X) = X^{1/2} S(X) X^{1/2} from S(X): one unchecked eigh of the exactly Hermitian X."""
+    root = _descending(*_eigh(X)).map(power(0.5))
     return symmetrize(root @ S @ root)
 
 
 def _fixed_point_step(p: BarycenterProblem, X):
     """(F(X), grad phi_t(X)) from one decomposition of X and one S(X): m + 1 eigh."""
-    S = _mean_sum(p, X)
-    return _fixed_point_from_sum(X, S), _gradient_from_sum(S, p.t)
+    G, S = _gradient_and_sum(p, X)
+    return _fixed_point_from_sum(X, S), G
 
 
 def objective_gradient(p: BarycenterProblem, X):
@@ -178,7 +179,7 @@ def objective_gradient(p: BarycenterProblem, X):
     ``NumericalError`` when a sandwich A_j^{(1-t)/2t} X A_j^{(1-t)/2t} loses
     positivity in floating point, which happens first at small t.
     """
-    return _gradient(p, check_matrices(n=p.n, X=X)[0])
+    return _gradient_and_sum(p, check_matrices(n=p.n, X=X)[0])[0]
 
 
 def fixed_point_map(p: BarycenterProblem, X):
@@ -253,13 +254,8 @@ def _check_stopping(tol_name, tol, max_iters):
     _check_integer(max_iters, "max_iters", 0)
 
 
-def _box_midpoint(p: BarycenterProblem):
-    """(alpha + beta)/2 I, the fixed-point iteration's default start."""
-    return (p.alpha + p.beta) / 2.0 * np.eye(p.n, dtype=complex)
-
-
 def _power_mean(p: BarycenterProblem):
-    """(sum_j w_j A_j^{1-t})^{1/(1-t)}, gradient projection's default start.
+    """(sum_j w_j A_j^{1-t})^{1/(1-t)}, exactly Hermitian: the default start of both solvers.
 
     It is the minimizer of phi_t when the marginals commute. Each A_j^{1-t}
     is rebuilt from the problem's decomposition of A_j, so the start takes
@@ -269,13 +265,13 @@ def _power_mean(p: BarycenterProblem):
     """
     r = 1.0 - p.t
     mean = sum(w * dec.map(power(r)) for w, dec in zip(p.weights, p._decompositions))
-    return spectral_decompose(mean).map(power(1.0 / r))
+    return symmetrize(spectral_decompose(mean).map(power(1.0 / r)))
 
 
-def _start_iterate(p: BarycenterProblem, x0, default):
-    """x0, checked against the problem and the box, or ``default(p)`` when x0 is None."""
+def _start_iterate(p: BarycenterProblem, x0):
+    """x0, checked against the problem and the box, or the power mean when x0 is None."""
     if x0 is None:
-        return default(p)
+        return _power_mean(p)
     x0 = check_matrices(n=p.n, error=InvalidStart, x0=x0)[0]
     w = _eigenvalues(x0)
     if not _in_box(w[0], w[-1], p.alpha, p.beta):
@@ -366,14 +362,10 @@ def solve_gradient_projection(
         grad_tol = 1e-10 * p.t * p.n
     _check_stopping("grad_tol", grad_tol, max_iters)
 
-    def evaluate(X):
-        S = _mean_sum(p, X)
-        return _gradient_from_sum(S, p.t), S
-
     return _iterate(
-        project_box(_start_iterate(p, x0, _power_mean), p.alpha, p.beta), evaluate,
+        project_box(_start_iterate(p, x0), p.alpha, p.beta), lambda X: _gradient_and_sum(p, X),
         converged=lambda gn, S: gn <= grad_tol,
-        advance=lambda X, G, S: project_box(X - eta * G, p.alpha, p.beta),
+        advance=lambda X, G, S: _project_box(X - eta * G, p.alpha, p.beta),
         # the last S(X) was formed at this X
         residual=lambda X, S: float(np.linalg.norm(X - _fixed_point_from_sum(X, S))),
         rate=(alpha_star, beta_star, q), max_iters=max_iters, trace=trace, eta=float(eta),
@@ -389,10 +381,10 @@ def solve_fixed_point(
 ) -> SolverReport:
     """Fixed-point iteration X <- F(X), used for cross-validation.
 
-    Defaults: X0 = (alpha+beta)/2 I, a start independent of gradient
-    projection's, and tol = 1e-12 on the residual ||X - F(X)||. No
-    contraction is guaranteed; if the residual grows for 10 consecutive steps
-    the run stops with residual_growth termination instead of raising.
+    Defaults: X0 the power mean, as for gradient projection (a cross-check
+    from an independent start passes another x0), and tol = 1e-12 on the
+    residual ||X - F(X)||. No contraction is guaranteed; if the residual
+    grows for 10 consecutive steps, the run stops with residual_growth.
     grad_norms records grad phi_t at each iterate for comparability with the
     gradient-projection report, read from the same S(X) as F(X).
     ``InvalidInput`` unless tol is finite and >= 0 and max_iters is an
@@ -418,7 +410,7 @@ def solve_fixed_point(
             return "residual_growth"
 
     return _iterate(
-        _start_iterate(p, x0, _box_midpoint), evaluate,
+        _start_iterate(p, x0), evaluate,
         converged=lambda gn, state: state[1] <= tol,
         advance=lambda X, G, state: state[0],
         residual=lambda X, state: state[1],

@@ -29,21 +29,21 @@ from .linalg import (
 
 
 def _whitened_frame(P, X, t):
-    """(W, d) with W = V* P and P X P = V diag(d) V*, from the sandwich factor P = A''^{1/2}.
+    """(U, d), U = P V, with P X P = V diag(d) V*, d ascending, and P = A''^{1/2}, A'' = A^{(1-t)/t}.
 
-    A'' = A^{(1-t)/t}; P is formed once per A by ``entropy._sandwich_factor``.
+    P is formed once per A by ``entropy._sandwich_factor``; U* is ``HessianOperator``'s W. Unchecked.
     """
-    dec = _sandwich(P, X, t)
-    return dec.eigenvectors.conj().T @ P, dec.eigenvalues
+    d, V = _sandwich(P, X, t)
+    return P @ V, d
 
 
-def _frame_gradient(W, d, t):
-    """t W* diag(d^{t-1}) W, the gradient of f in the whitened frame.
+def _frame_gradient(U, d, t):
+    """t U diag(d^{t-1}) U*, the gradient of f in the whitened frame.
 
     ``NumericalError``, and no numpy warning, if d^{t-1} overflows: a positive
     but tiny d, reached at small t, would turn the product into NaN.
     """
-    return symmetrize(t * (W.conj().T * power(t - 1.0).finite_on(d)) @ W)
+    return symmetrize(t * (U * power(t - 1.0).finite_on(d)) @ U.conj().T)
 
 
 def gradient_f(A, X, t):
@@ -85,12 +85,12 @@ def hessian_operator(A, X, t) -> HessianOperator:
     """
     check_unit_t(t)
     A, X = check_matrices(A=A, X=X)
-    W, d = _whitened_frame(_sandwich_factor(spectral_decompose(A), t), X, t)
+    U, d = _whitened_frame(_sandwich_factor(spectral_decompose(A), t), X, t)
     kernel = -loewner_matrix(power(t - 1.0), d)
     if not np.isfinite(kernel).all():
         raise NumericalError(f"the Hessian kernel overflows at t = {t} "
                              f"(sandwich eigenvalues {np.min(d):.3e} to {np.max(d):.3e})")
-    return HessianOperator(t=float(t), W=W, kernel=kernel)
+    return HessianOperator(t=float(t), W=U.conj().T, kernel=kernel)
 
 
 def hessian_apply(op: HessianOperator, Y):
@@ -331,10 +331,10 @@ def bregman(A, t, Y, X):
     check_unit_t(t)
     A, Y, X = check_matrices(A=A, Y=Y, X=X)
     P = _sandwich_factor(spectral_decompose(A), t)
-    W, d = _whitened_frame(P, X, t)
+    U, d = _whitened_frame(P, X, t)
     fX = float(np.sum(d ** float(t)))
     fY = float(_factor_trace(P, Y, t))
-    return fX - fY + inner(_frame_gradient(W, d, t), Y - X)
+    return fX - fY + inner(_frame_gradient(U, d, t), Y - X)
 
 
 def fidelity_t_derivative(A, B, t):
@@ -347,10 +347,9 @@ def fidelity_t_derivative(A, B, t):
     check_trace_order(t)
     A, B = check_matrices(A=A, B=B)
     decA = spectral_decompose(A)
-    dec = _sandwich(_sandwich_factor(decA, t), B, t)
-    w = dec.eigenvalues
+    w, V = _sandwich(_sandwich_factor(decA, t), B, t)
     wt = power(t).finite_on(w)
-    phi_t = dec.apply(wt)
+    phi_t = (V * wt) @ V.conj().T
     term1 = float(np.sum(wt * np.log(w)))
     term2 = float(_trace(phi_t @ decA.map(LOG))) / t
     return term1 - term2

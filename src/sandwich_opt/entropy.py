@@ -21,6 +21,7 @@ from .errors import InvalidInput, NumericalError, ParameterError
 from .linalg import (
     LOG,
     _eigenvalues,
+    _eigh,
     _is_number,
     _trace,
     check_matrices,
@@ -89,10 +90,9 @@ def _sandwich_factor(decA, t):
 
 
 def _sandwich(P, X, t):
-    """Decomposition of P X P from the sandwich factor P, X Hermitian; NumericalError unless P X P > 0."""
-    dec = spectral_decompose(_sandwiched(P, X, f" at t = {t}"))
-    _positive(dec.eigenvalues)
-    return dec
+    """(d, V), d ascending, with P X P = V diag(d) V*, X Hermitian; NumericalError unless P X P > 0."""
+    d, V = _eigh(symmetrize(_sandwiched(P, X, f" at t = {t}")))
+    return _positive(d), V
 
 
 def _sandwiched(P, B, context="", what="sandwiched product"):

@@ -4,9 +4,9 @@ Spectral decomposition, matrix functions, Fréchet derivatives, spectral-box
 projection, norms, and seeded random generation. Everything downstream is
 built on these kernels; matrices are plain complex ndarrays and all
 operations are pure functions of their inputs. The package's Hermitian
-eigensolver calls go through ``spectral_decompose`` (eigenvectors) and
-``_eigenvalues`` (spectra); they, ``symmetrize``, ``SpectralDecomp`` and
-``_graded_svd`` also take stacks (k, n, n), one LAPACK call per stack.
+eigensolver calls go through ``_eigh`` (eigenvectors; ``spectral_decompose``
+checks and orders them) and ``_eigenvalues`` (spectra); they, ``symmetrize``,
+``SpectralDecomp`` and ``_graded_svd`` also take stacks, one LAPACK call each.
 """
 
 from __future__ import annotations
@@ -155,7 +155,12 @@ def spectral_decompose(H) -> SpectralDecomp:
     results are deterministic. A stack takes one batched eigh; LAPACK
     decomposes each matrix on its own, so entry i is ``spectral_decompose(H[i])``.
     """
-    return _descending(*np.linalg.eigh(_finite_hermitian(H)))
+    return _descending(*_eigh(_finite_hermitian(H)))
+
+
+def _eigh(H):
+    """(w, V), w ascending, of an exactly Hermitian H (n, n) or stack (k, n, n) by one eigh; unchecked."""
+    return np.linalg.eigh(H)
 
 
 def _finite_hermitian(H):
@@ -312,7 +317,11 @@ def project_box(H, alpha, beta):
     eigenvectors, and the rebuilt matrix is symmetrized. Nonexpansive.
     """
     check_box(alpha, beta)
-    H = _finite_hermitian(H)
+    return _project_box(_finite_hermitian(H), alpha, beta)
+
+
+def _project_box(H, alpha, beta):
+    """``project_box`` of a finite, exactly Hermitian H on a checked box: unchecked, no eigh in the box."""
     eye = np.eye(H.shape[-1])
     if _positive_definite(H - alpha * eye) and _positive_definite(beta * eye - H):
         return H

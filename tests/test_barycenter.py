@@ -171,8 +171,11 @@ def test_gradient_projection_commuting_closed_form():
 @pytest.mark.parametrize("basis", ["diagonal", "orthogonal", "unitary"])
 def test_commuting_marginals_are_solved_at_the_start(basis, t):
     # commuting marginals Q diag(a_j) Q*: phi_t is minimized at
-    # Q diag((sum_j w_j a_j^{1-t})^{1/(1-t)}) Q*, gradient projection's default
-    # start, so it stops there; the fixed point starts at the box midpoint
+    # Q diag((sum_j w_j a_j^{1-t})^{1/(1-t)}) Q*, the default start of both
+    # solvers. Gradient projection stops there. The fixed point stops there
+    # too, or one step later where its residual starts just above 1e-12
+    # (unitary, t = 0.1: 1 step); from the independent start (alpha+beta)/2 I
+    # it took 13-242 steps
     n, m = 4, 3
     rng = np.random.default_rng(derive_seed(9300, basis, t))
     a = rng.uniform(1.0, 4.0, (m, n))
@@ -191,8 +194,11 @@ def test_commuting_marginals_are_solved_at_the_start(basis, t):
     assert gp.iterations == 0 and gp.termination == "gradient_tol"
     assert np.linalg.norm(gp.minimizer - expected) <= 1e-12 * np.linalg.norm(expected)
     fp = solve_fixed_point(p)
-    assert fp.iterations > 0 and fp.termination == "gradient_tol"
-    assert np.linalg.norm(fp.minimizer - gp.minimizer) <= fp.error_bound + gp.error_bound
+    assert fp.iterations <= 1 and fp.termination == "gradient_tol"
+    assert np.linalg.norm(fp.minimizer - expected) <= 1e-12 * np.linalg.norm(expected)
+    midpoint = solve_fixed_point(p, x0=(p.alpha + p.beta) / 2.0 * np.eye(n))
+    assert midpoint.iterations > 0 and midpoint.termination == "gradient_tol"
+    assert np.linalg.norm(midpoint.minimizer - gp.minimizer) <= midpoint.error_bound + gp.error_bound
 
 
 def _start_problem(log_w, n, t, hi, real, seed):
@@ -333,13 +339,18 @@ def test_point_of_the_wrong_size_or_non_finite_names_x(fn):
 
 
 def _count_argument_checks(monkeypatch):
-    # every module binding of check_matrices and check_unit_t, so that a call
-    # through any of them is counted
-    import sandwich_opt
     from sandwich_opt import entropy, linalg
 
+    return _count_checks(monkeypatch, (linalg.check_matrices, entropy.check_unit_t))
+
+
+def _count_checks(monkeypatch, fns):
+    # every module binding of each function, so that a call through any of
+    # them is counted
+    import sandwich_opt
+
     calls = []
-    for fn in (linalg.check_matrices, entropy.check_unit_t):
+    for fn in fns:
         def counted(*args, _fn=fn, **kwargs):
             calls.append(_fn.__name__)
             return _fn(*args, **kwargs)
@@ -366,6 +377,30 @@ def test_solve_argument_checks_do_not_grow_with_iterations(monkeypatch, solver, 
         counts.append(sorted(calls))
     # certified_rate checks t and _start_iterate x0 once per solve
     assert counts[0] == counts[1] == ["check_matrices", "check_unit_t"]
+
+
+@pytest.mark.parametrize("solver,tol,expected", [
+    # certified_rate's box, and the start's projection
+    (solve_gradient_projection, "grad_tol", ["_finite_hermitian", "check_box", "check_box"]),
+    (solve_fixed_point, "tol", ["check_box"]),
+])
+def test_solve_box_and_matrix_checks_do_not_grow_with_iterations(monkeypatch, solver, tol, expected):
+    # the box and x0 are checked where they enter; an in-box gradient step is
+    # certified by its two Cholesky factorizations alone, and no step
+    # re-checks the box, an iterate or a sandwich before its eigh
+    from sandwich_opt import linalg
+
+    p = random_problem(17)
+    p._factors  # the marginals are decomposed, each checked, once per problem
+    x0 = random_spd(4, 1.5, 3.5, 18)
+    counts = []
+    for iters in (3, 30):
+        calls = _count_checks(monkeypatch, (linalg.check_box, linalg._finite_hermitian))
+        rep = solver(p, max_iters=iters, x0=x0, **{tol: 0.0})
+        monkeypatch.undo()
+        assert rep.iterations == iters
+        counts.append(sorted(calls))
+    assert counts[0] == counts[1] == expected
 
 
 def test_fixed_point_single_marginal():
@@ -540,7 +575,7 @@ def test_fixed_point_step_eigh_count(monkeypatch):
     bc._fixed_point_step(p, X)
     assert len(calls) == m + 1
     calls.clear()
-    G = bc._gradient(p, X)
+    G = bc._gradient_and_sum(p, X)[0]
     step = X - G / certified_rate(p)[1]
     bc.project_box(step, p.alpha, p.beta)
     assert len(calls) == m and len(choleskys) == 2
@@ -548,7 +583,8 @@ def test_fixed_point_step_eigh_count(monkeypatch):
     calls.clear()
     rep = bc.solve_fixed_point(random_problem(22, m=m), tol=1e-12, max_iters=3)
     assert rep.iterations == 3
-    assert len(calls) == m + (rep.iterations + 1) * (m + 1)
+    # the marginals, the start's outer power 1/(1-t), then m + 1 per iterate
+    assert len(calls) == m + 1 + (rep.iterations + 1) * (m + 1)
 
 
 @pytest.mark.parametrize("iters", [0, 3])
