@@ -356,9 +356,9 @@ def test_verify_report_digest_is_pinned(suite, capsys):
 # sha256 of the barycenter report on stdout for a seeded 3x3 problem with
 # three marginals: a change to the solver loop that moves one bit shows here
 BARYCENTER_DIGESTS = {
-    "gp": "2b1157558cd4963b04c8370227ea9f38bc0e65488b0b54e6d3e2e5af5db8d948",
-    "fp": "fc7c17f9332adaf85cf9944ce7bb4de10f4114f37219302e35fa443196780058",
-    "gp-capped-trace": "1baa5b8446eec916e511d55dee852bc62332e796c742c81b48f357d8dc39c787",
+    "gp": "55413f91aa78b9bd9988de34316d26579f9bfca2ccb60be30d6db5e391ac4741",
+    "fp": "c2304a28a8fe5460c820f8ea2e827f445d653742ee35460a3def3775520ff04f",
+    "gp-capped-trace": "9ed4d58f7719d3c0e3eaae9f1d6d1625cb6ba4e4912598f1205df65c2ec94db6",
 }
 BARYCENTER_ARGS = {
     "gp": (["--solver", "gp"], 0),
@@ -389,8 +389,8 @@ CLI_DIGESTS = {
     "divergence-bures": "9e4ae48ec4aba09c34171389bf8e904de2989824eeaab143c42aab19872e2922",
     "divergence-riemannian": "56aee6693f893d650b972f249a38dfb33b62e8da123f4ee2d6adf969d5673f92",
     "gmean": "6b7790945013288de9ef0f0701cb1d8bb8da65fc409aa47dface96acc1c5ddc2",
-    "grad": "62a682a38a2646b744a0701fef2bee0c53ba7212832cec9734f1c21a6f2e5b87",
-    "hess-bounds": "d0564aedba8ef827513e57bb668cd1d0a87b99eed2ca84f6e8a33385dc826a32",
+    "grad": "91e564dde59330a33d48610f620735fad44f257c66a1d58183206d040092e68a",
+    "hess-bounds": "5f496581e66592fa0924086872993d703aef7b415c68d164d372094d0c305216",
     "constants": "acd7816375496e0bf7514099043bfb7f9a858180e9d31f8e2546fa37dbad997a",
 }
 CLI_ARGS = {
