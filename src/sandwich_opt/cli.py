@@ -109,8 +109,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--eta", type=float, help="step size (gp only; default 1/beta_star)")
     sp.add_argument("--tol", type=float, help="gradient (gp) or residual (fp) tolerance")
     sp.add_argument("--max-iters", type=int, default=100_000)
-    sp.add_argument("--x0", help="matrix JSON file with the starting iterate (default: gp the power "
-                    "mean (sum_j w_j A_j^(1-t))^(1/(1-t)) projected onto the box, fp (alpha+beta)/2 I)")
+    sp.add_argument("--x0", help="matrix JSON file with the starting iterate (default: the power mean "
+                    "(sum_j w_j A_j^(1-t))^(1/(1-t)), which gp projects onto the box)")
     sp.add_argument("--trace", action="store_true", help="include iterates in the report")
 
     sp = verb("verify", _cmd_verify, "run a verification suite", out)
