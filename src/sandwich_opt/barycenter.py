@@ -43,9 +43,9 @@ from .linalg import (
     _eigenvalues,
     _eigh,
     _is_number,
+    _project_box,
     _spd_and_spectrum,
     _trace,
-    _project_box,
     check_box,
     check_matrices,
     power,
