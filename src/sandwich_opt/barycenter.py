@@ -5,7 +5,8 @@ f_j(X) = tr(A_j^{(1-t)/2t} X A_j^{(1-t)/2t})^t over the spectral box
 [alpha I, beta I] by projected gradient descent with a certified linear rate,
 cross-validated by a fixed-point iteration on
 F(X) = sum_j w_j (X^{1/2} A_j^{(1-t)/t} X^{1/2})^t. The two are step rules
-of one loop, which owns the history, the stopping order and the report.
+of one loop, which owns the history, the stopping order and the report, and
+both stop on one rule, ||grad phi_t(X)|| <= grad_tol (default 1e-10 t n).
 
 Both solvers read the one gradient of f, the kernel of ``calculus.gradient_f``:
 grad phi_t(X) = t I - sum_j w_j grad f_j(X) = t (I - S(X)) with
@@ -242,16 +243,20 @@ class SolverReport:
     iterates: list | None = None
 
 
-def _check_stopping(tol_name, tol, max_iters):
-    """InvalidInput unless the tolerance is a finite number >= 0 and max_iters an integer >= 0.
+def _stopping_tolerance(p: BarycenterProblem, grad_tol, max_iters):
+    """grad_tol, or the default 1e-10 t n when it is None: the one stop rule of both solvers.
 
-    A NaN or negative tolerance is never met, so the run would go on to the
-    iteration cap and report an unconverged iterate; a bool is not a number
-    (True would read as 1.0).
+    ``InvalidInput`` unless grad_tol is a finite number >= 0 and max_iters an
+    integer >= 0. A NaN or negative tolerance is never met, so the run would
+    go on to the iteration cap and report an unconverged iterate; a bool is
+    not a number (True would read as 1.0).
     """
-    if not (_is_number(tol) and math.isfinite(tol) and tol >= 0):
-        raise InvalidInput(f"{tol_name} = {tol!r} must be a finite number >= 0")
     _check_integer(max_iters, "max_iters", 0)
+    if grad_tol is None:
+        return 1e-10 * p.t * p.n
+    if not (_is_number(grad_tol) and math.isfinite(grad_tol) and grad_tol >= 0):
+        raise InvalidInput(f"grad_tol = {grad_tol!r} must be a finite number >= 0")
+    return grad_tol
 
 
 def _power_mean(p: BarycenterProblem):
@@ -297,14 +302,14 @@ class _History:
             self.iterates.append(X.copy())
 
 
-def _iterate(X, evaluate, converged, advance, residual, rate, max_iters, trace,
+def _iterate(X, evaluate, advance, residual, rate, grad_tol, max_iters, trace,
              safeguard=lambda k, state: None, eta=None):
     """The one loop of both solvers, and their one report.
 
     At iterate k, ``evaluate(X)`` returns (grad phi_t(X), the step rule's
     state). The run stops with the first of "gradient_tol" if
-    ``converged(||grad phi_t(X)||, state)``, "max_iters" if k = max_iters and
-    the reason ``safeguard(k, state)`` returns; else X moves to
+    ||grad phi_t(X)|| <= grad_tol, "max_iters" if k = max_iters and the
+    reason ``safeguard(k, state)`` returns; else X moves to
     ``advance(X, G, state)``, formed only after the stop test. ``rate`` is
     (alpha_star, beta_star, q); ``residual(X, state)`` gives ||X - F(X)||.
     """
@@ -312,7 +317,7 @@ def _iterate(X, evaluate, converged, advance, residual, rate, max_iters, trace,
     for k in itertools.count():
         G, state = evaluate(X)
         gn = float(np.linalg.norm(G))
-        termination = ("gradient_tol" if converged(gn, state) else
+        termination = ("gradient_tol" if gn <= grad_tol else
                        "max_iters" if k >= max_iters else safeguard(k, state))
         hist.record(k, gn, X, final=termination is not None)
         if termination is not None:
@@ -358,41 +363,37 @@ def solve_gradient_projection(
     alpha_star, beta_star, q = certified_rate(p, eta)
     if eta is None:
         eta = 1.0 / beta_star
-    if grad_tol is None:
-        grad_tol = 1e-10 * p.t * p.n
-    _check_stopping("grad_tol", grad_tol, max_iters)
+    grad_tol = _stopping_tolerance(p, grad_tol, max_iters)
 
     return _iterate(
         project_box(_start_iterate(p, x0), p.alpha, p.beta), lambda X: _gradient_and_sum(p, X),
-        converged=lambda gn, S: gn <= grad_tol,
         advance=lambda X, G, S: _project_box(X - eta * G, p.alpha, p.beta),
         # the last S(X) was formed at this X
         residual=lambda X, S: float(np.linalg.norm(X - _fixed_point_from_sum(X, S))),
-        rate=(alpha_star, beta_star, q), max_iters=max_iters, trace=trace, eta=float(eta),
+        rate=(alpha_star, beta_star, q), grad_tol=grad_tol, max_iters=max_iters, trace=trace,
+        eta=float(eta),
     )
 
 
 def solve_fixed_point(
     p: BarycenterProblem,
-    tol=None,
+    grad_tol=None,
     max_iters=100_000,
     x0=None,
     trace=False,
 ) -> SolverReport:
     """Fixed-point iteration X <- F(X), used for cross-validation.
 
-    Defaults: X0 the power mean, as for gradient projection (a cross-check
-    from an independent start passes another x0), and tol = 1e-12 on the
-    residual ||X - F(X)||. No contraction is guaranteed; if the residual
-    grows for 10 consecutive steps, the run stops with residual_growth.
-    grad_norms records grad phi_t at each iterate for comparability with the
-    gradient-projection report, read from the same S(X) as F(X).
-    ``InvalidInput`` unless tol is finite and >= 0 and max_iters is an
-    integer >= 0.
+    It stops on the rule of gradient projection, ||grad phi_t(X)|| <= grad_tol
+    with the default grad_tol = 1e-10 t n, read from the same S(X) as F(X),
+    so error_bound certifies its answer as it does gradient projection's.
+    X0 defaults to the power mean, as for gradient projection (a cross-check
+    from an independent start passes another x0). No contraction is
+    guaranteed; if the residual ||X - F(X)|| grows for 10 consecutive steps,
+    the run stops with residual_growth. ``InvalidInput`` unless grad_tol is
+    finite and >= 0 and max_iters is an integer >= 0.
     """
-    if tol is None:
-        tol = 1e-12
-    _check_stopping("tol", tol, max_iters)
+    grad_tol = _stopping_tolerance(p, grad_tol, max_iters)
     alpha_star, beta_star, _ = certified_rate(p, None)
     increases, prev_residual = 0, np.inf
 
@@ -411,9 +412,8 @@ def solve_fixed_point(
 
     return _iterate(
         _start_iterate(p, x0), evaluate,
-        converged=lambda gn, state: state[1] <= tol,
         advance=lambda X, G, state: state[0],
         residual=lambda X, state: state[1],
-        rate=(alpha_star, beta_star, None), max_iters=max_iters, trace=trace,
+        rate=(alpha_star, beta_star, None), grad_tol=grad_tol, max_iters=max_iters, trace=trace,
         safeguard=residual_growth,
     )

@@ -97,7 +97,8 @@ def build_parser() -> argparse.ArgumentParser:
     verb("hess-bounds", _cmd_hess_bounds,
          "extreme eigenvalues of -grad^2 f(X), read from a twin operator with the "
          f"same spectrum: dense for n <= {DENSE_MAX_N}, where it is measured faster, "
-         "Lanczos beyond (NumericalError, exit 2, if unconverged)", point, order, out)
+         "Lanczos beyond (NumericalError, exit 2, if unconverged); below t ~ 0.04 the dense "
+         "sandwich loses its small eigenvalues, so the extremes can fall below k1", point, order, out)
 
     sp = verb("constants", _cmd_constants, "certified convexity/smoothness constants", order, out)
     sp.add_argument("--alpha", type=float, required=True)
@@ -107,7 +108,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--problem", required=True, help="problem JSON file")
     sp.add_argument("--solver", choices=("gp", "fp"), default="gp")
     sp.add_argument("--eta", type=float, help="step size (gp only; default 1/beta_star)")
-    sp.add_argument("--tol", type=float, help="gradient (gp) or residual (fp) tolerance")
+    sp.add_argument("--tol", type=float, help="the stop rule of both solvers: gradient-norm "
+                    "tolerance, ||grad phi_t(X)||_F <= tol (default 1e-10 t n)")
     sp.add_argument("--max-iters", type=int, default=100_000)
     sp.add_argument("--x0", help="matrix JSON file with the starting iterate (default: the power mean "
                     "(sum_j w_j A_j^(1-t))^(1/(1-t)), which gp projects onto the box)")
@@ -184,16 +186,12 @@ def _cmd_barycenter(args):
     problem = load_problem(args.problem)
     x0 = load_matrix(args.x0) if args.x0 else None
     if args.solver == "gp":
-        report = solve_gradient_projection(
-            problem, eta=args.eta, grad_tol=args.tol,
-            max_iters=args.max_iters, x0=x0, trace=args.trace,
-        )
+        solve = functools.partial(solve_gradient_projection, eta=args.eta)
+    elif args.eta is not None:
+        raise InvalidInput("--eta applies to the gp solver only")
     else:
-        if args.eta is not None:
-            raise InvalidInput("--eta applies to the gp solver only")
-        report = solve_fixed_point(
-            problem, tol=args.tol, max_iters=args.max_iters, x0=x0, trace=args.trace
-        )
+        solve = solve_fixed_point
+    report = solve(problem, grad_tol=args.tol, max_iters=args.max_iters, x0=x0, trace=args.trace)
     _emit(canonical_json(report_to_json(report)), args.out)
     return 0 if report.termination == "gradient_tol" else 1
 

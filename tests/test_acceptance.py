@@ -176,7 +176,7 @@ def test_criterion_5_linear_convergence_certification():
     with criterion(5, "q^k contraction toward the cross-solver minimizer on "
                       "20 problems", budget_s=60):
         for p in _criterion5_problems():
-            ref = solve_fixed_point(p, tol=1e-13, max_iters=50_000)
+            ref = solve_fixed_point(p, grad_tol=1e-13, max_iters=50_000)
             assert ref.termination == "gradient_tol"
             rep = solve_gradient_projection(p, trace=True)
             q_formula = 1.0 - (p.alpha / p.beta) ** (3.0 - 2.0 * p.t)
@@ -192,7 +192,7 @@ def test_criterion_6_solver_cross_agreement():
                       "within 1e-7; fp residual of the gp minimizer <= 1e-7"):
         for p in _criterion5_problems():
             gp = solve_gradient_projection(p)
-            fp = solve_fixed_point(p, tol=1e-12, max_iters=50_000)
+            fp = solve_fixed_point(p, grad_tol=1e-12, max_iters=50_000)
             assert np.linalg.norm(gp.minimizer - fp.minimizer) <= 1e-7
             assert gp.fixed_point_residual <= 1e-7
 

@@ -172,10 +172,8 @@ def test_gradient_projection_commuting_closed_form():
 def test_commuting_marginals_are_solved_at_the_start(basis, t):
     # commuting marginals Q diag(a_j) Q*: phi_t is minimized at
     # Q diag((sum_j w_j a_j^{1-t})^{1/(1-t)}) Q*, the default start of both
-    # solvers. Gradient projection stops there. The fixed point stops there
-    # too, or one step later where its residual starts just above 1e-12
-    # (unitary, t = 0.1: 1 step); from the independent start (alpha+beta)/2 I
-    # it took 13-242 steps
+    # solvers. Both stop there, at iteration 0, on the one gradient rule; from
+    # the independent start (alpha+beta)/2 I the fixed point takes 9-180 steps
     n, m = 4, 3
     rng = np.random.default_rng(derive_seed(9300, basis, t))
     a = rng.uniform(1.0, 4.0, (m, n))
@@ -194,7 +192,7 @@ def test_commuting_marginals_are_solved_at_the_start(basis, t):
     assert gp.iterations == 0 and gp.termination == "gradient_tol"
     assert np.linalg.norm(gp.minimizer - expected) <= 1e-12 * np.linalg.norm(expected)
     fp = solve_fixed_point(p)
-    assert fp.iterations <= 1 and fp.termination == "gradient_tol"
+    assert fp.iterations == 0 and fp.termination == "gradient_tol"
     assert np.linalg.norm(fp.minimizer - expected) <= 1e-12 * np.linalg.norm(expected)
     midpoint = solve_fixed_point(p, x0=(p.alpha + p.beta) / 2.0 * np.eye(n))
     assert midpoint.iterations > 0 and midpoint.termination == "gradient_tol"
@@ -251,7 +249,7 @@ def test_gradient_projection_iterates_stay_in_box_and_descend():
 
 def test_gradient_projection_error_bound_certifies_distance():
     p = random_problem(9)
-    ref = solve_fixed_point(p, tol=1e-13, max_iters=10_000)
+    ref = solve_fixed_point(p, grad_tol=1e-13, max_iters=10_000)
     rep = solve_gradient_projection(p, trace=True)
     assert np.linalg.norm(rep.minimizer - ref.minimizer) <= rep.error_bound * (1 + 1e-6)
     a_star = rep.alpha_star
@@ -261,7 +259,7 @@ def test_gradient_projection_error_bound_certifies_distance():
 
 def test_gradient_projection_geometric_contraction():
     p = random_problem(10)
-    ref = solve_fixed_point(p, tol=1e-13, max_iters=10_000)
+    ref = solve_fixed_point(p, grad_tol=1e-13, max_iters=10_000)
     rep = solve_gradient_projection(p, trace=True)
     d0 = np.linalg.norm(rep.iterates[0] - ref.minimizer)
     dists = []
@@ -295,16 +293,14 @@ def test_gradient_projection_max_iters_termination():
     assert all(np.isfinite(g) for g in rep.grad_norms)
 
 
-@pytest.mark.parametrize("solver,field", [(solve_gradient_projection, "grad_tol"),
-                                          (solve_fixed_point, "tol")])
+@pytest.mark.parametrize("solver", [solve_gradient_projection, solve_fixed_point])
 @pytest.mark.parametrize("name,value", [
-    ("tol", float("nan")), ("tol", -1.0), ("tol", float("inf")), ("tol", "1e-8"),
-    ("max_iters", -3), ("max_iters", 2.5), ("max_iters", True),
+    ("grad_tol", float("nan")), ("grad_tol", -1.0), ("grad_tol", float("inf")),
+    ("grad_tol", "1e-8"), ("max_iters", -3), ("max_iters", 2.5), ("max_iters", True),
 ])
-def test_solvers_reject_bad_stopping_parameters(solver, field, name, value):
+def test_solvers_reject_bad_stopping_parameters(solver, name, value):
     # a NaN or negative tolerance is never met: the run went on to the
     # iteration cap, and max_iters = -3 returned after 0 steps as "max_iters"
-    name = field if name == "tol" else name
     with pytest.raises(InvalidInput, match=name):
         solver(random_problem(14), **{name: value})
 
@@ -312,12 +308,12 @@ def test_solvers_reject_bad_stopping_parameters(solver, field, name, value):
 @pytest.mark.parametrize("call,name", [
     (lambda p: solve_gradient_projection(p, grad_tol=True), "grad_tol"),
     (lambda p: solve_gradient_projection(p, grad_tol=False), "grad_tol"),
-    (lambda p: solve_fixed_point(p, tol=True), "tol"),
+    (lambda p: solve_fixed_point(p, grad_tol=True), "grad_tol"),
     (lambda p: solve_gradient_projection(p, eta=True), "eta"),
     (lambda p: certified_rate(p, True), "eta"),
 ])
 def test_solvers_reject_bool_tolerances_and_step_sizes(call, name):
-    # True read as 1.0: grad_tol=True or tol=True returned the start after 0
+    # True read as 1.0: grad_tol=True returned the start after 0
     # steps as "gradient_tol", and eta=True ran with eta = 1
     with pytest.raises(InvalidInput, match=f"{name} = (True|False)"):
         call(random_problem(14))
@@ -361,9 +357,8 @@ def _count_checks(monkeypatch, fns):
     return calls
 
 
-@pytest.mark.parametrize("solver,tol", [(solve_gradient_projection, "grad_tol"),
-                                        (solve_fixed_point, "tol")])
-def test_solve_argument_checks_do_not_grow_with_iterations(monkeypatch, solver, tol):
+@pytest.mark.parametrize("solver", [solve_gradient_projection, solve_fixed_point])
+def test_solve_argument_checks_do_not_grow_with_iterations(monkeypatch, solver):
     # the problem and x0 are checked once per solve; no step re-checks t or a
     # marginal
     p = random_problem(17)
@@ -371,7 +366,7 @@ def test_solve_argument_checks_do_not_grow_with_iterations(monkeypatch, solver, 
     counts = []
     for iters in (3, 30):
         calls = _count_argument_checks(monkeypatch)
-        rep = solver(p, max_iters=iters, x0=x0, **{tol: 0.0})
+        rep = solver(p, grad_tol=0.0, max_iters=iters, x0=x0)
         monkeypatch.undo()
         assert rep.iterations == iters
         counts.append(sorted(calls))
@@ -379,12 +374,12 @@ def test_solve_argument_checks_do_not_grow_with_iterations(monkeypatch, solver, 
     assert counts[0] == counts[1] == ["check_matrices", "check_unit_t"]
 
 
-@pytest.mark.parametrize("solver,tol,expected", [
+@pytest.mark.parametrize("solver,expected", [
     # certified_rate's box, and the start's projection
-    (solve_gradient_projection, "grad_tol", ["_finite_hermitian", "check_box", "check_box"]),
-    (solve_fixed_point, "tol", ["check_box"]),
+    (solve_gradient_projection, ["_finite_hermitian", "check_box", "check_box"]),
+    (solve_fixed_point, ["check_box"]),
 ])
-def test_solve_box_and_matrix_checks_do_not_grow_with_iterations(monkeypatch, solver, tol, expected):
+def test_solve_box_and_matrix_checks_do_not_grow_with_iterations(monkeypatch, solver, expected):
     # the box and x0 are checked where they enter; an in-box gradient step is
     # certified by its two Cholesky factorizations alone, and no step
     # re-checks the box, an iterate or a sandwich before its eigh
@@ -396,7 +391,7 @@ def test_solve_box_and_matrix_checks_do_not_grow_with_iterations(monkeypatch, so
     counts = []
     for iters in (3, 30):
         calls = _count_checks(monkeypatch, (linalg.check_box, linalg._finite_hermitian))
-        rep = solver(p, max_iters=iters, x0=x0, **{tol: 0.0})
+        rep = solver(p, grad_tol=0.0, max_iters=iters, x0=x0)
         monkeypatch.undo()
         assert rep.iterations == iters
         counts.append(sorted(calls))
@@ -407,7 +402,7 @@ def test_fixed_point_single_marginal():
     A = random_spd(4, 1.0, 3.0, 13)
     p = barycenter_problem([A], [1.0], 0.5)
     assert np.linalg.norm(fixed_point_map(p, A) - A) <= 1e-12
-    rep = solve_fixed_point(p, tol=1e-12)
+    rep = solve_fixed_point(p, grad_tol=1e-12)
     assert rep.termination == "gradient_tol"
     assert np.linalg.norm(rep.minimizer - A) <= 1e-10
 
@@ -416,24 +411,60 @@ def test_fixed_point_scalar_closed_form():
     p = barycenter_problem(
         [np.array([[1.0]]), np.array([[4.0]])], [0.5, 0.5], 0.5, alpha=1.0, beta=4.0
     )
-    rep = solve_fixed_point(p, tol=1e-14)
+    rep = solve_fixed_point(p, grad_tol=1e-14)
     assert abs(rep.minimizer[0, 0].real - 2.25) <= 1e-12
 
 
 def test_fixed_point_stationarity_of_result():
+    # X - F(X) = X^{1/2} grad phi_t(X) X^{1/2} / t, so the gradient rule bounds
+    # the residual by lam_max(X) ||grad phi_t(X)||_F / t
     p = random_problem(14)
-    tol = 1e-11
-    rep = solve_fixed_point(p, tol=tol)
-    g = objective_gradient(p, rep.minimizer)
-    assert np.linalg.norm(g) <= 10.0 * tol * p.t
-    assert rep.fixed_point_residual <= tol
+    grad_tol = 1e-11
+    rep = solve_fixed_point(p, grad_tol=grad_tol)
+    assert rep.termination == "gradient_tol"
+    gn = np.linalg.norm(objective_gradient(p, rep.minimizer))
+    assert gn <= grad_tol
+    lam_max = np.linalg.eigvalsh(rep.minimizer)[-1]
+    assert rep.fixed_point_residual <= lam_max * gn / p.t
+
+
+def test_fixed_point_stops_on_the_gradient_rule_at_small_t():
+    # t = 0.1, n = 16, m = 5 on [1, 4]: the residual ||X - F(X)|| has a
+    # rounding floor of 2e-12 to 4e-12 here, so a stop at ||X - F(X)|| <= 1e-12
+    # ran to the cap (100,000 steps, about 37 s, by default); the gradient
+    # rule holds after 14-15 steps
+    for s in range(2):
+        mats = [random_spd(16, 1.0, 4.0, derive_seed(s, "fp-floor", j)) for j in range(5)]
+        p = barycenter_problem(mats, np.ones(5), 0.1, alpha=1.0, beta=4.0)
+        rep = solve_fixed_point(p, max_iters=200)
+        assert rep.termination == "gradient_tol" and rep.iterations <= 30
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(
+    m=st.integers(1, 4),
+    n=st.integers(1, 6),
+    t=st.floats(0.2, 0.9),
+    seed=st.integers(0, 2**32 - 2),
+)
+def test_both_solvers_stop_on_one_certified_rule(m, n, t, seed):
+    # t >= 0.2 on [1, 4]: at t = 0.1 on wide boxes the computed gradient has a
+    # rounding floor above the default tolerance (ROADMAP item 14)
+    mats = [random_spd(n, 1.0, 4.0, derive_seed(seed, "marg", j)) for j in range(m)]
+    p = barycenter_problem(mats, np.arange(1.0, m + 1.0), t, alpha=1.0, beta=4.0)
+    gp, fp = solve_gradient_projection(p), solve_fixed_point(p)
+    for rep in (gp, fp):
+        assert rep.termination == "gradient_tol"
+        # every iterate is exactly Hermitian, so the gradient is recomputed bit for bit
+        assert rep.grad_norms[-1] == np.linalg.norm(objective_gradient(p, rep.minimizer))
+    assert np.linalg.norm(gp.minimizer - fp.minimizer) <= gp.error_bound + fp.error_bound
 
 
 def test_solvers_agree():
     for pid in (15, 16, 17):
         p = random_problem(pid, t=(0.3, 0.5, 0.7)[pid - 15])
         gp = solve_gradient_projection(p)
-        fp = solve_fixed_point(p, tol=1e-12)
+        fp = solve_fixed_point(p, grad_tol=1e-12)
         tol = max(1e-7, 10.0 * 1e-10 * p.t * p.n / gp.alpha_star)
         assert np.linalg.norm(gp.minimizer - fp.minimizer) <= tol
 
@@ -443,13 +474,13 @@ def test_stationarity_equivalence_both_directions():
     gp = solve_gradient_projection(p)
     # gradient ~ 0 at the gp minimizer implies a small fixed-point residual
     assert gp.fixed_point_residual <= 10.0 * gp.error_bound
-    fp = solve_fixed_point(p, tol=1e-12)
+    fp = solve_fixed_point(p, grad_tol=1e-12)
     assert np.linalg.norm(objective_gradient(p, fp.minimizer)) <= 10.0 * 1e-12 * p.t
 
 
 def test_fixed_point_iterates_stay_in_box():
     p = random_problem(20)
-    rep = solve_fixed_point(p, tol=1e-11, trace=True)
+    rep = solve_fixed_point(p, grad_tol=1e-11, trace=True)
     slack = 1e-10 * p.beta
     for X in rep.iterates:
         w = np.linalg.eigvalsh(X)
@@ -465,7 +496,7 @@ def test_fixed_point_divergence_safeguard(monkeypatch):
         bc, "_fixed_point_step",
         lambda p, X: (1.5 * X + np.eye(X.shape[0]), step(p, X)[1]),
     )
-    rep = bc.solve_fixed_point(p, tol=1e-12, max_iters=1000)
+    rep = bc.solve_fixed_point(p, grad_tol=1e-12, max_iters=1000)
     assert rep.termination == "residual_growth"
     assert rep.iterations < 1000  # the 10-increase safeguard stopped the run
 
@@ -482,25 +513,24 @@ def test_termination_precedence(monkeypatch, caplog):
         lambda p, X: (1.5 * X + np.eye(X.shape[0]), step(p, X)[1]),
     )
     with caplog.at_level("WARNING", logger="sandwich_opt.barycenter"):
-        rep = bc.solve_fixed_point(p, tol=1e-12, max_iters=10)
+        rep = bc.solve_fixed_point(p, grad_tol=1e-12, max_iters=10)
     assert (rep.termination, rep.iterations) == ("max_iters", 10)
     assert caplog.records == []
     with caplog.at_level("WARNING", logger="sandwich_opt.barycenter"):
-        rep = bc.solve_fixed_point(p, tol=1e-12, max_iters=11)
+        rep = bc.solve_fixed_point(p, grad_tol=1e-12, max_iters=11)
     assert (rep.termination, rep.iterations) == ("residual_growth", 10)
     assert [r.levelname for r in caplog.records] == ["WARNING"]
     rep = solve_gradient_projection(p, grad_tol=1e9, max_iters=0)
     assert (rep.termination, rep.iterations) == ("gradient_tol", 0)
 
 
-@pytest.mark.parametrize("solver,tol", [(solve_gradient_projection, "grad_tol"),
-                                        (solve_fixed_point, "tol")])
-def test_history_keeps_the_final_iterate_beyond_cap(monkeypatch, solver, tol):
+@pytest.mark.parametrize("solver", [solve_gradient_projection, solve_fixed_point])
+def test_history_keeps_the_final_iterate_beyond_cap(monkeypatch, solver):
     # past the cap only every 10th iterate is kept, and the last one always
     import sandwich_opt.barycenter as bc
 
     monkeypatch.setattr(bc, "HISTORY_CAP", 5)
-    rep = solver(random_problem(25), max_iters=23, **{tol: 0.0})
+    rep = solver(random_problem(25), grad_tol=0.0, max_iters=23)
     assert rep.termination == "max_iters"
     assert rep.history_indices == [0, 1, 2, 3, 4, 10, 20, 23]
     assert len(rep.grad_norms) == len(rep.history_indices)
@@ -581,7 +611,7 @@ def test_fixed_point_step_eigh_count(monkeypatch):
     assert len(calls) == m and len(choleskys) == 2
     _assert_well_inside_box(step, p)
     calls.clear()
-    rep = bc.solve_fixed_point(random_problem(22, m=m), tol=1e-12, max_iters=3)
+    rep = bc.solve_fixed_point(random_problem(22, m=m), grad_tol=1e-12, max_iters=3)
     assert rep.iterations == 3
     # the marginals, the start's outer power 1/(1-t), then m + 1 per iterate
     assert len(calls) == m + 1 + (rep.iterations + 1) * (m + 1)
@@ -668,9 +698,10 @@ def test_fixed_point_map_is_gradient_sandwich(log_w, n, t, seed):
 
 
 def test_fixed_point_default_tolerance():
-    # tol=None means 1e-12, as grad_tol=None means the gradient-projection default
+    # grad_tol=None means 1e-10 t n, as it does for gradient projection
     p = random_problem(19)
-    default, explicit = solve_fixed_point(p), solve_fixed_point(p, tol=1e-12)
+    default = solve_fixed_point(p)
+    explicit = solve_fixed_point(p, grad_tol=1e-10 * p.t * p.n)
     assert default.termination == explicit.termination == "gradient_tol"
     assert default.iterations == explicit.iterations
     assert np.array_equal(default.minimizer, explicit.minimizer)
@@ -679,7 +710,7 @@ def test_fixed_point_default_tolerance():
 def test_fixed_point_reports_match_problem_constants():
     p = random_problem(19)
     a_star, b_star, _ = certified_rate(p)
-    rep = solve_fixed_point(p, tol=1e-10)
+    rep = solve_fixed_point(p, grad_tol=1e-10)
     assert rep.alpha_star == a_star
     assert rep.beta_star == b_star
     assert rep.q is None and rep.eta is None

@@ -236,7 +236,7 @@ def test_barycenter_unconverged_exits_1_and_writes_report(tmp_path, solver):
 
 @pytest.mark.parametrize("solver", ["gp", "fp"])
 @pytest.mark.parametrize("flag,value,named", [
-    ("--tol", "nan", "tol"), ("--tol", "-1", "tol"), ("--max-iters", "-1", "max_iters"),
+    ("--tol", "nan", "grad_tol"), ("--tol", "-1", "grad_tol"), ("--max-iters", "-1", "max_iters"),
 ])
 def test_barycenter_bad_stopping_parameters_exit_2(tmp_path, solver, flag, value, named):
     A = random_spd(2, 1.0, 2.0, 84)
