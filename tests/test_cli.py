@@ -357,7 +357,7 @@ def test_verify_report_digest_is_pinned(suite, capsys):
 # three marginals: a change to the solver loop that moves one bit shows here
 BARYCENTER_DIGESTS = {
     "gp": "55413f91aa78b9bd9988de34316d26579f9bfca2ccb60be30d6db5e391ac4741",
-    "fp": "c2304a28a8fe5460c820f8ea2e827f445d653742ee35460a3def3775520ff04f",
+    "fp": "17ea122dd61b627674ee096d72d79a23dfda479acb70e30eca9bb1cb683700d9",
     "gp-capped-trace": "9ed4d58f7719d3c0e3eaae9f1d6d1625cb6ba4e4912598f1205df65c2ec94db6",
 }
 BARYCENTER_ARGS = {
