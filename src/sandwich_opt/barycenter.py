@@ -5,7 +5,7 @@ f_j(X) = tr(A_j^{(1-t)/2t} X A_j^{(1-t)/2t})^t over the spectral box
 [alpha I, beta I] by projected gradient descent with a certified linear rate,
 cross-validated by a fixed-point iteration on
 F(X) = sum_j w_j (X^{1/2} A_j^{(1-t)/t} X^{1/2})^t. The two are step rules
-of one loop, which owns the history, the stopping order and the report, and
+of one loop, which owns the history, the stopping order and the report;
 both stop on one rule, ||grad phi_t(X)|| <= grad_tol (default 1e-10 t n).
 
 Both solvers read the one gradient of f, the kernel of ``calculus.gradient_f``:
@@ -244,12 +244,11 @@ class SolverReport:
 
 
 def _stopping_tolerance(p: BarycenterProblem, grad_tol, max_iters):
-    """grad_tol, or the default 1e-10 t n when it is None: the one stop rule of both solvers.
+    """grad_tol, or its default 1e-10 t n when None: the stop rule of both solvers.
 
     ``InvalidInput`` unless grad_tol is a finite number >= 0 and max_iters an
-    integer >= 0. A NaN or negative tolerance is never met, so the run would
-    go on to the iteration cap and report an unconverged iterate; a bool is
-    not a number (True would read as 1.0).
+    integer >= 0: a NaN or negative tolerance is never met, so the run would
+    end at the iteration cap, and a bool is not a number (True reads as 1.0).
     """
     _check_integer(max_iters, "max_iters", 0)
     if grad_tol is None:
@@ -384,9 +383,8 @@ def solve_fixed_point(
 ) -> SolverReport:
     """Fixed-point iteration X <- F(X), used for cross-validation.
 
-    It stops on the rule of gradient projection, ||grad phi_t(X)|| <= grad_tol
-    with the default grad_tol = 1e-10 t n, read from the same S(X) as F(X),
-    so error_bound certifies its answer as it does gradient projection's.
+    Stops on the rule of gradient projection, ||grad phi_t(X)|| <= grad_tol
+    (default 1e-10 t n), with grad phi_t(X) read from the same S(X) as F(X).
     X0 defaults to the power mean, as for gradient projection (a cross-check
     from an independent start passes another x0). No contraction is
     guaranteed; if the residual ||X - F(X)|| grows for 10 consecutive steps,

@@ -430,9 +430,8 @@ def test_fixed_point_stationarity_of_result():
 
 def test_fixed_point_stops_on_the_gradient_rule_at_small_t():
     # t = 0.1, n = 16, m = 5 on [1, 4]: the residual ||X - F(X)|| has a
-    # rounding floor of 2e-12 to 4e-12 here, so a stop at ||X - F(X)|| <= 1e-12
-    # ran to the cap (100,000 steps, about 37 s, by default); the gradient
-    # rule holds after 14-15 steps
+    # rounding floor of 2e-12 to 4e-12 here, so a residual stop at 1e-12 is
+    # never met; the gradient rule holds after 14-15 steps
     for s in range(2):
         mats = [random_spd(16, 1.0, 4.0, derive_seed(s, "fp-floor", j)) for j in range(5)]
         p = barycenter_problem(mats, np.ones(5), 0.1, alpha=1.0, beta=4.0)
