@@ -473,8 +473,17 @@ def test_stationarity_equivalence_both_directions():
     gp = solve_gradient_projection(p)
     # gradient ~ 0 at the gp minimizer implies a small fixed-point residual
     assert gp.fixed_point_residual <= 10.0 * gp.error_bound
-    fp = solve_fixed_point(p, grad_tol=1e-12)
-    assert np.linalg.norm(objective_gradient(p, fp.minimizer)) <= 10.0 * 1e-12 * p.t
+    # a small fixed-point residual implies a small gradient:
+    # grad phi_t(X) = t X^{-1/2} (X - F(X)) X^{-1/2}, so
+    # ||grad phi_t(X)||_F <= t ||X - F(X)||_F / lam_min(X), at every iterate
+    fp = solve_fixed_point(p, grad_tol=1e-12, trace=True)
+    for X in fp.iterates:
+        res = np.linalg.norm(X - fixed_point_map(p, X))
+        bound = p.t * res / np.linalg.eigvalsh(X)[0]
+        assert np.linalg.norm(objective_gradient(p, X)) <= bound * (1.0 + 1e-6)
+    X = fp.minimizer
+    bound = p.t * fp.fixed_point_residual / np.linalg.eigvalsh(X)[0]
+    assert np.linalg.norm(objective_gradient(p, X)) <= bound * (1.0 + 1e-6)
 
 
 def test_fixed_point_iterates_stay_in_box():
