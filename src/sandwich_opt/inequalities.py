@@ -10,13 +10,14 @@ plain dicts.
 Every suite draws its trials in trial order and checks them as one batch, in
 chunks of ``SUITE_CHUNK`` trials. Its inputs come in families, one kind of
 input on one spectral box, and each family draws from two numpy Generators,
-uniforms and Gaussians, seeded once per run (``_streams``). A chunk takes
-its trials' draws from them in trial-major order, one call per stream,
-assembles all inputs that share a spectral box with one
-``linalg._spd_from_draws`` call, and decomposes each input once with
-``linalg.spectral_decompose``. The trace and log-majorization chains
-also whiten each pair once, A^{-1/2} B A^{-1/2} decomposed for every order of
-A #_t B. Then each link at each order takes one batched ``eigh``,
+uniforms and Gaussians, seeded once per run. One driver, ``_suite_inputs``,
+is the only place where families are drawn and chunked: a chunk takes its
+trials' draws in trial-major order, one call per stream, and assembles all
+families that share a spectral box with one ``linalg._spd_from_draws`` call.
+A suite states only its order grid, its check kernel and its counters. It
+decomposes each input once with ``linalg.spectral_decompose``, and the trace
+and log-majorization chains also whiten each pair once, A^{-1/2} B A^{-1/2}
+decomposed for every order of A #_t B. Then each link at each order takes one batched ``eigh``,
 ``eigvalsh``, ``svd`` or matmul (the limits suite adds one ``cholesky`` and
 one ``linalg._graded_svd`` of the column-graded factors), and the gauge
 suite checks its whole panel with one ``eigvalsh``. The per-pair checks
@@ -123,16 +124,6 @@ class ChainReport:
     all_hold: bool
 
 
-def _chunks(trials, cap=None):
-    """Trial indices in trial order, in ranges of at most SUITE_CHUNK.
-
-    The one trial-count check of every suite: ``InvalidInput`` unless trials
-    is an integer (not a bool) in [1, cap].
-    """
-    trials = _check_integer(trials, "trial count", 1, cap)
-    return [range(start, min(start + SUITE_CHUNK, trials)) for start in range(0, trials, SUITE_CHUNK)]
-
-
 def _order_grid(t_values, check=check_unit_t):
     """The order grid as a tuple, ``check`` run on each order; ``InvalidInput`` if it is empty."""
     t_values = tuple(t_values)
@@ -143,26 +134,43 @@ def _order_grid(t_values, check=check_unit_t):
     return t_values
 
 
-def _streams(seed, suite, *families):
-    """(uniform, Gaussian) Generators per input family, from ``derive_seed(seed, suite, family, stream)``.
+def _suite_inputs(suite, n, trials, families, cap=None):
+    """(chunk, inputs) per chunk of at most ``SUITE_CHUNK`` trials, in trial order.
 
-    ``derive_seed`` checks the seed: an integer (not a bool) in [0, 2**128).
+    The one place where a suite's inputs are drawn and chunked. A family is
+    (seed, name, count, box): ``count`` SPD matrices per trial with spectra in
+    the box, from a uniform and a Gaussian Generator seeded once per run from
+    ``derive_seed(seed, suite, name, stream)``. A chunk takes its trials'
+    draws in trial-major order, one call per stream (numpy draws consecutive
+    calls as one, so no bit depends on the chunk size), and assembles all
+    families on one box with one ``_spd_from_draws``. ``inputs[f]`` is the
+    stack (count, k, n, n) of family f. The one seed, trial-count and
+    dimension check of every suite: ``InvalidInput`` unless the seeds are
+    integers (not bools) in [0, 2**128), trials one in [1, cap] and n one >= 1.
     """
-    return [tuple(np.random.default_rng(derive_seed(seed, suite, family, stream))
-                  for stream in ("uniform", "normal")) for family in families]
-
-
-def _draws(streams, k, count, n):
-    """Uniforms (count, k, n) and Gaussians (count, k, 2, n, n): k trials of ``count`` matrices.
-
-    One call per stream, in trial-major order; numpy draws consecutive calls
-    as one, so no bit depends on the chunk size. The one dimension check of
-    every suite.
-    """
+    streams = [[np.random.default_rng(derive_seed(seed, suite, name, stream))
+                for stream in ("uniform", "normal")] for seed, name, _, _ in families]
+    trials = _check_integer(trials, "trial count", 1, cap)
     n = _check_integer(n, "dimension", 1)
-    uniform, normal = streams
-    return (uniform.random((k, count, n)).swapaxes(0, 1),
-            normal.standard_normal((k, count, 2, n, n)).swapaxes(0, 1))
+    boxes = {}  # box -> [(family index, count)], in family order
+    for f, (_, _, count, box) in enumerate(families):
+        boxes.setdefault(box, []).append((f, count))
+    for start in range(0, trials, SUITE_CHUNK):
+        chunk = range(start, min(start + SUITE_CHUNK, trials))
+        k, inputs = len(chunk), [None] * len(families)
+        for box, members in boxes.items():
+            u = np.concatenate([streams[f][0].random((k, c, n)).swapaxes(0, 1) for f, c in members])
+            G = np.concatenate([streams[f][1].standard_normal((k, c, 2, n, n)).swapaxes(0, 1)
+                                for f, c in members])
+            ends = np.cumsum([c for _, c in members])
+            for (f, _), stack in zip(members, np.split(_spd_from_draws(u, G, *box), ends[:-1])):
+                inputs[f] = stack
+        yield chunk, inputs
+
+
+def _suite_report(suite, n, trials, seed, **fields):
+    """A suite's report: the head suite, n, trials, seed, then ``fields`` in order."""
+    return {"suite": suite, "n": n, "trials": trials, "seed": seed, **fields}
 
 
 def _sorted_eigs(M):
@@ -609,17 +617,14 @@ def gauge_convexity_check(fn: ScalarFunction, p, trials, seed, n=4):
 def _gauge_panel(panel, trials, seeds, n):
     """gauge_convexity_check of every (fn, p) of ``panel``, check j seeded by seeds[j].
 
-    Check j draws its pairs from ``_streams(seeds[j], "gauge", "pairs")``.
-    Per batch, the pairs of every check are assembled together, and
-    (A + B)/2, A and B of all of them take one ``eigvalsh``.
+    Check j draws its pairs as the family "pairs" on seeds[j]. Per batch,
+    the pairs of every check share one box, so they are assembled together,
+    and (A + B)/2, A and B of all of them take one ``eigvalsh``.
     """
-    streams = [_streams(s, "gauge", "pairs")[0] for s in seeds]
     violations, strict_violations = [0] * len(panel), [0] * len(panel)
     worst = [np.inf] * len(panel)
-    for chunk in _chunks(trials):
-        u, G = (np.stack(d) for d in zip(*(_draws(s, len(chunk), 2, n) for s in streams)))
-        pairs = _spd_from_draws(u, G, *PAIR_BOX)
-        A, B = pairs[:, 0], pairs[:, 1]
+    for _, pairs in _suite_inputs("gauge", n, trials, [(s, "pairs", 2, PAIR_BOX) for s in seeds]):
+        A, B = np.stack(pairs, axis=1)
         eigs = _eigenvalues(np.stack([(A + B) / 2.0, A, B], axis=1))
         for j, (fn, p) in enumerate(panel):
             margin, ok, strict_ok = _gauge_margins(fn, p, eigs[j], A[j], B[j])
@@ -695,15 +700,12 @@ def open_question_search(n, t_grid, trials, seed):
     ``_MP_REVERIFY_CAP`` candidates as their batch drew them.
     """
     _check_integer(n, "search dimension", 1, 8)
-    chunks = _chunks(trials, 10**6)
     t_grid = _order_grid(t_grid, _check_search_order)
-    (pairs,) = _streams(seed, "open-question", "pairs")
-
     checked = {rel: 0 for rel in OPEN_QUESTION_RELATIONS}
     worst = {rel: np.inf for rel in OPEN_QUESTION_RELATIONS}
     candidates, recheck = [], []
-    for chunk in chunks:
-        A, B = _spd_from_draws(*_draws(pairs, len(chunk), 2, n), *PAIR_BOX)
+    families = [(seed, "pairs", 2, PAIR_BOX)]
+    for chunk, ((A, B),) in _suite_inputs("open-question", n, trials, families, cap=10**6):
         decA = spectral_decompose(A)
         per_order = [_open_question_margins(A, B, decA, t) for t in t_grid]
         margins = np.stack([m for m, _ in per_order], axis=1)  # (trial, order, relation)
@@ -786,36 +788,24 @@ def _density(A, R):
 
 def run_trace_chain_suite(n=4, trials=100, seed=0, t_values=(0.1, 0.3, 0.5, 0.7, 0.9)):
     t_values = _order_grid(t_values)
-    (pairs,) = _streams(seed, "trace-chain", "pairs")
     violations = 0
     worst = np.inf
-    for chunk in _chunks(trials):
-        pair = _decomposed(*_spd_from_draws(*_draws(pairs, len(chunk), 2, n), *PAIR_BOX))
+    for _, (pairs,) in _suite_inputs("trace-chain", n, trials, [(seed, "pairs", 2, PAIR_BOX)]):
+        pair = _decomposed(*pairs)
         for t in t_values:
             margins, holds = _chain_margins(_trace_chain_links(*pair, t))
             violations += int(np.sum(~np.all(holds, axis=-1)))
             worst = min(worst, float(np.min(margins)))
-    return {
-        "suite": "trace-chain",
-        "n": n,
-        "trials": trials,
-        "seed": seed,
-        "t": list(t_values),
-        "checks": trials * len(t_values),
-        "violations": violations,
-        "worst_margin": worst,
-        "all_hold": bool(violations == 0),
-    }
+    return _suite_report("trace-chain", n, trials, seed, t=list(t_values), checks=trials * len(t_values),
+                         violations=violations, worst_margin=worst, all_hold=bool(violations == 0))
 
 
 def run_variational_suite(n=4, trials=100, seed=0, t_values=(0.3, 0.5, 0.7)):
     """Trial i checks order t_values[i % len(t_values)]; a batch runs each order once."""
     t_values = _order_grid(t_values)
-    pairs, probes = _streams(seed, "variational", "pairs", "probes")
     lower_violations = tight_violations = 0
-    for chunk in _chunks(trials):
-        A, B = _spd_from_draws(*_draws(pairs, len(chunk), 2, n), *PAIR_BOX)
-        (X,) = _spd_from_draws(*_draws(probes, len(chunk), 1, n), 0.25, 4.0)
+    families = [(seed, "pairs", 2, PAIR_BOX), (seed, "probes", 1, (0.25, 4.0))]
+    for chunk, ((A, B), (X,)) in _suite_inputs("variational", n, trials, families):
         decA, decB = spectral_decompose(A), spectral_decompose(B)
         orders = np.array(chunk) % len(t_values)
         for j, t in enumerate(t_values):
@@ -824,16 +814,9 @@ def run_variational_suite(n=4, trials=100, seed=0, t_values=(0.3, 0.5, 0.7)):
                 lower_ok, tight_ok = _variational_checks(decA[sel], decB[sel], B[sel], X[sel], t)
                 lower_violations += int(np.sum(~lower_ok))
                 tight_violations += int(np.sum(~tight_ok))
-    return {
-        "suite": "variational",
-        "n": n,
-        "trials": trials,
-        "seed": seed,
-        "t": list(t_values),
-        "lower_bound_violations": lower_violations,
-        "tightness_violations": tight_violations,
-        "all_hold": bool(lower_violations == 0 and tight_violations == 0),
-    }
+    return _suite_report("variational", n, trials, seed, t=list(t_values),
+                         lower_bound_violations=lower_violations, tightness_violations=tight_violations,
+                         all_hold=bool(lower_violations == 0 and tight_violations == 0))
 
 
 def _variational_checks(decA, decB, B, X, t):
@@ -848,45 +831,29 @@ def _variational_checks(decA, decB, B, X, t):
 
 def run_log_major_suite(n=4, trials=100, seed=0, t_values=(0.25, 0.5, 0.75)):
     t_values = _order_grid(t_values)
-    (pairs,) = _streams(seed, "log-major", "pairs")
     violations = 0
-    for chunk in _chunks(trials):
-        pair = _decomposed(*_spd_from_draws(*_draws(pairs, len(chunk), 2, n), *PAIR_BOX))
+    for chunk, (pairs,) in _suite_inputs("log-major", n, trials, [(seed, "pairs", 2, PAIR_BOX)]):
+        pair = _decomposed(*pairs)
         for t in t_values:
             links = _log_major_links(*pair, t)
             ok = np.ones(len(chunk), dtype=bool)
             for x, y, kind in _log_major_relations(t):
                 ok &= _verdicts(links[x], links[y], kind)[1]
             violations += int(np.sum(~ok))
-    return {
-        "suite": "log-major",
-        "n": n,
-        "trials": trials,
-        "seed": seed,
-        "t": list(t_values),
-        "checks": trials * len(t_values),
-        "violations": violations,
-        "all_hold": bool(violations == 0),
-    }
+    return _suite_report("log-major", n, trials, seed, t=list(t_values), checks=trials * len(t_values),
+                         violations=violations, all_hold=bool(violations == 0))
 
 
 def run_limits_suite(n=4, trials=100, seed=0):
-    gamma, density = _streams(seed, "limits", "gamma", "density")
     gamma_violations = div_violations = 0
-    for chunk in _chunks(trials):
-        A, B = _spd_from_draws(*_draws(gamma, len(chunk), 2, n), *PAIR_BOX)
-        Ad, Bd = _density(*_spd_from_draws(*_draws(density, len(chunk), 2, n), *DENSITY_BOX))
+    families = [(seed, "gamma", 2, PAIR_BOX), (seed, "density", 2, DENSITY_BOX)]
+    for _, ((A, B), density) in _suite_inputs("limits", n, trials, families):
+        Ad, Bd = _density(*density)
         gamma_violations += int(np.sum(~_gamma_limit_batch(A, B, DEFAULT_GAMMA_GRID)["all_hold"]))
         div_violations += int(np.sum(~_divergence_limit_batch(Ad, Bd)["all_hold"]))
-    return {
-        "suite": "limits",
-        "n": n,
-        "trials": trials,
-        "seed": seed,
-        "gamma_violations": gamma_violations,
-        "divergence_violations": div_violations,
-        "all_hold": bool(gamma_violations == 0 and div_violations == 0),
-    }
+    return _suite_report("limits", n, trials, seed, gamma_violations=gamma_violations,
+                         divergence_violations=div_violations,
+                         all_hold=bool(gamma_violations == 0 and div_violations == 0))
 
 
 GAUGE_PANEL = (
@@ -904,14 +871,8 @@ def run_gauge_suite(n=4, trials=100, seed=0):
     seed = _check_integer(seed, "seed", 0, _SEED_MAX)
     reports = _gauge_panel(GAUGE_PANEL, trials,
                            [derive_seed(seed, "gauge-panel", idx) for idx in range(len(GAUGE_PANEL))], n)
-    return {
-        "suite": "gauge",
-        "n": n,
-        "trials": trials,
-        "seed": seed,
-        "checks": reports,
-        "all_hold": bool(all(r["all_hold"] for r in reports)),
-    }
+    return _suite_report("gauge", n, trials, seed, checks=reports,
+                         all_hold=bool(all(r["all_hold"] for r in reports)))
 
 
 SUITES = ("trace-chain", "variational", "log-major", "limits", "gauge", "open-question")
