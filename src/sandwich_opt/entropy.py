@@ -13,6 +13,7 @@ failing stack index.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,13 +97,19 @@ def _sandwich(P, X, t):
 
 
 def _sandwiched(P, B, context="", what="sandwiched product"):
-    """P B P (matrices or stacks) if finite; else ``NumericalError`` naming ``what`` and the first bad index.
+    """The congruence P B P (matrices or stacks), formed as (P B) P; see ``_finite_product``."""
+    return _finite_product((P, B, P), what, context)
 
-    The product is formed with numpy's overflow warnings off, so an overflow
+
+def _finite_product(factors, what, context=""):
+    """The product of ``factors`` (matrices or stacks), left to right, if finite.
+
+    Else ``NumericalError`` naming ``what`` and the first bad stack index. The
+    product is formed with numpy's overflow warnings off, so an overflow
     surfaces only as the ``NumericalError``.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        M = P @ B @ P
+        M = functools.reduce(np.matmul, factors)
     if not np.isfinite(M).all():
         bad = ~np.all(np.isfinite(M), axis=(-2, -1))
         raise NumericalError(f"{what} overflows{_where(bad)}{context}")
@@ -153,8 +160,10 @@ def fidelity(A, B, t):
 def bures_distance(A, B):
     """Bures-Wasserstein distance [tr(A+B)/2 - tr(A^{1/2} B A^{1/2})^{1/2}]^{1/2}."""
     A, B = check_matrices(A=A, B=B)
-    radicand = float(_trace(A) + _trace(B)) / 2.0 - float(_sandwich_trace(spectral_decompose(A), B, 0.5))
-    if radicand < -1e-10:
+    half_sum = float(_trace(A) + _trace(B)) / 2.0
+    radicand = half_sum - float(_sandwich_trace(spectral_decompose(A), B, 0.5))
+    # rounding leaves a radicand of about -1e-15 (tr A + tr B)/2 at any scale
+    if radicand < -1e-12 * half_sum:
         raise NumericalError(f"negative Bures radicand {radicand:.3e}")
     return float(np.sqrt(max(radicand, 0.0)))
 
@@ -179,7 +188,8 @@ def renyi_classic(A, B, t):
     """Traditional Rényi relative entropy log(tr A^{1-t} B^t) / (t - 1)."""
     check_order_t(t)
     A, B = check_matrices(A=A, B=B)
-    val = float(_trace(matrix_power(A, 1.0 - t) @ matrix_power(B, t)))
+    product = (matrix_power(A, 1.0 - t), matrix_power(B, t))
+    val = float(_trace(_finite_product(product, "product A^{1-t} B^t", f" at t = {t}")))
     if val <= 0:
         raise NumericalError(f"trace of A^(1-t) B^t is not positive ({val:.3e})")
     return float(np.log(val) / (t - 1.0))
@@ -198,6 +208,7 @@ def _relative_entropy(decB, decA, B):
 
 
 _WHITENED = "whitened product A^{-1/2} B A^{-1/2}"
+_MEAN = "geometric mean A^{1/2} (A^{-1/2} B A^{-1/2})^t A^{1/2}"
 
 
 def _whitened(decA, B):
@@ -269,10 +280,10 @@ def _whiten(decA, B):
 def _mean_at(whitened, t):
     """A #_t B = A^{1/2} (A^{-1/2} B A^{-1/2})^t A^{1/2} from ``_whiten(decA, B)``.
 
-    ``NumericalError`` if the t-th power overflows.
+    ``NumericalError`` if the t-th power or its congruence by A^{1/2} overflows.
     """
     root, decM = whitened
-    return symmetrize(root @ decM.map(power(t)) @ root)
+    return symmetrize(_sandwiched(root, decM.map(power(t)), f" at t = {t}", _MEAN))
 
 
 def riemannian_distance(A, B):

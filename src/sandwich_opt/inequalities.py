@@ -17,16 +17,16 @@ families that share a spectral box with one ``linalg._spd_from_draws`` call.
 A suite states only its order grid, its check kernel and its counters. It
 decomposes each input once with ``linalg.spectral_decompose``, and the trace
 and log-majorization chains also whiten each pair once, A^{-1/2} B A^{-1/2}
-decomposed for every order of A #_t B. Then each link at each order takes one batched ``eigh``,
-``eigvalsh``, ``svd`` or matmul (the limits suite adds one ``cholesky`` and
-one ``linalg._graded_svd`` of the column-graded factors), and the gauge
-suite checks its whole panel with one ``eigvalsh``. The per-pair checks
-``trace_chain_check``, ``log_majorization_chain``, ``gamma_limit_check`` and
-``divergence_limit_check`` run the same batch kernels on a stack of one,
-``gauge_convexity_check`` runs the gauge kernel on a panel of one, and
-``variational_value`` runs the variational suite's formulas on one matrix.
-Neither the chunk size nor the position of a trial in its chunk moves a bit of
-any value, so a seed fixes the report byte for byte.
+decomposed for every order of A #_t B. Then each link at each order takes
+one batched ``eigh``, ``eigvalsh``, ``svd`` or matmul (the limits suite adds
+one ``cholesky`` and one ``linalg._graded_svd`` of the column-graded
+factors), and the gauge suite checks its whole panel with one ``eigvalsh``.
+The per-pair checks ``trace_chain_check``, ``log_majorization_chain``,
+``gamma_limit_check`` and ``divergence_limit_check`` run the same batch
+kernels on a stack of one, ``gauge_convexity_check`` runs the gauge kernel on
+a panel of one, and ``variational_value`` runs the variational suite's
+formulas on one matrix. Neither the chunk size nor the position of a trial in
+its chunk moves a bit of any value, so a seed fixes the report byte for byte.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from .entropy import (
     _relative_entropy,
     _sandwich_spectrum,
     _sandwich_trace,
+    _sandwiched,
     _sandwiched_divergence,
     _thompson,
     _whiten,
@@ -294,13 +295,13 @@ def _chain_margins(links):
 REPRESENTATIONS = ("i", "ii", "iii", "iv")
 
 
-def _powered_trace(M, s, what):
-    """tr M^s for the product ``what`` of a representation objective (or each M of a stack).
+def _powered_trace(P, X, s, what):
+    """tr (P X P)^s for the congruence ``what`` of a representation objective (or of stacks).
 
-    M is a congruence of a positive definite X, so ``NumericalError`` when
-    its computed spectrum is not positive.
+    X is positive definite, so ``NumericalError`` when P X P overflows or its
+    computed spectrum is not positive.
     """
-    w = _positive(_eigenvalues(M), what)
+    w = _positive(_eigenvalues(_sandwiched(P, X, what=what)), what)
     return np.sum(_libm_pow(w[..., ::-1], s), axis=-1)
 
 
@@ -335,14 +336,14 @@ def _variational_values(decA, decB, B, t, X, reps):
     values = {}
     if "i" in reps or "ii" in reps:
         Q = decA.map(power((t - 1.0) / (2.0 * t)))
-        u = _powered_trace(Q @ X @ Q, s, "A^{(t-1)/2t} X A^{(t-1)/2t}")
+        u = _powered_trace(Q, X, s, "A^{(t-1)/2t} X A^{(t-1)/2t}")
         v = _trace(X @ B)
         values["i"] = (1.0 - t) * u + t * v
         values["ii"] = _libm_pow(u, 1.0 - t) * _libm_pow(v, t)
     if "iii" in reps or "iv" in reps:
         Bri = decB.map(power(-0.5))
         u = _trace(decA.map(power((1.0 - t) / t)) @ X)
-        w = _powered_trace(Bri @ X @ Bri, s, "B^{-1/2} X B^{-1/2}")
+        w = _powered_trace(Bri, X, s, "B^{-1/2} X B^{-1/2}")
         values["iii"] = t * u + (1.0 - t) * w
         values["iv"] = _libm_pow(u, t) * _libm_pow(w, 1.0 - t)
     return values

@@ -485,6 +485,19 @@ def test_an_overflowing_frame_is_a_numerical_error_at_the_cli(verb, tmp_path, ca
     assert re.fullmatch(r"error: .*(not finite on the spectrum|kernel overflows).*\n", err)
 
 
+def test_an_overflowing_renyi_product_is_a_numerical_error_at_the_cli(tmp_path, capsys):
+    # A^{1-t} B^t overflows at t = 64: the CLI failed to serialize inf
+    from sandwich_opt.cli import main
+
+    save_matrix(tmp_path / "a.json", np.diag([1e-3, 1.0]))
+    save_matrix(tmp_path / "b.json", np.diag([1e3, 1.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["divergence", "--kind", "renyi", "--a", str(tmp_path / "a.json"),
+                     "--b", str(tmp_path / "b.json"), "--t", "64"])
+    assert (code, *capsys.readouterr()) == (2, "", "error: product A^{1-t} B^t overflows at t = 64.0\n")
+
+
 def test_verify_exits_one_on_property_violation(monkeypatch, capsys):
     import sandwich_opt.cli as cli
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,7 @@ from sandwich_opt import (
     umegaki_relative_entropy,
 )
 
+from sandwich_opt import entropy
 from sandwich_opt.entropy import sandwich_spectrum
 
 from oracles import mp_sandwich_trace
@@ -379,3 +382,41 @@ def test_whitened_product_overflow_raises_numerical_error():
                  lambda: riemannian_distance(A, B), lambda: max_relative_entropy(B, A)):
         with pytest.raises(NumericalError, match=r"whitened product A\^\{-1/2\} B A\^\{-1/2\} overflows$"):
             call()
+
+
+def test_geometric_mean_congruence_overflow_raises_numerical_error():
+    # (A^{-1/2} B A^{-1/2})^3 = 1e150 I is finite, its congruence by
+    # A^{1/2} = 1e100 I is not: A #_3 B was a NaN matrix after RuntimeWarnings
+    I2 = np.eye(2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match=r"^geometric mean .* overflows at t = 3$"):
+            geometric_mean(1e200 * I2, 1e250 * I2, 3)
+
+
+def test_renyi_product_overflow_raises_numerical_error():
+    # A^{1-t} = diag(1e189, 1) and B^t = diag(1e192, 1) are finite at t = 64,
+    # their product is not: the divergence was inf after RuntimeWarnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match=r"^product A\^\{1-t\} B\^t overflows at t = 64$"):
+            renyi_classic(np.diag([1e-3, 1.0]), np.diag([1e3, 1.0]), 64)
+
+
+def test_bures_distance_to_itself_at_large_scale():
+    # the radicand test was absolute: 71 of these 200 raised a "negative
+    # Bures radicand" of about -1.9e-9, rounding left on traces near 1e7
+    for s in range(200):
+        A = 1e6 * random_spd(4, 1.0, 4.0, s)
+        assert bures_distance(A, A) <= 1e-6 * np.sqrt(np.trace(A).real), s
+
+
+def test_bures_negative_radicand_raises_at_small_scale(monkeypatch):
+    # relative to (tr A + tr B)/2 = 1e-5, a radicand of -1e-15 is far beyond
+    # rounding; the absolute test let it pass as a distance of 0
+    scale = 1e-6
+    A, B = scale * random_spd(4, 1.0, 4.0, 1), scale * random_spd(4, 1.0, 4.0, 2)
+    half_sum = float(np.trace(A).real + np.trace(B).real) / 2.0
+    monkeypatch.setattr(entropy, "_sandwich_trace", lambda decA, B, t: half_sum + 1e-9 * scale)
+    with pytest.raises(NumericalError, match="negative Bures radicand"):
+        bures_distance(A, B)

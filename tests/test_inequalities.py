@@ -248,6 +248,20 @@ def test_variational_rep_i_increases_under_perturbation():
     _assert_minimum_rises_under_perturbation("i")
 
 
+def test_variational_congruence_overflow_raises_numerical_error():
+    # A^{(t-1)/2t} = 0.1^{-249.5} I is finite at t = 0.002, its congruence of
+    # X = I is not: numpy's LinAlgError after a matmul overflow. The same for
+    # B^{-1/2} X B^{-1/2} of representation iii
+    I3 = np.eye(3)
+    cases = [((0.1 * I3, I3, 0.002, I3, "i"), r"A\^\{\(t-1\)/2t\} X A\^\{\(t-1\)/2t\}"),
+             ((I3, 1e-300 * I3, 0.5, 1e10 * I3, "iii"), r"B\^\{-1/2\} X B\^\{-1/2\}")]
+    for args, what in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match=f"^{what} overflows$"):
+                variational_value(*args)
+
+
 def test_variational_guards():
     A = random_spd(2, 0.5, 2.0, 13)
     with pytest.raises(InvalidInput):
