@@ -196,7 +196,7 @@ def renyi_classic(A, B, t):
 
 
 def umegaki_relative_entropy(B, A):
-    """Umegaki relative entropy tr[B (log B - log A)] / tr B."""
+    """Umegaki relative entropy tr[B (log B - log A)] / tr B; ``NumericalError`` if the product overflows."""
     B, A = check_matrices(B=B, A=A)
     return float(_relative_entropy(spectral_decompose(B), spectral_decompose(A), B))
 
@@ -204,7 +204,7 @@ def umegaki_relative_entropy(B, A):
 def _relative_entropy(decB, decA, B):
     """umegaki_relative_entropy(B, A) from the decompositions of B and A."""
     diff = decB.map(LOG) - decA.map(LOG)
-    return _trace(B @ diff) / _trace(B)
+    return _trace(_finite_product((B, diff), "product B (log B - log A)")) / _trace(B)
 
 
 _WHITENED = "whitened product A^{-1/2} B A^{-1/2}"

@@ -18,9 +18,12 @@ A suite states only its order grid, its check kernel and its counters. It
 decomposes each input once with ``linalg.spectral_decompose``, and the trace
 and log-majorization chains also whiten each pair once, A^{-1/2} B A^{-1/2}
 decomposed for every order of A #_t B. Then each link at each order takes
-one batched ``eigh``, ``eigvalsh``, ``svd`` or matmul (the limits suite adds
-one ``cholesky`` and one ``linalg._graded_svd`` of the column-graded
-factors), and the gauge suite checks its whole panel with one ``eigvalsh``.
+one batched ``eigh``, ``eigvalsh``, ``svd`` or matmul, and the gauge suite
+checks its whole panel with one ``eigvalsh``. The limits suite takes one
+``cholesky`` and one ``linalg._graded_svd`` of the column-graded factors for
+gamma(t) at every order, and certifies the small-t envelope at every order
+with one more ``cholesky``; only if that certificate fails does one
+``eigvalsh`` of the envelope gaps decide.
 The per-pair checks ``trace_chain_check``, ``log_majorization_chain``,
 ``gamma_limit_check`` and ``divergence_limit_check`` run the same batch
 kernels on a stack of one, ``gauge_convexity_check`` runs the gauge kernel on
@@ -444,8 +447,14 @@ def gamma_limit_check(A, B, t_grid=DEFAULT_GAMMA_GRID):
     factor C = L* diag(a^{(1-t)/2t}), with L the Cholesky factor of U*BU, so
     gamma(t) comes from the SVD of C (``linalg._graded_svd``) and the graded
     matrix is never formed; ``DomainError`` unless B is positive definite.
-    This is the batch kernel of the limits suite on a stack of one, so the
-    suite and this report agree for the same pair.
+    The envelope holds where both gaps G - lo and hi - G have lam_min >=
+    -slack, slack = ``MAJORIZE_RTOL`` lam_max(B)^t lam_max(A)^{1-t}. One
+    Cholesky factorization of every gap + slack I certifies the whole stack;
+    if it fails, one ``eigvalsh`` of the gaps decides each entry, so a
+    violation gets the verdict of the eigenvalue test. The two tests can
+    disagree only where lam_min lies within rounding of -slack. This is the
+    batch kernel of the limits suite on a stack of one, so the suite and
+    this report agree for the same pair.
     """
     t_grid = _order_grid(t_grid)
     out = _gamma_limit_batch(*_stack_of_one(A, B), t_grid)
@@ -500,8 +509,15 @@ def _gamma_limit_batch(A, B, t_grid):
     lo = (alpha**ts)[..., None, None] * A1mt
     hi = (beta**ts)[..., None, None] * A1mt
     scale = beta**ts * a[:, :1] ** (1.0 - ts)  # operator norm of hi
-    env = _eigenvalues(np.stack([G - lo, hi - G]))[..., 0]
-    envelope_ok = np.all(env >= -MAJORIZE_RTOL * scale, axis=0)
+    # one Cholesky of every gap + slack I certifies every envelope (see
+    # gamma_limit_check); the gaps are finite, as C is, so only a violation
+    # or a lam_min within rounding of -slack fails it
+    gaps = np.stack([G - lo, hi - G])
+    slack = MAJORIZE_RTOL * scale
+    if _positive_definite(symmetrize(gaps) + slack[..., None, None] * np.eye(n)):
+        envelope_ok = np.ones((k, len(ts)), dtype=bool)
+    else:
+        envelope_ok = np.all(_eigenvalues(gaps)[..., 0] >= -slack, axis=0)
 
     t_last = ts[-1]
     dev = np.maximum(np.max(np.abs(beta**t_last * a ** (1.0 - t_last) - a), axis=1),

@@ -498,6 +498,19 @@ def test_an_overflowing_renyi_product_is_a_numerical_error_at_the_cli(tmp_path, 
     assert (code, *capsys.readouterr()) == (2, "", "error: product A^{1-t} B^t overflows at t = 64.0\n")
 
 
+def test_an_overflowing_relative_entropy_product_is_a_numerical_error_at_the_cli(tmp_path, capsys):
+    # B (log B - log A) overflows: the CLI failed to serialize inf
+    from sandwich_opt.cli import main
+
+    save_matrix(tmp_path / "a.json", 1e-10 * np.eye(3))
+    save_matrix(tmp_path / "b.json", 1e306 * np.eye(3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["divergence", "--kind", "umegaki", "--a", str(tmp_path / "a.json"),
+                     "--b", str(tmp_path / "b.json")])
+    assert (code, *capsys.readouterr()) == (2, "", "error: product B (log B - log A) overflows\n")
+
+
 def test_verify_exits_one_on_property_violation(monkeypatch, capsys):
     import sandwich_opt.cli as cli
 

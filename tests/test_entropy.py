@@ -403,6 +403,15 @@ def test_renyi_product_overflow_raises_numerical_error():
             renyi_classic(np.diag([1e-3, 1.0]), np.diag([1e3, 1.0]), 64)
 
 
+def test_relative_entropy_product_overflow_raises_numerical_error():
+    # log B - log A = ln(1e606) I is finite, B (log B - log A) is not: the
+    # entropy was inf after RuntimeWarnings, though its value is about 1395
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match=r"^product B \(log B - log A\) overflows$"):
+            umegaki_relative_entropy(1e306 * np.eye(3), 1e-300 * np.eye(3))
+
+
 def test_bures_distance_to_itself_at_large_scale():
     # the radicand test was absolute: 71 of these 200 raised a "negative
     # Bures radicand" of about -1.9e-9, rounding left on traces near 1e7

@@ -439,6 +439,38 @@ def test_limits_suite_does_not_depend_on_chunk_size(monkeypatch):
             assert np.array_equal(other_values[key], value), (chunk, key)
 
 
+def test_limits_chunk_certifies_its_envelopes_by_one_cholesky(monkeypatch):
+    # eigh of the gamma A and the density pair, eigvalsh of the gamma B, the
+    # eight divergence orders and the whitened pair, one svd of the graded
+    # factors, and two Cholesky: U*BU and all envelopes of the chunk at once
+    calls = _count_decompositions(monkeypatch, ("eigh", "eigvalsh", "svd", "cholesky"))
+    assert run_suite("limits", n=4, trials=50, seed=11)["all_hold"]
+    assert calls == {"eigh": 3, "eigvalsh": 10, "svd": 1, "cholesky": 2}
+
+
+def _limits_outputs():
+    pairs = [random_pair(n, derive_seed(53, n, i), "gamma") for n in (1, 3, 4, 6) for i in range(5)]
+    return ([canonical_json(run_suite("limits", n=n, trials=30, seed=s)) for n in (1, 3, 4) for s in range(4)]
+            + [canonical_json(gamma_limit_check(A, B)) for A, B in pairs])
+
+
+def test_limits_envelope_without_the_certificate_is_the_eigvalsh_test(monkeypatch):
+    # a failed certificate leaves every envelope to the eigvalsh of both gaps
+    certified = _limits_outputs()
+    monkeypatch.setattr(inequalities, "_positive_definite", lambda H: False)
+    assert _limits_outputs() == certified
+    calls = _count_decompositions(monkeypatch)
+    run_suite("limits", n=4, trials=50, seed=11)
+    assert calls["eigvalsh"] == 11
+
+
+def test_limits_envelope_failures_are_counted_through_the_fallback(monkeypatch):
+    # with slack -scale no gap reaches scale I: the certificate fails and
+    # the eigvalsh test counts every trial
+    monkeypatch.setattr(inequalities, "MAJORIZE_RTOL", -1.0)
+    assert run_suite("limits", n=3, trials=20, seed=52)["gamma_violations"] == 20
+
+
 @pytest.mark.parametrize("n", [1, 3, 4, 5, 8])
 def test_divergence_limit_values_equal_the_entropy_functions(n):
     # the batch kernel evaluates the entropy module's own formulas on stacks:
@@ -454,8 +486,8 @@ def test_divergence_limit_values_equal_the_entropy_functions(n):
         assert report["max_relative_form"] == max_relative_entropy(B, A)
 
 
-def _count_decompositions(monkeypatch):
-    calls = {"eigh": 0, "eigvalsh": 0, "svd": 0}
+def _count_decompositions(monkeypatch, names=("eigh", "eigvalsh", "svd")):
+    calls = dict.fromkeys(names, 0)
     for name in calls:
         fn = getattr(np.linalg, name)
 
@@ -871,7 +903,7 @@ def test_seeded_pairs_reject_a_seed_outside_the_seed_domain(seed):
 
 @pytest.mark.parametrize("trials", [0, -3, 2.5, True, np.float64(4.0), None])
 def test_every_suite_rejects_a_trial_count_that_is_not_an_integer_from_one(trials):
-    # one check, where a suite cuts its trials into chunks (inequalities._chunks)
+    # one check, where a suite cuts its trials into chunks (inequalities._suite_inputs)
     for suite in SUITES:
         with pytest.raises(InvalidInput, match="trial count"):
             run_suite(suite, n=3, trials=trials, seed=0)
