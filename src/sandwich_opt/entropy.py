@@ -7,8 +7,11 @@ evaluated through spectral decompositions (n is small, exactness of the
 eigen-route dominates). The private helpers that start from a
 ``SpectralDecomp`` work alike on one matrix and on a stack (k, n, n) from
 ``linalg.spectral_decompose``, which is how the batched verification suites
-evaluate these same formulas. On a stack, a ``NumericalError`` names the first
-failing stack index.
+evaluate these same formulas. Their order t is a number or an array broadcast
+over the stack's leading axes, so one call evaluates a whole order grid: a
+(G, 1) grid against a stack (k, n, n) gives results stacked (G, k). On a
+stack, a ``NumericalError`` names the first failing stack index, the trial's
+position on the last axis, and the order it failed at.
 """
 
 from __future__ import annotations
@@ -72,13 +75,13 @@ def sandwich_spectrum(A, B, t):
 
 
 def _sandwich_spectrum(decA, B, t):
-    """sandwich_spectrum from the decomposition of A (or of a stack, with B a stack)."""
+    """sandwich_spectrum from the decomposition of A (or of a stack, with B a stack), at every order of t."""
     return _factor_spectrum(_sandwich_factor(decA, t), B, t)
 
 
 def _factor_spectrum(P, B, t):
     """Ascending eigenvalues of P B P, all positive, from the sandwich factor P."""
-    return _positive(_eigenvalues(_sandwiched(P, B, f" at t = {t}")))
+    return _positive(_eigenvalues(_sandwiched(P, B, t)), t=t)
 
 
 def _sandwich_factor(decA, t):
@@ -92,45 +95,60 @@ def _sandwich_factor(decA, t):
 
 def _sandwich(P, X, t):
     """(d, V), d ascending, with P X P = V diag(d) V*, X Hermitian; NumericalError unless P X P > 0."""
-    d, V = _eigh(symmetrize(_sandwiched(P, X, f" at t = {t}")))
-    return _positive(d), V
+    d, V = _eigh(symmetrize(_sandwiched(P, X, t)))
+    return _positive(d, t=t), V
 
 
-def _sandwiched(P, B, context="", what="sandwiched product"):
+def _sandwiched(P, B, t=None, what="sandwiched product"):
     """The congruence P B P (matrices or stacks), formed as (P B) P; see ``_finite_product``."""
-    return _finite_product((P, B, P), what, context)
+    return _finite_product((P, B, P), what, t)
 
 
-def _finite_product(factors, what, context=""):
+def _finite_product(factors, what, t=None):
     """The product of ``factors`` (matrices or stacks), left to right, if finite.
 
-    Else ``NumericalError`` naming ``what`` and the first bad stack index. The
-    product is formed with numpy's overflow warnings off, so an overflow
-    surfaces only as the ``NumericalError``.
+    Else ``NumericalError`` naming ``what``, the first bad stack index and its
+    order t, if one is given (see ``_where``). The product is formed with
+    numpy's overflow warnings off, so an overflow surfaces only as the
+    ``NumericalError``.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         M = functools.reduce(np.matmul, factors)
     if not np.isfinite(M).all():
         bad = ~np.all(np.isfinite(M), axis=(-2, -1))
-        raise NumericalError(f"{what} overflows{_where(bad)}{context}")
+        raise NumericalError(f"{what} overflows{_where(bad)}{_at_order(bad, t)}")
     return M
 
 
-def _positive(w, what="sandwiched product"):
-    """w, the spectrum (or stack of spectra) of the product ``what``, after checking it is positive."""
+def _positive(w, what="sandwiched product", t=None):
+    """w, the spectrum (or stack of spectra) of ``what`` at order t, after checking it is positive."""
     if not np.min(w) > 0:
         bad = ~(np.min(w, axis=-1) > 0)
         raise NumericalError(f"{what} lost positivity{_where(bad)} "
-                             f"(min eigenvalue {np.min(w[bad]):.3e})")
+                             f"(min eigenvalue {np.min(w[bad]):.3e}){_at_order(bad, t)}")
     return w
 
 
+def _first(bad):
+    """Index of the first True entry of a stack's mask."""
+    return tuple(int(i) for i in np.argwhere(bad)[0])
+
+
 def _where(bad):
-    """Error-message suffix naming the first failing entry of a stack's mask; empty for one matrix."""
-    if bad.ndim == 0:
-        return ""
-    index = tuple(int(i) for i in np.argwhere(bad)[0])
-    return f" at stack index {index[0] if len(index) == 1 else index}"
+    """Error-message suffix naming the trial of a stack's mask that fails first; empty for one matrix.
+
+    The trial is the entry's position on the last axis: leading axes stack
+    the orders of a grid, which ``_at_order`` names.
+    """
+    return "" if bad.ndim == 0 else f" at stack index {_first(bad)[-1]}"
+
+
+def _at_order(bad, t):
+    """Error-message suffix naming the order of a mask's first failing entry; empty without t.
+
+    t is a number, or an array broadcast against the mask.
+    """
+    return "" if t is None else f" at t = {np.broadcast_to(t, bad.shape)[_first(bad)]}"
 
 
 def sandwich_trace(A, B, t):
@@ -141,7 +159,7 @@ def sandwich_trace(A, B, t):
 
 
 def _sandwich_trace(decA, B, t):
-    """sandwich_trace from the decomposition of A."""
+    """sandwich_trace from the decomposition of A, at every order of t."""
     return _factor_trace(_sandwich_factor(decA, t), B, t)
 
 
@@ -189,7 +207,7 @@ def renyi_classic(A, B, t):
     check_order_t(t)
     A, B = check_matrices(A=A, B=B)
     product = (matrix_power(A, 1.0 - t), matrix_power(B, t))
-    val = float(_trace(_finite_product(product, "product A^{1-t} B^t", f" at t = {t}")))
+    val = float(_trace(_finite_product(product, "product A^{1-t} B^t", t)))
     if val <= 0:
         raise NumericalError(f"trace of A^(1-t) B^t is not positive ({val:.3e})")
     return float(np.log(val) / (t - 1.0))
@@ -261,7 +279,7 @@ def _geometric_mean(decA, B, t):
     The one formula of A #_t B, in two steps: ``_whiten`` decomposes
     A^{-1/2} B A^{-1/2}, which does not depend on t, and ``_mean_at`` takes
     A #_t B from that decomposition. A caller that needs several orders of
-    one pair whitens once and calls ``_mean_at`` per order.
+    one pair whitens once and calls ``_mean_at`` on the order array.
     """
     return _mean_at(_whiten(decA, B), t)
 
@@ -278,12 +296,12 @@ def _whiten(decA, B):
 
 
 def _mean_at(whitened, t):
-    """A #_t B = A^{1/2} (A^{-1/2} B A^{-1/2})^t A^{1/2} from ``_whiten(decA, B)``.
+    """A #_t B = A^{1/2} (A^{-1/2} B A^{-1/2})^t A^{1/2} from ``_whiten(decA, B)``, at every order of t.
 
     ``NumericalError`` if the t-th power or its congruence by A^{1/2} overflows.
     """
     root, decM = whitened
-    return symmetrize(_sandwiched(root, decM.map(power(t)), f" at t = {t}", _MEAN))
+    return symmetrize(_sandwiched(root, decM.map(power(t)), t, _MEAN))
 
 
 def riemannian_distance(A, B):

@@ -31,10 +31,12 @@ EQUAL_EIG_RTOL = 1e-8
 def symmetrize(H):
     """Hermitian part (H + H*)/2 of a matrix or of each matrix in a stack.
 
-    Guards against I/O round-trip asymmetry.
+    Guards against I/O round-trip asymmetry. Formed as H/2 + H*/2, which has
+    the bits of (H + H*)/2 outside the subnormal range and does not overflow
+    for finite entries near the largest float.
     """
     H = np.asarray(H, dtype=complex)
-    return (H + H.conj().swapaxes(-1, -2)) / 2
+    return 0.5 * H + 0.5 * H.conj().swapaxes(-1, -2)
 
 
 def check_matrices(n=None, error=InvalidInput, **matrices):
@@ -141,6 +143,8 @@ class SpectralDecomp:
     def map(self, fn):
         """U diag(fn(lam)) U*; several functions of one matrix share one decomposition.
 
+        A power with an exponent array (see ``power``) maps every exponent in
+        this one call, the result stacked over the exponent array's shape.
         ``NumericalError``, and no numpy overflow warning, if fn overflows on
         the spectrum.
         """
@@ -201,14 +205,20 @@ def _graded_svd(C):
 
 @dataclass(frozen=True)
 class ScalarFunction:
-    """Scalar function id for matrix-function machinery: power(s), log, exp."""
+    """Scalar function id for matrix-function machinery: power(s), log, exp.
+
+    A power's exponent is a float, or an array of them from ``power``: then
+    spectra x (..., n) are raised to exponent[..., None], one exponent per
+    spectrum, broadcast over the leading axes.
+    """
 
     kind: str
     exponent: float = 1.0
 
     def __call__(self, x):
         if self.kind == "power":
-            return np.power(x, self.exponent)
+            s = self.exponent
+            return _power(x, s[..., None]) if isinstance(s, np.ndarray) else np.power(x, s)
         if self.kind == "log":
             return np.log(x)
         if self.kind == "exp":
@@ -229,21 +239,57 @@ class ScalarFunction:
         with np.errstate(over="ignore"):
             values = self(lam)
         if not np.isfinite(values).all():
-            raise NumericalError(f"{self} is not finite on the spectrum "
+            fn = self
+            if isinstance(self.exponent, np.ndarray):
+                # name the exponent of the first spectrum that overflows
+                bad = ~np.all(np.isfinite(values), axis=-1)
+                first = tuple(np.argwhere(bad)[0])
+                fn = power(float(np.broadcast_to(self.exponent, bad.shape)[first]))
+            raise NumericalError(f"{fn} is not finite on the spectrum "
                                  f"(eigenvalues {np.min(lam):.3e} to {np.max(lam):.3e})")
         return values
 
     def defined_on(self, lam_min) -> bool:
-        """Whether the function is defined on a spectrum with smallest eigenvalue lam_min."""
-        if self.kind == "exp":
+        """Whether the function is defined on a spectrum with smallest eigenvalue lam_min.
+
+        A power is, whatever lam_min, if its exponent (each one of an array)
+        is a non-negative integer.
+        """
+        if self.kind == "exp" or lam_min > 0:
             return True
-        if self.kind == "power" and float(self.exponent).is_integer() and self.exponent >= 0:
-            return True
-        return bool(lam_min > 0)
+        exponents = np.ravel(self.exponent)
+        return self.kind == "power" and all(float(s).is_integer() and s >= 0 for s in exponents)
+
+
+# Exponents that numpy raises an array to, when it is given one number, by a
+# kernel of its own (reciprocal, ones, sqrt, copy, square) instead of pow.
+_ONE_NUMBER_EXPONENTS = frozenset((-1.0, 0.0, 0.5, 1.0, 2.0))
+
+
+def _power(x, s):
+    """np.power(x, s) for an exponent array s, each entry rounded as np.power(x, e) rounds its e alone.
+
+    An exponent array takes numpy's pow kernel, which can round differently
+    from the kernel numpy takes for one number in ``_ONE_NUMBER_EXPONENTS``,
+    so the entries with those exponents are raised again, each value as one
+    number. Then an order grid evaluated in one call has the bits of one
+    call per order.
+    """
+    out = np.power(x, s)
+    for e in _ONE_NUMBER_EXPONENTS.intersection(s.ravel().tolist()):
+        np.copyto(out, np.power(x, e), where=s == e)
+    return out
 
 
 def power(s) -> ScalarFunction:
-    """x -> x^s; ``InvalidInput`` unless the exponent s is a number (a bool is not)."""
+    """x -> x^s; ``InvalidInput`` unless the exponent s is a number (a bool is not) or an array of them.
+
+    An array s holds one exponent per matrix of a stack: ``SpectralDecomp.map``
+    raises the stack's matrices to every exponent in one evaluation, the
+    result of shape broadcast(s.shape, stack shape) + (n, n).
+    """
+    if isinstance(s, np.ndarray) and s.ndim and s.dtype.kind in "iuf":
+        return ScalarFunction("power", s.astype(float))
     if not _is_number(s):
         raise InvalidInput(f"exponent {s!r} must be a number")
     return ScalarFunction("power", float(s))

@@ -412,6 +412,17 @@ def test_relative_entropy_product_overflow_raises_numerical_error():
             umegaki_relative_entropy(1e306 * np.eye(3), 1e-300 * np.eye(3))
 
 
+def test_finite_inputs_near_the_largest_float_are_not_rejected_as_non_finite():
+    # the Hermitian part of 1e308 I overflowed: fidelity raised InvalidInput
+    # "non-finite entries" for finite inputs, and the Umegaki entropy did so
+    # before it reached its product B (log B - log A), which does overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert fidelity(1e308 * np.eye(2), np.eye(2), 0.5) == 2e154
+        with pytest.raises(NumericalError, match=r"^product B \(log B - log A\) overflows$"):
+            umegaki_relative_entropy(1e308 * np.eye(3), 1e307 * np.eye(3))
+
+
 def test_bures_distance_to_itself_at_large_scale():
     # the radicand test was absolute: 71 of these 200 raised a "negative
     # Bures radicand" of about -1.9e-9, rounding left on traces near 1e7

@@ -24,6 +24,7 @@ from sandwich_opt import (
     open_question_search,
     power,
     random_spd,
+    random_spd_stack,
     run_suite,
     sandwiched_divergence,
     spectral_decompose,
@@ -34,7 +35,7 @@ from sandwich_opt import (
     variational_minimizer,
     variational_value,
 )
-from sandwich_opt import inequalities
+from sandwich_opt import entropy, inequalities
 from sandwich_opt.entropy import sandwich_spectrum
 from sandwich_opt.inequalities import (
     LARGE_T_GRID,
@@ -440,12 +441,12 @@ def test_limits_suite_does_not_depend_on_chunk_size(monkeypatch):
 
 
 def test_limits_chunk_certifies_its_envelopes_by_one_cholesky(monkeypatch):
-    # eigh of the gamma A and the density pair, eigvalsh of the gamma B, the
-    # eight divergence orders and the whitened pair, one svd of the graded
-    # factors, and two Cholesky: U*BU and all envelopes of the chunk at once
+    # eigh of the gamma A and the density pair, eigvalsh of the gamma B, of
+    # all eight divergence orders at once and of the whitened pair, one svd of
+    # the graded factors, and two Cholesky: U*BU and all envelopes of the chunk
     calls = _count_decompositions(monkeypatch, ("eigh", "eigvalsh", "svd", "cholesky"))
     assert run_suite("limits", n=4, trials=50, seed=11)["all_hold"]
-    assert calls == {"eigh": 3, "eigvalsh": 10, "svd": 1, "cholesky": 2}
+    assert calls == {"eigh": 3, "eigvalsh": 3, "svd": 1, "cholesky": 2}
 
 
 def _limits_outputs():
@@ -461,7 +462,7 @@ def test_limits_envelope_without_the_certificate_is_the_eigvalsh_test(monkeypatc
     assert _limits_outputs() == certified
     calls = _count_decompositions(monkeypatch)
     run_suite("limits", n=4, trials=50, seed=11)
-    assert calls["eigvalsh"] == 11
+    assert calls["eigvalsh"] == 4
 
 
 def test_limits_envelope_failures_are_counted_through_the_fallback(monkeypatch):
@@ -501,13 +502,11 @@ def _count_decompositions(monkeypatch, names=("eigh", "eigvalsh", "svd")):
 
 @pytest.mark.parametrize("suite", SUITES)
 def test_suite_decomposition_count_does_not_grow_with_trials(monkeypatch, suite):
-    # decompositions are counted per chunk, not per trial; the variational
-    # suite gives trial i order i mod len(grid), so one order keeps the chunk whole
-    grid = (0.5,) if suite == "variational" else None
+    # decompositions are counted per chunk, not per trial
     counts = []
     for trials in (1, 50):
         calls = _count_decompositions(monkeypatch)
-        run_suite(suite, n=4, trials=trials, seed=38, t_values=grid)
+        run_suite(suite, n=4, trials=trials, seed=38)
         counts.append(sum(calls.values()))
         monkeypatch.undo()
     assert counts[0] == counts[1] > 0
@@ -515,14 +514,15 @@ def test_suite_decomposition_count_does_not_grow_with_trials(monkeypatch, suite)
 
 def test_trace_chain_suite_decomposes_each_input_once(monkeypatch):
     # per chunk: the stacks A and B and the whitened A^{-1/2} B A^{-1/2}
-    # once each, shared by A #_t B at every order
+    # once each, shared by A #_t B at every order, and one eigvalsh of the
+    # sandwiches at every order
     t_values = (0.1, 0.5, 0.9)
     for chunk, chunks in ((inequalities.SUITE_CHUNK, 1), (2, 3)):
         monkeypatch.setattr(inequalities, "SUITE_CHUNK", chunk)
         calls = _count_decompositions(monkeypatch)
         run_suite("trace-chain", n=4, trials=6, seed=39, t_values=t_values)
         assert calls["eigh"] == chunks * 3
-        assert calls["eigvalsh"] == chunks * len(t_values)
+        assert calls["eigvalsh"] == chunks
         monkeypatch.undo()
 
 
@@ -910,3 +910,104 @@ def test_every_suite_rejects_a_trial_count_that_is_not_an_integer_from_one(trial
     with pytest.raises(InvalidInput, match="trial count"):
         gauge_convexity_check(power(2.0), 1.0, trials, 0)
     assert run_suite("gauge", n=3, trials=np.int64(2), seed=0)["all_hold"]
+
+
+# ------------------------------------------------------- stacked order grids
+
+
+@pytest.mark.parametrize("suite", GRID_SUITES)
+def test_a_chunk_decomposes_as_often_at_any_grid_length(monkeypatch, suite):
+    # each kernel evaluates the chunk's whole order grid in one pass; the
+    # trace chain took one eigvalsh per order, the variational suite one pass
+    # per order, and the open-question search one eigvalsh pair per order
+    counts = []
+    for grid in ((0.5,), None, (0.05, 0.2, 0.3, 0.5)):
+        calls = _count_decompositions(monkeypatch)
+        run_suite(suite, n=4, trials=10, seed=55, t_values=grid)
+        monkeypatch.undo()
+        counts.append(calls)
+    assert counts[0] == counts[1] == counts[2], counts
+
+
+STACKED_GRID = (0.05, 0.3, 0.5, 0.9)
+
+
+def _stack(n, k, seed, box=inequalities.PAIR_BOX):
+    return [random_spd_stack(n, *box, [derive_seed(seed, n, side, i) for i in range(k)]) for side in "abx"]
+
+
+def _assert_grid_equals_one_order_calls(kernel, grid):
+    # output g of a call on the (G, 1) grid has the bits of a call at t_g alone
+    out = kernel(np.array(grid)[:, None])
+    for g, t in enumerate(grid):
+        one = kernel(np.array([t]))
+        for key in one:
+            assert np.array_equal(out[key][g], one[key]), (t, key)
+
+
+@pytest.mark.parametrize("n", [1, 3, 4])
+def test_stacked_chain_kernels_equal_one_order_calls_bit_for_bit(n):
+    A, B, _ = _stack(n, 8, 56)
+    pair = inequalities._decomposed(A, B)
+    _assert_grid_equals_one_order_calls(lambda t: {"links": inequalities._trace_chain_links(*pair, t)},
+                                        STACKED_GRID)
+    _assert_grid_equals_one_order_calls(lambda t: inequalities._log_major_links(*pair, t), STACKED_GRID)
+    # and the powered spectrum has the bits of the per-pair formula's scalar power
+    links = inequalities._log_major_links(*pair, np.array(STACKED_GRID)[:, None])
+    for g, t in enumerate(STACKED_GRID):
+        for i in range(len(A)):
+            assert np.array_equal(links["sandwich_power"][g, i], sandwich_spectrum(A[i], B[i], t)[::-1] ** t)
+    decA = spectral_decompose(A)
+    _assert_grid_equals_one_order_calls(
+        lambda t: dict(enumerate(inequalities._open_question_margins(A, B, decA, t))), (0.05, 0.25, 0.5))
+
+
+@pytest.mark.parametrize("n", [1, 3, 4])
+def test_stacked_divergence_orders_equal_one_order_calls_bit_for_bit(n):
+    A, R, _ = _stack(n, 8, 57, inequalities.DENSITY_BOX)
+    A, B = inequalities._density(A, R)
+    decA = spectral_decompose(A)
+    _assert_grid_equals_one_order_calls(
+        lambda t: {"divergence": entropy._sandwiched_divergence(decA, B, t)},
+        [t for t, _ in inequalities._NEAR_ONE] + list(LARGE_T_GRID) + [0.05, 0.5])
+
+
+@pytest.mark.parametrize("n", [1, 3, 4])
+def test_variational_orders_per_trial_equal_one_order_calls_bit_for_bit(n):
+    # trial i at t[i] has the bits of the whole stack at the one number t[i]
+    A, B, X = _stack(n, 8, 58)
+    decA, decB = spectral_decompose(A), spectral_decompose(B)
+
+    def kernel(t):
+        out = inequalities._variational_values(decA, decB, B, t, X, REPRESENTATIONS)
+        X0 = inequalities._variational_minimizer(decA, decB, t)
+        out["minimizer"] = X0
+        out["F"] = entropy._sandwich_trace(decA, B, t)
+        out.update({f"{rep} at X0": v for rep, v in
+                    inequalities._variational_values(decA, decB, B, t, X0, ("iii", "iv")).items()})
+        return out
+
+    t = np.array([0.05, 0.3, 0.5, 0.9, 0.05, 0.5, 0.3, 0.5])
+    per_trial = kernel(t)
+    for i, ti in enumerate(t.tolist()):
+        one = kernel(ti)
+        for key in one:
+            assert np.array_equal(per_trial[key][i], one[key][i]), (i, key)
+
+
+def test_a_stacked_grid_names_the_order_that_fails():
+    # trial 1's sandwich A^{(1-t)/2t} B A^{(1-t)/2t}, about 1e309 I at t = 0.004,
+    # overflows; the other trials are multiples of I, finite at every order
+    A, B, _ = _stack(2, 3, 59)
+    A[[0, 2]], B[[0, 2]] = 1.5 * np.eye(2), 0.5 * np.eye(2)
+    A[1], B[1] = np.diag([10.0, 1.0]), 1e60 * np.eye(2)
+    decA = spectral_decompose(A)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="^sandwiched product overflows at stack index 1 at t = 0.004$"):
+            entropy._sandwich_trace(decA, B, np.array([[0.5], [0.2], [0.004]]))
+        with pytest.raises(NumericalError, match="^sandwiched product overflows at stack index 1 at t = 0.004$"):
+            entropy._sandwich_trace(decA, B, np.array([0.5, 0.004, 0.004]))
+        with pytest.raises(NumericalError, match="^sandwiched product overflows at t = 0.004$"):
+            entropy.sandwich_trace(A[1], B[1], 0.004)
+    assert np.all(np.isfinite(entropy._sandwich_trace(decA[[0, 2]], B[[0, 2]], np.array([[0.5], [0.004]]))))

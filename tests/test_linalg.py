@@ -324,6 +324,27 @@ def test_symmetrize_exact_hermiticity():
     assert np.all(S.diagonal().imag == 0.0)
 
 
+def test_symmetrize_does_not_overflow_near_the_largest_float():
+    # (H + H*)/2 overflowed for finite entries above about 9e307: the square
+    # root of 1e308 I raised DomainError "min eigenvalue nan" after
+    # RuntimeWarnings
+    H = np.array([[1e308, 1.7e308 + 1e308j], [1.7e308 - 1e308j, 1.5e308]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(symmetrize(H), H)
+        assert np.array_equal(matrix_power(1e308 * np.eye(2), 0.5), 1e154 * np.eye(2))
+
+
+def test_symmetrize_has_the_bits_of_the_half_sum_away_from_subnormals():
+    rng = np.random.default_rng(41)
+    for shape in ((4, 4), (3, 5, 5), (64, 64)):
+        H = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        for M in (H, H.real, np.zeros(shape)):
+            M = np.asarray(M, dtype=complex)
+            half_sum = (M + M.conj().swapaxes(-1, -2)) / 2
+            assert np.array_equal(symmetrize(M).view(float), half_sum.view(float))
+
+
 def test_derive_seed_stable_and_label_sensitive():
     assert derive_seed(7, "x", 1) == derive_seed(7, "x", 1)
     assert derive_seed(7, "x", 1) != derive_seed(7, "x", 2)
