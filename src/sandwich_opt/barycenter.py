@@ -11,13 +11,15 @@ both stop on one rule, ||grad phi_t(X)|| <= grad_tol (default 1e-10 t n).
 Both solvers read the one gradient of f, the kernel of ``calculus.gradient_f``:
 grad phi_t(X) = t I - sum_j w_j grad f_j(X) = t (I - S(X)) with
 S(X) = sum_j w_j grad f_j(X) / t, and F(X) = X^{1/2} S(X) X^{1/2}. Each
-A_j is decomposed once, when a problem first needs it (m eigh per problem),
-and every function of A_j a solver reads comes from that decomposition: the
-sandwich factors P_j = A_j^{(1-t)/2t}, and the powers A_j^{1-t} of the
-solvers' one start, the power mean (sum_j w_j A_j^{1-t})^{1/(1-t)}, which
-is the minimizer when the marginals commute and takes one eigh more. Each
-grad f_j takes one eigh, of the sandwich P_j X P_j, so S(X) takes m. A
-fixed-point step adds one eigh for X^{1/2}: m + 1 per step. A
+A_j = U_j diag(a_j) U_j* is decomposed once, when a problem first needs it
+(m eigh per problem), and every function of A_j a solver reads comes from
+that decomposition: the sandwich of grad f_j, formed in A_j's eigenbasis as
+D_j (U_j* X U_j) D_j, with the scaling D_j = diag(a_j^{(1-t)/2t}) kept on
+the problem, and the powers A_j^{1-t} of the solvers' one start, the power
+mean (sum_j w_j A_j^{1-t})^{1/(1-t)}, which is the minimizer when the
+marginals commute and takes one eigh more. Each grad f_j takes one eigh, of
+that sandwich, and four products, so S(X) takes m eigh. A fixed-point step
+adds one eigh for X^{1/2}: m + 1 per step. A
 gradient-projection step adds the box projection, which certifies an
 in-box X - eta grad phi_t(X) by two Cholesky factorizations and decomposes
 only a step that leaves the box: m eigh and 2 Cholesky per in-box step. A
@@ -36,7 +38,7 @@ from functools import cached_property
 import numpy as np
 
 from .calculus import _frame_gradient, _whitened_frame, convexity_constants
-from .entropy import _factor_trace, _sandwich_factor, check_unit_t
+from .entropy import _graded_basis, _sandwich_trace, check_unit_t
 from .errors import InvalidBox, InvalidInput, InvalidStart, InvalidStepSize
 from .linalg import (
     _check_integer,
@@ -68,9 +70,10 @@ HISTORY_CAP = 10_000
 class BarycenterProblem:
     """Marginals A_j, normalized weights w_j, order t, and spectral box.
 
-    The decompositions of the marginals, and the sandwich factors
-    P_j = A_j^{(1-t)/2t} formed from them, are made on first use and kept on
-    the instance, so they live exactly as long as the problem.
+    The decompositions of the marginals, and the graded bases
+    (a_j^{(1-t)/2t}, U_j) of their sandwiches formed from them, are made on
+    first use and kept on the instance, so they live exactly as long as the
+    problem.
     """
 
     matrices: tuple
@@ -93,9 +96,9 @@ class BarycenterProblem:
         return tuple(spectral_decompose(A) for A in self.matrices)
 
     @cached_property
-    def _factors(self) -> tuple:
-        """(P_1, ..., P_m) from the marginals' decompositions."""
-        return tuple(_sandwich_factor(dec, self.t) for dec in self._decompositions)
+    def _bases(self) -> tuple:
+        """``entropy._graded_basis`` of each marginal's decomposition at the order t."""
+        return tuple(_graded_basis(dec, self.t) for dec in self._decompositions)
 
 
 def _in_box(lo, hi, alpha, beta):
@@ -144,16 +147,16 @@ def objective(p: BarycenterProblem, X):
     """phi_t(X); nonnegative, zero iff every marginal equals X."""
     X = check_matrices(n=p.n, X=X)[0]
     total = 0.0
-    for w, A, P in zip(p.weights, p.matrices, p._factors):
+    for w, A, dec in zip(p.weights, p.matrices, p._decompositions):
         linear = (1.0 - p.t) * float(_trace(A)) + p.t * float(_trace(X))
-        total += w * (linear - float(_factor_trace(P, X, p.t)))
+        total += w * (linear - float(_sandwich_trace(dec, X, p.t)))
     return total
 
 
 def _mean_sum(p: BarycenterProblem, X):
-    """S(X) = sum_j w_j grad f_j(X) / t from the problem's sandwich factors: m eigh."""
-    return sum(w * _frame_gradient(*_whitened_frame(P, X, p.t), p.t)
-               for w, P in zip(p.weights, p._factors)) / p.t
+    """S(X) = sum_j w_j grad f_j(X) / t from the problem's graded bases: m eigh."""
+    return sum(w * _frame_gradient(*_whitened_frame(basis, X, p.t), p.t)
+               for w, basis in zip(p.weights, p._bases)) / p.t
 
 
 def _gradient_and_sum(p: BarycenterProblem, X):
@@ -178,7 +181,8 @@ def objective_gradient(p: BarycenterProblem, X):
     """grad phi_t(X) = t I - sum_j w_j grad f_j(X).
 
     ``NumericalError`` when a sandwich A_j^{(1-t)/2t} X A_j^{(1-t)/2t} loses
-    positivity in floating point, which happens first at small t.
+    positivity in floating point, as it does for an X that is not positive
+    definite.
     """
     return _gradient_and_sum(p, check_matrices(n=p.n, X=X)[0])[0]
 
@@ -187,8 +191,8 @@ def fixed_point_map(p: BarycenterProblem, X):
     """F(X) = sum_j w_j (X^{1/2} A_j^{(1-t)/t} X^{1/2})^t; stationarity iff X = F(X).
 
     Evaluated as X^{1/2} S(X) X^{1/2} = X^{1/2} (I - grad phi_t(X) / t) X^{1/2}:
-    one decomposition of X plus one eigh per marginal for grad f_j, whose
-    sandwich factor the problem keeps (m more eigh on the problem's first use).
+    one decomposition of X plus one eigh per marginal for grad f_j, from the
+    decomposition of A_j the problem keeps (m more eigh on the problem's first use).
     """
     return _fixed_point_step(p, check_matrices(n=p.n, X=X)[0])[0]
 

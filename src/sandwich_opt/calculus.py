@@ -12,11 +12,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .entropy import _factor_trace, _sandwich, _sandwich_factor, check_trace_order, check_unit_t
+from .entropy import _graded_basis, _sandwich, _sandwich_trace, check_trace_order, check_unit_t
 from .errors import NumericalError
 from .linalg import (
     LOG,
-    _trace,
     check_box,
     check_matrices,
     inner,
@@ -28,22 +27,30 @@ from .linalg import (
 )
 
 
-def _whitened_frame(P, X, t):
-    """(U, d), U = P V, with P X P = V diag(d) V*, d ascending, and P = A''^{1/2}, A'' = A^{(1-t)/t}.
+def _whitened_frame(basis, X, t):
+    """(F, w), F = U (D V), with M = A''^{1/2} X A''^{1/2} = (U V) diag(w) (U V)*, w ascending.
 
-    P is formed once per A by ``entropy._sandwich_factor``; U* is ``HessianOperator``'s W. Unchecked.
+    Here A'' = A^{(1-t)/t} = U D^2 U* with (d, U) = ``basis`` from
+    ``entropy._graded_basis``, and D (U*XU) D = V diag(w) V* is the graded
+    sandwich of ``entropy._graded_sandwich``, so F = A''^{1/2} (U V); F* is
+    ``HessianOperator``'s W. Unchecked.
     """
-    d, V = _sandwich(P, X, t)
-    return P @ V, d
+    w, V = _sandwich(basis, X, t)
+    d, U = basis
+    return U @ (d[:, None] * V), w
 
 
 def _frame_gradient(U, d, t):
-    """t U diag(d^{t-1}) U*, the gradient of f in the whitened frame.
+    """t U diag(d^{t-1}) U*, the gradient of f in the whitened frame, exactly Hermitian.
 
-    ``NumericalError``, and no numpy warning, if d^{t-1} overflows: a positive
-    but tiny d, reached at small t, would turn the product into NaN.
+    Formed as H + H* with H = U diag(t d^{t-1} / 2) U*: the one scaling of U's
+    columns also takes t and the half of the Hermitian part, so no pass over
+    the product is spent on either. ``NumericalError``, and no numpy warning,
+    if d^{t-1} overflows: a positive but tiny d, reached at small t, would
+    turn the product into NaN.
     """
-    return symmetrize(t * (U * power(t - 1.0).finite_on(d)) @ U.conj().T)
+    H = (U * (0.5 * t * power(t - 1.0).finite_on(d))) @ U.conj().T
+    return H + H.conj().T
 
 
 def gradient_f(A, X, t):
@@ -51,11 +58,13 @@ def gradient_f(A, X, t):
 
     Equals t W* diag(d^{t-1}) W (notation of ``HessianOperator``), the positive
     definite t * (A^{(1-t)/t} #_{1-t} X^{-1}); ``NumericalError`` unless the
-    computed M is positive definite, which fails first at small t.
+    computed M is positive definite, which an X that is not positive definite
+    fails. M is decomposed in A's eigenbasis, graded
+    (``entropy._graded_sandwich``), so its small eigenvalues survive at small t.
     """
     check_unit_t(t)
     A, X = check_matrices(A=A, X=X)
-    return _frame_gradient(*_whitened_frame(_sandwich_factor(spectral_decompose(A), t), X, t), t)
+    return _frame_gradient(*_whitened_frame(_graded_basis(spectral_decompose(A), t), X, t), t)
 
 
 @dataclass(frozen=True)
@@ -85,7 +94,7 @@ def hessian_operator(A, X, t) -> HessianOperator:
     """
     check_unit_t(t)
     A, X = check_matrices(A=A, X=X)
-    U, d = _whitened_frame(_sandwich_factor(spectral_decompose(A), t), X, t)
+    U, d = _whitened_frame(_graded_basis(spectral_decompose(A), t), X, t)
     kernel = -loewner_matrix(power(t - 1.0), d)
     if not np.isfinite(kernel).all():
         raise NumericalError(f"the Hessian kernel overflows at t = {t} "
@@ -330,10 +339,10 @@ def bregman(A, t, Y, X):
     """
     check_unit_t(t)
     A, Y, X = check_matrices(A=A, Y=Y, X=X)
-    P = _sandwich_factor(spectral_decompose(A), t)
-    U, d = _whitened_frame(P, X, t)
+    decA = spectral_decompose(A)
+    U, d = _whitened_frame(_graded_basis(decA, t), X, t)
     fX = float(np.sum(d ** float(t)))
-    fY = float(_factor_trace(P, Y, t))
+    fY = float(_sandwich_trace(decA, Y, t))
     return fX - fY + inner(_frame_gradient(U, d, t), Y - X)
 
 
@@ -347,9 +356,12 @@ def fidelity_t_derivative(A, B, t):
     check_trace_order(t)
     A, B = check_matrices(A=A, B=B)
     decA = spectral_decompose(A)
-    w, V = _sandwich(_sandwich_factor(decA, t), B, t)
+    basis = _graded_basis(decA, t)
+    decA.require_domain(LOG)
+    w, V = _sandwich(basis, B, t)
     wt = power(t).finite_on(w)
-    phi_t = (V * wt) @ V.conj().T
     term1 = float(np.sum(wt * np.log(w)))
-    term2 = float(_trace(phi_t @ decA.map(LOG))) / t
+    # in A's eigenbasis phi(t)^t = U V diag(w^t) V* U* and log A = U diag(log a) U*,
+    # so tr[phi(t)^t log A] = sum_ik |V_ik|^2 w_k^t log a_i
+    term2 = float(np.sum(np.abs(V) ** 2 * wt * np.log(decA.eigenvalues)[:, None])) / t
     return term1 - term2

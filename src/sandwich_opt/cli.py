@@ -97,8 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     verb("hess-bounds", _cmd_hess_bounds,
          "extreme eigenvalues of -grad^2 f(X), read from a twin operator with the "
          f"same spectrum: dense for n <= {DENSE_MAX_N}, where it is measured faster, "
-         "Lanczos beyond (NumericalError, exit 2, if unconverged); below t ~ 0.04 the dense "
-         "sandwich loses its small eigenvalues, so the extremes can fall below k1", point, order, out)
+         "Lanczos beyond (NumericalError, exit 2, if unconverged)", point, order, out)
 
     sp = verb("constants", _cmd_constants, "certified convexity/smoothness constants", order, out)
     sp.add_argument("--alpha", type=float, required=True)

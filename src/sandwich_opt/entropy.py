@@ -11,7 +11,10 @@ evaluate these same formulas. Their order t is a number or an array broadcast
 over the stack's leading axes, so one call evaluates a whole order grid: a
 (G, 1) grid against a stack (k, n, n) gives results stacked (G, k). On a
 stack, a ``NumericalError`` names the first failing stack index, the trial's
-position on the last axis, and the order it failed at.
+position on the last axis, and the order it failed at. Every sandwich
+A^{(1-t)/2t} B A^{(1-t)/2t} of the trace functional, its derivatives and the
+barycenter is formed in A's eigenbasis by ``_graded_sandwich``: one rotation
+U*BU per pair, then one diagonal scaling per order.
 """
 
 from __future__ import annotations
@@ -76,27 +79,52 @@ def sandwich_spectrum(A, B, t):
 
 def _sandwich_spectrum(decA, B, t):
     """sandwich_spectrum from the decomposition of A (or of a stack, with B a stack), at every order of t."""
-    return _factor_spectrum(_sandwich_factor(decA, t), B, t)
+    return _positive(_eigenvalues(_graded_sandwich(_graded_basis(decA, t), B, t)), t=t)
 
 
-def _factor_spectrum(P, B, t):
-    """Ascending eigenvalues of P B P, all positive, from the sandwich factor P."""
-    return _positive(_eigenvalues(_sandwiched(P, B, t)), t=t)
+def _graded_basis(decA, t):
+    """(d, U): A's eigenvectors U and the sandwich's scaling d = a^{(1-t)/2t}, at every order of t.
 
-
-def _sandwich_factor(decA, t):
-    """P = A^{(1-t)/2t} from the decomposition of A (or a stack); ``NumericalError`` if it overflows.
-
-    Every sandwich P B P of this module is formed from this one factor, so a
-    caller that sandwiches many B with one A forms P once.
+    From the decomposition A = U diag(a) U* of A (or of a stack), a
+    descending; this is the input of ``_graded_sandwich``, which a caller
+    that sandwiches many B at one order forms once. ``DomainError`` unless A
+    is positive definite; ``NumericalError`` if d overflows.
     """
-    return decA.map(power((1.0 - t) / (2.0 * t)))
+    fn = power((1.0 - t) / (2.0 * t))
+    decA.require_domain(fn)
+    return fn.finite_on(decA.eigenvalues), decA.eigenvectors
 
 
-def _sandwich(P, X, t):
-    """(d, V), d ascending, with P X P = V diag(d) V*, X Hermitian; NumericalError unless P X P > 0."""
-    d, V = _eigh(symmetrize(_sandwiched(P, X, t)))
-    return _positive(d, t=t), V
+def _graded_sandwich(basis, B, t):
+    """M = D (U*BU) D, the sandwich A^{(1-t)/2t} B A^{(1-t)/2t} in A's eigenbasis, at every order of t.
+
+    (d, U) = ``basis`` comes from ``_graded_basis`` and D = diag(d). The
+    sandwich is U M U*, so M has its spectrum. The rotation U*BU is formed
+    once, whatever the number of orders, and each order only scales it:
+    M = S + S* with S = (D/2) (U*BU) D, so M is exactly Hermitian and needs
+    no further symmetrization. Precondition: a descending, as
+    ``SpectralDecomp`` holds it, so for t < 1 D decreases down the diagonal
+    and M is graded downward, with exact row and column scales; ``eigh`` then
+    keeps its small eigenvalues, which the product of the full A^{(1-t)/2t}
+    with B loses (Demmel & Veselic, SIAM J. Matrix Anal. Appl. 13, 1992).
+    ``NumericalError`` if M overflows (see ``_finite``).
+    """
+    d, U = basis
+    with np.errstate(over="ignore", invalid="ignore"):
+        R = U.conj().swapaxes(-1, -2) @ B @ U
+        S = (0.5 * d)[..., :, None] * R * d[..., None, :]
+        M = S + S.conj().swapaxes(-1, -2)
+    return _finite(M, "sandwiched product", t)
+
+
+def _sandwich(basis, X, t):
+    """(w, V), w ascending, with ``_graded_sandwich(basis, X, t)`` = V diag(w) V*.
+
+    X is Hermitian, so A^{(1-t)/2t} X A^{(1-t)/2t} = (U V) diag(w) (U V)*;
+    ``NumericalError`` unless w > 0.
+    """
+    w, V = _eigh(_graded_sandwich(basis, X, t))
+    return _positive(w, t=t), V
 
 
 def _sandwiched(P, B, t=None, what="sandwiched product"):
@@ -105,15 +133,21 @@ def _sandwiched(P, B, t=None, what="sandwiched product"):
 
 
 def _finite_product(factors, what, t=None):
-    """The product of ``factors`` (matrices or stacks), left to right, if finite.
+    """The product of ``factors`` (matrices or stacks), left to right, checked by ``_finite``.
 
-    Else ``NumericalError`` naming ``what``, the first bad stack index and its
-    order t, if one is given (see ``_where``). The product is formed with
-    numpy's overflow warnings off, so an overflow surfaces only as the
-    ``NumericalError``.
+    The product is formed with numpy's overflow warnings off, so an overflow
+    surfaces only as the ``NumericalError``.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        M = functools.reduce(np.matmul, factors)
+        return _finite(functools.reduce(np.matmul, factors), what, t)
+
+
+def _finite(M, what, t=None):
+    """M (a matrix or a stack), if finite.
+
+    Else ``NumericalError`` naming ``what``, the first bad stack index and its
+    order t, if one is given (see ``_where``).
+    """
     if not np.isfinite(M).all():
         bad = ~np.all(np.isfinite(M), axis=(-2, -1))
         raise NumericalError(f"{what} overflows{_where(bad)}{_at_order(bad, t)}")
@@ -159,13 +193,8 @@ def sandwich_trace(A, B, t):
 
 
 def _sandwich_trace(decA, B, t):
-    """sandwich_trace from the decomposition of A, at every order of t."""
-    return _factor_trace(_sandwich_factor(decA, t), B, t)
-
-
-def _factor_trace(P, B, t):
-    """tr (P B P)^t from the sandwich factor P; ``NumericalError`` if a t-th power overflows."""
-    return np.sum(power(t).finite_on(_factor_spectrum(P, B, t)), axis=-1)
+    """sandwich_trace from the decomposition of A, at every order of t; ``NumericalError`` if a t-th power overflows."""
+    return np.sum(power(t).finite_on(_sandwich_spectrum(decA, B, t)), axis=-1)
 
 
 def fidelity(A, B, t):

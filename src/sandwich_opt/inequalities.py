@@ -199,9 +199,13 @@ def _libm_pow(x, s):
     numpy raises a contiguous float array with a SIMD kernel, which can differ
     from pow in the last bit, but a reversed 1-D view with pow itself. The
     per-pair formulas raise scalars, so their stacked forms go through one
-    reversed view. An exponent array s, broadcast against x, is reversed with
-    it and raised by ``linalg._power``, so each entry has the bits of its own
-    exponent as one number.
+    reversed view. The exponents 0.5, 2 and -1 are the exception: numpy
+    raises this view, as any array, to one of them by its own sqrt, square
+    and reciprocal kernels, so those entries round as ``np.sqrt(x)``,
+    ``x * x`` and ``1 / x`` do, which can differ from pow in the last bit. An
+    exponent array s, broadcast against x, is reversed with it and raised by
+    ``linalg._power``, so each entry has the bits of its own exponent as one
+    number.
     """
     shape = np.shape(x)
     flat = np.ascontiguousarray(x, dtype=float).ravel()[::-1]
@@ -349,12 +353,14 @@ def variational_value(A, B, t, X, rep):
     return float(_variational_values(spectral_decompose(A), decB, B, t, X, (rep,))[rep])
 
 
-def _variational_values(decA, decB, B, t, X, reps):
+def _variational_values(decA, decB, B, t, X, reps, X0=None):
     """{rep: objective value at X} for the representations ``reps``.
 
     From the decompositions of A and B; works alike on one matrix and on
     stacks, with t a number or one order per matrix. Representations i/ii
     share one ``eigvalsh`` and iii/iv another; ``decB`` is read only for iii/iv.
+    Given a second point X0, iii/iv are also evaluated there, in the same
+    ``eigvalsh``: each of their values is then stacked (2, ...), at X and at X0.
     """
     s = t / (t - 1.0)
     values = {}
@@ -365,6 +371,7 @@ def _variational_values(decA, decB, B, t, X, reps):
         values["i"] = (1.0 - t) * u + t * v
         values["ii"] = _libm_pow(u, 1.0 - t) * _libm_pow(v, t)
     if "iii" in reps or "iv" in reps:
+        X = X if X0 is None else np.stack([X, X0])
         Bri = decB.map(power(-0.5))
         u = _trace(decA.map(power((1.0 - t) / t)) @ X)
         w = _powered_trace(Bri, X, s, "B^{-1/2} X B^{-1/2}")
@@ -474,7 +481,8 @@ def gamma_limit_check(A, B, t_grid=DEFAULT_GAMMA_GRID):
     cond(A)^{(1-t)/t}. In the eigenbasis of A it is C*C for the column-graded
     factor C = L* diag(a^{(1-t)/2t}), with L the Cholesky factor of U*BU, so
     gamma(t) comes from the SVD of C (``linalg._graded_svd``) and the graded
-    matrix is never formed; ``DomainError`` unless B is positive definite.
+    matrix is never formed; the errors and the envelope are checked in that
+    basis too. ``DomainError`` unless B is positive definite.
     The envelope holds where both gaps G - lo and hi - G have lam_min >=
     -slack, slack = ``MAJORIZE_RTOL`` lam_max(B)^t lam_max(A)^{1-t}. One
     Cholesky factorization of every gap + slack I certifies the whole stack;
@@ -526,23 +534,27 @@ def _gamma_limit_batch(A, B, t_grid):
         raise NumericalError(f"graded sandwich A^{{(1-t)/2t}} B A^{{(1-t)/2t}} overflows "
                              f"at stack index {i} at t = {ts[j]}")
     sigma, Z = _graded_svd(C.reshape(-1, n, n))
-    # gamma(t) = (UZ) diag(sigma^{2t}) (UZ)*, sigma^{2t} taken directly
-    # because sigma^2 overflows first
+    # a unitary change of basis moves neither a Frobenius norm nor the
+    # definiteness of a gap, so the check stays in the eigenbasis of A: there
+    # gamma(t) is G = Z diag(sigma^{2t}) Z*, sigma^{2t} taken directly
+    # because sigma^2 overflows first, A is diag(a), and the envelope bounds
+    # c^t A^{1-t} are diagonal
     gamma = SpectralDecomp(sigma.reshape(k, len(ts), n) ** (2.0 * ts)[:, None],
-                           U[:, None] @ Z.reshape(k, len(ts), n, n))
+                           Z.reshape(k, len(ts), n, n))
     G = symmetrize(gamma.reconstruct())
-    errors = np.linalg.norm(G - A[:, None], axis=(-2, -1))
+    eye = np.eye(n)
+    errors = np.linalg.norm(G - a[:, None, :, None] * eye, axis=(-2, -1))
 
-    A1mt = SpectralDecomp(a[:, None], U[:, None]).apply(a[:, None] ** (1.0 - ts)[:, None])
-    lo = (alpha**ts)[..., None, None] * A1mt
-    hi = (beta**ts)[..., None, None] * A1mt
+    a1mt = a[:, None] ** (1.0 - ts)[:, None]
+    lo = ((alpha**ts)[..., None] * a1mt)[..., None] * eye
+    hi = ((beta**ts)[..., None] * a1mt)[..., None] * eye
     scale = beta**ts * a[:, :1] ** (1.0 - ts)  # operator norm of hi
     # one Cholesky of every gap + slack I certifies every envelope (see
     # gamma_limit_check); the gaps are finite, as C is, so only a violation
     # or a lam_min within rounding of -slack fails it
     gaps = np.stack([G - lo, hi - G])
     slack = MAJORIZE_RTOL * scale
-    if _positive_definite(symmetrize(gaps) + slack[..., None, None] * np.eye(n)):
+    if _positive_definite(symmetrize(gaps) + slack[..., None, None] * eye):
         envelope_ok = np.ones((k, len(ts)), dtype=bool)
     else:
         envelope_ok = np.all(_eigenvalues(gaps)[..., 0] >= -slack, axis=0)
@@ -867,12 +879,17 @@ def run_variational_suite(n=4, trials=100, seed=0, t_values=(0.3, 0.5, 0.7)):
 
 
 def _variational_checks(decA, decB, B, X, t):
-    """(lower bound holds at X, iii/iv tight at the minimizer) per pair of a stack, pair i at order t[i]."""
+    """(lower bound holds at X, iii/iv tight at the minimizer) per pair of a stack, pair i at order t[i].
+
+    The probe X and the minimizer go through one ``_variational_values`` call,
+    which stacks them (2, k, n, n) for iii/iv, so every function of A and B
+    is mapped once and each pair of representations takes one ``eigvalsh``.
+    """
     F = _sandwich_trace(decA, B, t)
-    at_probe = _variational_values(decA, decB, B, t, X, REPRESENTATIONS)
-    lower_ok = np.all([at_probe[rep] >= F * (1.0 - 1e-9) for rep in REPRESENTATIONS], axis=0)
-    at_min = _variational_values(decA, decB, B, t, _variational_minimizer(decA, decB, t), ("iii", "iv"))
-    tight_ok = np.all([np.abs(at_min[rep] - F) <= 1e-9 * F for rep in ("iii", "iv")], axis=0)
+    values = _variational_values(decA, decB, B, t, X, REPRESENTATIONS, _variational_minimizer(decA, decB, t))
+    at_probe = (values["i"], values["ii"], values["iii"][0], values["iv"][0])
+    lower_ok = np.all([v >= F * (1.0 - 1e-9) for v in at_probe], axis=0)
+    tight_ok = np.all([np.abs(values[rep][1] - F) <= 1e-9 * F for rep in ("iii", "iv")], axis=0)
     return lower_ok, tight_ok
 
 

@@ -5,9 +5,9 @@ barycenter objective, the direct power-sum formula for the barycenter
 fixed-point map, finite-difference reconstruction of gradients and Hessian
 actions, the Hessian matrix assembled in an explicit Hermitian basis, a
 quadrature evaluation of the Hessian integral representation,
-extended-precision evaluation of the sandwiched trace, and the scalar cyclic
-Jacobi with the per-matrix small-t limit check built on it. These stay
-independent of the code paths they check.
+extended-precision evaluation of the sandwiched trace and of the gradient of
+f, and the scalar cyclic Jacobi with the per-matrix small-t limit check built
+on it. These stay independent of the code paths they check.
 
 The suite oracles run every verification suite one trial at a time: each
 trial draws its matrices one at a time from its input family's two numpy
@@ -148,24 +148,48 @@ def quadrature_hessian_apply(A, X, t, Y, nodes=200):
     return (np.sin(t * np.pi) / np.pi) * out
 
 
-def _mp_sandwich_eig(A, B, tm):
-    """Eigenvalues and eigenvectors of A^{(1-t)/2t} B A^{(1-t)/2t} at mpmath's working precision."""
+def _to_mp(M):
     import mpmath as mp
 
-    def to_mp(M):
-        M = np.asarray(M, dtype=complex)
-        return mp.matrix(
-            [[mp.mpc(M[i, j]) for j in range(M.shape[1])] for i in range(M.shape[0])]
-        )
+    M = np.asarray(M, dtype=complex)
+    return mp.matrix([[mp.mpc(M[i, j]) for j in range(M.shape[1])] for i in range(M.shape[0])])
 
-    def herm_eig(Mm):
-        E, Q = mp.eighe((Mm + Mm.H) / 2)
-        return [E[i] for i in range(Mm.rows)], Q
 
-    E, Q = herm_eig(to_mp(A))
-    s = (1 - tm) / (2 * tm)
-    P = Q * mp.diag([mp.power(e, s) for e in E]) * Q.H
-    return herm_eig(P * to_mp(B) * P)
+def _mp_herm_eig(Mm):
+    import mpmath as mp
+
+    E, Q = mp.eighe((Mm + Mm.H) / 2)
+    return [E[i] for i in range(Mm.rows)], Q
+
+
+def _mp_sandwich_factor(A, tm):
+    """P = A^{(1-t)/2t} at mpmath's working precision, formed in the eigenbasis mpmath finds for A."""
+    import mpmath as mp
+
+    E, Q = _mp_herm_eig(_to_mp(A))
+    return Q * mp.diag([mp.power(e, (1 - tm) / (2 * tm)) for e in E]) * Q.H
+
+
+def _mp_sandwich_eig(A, B, tm):
+    """Eigenvalues and eigenvectors of A^{(1-t)/2t} B A^{(1-t)/2t} at mpmath's working precision."""
+    P = _mp_sandwich_factor(A, tm)
+    return _mp_herm_eig(P * _to_mp(B) * P)
+
+
+def mp_gradient(A, X, t, dps=80):
+    """Extended-precision gradient t P (P X P)^{t-1} P of f(X) = tr (P X P)^t, P = A^{(1-t)/2t}.
+
+    The full product P X P, formed at 80 digits, keeps the small eigenvalues
+    that the same product loses in double precision at small t.
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        tm = mp.mpf(t)
+        P = _mp_sandwich_factor(A, tm)
+        E, Q = _mp_herm_eig(P * _to_mp(X) * P)
+        G = tm * P * Q * mp.diag([mp.power(e, tm - 1) for e in E]) * Q.H * P
+        return np.array([[complex(G[i, j]) for j in range(G.cols)] for i in range(G.rows)])
 
 
 def mp_sandwich_trace(A, B, t, dps=40):

@@ -29,7 +29,7 @@ from sandwich_opt import (
 )
 from sandwich_opt.barycenter import BOX_RTOL, _History, _power_mean
 
-from oracles import fd_gradient, fixed_point_map_oracle, objective_gradient_oracle
+from oracles import fd_gradient, fixed_point_map_oracle, mp_gradient, objective_gradient_oracle
 
 
 def random_problem(pid, n=4, m=3, t=0.5, lo=1.0, hi=4.0):
@@ -386,7 +386,7 @@ def test_solve_box_and_matrix_checks_do_not_grow_with_iterations(monkeypatch, so
     from sandwich_opt import linalg
 
     p = random_problem(17)
-    p._factors  # the marginals are decomposed, each checked, once per problem
+    p._bases  # the marginals are decomposed, each checked, once per problem
     x0 = random_spd(4, 1.5, 3.5, 18)
     counts = []
     for iters in (3, 30):
@@ -565,17 +565,30 @@ def test_fixed_point_map_matches_direct_formula(m, n, real, t):
     assert np.linalg.norm(objective_gradient(p, X) - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
-def test_small_t_loses_positivity_with_a_typed_error():
-    # at n = 9, t = 0.03 the sandwich A_j^{(1-t)/2t} X A_j^{(1-t)/2t} spans
-    # about cond(A_j)^{32} and its computed spectrum turns negative
-    n, t = 9, 0.03
+def test_lost_positivity_raises_a_typed_error():
+    # X is Hermitian but not positive definite, so no sandwich
+    # A_j^{(1-t)/2t} X A_j^{(1-t)/2t} is either
+    n, t = 4, 0.3
     mats = [random_spd(n, 1.0, 4.0, derive_seed(7, n, j)) for j in range(3)]
     p = barycenter_problem(mats, np.ones(3), t, alpha=1.0, beta=4.0)
-    X = 2.5 * np.eye(n)
+    X = np.diag([1.0, -0.5, 2.0, 3.0])
     with pytest.raises(NumericalError, match="lost positivity"):
         objective_gradient(p, X)
     with pytest.raises(NumericalError, match="lost positivity"):
         fixed_point_map(p, X)
+
+
+@pytest.mark.parametrize("n,t", [(4, 0.02), (9, 0.03)])
+def test_objective_gradient_matches_mpmath_at_small_t(n, t):
+    # the sandwiches span about cond(A_j)^{(1-t)/t}; formed as the product of
+    # the full A_j^{(1-t)/2t} with X, the gradient was 4.0% off at n = 4 and
+    # raised "lost positivity" at n = 9. Measured 4.2e-15 (n = 4) and 1.6e-13
+    # (n = 9) relative against 80 digits
+    mats = [random_spd(n, 1.0, 4.0, derive_seed(7, n, j)) for j in range(3)]
+    p = barycenter_problem(mats, np.ones(3), t, alpha=1.0, beta=4.0)
+    X = 2.5 * np.eye(n)
+    ref = t * np.eye(n) - sum(w * mp_gradient(A, X, t) for w, A in zip(p.weights, p.matrices))
+    assert np.linalg.norm(objective_gradient(p, X) - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 def _count_calls(monkeypatch, name="eigh"):
@@ -657,8 +670,9 @@ def test_gradient_projection_solve_eigh_count(monkeypatch, iters):
     seed=st.integers(0, 2**32 - 2),
 )
 def test_mean_sum_is_the_weighted_gradient_of_each_marginal(m, n, t, real, seed):
-    # the cached factors P_j are formed exactly as gradient_f forms its own,
-    # so S(X) keeps every bit of the per-marginal sum
+    # the cached graded bases (a_j^{(1-t)/2t}, U_j) of the sandwiches are
+    # formed exactly as gradient_f forms its own, so S(X) keeps every bit of
+    # the per-marginal sum
     import sandwich_opt.barycenter as bc
 
     mats = [_real_or_complex(random_spd(n, 1.0, 4.0, derive_seed(seed, "marg", j)), real)
@@ -671,12 +685,12 @@ def test_mean_sum_is_the_weighted_gradient_of_each_marginal(m, n, t, real, seed)
 
 
 def test_solved_problem_and_its_factors_are_freed():
-    # the decompositions and factors live on the problem, so no module state
-    # keeps a solved problem alive
+    # the decompositions and the graded bases of the sandwiches live on the
+    # problem, so no module state keeps a solved problem alive
     p = random_problem(26)
     solve_gradient_projection(p, max_iters=3)
     solve_fixed_point(p, max_iters=3)
-    assert "_decompositions" in vars(p) and "_factors" in vars(p)
+    assert "_decompositions" in vars(p) and "_bases" in vars(p)
     assert len(p._decompositions) == p.m
     ref = weakref.ref(p)
     del p

@@ -145,13 +145,28 @@ def test_hess_bounds_and_constants(matrices):
                    "cond_bound": 16.0}
 
 
-def test_hess_bounds_small_t_lost_positivity(tmp_path):
+def test_hess_bounds_at_small_t_stays_within_the_certified_bounds(tmp_path):
+    # the product of the full A^{(1-t)/2t} with X lost positivity on this pair
+    # at t = 0.03 (exit 2); the graded sandwich keeps lambda_min >= k1
     for name, seed in (("a", 0), ("x", 1)):
         save_matrix(tmp_path / f"{name}.json", random_spd(9, 1.0, 4.0, seed))
     res = run_cli("hess-bounds", "--a", str(tmp_path / "a.json"),
                   "--x", str(tmp_path / "x.json"), "--t", "0.03")
+    assert res.returncode == 0, res.stderr
+    out = json.loads(res.stdout)
+    c = convexity_constants(0.03, 1.0, 4.0)
+    assert c.k1 * (1.0 - 1e-10) <= out["lambda_min"] <= out["lambda_max"] <= c.k2 * (1.0 + 1e-10)
+
+
+def test_hess_bounds_rejects_an_indefinite_x(tmp_path):
+    # an X that is not positive definite has no positive definite sandwich;
+    # the verb rejects it where it is loaded
+    save_matrix(tmp_path / "a.json", random_spd(3, 1.0, 4.0, 0))
+    save_matrix(tmp_path / "x.json", np.diag([1.0, -0.5, 2.0]))
+    res = run_cli("hess-bounds", "--a", str(tmp_path / "a.json"),
+                  "--x", str(tmp_path / "x.json"), "--t", "0.3")
     assert res.returncode == 2
-    assert "lost positivity" in res.stderr
+    assert "not positive definite" in res.stderr
 
 
 def write_problem(tmp_path, mats, weights, t):

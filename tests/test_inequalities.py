@@ -526,6 +526,28 @@ def test_trace_chain_suite_decomposes_each_input_once(monkeypatch):
         monkeypatch.undo()
 
 
+def test_variational_chunk_maps_each_function_of_a_and_b_once(monkeypatch):
+    # per chunk, SpectralDecomp.apply assembles the two boxes' draws (2), the
+    # minimizer maps A^{(t-1)/t}, B^{-1/2} and B^{1/2} and the t-th power of
+    # its whitened pair (4), and the one _variational_values call of the probe
+    # and the minimizer maps A^{(t-1)/2t}, B^{-1/2} and A^{(1-t)/t} (3). One
+    # eigvalsh takes the sandwiches, one i/ii at the probe, and one iii/iv at
+    # the probe and the minimizer together (it was 12 apply and 4 eigvalsh
+    # when each point mapped B^{-1/2} and A^{(1-t)/t} anew)
+    from sandwich_opt.linalg import SpectralDecomp
+
+    for chunk, chunks in ((inequalities.SUITE_CHUNK, 1), (2, 3)):
+        monkeypatch.setattr(inequalities, "SUITE_CHUNK", chunk)
+        calls = _count_decompositions(monkeypatch)
+        apply = SpectralDecomp.apply
+        applied = []
+        monkeypatch.setattr(SpectralDecomp, "apply", lambda self, v: applied.append(1) or apply(self, v))
+        run_suite("variational", n=4, trials=6, seed=39)
+        assert len(applied) == chunks * 9
+        assert calls["eigvalsh"] == chunks * 3
+        monkeypatch.undo()
+
+
 # draws per chunk: one SPD assembly (linalg._spd_from_draws) for all inputs
 # that share a spectral box
 DRAWS_PER_CHUNK = {"trace-chain": 1, "log-major": 1, "variational": 2, "gauge": 1,
@@ -1011,3 +1033,17 @@ def test_a_stacked_grid_names_the_order_that_fails():
         with pytest.raises(NumericalError, match="^sandwiched product overflows at t = 0.004$"):
             entropy.sandwich_trace(A[1], B[1], 0.004)
     assert np.all(np.isfinite(entropy._sandwich_trace(decA[[0, 2]], B[[0, 2]], np.array([[0.5], [0.004]]))))
+
+
+# ------------------------------------------------------------- small orders
+
+
+@pytest.mark.parametrize("suite,t", [("log-major", 0.05), ("log-major", 0.02),
+                                     ("trace-chain", 0.02), ("open-question", 0.02)])
+def test_sandwich_suites_hold_at_small_orders(suite, t):
+    # the graded sandwich keeps the small eigenvalues: formed as the product
+    # of the full A^{(1-t)/2t} with B, log-major reported 57 violations at
+    # t = 0.05, and all three raised "lost positivity" at t = 0.02
+    report = run_suite(suite, n=4, trials=200, seed=3, t_values=(t,))
+    assert report["all_hold"]
+    assert report.get("violations", report.get("float_violations")) == 0
