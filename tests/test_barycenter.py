@@ -226,9 +226,10 @@ def test_power_mean_start_lies_in_the_box(log_w, n, t, hi, real, seed):
 
 
 @settings(max_examples=30, derandomize=True, database=None, deadline=None)
-@given(t=st.floats(0.1, 0.9), **_START_PROBLEMS)
+@given(t=st.floats(0.02, 0.9), **_START_PROBLEMS)
 def test_gradient_projection_starts_at_the_projected_power_mean(log_w, n, t, hi, real, seed):
-    # t >= 0.1: below, the first gradient can lose positivity (ROADMAP item 1)
+    # t >= 0.02: near t = 0.012 the graded sandwich's eigh can lose positivity
+    # (ROADMAP item 1)
     p = _start_problem(log_w, n, t, hi, real, seed)
     rep = solve_gradient_projection(p, max_iters=0, trace=True)
     assert np.array_equal(rep.iterates[0], project_box(_power_mean(p), p.alpha, p.beta))
@@ -665,7 +666,7 @@ def test_gradient_projection_solve_eigh_count(monkeypatch, iters):
 @given(
     m=st.integers(1, 4),
     n=st.integers(1, 5),
-    t=st.floats(0.1, 0.9),
+    t=st.floats(0.02, 0.9),
     real=st.booleans(),
     seed=st.integers(0, 2**32 - 2),
 )

@@ -304,7 +304,7 @@ def test_hessian_extreme_eigs_switches_to_lanczos_above_dense_max_n(n, monkeypat
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
 @given(
     n=st.integers(1, 8),
-    t=st.floats(0.1, 0.9),
+    t=st.floats(0.02, 0.9),
     real=st.booleans(),
     seed=st.integers(0, 2**32 - 2),
 )
@@ -358,14 +358,14 @@ def test_hessian_extreme_eigs_unconverged_lanczos_raises(monkeypatch):
         _lanczos(op)
 
 
-# t stops at 0.1 from below: A''^{1/2} X A''^{1/2} spans 4^{1/t} and its small
-# eigenvalues lose their digits; below t ~ 0.04 the operator can come out with
-# values outside [k1, k2], or hessian_operator raises NumericalError once a
-# computed eigenvalue is not positive.
+# t stops at 0.02 from below: A''^{1/2} X A''^{1/2} spans 4^{1/t}, and near
+# t = 0.012 the eigh of even its graded form loses the smallest eigenvalue
+# (at n = 3 it read -2.1e4 against 3.1e4), so hessian_operator raises
+# NumericalError there.
 @settings(max_examples=20, derandomize=True, database=None, deadline=None)
 @given(
     n=st.integers(9, 12),
-    t=st.floats(0.1, 1.0 - T_MIN, exclude_max=True),
+    t=st.floats(0.02, 1.0 - T_MIN, exclude_max=True),
     seed=st.integers(0, 2**32 - 2),
 )
 def test_hessian_extreme_eigs_lanczos_matches_dense(n, t, seed):
@@ -443,7 +443,7 @@ def _hessian_lipschitz_ratio(A, X, Y, t, alpha, beta):
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
 @given(
     n=st.integers(1, 8),
-    t=st.floats(0.1, 0.9),
+    t=st.floats(0.02, 0.9),
     real=st.booleans(),
     step=st.floats(1e-3, 1.0),
     seed=st.integers(0, 2**32 - 3),

@@ -532,8 +532,7 @@ def test_variational_chunk_maps_each_function_of_a_and_b_once(monkeypatch):
     # its whitened pair (4), and the one _variational_values call of the probe
     # and the minimizer maps A^{(t-1)/2t}, B^{-1/2} and A^{(1-t)/t} (3). One
     # eigvalsh takes the sandwiches, one i/ii at the probe, and one iii/iv at
-    # the probe and the minimizer together (it was 12 apply and 4 eigvalsh
-    # when each point mapped B^{-1/2} and A^{(1-t)/t} anew)
+    # the probe and the minimizer together
     from sandwich_opt.linalg import SpectralDecomp
 
     for chunk, chunks in ((inequalities.SUITE_CHUNK, 1), (2, 3)):
