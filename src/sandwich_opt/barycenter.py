@@ -37,8 +37,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .calculus import _frame_gradient, _whitened_frame, convexity_constants
-from .entropy import _graded_basis, _sandwich_trace, check_unit_t
+from .calculus import convexity_constants
+from .entropy import _frame, _frame_power, _graded_basis, _sandwich_trace, check_unit_t
 from .errors import InvalidBox, InvalidInput, InvalidStart, InvalidStepSize
 from .linalg import (
     _check_integer,
@@ -155,7 +155,7 @@ def objective(p: BarycenterProblem, X):
 
 def _mean_sum(p: BarycenterProblem, X):
     """S(X) = sum_j w_j grad f_j(X) / t from the problem's graded bases: m eigh."""
-    return sum(w * _frame_gradient(*_whitened_frame(basis, X, p.t), p.t)
+    return sum(w * _frame_power(*_frame(basis, X, p.t), p.t - 1.0, p.t)
                for w, basis in zip(p.weights, p._bases)) / p.t
 
 

@@ -4,6 +4,8 @@ For fixed SPD A and order t in (0, 1), let f(X) = tr (A^{(1-t)/2t} X A^{(1-t)/2t
 This module provides the exact gradient and Hessian action of f, two-sided
 spectral bounds on -grad^2 f (strong convexity / smoothness constants), the
 Bregman divergence of -f, and the derivative of the trace functional in t.
+The gradient, the Hessian and the Bregman divergence read one frame of the
+graded sandwich, ``entropy._frame``.
 """
 
 from __future__ import annotations
@@ -12,7 +14,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .entropy import _graded_basis, _sandwich, _sandwich_trace, check_trace_order, check_unit_t
+from .entropy import (
+    _frame,
+    _frame_power,
+    _graded_basis,
+    _sandwich,
+    _sandwich_trace,
+    check_trace_order,
+    check_unit_t,
+)
 from .errors import NumericalError
 from .linalg import (
     LOG,
@@ -27,44 +37,19 @@ from .linalg import (
 )
 
 
-def _whitened_frame(basis, X, t):
-    """(F, w), F = U (D V), with M = A''^{1/2} X A''^{1/2} = (U V) diag(w) (U V)*, w ascending.
-
-    Here A'' = A^{(1-t)/t} = U D^2 U* with (d, U) = ``basis`` from
-    ``entropy._graded_basis``, and D (U*XU) D = V diag(w) V* is the graded
-    sandwich of ``entropy._graded_sandwich``, so F = A''^{1/2} (U V); F* is
-    ``HessianOperator``'s W. Unchecked.
-    """
-    w, V = _sandwich(basis, X, t)
-    d, U = basis
-    return U @ (d[:, None] * V), w
-
-
-def _frame_gradient(U, d, t):
-    """t U diag(d^{t-1}) U*, the gradient of f in the whitened frame, exactly Hermitian.
-
-    Formed as H + H* with H = U diag(t d^{t-1} / 2) U*: the one scaling of U's
-    columns also takes t and the half of the Hermitian part, so no pass over
-    the product is spent on either. ``NumericalError``, and no numpy warning,
-    if d^{t-1} overflows: a positive but tiny d, reached at small t, would
-    turn the product into NaN.
-    """
-    H = (U * (0.5 * t * power(t - 1.0).finite_on(d))) @ U.conj().T
-    return H + H.conj().T
-
-
 def gradient_f(A, X, t):
     """Gradient of f(X) = tr (A^{(1-t)/2t} X A^{(1-t)/2t})^t.
 
     Equals t W* diag(d^{t-1}) W (notation of ``HessianOperator``), the positive
-    definite t * (A^{(1-t)/t} #_{1-t} X^{-1}); ``NumericalError`` unless the
-    computed M is positive definite, which an X that is not positive definite
-    fails. M is decomposed in A's eigenbasis, graded
+    definite t * (A^{(1-t)/t} #_{1-t} X^{-1}), formed from the frame of M
+    (``entropy._frame_power``); ``NumericalError`` unless the computed M is
+    positive definite, which an X that is not positive definite fails, or if
+    the gradient overflows. M is decomposed in A's eigenbasis, graded
     (``entropy._graded_sandwich``), so its small eigenvalues survive at small t.
     """
     check_unit_t(t)
     A, X = check_matrices(A=A, X=X)
-    return _frame_gradient(*_whitened_frame(_graded_basis(spectral_decompose(A), t), X, t), t)
+    return _frame_power(*_frame(_graded_basis(spectral_decompose(A), t), X, t), t - 1.0, t)
 
 
 @dataclass(frozen=True)
@@ -94,12 +79,12 @@ def hessian_operator(A, X, t) -> HessianOperator:
     """
     check_unit_t(t)
     A, X = check_matrices(A=A, X=X)
-    U, d = _whitened_frame(_graded_basis(spectral_decompose(A), t), X, t)
+    F, d = _frame(_graded_basis(spectral_decompose(A), t), X, t)
     kernel = -loewner_matrix(power(t - 1.0), d)
     if not np.isfinite(kernel).all():
         raise NumericalError(f"the Hessian kernel overflows at t = {t} "
                              f"(sandwich eigenvalues {np.min(d):.3e} to {np.max(d):.3e})")
-    return HessianOperator(t=float(t), W=U.conj().T, kernel=kernel)
+    return HessianOperator(t=float(t), W=F.conj().T, kernel=kernel)
 
 
 def hessian_apply(op: HessianOperator, Y):
@@ -340,10 +325,10 @@ def bregman(A, t, Y, X):
     check_unit_t(t)
     A, Y, X = check_matrices(A=A, Y=Y, X=X)
     decA = spectral_decompose(A)
-    U, d = _whitened_frame(_graded_basis(decA, t), X, t)
+    F, d = _frame(_graded_basis(decA, t), X, t)
     fX = float(np.sum(d ** float(t)))
     fY = float(_sandwich_trace(decA, Y, t))
-    return fX - fY + inner(_frame_gradient(U, d, t), Y - X)
+    return fX - fY + inner(_frame_power(F, d, t - 1.0, t), Y - X)
 
 
 def fidelity_t_derivative(A, B, t):

@@ -12,9 +12,12 @@ over the stack's leading axes, so one call evaluates a whole order grid: a
 (G, 1) grid against a stack (k, n, n) gives results stacked (G, k). On a
 stack, a ``NumericalError`` names the first failing stack index, the trial's
 position on the last axis, and the order it failed at. Every sandwich
-A^{(1-t)/2t} B A^{(1-t)/2t} of the trace functional, its derivatives and the
-barycenter is formed in A's eigenbasis by ``_graded_sandwich``: one rotation
-U*BU per pair, then one diagonal scaling per order.
+A^{(1-t)/2t} B A^{(1-t)/2t}, and the whitened product A^{-1/2} B A^{-1/2},
+the sandwich at m = -1/2, is formed in A's eigenbasis by ``_graded_sandwich``:
+one rotation U*BU per pair, then one diagonal scaling per order. Every matrix
+function of a pair, the gradient, the geometric mean and the variational
+minimizers, is then A^{+-m} M^s A^{+-m} for the sandwich M = A^m B A^m, read
+from the one frame of M (``_frame``, ``_frame_power``).
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ from .linalg import (
     matrix_power,
     power,
     spectral_decompose,
-    symmetrize,
 )
 
 # Order parameters closer than T_MIN to the degenerate endpoints are
@@ -95,7 +97,7 @@ def _graded_basis(decA, t):
     return fn.finite_on(decA.eigenvalues), decA.eigenvectors
 
 
-def _graded_sandwich(basis, B, t):
+def _graded_sandwich(basis, B, t, what="sandwiched product"):
     """M = D (U*BU) D, the sandwich A^{(1-t)/2t} B A^{(1-t)/2t} in A's eigenbasis, at every order of t.
 
     (d, U) = ``basis`` comes from ``_graded_basis`` and D = diag(d). The
@@ -107,29 +109,52 @@ def _graded_sandwich(basis, B, t):
     and M is graded downward, with exact row and column scales; ``eigh`` then
     keeps its small eigenvalues, which the product of the full A^{(1-t)/2t}
     with B loses (Demmel & Veselic, SIAM J. Matrix Anal. Appl. 13, 1992).
-    ``NumericalError`` if M overflows (see ``_finite``).
+    On ``_whitening_basis`` it is the whitened product A^{-1/2} B A^{-1/2}.
+    ``NumericalError`` naming ``what`` if M overflows (see ``_finite``).
     """
     d, U = basis
     with np.errstate(over="ignore", invalid="ignore"):
         R = U.conj().swapaxes(-1, -2) @ B @ U
         S = (0.5 * d)[..., :, None] * R * d[..., None, :]
         M = S + S.conj().swapaxes(-1, -2)
-    return _finite(M, "sandwiched product", t)
+    return _finite(M, what, t)
 
 
-def _sandwich(basis, X, t):
+def _sandwich(basis, X, t, what="sandwiched product"):
     """(w, V), w ascending, with ``_graded_sandwich(basis, X, t)`` = V diag(w) V*.
 
     X is Hermitian, so A^{(1-t)/2t} X A^{(1-t)/2t} = (U V) diag(w) (U V)*;
     ``NumericalError`` unless w > 0.
     """
-    w, V = _eigh(_graded_sandwich(basis, X, t))
-    return _positive(w, t=t), V
+    w, V = _eigh(_graded_sandwich(basis, X, t, what))
+    return _positive(w, what, t), V
 
 
-def _sandwiched(P, B, t=None, what="sandwiched product"):
-    """The congruence P B P (matrices or stacks), formed as (P B) P; see ``_finite_product``."""
-    return _finite_product((P, B, P), what, t)
+def _frame(basis, X, t, inverse=False, what="sandwiched product"):
+    """(F, w), F = U (E V), from ``_sandwich(basis, X, t)`` = (w, V); the one kernel of every function of a pair.
+
+    With (d, U) = ``basis``, E = D = diag(d), or D^{-1} if ``inverse``. U D
+    is A^m U, so F = A^{+-m} (U V) and A^{+-m} g(M) A^{+-m} = F diag(g(w)) F*
+    for the sandwich M = A^m X A^m and any function g. F is not checked.
+    """
+    w, V = _sandwich(basis, X, t, what)
+    d, U = basis
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        e = 1.0 / d if inverse else d
+        return U @ (e[..., :, None] * V), w
+
+
+def _frame_power(F, w, s, c=1.0, what="frame product", t=None):
+    """c F diag(w^s) F* from a frame (F, w) of ``_frame``, exactly Hermitian, at every exponent of s.
+
+    Formed as H + H* with H = F diag(c w^s / 2) F*: the one scaling of F's
+    columns also takes c and the half of the Hermitian part. ``NumericalError``,
+    and no numpy warning, if w^s or the product overflows (see ``_finite``).
+    """
+    scale = 0.5 * c * power(s).finite_on(w)
+    with np.errstate(over="ignore", invalid="ignore"):
+        H = (F * scale[..., None, :]) @ F.conj().swapaxes(-1, -2)
+        return _finite(H + H.conj().swapaxes(-1, -2), what, t)
 
 
 def _finite_product(factors, what, t=None):
@@ -258,19 +283,15 @@ _WHITENED = "whitened product A^{-1/2} B A^{-1/2}"
 _MEAN = "geometric mean A^{1/2} (A^{-1/2} B A^{-1/2})^t A^{1/2}"
 
 
-def _whitened(decA, B):
-    """A^{-1/2} B A^{-1/2} from the decomposition of A.
-
-    ``DomainError`` unless A is positive definite, ``NumericalError`` if the
-    product overflows.
-    """
+def _whitening_basis(decA):
+    """(a^{-1/2}, U): the basis of the sandwich A^{-1/2} B A^{-1/2} (m = -1/2); ``DomainError`` unless A > 0."""
     decA.require_domain(power(-0.5))
-    return _sandwiched(decA.apply(1.0 / np.sqrt(decA.eigenvalues)), B, what=_WHITENED)
+    return 1.0 / np.sqrt(decA.eigenvalues), decA.eigenvectors
 
 
 def _whitened_spectrum(decA, B):
     """Ascending eigenvalues of A^{-1/2} B A^{-1/2}, all positive, from the decomposition of A."""
-    return _positive(_eigenvalues(_whitened(decA, B)), _WHITENED)
+    return _positive(_eigenvalues(_graded_sandwich(_whitening_basis(decA), B, None, _WHITENED)), _WHITENED)
 
 
 def thompson_metric(A, B):
@@ -299,38 +320,21 @@ def geometric_mean(A, B, t):
     ``NumericalError`` unless A^{-1/2} B A^{-1/2} is positive definite.
     """
     A, B = check_matrices(A=A, B=B)
-    return _geometric_mean(spectral_decompose(A), B, t)
-
-
-def _geometric_mean(decA, B, t):
-    """geometric_mean from the decomposition of A (or of a stack, with B a stack).
-
-    The one formula of A #_t B, in two steps: ``_whiten`` decomposes
-    A^{-1/2} B A^{-1/2}, which does not depend on t, and ``_mean_at`` takes
-    A #_t B from that decomposition. A caller that needs several orders of
-    one pair whitens once and calls ``_mean_at`` on the order array.
-    """
-    return _mean_at(_whiten(decA, B), t)
+    return _mean_at(_whiten(spectral_decompose(A), B), t)
 
 
 def _whiten(decA, B):
-    """(A^{1/2}, decomposition of A^{-1/2} B A^{-1/2}) for ``_mean_at``.
+    """The ``_frame`` (F, w) of A^{-1/2} B A^{-1/2}, F = A^{1/2} (U V), from the decomposition of A (or of a stack).
 
-    ``DomainError`` unless A is positive definite, ``NumericalError`` unless
-    A^{-1/2} B A^{-1/2} is.
+    It does not depend on t, so a pair whitened once serves every order of
+    ``_mean_at``. ``NumericalError`` unless A^{-1/2} B A^{-1/2} is positive definite.
     """
-    decM = spectral_decompose(_whitened(decA, B))
-    _positive(decM.eigenvalues, _WHITENED)
-    return decA.apply(np.sqrt(decA.eigenvalues)), decM
+    return _frame(_whitening_basis(decA), B, None, True, _WHITENED)
 
 
 def _mean_at(whitened, t):
-    """A #_t B = A^{1/2} (A^{-1/2} B A^{-1/2})^t A^{1/2} from ``_whiten(decA, B)``, at every order of t.
-
-    ``NumericalError`` if the t-th power or its congruence by A^{1/2} overflows.
-    """
-    root, decM = whitened
-    return symmetrize(_sandwiched(root, decM.map(power(t)), t, _MEAN))
+    """A #_t B = F diag(w^t) F* from ``_whiten(decA, B)`` = (F, w), at every order of t; see ``_frame_power``."""
+    return _frame_power(*whitened, t, what=_MEAN, t=t)
 
 
 def riemannian_distance(A, B):

@@ -15,9 +15,11 @@ is the only place where families are drawn and chunked: a chunk takes its
 trials' draws in trial-major order, one call per stream, and assembles all
 families that share a spectral box with one ``linalg._spd_from_draws`` call.
 A suite states only its order grid, its check kernel and its counters. It
-decomposes each input once with ``linalg.spectral_decompose``, and the trace
-and log-majorization chains also whiten each pair once, A^{-1/2} B A^{-1/2}
-decomposed for every order of A #_t B. A check kernel takes its orders as an
+decomposes each input once with ``linalg.spectral_decompose``. The trace
+and log-majorization chains also whiten each pair once: one frame of
+A^{-1/2} B A^{-1/2}, formed graded in A's eigenbasis, serves every order of
+A #_t B. The variational suite reads its minimizer from the frame of the
+sandwich itself, with no function of B. A check kernel takes its orders as an
 array broadcast over the chunk's trials: a (G, 1) grid, so that every trial
 is checked at every order, or, in the variational suite, one order per
 trial. So a chunk takes one matrix-function evaluation, one product and one
@@ -45,13 +47,15 @@ import numpy as np
 
 from .entropy import (
     T_MIN,
-    _geometric_mean,
+    _finite_product,
+    _frame,
+    _frame_power,
+    _graded_basis,
     _mean_at,
     _positive,
     _relative_entropy,
     _sandwich_spectrum,
     _sandwich_trace,
-    _sandwiched,
     _sandwiched_divergence,
     _thompson,
     _whiten,
@@ -329,7 +333,7 @@ def _powered_trace(P, X, s, what):
     definite, so ``NumericalError`` when P X P overflows or its computed
     spectrum is not positive.
     """
-    w = _positive(_eigenvalues(_sandwiched(P, X, what=what)), what)
+    w = _positive(_eigenvalues(_finite_product((P, X, P), what)), what)
     return np.sum(_libm_pow(w[..., ::-1], np.expand_dims(s, -1)), axis=-1)
 
 
@@ -388,29 +392,28 @@ def variational_minimizer(A, B, t, rep):
     X_i = A^{(1-t)/t} #_{1-t} B^{-1}, where the gradient of representation i,
     t (B - A^{(t-1)/t} #_{1/(1-t)} X^{-1}), vanishes. Representation "ii" is
     scale invariant, so every positive multiple of X_i minimizes it; this
-    function returns X_i. A and B are decomposed once each; ``InvalidInput``
-    for an unknown ``rep``.
+    function returns X_i. Both are read from F_t's own sandwich
+    M = A^m B A^m, m = (1-t)/2t: X_i = A^m M^{t-1} A^m = grad f(B) / t and
+    X_iii = A^{-m} M^t A^{-m}, from the one frame of M
+    (``entropy._frame``). So A is decomposed once, and so is M, and B is
+    not decomposed; ``InvalidInput`` for an unknown ``rep``.
     """
     check_unit_t(t)
     if rep not in REPRESENTATIONS:
         raise InvalidInput(f"unknown representation {rep!r}")
     A, B = check_matrices(A=A, B=B)
-    decA, decB = spectral_decompose(A), spectral_decompose(B)
+    decA = spectral_decompose(A)
     if rep in ("iii", "iv"):
-        return _variational_minimizer(decA, decB, t)
-    # A^{(1-t)/t} has A's eigenvectors, and its eigenvalues stay descending
-    fn = power((1.0 - t) / t)
-    decA.require_domain(fn)
-    decAp = SpectralDecomp(fn.finite_on(decA.eigenvalues), decA.eigenvectors)
-    return _geometric_mean(decAp, decB.map(power(-1.0)), 1.0 - t)
+        return _variational_minimizer(decA, B, t)
+    return _frame_power(*_frame(_graded_basis(decA, t), B, t), t - 1.0)
 
 
-def _variational_minimizer(decA, decB, t):
-    """The iii/iv minimizer B #_{1-t} A^{(t-1)/t} from the decompositions of A and B.
+def _variational_minimizer(decA, B, t):
+    """The iii/iv minimizer A^{-m} M^t A^{-m} = B #_{1-t} A^{(t-1)/t} from the decomposition of A.
 
-    Or of stacks, with t a number or one order per matrix.
+    Or of a stack, with B a stack and t a number or one order per matrix.
     """
-    return _geometric_mean(decB, decA.map(power((t - 1.0) / t)), 1.0 - t)
+    return _frame_power(*_frame(_graded_basis(decA, t), B, t, inverse=True), t)
 
 
 LOG_MAJOR_LINKS = (
@@ -886,7 +889,7 @@ def _variational_checks(decA, decB, B, X, t):
     is mapped once and each pair of representations takes one ``eigvalsh``.
     """
     F = _sandwich_trace(decA, B, t)
-    values = _variational_values(decA, decB, B, t, X, REPRESENTATIONS, _variational_minimizer(decA, decB, t))
+    values = _variational_values(decA, decB, B, t, X, REPRESENTATIONS, _variational_minimizer(decA, B, t))
     at_probe = (values["i"], values["ii"], values["iii"][0], values["iv"][0])
     lower_ok = np.all([v >= F * (1.0 - 1e-9) for v in at_probe], axis=0)
     tight_ok = np.all([np.abs(values[rep][1] - F) <= 1e-9 * F for rep in ("iii", "iv")], axis=0)

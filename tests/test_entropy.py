@@ -341,7 +341,7 @@ def test_seeded_pairs_are_reproducible():
 
 def test_stack_errors_name_the_first_failing_index():
     # a stack of 5 pairs where only B[3] is not positive definite
-    from sandwich_opt.entropy import _geometric_mean, _sandwich_spectrum, _whitened_spectrum
+    from sandwich_opt.entropy import _mean_at, _sandwich_spectrum, _whiten, _whitened_spectrum
     from sandwich_opt.linalg import random_spd_stack, spectral_decompose
 
     A = random_spd_stack(3, 0.5, 2.0, range(5))
@@ -353,7 +353,7 @@ def test_stack_errors_name_the_first_failing_index():
     with pytest.raises(NumericalError, match=r"whitened product A\^\{-1/2\} B A\^\{-1/2\} lost positivity at stack index 3 \(min eigenvalue -"):
         _whitened_spectrum(decA, B)
     with pytest.raises(NumericalError, match=r"whitened product A\^\{-1/2\} B A\^\{-1/2\} lost positivity at stack index 3 \(min eigenvalue -"):
-        _geometric_mean(decA, B, 0.5)
+        _mean_at(_whiten(decA, B), 0.5)
     # one matrix: no index
     with pytest.raises(NumericalError, match=r"lost positivity \(min eigenvalue"):
         _sandwich_spectrum(spectral_decompose(A)[0], B[3], 0.4)

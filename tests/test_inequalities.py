@@ -322,12 +322,13 @@ def test_variational_minimizer_rep_i_value_matches_mpmath():
 
 
 @pytest.mark.parametrize("rep", REPRESENTATIONS)
-def test_variational_minimizer_decomposes_a_and_b_once(monkeypatch, rep):
-    # A, B and the whitened pair of the one geometric mean
+def test_variational_minimizer_decomposes_a_once_and_not_b(monkeypatch, rep):
+    # A and the sandwich A^m B A^m, whose one frame gives both minimizers:
+    # B itself is not decomposed
     A, B = random_pair(4, 903, "pair")
     calls = _count_decompositions(monkeypatch)
     variational_minimizer(A, B, 0.4, rep)
-    assert calls == {"eigh": 3, "eigvalsh": 0, "svd": 0}
+    assert calls == {"eigh": 2, "eigvalsh": 0, "svd": 0}
 
 
 # ------------------------------------------------------------------ log chains
@@ -527,12 +528,12 @@ def test_trace_chain_suite_decomposes_each_input_once(monkeypatch):
 
 
 def test_variational_chunk_maps_each_function_of_a_and_b_once(monkeypatch):
-    # per chunk, SpectralDecomp.apply assembles the two boxes' draws (2), the
-    # minimizer maps A^{(t-1)/t}, B^{-1/2} and B^{1/2} and the t-th power of
-    # its whitened pair (4), and the one _variational_values call of the probe
-    # and the minimizer maps A^{(t-1)/2t}, B^{-1/2} and A^{(1-t)/t} (3). One
-    # eigvalsh takes the sandwiches, one i/ii at the probe, and one iii/iv at
-    # the probe and the minimizer together
+    # per chunk, SpectralDecomp.apply assembles the two boxes' draws (2), and
+    # the one _variational_values call of the probe and the minimizer maps
+    # A^{(t-1)/2t}, B^{-1/2} and A^{(1-t)/t} (3); the minimizer maps nothing,
+    # it is read from the frame of the sandwich. One eigvalsh takes the
+    # sandwiches, one i/ii at the probe, and one iii/iv at the probe and the
+    # minimizer together
     from sandwich_opt.linalg import SpectralDecomp
 
     for chunk, chunks in ((inequalities.SUITE_CHUNK, 1), (2, 3)):
@@ -542,7 +543,7 @@ def test_variational_chunk_maps_each_function_of_a_and_b_once(monkeypatch):
         applied = []
         monkeypatch.setattr(SpectralDecomp, "apply", lambda self, v: applied.append(1) or apply(self, v))
         run_suite("variational", n=4, trials=6, seed=39)
-        assert len(applied) == chunks * 9
+        assert len(applied) == chunks * 5
         assert calls["eigvalsh"] == chunks * 3
         monkeypatch.undo()
 
@@ -590,19 +591,14 @@ def test_suite_seeding_does_not_grow_with_trials(monkeypatch, suite):
     ("log-major", [(0.25,), (0.25, 0.5, 0.75)]),
 ])
 def test_chain_suites_whiten_once_per_chunk(monkeypatch, suite, grids):
-    # A, B and A^{-1/2} B A^{-1/2}: three stack decompositions per chunk at any grid length
-    from sandwich_opt import entropy
-
-    calls = []
-    for module in (inequalities, entropy):
-        monkeypatch.setattr(module, "spectral_decompose",
-                            lambda H, _f=module.spectral_decompose: calls.append(H.shape) or _f(H))
+    # A, B and A^{-1/2} B A^{-1/2}: three stacked eigh per chunk at any grid length
+    calls = _count_decompositions(monkeypatch)
     for chunk, chunks in ((inequalities.SUITE_CHUNK, 1), (3, 2)):
         monkeypatch.setattr(inequalities, "SUITE_CHUNK", chunk)
         for grid in grids:
-            calls.clear()
+            calls["eigh"] = 0
             run_suite(suite, n=4, trials=6, seed=49, t_values=grid)
-            assert len(calls) == 3 * chunks, (chunk, grid)
+            assert calls["eigh"] == 3 * chunks, (chunk, grid)
 
 
 def test_divergence_limit_equal_density():
@@ -1001,7 +997,7 @@ def test_variational_orders_per_trial_equal_one_order_calls_bit_for_bit(n):
 
     def kernel(t):
         out = inequalities._variational_values(decA, decB, B, t, X, REPRESENTATIONS)
-        X0 = inequalities._variational_minimizer(decA, decB, t)
+        X0 = inequalities._variational_minimizer(decA, B, t)
         out["minimizer"] = X0
         out["F"] = entropy._sandwich_trace(decA, B, t)
         out.update({f"{rep} at X0": v for rep, v in
