@@ -399,11 +399,11 @@ CLI_DIGESTS = {
     "divergence-sandwiched": "66597c1fa4b3c0445f15a7809ffb6297b932e6c8cfa4de6949bfbe27cec664b3",
     "divergence-renyi": "20ce9000f67bf4bd8ad0911b59018913eef9128607fc78e28f7683fc6da401f6",
     "divergence-umegaki": "74b222d4c3c7e0ee38c5e108f67f845430890ff7fc60d791025d5b8993010532",
-    "divergence-thompson": "60a48fa9ea5c8d21f7aba3bf828971e15324e48a1546ae46b338bc246fd180c7",
-    "divergence-max": "58416942f37982d60a80f021e9cef601d8a425ee30617f44669e3d0151fbfac6",
+    "divergence-thompson": "f83c5ca0f8d0062a47f3b868b22f66acea99c5303b3fc17be64a8d7f061fc413",
+    "divergence-max": "20287e65f38443bf2aa3376dde22e517c609f230f5ff267dd960687ec7ecc3ab",
     "divergence-bures": "9e4ae48ec4aba09c34171389bf8e904de2989824eeaab143c42aab19872e2922",
-    "divergence-riemannian": "56aee6693f893d650b972f249a38dfb33b62e8da123f4ee2d6adf969d5673f92",
-    "gmean": "6b7790945013288de9ef0f0701cb1d8bb8da65fc409aa47dface96acc1c5ddc2",
+    "divergence-riemannian": "610b3dbbaef04c6757418f877c74620c33f82e04a2bb512e6f73b466f77cda79",
+    "gmean": "8a2eee1522bdb225a87bafe0fb9427a3ac2252db00357a2ffc9e77574b372bd3",
     "grad": "3739983a7072dfa120029e9e8d2447eca0ae4318560a23b0967a8b330411e03b",
     "hess-bounds": "e02038329b7b3c01c559bb089511cd71ab8b77592b205c1cc99b08a655dbc833",
     "constants": "acd7816375496e0bf7514099043bfb7f9a858180e9d31f8e2546fa37dbad997a",
