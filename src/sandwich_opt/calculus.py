@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .entropy import (
+    _finite,
     _frame,
     _frame_power,
     _graded_basis,
@@ -128,8 +129,10 @@ def hessian_operator_matrix(op: HessianOperator):
 
 
 def _twin_factors(op: HessianOperator):
-    """(B, S): the Hermitian part of B = W W*, and S = sqrt(K)."""
-    return symmetrize(op.W @ op.W.conj().T), np.sqrt(op.kernel)
+    """(B, S): the Hermitian part of B = W W*, and S = sqrt(K); ``NumericalError`` if B overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        B = _finite(symmetrize(op.W @ op.W.conj().T), "Hessian twin factor W W*")
+    return B, np.sqrt(op.kernel)
 
 
 def _twin_matrix(op: HessianOperator):

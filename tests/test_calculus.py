@@ -149,6 +149,28 @@ def test_an_overflowing_frame_raises_numerical_error_without_warnings(name):
             call()
 
 
+# Valid SPD inputs whose frame product overflows: at t = 0.4 the frame
+# F = A^{3/4} V holds 1e231, and the true gradient t F diag(w^{-0.6}) F* has
+# an entry near 1e369. gradient_f returned [[inf+nanj, 0], [0, 0.4]] after
+# RuntimeWarnings, and the Hessian's twin factor W W* overflowed into
+# numpy's LinAlgError "Eigenvalues did not converge".
+OVERFLOWING_PRODUCT = (np.diag([1e308, 1.0]), np.diag([1e-308, 1.0]), 0.4)
+
+
+@pytest.mark.parametrize("name,what", [("gradient_f", "frame product"),
+                                       ("hessian_extreme_eigs", r"Hessian twin factor W W\*")])
+def test_an_overflowing_frame_product_raises_numerical_error_without_warnings(name, what):
+    A, X, t = OVERFLOWING_PRODUCT
+    call = {
+        "gradient_f": lambda: gradient_f(A, X, t),
+        "hessian_extreme_eigs": lambda: hessian_extreme_eigs(hessian_operator(A, X, t)),
+    }[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NumericalError, match=f"^{what} overflows$"):
+            call()
+
+
 def test_gradient_positive_definite_and_guarded():
     A = random_spd(4, 1.0, 4.0, 7)
     X = random_spd(4, 1.0, 4.0, 8)
