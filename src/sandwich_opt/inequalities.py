@@ -41,6 +41,7 @@ of any value, so a seed fixes the report byte for byte.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -727,10 +728,19 @@ _MP_REVERIFY_CAP = 50
 
 
 def _mp_relation_margin(A, B, t, relation):
-    """Recompute a relation margin in 50-digit precision; returns (margin, scale)."""
+    """Recompute a relation margin in extended precision; returns (margin, scale).
+
+    The sandwich is formed graded, D (Q*BQ) D in A's eigenbasis with
+    D = diag(a^m), m = (1-t)/2t, as ``entropy._graded_sandwich`` forms it,
+    at 50 + ceil(m log10(a_max/a_min)) digits: the eigensolver loses about
+    the grading's digits on it. ``NumericalError`` if a sandwich eigenvalue
+    is not positive.
+    """
     import mpmath as mp
 
-    with mp.workdps(50):
+    a = _eigenvalues(A)
+    m = (1.0 - t) / (2.0 * t)
+    with mp.workdps(50 + math.ceil(m * math.log10(a[-1] / a[0]))):
         tm = mp.mpf(t)
 
         def to_mp(M):
@@ -742,8 +752,12 @@ def _mp_relation_margin(A, B, t, relation):
 
         Am, Bm = to_mp(A), to_mp(B)
         E, Q = herm_eig(Am)
-        P = Q * mp.diag([mp.power(e, (1 - tm) / (2 * tm)) for e in E]) * Q.H
-        x = sorted((mp.power(e, tm) for e in herm_eig(P * Bm * P)[0]), reverse=True)
+        D = mp.diag([mp.power(e, (1 - tm) / (2 * tm)) for e in E])
+        w = herm_eig(D * (Q.H * Bm * Q) * D)[0]
+        if not min(w) > 0:
+            raise NumericalError(f"the {relation} re-check's sandwich lost positivity at t = {t} "
+                                 f"(min eigenvalue {mp.nstr(min(w), 3)})")
+        x = sorted((mp.power(e, tm) for e in w), reverse=True)
         y = sorted(herm_eig((1 - tm) * Am + tm * Bm)[0], reverse=True)
         xs, ys = np.array(x, dtype=object), np.array(y, dtype=object)
         margins, scale = _relation_margins(xs, ys, relation)

@@ -805,6 +805,36 @@ def test_mp_reverification_flags_float_ghosts():
         assert abs(float_margin - float(margin)) <= 1e-12 * float(scale), rel
 
 
+@pytest.mark.parametrize("t", [0.005, 0.002])
+def test_mp_reverification_is_graded_at_small_t(t):
+    # the sandwich is formed graded at digits scaled to its grading: the
+    # product P B P at 50 digits gave a negative eigenvalue and a TypeError
+    # at t = 0.005, and margins of -0.43 (a false counterexample) at 0.002
+    import mpmath as mp
+    from oracles import _mp_herm_eig, _mp_sandwich_eig, _to_mp
+
+    from sandwich_opt.inequalities import _mp_relation_margin, _relation_margins
+
+    A = random_spd(3, 0.5, 2.0, 29)
+    B = random_spd(3, 0.5, 2.0, 30)
+    with mp.workdps(600):
+        tm = mp.mpf(t)
+        x = sorted((mp.power(e, tm) for e in _mp_sandwich_eig(A, B, tm)[0]), reverse=True)
+        y = sorted(_mp_herm_eig((1 - tm) * _to_mp(A) + tm * _to_mp(B))[0], reverse=True)
+        for rel in OPEN_QUESTION_RELATIONS:
+            ref = min(_relation_margins(np.array(x, dtype=object), np.array(y, dtype=object), rel)[0])
+            margin, scale = _mp_relation_margin(A, B, t, rel)
+            assert ref > 0 and abs(margin - ref) <= mp.mpf(10) ** -45 * scale, rel
+
+
+def test_mp_reverification_raises_on_a_sandwich_that_is_not_positive():
+    from sandwich_opt.inequalities import _mp_relation_margin
+
+    A = random_spd(3, 0.5, 2.0, 29)
+    with pytest.raises(NumericalError, match="weak_majorize re-check's sandwich lost positivity at t = 0.25"):
+        _mp_relation_margin(A, np.diag([1.0, -0.5, 2.0]), 0.25, "weak_majorize")
+
+
 # ------------------------------------------------------------------- suites
 
 
