@@ -202,6 +202,42 @@ def mp_sandwich_trace(A, B, t, dps=40):
         return sum(mp.power(e, tm) for e in Em)
 
 
+def _mp_power(Mm, s):
+    """Mm^s for a Hermitian positive definite mpmath matrix, from its eigendecomposition."""
+    import mpmath as mp
+
+    E, Q = _mp_herm_eig(Mm)
+    return Q * mp.diag([mp.power(e, s) for e in E]) * Q.H
+
+
+def _mp_mean(Am, Bm, t):
+    """Am #_t Bm = Am^{1/2} (Am^{-1/2} Bm Am^{-1/2})^t Am^{1/2} of mpmath matrices."""
+    import mpmath as mp
+
+    root, inv_root = _mp_power(Am, mp.mpf(1) / 2), _mp_power(Am, -mp.mpf(1) / 2)
+    return root * _mp_power(inv_root * Bm * inv_root, t) * root
+
+
+def mp_means(A, B, t, dps=250):
+    """Extended-precision {"mean": A #_t B, "i": X_i, "iii": X_iii} from the definitions.
+
+    X_i = A^{(1-t)/t} #_{1-t} B^{-1} and X_iii = B #_{1-t} A^{(t-1)/t} are
+    the minimizers of the variational representations i and iii. Every
+    product is formed in full at dps digits, which covers the grading
+    A^{(1-t)/t} of about 1e114 on a [1e-3, 1e3] box at t = 0.05.
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        tm = mp.mpf(t)
+        Am, Bm = _to_mp(A), _to_mp(B)
+        means = {"mean": _mp_mean(Am, Bm, tm),
+                 "i": _mp_mean(_mp_power(Am, (1 - tm) / tm), _mp_power(Bm, -1), 1 - tm),
+                 "iii": _mp_mean(Bm, _mp_power(Am, (tm - 1) / tm), 1 - tm)}
+        return {key: np.array([[complex(M[i, j]) for j in range(M.cols)] for i in range(M.rows)])
+                for key, M in means.items()}
+
+
 def mp_gamma_error(A, B, t, dps=500):
     """Extended-precision ||gamma(t) - A||_F, gamma(t) = (A^{(1-t)/2t} B A^{(1-t)/2t})^t.
 
