@@ -109,7 +109,8 @@ def _graded_sandwich(basis, B, t, what="sandwiched product"):
     and M is graded downward, with exact row and column scales; ``eigh`` then
     keeps its small eigenvalues, which the product of the full A^{(1-t)/2t}
     with B loses (Demmel & Veselic, SIAM J. Matrix Anal. Appl. 13, 1992).
-    On ``_whitening_basis`` it is the whitened product A^{-1/2} B A^{-1/2}.
+    On ``_whitening_basis`` it is the whitened product A^{-1/2} B A^{-1/2},
+    graded upward, by a^{-1/2} only (mpmath-tested through A #_t B).
     ``NumericalError`` naming ``what`` if M overflows (see ``_finite``).
     """
     d, U = basis

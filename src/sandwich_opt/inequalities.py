@@ -730,11 +730,9 @@ _MP_REVERIFY_CAP = 50
 def _mp_relation_margin(A, B, t, relation):
     """Recompute a relation margin in extended precision; returns (margin, scale).
 
-    The sandwich is formed graded, D (Q*BQ) D in A's eigenbasis with
-    D = diag(a^m), m = (1-t)/2t, as ``entropy._graded_sandwich`` forms it,
-    at 50 + ceil(m log10(a_max/a_min)) digits: the eigensolver loses about
-    the grading's digits on it. ``NumericalError`` if a sandwich eigenvalue
-    is not positive.
+    The sandwich is D (Q*BQ) D in A's eigenbasis, D = diag(a^m), m = (1-t)/2t,
+    at 50 + ceil(m log10(a_max/a_min)) digits, since the eigensolver loses
+    about the grading's digits; ``NumericalError`` unless it is positive definite.
     """
     import mpmath as mp
 
