@@ -257,8 +257,8 @@ def hessian_extreme_eigs(op: HessianOperator):
     Lanczos. Beyond, Lanczos with full reorthogonalization on T's matvec (two
     n x n products), stopped when both extreme Ritz residuals are at most
     LANCZOS_RTOL times the largest Ritz value; at most n^2 steps, and
-    ``NumericalError`` if it stops unconverged. Ritz values lie inside the
-    spectrum, so neither value overstates the true extreme.
+    ``NumericalError`` if it stops unconverged or if B overflows. Ritz values
+    lie inside the spectrum, so neither value overstates the true extreme.
     """
     if op.n <= DENSE_MAX_N:
         # direct: the real twin, read from one triangle; averaging both would move its bits

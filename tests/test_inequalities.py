@@ -326,7 +326,7 @@ def test_variational_minimizer_rep_i_value_matches_mpmath():
 def test_means_and_minimizers_match_mpmath(box):
     # A #_t B, X_i and X_iii from the frame of the graded sandwich, against
     # the definitions at 250 digits. Measured worst 2.9e-14 relative; the
-    # ungraded congruences were 2e-7 off for X_i at t = 0.05 on [0.5, 2]
+    # ungraded congruences were 5.3e-9 off for X_i at t = 0.05 on [0.5, 2]
     # and raised "lost positivity" on [1e-3, 1e3]
     for k in range(4):
         A, B = (random_spd(4, *box, derive_seed(904, k, side)) for side in ("a", "b"))
