@@ -2,7 +2,10 @@
 
 Minimizes phi_t(X) = sum_j w_j [tr((1-t) A_j + t X) - f_j(X)] with
 f_j(X) = tr(A_j^{(1-t)/2t} X A_j^{(1-t)/2t})^t over the spectral box
-[alpha I, beta I] by projected gradient descent with a certified linear rate,
+[alpha I, beta I] by projected gradient descent with a certified linear rate.
+The box defaults to the power-mean box [alpha', beta'] of the marginals'
+extreme eigenvalues, which holds the minimizer and lies inside their
+spectral hull, so its certified rate is no slower (``barycenter_problem``); GP is
 cross-validated by a fixed-point iteration on
 F(X) = sum_j w_j (X^{1/2} A_j^{(1-t)/t} X^{1/2})^t. The two are step rules
 of one loop, which owns the history, the stopping order and the report;
@@ -109,9 +112,23 @@ def _in_box(lo, hi, alpha, beta):
 def barycenter_problem(matrices, weights, t, alpha=None, beta=None) -> BarycenterProblem:
     """Validate and assemble a barycenter problem.
 
-    Weights are normalized to sum 1 at load. The box defaults to the optimal
-    [min_j lam_min(A_j), max_j lam_max(A_j)]; every marginal must satisfy
-    alpha I <= A_j <= beta I up to a relative slack of 1e-10 beta.
+    Weights are normalized to sum 1 at load. The box defaults to the
+    power-mean box [alpha', beta'] = [M_r(a), M_r(b)]: r = 1 - t,
+    a_j = lam_min(A_j), b_j = lam_max(A_j) and M_r(v) = (sum_j w_j v_j^r)^{1/r}
+    the weighted power mean, read from the spectra the marginals are checked
+    by. A given box must contain [alpha', beta'] up to a relative slack of
+    BOX_RTOL beta, which every box holding the marginals does; the marginals
+    themselves need not lie in it.
+
+    The minimizer X* lies in [alpha', beta']. It is the fixed point
+    X* = sum_j w_j (X*^{1/2} A_j^{(1-t)/t} X*^{1/2})^t; with mu = lam_max(X*),
+    each term is at most (b_j^{(1-t)/t} mu)^t I, so mu <= (sum_j w_j b_j^{1-t}) mu^t,
+    that is mu^{1-t} <= beta'^{1-t}. With lam_min(X*) and a_j the same
+    argument gives alpha' from below. On any box that contains
+    [alpha', beta'], ``convexity_constants`` certifies phi_t (see
+    ``calculus.ConvexityConstants``), so every solver certificate holds there.
+    M_r lies between its arguments' extremes, and the computed one is clipped
+    there: a single marginal's box is exactly its spectrum.
     """
     check_unit_t(t)
     checked = [_spd_and_spectrum(M) for M in matrices]
@@ -130,15 +147,17 @@ def barycenter_problem(matrices, weights, t, alpha=None, beta=None) -> Barycente
         raise InvalidInput("weights must be finite and positive")
     w = w / w.sum()
 
-    lo = min(float(s[0]) for _, s in checked)
-    hi = max(float(s[-1]) for _, s in checked)
+    r = 1.0 - float(t)
+    ends = np.array([(s[0], s[-1]) for _, s in checked])  # rows (a_j, b_j)
+    lo, hi = map(float, np.clip((w @ ends ** r) ** (1.0 / r), ends.min(axis=0), ends.max(axis=0)))
     alpha = lo if alpha is None else alpha
     beta = hi if beta is None else beta
     check_box(alpha, beta)
     alpha, beta = float(alpha), float(beta)
     if not _in_box(lo, hi, alpha, beta):
         raise InvalidBox(
-            f"marginal spectra [{lo:.6g}, {hi:.6g}] violate the box [{alpha}, {beta}]"
+            f"the box [{alpha}, {beta}] misses the power-mean box [{lo:.6g}, {hi:.6g}], "
+            "which holds the barycenter"
         )
     return BarycenterProblem(mats, w, float(t), alpha, beta)
 
@@ -204,8 +223,13 @@ def certified_rate(p: BarycenterProblem, eta=None):
     convexity_constants(t, alpha, beta), and
     q = max{|1 - eta alpha_star|, |1 - eta beta_star|} < 1 for
     eta in (0, 2/beta_star); the default eta = 1/beta_star gives
-    q = 1 - (alpha/beta)^{3-2t}. ``InvalidInput`` unless eta is a number (a
-    bool is not), ``InvalidStepSize`` outside that interval.
+    q = 1 - (alpha/beta)^{3-2t}. The problem's box contains the power-mean
+    box [alpha', beta'], which holds the minimizer (``barycenter_problem``),
+    so grad^2 phi_t lies in [alpha_star, beta_star] on the whole box
+    (``calculus.ConvexityConstants``), whether or not the marginals lie in
+    it: GP contracts by q, and ||grad phi_t(X)|| / alpha_star bounds
+    ||X - X*|| at any X in the box. ``InvalidInput`` unless eta is a number
+    (a bool is not), ``InvalidStepSize`` outside that interval.
     """
     c = convexity_constants(p.t, p.alpha, p.beta)
     alpha_star, beta_star = c.k1, c.k2
@@ -267,9 +291,11 @@ def _power_mean(p: BarycenterProblem):
 
     It is the minimizer of phi_t when the marginals commute. Each A_j^{1-t}
     is rebuilt from the problem's decomposition of A_j, so the start takes
-    one eigh, for the outer power. Its spectrum lies in [alpha, beta]: each
-    A_j^{1-t} lies in [alpha^{1-t} I, beta^{1-t} I], so does their convex
-    combination, and x -> x^{1/(1-t)} is increasing.
+    one eigh, for the outer power. Its spectrum lies in the power-mean box
+    [alpha', beta'], and so in [alpha, beta]: each A_j^{1-t} lies in
+    [a_j^{1-t} I, b_j^{1-t} I], so their weighted sum lies in
+    [alpha'^{1-t} I, beta'^{1-t} I], and x -> x^{1/(1-t)} is increasing.
+    Applied to the extremes a_j and b_j alone, the same mean is the box.
     """
     r = 1.0 - p.t
     mean = sum(w * dec.map(power(r)) for w, dec in zip(p.weights, p._decompositions))

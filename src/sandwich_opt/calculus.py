@@ -274,6 +274,24 @@ class ConvexityConstants:
     k1 = t(1-t) alpha^{1-t} beta^{t-2} and k2 = t(1-t) beta^{1-t} alpha^{t-2}
     bound -grad^2 f(X) from below and above whenever the spectra of A and X
     lie in [alpha, beta]; cond_bound = (beta/alpha)^{3-2t} = k2/k1 exactly.
+
+    They follow from bounds split by role,
+    t(1-t) lam_min(A)^{1-t} lam_max(X)^{t-2} <= -grad^2 f(X)
+    <= t(1-t) lam_max(A)^{1-t} lam_min(X)^{t-2}. Proof: with
+    x^{t-1} = (sin pi t / pi) int_0^inf s^{t-1} (x + s)^{-1} ds,
+    -grad^2 f(X)[H, H] = t (sin pi t / pi) int_0^inf s^{t-1} tr[G_s^{-1} H G_s^{-1} H] ds
+    with G_s = X + s A^{-(1-t)/t}. As
+    lam_min(X) + s lam_max(A)^{-(1-t)/t} <= G_s <= lam_max(X) + s lam_min(A)^{-(1-t)/t}
+    and int_0^inf u^{t-1} (1 + u)^{-2} du = (1-t) pi / sin pi t, the integral
+    lies between the two bounds times ||H||^2.
+
+    For the barycenter objective, -grad^2 f_j summed with the weights gives
+    t(1-t) alpha'^{1-t} lam_max(X)^{t-2} <= grad^2 phi_t(X)
+    <= t(1-t) beta'^{1-t} lam_min(X)^{t-2}, since sum_j w_j a_j^{1-t} =
+    alpha'^{1-t} and sum_j w_j b_j^{1-t} = beta'^{1-t} for the power-mean box
+    [alpha', beta'] of ``barycenter.barycenter_problem``. So on any box that
+    contains [alpha', beta'], grad^2 phi_t lies in [k1, k2] of that box,
+    even where a marginal lies outside it.
     """
 
     t: float

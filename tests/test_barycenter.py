@@ -42,9 +42,12 @@ def test_problem_normalizes_weights_and_defaults_box():
     p = barycenter_problem(mats, [2.0, 6.0], 0.5)
     assert np.allclose(p.weights, [0.25, 0.75])
     assert np.isclose(np.sum(p.weights), 1.0, atol=1e-12)
-    lo = min(np.linalg.eigvalsh(M)[0] for M in mats)
-    hi = max(np.linalg.eigvalsh(M)[-1] for M in mats)
-    assert np.isclose(p.alpha, lo) and np.isclose(p.beta, hi)
+    # the power-mean box [M_r(a), M_r(b)], r = 1 - t, of the weighted extremes
+    a = np.array([np.linalg.eigvalsh(M)[0] for M in mats])
+    b = np.array([np.linalg.eigvalsh(M)[-1] for M in mats])
+    assert np.isclose(p.alpha, (0.25 * a[0] ** 0.5 + 0.75 * a[1] ** 0.5) ** 2)
+    assert np.isclose(p.beta, (0.25 * b[0] ** 0.5 + 0.75 * b[1] ** 0.5) ** 2)
+    assert a.min() < p.alpha < p.beta < b.max()
 
 
 def test_problem_validation_errors():
