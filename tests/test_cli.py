@@ -371,9 +371,9 @@ def test_verify_report_digest_is_pinned(suite, capsys):
 # sha256 of the barycenter report on stdout for a seeded 3x3 problem with
 # three marginals: a change to the solver loop that moves one bit shows here
 BARYCENTER_DIGESTS = {
-    "gp": "58b7119ac348313c3d8e2163cf52063740a1e0aaaf773a6abba24d4555c4b299",
-    "fp": "5b97abdf9179809df69a1c8e33fe77bcbd4e1f0194898dc6a0cb7af36ef62627",
-    "gp-capped-trace": "61c7ca3d66f01d92a5c0ab70c64caf5b1ae543a14b093eeaa22aa2f201c522fc",
+    "gp": "c636407677b0ee3447345513226b4f67070ba96668c52d449dacda29050b7a57",
+    "fp": "2c7bd510574e7457f27044c015849d10a1d9b68341fae2c81a0c40bb54adf70e",
+    "gp-capped-trace": "512fbb914cdf70680f070d0953a075a48c051fc627adef196c7375dafcb5ed9f",
 }
 BARYCENTER_ARGS = {
     "gp": (["--solver", "gp"], 0),
