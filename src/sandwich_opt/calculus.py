@@ -92,11 +92,14 @@ def hessian_apply(op: HessianOperator, Y):
     """Apply -grad^2 f(X) to a Hermitian direction Y: t W* [K o (W Y W*)] W.
 
     ``InvalidInput`` unless Y is a finite op.n x op.n matrix: this is the
-    public entry point. ``hessian_extreme_eigs`` does not call it; it reads
+    public entry point. ``NumericalError``, and no numpy warning, if the
+    action overflows. ``hessian_extreme_eigs`` does not call it; it reads
     the spectrum from the twin operator (see there).
     """
     W, Wh = op.W, op.W.conj().T
-    return symmetrize(op.t * Wh @ (op.kernel * (W @ check_matrices(n=op.n, Y=Y)[0] @ Wh)) @ W)
+    Y = check_matrices(n=op.n, Y=Y)[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return symmetrize(_finite(op.t * Wh @ (op.kernel * (W @ Y @ Wh)) @ W, "Hessian action"))
 
 
 def hessian_operator_matrix(op: HessianOperator):
@@ -111,11 +114,13 @@ def hessian_operator_matrix(op: HessianOperator):
     slower than the real ones in some processes on a 2-vCPU host with
     threaded OpenBLAS. ``hessian_extreme_eigs`` does not form this matrix:
     it reads the same spectrum from the cheaper twin operator.
+    ``NumericalError``, and no numpy warning, if the matrix overflows.
     """
     n = op.n
-    C = np.kron(op.W, op.W.conj())
-    G = C.real + C.imag[:, np.arange(n * n).reshape(n, n).T.ravel()]
-    return op.t * (G.T * op.kernel.ravel()) @ G
+    with np.errstate(over="ignore", invalid="ignore"):
+        C = np.kron(op.W, op.W.conj())
+        G = C.real + C.imag[:, np.arange(n * n).reshape(n, n).T.ravel()]
+        return _finite(op.t * (G.T * op.kernel.ravel()) @ G, "Hessian matrix")
 
 
 # -grad^2 f(X) = t C* D_K C with C(Y) = W Y W* and D_K(Z) = K o Z, K >= 0

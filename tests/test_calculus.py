@@ -158,12 +158,16 @@ OVERFLOWING_PRODUCT = (np.diag([1e308, 1.0]), np.diag([1e-308, 1.0]), 0.4)
 
 
 @pytest.mark.parametrize("name,what", [("gradient_f", "frame product"),
-                                       ("hessian_extreme_eigs", r"Hessian twin factor W W\*")])
+                                       ("hessian_extreme_eigs", r"Hessian twin factor W W\*"),
+                                       ("hessian_apply", "Hessian action"),
+                                       ("hessian_operator_matrix", "Hessian matrix")])
 def test_an_overflowing_frame_product_raises_numerical_error_without_warnings(name, what):
     A, X, t = OVERFLOWING_PRODUCT
     call = {
         "gradient_f": lambda: gradient_f(A, X, t),
         "hessian_extreme_eigs": lambda: hessian_extreme_eigs(hessian_operator(A, X, t)),
+        "hessian_apply": lambda: hessian_apply(hessian_operator(A, X, t), np.eye(2)),
+        "hessian_operator_matrix": lambda: hessian_operator_matrix(hessian_operator(A, X, t)),
     }[name]
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
