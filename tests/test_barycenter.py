@@ -238,6 +238,61 @@ def test_gradient_projection_starts_at_the_projected_power_mean(log_w, n, t, hi,
     assert np.array_equal(rep.iterates[0], project_box(_power_mean(p), p.alpha, p.beta))
 
 
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(
+    log_scales=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
+    log_w=st.data(),
+    n=st.integers(1, 4),
+    t=st.floats(0.1, 0.9),
+    aligned=st.booleans(),
+    seed=st.integers(0, 2**32 - 2),
+)
+def test_the_minimizer_lies_in_the_power_mean_box(log_scales, log_w, n, t, aligned, seed):
+    # each marginal on its own scale s_j: spectrum in [s_j, 3 s_j]; aligned
+    # marginals share one eigenbasis, ordered alike, so X* attains both ends
+    m = len(log_scales)
+    mats = [random_spd(n, 10.0 ** s, 3 * 10.0 ** s, derive_seed(seed, "pmbox", j))
+            for j, s in enumerate(log_scales)]
+    if aligned:
+        Q = np.linalg.eigh(random_spd(n, 1.0, 2.0, derive_seed(seed, "pmbasis")))[1]
+        mats = [(Q * np.linalg.eigvalsh(A)) @ Q.conj().T for A in mats]
+    w = 10.0 ** np.array(log_w.draw(st.lists(st.floats(-2.0, 0.0), min_size=m, max_size=m)))
+    box = barycenter_problem(mats, w, t)
+    # solved on the marginals' spectral hull, from its midpoint, by the fixed
+    # point, which never projects: nothing holds the iterates in [alpha', beta']
+    lo = min(np.linalg.eigvalsh(A)[0] for A in mats)
+    hi = max(np.linalg.eigvalsh(A)[-1] for A in mats)
+    p = barycenter_problem(mats, w, t, alpha=lo, beta=hi)
+    rep = solve_fixed_point(p, grad_tol=1e-12, max_iters=5000, x0=(lo + hi) / 2.0 * np.eye(n))
+    assert rep.termination == "gradient_tol"
+    spec = np.linalg.eigvalsh(rep.minimizer)
+    slack = rep.error_bound + BOX_RTOL * box.beta  # Weyl: |lam_i(X) - lam_i(X*)| <= ||X - X*||
+    assert box.alpha - slack <= spec[0] and spec[-1] <= box.beta + slack
+    if aligned:
+        assert abs(spec[0] - box.alpha) <= slack and abs(spec[-1] - box.beta) <= slack
+
+
+def test_a_box_that_holds_the_power_mean_box_but_not_the_marginals_is_accepted():
+    mats = [s * random_spd(4, 1.0, 2.0, derive_seed(906, "tb", j)) for j, s in enumerate((1, 2, 5, 10))]
+    default = barycenter_problem(mats, np.ones(4), 0.3)
+    alpha, beta = 0.9 * default.alpha, 1.1 * default.beta
+    assert min(np.linalg.eigvalsh(A)[0] for A in mats) < alpha
+    assert max(np.linalg.eigvalsh(A)[-1] for A in mats) > beta
+    wider = barycenter_problem(mats, np.ones(4), 0.3, alpha=alpha, beta=beta)
+    assert (wider.alpha, wider.beta) == (alpha, beta)
+    gp, gp_default = solve_gradient_projection(wider), solve_gradient_projection(default)
+    assert gp.termination == gp_default.termination == "gradient_tol"
+    assert np.linalg.norm(gp.minimizer - gp_default.minimizer) <= gp.error_bound + gp_default.error_bound
+
+
+@pytest.mark.parametrize("scale", [(1.01, 1.0), (1.0, 0.99)], ids=["alpha", "beta"])
+def test_a_box_that_misses_the_power_mean_box_is_invalid(scale):
+    mats = [s * random_spd(4, 1.0, 2.0, derive_seed(906, "tb", j)) for j, s in enumerate((1, 2, 5))]
+    p = barycenter_problem(mats, [1.0, 2.0, 3.0], 0.6)
+    with pytest.raises(InvalidBox, match=r"the box \[.*\] misses the power-mean box \[.*\]"):
+        barycenter_problem(mats, [1.0, 2.0, 3.0], 0.6, alpha=scale[0] * p.alpha, beta=scale[1] * p.beta)
+
+
 def test_gradient_projection_iterates_stay_in_box_and_descend():
     p = random_problem(8)
     rep = solve_gradient_projection(p, trace=True)

@@ -417,6 +417,29 @@ def test_sharper_lower_bound_holds_and_tightens():
         assert lo >= sharper * (1.0 - 1e-8)
 
 
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(
+    n=st.integers(1, 5),
+    t=st.floats(0.05, 0.95),
+    log_a=st.floats(-1.5, 1.5),
+    log_x=st.floats(-1.5, 1.5),
+    log_ratio_a=st.floats(0.0, 3.0),
+    log_ratio_x=st.floats(0.0, 3.0),
+    seed=st.integers(0, 2**32 - 2),
+)
+def test_hessian_extremes_obey_the_split_bounds(n, t, log_a, log_x, log_ratio_a, log_ratio_x, seed):
+    # t(1-t) lam_min(A)^{1-t} lam_max(X)^{t-2} <= -grad^2 f(X)
+    # <= t(1-t) lam_max(A)^{1-t} lam_min(X)^{t-2}, A and X on unrelated boxes
+    # (ConvexityConstants); equal at n = 1
+    A = random_spd(n, np.exp(log_a), np.exp(log_a + log_ratio_a), derive_seed(seed, "split", "a"))
+    X = random_spd(n, np.exp(log_x), np.exp(log_x + log_ratio_x), derive_seed(seed, "split", "x"))
+    a, x = np.linalg.eigvalsh(A), np.linalg.eigvalsh(X)
+    lo, hi = hessian_extreme_eigs(hessian_operator(A, X, t))
+    c = t * (1.0 - t)
+    assert lo >= c * a[0] ** (1.0 - t) * x[-1] ** (t - 2.0) * (1.0 - 1e-9)
+    assert hi <= c * a[-1] ** (1.0 - t) * x[0] ** (t - 2.0) * (1.0 + 1e-9)
+
+
 def test_convexity_constants_worked_values():
     c = convexity_constants(0.5, 1.0, 4.0)
     assert np.isclose(c.k1, 1.0 / 32.0)

@@ -3,14 +3,19 @@ import pytest
 
 from sandwich_opt import (
     InvalidInput,
+    barycenter_problem,
     canonical_json,
+    derive_seed,
     load_matrix,
+    load_problem,
     matrix_from_json,
     matrix_to_json,
     problem_from_json,
     problem_to_json,
     random_spd,
+    report_to_json,
     save_matrix,
+    solve_gradient_projection,
 )
 from sandwich_opt.serialization import format_float
 
@@ -125,3 +130,18 @@ def test_problem_json_round_trip():
         assert np.array_equal(M1, M2)
     with pytest.raises(InvalidInput):
         problem_from_json({"t": 0.4, "weights": [1.0]})
+
+
+@pytest.mark.parametrize("weights", [[1.0, 2.0, 3.0], [0.1, 0.7, 0.3]])
+def test_a_default_box_problem_round_trips_through_a_file(tmp_path, weights):
+    # the file carries the power-mean box; loading it back checks that box
+    # against the one its marginals give, and the GP report keeps every byte
+    mats = [s * random_spd(4, 1.0, 2.0, derive_seed(906, "tb", j)) for j, s in enumerate((1, 2, 5))]
+    p = barycenter_problem(mats, weights, 0.3)
+    path = tmp_path / "problem.json"
+    path.write_text(canonical_json(problem_to_json(p)) + "\n")
+    q = load_problem(path)
+    assert (q.alpha, q.beta) == (p.alpha, p.beta)
+    assert np.array_equal(q.weights, p.weights)
+    reports = [canonical_json(report_to_json(solve_gradient_projection(r))) for r in (p, q)]
+    assert reports[0] == reports[1]
