@@ -122,7 +122,8 @@ def barycenter_problem(matrices, weights, t, alpha=None, beta=None) -> Barycente
 
     The minimizer X* lies in [alpha', beta']. It is the fixed point
     X* = sum_j w_j (X*^{1/2} A_j^{(1-t)/t} X*^{1/2})^t; with mu = lam_max(X*),
-    each term is at most (b_j^{(1-t)/t} mu)^t I, so mu <= (sum_j w_j b_j^{1-t}) mu^t,
+    each term is at most (b_j^{(1-t)/t} mu)^t I, as x -> x^t is operator
+    monotone, so mu <= (sum_j w_j b_j^{1-t}) mu^t,
     that is mu^{1-t} <= beta'^{1-t}. With lam_min(X*) and a_j the same
     argument gives alpha' from below. On any box that contains
     [alpha', beta'], ``convexity_constants`` certifies phi_t (see

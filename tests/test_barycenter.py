@@ -241,13 +241,13 @@ def test_gradient_projection_starts_at_the_projected_power_mean(log_w, n, t, hi,
 @settings(max_examples=40, derandomize=True, database=None, deadline=None)
 @given(
     log_scales=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
-    log_w=st.data(),
+    data=st.data(),
     n=st.integers(1, 4),
     t=st.floats(0.1, 0.9),
     aligned=st.booleans(),
     seed=st.integers(0, 2**32 - 2),
 )
-def test_the_minimizer_lies_in_the_power_mean_box(log_scales, log_w, n, t, aligned, seed):
+def test_the_minimizer_lies_in_the_power_mean_box(log_scales, data, n, t, aligned, seed):
     # each marginal on its own scale s_j: spectrum in [s_j, 3 s_j]; aligned
     # marginals share one eigenbasis, ordered alike, so X* attains both ends
     m = len(log_scales)
@@ -256,7 +256,7 @@ def test_the_minimizer_lies_in_the_power_mean_box(log_scales, log_w, n, t, align
     if aligned:
         Q = np.linalg.eigh(random_spd(n, 1.0, 2.0, derive_seed(seed, "pmbasis")))[1]
         mats = [(Q * np.linalg.eigvalsh(A)) @ Q.conj().T for A in mats]
-    w = 10.0 ** np.array(log_w.draw(st.lists(st.floats(-2.0, 0.0), min_size=m, max_size=m)))
+    w = 10.0 ** np.array(data.draw(st.lists(st.floats(-2.0, 0.0), min_size=m, max_size=m)))
     box = barycenter_problem(mats, w, t)
     # solved on the marginals' spectral hull, from its midpoint, by the fixed
     # point, which never projects: nothing holds the iterates in [alpha', beta']

@@ -9,8 +9,9 @@ in a subprocess from its root, twice: once at the default BLAS thread count
 (OPENBLAS_NUM_THREADS unset) and once with OPENBLAS_NUM_THREADS=1, set for
 the child alone. Writes BENCH_<label>.json into --out (default: this
 checkout's root) with the checkout's commit (suffixed "-dirty" when its tree
-has uncommitted changes), numpy's BLAS name and version, the CPU model,
-os.cpu_count(), and per run the thread setting, the run's ``meta`` lines and
+has uncommitted changes), the CPU model, Python, numpy and its BLAS name and
+version as the harness printed them, os.cpu_count(), and per run the thread
+setting, the run's ``meta`` lines (among them the BLAS thread count) and
 digests, and its final JSON line as bench/run.py printed it. Nothing is
 computed anew: no metric, no bound. --root defaults to this checkout; point
 it at a clone of another commit to snapshot that commit. --smoke passes
@@ -22,37 +23,15 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import platform
 import re
 import subprocess
 import sys
-
-import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # Beyond the measured window, a run imports numpy, generates its inputs and
 # warms up; a run past this many seconds more is stopped and reported.
 TIMEOUT_SLACK_S = 600
 THREAD_SETTINGS = (None, "1")  # OPENBLAS_NUM_THREADS: unset (default), then 1
-
-
-def _cpu_model():
-    try:
-        with open("/proc/cpuinfo", encoding="utf-8") as fh:
-            for line in fh:
-                if line.startswith("model name"):
-                    return line.split(":", 1)[1].strip()
-    except OSError:
-        pass
-    return platform.processor() or "unknown"
-
-
-def _blas():
-    try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    except (TypeError, KeyError):  # numpy without the dict form of its build config
-        blas = {}
-    return f"{blas.get('name', 'unknown')} {blas.get('version', '')}".strip()
 
 
 def _commit(root):
@@ -109,19 +88,18 @@ def main(argv=None):
     if unknown:
         parser.error(f"unknown workload(s) {unknown}; BENCHMARK.json lists {names}")
 
+    runs = [run_bench(root, w, args.seed, args.seconds, threads, args.smoke)
+            for w in workloads for threads in THREAD_SETTINGS]
     snapshot = {
         "label": args.label,
         "commit": _commit(root),
         "seed": args.seed,
         "seconds": args.seconds,
         "smoke": args.smoke,
-        "cpu": _cpu_model(),
+        # the machine as the first run's harness described it
+        **{key: runs[0]["meta"].get(key, "unknown") for key in ("cpu", "python", "numpy", "blas")},
         "cpu_count": os.cpu_count(),
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "blas": _blas(),
-        "runs": [run_bench(root, w, args.seed, args.seconds, threads, args.smoke)
-                 for w in workloads for threads in THREAD_SETTINGS],
+        "runs": runs,
     }
     path = os.path.join(args.out, f"BENCH_{args.label}.json")
     with open(path, "w", encoding="utf-8") as fh:
