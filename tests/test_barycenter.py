@@ -220,12 +220,14 @@ _START_PROBLEMS = dict(
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
 @given(t=st.floats(0.02, 0.98), **_START_PROBLEMS)
 def test_power_mean_start_lies_in_the_box(log_w, n, t, hi, real, seed):
-    # each A_j^{1-t} lies in [alpha^{1-t} I, beta^{1-t} I], so does their
-    # convex combination, and its 1/(1-t) power lies in [alpha I, beta I]
+    # each A_j^{1-t} lies in [a_j^{1-t} I, b_j^{1-t} I], so their weighted
+    # mean lies in [alpha'^{1-t} I, beta'^{1-t} I], and its 1/(1-t) power in
+    # the power-mean box [alpha', beta'], the default box, inside [alpha, beta]
     p = _start_problem(log_w, n, t, hi, real, seed)
     w = np.linalg.eigvalsh(_power_mean(p))
-    slack = BOX_RTOL * p.beta
-    assert p.alpha - slack <= w[0] and w[-1] <= p.beta + slack
+    for box in (p, barycenter_problem(p.matrices, p.weights, p.t)):
+        slack = BOX_RTOL * box.beta
+        assert box.alpha - slack <= w[0] and w[-1] <= box.beta + slack
 
 
 @settings(max_examples=30, derandomize=True, database=None, deadline=None)
