@@ -18,16 +18,20 @@ A_j = U_j diag(a_j) U_j* is decomposed once, when a problem first needs it
 (m eigh per problem), and every function of A_j a solver reads comes from
 that decomposition: the sandwich of grad f_j, formed in A_j's eigenbasis as
 D_j (U_j* X U_j) D_j, with the scaling D_j = diag(a_j^{(1-t)/2t}) kept on
-the problem, and the powers A_j^{1-t} of the solvers' one start, the power
-mean (sum_j w_j A_j^{1-t})^{1/(1-t)}, which is the minimizer when the
-marginals commute and takes one eigh more. Each grad f_j takes one eigh, of
-that sandwich, and four products, so S(X) takes m eigh. A fixed-point step
-adds one eigh for X^{1/2}: m + 1 per step. A
-gradient-projection step adds the box projection, which certifies an
-in-box X - eta grad phi_t(X) by two Cholesky factorizations and decomposes
-only a step that leaves the box: m eigh and 2 Cholesky per in-box step. A
-point X and the box are checked once where they enter, and no step
-re-checks either; every iterate of either solver is exactly Hermitian.
+the problem, and the powers A_j^{1-t} of the power mean
+P = (sum_j w_j A_j^{1-t})^{1/(1-t)}, the minimizer when the marginals
+commute, which takes one eigh more. Each grad f_j takes one eigh, of that
+sandwich, and four products, so S(X) takes m eigh. A fixed-point step adds
+one eigh for X^{1/2}: m + 1 per step. A gradient-projection step adds the
+box projection, which certifies an in-box X - eta grad phi_t(X) by two
+Cholesky factorizations and decomposes only a step that leaves the box: m
+eigh and 2 Cholesky per in-box step. The fixed point starts at P. GP starts
+at the better of P and one relaxed fixed-point step from it
+(``solve_gradient_projection``), which adds m + 1 eigh and 2 Cholesky, so a
+default GP solve of k steps that forms the step takes m (k + 3) + 3 eigh,
+against m (k + 2) + 2 from P alone. A point X and the box are checked once
+where they enter, and no step re-checks either; every iterate of either
+solver is exactly Hermitian.
 """
 
 from __future__ import annotations
@@ -41,9 +45,10 @@ from functools import cached_property
 import numpy as np
 
 from .calculus import convexity_constants
-from .entropy import _frame, _frame_power, _graded_basis, _sandwich_trace, check_unit_t
-from .errors import InvalidBox, InvalidInput, InvalidStart, InvalidStepSize
+from .entropy import _finite_product, _frame, _frame_power, _graded_basis, _sandwich_trace, check_unit_t
+from .errors import InvalidBox, InvalidInput, InvalidStart, InvalidStepSize, NumericalError
 from .linalg import (
+    SpectralDecomp,
     _check_integer,
     _descending,
     _eigenvalues,
@@ -187,8 +192,16 @@ def _gradient_and_sum(p: BarycenterProblem, X):
 
 def _fixed_point_from_sum(X, S):
     """F(X) = X^{1/2} S(X) X^{1/2} from S(X): one unchecked eigh of the exactly Hermitian X."""
-    root = _descending(*_eigh(X)).map(power(0.5))
-    return symmetrize(root @ S @ root)
+    return _root_sandwich(_descending(*_eigh(X)), S)
+
+
+def _root_sandwich(dec, S):
+    """X^{1/2} S X^{1/2}, exactly Hermitian, from the decomposition ``dec`` of X: no eigh.
+
+    ``NumericalError``, and no numpy warning, if the product overflows.
+    """
+    root = dec.map(power(0.5))
+    return symmetrize(_finite_product((root, S, root), "fixed-point map"))
 
 
 def _fixed_point_step(p: BarycenterProblem, X):
@@ -288,19 +301,77 @@ def _stopping_tolerance(p: BarycenterProblem, grad_tol, max_iters):
 
 
 def _power_mean(p: BarycenterProblem):
-    """(sum_j w_j A_j^{1-t})^{1/(1-t)}, exactly Hermitian: the default start of both solvers.
+    """(sum_j w_j A_j^{1-t})^{1/(1-t)}, exactly Hermitian: the fixed point's default start.
 
-    It is the minimizer of phi_t when the marginals commute. Each A_j^{1-t}
-    is rebuilt from the problem's decomposition of A_j, so the start takes
-    one eigh, for the outer power. Its spectrum lies in the power-mean box
+    It is the minimizer of phi_t when the marginals commute, and the point
+    gradient projection's start is chosen from (``_gradient_projection_start``).
+    Each A_j^{1-t} is rebuilt from the problem's decomposition of A_j, so it
+    takes one eigh, for the outer power; ``_power_mean_decomposition`` hands
+    back that eigendecomposition of P. Its spectrum lies in the power-mean box
     [alpha', beta'], and so in [alpha, beta]: each A_j^{1-t} lies in
     [a_j^{1-t} I, b_j^{1-t} I], so their weighted sum lies in
     [alpha'^{1-t} I, beta'^{1-t} I], and x -> x^{1/(1-t)} is increasing.
     Applied to the extremes a_j and b_j alone, the same mean is the box.
     """
+    return symmetrize(_power_mean_decomposition(p).reconstruct())
+
+
+def _power_mean_decomposition(p: BarycenterProblem) -> SpectralDecomp:
+    """The eigendecomposition of ``_power_mean(p)``, from the one eigh of the mean of the A_j^{1-t}.
+
+    The mean's eigenvectors with its eigenvalues raised to 1/(1-t), so every
+    function of the power mean (its root, the powers of the relaxed step)
+    costs no further eigh.
+    """
     r = 1.0 - p.t
     mean = sum(w * dec.map(power(r)) for w, dec in zip(p.weights, p._decompositions))
-    return symmetrize(spectral_decompose(mean).map(power(1.0 / r)))
+    dec, fn = spectral_decompose(mean), power(1.0 / r)
+    dec.require_domain(fn)
+    return SpectralDecomp(fn.finite_on(dec.eigenvalues), dec.eigenvectors)
+
+
+def _relaxed_step(dec, S, t):
+    """T(X) = X^{-a} F(X)^b X^{-a}, b = 1/(1-t), a = t/(2(1-t)), exactly Hermitian: one eigh, of F(X).
+
+    ``dec`` decomposes X and S = S(X), so F(X) = X^{1/2} S X^{1/2}. T has the
+    fixed points of F, and for marginals that commute with each other and
+    with X it is their power mean, the minimizer: there
+    F(X) = X^t M^{1-t} for the power mean M, so F(X)^b = X^{2a} M. At t = 1/2
+    it is S X S, the fixed-point step of Alvarez-Esteban, del Barrio,
+    Cuesta-Albertos & Matran (J. Math. Anal. Appl. 441, 2016).
+    ``NumericalError``, and no numpy warning, if a power or the product
+    overflows, as it can near t = 1, where b is large.
+    """
+    b = 1.0 / (1.0 - t)
+    outer = dec.map(power(-0.5 * t * b))
+    inner = _descending(*_eigh(_root_sandwich(dec, S))).map(power(b))
+    return symmetrize(_finite_product((outer, inner, outer), "relaxed fixed-point step"))
+
+
+def _gradient_projection_start(p: BarycenterProblem, grad_tol):
+    """GP's default start and its first evaluation (X, (grad phi_t(X), S(X))).
+
+    X is the projected power mean P, unless P misses grad_tol and the
+    projected relaxed step Pi(T(P)) (``_relaxed_step``) has a strictly
+    smaller gradient; X is P also when the step overflows. The step is built
+    from P's decomposition and the S(P) the loop would read first, and the
+    chosen point's evaluation is the loop's first, so the rule adds m + 1
+    eigh (F(P), and S at the point not chosen) and two Cholesky
+    factorizations, for the step's projection (an eigh instead if the step
+    leaves the box).
+    """
+    dec = _power_mean_decomposition(p)
+    X = _project_box(symmetrize(dec.reconstruct()), p.alpha, p.beta)
+    first = _gradient_and_sum(p, X)
+    gn = np.linalg.norm(first[0])
+    if gn <= grad_tol:
+        return X, first
+    try:
+        C = _project_box(_relaxed_step(dec, first[1], p.t), p.alpha, p.beta)
+        candidate = _gradient_and_sum(p, C)
+    except NumericalError:
+        return X, first
+    return (C, candidate) if np.linalg.norm(candidate[0]) < gn else (X, first)
 
 
 def _start_iterate(p: BarycenterProblem, x0):
@@ -333,11 +404,12 @@ class _History:
 
 
 def _iterate(X, evaluate, advance, residual, rate, grad_tol, max_iters, trace,
-             safeguard=lambda k, state: None, eta=None):
+             safeguard=lambda k, state: None, eta=None, first=None):
     """The one loop of both solvers, and their one report.
 
     At iterate k, ``evaluate(X)`` returns (grad phi_t(X), the step rule's
-    state). The run stops with the first of "gradient_tol" if
+    state); ``first``, if given, is that pair at the start X, already
+    evaluated. The run stops with the first of "gradient_tol" if
     ||grad phi_t(X)|| <= grad_tol, "max_iters" if k = max_iters and the
     reason ``safeguard(k, state)`` returns; else X moves to
     ``advance(X, G, state)``, formed only after the stop test. ``rate`` is
@@ -345,7 +417,8 @@ def _iterate(X, evaluate, advance, residual, rate, grad_tol, max_iters, trace,
     """
     hist = _History(trace)
     for k in itertools.count():
-        G, state = evaluate(X)
+        G, state = evaluate(X) if first is None else first
+        first = None
         gn = float(np.linalg.norm(G))
         termination = ("gradient_tol" if gn <= grad_tol else
                        "max_iters" if k >= max_iters else safeguard(k, state))
@@ -381,11 +454,20 @@ def solve_gradient_projection(
 ) -> SolverReport:
     """Projected gradient descent X <- [X - eta grad phi_t(X)]_+ on the box.
 
-    Defaults: eta = 1/beta_star, grad_tol = 1e-10 t n, and X0 the power mean
-    (sum_j w_j A_j^{1-t})^{1/(1-t)}, projected onto the box. X0 is the
-    minimizer when the marginals commute, so the run stops at iteration 0
-    there; otherwise a start closer to the minimizer saves steps at the
-    certified rate q. Every iterate stays in [alpha I, beta I]; the returned
+    Defaults: eta = 1/beta_star and grad_tol = 1e-10 t n. A given x0 is the
+    start as it is. Otherwise X0 is the better of two points: the power mean
+    P = (sum_j w_j A_j^{1-t})^{1/(1-t)}, projected onto the box, and the
+    projected relaxed fixed-point step Pi(T(P)),
+    T(P) = P^{-a} F(P)^b P^{-a} with b = 1/(1-t) and a = t/(2(1-t)), which
+    is S(P) P S(P) at t = 1/2. P is the minimizer when the marginals
+    commute, so it meets grad_tol there and the run stops at iteration 0
+    with no step formed; otherwise X0 is Pi(T(P)) if its gradient is
+    strictly smaller, and P if not, or if T(P) overflows, as it can near
+    t = 1. Certificate: both points lie in the box, where phi_t is k1-strongly
+    convex, so ||X - X*|| <= ||grad phi_t(X)|| / k1 there, and the rule never
+    starts farther from X* by that bound than P; a start closer to the
+    minimizer saves steps at the certified rate q, which does not depend on
+    the start. Every iterate stays in [alpha I, beta I]; the returned
     error_bound is a certified distance bound to the unique minimizer.
     ``InvalidInput`` unless grad_tol is finite and >= 0 and max_iters is an
     integer >= 0.
@@ -394,14 +476,18 @@ def solve_gradient_projection(
     if eta is None:
         eta = 1.0 / beta_star
     grad_tol = _stopping_tolerance(p, grad_tol, max_iters)
+    if x0 is None:
+        X0, first = _gradient_projection_start(p, grad_tol)
+    else:
+        X0, first = project_box(_start_iterate(p, x0), p.alpha, p.beta), None
 
     return _iterate(
-        project_box(_start_iterate(p, x0), p.alpha, p.beta), lambda X: _gradient_and_sum(p, X),
+        X0, lambda X: _gradient_and_sum(p, X),
         advance=lambda X, G, S: _project_box(X - eta * G, p.alpha, p.beta),
         # the last S(X) was formed at this X
         residual=lambda X, S: float(np.linalg.norm(X - _fixed_point_from_sum(X, S))),
         rate=(alpha_star, beta_star, q), grad_tol=grad_tol, max_iters=max_iters, trace=trace,
-        eta=float(eta),
+        eta=float(eta), first=first,
     )
 
 
@@ -416,8 +502,10 @@ def solve_fixed_point(
 
     Stops on the rule of gradient projection, ||grad phi_t(X)|| <= grad_tol
     (default 1e-10 t n), with grad phi_t(X) read from the same S(X) as F(X).
-    X0 defaults to the power mean, as for gradient projection (a cross-check
-    from an independent start passes another x0). No contraction is
+    X0 defaults to the power mean P, the point gradient projection starts
+    from or improves on by one relaxed step, so the two solvers start apart
+    unless that step is not taken (a cross-check from a start of the
+    caller's choosing passes another x0). No contraction is
     guaranteed; if the residual ||X - F(X)|| grows for 10 consecutive steps,
     the run stops with residual_growth. ``InvalidInput`` unless grad_tol is
     finite and >= 0 and max_iters is an integer >= 0.

@@ -1,4 +1,5 @@
 import gc
+import warnings
 import weakref
 
 import numpy as np
@@ -234,9 +235,125 @@ def test_power_mean_start_lies_in_the_box(log_w, n, t, hi, real, seed):
 @given(t=st.floats(0.02, 0.9), **_START_PROBLEMS)
 def test_gradient_projection_starts_at_the_projected_power_mean(log_w, n, t, hi, real, seed):
     # t >= 0.02: near t = 0.012 the graded sandwich's eigh can lose positivity
-    # (ROADMAP item 1)
+    # (ROADMAP item 1). The start is the projected power mean P, unless P
+    # misses grad_tol and the projected relaxed step from P has a strictly
+    # smaller gradient: then it is that step, built from P's decomposition
+    import sandwich_opt.barycenter as bc
+
     p = _start_problem(log_w, n, t, hi, real, seed)
     rep = solve_gradient_projection(p, max_iters=0, trace=True)
+    P = project_box(_power_mean(p), p.alpha, p.beta)
+    G, S = bc._gradient_and_sum(p, P)
+    expected = P
+    if np.linalg.norm(G) > 1e-10 * p.t * p.n:
+        C = bc._project_box(bc._relaxed_step(bc._power_mean_decomposition(p), S, p.t), p.alpha, p.beta)
+        if np.linalg.norm(bc._gradient_and_sum(p, C)[0]) < np.linalg.norm(G):
+            expected = C
+    assert np.array_equal(rep.iterates[0], expected)
+
+
+def _relaxed_step_oracle(p, X):
+    # T(X) = X^{-a} (X^{1/2} S(X) X^{1/2})^b X^{-a}, b = 1/(1-t), a = t b / 2,
+    # from the public matrix functions and gradient, projected onto the box
+    b = 1.0 / (1.0 - p.t)
+    S = np.eye(p.n) - objective_gradient(p, X) / p.t
+    root, outer = matrix_power(X, 0.5), matrix_power(X, -0.5 * p.t * b)
+    return project_box(outer @ matrix_power(root @ S @ root, b) @ outer, p.alpha, p.beta)
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(t=st.floats(0.02, 0.98), loose=st.booleans(), **_START_PROBLEMS)
+def test_the_gradient_projection_start_is_no_farther_than_the_power_mean(log_w, n, t, hi, real, seed,
+                                                                        loose):
+    # boxes up to [1, 20]. ||grad phi_t|| / k1 bounds the distance to X* on
+    # the box, so the start's certified distance is at most P's: the start
+    # lies in the box, and its gradient is the smaller of P's and the
+    # projected relaxed step's (formed here from the public kernels, so only
+    # to rounding); when P meets grad_tol ("loose" sets it at twice P's
+    # gradient) the start is the projected P itself
+    p = _start_problem(log_w, n, t, hi, real, seed)
+    P = project_box(_power_mean(p), p.alpha, p.beta)
+    g_power = np.linalg.norm(objective_gradient(p, P))
+    grad_tol = 2.0 * g_power if loose else None
+    rep = solve_gradient_projection(p, grad_tol=grad_tol, max_iters=0, trace=True)
+    X = rep.iterates[0]
+    w = np.linalg.eigvalsh(X)
+    slack = BOX_RTOL * p.beta
+    assert p.alpha - slack <= w[0] and w[-1] <= p.beta + slack
+    assert rep.grad_norms[0] <= g_power
+    if g_power <= (grad_tol if loose else 1e-10 * p.t * p.n):
+        assert np.array_equal(X, P)
+    else:
+        g_step = np.linalg.norm(objective_gradient(p, _relaxed_step_oracle(p, P)))
+        assert rep.grad_norms[0] == pytest.approx(min(g_power, g_step), rel=1e-6, abs=1e-12)
+
+
+@pytest.mark.parametrize("n,m,seed", [(3, 2, 1), (6, 3, 2), (16, 5, 3)])
+def test_the_relaxed_step_at_one_half_is_s_p_s(n, m, seed):
+    # at t = 1/2, b = 2 and a = 1/2: T(P) = P^{-1/2} (P^{1/2} S P^{1/2})^2 P^{-1/2}
+    # = S P S, the step of Alvarez-Esteban, del Barrio, Cuesta-Albertos & Matran
+    import sandwich_opt.barycenter as bc
+
+    mats = [random_spd(n, 1.0, 4.0, derive_seed(seed, "half", j)) for j in range(m)]
+    p = barycenter_problem(mats, np.arange(1.0, m + 1.0), 0.5)
+    P = _power_mean(p)
+    S = bc._mean_sum(p, P)
+    T = bc._relaxed_step(bc._power_mean_decomposition(p), S, p.t)
+    expected = S @ P @ S
+    assert np.linalg.norm(T - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("t", [0.1, 0.5, 0.9])
+@pytest.mark.parametrize("basis", ["diagonal", "unitary"])
+def test_the_relaxed_step_is_exact_for_commuting_marginals(basis, t):
+    # for marginals Q diag(a_j) Q* and X commuting with them,
+    # F(X) = X^t M^{1-t} with M the power mean, so
+    # T(X) = X^{-a} (X^t M^{1-t})^b X^{-a} = M: exact in one step, from P and
+    # from any commuting X
+    import sandwich_opt.barycenter as bc
+    from sandwich_opt import spectral_decompose
+
+    n, m = 4, 3
+    rng = np.random.default_rng(derive_seed(9310, basis, t))
+    a = rng.uniform(1.0, 4.0, (m, n))
+    Q = np.eye(n)
+    if basis == "unitary":
+        Q = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+    p = barycenter_problem([(Q * x) @ Q.conj().T for x in a], [1.0, 2.0, 3.0], t)
+    P = _power_mean(p)
+    X = (Q * rng.uniform(p.alpha, p.beta, n)) @ Q.conj().T
+    for start, dec in ((P, bc._power_mean_decomposition(p)), (X, spectral_decompose(X))):
+        T = bc._relaxed_step(dec, bc._mean_sum(p, start), p.t)
+        assert np.linalg.norm(T - P) <= 1e-12 * np.linalg.norm(P)
+
+
+def test_a_relaxed_step_with_a_larger_gradient_is_not_taken():
+    # at t = 0.9 on [1, 20] the relaxed step from P can overshoot: here its
+    # gradient is 2.1e-4 against P's 1.2e-4, so GP starts at P
+    mats = [random_spd(8, 1.0, 20.0, derive_seed(900, "w", 8, j)) for j in range(5)]
+    p = barycenter_problem(mats, np.ones(5), 0.9)
+    P = project_box(_power_mean(p), p.alpha, p.beta)
+    g_step = np.linalg.norm(objective_gradient(p, _relaxed_step_oracle(p, P)))
+    assert g_step > 1.5 * np.linalg.norm(objective_gradient(p, P))
+    rep = solve_gradient_projection(p, trace=True)
+    assert rep.termination == "gradient_tol"
+    assert np.array_equal(rep.iterates[0], P)
+
+
+@pytest.mark.parametrize("lo,hi,t", [(1e-3, 1e3, 0.995), (1.0, 20.0, 0.998)])
+def test_an_overflowing_relaxed_step_falls_back_to_the_power_mean(lo, hi, t):
+    # near t = 1 the step's power b = 1/(1-t) overflows on P's spectrum: the
+    # step raises NumericalError, with no numpy warning, and GP starts at P
+    import sandwich_opt.barycenter as bc
+
+    mats = [random_spd(8, lo, hi, derive_seed(5, "z", j)) for j in range(4)]
+    p = barycenter_problem(mats, np.ones(4), t)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NumericalError, match="not finite on the spectrum"):
+            bc._relaxed_step(bc._power_mean_decomposition(p), bc._mean_sum(p, _power_mean(p)), t)
+        rep = solve_gradient_projection(p, trace=True)
+    assert rep.termination == "gradient_tol"
     assert np.array_equal(rep.iterates[0], project_box(_power_mean(p), p.alpha, p.beta))
 
 
@@ -702,10 +819,13 @@ def test_fixed_point_step_eigh_count(monkeypatch):
 @pytest.mark.parametrize("iters", [0, 3])
 def test_gradient_projection_solve_eigh_count(monkeypatch, iters):
     # the m marginals once (for the factors P_j and the start's A_j^{1-t}),
-    # the start's outer power 1/(1-t), S(X) at each of the k + 1 iterates
-    # (m each), and X^{1/2} for the final fixed-point residual, which reuses
-    # the last S(X); the start's projection and the k steps' each certify an
-    # in-box point by two Cholesky factorizations and take no eigh
+    # the power mean's outer power 1/(1-t), S at the power mean (m), the
+    # relaxed step's F(P) (one; P^{1/2} and P^{-a} come from P's
+    # decomposition), S at the step (m), S(X) at each of the k later iterates
+    # (m each; the chosen start's S is the loop's first), and X^{1/2} for the
+    # final fixed-point residual, which reuses the last S(X); the power
+    # mean's projection, the step's and the k steps' each certify an in-box
+    # point by two Cholesky factorizations and take no eigh
     m = 3
     p = random_problem(24, m=m)
     calls = _count_calls(monkeypatch)
@@ -713,13 +833,34 @@ def test_gradient_projection_solve_eigh_count(monkeypatch, iters):
     rep = solve_gradient_projection(p, grad_tol=0.0, max_iters=iters, trace=True)
     k = rep.iterations
     assert k == iters
-    assert len(calls) == 2 * m + 2 + m * k
-    assert len(choleskys) == 2 * (k + 1)
+    assert len(calls) == 3 * m + 3 + m * k
+    assert len(choleskys) == 2 * (k + 2)
     # a projection's output is its input when that lies in the box, and has an
-    # eigenvalue at alpha or beta when it does not
+    # eigenvalue at alpha or beta when it does not; the start is the relaxed
+    # step, which lies well inside the box too
     assert len(rep.iterates) == k + 1
+    assert not np.array_equal(rep.iterates[0], _power_mean(p))
+    _assert_well_inside_box(_power_mean(p), p)
     for X in rep.iterates:
         _assert_well_inside_box(X, p)
+
+
+def test_a_user_start_adds_no_eigh(monkeypatch):
+    # from x0, GP forms neither the power mean nor the relaxed step: the m
+    # marginals, S(X) at the k + 1 iterates and X^{1/2} for the residual,
+    # m + 2 eigh and 2 Cholesky fewer than the default start
+    m, iters = 3, 3
+    counts = []
+    for x0 in (random_spd(4, 1.5, 3.5, 25), None):
+        p = random_problem(24, m=m)
+        calls = _count_calls(monkeypatch)
+        choleskys = _count_calls(monkeypatch, "cholesky")
+        rep = solve_gradient_projection(p, grad_tol=0.0, max_iters=iters, x0=x0)
+        monkeypatch.undo()
+        assert rep.iterations == iters
+        counts.append((len(calls), len(choleskys)))
+    assert counts[0] == (m + m * (iters + 1) + 1, 2 * (iters + 1))
+    assert counts[1] == (counts[0][0] + m + 2, counts[0][1] + 2)
 
 
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
