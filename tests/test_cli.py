@@ -371,9 +371,9 @@ def test_verify_report_digest_is_pinned(suite, capsys):
 # sha256 of the barycenter report on stdout for a seeded 3x3 problem with
 # three marginals: a change to the solver loop that moves one bit shows here
 BARYCENTER_DIGESTS = {
-    "gp": "c636407677b0ee3447345513226b4f67070ba96668c52d449dacda29050b7a57",
+    "gp": "cf90254e2bd2244ce69e1aff5972fbc5b18b32ea5952e1513ec3828fa4d67eb3",
     "fp": "2c7bd510574e7457f27044c015849d10a1d9b68341fae2c81a0c40bb54adf70e",
-    "gp-capped-trace": "512fbb914cdf70680f070d0953a075a48c051fc627adef196c7375dafcb5ed9f",
+    "gp-capped-trace": "b74c19d0eabd5a9669e915ea1223e540444dec87aadacecd171ffefb37b7741f",
 }
 BARYCENTER_ARGS = {
     "gp": (["--solver", "gp"], 0),
