@@ -196,12 +196,9 @@ def _fixed_point_from_sum(X, S):
 
 
 def _root_sandwich(dec, S):
-    """X^{1/2} S X^{1/2}, exactly Hermitian, from the decomposition ``dec`` of X: no eigh.
-
-    ``NumericalError``, and no numpy warning, if the product overflows.
-    """
+    """X^{1/2} S X^{1/2}, exactly Hermitian, from the decomposition ``dec`` of X: no eigh."""
     root = dec.map(power(0.5))
-    return symmetrize(_finite_product((root, S, root), "fixed-point map"))
+    return symmetrize(root @ S @ root)
 
 
 def _fixed_point_step(p: BarycenterProblem, X):
