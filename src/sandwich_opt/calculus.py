@@ -264,6 +264,12 @@ def hessian_extreme_eigs(op: HessianOperator):
     LANCZOS_RTOL times the largest Ritz value; at most n^2 steps, and
     ``NumericalError`` if it stops unconverged or if B overflows. Ritz values
     lie inside the spectrum, so neither value overstates the true extreme.
+    The dense path's last bits depend on the BLAS thread count: at n = 16
+    and 20, lam_min under two threads and under OPENBLAS_NUM_THREADS=1 can
+    differ in the last places (0.040947424989549785 against
+    0.04094742498954998 for A = random_spd(16, 1, 4, 11),
+    X = random_spd(16, 1, 4, 12) and t = 0.5), while n = 8 and Lanczos at
+    n = 24 agree. So a pinned ``hess-bounds`` digest is taken at n = 3.
     """
     if op.n <= DENSE_MAX_N:
         # direct: the real twin, read from one triangle; averaging both would move its bits

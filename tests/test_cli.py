@@ -392,6 +392,8 @@ def test_barycenter_report_digest_is_pinned(case, tmp_path, capsys):
 
 # sha256 of the stdout of each scalar and matrix verb on a seeded 3x3 pair:
 # a change to a formula or to the command-line layer that moves a byte shows here
+# (hess-bounds stays at n = 3: the dense twin's eigvalsh at n = 16 and 20
+# moves the last bits of lambda_min with the BLAS thread count)
 CLI_DIGESTS = {
     "fidelity-text": "5bd3b12c8ef7ae9a076ba9cdd742d419d5a4a7d4fde64e788d5bb42654cf6b06",
     "fidelity-json": "be9f23d60ae367104d3a50221d4f2b5247334b072ec15fa1caf404228fc1546b",
