@@ -25,13 +25,13 @@ sandwich, and four products, so S(X) takes m eigh. A fixed-point step adds
 one eigh for X^{1/2}: m + 1 per step. A gradient-projection step adds the
 box projection, which certifies an in-box X - eta grad phi_t(X) by two
 Cholesky factorizations and decomposes only a step that leaves the box: m
-eigh and 2 Cholesky per in-box step. The fixed point starts at P. GP starts
-at the better of P and one relaxed fixed-point step from it
-(``solve_gradient_projection``), which adds m + 1 eigh and 2 Cholesky, so a
-default GP solve of k steps that forms the step takes m (k + 3) + 3 eigh,
-against m (k + 2) + 2 from P alone. A point X and the box are checked once
-where they enter, and no step re-checks either; every iterate of either
-solver is exactly Hermitian.
+eigh and 2 Cholesky per in-box step. Both solvers start at the better of the
+projected P and one relaxed fixed-point step from it (``_start``), which
+adds m + 1 eigh and 2 Cholesky to P's projection, so a default solve of k
+steps that forms the step takes m (k + 3) + 3 eigh and 2 (k + 2) Cholesky
+by GP, and 3m + 3 + k (m + 1) eigh and 4 Cholesky by the fixed point. A
+point X and the box are checked once where they enter, and no step
+re-checks either; every iterate of either solver is exactly Hermitian.
 """
 
 from __future__ import annotations
@@ -60,7 +60,6 @@ from .linalg import (
     check_box,
     check_matrices,
     power,
-    project_box,
     spectral_decompose,
     symmetrize,
 )
@@ -201,12 +200,6 @@ def _root_sandwich(dec, S):
     return symmetrize(root @ S @ root)
 
 
-def _fixed_point_step(p: BarycenterProblem, X):
-    """(F(X), grad phi_t(X)) from one decomposition of X and one S(X): m + 1 eigh."""
-    G, S = _gradient_and_sum(p, X)
-    return _fixed_point_from_sum(X, S), G
-
-
 def objective_gradient(p: BarycenterProblem, X):
     """grad phi_t(X) = t I - sum_j w_j grad f_j(X).
 
@@ -224,7 +217,8 @@ def fixed_point_map(p: BarycenterProblem, X):
     one decomposition of X plus one eigh per marginal for grad f_j, from the
     decomposition of A_j the problem keeps (m more eigh on the problem's first use).
     """
-    return _fixed_point_step(p, check_matrices(n=p.n, X=X)[0])[0]
+    X = check_matrices(n=p.n, X=X)[0]
+    return _fixed_point_from_sum(X, _mean_sum(p, X))
 
 
 def certified_rate(p: BarycenterProblem, eta=None):
@@ -297,28 +291,19 @@ def _stopping_tolerance(p: BarycenterProblem, grad_tol, max_iters):
     return grad_tol
 
 
-def _power_mean(p: BarycenterProblem):
-    """(sum_j w_j A_j^{1-t})^{1/(1-t)}, exactly Hermitian: the fixed point's default start.
+def _power_mean_decomposition(p: BarycenterProblem) -> SpectralDecomp:
+    """The eigendecomposition of the power mean P = (sum_j w_j A_j^{1-t})^{1/(1-t)}: one eigh.
 
-    It is the minimizer of phi_t when the marginals commute, and the point
-    gradient projection's start is chosen from (``_gradient_projection_start``).
-    Each A_j^{1-t} is rebuilt from the problem's decomposition of A_j, so it
-    takes one eigh, for the outer power; ``_power_mean_decomposition`` hands
-    back that eigendecomposition of P. Its spectrum lies in the power-mean box
-    [alpha', beta'], and so in [alpha, beta]: each A_j^{1-t} lies in
+    P is the minimizer of phi_t when the marginals commute, and the point
+    both solvers' start is chosen from (``_start``). Each A_j^{1-t} is
+    rebuilt from the problem's decomposition of A_j, and P is decomposed by
+    the eigenvectors of their mean with its eigenvalues raised to 1/(1-t),
+    so every function of P (its root, the powers of the relaxed step) costs
+    no further eigh. P's spectrum lies in the power-mean box [alpha', beta'],
+    and so in [alpha, beta]: each A_j^{1-t} lies in
     [a_j^{1-t} I, b_j^{1-t} I], so their weighted sum lies in
     [alpha'^{1-t} I, beta'^{1-t} I], and x -> x^{1/(1-t)} is increasing.
     Applied to the extremes a_j and b_j alone, the same mean is the box.
-    """
-    return symmetrize(_power_mean_decomposition(p).reconstruct())
-
-
-def _power_mean_decomposition(p: BarycenterProblem) -> SpectralDecomp:
-    """The eigendecomposition of ``_power_mean(p)``, from the one eigh of the mean of the A_j^{1-t}.
-
-    The mean's eigenvectors with its eigenvalues raised to 1/(1-t), so every
-    function of the power mean (its root, the powers of the relaxed step)
-    costs no further eigh.
     """
     r = 1.0 - p.t
     mean = sum(w * dec.map(power(r)) for w, dec in zip(p.weights, p._decompositions))
@@ -345,18 +330,26 @@ def _relaxed_step(dec, S, t):
     return symmetrize(_finite_product((outer, inner, outer), "relaxed fixed-point step"))
 
 
-def _gradient_projection_start(p: BarycenterProblem, grad_tol):
-    """GP's default start and its first evaluation (X, (grad phi_t(X), S(X))).
+def _start(p: BarycenterProblem, x0, grad_tol):
+    """Both solvers' start X and, when it formed one, X's evaluation (grad phi_t(X), S(X)), else None.
 
-    X is the projected power mean P, unless P misses grad_tol and the
-    projected relaxed step Pi(T(P)) (``_relaxed_step``) has a strictly
-    smaller gradient; X is P also when the step overflows. The step is built
-    from P's decomposition and the S(P) the loop would read first, and the
-    chosen point's evaluation is the loop's first, so the rule adds m + 1
-    eigh (F(P), and S at the point not chosen) and two Cholesky
-    factorizations, for the step's projection (an eigh instead if the step
-    leaves the box).
+    A given x0 is checked once, against the problem's size and the box up to
+    the slack BOX_RTOL beta, and projected onto the box. Otherwise X is the
+    projected power mean P, unless P misses grad_tol and the projected
+    relaxed step Pi(T(P)) (``_relaxed_step``) has a strictly smaller
+    gradient; X is P also when the step overflows. The step is built from
+    P's decomposition and S(P), and the chosen point's evaluation is the
+    loop's first, so the rule adds m + 1 eigh (F(P), and S at the point not
+    chosen) and two Cholesky factorizations, for the step's projection (an
+    eigh instead if the step leaves the box).
     """
+    if x0 is not None:
+        x0 = check_matrices(n=p.n, error=InvalidStart, x0=x0)[0]
+        w = _eigenvalues(x0)
+        if not _in_box(w[0], w[-1], p.alpha, p.beta):
+            raise InvalidStart(f"starting spectrum [{w[0]:.6g}, {w[-1]:.6g}] outside the box "
+                               f"[{p.alpha}, {p.beta}]")
+        return _project_box(x0, p.alpha, p.beta), None
     dec = _power_mean_decomposition(p)
     X = _project_box(symmetrize(dec.reconstruct()), p.alpha, p.beta)
     first = _gradient_and_sum(p, X)
@@ -369,20 +362,6 @@ def _gradient_projection_start(p: BarycenterProblem, grad_tol):
     except NumericalError:
         return X, first
     return (C, candidate) if np.linalg.norm(candidate[0]) < gn else (X, first)
-
-
-def _start_iterate(p: BarycenterProblem, x0):
-    """x0, checked against the problem and the box, or the power mean when x0 is None."""
-    if x0 is None:
-        return _power_mean(p)
-    x0 = check_matrices(n=p.n, error=InvalidStart, x0=x0)[0]
-    w = _eigenvalues(x0)
-    if not _in_box(w[0], w[-1], p.alpha, p.beta):
-        raise InvalidStart(
-            f"starting spectrum [{w[0]:.6g}, {w[-1]:.6g}] outside the box "
-            f"[{p.alpha}, {p.beta}]"
-        )
-    return x0
 
 
 class _History:
@@ -451,8 +430,10 @@ def solve_gradient_projection(
 ) -> SolverReport:
     """Projected gradient descent X <- [X - eta grad phi_t(X)]_+ on the box.
 
-    Defaults: eta = 1/beta_star and grad_tol = 1e-10 t n. A given x0 is the
-    start as it is. Otherwise X0 is the better of two points: the power mean
+    Defaults: eta = 1/beta_star and grad_tol = 1e-10 t n. X0 is the start of
+    both solvers (``_start``). A given x0, whose spectrum must lie in the box
+    up to BOX_RTOL beta, is projected onto the box. Otherwise X0 is the
+    better of two points: the power mean
     P = (sum_j w_j A_j^{1-t})^{1/(1-t)}, projected onto the box, and the
     projected relaxed fixed-point step Pi(T(P)),
     T(P) = P^{-a} F(P)^b P^{-a} with b = 1/(1-t) and a = t/(2(1-t)), which
@@ -473,10 +454,7 @@ def solve_gradient_projection(
     if eta is None:
         eta = 1.0 / beta_star
     grad_tol = _stopping_tolerance(p, grad_tol, max_iters)
-    if x0 is None:
-        X0, first = _gradient_projection_start(p, grad_tol)
-    else:
-        X0, first = project_box(_start_iterate(p, x0), p.alpha, p.beta), None
+    X0, first = _start(p, x0, grad_tol)
 
     return _iterate(
         X0, lambda X: _gradient_and_sum(p, X),
@@ -499,21 +477,22 @@ def solve_fixed_point(
 
     Stops on the rule of gradient projection, ||grad phi_t(X)|| <= grad_tol
     (default 1e-10 t n), with grad phi_t(X) read from the same S(X) as F(X).
-    X0 defaults to the power mean P, the point gradient projection starts
-    from or improves on by one relaxed step, so the two solvers start apart
-    unless that step is not taken (a cross-check from a start of the
-    caller's choosing passes another x0). No contraction is
-    guaranteed; if the residual ||X - F(X)|| grows for 10 consecutive steps,
-    the run stops with residual_growth. ``InvalidInput`` unless grad_tol is
-    finite and >= 0 and max_iters is an integer >= 0.
+    X0 is gradient projection's (``_start``): a given x0 projected onto the
+    box, else the better of the projected power mean and one relaxed
+    fixed-point step from it, so the two solvers start at one point (a
+    cross-check from a start of the caller's choosing passes another x0).
+    No contraction is guaranteed; if the residual ||X - F(X)|| grows for 10
+    consecutive steps, the run stops with residual_growth. ``InvalidInput``
+    unless grad_tol is finite and >= 0 and max_iters is an integer >= 0.
     """
     grad_tol = _stopping_tolerance(p, grad_tol, max_iters)
     alpha_star, beta_star, _ = certified_rate(p, None)
+    X0, first = _start(p, x0, grad_tol)
     increases, prev_residual = 0, np.inf
 
-    def evaluate(X):
-        FX, G = _fixed_point_step(p, X)
-        return G, (FX, float(np.linalg.norm(X - FX)))  # F(X) and the residual
+    def with_map(X, evaluation):  # (grad phi_t(X), S(X)) -> (grad phi_t(X), (F(X), ||X - F(X)||))
+        FX = _fixed_point_from_sum(X, evaluation[1])
+        return evaluation[0], (FX, float(np.linalg.norm(X - FX)))
 
     def residual_growth(k, state):
         nonlocal increases, prev_residual
@@ -525,9 +504,9 @@ def solve_fixed_point(
             return "residual_growth"
 
     return _iterate(
-        _start_iterate(p, x0), evaluate,
+        X0, lambda X: with_map(X, _gradient_and_sum(p, X)),
         advance=lambda X, G, state: state[0],
         residual=lambda X, state: state[1],
         rate=(alpha_star, beta_star, None), grad_tol=grad_tol, max_iters=max_iters, trace=trace,
-        safeguard=residual_growth,
+        safeguard=residual_growth, first=None if first is None else with_map(X0, first),
     )

@@ -110,8 +110,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--tol", type=float, help="the stop rule of both solvers: gradient-norm "
                     "tolerance, ||grad phi_t(X)||_F <= tol (default 1e-10 t n)")
     sp.add_argument("--max-iters", type=int, default=100_000)
-    sp.add_argument("--x0", help="matrix JSON file with the starting iterate (default: the power mean "
-                    "(sum_j w_j A_j^(1-t))^(1/(1-t)), which gp projects onto the box)")
+    sp.add_argument("--x0", help="matrix JSON file with the starting iterate of either solver, projected onto "
+                    "the box (default: the better of the power mean and one relaxed fixed-point step from it)")
     sp.add_argument("--trace", action="store_true", help="include iterates in the report")
 
     sp = verb("verify", _cmd_verify, "run a verification suite", out)

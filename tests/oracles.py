@@ -1,13 +1,14 @@
 """Independent oracles shared by the test modules.
 
 The paper's geometric-mean expression for the gradient of f and of the
-barycenter objective, the direct power-sum formula for the barycenter
-fixed-point map, finite-difference reconstruction of gradients and Hessian
-actions, the Hessian matrix assembled in an explicit Hermitian basis, a
-quadrature evaluation of the Hessian integral representation,
-extended-precision evaluation of the sandwiched trace and of the gradient of
-f, and the scalar cyclic Jacobi with the per-matrix small-t limit check built
-on it. These stay independent of the code paths they check.
+barycenter objective, the direct power-sum formulas for the barycenter
+fixed-point map and the power mean, finite-difference reconstruction of
+gradients and Hessian actions, the Hessian matrix assembled in an explicit
+Hermitian basis, a quadrature evaluation of the Hessian integral
+representation, extended-precision evaluation of the sandwiched trace and
+of the gradient of f, and the scalar cyclic Jacobi with the per-matrix
+small-t limit check built on it. These stay independent of the code paths
+they check.
 
 The suite oracles run every verification suite one trial at a time: each
 trial draws its matrices one at a time from its input family's two numpy
@@ -102,6 +103,12 @@ def fixed_point_map_oracle(p, X):
         for w, A in zip(p.weights, p.matrices)
     )
     return symmetrize(out)
+
+
+def power_mean_oracle(p):
+    """P = (sum_j w_j A_j^{1-t})^{1/(1-t)}, the barycenter of commuting marginals, by the direct formula."""
+    r = 1.0 - p.t
+    return symmetrize(matrix_power(sum(w * matrix_power(A, r) for w, A in zip(p.weights, p.matrices)), 1.0 / r))
 
 
 def fd_gradient(f, X, h=None):

@@ -26,10 +26,17 @@ from sandwich_opt import (
     random_spd,
     solve_fixed_point,
     solve_gradient_projection,
+    symmetrize,
 )
-from sandwich_opt.barycenter import BOX_RTOL, _History, _power_mean
+from sandwich_opt.barycenter import BOX_RTOL, _History, _power_mean_decomposition
 
-from oracles import fd_gradient, fixed_point_map_oracle, mp_gradient, objective_gradient_oracle
+from oracles import (
+    fd_gradient,
+    fixed_point_map_oracle,
+    mp_gradient,
+    objective_gradient_oracle,
+    power_mean_oracle,
+)
 
 
 def random_problem(pid, n=4, m=3, t=0.5, lo=1.0, hi=4.0):
@@ -202,6 +209,11 @@ def test_commuting_marginals_are_solved_at_the_start(basis, t):
     assert np.linalg.norm(midpoint.minimizer - gp.minimizer) <= midpoint.error_bound + gp.error_bound
 
 
+def _package_power_mean(p):
+    # the power mean P as the start forms it, bit for bit, from its decomposition
+    return symmetrize(_power_mean_decomposition(p).reconstruct())
+
+
 def _start_problem(log_w, n, t, hi, real, seed):
     mats = [_real_or_complex(random_spd(n, 1.0, hi, derive_seed(seed, "marg", j)), real)
             for j in range(len(log_w))]
@@ -224,7 +236,7 @@ def test_power_mean_start_lies_in_the_box(log_w, n, t, hi, real, seed):
     # mean lies in [alpha'^{1-t} I, beta'^{1-t} I], and its 1/(1-t) power in
     # the power-mean box [alpha', beta'], the default box, inside [alpha, beta]
     p = _start_problem(log_w, n, t, hi, real, seed)
-    w = np.linalg.eigvalsh(_power_mean(p))
+    w = np.linalg.eigvalsh(_package_power_mean(p))
     for box in (p, barycenter_problem(p.matrices, p.weights, p.t)):
         slack = BOX_RTOL * box.beta
         assert box.alpha - slack <= w[0] and w[-1] <= box.beta + slack
@@ -241,7 +253,7 @@ def test_gradient_projection_starts_at_the_projected_power_mean(log_w, n, t, hi,
 
     p = _start_problem(log_w, n, t, hi, real, seed)
     rep = solve_gradient_projection(p, max_iters=0, trace=True)
-    P = project_box(_power_mean(p), p.alpha, p.beta)
+    P = project_box(_package_power_mean(p), p.alpha, p.beta)
     G, S = bc._gradient_and_sum(p, P)
     expected = P
     if np.linalg.norm(G) > 1e-10 * p.t * p.n:
@@ -269,13 +281,16 @@ def test_the_gradient_projection_start_is_no_farther_than_the_power_mean(log_w, 
     # lies in the box, and its gradient is the smaller of P's and the
     # projected relaxed step's (formed here from the public kernels, so only
     # to rounding); when P meets grad_tol ("loose" sets it at twice P's
-    # gradient) the start is the projected P itself
+    # gradient) the start is the projected P itself. The fixed point starts
+    # at the same point, bit for bit
     p = _start_problem(log_w, n, t, hi, real, seed)
-    P = project_box(_power_mean(p), p.alpha, p.beta)
+    P = project_box(_package_power_mean(p), p.alpha, p.beta)
     g_power = np.linalg.norm(objective_gradient(p, P))
     grad_tol = 2.0 * g_power if loose else None
     rep = solve_gradient_projection(p, grad_tol=grad_tol, max_iters=0, trace=True)
     X = rep.iterates[0]
+    fp = solve_fixed_point(p, grad_tol=grad_tol, max_iters=0, trace=True)
+    assert np.array_equal(fp.iterates[0], X) and fp.grad_norms[0] == rep.grad_norms[0]
     w = np.linalg.eigvalsh(X)
     slack = BOX_RTOL * p.beta
     assert p.alpha - slack <= w[0] and w[-1] <= p.beta + slack
@@ -295,7 +310,7 @@ def test_the_relaxed_step_at_one_half_is_s_p_s(n, m, seed):
 
     mats = [random_spd(n, 1.0, 4.0, derive_seed(seed, "half", j)) for j in range(m)]
     p = barycenter_problem(mats, np.arange(1.0, m + 1.0), 0.5)
-    P = _power_mean(p)
+    P = _package_power_mean(p)
     S = bc._mean_sum(p, P)
     T = bc._relaxed_step(bc._power_mean_decomposition(p), S, p.t)
     expected = S @ P @ S
@@ -319,11 +334,11 @@ def test_the_relaxed_step_is_exact_for_commuting_marginals(basis, t):
     if basis == "unitary":
         Q = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
     p = barycenter_problem([(Q * x) @ Q.conj().T for x in a], [1.0, 2.0, 3.0], t)
-    P = _power_mean(p)
+    M = power_mean_oracle(p)
     X = (Q * rng.uniform(p.alpha, p.beta, n)) @ Q.conj().T
-    for start, dec in ((P, bc._power_mean_decomposition(p)), (X, spectral_decompose(X))):
+    for start, dec in ((_package_power_mean(p), _power_mean_decomposition(p)), (X, spectral_decompose(X))):
         T = bc._relaxed_step(dec, bc._mean_sum(p, start), p.t)
-        assert np.linalg.norm(T - P) <= 1e-12 * np.linalg.norm(P)
+        assert np.linalg.norm(T - M) <= 1e-12 * np.linalg.norm(M)
 
 
 def test_a_relaxed_step_with_a_larger_gradient_is_not_taken():
@@ -331,7 +346,7 @@ def test_a_relaxed_step_with_a_larger_gradient_is_not_taken():
     # gradient is 2.1e-4 against P's 1.2e-4, so GP starts at P
     mats = [random_spd(8, 1.0, 20.0, derive_seed(900, "w", 8, j)) for j in range(5)]
     p = barycenter_problem(mats, np.ones(5), 0.9)
-    P = project_box(_power_mean(p), p.alpha, p.beta)
+    P = project_box(_package_power_mean(p), p.alpha, p.beta)
     g_step = np.linalg.norm(objective_gradient(p, _relaxed_step_oracle(p, P)))
     assert g_step > 1.5 * np.linalg.norm(objective_gradient(p, P))
     rep = solve_gradient_projection(p, trace=True)
@@ -339,20 +354,22 @@ def test_a_relaxed_step_with_a_larger_gradient_is_not_taken():
     assert np.array_equal(rep.iterates[0], P)
 
 
+@pytest.mark.parametrize("solver", [solve_gradient_projection, solve_fixed_point])
 @pytest.mark.parametrize("lo,hi,t", [(1e-3, 1e3, 0.995), (1.0, 20.0, 0.998)])
-def test_an_overflowing_relaxed_step_falls_back_to_the_power_mean(lo, hi, t):
+def test_an_overflowing_relaxed_step_falls_back_to_the_power_mean(lo, hi, t, solver):
     # near t = 1 the step's power b = 1/(1-t) overflows on P's spectrum: the
     # step raises NumericalError, with no numpy warning (a RuntimeWarning
-    # fails any test here, see pyproject.toml), and GP starts at P
+    # fails any test here, see pyproject.toml), and either solver starts at P
     import sandwich_opt.barycenter as bc
 
     mats = [random_spd(8, lo, hi, derive_seed(5, "z", j)) for j in range(4)]
     p = barycenter_problem(mats, np.ones(4), t)
+    P = _package_power_mean(p)
     with pytest.raises(NumericalError, match="not finite on the spectrum"):
-        bc._relaxed_step(bc._power_mean_decomposition(p), bc._mean_sum(p, _power_mean(p)), t)
-    rep = solve_gradient_projection(p, trace=True)
+        bc._relaxed_step(_power_mean_decomposition(p), bc._mean_sum(p, P), t)
+    rep = solver(p, trace=True)
     assert rep.termination == "gradient_tol"
-    assert np.array_equal(rep.iterates[0], project_box(_power_mean(p), p.alpha, p.beta))
+    assert np.array_equal(rep.iterates[0], project_box(P, p.alpha, p.beta))
 
 
 @settings(max_examples=40, derandomize=True, database=None, deadline=None)
@@ -546,19 +563,16 @@ def test_solve_argument_checks_do_not_grow_with_iterations(monkeypatch, solver):
         monkeypatch.undo()
         assert rep.iterations == iters
         counts.append(sorted(calls))
-    # certified_rate checks t and _start_iterate x0 once per solve
+    # certified_rate checks t and _start x0 once per solve
     assert counts[0] == counts[1] == ["check_matrices", "check_unit_t"]
 
 
-@pytest.mark.parametrize("solver,expected", [
-    # certified_rate's box, and the start's projection
-    (solve_gradient_projection, ["_finite_hermitian", "check_box", "check_box"]),
-    (solve_fixed_point, ["check_box"]),
-])
-def test_solve_box_and_matrix_checks_do_not_grow_with_iterations(monkeypatch, solver, expected):
-    # the box and x0 are checked where they enter; an in-box gradient step is
-    # certified by its two Cholesky factorizations alone, and no step
-    # re-checks the box, an iterate or a sandwich before its eigh
+@pytest.mark.parametrize("solver", [solve_gradient_projection, solve_fixed_point])
+def test_solve_box_and_matrix_checks_do_not_grow_with_iterations(monkeypatch, solver):
+    # the box and x0 are checked where they enter: certified_rate's box, and
+    # x0 once in the start, whose projection re-checks neither; an in-box
+    # gradient step is certified by its two Cholesky factorizations alone,
+    # and no step re-checks the box, an iterate or a sandwich before its eigh
     from sandwich_opt import linalg
 
     p = random_problem(17)
@@ -571,7 +585,7 @@ def test_solve_box_and_matrix_checks_do_not_grow_with_iterations(monkeypatch, so
         monkeypatch.undo()
         assert rep.iterations == iters
         counts.append(sorted(calls))
-    assert counts[0] == counts[1] == expected
+    assert counts[0] == counts[1] == ["check_box"]
 
 
 def test_fixed_point_single_marginal():
@@ -675,11 +689,7 @@ def test_fixed_point_divergence_safeguard(monkeypatch):
     import sandwich_opt.barycenter as bc
 
     p = random_problem(21)
-    step = bc._fixed_point_step
-    monkeypatch.setattr(
-        bc, "_fixed_point_step",
-        lambda p, X: (1.5 * X + np.eye(X.shape[0]), step(p, X)[1]),
-    )
+    monkeypatch.setattr(bc, "_fixed_point_from_sum", lambda X, S: 1.5 * X + np.eye(X.shape[0]))
     rep = bc.solve_fixed_point(p, grad_tol=1e-12, max_iters=1000)
     assert rep.termination == "residual_growth"
     assert rep.iterations < 1000  # the 10-increase safeguard stopped the run
@@ -691,11 +701,7 @@ def test_termination_precedence(monkeypatch, caplog):
     import sandwich_opt.barycenter as bc
 
     p = random_problem(21)
-    step = bc._fixed_point_step
-    monkeypatch.setattr(
-        bc, "_fixed_point_step",
-        lambda p, X: (1.5 * X + np.eye(X.shape[0]), step(p, X)[1]),
-    )
+    monkeypatch.setattr(bc, "_fixed_point_from_sum", lambda X, S: 1.5 * X + np.eye(X.shape[0]))
     with caplog.at_level("WARNING", logger="sandwich_opt.barycenter"):
         rep = bc.solve_fixed_point(p, grad_tol=1e-12, max_iters=10)
     assert (rep.termination, rep.iterations) == ("max_iters", 10)
@@ -784,9 +790,9 @@ def _assert_well_inside_box(X, p):
 
 
 def test_fixed_point_step_eigh_count(monkeypatch):
-    # each marginal is decomposed once per problem, for its sandwich factor
-    # P_j; a step then takes one eigh per marginal (the sandwich P_j X P_j),
-    # plus X^{1/2} for a fixed-point step; a gradient step adds the box
+    # each marginal is decomposed once per problem, for its graded basis; a
+    # step then takes one eigh per marginal (its graded sandwich), plus
+    # X^{1/2} for a fixed-point step; a gradient step adds the box
     # projection, which takes two Cholesky factorizations and no eigh when
     # the step stays in the box
     import sandwich_opt.barycenter as bc
@@ -796,22 +802,24 @@ def test_fixed_point_step_eigh_count(monkeypatch):
     X = random_spd(4, 1.0, 4.0, 23)
     calls = _count_calls(monkeypatch)
     choleskys = _count_calls(monkeypatch, "cholesky")
-    bc._fixed_point_step(p, X)
+    fixed_point_map(p, X)
     assert len(calls) == m + (m + 1)
     calls.clear()
-    bc._fixed_point_step(p, X)
+    fixed_point_map(p, X)
     assert len(calls) == m + 1
     calls.clear()
     G = bc._gradient_and_sum(p, X)[0]
     step = X - G / certified_rate(p)[1]
-    bc.project_box(step, p.alpha, p.beta)
+    project_box(step, p.alpha, p.beta)
     assert len(calls) == m and len(choleskys) == 2
     _assert_well_inside_box(step, p)
     calls.clear()
     rep = bc.solve_fixed_point(random_problem(22, m=m), grad_tol=1e-12, max_iters=3)
     assert rep.iterations == 3
-    # the marginals, the start's outer power 1/(1-t), then m + 1 per iterate
-    assert len(calls) == m + 1 + (rep.iterations + 1) * (m + 1)
+    # the marginals, the start (P's outer power 1/(1-t), S at P, F(P) and S
+    # at the relaxed step: m + 1 + m + 1), then m + 1 per iterate, the
+    # chosen start's S read once
+    assert len(calls) == m + 1 + (m + 1) + (rep.iterations + 1) * (m + 1)
 
 
 @pytest.mark.parametrize("iters", [0, 3])
@@ -837,28 +845,53 @@ def test_gradient_projection_solve_eigh_count(monkeypatch, iters):
     # eigenvalue at alpha or beta when it does not; the start is the relaxed
     # step, which lies well inside the box too
     assert len(rep.iterates) == k + 1
-    assert not np.array_equal(rep.iterates[0], _power_mean(p))
-    _assert_well_inside_box(_power_mean(p), p)
+    assert not np.array_equal(rep.iterates[0], _package_power_mean(p))
+    _assert_well_inside_box(power_mean_oracle(p), p)
     for X in rep.iterates:
         _assert_well_inside_box(X, p)
 
 
-def test_a_user_start_adds_no_eigh(monkeypatch):
-    # from x0, GP forms neither the power mean nor the relaxed step: the m
-    # marginals, S(X) at the k + 1 iterates and X^{1/2} for the residual,
-    # m + 2 eigh and 2 Cholesky fewer than the default start
+@pytest.mark.parametrize("solver,from_x0", [
+    # the m marginals, S(X) at the k + 1 iterates and X^{1/2} for the
+    # residual; x0's projection and the k in-box steps, two Cholesky each
+    (solve_gradient_projection, lambda m, k: (m + m * (k + 1) + 1, 2 * (k + 1))),
+    # the m marginals, S(X) and X^{1/2} at the k + 1 iterates; x0's projection
+    (solve_fixed_point, lambda m, k: (m + (m + 1) * (k + 1), 2)),
+])
+def test_a_user_start_adds_no_eigh(monkeypatch, solver, from_x0):
+    # from x0, neither solver forms the power mean nor the relaxed step:
+    # m + 2 eigh (P, F(P), S at the point not chosen) and 2 Cholesky (the
+    # step's projection) fewer than the default start
     m, iters = 3, 3
     counts = []
     for x0 in (random_spd(4, 1.5, 3.5, 25), None):
         p = random_problem(24, m=m)
         calls = _count_calls(monkeypatch)
         choleskys = _count_calls(monkeypatch, "cholesky")
-        rep = solve_gradient_projection(p, grad_tol=0.0, max_iters=iters, x0=x0)
+        rep = solver(p, grad_tol=0.0, max_iters=iters, x0=x0)
         monkeypatch.undo()
         assert rep.iterations == iters
         counts.append((len(calls), len(choleskys)))
-    assert counts[0] == (m + m * (iters + 1) + 1, 2 * (iters + 1))
+    assert counts[0] == from_x0(m, iters)
     assert counts[1] == (counts[0][0] + m + 2, counts[0][1] + 2)
+
+
+@pytest.mark.parametrize("solver", [solve_gradient_projection, solve_fixed_point])
+def test_a_start_just_outside_the_box_is_projected(solver):
+    # an x0 whose spectrum overshoots [alpha, beta] at both ends by less than
+    # the slack BOX_RTOL beta is accepted, and either solver starts at its
+    # projection, which lies in the box
+    p = random_problem(27)
+    slack = 0.5 * BOX_RTOL * p.beta
+    Q = np.linalg.qr(random_spd(4, 1.0, 2.0, 28))[0]
+    x0 = (Q * [p.alpha - slack, 2.0, 3.0, p.beta + slack]) @ Q.conj().T
+    w0 = np.linalg.eigvalsh(x0)
+    assert w0[0] < p.alpha and w0[-1] > p.beta
+    rep = solver(p, max_iters=0, x0=x0, trace=True)
+    X = rep.iterates[0]
+    assert np.array_equal(X, project_box(x0, p.alpha, p.beta))
+    w = np.linalg.eigvalsh(X)
+    assert p.alpha - 1e-14 * p.beta <= w[0] and w[-1] <= p.beta + 1e-14 * p.beta
 
 
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)

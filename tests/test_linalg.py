@@ -596,7 +596,7 @@ def test_hermitian_eigensolvers_go_through_linalg():
 
 # The private functions allowed to check a matrix argument: where x0 enters a
 # barycenter solve, and where the per-pair checks make stacks of one.
-MATRIX_CHECK_ENTRIES = {"_start_iterate", "_stack_of_one"}
+MATRIX_CHECK_ENTRIES = {"_start", "_stack_of_one"}
 
 
 def _matrix_check_sites(path):
