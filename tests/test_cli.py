@@ -372,7 +372,7 @@ def test_verify_report_digest_is_pinned(suite, capsys):
 # three marginals: a change to the solver loop that moves one bit shows here
 BARYCENTER_DIGESTS = {
     "gp": "cf90254e2bd2244ce69e1aff5972fbc5b18b32ea5952e1513ec3828fa4d67eb3",
-    "fp": "2c7bd510574e7457f27044c015849d10a1d9b68341fae2c81a0c40bb54adf70e",
+    "fp": "1f7e903c2b44adc6498093dd26cadc1c5dde252e4a4bab8defceb7fcffae99b7",
     "gp-capped-trace": "b74c19d0eabd5a9669e915ea1223e540444dec87aadacecd171ffefb37b7741f",
 }
 BARYCENTER_ARGS = {
