@@ -430,10 +430,9 @@ def solve_gradient_projection(
 ) -> SolverReport:
     """Projected gradient descent X <- [X - eta grad phi_t(X)]_+ on the box.
 
-    Defaults: eta = 1/beta_star and grad_tol = 1e-10 t n. X0 is the start of
-    both solvers (``_start``). A given x0, whose spectrum must lie in the box
-    up to BOX_RTOL beta, is projected onto the box. Otherwise X0 is the
-    better of two points: the power mean
+    Defaults: eta = 1/beta_star and grad_tol = 1e-10 t n. A given x0, whose
+    spectrum must lie in the box up to BOX_RTOL beta, is projected onto it.
+    Otherwise X0 is the better of two points (``_start``): the power mean
     P = (sum_j w_j A_j^{1-t})^{1/(1-t)}, projected onto the box, and the
     projected relaxed fixed-point step Pi(T(P)),
     T(P) = P^{-a} F(P)^b P^{-a} with b = 1/(1-t) and a = t/(2(1-t)), which

@@ -356,7 +356,7 @@ def test_a_relaxed_step_with_a_larger_gradient_is_not_taken():
 
 @pytest.mark.parametrize("solver", [solve_gradient_projection, solve_fixed_point])
 @pytest.mark.parametrize("lo,hi,t", [(1e-3, 1e3, 0.995), (1.0, 20.0, 0.998)])
-def test_an_overflowing_relaxed_step_falls_back_to_the_power_mean(lo, hi, t, solver):
+def test_an_overflowing_relaxed_step_falls_back_to_the_power_mean(monkeypatch, lo, hi, t, solver):
     # near t = 1 the step's power b = 1/(1-t) overflows on P's spectrum: the
     # step raises NumericalError, with no numpy warning (a RuntimeWarning
     # fails any test here, see pyproject.toml), and either solver starts at P
@@ -364,12 +364,20 @@ def test_an_overflowing_relaxed_step_falls_back_to_the_power_mean(lo, hi, t, sol
 
     mats = [random_spd(8, lo, hi, derive_seed(5, "z", j)) for j in range(4)]
     p = barycenter_problem(mats, np.ones(4), t)
-    P = _package_power_mean(p)
-    with pytest.raises(NumericalError, match="not finite on the spectrum"):
-        bc._relaxed_step(_power_mean_decomposition(p), bc._mean_sum(p, P), t)
+    raised, step = [], bc._relaxed_step
+
+    def spied(*args):
+        try:
+            return step(*args)
+        except NumericalError as exc:
+            raised.append(str(exc))
+            raise
+
+    monkeypatch.setattr(bc, "_relaxed_step", spied)
     rep = solver(p, trace=True)
+    assert len(raised) == 1 and "not finite on the spectrum" in raised[0]
     assert rep.termination == "gradient_tol"
-    assert np.array_equal(rep.iterates[0], project_box(P, p.alpha, p.beta))
+    assert np.array_equal(rep.iterates[0], project_box(_package_power_mean(p), p.alpha, p.beta))
 
 
 @settings(max_examples=40, derandomize=True, database=None, deadline=None)
@@ -851,18 +859,19 @@ def test_gradient_projection_solve_eigh_count(monkeypatch, iters):
         _assert_well_inside_box(X, p)
 
 
-@pytest.mark.parametrize("solver,from_x0", [
-    # the m marginals, S(X) at the k + 1 iterates and X^{1/2} for the
-    # residual; x0's projection and the k in-box steps, two Cholesky each
-    (solve_gradient_projection, lambda m, k: (m + m * (k + 1) + 1, 2 * (k + 1))),
-    # the m marginals, S(X) and X^{1/2} at the k + 1 iterates; x0's projection
-    (solve_fixed_point, lambda m, k: (m + (m + 1) * (k + 1), 2)),
-])
-def test_a_user_start_adds_no_eigh(monkeypatch, solver, from_x0):
+@pytest.mark.parametrize("solver", [solve_gradient_projection, solve_fixed_point])
+def test_a_user_start_adds_no_eigh(monkeypatch, solver):
     # from x0, neither solver forms the power mean nor the relaxed step:
     # m + 2 eigh (P, F(P), S at the point not chosen) and 2 Cholesky (the
-    # step's projection) fewer than the default start
+    # step's projection) fewer than the default start. GP takes the m
+    # marginals, S(X) at the k + 1 iterates and X^{1/2} for the residual,
+    # and two Cholesky for x0's projection and each in-box step; the fixed
+    # point takes S(X) and X^{1/2} at each iterate, and two Cholesky for x0's
     m, iters = 3, 3
+    if solver is solve_gradient_projection:
+        from_x0 = (m + m * (iters + 1) + 1, 2 * (iters + 1))
+    else:
+        from_x0 = (m + (m + 1) * (iters + 1), 2)
     counts = []
     for x0 in (random_spd(4, 1.5, 3.5, 25), None):
         p = random_problem(24, m=m)
@@ -872,7 +881,7 @@ def test_a_user_start_adds_no_eigh(monkeypatch, solver, from_x0):
         monkeypatch.undo()
         assert rep.iterations == iters
         counts.append((len(calls), len(choleskys)))
-    assert counts[0] == from_x0(m, iters)
+    assert counts[0] == from_x0
     assert counts[1] == (counts[0][0] + m + 2, counts[0][1] + 2)
 
 
