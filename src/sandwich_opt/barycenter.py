@@ -37,7 +37,6 @@ re-checks either; every iterate of either solver is exactly Hermitian.
 from __future__ import annotations
 
 import itertools
-import logging
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -63,8 +62,6 @@ from .linalg import (
     spectral_decompose,
     symmetrize,
 )
-
-logger = logging.getLogger(__name__)
 
 # Spectral slack, relative to beta, when checking matrices against the box.
 BOX_RTOL = 1e-10
@@ -256,10 +253,9 @@ class SolverReport:
     iterates (indices in ``history_indices``; the history is thinned to every
     10th entry beyond 10,000). ``error_bound`` = final gradient norm /
     alpha_star certifies the distance to the true minimizer. ``termination``
-    says why the run stopped: "gradient_tol" when the tolerance was met,
-    "max_iters" at the iteration cap, and "residual_growth" when the
-    fixed-point safeguard stopped a diverging run. When several hold at one
-    iterate, the first in that order wins.
+    says why the run stopped: "gradient_tol" when the tolerance was met and
+    "max_iters" at the iteration cap. When both hold at one iterate,
+    "gradient_tol" wins.
     """
 
     minimizer: np.ndarray
@@ -379,25 +375,23 @@ class _History:
             self.iterates.append(X.copy())
 
 
-def _iterate(X, evaluate, advance, residual, rate, grad_tol, max_iters, trace,
-             safeguard=lambda k, state: None, eta=None, first=None):
+def _iterate(X, evaluate, advance, residual, rate, grad_tol, max_iters, trace, eta=None, first=None):
     """The one loop of both solvers, and their one report.
 
     At iterate k, ``evaluate(X)`` returns (grad phi_t(X), the step rule's
     state); ``first``, if given, is that pair at the start X, already
-    evaluated. The run stops with the first of "gradient_tol" if
-    ||grad phi_t(X)|| <= grad_tol, "max_iters" if k = max_iters and the
-    reason ``safeguard(k, state)`` returns; else X moves to
-    ``advance(X, G, state)``, formed only after the stop test. ``rate`` is
-    (alpha_star, beta_star, q); ``residual(X, state)`` gives ||X - F(X)||.
+    evaluated. The run stops with "gradient_tol" if
+    ||grad phi_t(X)|| <= grad_tol, else with "max_iters" if k = max_iters;
+    else X moves to ``advance(X, G, state)``, formed only after the stop
+    test. ``rate`` is (alpha_star, beta_star, q); ``residual(X, state)``
+    gives ||X - F(X)||.
     """
     hist = _History(trace)
     for k in itertools.count():
         G, state = evaluate(X) if first is None else first
         first = None
         gn = float(np.linalg.norm(G))
-        termination = ("gradient_tol" if gn <= grad_tol else
-                       "max_iters" if k >= max_iters else safeguard(k, state))
+        termination = "gradient_tol" if gn <= grad_tol else "max_iters" if k >= max_iters else None
         hist.record(k, gn, X, final=termination is not None)
         if termination is not None:
             break
@@ -480,32 +474,28 @@ def solve_fixed_point(
     box, else the better of the projected power mean and one relaxed
     fixed-point step from it, so the two solvers start at one point (a
     cross-check from a start of the caller's choosing passes another x0).
-    No contraction is guaranteed; if the residual ||X - F(X)|| grows for 10
-    consecutive steps, the run stops with residual_growth. ``InvalidInput``
-    unless grad_tol is finite and >= 0 and max_iters is an integer >= 0.
+    No contraction is guaranteed, but F maps the box into itself, as it
+    contains the power-mean box [alpha', beta'] (``barycenter_problem``):
+    for X in it, X^{1/2} A_j^{(1-t)/t} X^{1/2} <= b_j^{(1-t)/t} lam_max(X) I
+    and x -> x^t is operator monotone, so
+    lam_max(F(X)) <= (sum_j w_j b_j^{1-t}) lam_max(X)^t
+    = beta'^{1-t} lam_max(X)^t <= beta, and with a_j and lam_min(X) the same
+    argument gives lam_min(F(X)) >= alpha. So every iterate lies in the box,
+    where error_bound is certified as gradient projection's is, and a run
+    that does not converge ends at max_iters. ``InvalidInput`` unless
+    grad_tol is finite and >= 0 and max_iters is an integer >= 0.
     """
     grad_tol = _stopping_tolerance(p, grad_tol, max_iters)
     alpha_star, beta_star, _ = certified_rate(p, None)
     X0, first = _start(p, x0, grad_tol)
-    increases, prev_residual = 0, np.inf
 
-    def with_map(X, evaluation):  # (grad phi_t(X), S(X)) -> (grad phi_t(X), (F(X), ||X - F(X)||))
-        FX = _fixed_point_from_sum(X, evaluation[1])
-        return evaluation[0], (FX, float(np.linalg.norm(X - FX)))
-
-    def residual_growth(k, state):
-        nonlocal increases, prev_residual
-        increases = increases + 1 if state[1] > prev_residual else 0
-        prev_residual = state[1]
-        if increases >= 10:
-            logger.warning("fixed-point residual increased for 10 consecutive steps "
-                           "(%.3e at iterate %d); stopping", state[1], k)
-            return "residual_growth"
+    def with_map(X, evaluation):  # (grad phi_t(X), S(X)) -> (grad phi_t(X), F(X))
+        return evaluation[0], _fixed_point_from_sum(X, evaluation[1])
 
     return _iterate(
         X0, lambda X: with_map(X, _gradient_and_sum(p, X)),
-        advance=lambda X, G, state: state[0],
-        residual=lambda X, state: state[1],
+        advance=lambda X, G, FX: FX,
+        residual=lambda X, FX: float(np.linalg.norm(X - FX)),
         rate=(alpha_star, beta_star, None), grad_tol=grad_tol, max_iters=max_iters, trace=trace,
-        safeguard=residual_growth, first=None if first is None else with_map(X0, first),
+        first=None if first is None else with_map(X0, first),
     )

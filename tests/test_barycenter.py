@@ -684,42 +684,55 @@ def test_stationarity_equivalence_both_directions():
     assert np.linalg.norm(objective_gradient(p, X)) <= bound * (1.0 + 1e-6)
 
 
-def test_fixed_point_iterates_stay_in_box():
-    p = random_problem(20)
-    rep = solve_fixed_point(p, grad_tol=1e-11, trace=True)
-    slack = 1e-10 * p.beta
-    for X in rep.iterates:
-        w = np.linalg.eigvalsh(X)
-        assert w[0] >= p.alpha - slack and w[-1] <= p.beta + slack
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(
+    m=st.integers(1, 5),
+    n=st.integers(1, 8),
+    t=st.floats(0.05, 0.95),
+    hi=st.floats(1.5, 20.0),
+    default_box=st.booleans(),
+    seed=st.integers(0, 2**32 - 2),
+)
+def test_fixed_point_iterates_stay_in_box(m, n, t, hi, default_box, seed):
+    # F maps every box holding the power-mean box into itself (the proof is
+    # in solve_fixed_point's docstring), so from alpha I, beta I and the
+    # default start every iterate stays in the box, and the run converges
+    mats = [random_spd(n, 1.0, hi, derive_seed(seed, "box", n, j)) for j in range(m)]
+    box = {} if default_box else dict(alpha=1.0, beta=hi)
+    p = barycenter_problem(mats, np.ones(m), t, **box)
+    slack = BOX_RTOL * p.beta
+    for x0 in (p.alpha * np.eye(n), p.beta * np.eye(n), None):
+        rep = solve_fixed_point(p, x0=x0, trace=True)
+        assert rep.termination == "gradient_tol"
+        for X in rep.iterates:
+            w = np.linalg.eigvalsh(X)
+            assert w[0] >= p.alpha - slack and w[-1] <= p.beta + slack
 
 
-def test_fixed_point_divergence_safeguard(monkeypatch):
+def test_fixed_point_converges_while_its_residual_grows():
+    # t = 0.95 on the default box from x0 = alpha I: ||X - F(X)|| grows for
+    # the first 10 steps, as X grows away from alpha I, while the gradient
+    # falls at every step; the run meets the gradient rule (374 steps here)
+    mats = [random_spd(16, 1.0, 20.0, derive_seed(901, "w", 16, j)) for j in range(5)]
+    p = barycenter_problem(mats, np.ones(5), 0.95)
+    rep = solve_fixed_point(p, x0=p.alpha * np.eye(16), trace=True)
+    residuals = [np.linalg.norm(X - fixed_point_map(p, X)) for X in rep.iterates[:11]]
+    assert np.all(np.diff(residuals) > 0) and np.all(np.diff(rep.grad_norms[:11]) < 0)
+    assert rep.termination == "gradient_tol" and rep.iterations <= 500
+
+
+def test_termination_precedence(monkeypatch):
+    # gradient_tol beats max_iters, and max_iters ends a run that does not
+    # converge: under a diverging map the fixed point runs to the cap
     import sandwich_opt.barycenter as bc
 
     p = random_problem(21)
     monkeypatch.setattr(bc, "_fixed_point_from_sum", lambda X, S: 1.5 * X + np.eye(X.shape[0]))
-    rep = bc.solve_fixed_point(p, grad_tol=1e-12, max_iters=1000)
-    assert rep.termination == "residual_growth"
-    assert rep.iterations < 1000  # the 10-increase safeguard stopped the run
-
-
-def test_termination_precedence(monkeypatch, caplog):
-    # gradient_tol beats max_iters, and max_iters beats the safeguard: under
-    # the diverging map the 10th consecutive increase comes at iterate 10
-    import sandwich_opt.barycenter as bc
-
-    p = random_problem(21)
-    monkeypatch.setattr(bc, "_fixed_point_from_sum", lambda X, S: 1.5 * X + np.eye(X.shape[0]))
-    with caplog.at_level("WARNING", logger="sandwich_opt.barycenter"):
-        rep = bc.solve_fixed_point(p, grad_tol=1e-12, max_iters=10)
-    assert (rep.termination, rep.iterations) == ("max_iters", 10)
-    assert caplog.records == []
-    with caplog.at_level("WARNING", logger="sandwich_opt.barycenter"):
-        rep = bc.solve_fixed_point(p, grad_tol=1e-12, max_iters=11)
-    assert (rep.termination, rep.iterations) == ("residual_growth", 10)
-    assert [r.levelname for r in caplog.records] == ["WARNING"]
-    rep = solve_gradient_projection(p, grad_tol=1e9, max_iters=0)
-    assert (rep.termination, rep.iterations) == ("gradient_tol", 0)
+    rep = bc.solve_fixed_point(p, grad_tol=1e-12, max_iters=20)
+    assert (rep.termination, rep.iterations) == ("max_iters", 20)
+    for solver in (solve_gradient_projection, bc.solve_fixed_point):
+        rep = solver(p, grad_tol=1e9, max_iters=0)
+        assert (rep.termination, rep.iterations) == ("gradient_tol", 0)
 
 
 @pytest.mark.parametrize("solver", [solve_gradient_projection, solve_fixed_point])
