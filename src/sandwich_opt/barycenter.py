@@ -7,9 +7,12 @@ The box defaults to the power-mean box [alpha', beta'] of the marginals'
 extreme eigenvalues, which holds the minimizer and lies inside their
 spectral hull, so its certified rate is no slower (``barycenter_problem``); GP is
 cross-validated by a fixed-point iteration on
-F(X) = sum_j w_j (X^{1/2} A_j^{(1-t)/t} X^{1/2})^t. The two are step rules
-of one loop, which owns the history, the stopping order and the report;
-both stop on one rule, ||grad phi_t(X)|| <= grad_tol (default 1e-10 t n).
+F(X) = sum_j w_j (X^{1/2} A_j^{(1-t)/t} X^{1/2})^t. A solver is its
+certified rate and its step rule ``advance(X, G, S)`` alone: one loop
+(``_iterate``) owns the tolerance, the start, the evaluation
+(G, S) = (grad phi_t(X), S(X)) at each iterate, the history, the stop rule
+||grad phi_t(X)|| <= grad_tol (default 1e-10 t n), the fixed-point residual
+and the report.
 
 Both solvers read the one gradient of f, the kernel of ``calculus.gradient_f``:
 grad phi_t(X) = t I - sum_j w_j grad f_j(X) = t (I - S(X)) with
@@ -66,7 +69,7 @@ from .linalg import (
 # Spectral slack, relative to beta, when checking matrices against the box.
 BOX_RTOL = 1e-10
 
-# Convergence history cap; beyond this many stored entries, keep every 10th.
+# Convergence history cap; beyond this many stored entries, keep every 10th and the last.
 HISTORY_CAP = 10_000
 
 
@@ -333,7 +336,11 @@ def _start(p: BarycenterProblem, x0, grad_tol):
     the slack BOX_RTOL beta, and projected onto the box. Otherwise X is the
     projected power mean P, unless P misses grad_tol and the projected
     relaxed step Pi(T(P)) (``_relaxed_step``) has a strictly smaller
-    gradient; X is P also when the step overflows. The step is built from
+    gradient; X is P also when the step overflows, as it can near t = 1. P
+    is the minimizer when the marginals commute, so it meets grad_tol there
+    and the run stops at iteration 0 with no step formed. Both points lie in
+    the box, where ||X - X*|| <= ||grad phi_t(X)|| / k1, so the rule never
+    starts farther from X* by that bound than P. The step is built from
     P's decomposition and S(P), and the chosen point's evaluation is the
     loop's first, so the rule adds m + 1 eigh (F(P), and S at the point not
     chosen) and two Cholesky factorizations, for the step's projection (an
@@ -360,57 +367,49 @@ def _start(p: BarycenterProblem, x0, grad_tol):
     return (C, candidate) if np.linalg.norm(candidate[0]) < gn else (X, first)
 
 
-class _History:
-    def __init__(self, trace):
-        self.indices = []
-        self.grad_norms = []
-        self.iterates = [] if trace else None
+def _iterate(p: BarycenterProblem, x0, advance, rate, grad_tol, max_iters, trace, eta=None):
+    """The whole solve of both solvers, and their one report.
 
-    def record(self, k, gn, X, final=False):
-        if not final and len(self.indices) >= HISTORY_CAP and k % 10 != 0:
-            return
-        self.indices.append(k)
-        self.grad_norms.append(gn)
-        if self.iterates is not None:
-            self.iterates.append(X.copy())
-
-
-def _iterate(X, evaluate, advance, residual, rate, grad_tol, max_iters, trace, eta=None, first=None):
-    """The one loop of both solvers, and their one report.
-
-    At iterate k, ``evaluate(X)`` returns (grad phi_t(X), the step rule's
-    state); ``first``, if given, is that pair at the start X, already
-    evaluated. The run stops with "gradient_tol" if
-    ||grad phi_t(X)|| <= grad_tol, else with "max_iters" if k = max_iters;
-    else X moves to ``advance(X, G, state)``, formed only after the stop
-    test. ``rate`` is (alpha_star, beta_star, q); ``residual(X, state)``
-    gives ||X - F(X)||.
+    The loop resolves grad_tol (``_stopping_tolerance``) and takes the start
+    X and its first evaluation from ``_start``. At iterate k it forms
+    (G, S) = (grad phi_t(X), S(X)) (``_gradient_and_sum``); the run stops
+    with "gradient_tol" if ||G|| <= grad_tol, else with "max_iters" if
+    k = max_iters; else X moves to ``advance(X, G, S)``, the solver's step
+    rule, formed only after the stop test. ``rate`` is (alpha_star,
+    beta_star, q). fixed_point_residual is ||X - F(X)|| at the returned X,
+    with F(X) formed from the last S.
     """
-    hist = _History(trace)
+    grad_tol = _stopping_tolerance(p, grad_tol, max_iters)
+    X, first = _start(p, x0, grad_tol)
+    indices, grad_norms, iterates = [], [], [] if trace else None
     for k in itertools.count():
-        G, state = evaluate(X) if first is None else first
+        G, S = _gradient_and_sum(p, X) if first is None else first
         first = None
         gn = float(np.linalg.norm(G))
         termination = "gradient_tol" if gn <= grad_tol else "max_iters" if k >= max_iters else None
-        hist.record(k, gn, X, final=termination is not None)
+        if termination is not None or len(indices) < HISTORY_CAP or k % 10 == 0:
+            indices.append(k)
+            grad_norms.append(gn)
+            if trace:
+                iterates.append(X.copy())
         if termination is not None:
             break
-        X = advance(X, G, state)
+        X = advance(X, G, S)
 
     alpha_star, beta_star, q = rate
     return SolverReport(
         minimizer=X,
         iterations=k,
-        grad_norms=hist.grad_norms,
-        history_indices=hist.indices,
+        grad_norms=grad_norms,
+        history_indices=indices,
         alpha_star=alpha_star,
         beta_star=beta_star,
         q=q,
         eta=eta,
         termination=termination,
         error_bound=gn / alpha_star,
-        fixed_point_residual=residual(X, state),
-        iterates=hist.iterates,
+        fixed_point_residual=float(np.linalg.norm(X - _fixed_point_from_sum(X, S))),
+        iterates=iterates,
     )
 
 
@@ -422,41 +421,25 @@ def solve_gradient_projection(
     x0=None,
     trace=False,
 ) -> SolverReport:
-    """Projected gradient descent X <- [X - eta grad phi_t(X)]_+ on the box.
+    """Projected gradient descent: the step X <- [X - eta grad phi_t(X)]_+ on the box.
 
-    Defaults: eta = 1/beta_star and grad_tol = 1e-10 t n. A given x0, whose
-    spectrum must lie in the box up to BOX_RTOL beta, is projected onto it.
-    Otherwise X0 is the better of two points (``_start``): the power mean
-    P = (sum_j w_j A_j^{1-t})^{1/(1-t)}, projected onto the box, and the
-    projected relaxed fixed-point step Pi(T(P)),
-    T(P) = P^{-a} F(P)^b P^{-a} with b = 1/(1-t) and a = t/(2(1-t)), which
-    is S(P) P S(P) at t = 1/2. P is the minimizer when the marginals
-    commute, so it meets grad_tol there and the run stops at iteration 0
-    with no step formed; otherwise X0 is Pi(T(P)) if its gradient is
-    strictly smaller, and P if not, or if T(P) overflows, as it can near
-    t = 1. Certificate: both points lie in the box, where phi_t is k1-strongly
-    convex, so ||X - X*|| <= ||grad phi_t(X)|| / k1 there, and the rule never
-    starts farther from X* by that bound than P; a start closer to the
-    minimizer saves steps at the certified rate q, which does not depend on
-    the start. Every iterate stays in [alpha I, beta I]; the returned
-    error_bound is a certified distance bound to the unique minimizer.
-    ``InvalidInput`` unless grad_tol is finite and >= 0 and max_iters is an
-    integer >= 0.
+    The step is this solver's whole rule, its ``advance`` in the one loop
+    (``_iterate``), which owns the stop rule ||grad phi_t(X)|| <= grad_tol,
+    the start, the evaluation, the history and the residual. Defaults:
+    eta = 1/beta_star and grad_tol = 1e-10 t n. X0 is a given x0, whose
+    spectrum must lie in the box up to BOX_RTOL beta, projected onto it;
+    otherwise the better of the projected power mean P, the minimizer when
+    the marginals commute, and one projected relaxed fixed-point step from
+    it (``_start``). Every iterate stays in [alpha I, beta I], where phi_t is
+    k1-strongly convex, so the returned error_bound is a certified distance
+    bound to the unique minimizer, and each step contracts by the certified
+    rate q, which does not depend on the start. ``InvalidInput`` unless
+    grad_tol is finite and >= 0 and max_iters is an integer >= 0.
     """
     alpha_star, beta_star, q = certified_rate(p, eta)
-    if eta is None:
-        eta = 1.0 / beta_star
-    grad_tol = _stopping_tolerance(p, grad_tol, max_iters)
-    X0, first = _start(p, x0, grad_tol)
-
-    return _iterate(
-        X0, lambda X: _gradient_and_sum(p, X),
-        advance=lambda X, G, S: _project_box(X - eta * G, p.alpha, p.beta),
-        # the last S(X) was formed at this X
-        residual=lambda X, S: float(np.linalg.norm(X - _fixed_point_from_sum(X, S))),
-        rate=(alpha_star, beta_star, q), grad_tol=grad_tol, max_iters=max_iters, trace=trace,
-        eta=float(eta), first=first,
-    )
+    eta = 1.0 / beta_star if eta is None else float(eta)
+    return _iterate(p, x0, lambda X, G, S: _project_box(X - eta * G, p.alpha, p.beta),
+                    (alpha_star, beta_star, q), grad_tol, max_iters, trace, eta)
 
 
 def solve_fixed_point(
@@ -468,16 +451,16 @@ def solve_fixed_point(
 ) -> SolverReport:
     """Fixed-point iteration X <- F(X), used for cross-validation.
 
-    Stops on the rule of gradient projection, ||grad phi_t(X)|| <= grad_tol
-    (default 1e-10 t n), with grad phi_t(X) read from the same S(X) as F(X).
-    X0 is gradient projection's (``_start``): a given x0 projected onto the
-    box, else the better of the projected power mean and one relaxed
-    fixed-point step from it, so the two solvers start at one point (a
-    cross-check from a start of the caller's choosing passes another x0).
-    No contraction is guaranteed, but F maps the box into itself, as it
-    contains the power-mean box [alpha', beta'] (``barycenter_problem``):
-    for X in it, X^{1/2} A_j^{(1-t)/t} X^{1/2} <= b_j^{(1-t)/t} lam_max(X) I
-    and x -> x^t is operator monotone, so
+    The step is this solver's whole rule, its ``advance`` in the one loop
+    (``_iterate``): F(X) = X^{1/2} S(X) X^{1/2}, from the S(X) the loop read
+    grad phi_t(X) from. The loop gives it gradient projection's stop rule
+    ||grad phi_t(X)|| <= grad_tol (default 1e-10 t n) and its start
+    (``_start``), so the two solvers start at one point (a cross-check from
+    a start of the caller's choosing passes another x0). No contraction is
+    guaranteed, but F maps the box into itself, as it contains the
+    power-mean box [alpha', beta'] (``barycenter_problem``): for X in it,
+    X^{1/2} A_j^{(1-t)/t} X^{1/2} <= b_j^{(1-t)/t} lam_max(X) I and
+    x -> x^t is operator monotone, so
     lam_max(F(X)) <= (sum_j w_j b_j^{1-t}) lam_max(X)^t
     = beta'^{1-t} lam_max(X)^t <= beta, and with a_j and lam_min(X) the same
     argument gives lam_min(F(X)) >= alpha. So every iterate lies in the box,
@@ -485,17 +468,6 @@ def solve_fixed_point(
     that does not converge ends at max_iters. ``InvalidInput`` unless
     grad_tol is finite and >= 0 and max_iters is an integer >= 0.
     """
-    grad_tol = _stopping_tolerance(p, grad_tol, max_iters)
-    alpha_star, beta_star, _ = certified_rate(p, None)
-    X0, first = _start(p, x0, grad_tol)
-
-    def with_map(X, evaluation):  # (grad phi_t(X), S(X)) -> (grad phi_t(X), F(X))
-        return evaluation[0], _fixed_point_from_sum(X, evaluation[1])
-
-    return _iterate(
-        X0, lambda X: with_map(X, _gradient_and_sum(p, X)),
-        advance=lambda X, G, FX: FX,
-        residual=lambda X, FX: float(np.linalg.norm(X - FX)),
-        rate=(alpha_star, beta_star, None), grad_tol=grad_tol, max_iters=max_iters, trace=trace,
-        first=None if first is None else with_map(X0, first),
-    )
+    alpha_star, beta_star, _ = certified_rate(p)
+    return _iterate(p, x0, lambda X, G, S: _fixed_point_from_sum(X, S),
+                    (alpha_star, beta_star, None), grad_tol, max_iters, trace)

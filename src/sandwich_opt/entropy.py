@@ -373,7 +373,7 @@ def compute_divergence(kind, A, B, t=None) -> DivergenceValue:
     kinds reject one (``ParameterError``). The relative entropies are
     directed: the value is D(B || A) with A the reference.
     """
-    if kind not in _DIVERGENCES:
+    if not isinstance(kind, str) or kind not in _DIVERGENCES:
         raise InvalidInput(f"unknown divergence kind {kind!r}")
     fn, takes_t, reversed_args = _DIVERGENCES[kind]
     if takes_t != (t is not None):

@@ -653,7 +653,7 @@ def _divergence_limit_batch(A, B):
 def _is_convex_id(fn: ScalarFunction) -> bool:
     if fn.kind == "exp":
         return True
-    return fn.kind == "power" and not (0.0 < fn.exponent < 1.0)
+    return fn.kind == "power" and _is_number(fn.exponent) and not (0.0 < fn.exponent < 1.0)
 
 
 def _is_strictly_convex_id(fn: ScalarFunction) -> bool:
@@ -979,7 +979,7 @@ def run_suite(suite, n=4, trials=100, seed=0, t_values=None):
             True,
         ),
     }
-    if suite not in table:
+    if not isinstance(suite, str) or suite not in table:
         raise InvalidInput(f"unknown suite {suite!r}; choose from {SUITES}")
     runner, takes_grid = table[suite]
     if t_values is None:

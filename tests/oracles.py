@@ -6,9 +6,9 @@ fixed-point map and the power mean, finite-difference reconstruction of
 gradients and Hessian actions, the Hessian matrix assembled in an explicit
 Hermitian basis, a quadrature evaluation of the Hessian integral
 representation, extended-precision evaluation of the sandwiched trace and
-of the gradient of f, and the scalar cyclic Jacobi with the per-matrix
-small-t limit check built on it. These stay independent of the code paths
-they check.
+of the gradient of f, the scalar cyclic Jacobi with the per-matrix
+small-t limit check built on it, and a counter of numpy's LAPACK calls.
+These stay independent of the code paths they check.
 
 The suite oracles run every verification suite one trial at a time: each
 trial draws its matrices one at a time from its input family's two numpy
@@ -45,6 +45,21 @@ from sandwich_opt.inequalities import (
     _is_strictly_convex_id,
     _mp_relation_margin,
 )
+
+
+def count_lapack(monkeypatch, *names):
+    """{name: calls} of each named ``np.linalg`` routine, counted until ``monkeypatch`` is undone.
+
+    It wraps numpy itself, so a count does not depend on the package it checks.
+    """
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
 
 
 def hermitian_basis(n):

@@ -28,9 +28,10 @@ from sandwich_opt import (
     solve_gradient_projection,
     symmetrize,
 )
-from sandwich_opt.barycenter import BOX_RTOL, _History, _power_mean_decomposition
+from sandwich_opt.barycenter import BOX_RTOL, _power_mean_decomposition
 
 from oracles import (
+    count_lapack,
     fd_gradient,
     fixed_point_map_oracle,
     mp_gradient,
@@ -735,6 +736,19 @@ def test_termination_precedence(monkeypatch):
         assert (rep.termination, rep.iterations) == ("gradient_tol", 0)
 
 
+def test_both_rules_report_one_residual_at_the_start():
+    # the loop, not the step rule, evaluates an iterate and forms the
+    # residual: with no step taken, GP and the fixed point report the same bits
+    p = random_problem(28)
+    x0 = random_spd(4, 1.5, 3.5, 29)
+    gp, fp = (solver(p, max_iters=0, x0=x0) for solver in (solve_gradient_projection, solve_fixed_point))
+    assert gp.termination == fp.termination == "max_iters"
+    assert np.array_equal(gp.minimizer, fp.minimizer)
+    assert gp.grad_norms == fp.grad_norms
+    assert gp.error_bound == fp.error_bound
+    assert gp.fixed_point_residual == fp.fixed_point_residual > 0.0
+
+
 @pytest.mark.parametrize("solver", [solve_gradient_projection, solve_fixed_point])
 def test_history_keeps_the_final_iterate_beyond_cap(monkeypatch, solver):
     # past the cap only every 10th iterate is kept, and the last one always
@@ -794,13 +808,6 @@ def test_objective_gradient_matches_mpmath_at_small_t(n, t):
     assert np.linalg.norm(objective_gradient(p, X) - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
-def _count_calls(monkeypatch, name="eigh"):
-    calls = []
-    fn = getattr(np.linalg, name)
-    monkeypatch.setattr(np.linalg, name, lambda *a, **k: calls.append(1) or fn(*a, **k))
-    return calls
-
-
 def _assert_well_inside_box(X, p):
     # at least 1e-6 beta inside [alpha I, beta I]: far beyond rounding, so the
     # Cholesky verdict of project_box, and with it each count, does not depend
@@ -821,26 +828,25 @@ def test_fixed_point_step_eigh_count(monkeypatch):
     m = 3
     p = random_problem(22, m=m)
     X = random_spd(4, 1.0, 4.0, 23)
-    calls = _count_calls(monkeypatch)
-    choleskys = _count_calls(monkeypatch, "cholesky")
+    calls = count_lapack(monkeypatch, "eigh", "cholesky")
     fixed_point_map(p, X)
-    assert len(calls) == m + (m + 1)
-    calls.clear()
+    assert calls["eigh"] == m + (m + 1)
+    calls["eigh"] = 0
     fixed_point_map(p, X)
-    assert len(calls) == m + 1
-    calls.clear()
+    assert calls["eigh"] == m + 1
+    calls["eigh"] = 0
     G = bc._gradient_and_sum(p, X)[0]
     step = X - G / certified_rate(p)[1]
     project_box(step, p.alpha, p.beta)
-    assert len(calls) == m and len(choleskys) == 2
+    assert calls["eigh"] == m and calls["cholesky"] == 2
     _assert_well_inside_box(step, p)
-    calls.clear()
+    calls["eigh"] = 0
     rep = bc.solve_fixed_point(random_problem(22, m=m), grad_tol=1e-12, max_iters=3)
     assert rep.iterations == 3
     # the marginals, the start (P's outer power 1/(1-t), S at P, F(P) and S
     # at the relaxed step: m + 1 + m + 1), then m + 1 per iterate, the
     # chosen start's S read once
-    assert len(calls) == m + 1 + (m + 1) + (rep.iterations + 1) * (m + 1)
+    assert calls["eigh"] == m + 1 + (m + 1) + (rep.iterations + 1) * (m + 1)
 
 
 @pytest.mark.parametrize("iters", [0, 3])
@@ -855,13 +861,12 @@ def test_gradient_projection_solve_eigh_count(monkeypatch, iters):
     # point by two Cholesky factorizations and take no eigh
     m = 3
     p = random_problem(24, m=m)
-    calls = _count_calls(monkeypatch)
-    choleskys = _count_calls(monkeypatch, "cholesky")
+    calls = count_lapack(monkeypatch, "eigh", "cholesky")
     rep = solve_gradient_projection(p, grad_tol=0.0, max_iters=iters, trace=True)
     k = rep.iterations
     assert k == iters
-    assert len(calls) == 3 * m + 3 + m * k
-    assert len(choleskys) == 2 * (k + 2)
+    assert calls["eigh"] == 3 * m + 3 + m * k
+    assert calls["cholesky"] == 2 * (k + 2)
     # a projection's output is its input when that lies in the box, and has an
     # eigenvalue at alpha or beta when it does not; the start is the relaxed
     # step, which lies well inside the box too
@@ -888,12 +893,11 @@ def test_a_user_start_adds_no_eigh(monkeypatch, solver):
     counts = []
     for x0 in (random_spd(4, 1.5, 3.5, 25), None):
         p = random_problem(24, m=m)
-        calls = _count_calls(monkeypatch)
-        choleskys = _count_calls(monkeypatch, "cholesky")
+        calls = count_lapack(monkeypatch, "eigh", "cholesky")
         rep = solver(p, grad_tol=0.0, max_iters=iters, x0=x0)
         monkeypatch.undo()
         assert rep.iterations == iters
-        counts.append((len(calls), len(choleskys)))
+        counts.append((calls["eigh"], calls["cholesky"]))
     assert counts[0] == from_x0
     assert counts[1] == (counts[0][0] + m + 2, counts[0][1] + 2)
 
@@ -992,11 +996,3 @@ def test_fixed_point_reports_match_problem_constants():
     assert rep.beta_star == b_star
     assert rep.q is None and rep.eta is None
 
-
-def test_history_thinning_beyond_cap():
-    h = _History(trace=False)
-    for k in range(10_050):
-        h.record(k, float(k), None if False else np.eye(1))
-    assert len(h.indices) == 10_005
-    assert h.indices[-1] == 10_040
-    assert all(k % 10 == 0 for k in h.indices[10_000:])

@@ -18,9 +18,16 @@ def test_snapshot_writes_both_thread_settings_with_the_machine(tmp_path):
     assert proc.stdout.strip() == str(path)
     snap = json.loads(path.read_text())
     assert set(snap) == {"label", "commit", "seed", "seconds", "smoke", "cpu", "cpu_count",
-                         "python", "numpy", "blas", "runs"}
+                         "python", "numpy", "blas", "source_lines", "runs"}
     assert (snap["label"], snap["seed"], snap["smoke"]) == ("smoke", 3, True)
     assert snap["cpu_count"] == os.cpu_count()
+    # the line count of each package module, as `wc -l` reads it
+    src = os.path.join(ROOT, "src", "sandwich_opt")
+    modules = sorted(name for name in os.listdir(src) if name.endswith(".py"))
+    assert list(snap["source_lines"]) == modules
+    for name in modules:
+        with open(os.path.join(src, name), "rb") as fh:
+            assert snap["source_lines"][name] == fh.read().count(b"\n")
     assert [run["openblas_num_threads"] for run in snap["runs"]] == [None, "1"]
     for run in snap["runs"]:
         assert run["workload"] == "certify-hess" and run["meta"]["workload"] == "certify-hess"

@@ -34,6 +34,7 @@ from sandwich_opt.entropy import T_MIN
 
 from oracles import (
     basis_hessian_matrix,
+    count_lapack,
     fd_directional_hessian,
     fd_gradient,
     mp_gradient,
@@ -82,10 +83,9 @@ def test_sandwich_derivatives_take_two_eigh(monkeypatch, fn, t):
     # one decomposition of A and one of A''^{1/2} X A''^{1/2}
     A = random_spd(4, 1.0, 4.0, 81)
     X = random_spd(4, 1.0, 4.0, 82)
-    calls, eigh = [], np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(1) or eigh(*a, **k))
+    calls = count_lapack(monkeypatch, "eigh")
     fn(A, X, t)
-    assert len(calls) == 2
+    assert calls == {"eigh": 2}
 
 
 # (derive_seed recipe of A and X, or None for the seeds 0 and 1; n; t) at
@@ -302,7 +302,7 @@ def test_hessian_extreme_eigs_switches_to_lanczos_above_dense_max_n(n, monkeypat
     w = np.linalg.eigvalsh(hessian_operator_matrix(op))
     w_twin = np.linalg.eigvalsh(calculus._twin_matrix(op))
     lanczos = _lanczos(op)
-    calls = {"hessian_apply": 0, "twin_matvec": 0, "eigvalsh": 0}
+    calls = {"hessian_apply": 0, "twin_matvec": 0}
 
     def counted(fn, name):
         def wrapper(*args, **kwargs):
@@ -313,11 +313,11 @@ def test_hessian_extreme_eigs_switches_to_lanczos_above_dense_max_n(n, monkeypat
     twin_matvec = calculus._twin_matvec
     monkeypatch.setattr(calculus, "_twin_matvec", lambda op: counted(twin_matvec(op), "twin_matvec"))
     monkeypatch.setattr(calculus, "hessian_apply", counted(calculus.hessian_apply, "hessian_apply"))
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted(np.linalg.eigvalsh, "eigvalsh"))
+    lapack = count_lapack(monkeypatch, "eigvalsh")
     lo, hi = hessian_extreme_eigs(op)
     assert calls["hessian_apply"] == 0
     if n <= calculus.DENSE_MAX_N:
-        assert calls == {"hessian_apply": 0, "twin_matvec": 0, "eigvalsh": 1}
+        assert {**calls, **lapack} == {"hessian_apply": 0, "twin_matvec": 0, "eigvalsh": 1}
         assert (lo, hi) == (float(w_twin[0]), float(w_twin[-1]))
     else:
         assert calls["twin_matvec"] > 0
@@ -538,12 +538,9 @@ def test_bregman_decomposes_a_once(monkeypatch):
     t = 0.4
     G = gradient_f(A, X, t)
     terms = (sandwich_trace(A, X, t), -sandwich_trace(A, Y, t), inner(G, Y - X))
-    calls = {"eigh": [], "eigvalsh": []}
-    for name, log in calls.items():
-        fn = getattr(np.linalg, name)
-        monkeypatch.setattr(np.linalg, name, lambda *a, _fn=fn, _log=log, **k: _log.append(1) or _fn(*a, **k))
+    calls = count_lapack(monkeypatch, "eigh", "eigvalsh")
     val = bregman(A, t, Y, X)
-    assert (len(calls["eigh"]), len(calls["eigvalsh"])) == (2, 1)
+    assert calls == {"eigh": 2, "eigvalsh": 1}
     assert abs(val - sum(terms)) <= 1e-14 * sum(abs(x) for x in terms)
 
 

@@ -326,6 +326,12 @@ def test_compute_divergence_dispatch():
         compute_divergence("total_variation", A, B)
 
 
+def test_compute_divergence_rejects_an_unhashable_kind():
+    A = random_spd(3, 0.5, 2.0, 61)
+    with pytest.raises(InvalidInput, match="unknown divergence kind"):
+        compute_divergence(["bures"], A, A)
+
+
 @pytest.mark.parametrize("kind", ["bures", "umegaki", "thompson", "max_relative", "riemannian"])
 def test_compute_divergence_rejects_stray_order(kind):
     A = random_spd(3, 0.5, 2.0, 61)

@@ -48,12 +48,16 @@ from sandwich_opt.inequalities import (
 
 from oracles import (
     SUITE_ORACLES,
+    count_lapack,
     gamma_limit_oracle,
     mp_gamma_error,
     mp_means,
     mp_sandwich_trace,
     variational_value_oracle,
 )
+
+# the LAPACK routines a suite decomposes by
+DECOMPOSITIONS = ("eigh", "eigvalsh", "svd")
 
 
 def sorted_eigs(M):
@@ -344,7 +348,7 @@ def test_variational_minimizer_decomposes_a_once_and_not_b(monkeypatch, rep):
     # A and the sandwich A^m B A^m, whose one frame gives both minimizers:
     # B itself is not decomposed
     A, B = random_pair(4, 903, "pair")
-    calls = _count_decompositions(monkeypatch)
+    calls = count_lapack(monkeypatch, *DECOMPOSITIONS)
     variational_minimizer(A, B, 0.4, rep)
     assert calls == {"eigh": 2, "eigvalsh": 0, "svd": 0}
 
@@ -463,7 +467,7 @@ def test_limits_chunk_certifies_its_envelopes_by_one_cholesky(monkeypatch):
     # eigh of the gamma A and the density pair, eigvalsh of the gamma B, of
     # all eight divergence orders at once and of the whitened pair, one svd of
     # the graded factors, and two Cholesky: U*BU and all envelopes of the chunk
-    calls = _count_decompositions(monkeypatch, ("eigh", "eigvalsh", "svd", "cholesky"))
+    calls = count_lapack(monkeypatch, "eigh", "eigvalsh", "svd", "cholesky")
     assert run_suite("limits", n=4, trials=50, seed=11)["all_hold"]
     assert calls == {"eigh": 3, "eigvalsh": 3, "svd": 1, "cholesky": 2}
 
@@ -479,7 +483,7 @@ def test_limits_envelope_without_the_certificate_is_the_eigvalsh_test(monkeypatc
     certified = _limits_outputs()
     monkeypatch.setattr(inequalities, "_positive_definite", lambda H: False)
     assert _limits_outputs() == certified
-    calls = _count_decompositions(monkeypatch)
+    calls = count_lapack(monkeypatch, *DECOMPOSITIONS)
     run_suite("limits", n=4, trials=50, seed=11)
     assert calls["eigvalsh"] == 4
 
@@ -506,25 +510,12 @@ def test_divergence_limit_values_equal_the_entropy_functions(n):
         assert report["max_relative_form"] == max_relative_entropy(B, A)
 
 
-def _count_decompositions(monkeypatch, names=("eigh", "eigvalsh", "svd")):
-    calls = dict.fromkeys(names, 0)
-    for name in calls:
-        fn = getattr(np.linalg, name)
-
-        def counted(*args, _fn=fn, _name=name, **kwargs):
-            calls[_name] += 1
-            return _fn(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counted)
-    return calls
-
-
 @pytest.mark.parametrize("suite", SUITES)
 def test_suite_decomposition_count_does_not_grow_with_trials(monkeypatch, suite):
     # decompositions are counted per chunk, not per trial
     counts = []
     for trials in (1, 50):
-        calls = _count_decompositions(monkeypatch)
+        calls = count_lapack(monkeypatch, *DECOMPOSITIONS)
         run_suite(suite, n=4, trials=trials, seed=38)
         counts.append(sum(calls.values()))
         monkeypatch.undo()
@@ -538,7 +529,7 @@ def test_trace_chain_suite_decomposes_each_input_once(monkeypatch):
     t_values = (0.1, 0.5, 0.9)
     for chunk, chunks in ((inequalities.SUITE_CHUNK, 1), (2, 3)):
         monkeypatch.setattr(inequalities, "SUITE_CHUNK", chunk)
-        calls = _count_decompositions(monkeypatch)
+        calls = count_lapack(monkeypatch, *DECOMPOSITIONS)
         run_suite("trace-chain", n=4, trials=6, seed=39, t_values=t_values)
         assert calls["eigh"] == chunks * 3
         assert calls["eigvalsh"] == chunks
@@ -556,7 +547,7 @@ def test_variational_chunk_maps_each_function_of_a_and_b_once(monkeypatch):
 
     for chunk, chunks in ((inequalities.SUITE_CHUNK, 1), (2, 3)):
         monkeypatch.setattr(inequalities, "SUITE_CHUNK", chunk)
-        calls = _count_decompositions(monkeypatch)
+        calls = count_lapack(monkeypatch, *DECOMPOSITIONS)
         apply = SpectralDecomp.apply
         applied = []
         monkeypatch.setattr(SpectralDecomp, "apply", lambda self, v: applied.append(1) or apply(self, v))
@@ -610,7 +601,7 @@ def test_suite_seeding_does_not_grow_with_trials(monkeypatch, suite):
 ])
 def test_chain_suites_whiten_once_per_chunk(monkeypatch, suite, grids):
     # A, B and A^{-1/2} B A^{-1/2}: three stacked eigh per chunk at any grid length
-    calls = _count_decompositions(monkeypatch)
+    calls = count_lapack(monkeypatch, *DECOMPOSITIONS)
     for chunk, chunks in ((inequalities.SUITE_CHUNK, 1), (3, 2)):
         monkeypatch.setattr(inequalities, "SUITE_CHUNK", chunk)
         for grid in grids:
@@ -708,6 +699,12 @@ def test_gauge_convexity_check_rejects_non_convex_ids():
         gauge_convexity_check(power(0.5), 2.0, trials=5, seed=0)
     with pytest.raises(InvalidInput):
         gauge_convexity_check(power(2.0), 0.5, trials=5, seed=0)
+
+
+def test_gauge_convexity_check_rejects_a_stacked_power():
+    # power() of an array is one exponent per spectrum, not one function
+    with pytest.raises(InvalidInput, match="scalar function id"):
+        gauge_convexity_check(power(np.array([2.0, 3.0])), 2, 4, 1)
 
 
 # ------------------------------------------------------------- open question
@@ -876,6 +873,11 @@ def test_run_suite_open_question_and_unknown():
             run_suite(suite, n=n, trials=trials, seed=0, t_values=grid)
 
 
+def test_run_suite_rejects_an_unhashable_name():
+    with pytest.raises(InvalidInput, match="unknown suite"):
+        run_suite(["gauge"])
+
+
 def test_suite_helpers_are_seed_stable():
     A1, B1 = random_pair(3, 33, "pair")
     A2, B2 = random_pair(3, 33, "pair")
@@ -987,7 +989,7 @@ def test_a_chunk_decomposes_as_often_at_any_grid_length(monkeypatch, suite):
     # per order, and the open-question search one eigvalsh pair per order
     counts = []
     for grid in ((0.5,), None, (0.05, 0.2, 0.3, 0.5)):
-        calls = _count_decompositions(monkeypatch)
+        calls = count_lapack(monkeypatch, *DECOMPOSITIONS)
         run_suite(suite, n=4, trials=10, seed=55, t_values=grid)
         monkeypatch.undo()
         counts.append(calls)

@@ -35,7 +35,7 @@ from sandwich_opt import (
 from sandwich_opt.barycenter import BOX_RTOL
 from sandwich_opt.linalg import EQUAL_EIG_RTOL, _graded_svd
 
-from oracles import jacobi_eigh, random_hermitian_oracle, random_spd_oracle
+from oracles import count_lapack, jacobi_eigh, random_hermitian_oracle, random_spd_oracle
 
 
 def test_spectral_decompose_identity():
@@ -199,19 +199,6 @@ def test_project_box_idempotent_and_nonexpansive():
         assert np.linalg.norm(P1 - P2) <= np.linalg.norm(H1 - H2) + 1e-12
 
 
-def _count_lapack(monkeypatch):
-    calls = {"eigh": 0, "cholesky": 0}
-    for name in calls:
-        fn = getattr(np.linalg, name)
-
-        def counted(*args, _fn=fn, _name=name, **kwargs):
-            calls[_name] += 1
-            return _fn(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counted)
-    return calls
-
-
 def _assert_in_box(X, alpha, beta):
     w = np.linalg.eigvalsh(X)
     assert alpha - BOX_RTOL * beta <= w[0] and w[-1] <= beta + BOX_RTOL * beta
@@ -222,7 +209,7 @@ def test_project_box_returns_an_in_box_matrix_without_decomposing_it(monkeypatch
     # comes back bit for bit, so a second projection moves nothing
     for seed in range(5):
         H = random_spd(5, 1.5, 3.5, 800 + seed) + 1j * random_hermitian(5, 900 + seed, scale=0.1)
-        calls = _count_lapack(monkeypatch)
+        calls = count_lapack(monkeypatch, "eigh", "cholesky")
         once = project_box(H, 1.0, 4.0)
         assert calls == {"eigh": 0, "cholesky": 2}
         assert np.array_equal(once, symmetrize(H))
@@ -237,7 +224,7 @@ def test_project_box_clips_a_spectrum_outside_the_box_with_one_eigh(monkeypatch,
     for seed in range(5):
         frame = spectral_decompose(random_hermitian(5, 810 + seed))
         H = frame.apply(spectrum)
-        calls = _count_lapack(monkeypatch)
+        calls = count_lapack(monkeypatch, "eigh", "cholesky")
         out = project_box(H, alpha, beta)
         assert calls["eigh"] == 1
         monkeypatch.undo()

@@ -10,10 +10,11 @@ in a subprocess from its root, twice: once at the default BLAS thread count
 the child alone. Writes BENCH_<label>.json into --out (default: this
 checkout's root) with the checkout's commit (suffixed "-dirty" when its tree
 has uncommitted changes), the CPU model, Python, numpy and its BLAS name and
-version as the harness printed them, os.cpu_count(), and per run the thread
-setting, the run's ``meta`` lines (among them the BLAS thread count) and
-digests, and its final JSON line as bench/run.py printed it. Nothing is
-computed anew: no metric, no bound. --root defaults to this checkout; point
+version as the harness printed them, os.cpu_count(), the line count of
+each of the checkout's ``src/sandwich_opt/*.py`` modules (``source_lines``),
+and per run the thread setting, the run's ``meta`` lines (among them the
+BLAS thread count) and digests, and its final JSON line as bench/run.py
+printed it. Nothing is computed anew: no metric, no bound. --root defaults to this checkout; point
 it at a clone of another commit to snapshot that commit. --smoke passes
 bench/run.py's smallest workload sizes, for testing this script.
 """
@@ -21,6 +22,7 @@ bench/run.py's smallest workload sizes, for testing this script.
 from __future__ import annotations
 
 import argparse
+import glob
 import json
 import os
 import re
@@ -42,6 +44,15 @@ def _commit(root):
     if head.returncode != 0:
         return "unknown"
     return head.stdout.strip() + ("-dirty" if git("status", "--porcelain").stdout.strip() else "")
+
+
+def _source_lines(root):
+    """{module file name: line count} of the checkout's package sources."""
+    counts = {}
+    for path in sorted(glob.glob(os.path.join(root, "src", "sandwich_opt", "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            counts[os.path.basename(path)] = fh.read().count("\n")  # as `wc -l` counts
+    return counts
 
 
 def run_bench(root, workload, seed, seconds, threads, smoke):
@@ -99,6 +110,7 @@ def main(argv=None):
         # the machine as the first run's harness described it
         **{key: runs[0]["meta"].get(key, "unknown") for key in ("cpu", "python", "numpy", "blas")},
         "cpu_count": os.cpu_count(),
+        "source_lines": _source_lines(root),
         "runs": runs,
     }
     path = os.path.join(args.out, f"BENCH_{args.label}.json")
