@@ -653,7 +653,8 @@ def _divergence_limit_batch(A, B):
 def _is_convex_id(fn: ScalarFunction) -> bool:
     if fn.kind == "exp":
         return True
-    return fn.kind == "power" and _is_number(fn.exponent) and not (0.0 < fn.exponent < 1.0)
+    s = fn.exponent
+    return fn.kind == "power" and _is_number(s) and math.isfinite(s) and not (0.0 < s < 1.0)
 
 
 def _is_strictly_convex_id(fn: ScalarFunction) -> bool:

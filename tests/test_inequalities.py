@@ -701,10 +701,12 @@ def test_gauge_convexity_check_rejects_non_convex_ids():
         gauge_convexity_check(power(2.0), 0.5, trials=5, seed=0)
 
 
-def test_gauge_convexity_check_rejects_a_stacked_power():
-    # power() of an array is one exponent per spectrum, not one function
+@pytest.mark.parametrize("exponent", [np.array([2.0, 3.0]), np.nan, np.inf], ids=["stacked", "nan", "inf"])
+def test_gauge_convexity_check_rejects_a_stacked_or_non_finite_power(exponent):
+    # power() of an array is one exponent per spectrum, not one function; a
+    # NaN or infinite exponent gave 4 violations of 4 instead of an error
     with pytest.raises(InvalidInput, match="scalar function id"):
-        gauge_convexity_check(power(np.array([2.0, 3.0])), 2, 4, 1)
+        gauge_convexity_check(power(exponent), 2, 4, 1)
 
 
 # ------------------------------------------------------------- open question
