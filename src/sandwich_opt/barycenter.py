@@ -250,15 +250,18 @@ def certified_rate(p: BarycenterProblem, eta=None):
 
 @dataclass
 class SolverReport:
-    """Outcome of a solver run.
+    """Outcome of a solver run, and the report's schema: ``report_to_json`` writes one key per field, in order.
 
-    ``grad_norms`` holds the Frobenius norm of grad phi_t at the recorded
-    iterates (indices in ``history_indices``; the history is thinned to every
-    10th entry beyond 10,000). ``error_bound`` = final gradient norm /
-    alpha_star certifies the distance to the true minimizer. ``termination``
-    says why the run stopped: "gradient_tol" when the tolerance was met and
-    "max_iters" at the iteration cap. When both hold at one iterate,
-    "gradient_tol" wins.
+    ``minimizer`` is X after ``iterations`` steps. ``grad_norms`` holds the
+    Frobenius norm of grad phi_t at the recorded iterates (indices in
+    ``history_indices``; thinned to every 10th entry beyond 10,000).
+    (alpha_star, beta_star, q) is ``certified_rate``'s and ``eta`` the step;
+    the fixed point has neither q nor eta. ``error_bound`` = final gradient
+    norm / alpha_star certifies the distance to the true minimizer.
+    ``termination`` is "gradient_tol" when the tolerance was met, also at
+    the iteration cap, else "max_iters". ``fixed_point_residual`` is
+    ||X - F(X)||_F at the minimizer; ``iterates``, the recorded X of a
+    traced run, is left out of the JSON otherwise.
     """
 
     minimizer: np.ndarray

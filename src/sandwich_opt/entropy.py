@@ -50,16 +50,23 @@ T_MAX = 64.0
 NEAR_ONE_TOL = 1e-9
 
 
+def _check_order(t, hi, closed, what="order parameter"):
+    """The one order check: ``ParameterError``, naming ``what`` and repr(t), unless t is in (T_MIN, hi].
+
+    Or in (T_MIN, hi) unless ``closed``; t is a number (a bool is not), and the finite bounds reject NaN and inf.
+    """
+    if not (_is_number(t) and T_MIN < t and (t <= hi if closed else t < hi)):
+        raise ParameterError(f"{what} t = {t!r} must be a number in ({T_MIN}, {hi}{']' if closed else ')'}")
+
+
 def check_unit_t(t):
     """Require a number t (not a bool) in (T_MIN, 1 - T_MIN)."""
-    if not (_is_number(t) and np.isfinite(t) and T_MIN < t < 1.0 - T_MIN):
-        raise ParameterError(f"order parameter t = {t} outside ({T_MIN}, {1 - T_MIN})")
+    _check_order(t, 1.0 - T_MIN, False)
 
 
 def check_trace_order(t):
     """Require a number t (not a bool) in (T_MIN, T_MAX], the order range of the trace functional."""
-    if not (_is_number(t) and np.isfinite(t) and T_MIN < t <= T_MAX):
-        raise ParameterError(f"order parameter t = {t} outside ({T_MIN}, {T_MAX}]")
+    _check_order(t, T_MAX, True)
 
 
 def check_order_t(t):
@@ -378,7 +385,7 @@ def compute_divergence(kind, A, B, t=None) -> DivergenceValue:
     fn, takes_t, reversed_args = _DIVERGENCES[kind]
     if takes_t != (t is not None):
         need = "requires an order t" if takes_t else "takes no order t"
-        raise ParameterError(f"divergence kind {kind!r} {need}")
+        raise ParameterError(f"divergence kind {kind!r} {need}, got t = {t!r}")
     args = (B, A) if reversed_args else (A, B)
     if takes_t:
         return DivergenceValue(fn(*args, t), kind, float(t))

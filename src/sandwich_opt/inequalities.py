@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import (
-    T_MIN,
+    _check_order,
     _finite_product,
     _frame,
     _frame_power,
@@ -61,9 +61,10 @@ from .entropy import (
     _thompson,
     _whiten,
     _whitened_spectrum,
+    check_trace_order,
     check_unit_t,
 )
-from .errors import DomainError, InvalidInput, NumericalError, ParameterError
+from .errors import DomainError, InvalidInput, NumericalError
 from .linalg import (
     _SEED_MAX,
     ScalarFunction,
@@ -140,18 +141,19 @@ class ChainReport:
 
 
 def _order_grid(t_values, check=check_unit_t):
-    """The order grid as a tuple, ``check`` run on each order; ``InvalidInput`` if it is empty."""
+    """(grid, orders): the orders as a tuple, each checked by ``check``, and as a float array (G, 1).
+
+    The array broadcasts against a chunk's trials: every trial at every order.
+    ``InvalidInput`` unless the grid is a non-empty sequence, not a string.
+    """
+    if isinstance(t_values, (str, bytes)) or not np.iterable(t_values):
+        raise InvalidInput(f"the order grid {t_values!r} must be a sequence of numbers")
     t_values = tuple(t_values)
     if not t_values:
         raise InvalidInput("the order grid is empty")
     for t in t_values:
         check(t)
-    return t_values
-
-
-def _orders(t_values):
-    """The orders as a float array (G, 1): broadcast against a chunk's trials, every trial at every order."""
-    return np.array(t_values, dtype=float)[:, None]
+    return t_values, np.array(t_values, dtype=float)[:, None]
 
 
 def _suite_inputs(suite, n, trials, families, cap=None):
@@ -293,8 +295,8 @@ def trace_chain_check(A, B, t) -> ChainReport:
     <= tr[(1-t)A + tB], with tolerance 1e-10 times the last link. This is the
     batch kernel of the trace-chain suite on a stack of one.
     """
-    check_unit_t(t)
-    links = _trace_chain_links(*_decomposed(*_stack_of_one(A, B)), _orders((t,)))[0, 0]
+    _, ts = _order_grid((t,))
+    links = _trace_chain_links(*_decomposed(*_stack_of_one(A, B)), ts)[0, 0]
     margins, holds = _chain_margins(links)
     values = [float(v) for v in links]
     verdicts = [
@@ -431,9 +433,9 @@ def log_majorization_chain(A, B, t) -> ChainReport:
     checked and their shared links must agree. This is the batch kernel of
     the log-major suite on a stack of one.
     """
-    check_unit_t(t)
+    _, ts = _order_grid((t,))
     links = {label: value[0, 0] for label, value in
-             _log_major_links(*_decomposed(*_stack_of_one(A, B)), _orders((t,))).items()}
+             _log_major_links(*_decomposed(*_stack_of_one(A, B)), ts).items()}
     verdicts = []
     for x, y, kind, lo, hi in _LOG_MAJOR_RELATIONS:
         if lo <= t <= hi:
@@ -496,7 +498,7 @@ def gamma_limit_check(A, B, t_grid=DEFAULT_GAMMA_GRID):
     batch kernel of the limits suite on a stack of one, so the suite and
     this report agree for the same pair.
     """
-    t_grid = _order_grid(t_grid)
+    t_grid, _ = _order_grid(t_grid)
     out = _gamma_limit_batch(*_stack_of_one(A, B), t_grid)
     errors = [float(e) for e in out["errors"][0]]
     return {
@@ -582,7 +584,7 @@ LARGE_T_GRID = (8.0, 16.0, 32.0, 64.0)
 # (t, h) for t = 1 -+ h, h in NEAR_ONE_GRID
 _NEAR_ONE = tuple((tshift, h) for h in NEAR_ONE_GRID for tshift in (1.0 - h, 1.0 + h))
 # every divergence order of the limits, near one first, as a (G, 1) grid
-_LIMIT_ORDERS = _orders([tshift for tshift, _ in _NEAR_ONE] + list(LARGE_T_GRID))
+_, _LIMIT_ORDERS = _order_grid([t for t, _ in _NEAR_ONE] + list(LARGE_T_GRID), check_trace_order)
 
 
 def divergence_limit_check(A, B):
@@ -776,12 +778,11 @@ def open_question_search(n, t_grid, trials, seed):
     ``_MP_REVERIFY_CAP`` candidates as their batch drew them.
     """
     _check_integer(n, "search dimension", 1, 8)
-    t_grid = _order_grid(t_grid, _check_search_order)
+    t_grid, ts = _order_grid(t_grid, lambda t: _check_order(t, 0.5, True, "search order"))
     checked = {rel: 0 for rel in OPEN_QUESTION_RELATIONS}
     worst = {rel: np.inf for rel in OPEN_QUESTION_RELATIONS}
     candidates, recheck = [], []
     families = [(seed, "pairs", 2, PAIR_BOX)]
-    ts = _orders(t_grid)
     for chunk, ((A, B),) in _suite_inputs("open-question", n, trials, families, cap=10**6):
         # (order, trial, relation) -> (trial, order, relation)
         margins, holds = _open_question_margins(A, B, spectral_decompose(A), ts)
@@ -824,11 +825,6 @@ def open_question_search(n, t_grid, trials, seed):
     }
 
 
-def _check_search_order(t):
-    if not (_is_number(t) and np.isfinite(t) and T_MIN < t <= 0.5):
-        raise ParameterError(f"search order t = {t} outside ({T_MIN}, 0.5]")
-
-
 def _open_question_margins(A, B, decA, t):
     """(worst margins, holds), (..., k, relations), of lam(sandwich)^t against lam((1-t)A + tB).
 
@@ -867,8 +863,7 @@ def _density(A, R):
 
 
 def run_trace_chain_suite(n=4, trials=100, seed=0, t_values=(0.1, 0.3, 0.5, 0.7, 0.9)):
-    t_values = _order_grid(t_values)
-    ts = _orders(t_values)
+    t_values, ts = _order_grid(t_values)
     violations = 0
     worst = np.inf
     for _, (pairs,) in _suite_inputs("trace-chain", n, trials, [(seed, "pairs", 2, PAIR_BOX)]):
@@ -881,11 +876,11 @@ def run_trace_chain_suite(n=4, trials=100, seed=0, t_values=(0.1, 0.3, 0.5, 0.7,
 
 def run_variational_suite(n=4, trials=100, seed=0, t_values=(0.3, 0.5, 0.7)):
     """Trial i checks order t_values[i % len(t_values)]; a chunk checks its trials in one pass."""
-    t_values = _order_grid(t_values)
+    t_values, ts = _order_grid(t_values)
     lower_violations = tight_violations = 0
     families = [(seed, "pairs", 2, PAIR_BOX), (seed, "probes", 1, (0.25, 4.0))]
     for chunk, ((A, B), (X,)) in _suite_inputs("variational", n, trials, families):
-        t = np.array(t_values, dtype=float)[np.array(chunk) % len(t_values)]
+        t = ts[np.array(chunk) % len(ts), 0]
         lower_ok, tight_ok = _variational_checks(spectral_decompose(A), spectral_decompose(B), B, X, t)
         lower_violations += int(np.sum(~lower_ok))
         tight_violations += int(np.sum(~tight_ok))
@@ -910,8 +905,7 @@ def _variational_checks(decA, decB, B, X, t):
 
 
 def run_log_major_suite(n=4, trials=100, seed=0, t_values=(0.25, 0.5, 0.75)):
-    t_values = _order_grid(t_values)
-    ts = _orders(t_values)
+    t_values, ts = _order_grid(t_values)
     violations = 0
     for chunk, (pairs,) in _suite_inputs("log-major", n, trials, [(seed, "pairs", 2, PAIR_BOX)]):
         links = _log_major_links(*_decomposed(*pairs), ts)
@@ -963,8 +957,8 @@ def run_suite(suite, n=4, trials=100, seed=0, t_values=None):
     """Dispatch one named verification suite and return its report dict.
 
     ``t_values`` replaces the default order grid of a suite that has one; a
-    grid for a suite without one raises InvalidInput, as do an empty grid, a
-    dimension and a trial count that are not integers >= 1, and a seed that
+    grid for a suite without one raises InvalidInput, as do a grid that is
+    not a non-empty sequence, a dimension and a trial count that are not integers >= 1, and a seed that
     is not an integer in [0, 2**128) (each checked where the suite takes it).
     """
     # {suite: (runner, takes an order grid)}, built per call so that a runner
@@ -987,4 +981,4 @@ def run_suite(suite, n=4, trials=100, seed=0, t_values=None):
         return runner(n=n, trials=trials, seed=seed)
     if not takes_grid:
         raise InvalidInput(f"suite {suite!r} takes no order grid")
-    return runner(n=n, trials=trials, seed=seed, t_values=tuple(t_values))
+    return runner(n=n, trials=trials, seed=seed, t_values=t_values)

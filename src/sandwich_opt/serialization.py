@@ -7,6 +7,7 @@ across runs for identical seeds.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -166,20 +167,11 @@ def problem_to_json(p: BarycenterProblem) -> dict:
 
 
 def report_to_json(report: SolverReport) -> dict:
-    """The report as JSON; it carries the iterates when the solve was traced."""
-    out = {
-        "minimizer": matrix_to_json(report.minimizer),
-        "iterations": report.iterations,
-        "grad_norms": list(report.grad_norms),
-        "history_indices": list(report.history_indices),
-        "alpha_star": report.alpha_star,
-        "beta_star": report.beta_star,
-        "q": report.q,
-        "eta": report.eta,
-        "termination": report.termination,
-        "error_bound": report.error_bound,
-        "fixed_point_residual": report.fixed_point_residual,
-    }
-    if report.iterates is not None:
+    """The report as JSON: one key per ``SolverReport`` field, in order; the iterates only when traced."""
+    out = {f.name: getattr(report, f.name) for f in dataclasses.fields(SolverReport)}
+    out["minimizer"] = matrix_to_json(report.minimizer)
+    if report.iterates is None:
+        del out["iterates"]
+    else:
         out["iterates"] = [matrix_to_json(M) for M in report.iterates]
     return out

@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from sandwich_opt import (
     InvalidInput,
+    SolverReport,
     barycenter_problem,
     canonical_json,
     derive_seed,
@@ -15,6 +18,7 @@ from sandwich_opt import (
     random_spd,
     report_to_json,
     save_matrix,
+    solve_fixed_point,
     solve_gradient_projection,
 )
 from sandwich_opt.serialization import format_float
@@ -145,3 +149,20 @@ def test_a_default_box_problem_round_trips_through_a_file(tmp_path, weights):
     assert np.array_equal(q.weights, p.weights)
     reports = [canonical_json(report_to_json(solve_gradient_projection(r))) for r in (p, q)]
     assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("solve", [solve_gradient_projection, solve_fixed_point])
+@pytest.mark.parametrize("trace", [False, True])
+def test_report_keys_are_the_solver_report_fields_in_order(solve, trace):
+    # the field list lives only on SolverReport; the iterates appear only when traced
+    p = barycenter_problem([random_spd(3, 1.0, 2.0, derive_seed(38, "k", j)) for j in range(2)], [1.0, 1.0], 0.5)
+    report = solve(p, trace=trace)
+    fields = [f.name for f in dataclasses.fields(SolverReport)]
+    out = report_to_json(report)
+    assert list(out) == (fields if trace else fields[:-1])
+    assert fields[-1] == "iterates"
+    assert out["minimizer"] == matrix_to_json(report.minimizer)
+    for name in fields[1:-1]:
+        assert out[name] == getattr(report, name)
+    if trace:
+        assert out["iterates"] == [matrix_to_json(X) for X in report.iterates]
