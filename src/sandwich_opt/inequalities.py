@@ -676,8 +676,8 @@ def gauge_convexity_check(fn: ScalarFunction, p, trials, seed, n=4):
     """
     if not isinstance(fn, ScalarFunction) or not _is_convex_id(fn):
         raise InvalidInput(f"unsupported or non-convex scalar function id {fn!r}")
-    if not (_is_number(p) and np.isfinite(p) and p >= 1):
-        raise InvalidInput(f"Schatten order must be in [1, inf), got {p}")
+    if not (_is_number(p) and 1 <= p < math.inf):
+        raise InvalidInput(f"Schatten order must be in [1, inf), got {p!r}")
     return _gauge_panel(((fn, p),), trials, [seed], n)[0]
 
 

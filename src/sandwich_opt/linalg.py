@@ -49,7 +49,7 @@ def check_matrices(n=None, error=InvalidInput, **matrices):
     """
     first, parts = None, []
     for name, H in matrices.items():
-        H = np.asarray(H, dtype=complex)
+        H = _complex_array(H, name, error)
         if n is not None and H.shape != (n, n):
             raise error(f"{name} must have shape ({n}, {n}), got {H.shape}")
         if H.ndim != 2 or H.shape[0] != H.shape[1] or H.shape[0] == 0:
@@ -61,6 +61,14 @@ def check_matrices(n=None, error=InvalidInput, **matrices):
         first = first or (name, H.shape)
         parts.append(symmetrize(H))
     return parts
+
+
+def _complex_array(H, name, error=InvalidInput):
+    """H as a complex ndarray; ``error`` naming ``name`` if numpy cannot read its entries as numbers."""
+    try:
+        return np.asarray(H, dtype=complex)
+    except (TypeError, ValueError):
+        raise error(f"{name} must be an array of numbers") from None
 
 
 def _trace(M):
@@ -169,7 +177,7 @@ def _eigh(H):
 
 def _finite_hermitian(H):
     """symmetrize(H); ``InvalidInput`` unless H is a finite square matrix (n, n) or stack (k, n, n)."""
-    H = np.asarray(H, dtype=complex)
+    H = _complex_array(H, "matrix")
     if H.ndim not in (2, 3) or H.shape[-1] != H.shape[-2] or H.shape[-1] == 0:
         raise InvalidInput(f"expected a square matrix or a stack (k, n, n) of them, got shape {H.shape}")
     if not np.isfinite(H).all():
@@ -282,16 +290,18 @@ def _power(x, s):
 
 
 def power(s) -> ScalarFunction:
-    """x -> x^s; ``InvalidInput`` unless the exponent s is a number (a bool is not) or an array of them.
+    """x -> x^s; ``InvalidInput`` unless the exponent s is a finite number (a bool is not) or an array of them.
 
     An array s holds one exponent per matrix of a stack: ``SpectralDecomp.map``
     raises the stack's matrices to every exponent in one evaluation, the
     result of shape broadcast(s.shape, stack shape) + (n, n).
     """
     if isinstance(s, np.ndarray) and s.ndim and s.dtype.kind in "iuf":
+        if not np.isfinite(s).all():
+            raise InvalidInput(f"exponent array {s!r} must hold finite numbers")
         return ScalarFunction("power", s.astype(float))
-    if not _is_number(s):
-        raise InvalidInput(f"exponent {s!r} must be a number")
+    if not (_is_number(s) and abs(s) < np.inf):
+        raise InvalidInput(f"exponent {s!r} must be a finite number")
     return ScalarFunction("power", float(s))
 
 
@@ -318,8 +328,11 @@ def loewner_matrix(fn: ScalarFunction, eigenvalues):
     """First divided differences of ``fn`` at the given points.
 
     Entry (i, j) is (f(x_i) - f(x_j)) / (x_i - x_j); the diagonal and
-    near-coincident pairs use the derivative at the midpoint.
+    near-coincident pairs use the derivative at the midpoint. ``InvalidInput``
+    unless fn is a ``ScalarFunction``.
     """
+    if not isinstance(fn, ScalarFunction):
+        raise InvalidInput(f"fn must be a ScalarFunction such as power(s), LOG or EXP, got {fn!r}")
     x = np.asarray(eigenvalues, dtype=float)
     xi = x[:, None]
     xj = x[None, :]
@@ -334,22 +347,22 @@ def frechet_derivative(fn: ScalarFunction, X, Y):
     """Derivative of the matrix function ``fn`` at X in direction Y.
 
     Computed by the divided-difference (Loewner) Hadamard product in the
-    eigenbasis of X; for commuting X, Y this reduces to f'(X) Y.
+    eigenbasis of X; for commuting X, Y this reduces to f'(X) Y. ``InvalidInput``
+    unless fn is a ``ScalarFunction`` (``loewner_matrix`` checks it).
     """
     X, Y = check_matrices(X=X, Y=Y)
     dec = spectral_decompose(X)
+    L = loewner_matrix(fn, dec.eigenvalues)
     dec.require_domain(fn)
     U = dec.eigenvectors
     Yt = U.conj().T @ Y @ U
-    L = loewner_matrix(fn, dec.eigenvalues)
     return U @ (L * Yt) @ U.conj().T
 
 
 def check_box(alpha, beta):
     """Validate a spectral box 0 < alpha <= beta of numbers (a bool is not one)."""
-    if not (_is_number(alpha) and _is_number(beta) and np.isfinite(alpha) and np.isfinite(beta)
-            and 0 < alpha <= beta):
-        raise InvalidBox(f"invalid spectral box [{alpha}, {beta}]")
+    if not (_is_number(alpha) and _is_number(beta) and 0 < alpha <= beta < np.inf):
+        raise InvalidBox(f"invalid spectral box [{alpha!r}, {beta!r}]")
 
 
 def project_box(H, alpha, beta):
@@ -446,10 +459,13 @@ def _spd_from_draws(u, G, alpha, beta):
 def random_hermitian(n, seed, scale=1.0):
     """Seeded random Hermitian matrix with Gaussian entries.
 
-    n and seed are checked as by ``random_spd``; identical seeds give
-    identical matrices, drawn as numpy's default generator of that seed draws them.
+    n and seed are checked as by ``random_spd`` and scale is a finite number
+    (``InvalidInput`` otherwise); identical seeds give identical matrices,
+    drawn as numpy's default generator of that seed draws them.
     """
     n = _check_integer(n, "dimension", 1)
+    if not (_is_number(scale) and abs(scale) < np.inf):
+        raise InvalidInput(f"scale {scale!r} must be a finite number")
     rng = _rng(seed)
     H = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return symmetrize(scale * H)
@@ -468,7 +484,7 @@ def norm(H, kind="frobenius"):
 def schatten_norm(H, p):
     """Schatten-p norm of a Hermitian matrix (p a number >= 1, inf for operator norm)."""
     if not (_is_number(p) and p >= 1):
-        raise InvalidInput(f"Schatten order must be >= 1, got {p}")
+        raise InvalidInput(f"Schatten order must be >= 1, got {p!r}")
     s = np.abs(_eigenvalues(as_hermitian(H)))
     if np.isinf(p):
         return float(np.max(s))

@@ -10,6 +10,7 @@ from sandwich_opt import (
     InvalidInput,
     NumericalError,
     ParameterError,
+    ScalarFunction,
     canonical_json,
     derive_seed,
     divergence_limit_check,
@@ -704,9 +705,11 @@ def test_gauge_convexity_check_rejects_non_convex_ids():
 @pytest.mark.parametrize("exponent", [np.array([2.0, 3.0]), np.nan, np.inf], ids=["stacked", "nan", "inf"])
 def test_gauge_convexity_check_rejects_a_stacked_or_non_finite_power(exponent):
     # power() of an array is one exponent per spectrum, not one function; a
-    # NaN or infinite exponent gave 4 violations of 4 instead of an error
+    # NaN or infinite exponent gave 4 violations of 4 instead of an error.
+    # power() itself rejects a NaN or infinite exponent, so the id is built
+    # directly, as a caller could
     with pytest.raises(InvalidInput, match="scalar function id"):
-        gauge_convexity_check(power(exponent), 2, 4, 1)
+        gauge_convexity_check(ScalarFunction("power", exponent), 2, 4, 1)
 
 
 # ------------------------------------------------------------- open question

@@ -537,6 +537,104 @@ def test_a_non_number_is_rejected_with_the_out_of_range_error(call, error):
         call()
 
 
+_X3 = random_spd(3, 1.0, 4.0, 7)
+_so = sandwich_opt
+
+# name -> (call of the value, the class it raises, the ids of the values it
+# accepts), for every public entry that takes an order, an exponent, a grid
+# or a scale; each class is the one the table above pins for its kind. An
+# exponent may be an array (one per matrix of a stack), a grid may be one,
+# schatten_norm reads p = inf as the operator norm, and run_suite reads no
+# grid as the suite's default.
+_VALUE_ENTRIES = {
+    "fidelity": (lambda v: _so.fidelity(_A3, _B3, v), _so.ParameterError, ()),
+    "sandwich-trace": (lambda v: _so.sandwich_trace(_A3, _B3, v), _so.ParameterError, ()),
+    "divergence": (lambda v: _so.sandwiched_divergence(_A3, _B3, v), _so.ParameterError, ()),
+    "renyi": (lambda v: _so.renyi_classic(_A3, _B3, v), _so.ParameterError, ()),
+    "compute-divergence": (lambda v: _so.compute_divergence("sandwiched", _A3, _B3, v), _so.ParameterError, ()),
+    "t-derivative": (lambda v: _so.fidelity_t_derivative(_A3, _B3, v), _so.ParameterError, ()),
+    "gradient": (lambda v: _so.gradient_f(_A3, _X3, v), _so.ParameterError, ()),
+    "hessian": (lambda v: _so.hessian_operator(_A3, _X3, v), _so.ParameterError, ()),
+    "bregman": (lambda v: _so.bregman(_A3, v, _B3, _X3), _so.ParameterError, ()),
+    "constants": (lambda v: _so.convexity_constants(v, 1.0, 2.0), _so.ParameterError, ()),
+    "sharper-bound": (lambda v: _so.sharper_lower_bound(v, 2.0, 1.0), _so.ParameterError, ()),
+    "third-derivative": (lambda v: _so.third_derivative_bound(v, 1.0, 2.0), _so.ParameterError, ()),
+    "problem": (lambda v: _so.barycenter_problem([_A3], [1.0], v), _so.ParameterError, ()),
+    "trace-chain": (lambda v: _so.trace_chain_check(_A3, _B3, v), _so.ParameterError, ()),
+    "log-major": (lambda v: _so.log_majorization_chain(_A3, _B3, v), _so.ParameterError, ()),
+    "variational-value": (lambda v: _so.variational_value(_A3, _B3, v, _X3, "i"), _so.ParameterError, ()),
+    "variational-minimizer": (lambda v: _so.variational_minimizer(_A3, _B3, v, "iii"), _so.ParameterError, ()),
+    "power": (power, InvalidInput, ("array",)),
+    "matrix-power": (lambda v: matrix_power(_A3, v), InvalidInput, ("array",)),
+    "gmean": (lambda v: _so.geometric_mean(_A3, _B3, v), InvalidInput, ("array",)),
+    "schatten": (lambda v: schatten_norm(_A3, v), InvalidInput, ("inf",)),
+    "gauge": (lambda v: _so.gauge_convexity_check(power(2.0), v, 4, 1), InvalidInput, ()),
+    "suite-grid": (lambda v: _so.run_suite("trace-chain", trials=1, t_values=v), InvalidInput, ("none", "array")),
+    "suite-grid-entry": (lambda v: _so.run_suite("trace-chain", trials=1, t_values=[v]), _so.ParameterError, ()),
+    "search-grid": (lambda v: _so.open_question_search(2, v, 1, 0), InvalidInput, ("array",)),
+    "search-grid-entry": (lambda v: _so.open_question_search(2, [v], 1, 0), _so.ParameterError, ()),
+    "gamma-grid": (lambda v: _so.gamma_limit_check(_A3, _B3, v), InvalidInput, ("array",)),
+    "gamma-grid-entry": (lambda v: _so.gamma_limit_check(_A3, _B3, [v]), _so.ParameterError, ()),
+    "scale": (lambda v: random_hermitian(3, 1, scale=v), InvalidInput, ()),
+}
+_BAD_VALUES = {"str": "0.5", "none": None, "bool": True, "nan": np.nan, "inf": np.inf, "array": np.array([0.5])}
+
+
+@pytest.mark.parametrize("entry,value", [
+    pytest.param(entry, value, id=f"{entry}-{vid}")
+    for entry, (_, _, accepts) in _VALUE_ENTRIES.items()
+    for vid, value in _BAD_VALUES.items() if vid not in accepts
+])
+def test_a_bad_order_exponent_grid_or_scale_raises_the_package_error_naming_it(entry, value):
+    # fidelity(A, B, "0.5") said "t = 0.5 outside (0.001, 0.999)", a string
+    # grid was split into characters, and NaN exponents, a string matrix
+    # entry or scale raised NumericalError, ValueError or UFuncTypeError
+    call, error, _ = _VALUE_ENTRIES[entry]
+    with pytest.raises(error) as info:
+        call(value)
+    assert repr(value) in str(info.value)
+
+
+@pytest.mark.parametrize("s", [-np.inf, np.array([0.5, np.nan]), np.array([[np.inf]])],
+                         ids=["-inf", "array-nan", "array-inf"])
+def test_a_non_finite_exponent_is_invalid_input(s):
+    # matrix_power and geometric_mean raised NumericalError "... is not finite
+    # on the spectrum" after a decomposition (NaN and inf: see the test above)
+    for call in (lambda: power(s), lambda: matrix_power(_A3, s), lambda: _so.geometric_mean(_A3, _B3, s)):
+        with pytest.raises(InvalidInput, match="exponent"):
+            call()
+
+
+@pytest.mark.parametrize("entries", [[["a"]], [[1.0, 2.0], [3.0]], [[object()]]],
+                         ids=["string", "ragged", "object"])
+def test_a_matrix_argument_numpy_cannot_read_names_the_argument(entries):
+    # each raised numpy's ValueError or TypeError
+    with pytest.raises(InvalidInput, match="X must be an array of numbers"):
+        _so.gradient_f(_A3, entries, 0.5)
+    p = _so.barycenter_problem([_A3], [1.0], 0.5)
+    with pytest.raises(_so.InvalidStart, match="x0 must be an array of numbers"):
+        _so.solve_fixed_point(p, x0=entries)
+    with pytest.raises(InvalidInput, match="matrix must be an array of numbers"):
+        spectral_decompose(entries)
+
+
+@pytest.mark.parametrize("scale", ["x", -np.inf, [1.0]])
+def test_random_hermitian_rejects_a_scale_that_is_not_a_finite_number(scale):
+    # "x" raised numpy's UFuncTypeError and -inf drew a matrix of NaNs (the
+    # six values of the test above are rejected too)
+    with pytest.raises(InvalidInput, match="scale"):
+        random_hermitian(3, 1, scale=scale)
+
+
+@pytest.mark.parametrize("fn", [None, "log", np.log, 2.0], ids=["none", "name", "callable", "number"])
+def test_a_matrix_function_must_be_a_scalar_function_id(fn):
+    # None raised TypeError and "log" AttributeError
+    with pytest.raises(InvalidInput, match="ScalarFunction"):
+        loewner_matrix(fn, [1.0, 2.0])
+    with pytest.raises(InvalidInput, match="ScalarFunction"):
+        frechet_derivative(fn, _A3, _B3)
+
+
 def test_numpy_integer_dimension_draws_as_int():
     assert np.array_equal(random_spd(np.int64(3), 1.0, 2.0, 5), random_spd(3, 1.0, 2.0, 5))
     assert np.array_equal(random_spd_stack(np.uint8(2), 1.0, 2.0, [5, 6]), random_spd_stack(2, 1.0, 2.0, [5, 6]))
