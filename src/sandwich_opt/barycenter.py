@@ -40,7 +40,6 @@ re-checks either; every iterate of either solver is exactly Hermitian.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -55,6 +54,7 @@ from .linalg import (
     _descending,
     _eigenvalues,
     _eigh,
+    _is_finite_number,
     _is_number,
     _project_box,
     _spd_and_spectrum,
@@ -143,13 +143,13 @@ def barycenter_problem(matrices, weights, t, alpha=None, beta=None) -> Barycente
     n = mats[0].shape[0]
     if any(M.shape[0] != n for M in mats):
         raise InvalidInput("marginal matrices must share one dimension")
-    if not all(_is_number(v) for v in np.ravel(np.asarray(weights, dtype=object))):
-        raise InvalidInput(f"weights must be numbers, got {weights!r}")
+    if not all(_is_finite_number(v) for v in np.ravel(np.asarray(weights, dtype=object))):
+        raise InvalidInput(f"weights must be finite numbers, got {weights!r}")
     w = np.asarray(weights, dtype=float)
     if w.shape != (len(mats),):
         raise InvalidInput(f"expected {len(mats)} weights, got shape {w.shape}")
-    if not np.all(np.isfinite(w)) or np.any(w <= 0):
-        raise InvalidInput("weights must be finite and positive")
+    if np.any(w <= 0):
+        raise InvalidInput("weights must be positive")
     w = w / w.sum()
 
     r = 1.0 - float(t)
@@ -242,7 +242,7 @@ def certified_rate(p: BarycenterProblem, eta=None):
         eta = 1.0 / beta_star
     elif not _is_number(eta):
         raise InvalidInput(f"eta = {eta!r} must be a number")
-    if not (np.isfinite(eta) and 0.0 < eta < 2.0 / beta_star):
+    if not 0.0 < eta < 2.0 / beta_star:
         raise InvalidStepSize(f"eta = {eta} outside (0, {2.0 / beta_star:.6g})")
     q = max(abs(1.0 - eta * alpha_star), abs(1.0 - eta * beta_star))
     return alpha_star, beta_star, q
@@ -288,7 +288,7 @@ def _stopping_tolerance(p: BarycenterProblem, grad_tol, max_iters):
     _check_integer(max_iters, "max_iters", 0)
     if grad_tol is None:
         return 1e-10 * p.t * p.n
-    if not (_is_number(grad_tol) and math.isfinite(grad_tol) and grad_tol >= 0):
+    if not (_is_finite_number(grad_tol) and grad_tol >= 0):
         raise InvalidInput(f"grad_tol = {grad_tol!r} must be a finite number >= 0")
     return grad_tol
 

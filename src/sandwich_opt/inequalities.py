@@ -72,7 +72,7 @@ from .linalg import (
     _check_integer,
     _eigenvalues,
     _graded_svd,
-    _is_number,
+    _is_finite_number,
     _positive_definite,
     _power,
     _spd_from_draws,
@@ -656,7 +656,7 @@ def _is_convex_id(fn: ScalarFunction) -> bool:
     if fn.kind == "exp":
         return True
     s = fn.exponent
-    return fn.kind == "power" and _is_number(s) and math.isfinite(s) and not (0.0 < s < 1.0)
+    return fn.kind == "power" and _is_finite_number(s) and not (0.0 < s < 1.0)
 
 
 def _is_strictly_convex_id(fn: ScalarFunction) -> bool:
@@ -676,7 +676,7 @@ def gauge_convexity_check(fn: ScalarFunction, p, trials, seed, n=4):
     """
     if not isinstance(fn, ScalarFunction) or not _is_convex_id(fn):
         raise InvalidInput(f"unsupported or non-convex scalar function id {fn!r}")
-    if not (_is_number(p) and 1 <= p < math.inf):
+    if not (_is_finite_number(p) and p >= 1):
         raise InvalidInput(f"Schatten order must be in [1, inf), got {p!r}")
     return _gauge_panel(((fn, p),), trials, [seed], n)[0]
 

@@ -23,6 +23,9 @@ from .errors import DomainError, InvalidBox, InvalidInput, NumericalError
 # fractional negative powers amplify near-null eigenvalues.
 SPD_TOL = 1e-12
 
+# The largest finite float: a number of larger magnitude is not finite as a float.
+_FLOAT_MAX = float(np.finfo(float).max)
+
 # Switch divided differences to the analytic limit when eigenvalues are
 # closer than this, relative to their magnitude (cancellation control).
 EQUAL_EIG_RTOL = 1e-8
@@ -35,7 +38,7 @@ def symmetrize(H):
     the bits of (H + H*)/2 outside the subnormal range and does not overflow
     for finite entries near the largest float.
     """
-    H = np.asarray(H, dtype=complex)
+    H = _complex_array(H, "matrix")
     return 0.5 * H + 0.5 * H.conj().swapaxes(-1, -2)
 
 
@@ -79,6 +82,11 @@ def _trace(M):
 def _is_number(v) -> bool:
     """A real number, not a bool (which Python counts as an int)."""
     return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+def _is_finite_number(v) -> bool:
+    """A number (not a bool) that a float holds: not NaN, not infinite, no int beyond the float range."""
+    return _is_number(v) and abs(v) <= _FLOAT_MAX
 
 
 def _check_integer(value, what, lo, hi=None):
@@ -300,7 +308,7 @@ def power(s) -> ScalarFunction:
         if not np.isfinite(s).all():
             raise InvalidInput(f"exponent array {s!r} must hold finite numbers")
         return ScalarFunction("power", s.astype(float))
-    if not (_is_number(s) and abs(s) < np.inf):
+    if not _is_finite_number(s):
         raise InvalidInput(f"exponent {s!r} must be a finite number")
     return ScalarFunction("power", float(s))
 
@@ -361,7 +369,7 @@ def frechet_derivative(fn: ScalarFunction, X, Y):
 
 def check_box(alpha, beta):
     """Validate a spectral box 0 < alpha <= beta of numbers (a bool is not one)."""
-    if not (_is_number(alpha) and _is_number(beta) and 0 < alpha <= beta < np.inf):
+    if not (_is_finite_number(alpha) and _is_finite_number(beta) and 0 < alpha <= beta):
         raise InvalidBox(f"invalid spectral box [{alpha!r}, {beta!r}]")
 
 
@@ -464,7 +472,7 @@ def random_hermitian(n, seed, scale=1.0):
     drawn as numpy's default generator of that seed draws them.
     """
     n = _check_integer(n, "dimension", 1)
-    if not (_is_number(scale) and abs(scale) < np.inf):
+    if not _is_finite_number(scale):
         raise InvalidInput(f"scale {scale!r} must be a finite number")
     rng = _rng(seed)
     H = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -483,7 +491,7 @@ def norm(H, kind="frobenius"):
 
 def schatten_norm(H, p):
     """Schatten-p norm of a Hermitian matrix (p a number >= 1, inf for operator norm)."""
-    if not (_is_number(p) and p >= 1):
+    if not (_is_number(p) and p >= 1 and (p == np.inf or _is_finite_number(p))):
         raise InvalidInput(f"Schatten order must be >= 1, got {p!r}")
     s = np.abs(_eigenvalues(as_hermitian(H)))
     if np.isinf(p):

@@ -15,7 +15,7 @@ import numpy as np
 
 from .barycenter import BarycenterProblem, SolverReport, barycenter_problem
 from .errors import InvalidInput
-from .linalg import _check_integer, _is_number
+from .linalg import _check_integer, _complex_array, _is_number
 
 
 def format_float(x) -> str:
@@ -77,7 +77,7 @@ def _float_list(values) -> str:
 
 def matrix_to_json(M) -> dict:
     """Matrix as {"n": ..., "re": [[...]], "im": [[...]]}; "im" omitted when zero."""
-    M = np.asarray(M, dtype=complex)
+    M = _complex_array(M, "matrix")
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise InvalidInput(f"expected a square matrix, got shape {M.shape}")
     out = {"n": int(M.shape[0]), "re": [[float(v) for v in row] for row in M.real]}

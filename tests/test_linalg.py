@@ -614,8 +614,26 @@ def test_a_matrix_argument_numpy_cannot_read_names_the_argument(entries):
     p = _so.barycenter_problem([_A3], [1.0], 0.5)
     with pytest.raises(_so.InvalidStart, match="x0 must be an array of numbers"):
         _so.solve_fixed_point(p, x0=entries)
-    with pytest.raises(InvalidInput, match="matrix must be an array of numbers"):
-        spectral_decompose(entries)
+    for call in (spectral_decompose, symmetrize, _so.matrix_to_json):
+        with pytest.raises(InvalidInput, match="matrix must be an array of numbers"):
+            call(entries)
+
+
+def test_an_int_beyond_the_float_range_is_not_a_finite_number():
+    # each raised a bare OverflowError or TypeError: the int compares below
+    # inf but has no float
+    big = 10**400
+    p = _so.barycenter_problem([_A3], [1.0], 0.5)
+    for call, error in [(lambda: power(big), InvalidInput),
+                        (lambda: random_hermitian(3, 1, scale=big), InvalidInput),
+                        (lambda: project_box(_A3, 1.0, big), InvalidBox),
+                        (lambda: schatten_norm(_A3, big), InvalidInput),
+                        (lambda: _so.gauge_convexity_check(power(2.0), big, 4, 1), InvalidInput),
+                        (lambda: _so.solve_gradient_projection(p, grad_tol=big), InvalidInput),
+                        (lambda: _so.barycenter_problem([_A3], [big], 0.5), InvalidInput),
+                        (lambda: _so.certified_rate(p, big), _so.InvalidStepSize)]:
+        with pytest.raises(error, match="10000"):
+            call()
 
 
 @pytest.mark.parametrize("scale", ["x", -np.inf, [1.0]])
